@@ -27,10 +27,13 @@ func PageCount(tokens, pageTokens int) int {
 
 // node is one cached page in the radix tree. Most nodes sit on a linear
 // chain (one child), so the single child is held inline and the children
-// map is only allocated when a node actually branches. Evicted nodes are
-// recycled through the pool's free list: a recycled slot's fresh
-// lastAccess (the clock is strictly monotonic) makes every stale LRU
-// entry pointing at it mismatch and drop.
+// map is only allocated when a node actually branches.
+//
+// A node is evictable while it is a live, unpinned leaf. lastAccess comes
+// from the pool's strictly monotonic clock, so no two node lifetimes ever
+// share a value. Evicted nodes are recycled through the pool's free list;
+// the recycled slot's fresh lastAccess makes every heap entry left over
+// from its previous life mismatch and drop.
 type node struct {
 	page       PageID
 	parent     *node
@@ -81,12 +84,16 @@ func (n *node) removeChild(c *node) {
 // evictable reports whether the node could be evicted right now.
 func (n *node) evictable() bool { return !n.dead && n.nchild == 0 && n.pins == 0 }
 
-// evEntry is a lazy LRU heap entry; it is stale once the node's
-// lastAccess moved past the recorded access or the node died.
+// evEntry is a lazy LRU heap entry: node n, listed while it was a leaf
+// whose lastAccess was access. It is live while n is evictable with that
+// same lastAccess, and stale otherwise — n was touched, pinned, extended
+// or evicted since. Stale entries are dropped when they reach the top.
 type evEntry struct {
 	n      *node
 	access int64
 }
+
+func (e evEntry) live() bool { return e.n.evictable() && e.n.lastAccess == e.access }
 
 // evHeap is a hand-rolled min-heap on access — container/heap would box
 // every Push/Pop through any, allocating on the pool's hottest path.
@@ -153,6 +160,18 @@ func (s Stats) HitRate() float64 {
 // Pool is a KV cache pool measured in tokens. It combines a radix prefix
 // tree of cached pages with a reservation counter for the KV of running
 // requests that has not yet been published into the tree.
+//
+// Eviction is exact LRU over leaves: the evictable node with the smallest
+// lastAccess goes first. The lru heap holds only nodes that were leaves
+// when listed, and between operations every evictable node has a live
+// entry there, so the heap's smallest live entry is always the next
+// victim. Two paths keep the heap small without bending that order:
+// Insert lists only the tail of the chain it adds (every interior page
+// gains a child before an eviction can see it as a leaf), and when
+// evicting a victim leaves its parent a leaf older than the heap's live
+// minimum, freeTokens evicts that parent directly rather than pushing it
+// and popping it straight back — so an LRU chain dies tail first with no
+// heap traffic.
 type Pool struct {
 	capacity   int64
 	pageTokens int
@@ -164,7 +183,13 @@ type Pool struct {
 	clock     int64
 	stats     Stats
 	free      []*node // recycled evicted nodes
+	slab      []node  // fresh nodes, carved out nodeSlab at a time
 }
+
+// nodeSlab is how many nodes one allocation provides: a pool fills by
+// thousands of pages per long request, and one allocation per page was
+// the pool's largest remaining cost.
+const nodeSlab = 256
 
 // New creates a pool holding capacityTokens of KV, paged by pageTokens.
 func New(capacityTokens int64, pageTokens int) *Pool {
@@ -178,8 +203,8 @@ func New(capacityTokens int64, pageTokens int) *Pool {
 	}
 }
 
-// allocNode takes a node off the free list (or makes one) keyed for page
-// pg under parent.
+// allocNode takes a node off the free list (or the current slab) keyed
+// for page pg under parent.
 func (p *Pool) allocNode(pg PageID, parent *node) *node {
 	var n *node
 	if l := len(p.free); l > 0 {
@@ -189,7 +214,11 @@ func (p *Pool) allocNode(pg PageID, parent *node) *node {
 		m := n.children
 		*n = node{children: m} // keep the (empty) branch map for reuse
 	} else {
-		n = &node{}
+		if len(p.slab) == 0 {
+			p.slab = make([]node, nodeSlab)
+		}
+		n = &p.slab[0]
+		p.slab = p.slab[1:]
 	}
 	n.page = pg
 	n.parent = parent
@@ -286,32 +315,51 @@ func (p *Pool) MatchTokens(pages []PageID, totalTokens int) int {
 	return hit
 }
 
-// evictOne removes the least recently used unpinned leaf. It returns
-// false when nothing is evictable.
-func (p *Pool) evictOne() bool {
+// popLive pops the least recently used evictable leaf, dropping stale
+// entries on the way; nil when nothing is evictable.
+func (p *Pool) popLive() *node {
 	for len(p.lru) > 0 {
-		e := p.lru.pop()
-		n := e.n
-		if n.dead || !n.evictable() || n.lastAccess != e.access {
-			continue // stale entry
+		if e := p.lru.pop(); e.live() {
+			return e.n
 		}
-		n.dead = true
-		n.parent.removeChild(n)
-		p.usedPages--
-		p.stats.Evictions++
-		p.listIfEvictable(n.parent)
-		p.free = append(p.free, n)
-		return true
 	}
-	return false
+	return nil
+}
+
+// olderThanListed reports whether n is at least as old as the heap's
+// live minimum, dropping stale tops first. Ticks are unique per node, so
+// a tie means the top is n's own entry.
+func (p *Pool) olderThanListed(n *node) bool {
+	for len(p.lru) > 0 && !p.lru[0].live() {
+		p.lru.pop()
+	}
+	return len(p.lru) == 0 || n.lastAccess <= p.lru[0].access
 }
 
 // freeTokens evicts until at least want tokens are free (or nothing more
 // can be evicted). It reports whether the target was reached.
 func (p *Pool) freeTokens(want int64) bool {
+	var next *node // the next victim, known without consulting the heap
 	for p.Free() < want {
-		if !p.evictOne() {
-			return false
+		v := next
+		if v == nil {
+			if v = p.popLive(); v == nil {
+				return false
+			}
+		}
+		next = nil
+		par := v.parent
+		v.dead = true
+		par.removeChild(v)
+		p.usedPages--
+		p.stats.Evictions++
+		p.free = append(p.free, v)
+		// A parent left a leaf keeps its own recency; if it is older than
+		// every listed leaf it is the next LRU victim anyway.
+		if par != p.root && par.evictable() && p.Free() < want && p.olderThanListed(par) {
+			next = par
+		} else {
+			p.listIfEvictable(par)
 		}
 	}
 	return true
@@ -352,16 +400,27 @@ func (p *Pool) Insert(pages []PageID) int {
 			n = child
 			continue
 		}
-		if !p.freeTokens(int64(p.pageTokens)) {
-			break
+		// Pinned, n cannot be evicted to make room for its own child.
+		n.pins++
+		ok := p.freeTokens(int64(p.pageTokens))
+		n.pins--
+		if !ok {
+			// While pinned, n's entry (if any) was stale and may have
+			// been dropped.
+			p.listIfEvictable(n)
+			return added
 		}
 		child := p.allocNode(pg, n)
 		n.addChild(child)
 		p.usedPages++
 		p.stats.Inserts++
-		p.listIfEvictable(child)
 		n = child
 		added++
+	}
+	// Interior pages gained a child before any eviction could see them as
+	// leaves; only the new tail needs listing.
+	if added > 0 {
+		p.listIfEvictable(n)
 	}
 	return added
 }

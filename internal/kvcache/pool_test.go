@@ -1,7 +1,10 @@
 package kvcache
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -139,6 +142,27 @@ func TestPinPreventsEviction(t *testing.T) {
 	}
 }
 
+// Making room for a page must never evict the node that page extends:
+// the evicted node would be recycled as its own child, a self-loop whose
+// page stays counted in Used but can never be reached or evicted.
+func TestInsertNeverEvictsItsOwnTail(t *testing.T) {
+	p := New(2*16, 16)
+	p.Reserve(16)
+	if added := p.Insert(seq(1, 2, 3)); added != 1 {
+		t.Fatalf("Insert added %d, want 1 (page 2 has no room)", added)
+	}
+	if got := p.Peek(seq(1, 2, 3)); got != 1 {
+		t.Fatalf("Peek = %d, want 1", got)
+	}
+	if err := checkTree(p); err != nil {
+		t.Fatal(err)
+	}
+	p.Release(16)
+	if !p.Reserve(2 * 16) {
+		t.Fatal("cached page not evictable after a failed Insert")
+	}
+}
+
 func TestPinMissingPagesIgnored(t *testing.T) {
 	p := New(1000, 16)
 	p.Insert(seq(1))
@@ -211,23 +235,88 @@ func TestZeroAndNegativeReserve(t *testing.T) {
 	}
 }
 
-// Property: Used+Reserved never exceeds Capacity under random operations.
+// checkTree walks the radix tree and reports the first broken structural
+// invariant: usedPages must count exactly the reachable non-root nodes,
+// no reachable node may be dead, parent and child links must agree with
+// nchild, and pins must never go negative.
+func checkTree(p *Pool) error {
+	seen := map[*node]bool{}
+	reachable, err := checkSubtree(p.root, seen)
+	if err != nil {
+		return err
+	}
+	if reachable != p.usedPages {
+		return fmt.Errorf("usedPages = %d, but %d nodes are reachable", p.usedPages, reachable)
+	}
+	return nil
+}
+
+func checkSubtree(n *node, seen map[*node]bool) (int64, error) {
+	if seen[n] {
+		return 0, fmt.Errorf("page %d reached twice", n.page)
+	}
+	seen[n] = true
+	if n.dead {
+		return 0, fmt.Errorf("page %d is reachable but dead", n.page)
+	}
+	if n.pins < 0 {
+		return 0, fmt.Errorf("page %d has %d pins", n.page, n.pins)
+	}
+	var kids []*node
+	if n.children != nil {
+		if n.only != nil {
+			return 0, fmt.Errorf("page %d holds both a branch map and an inline child", n.page)
+		}
+		for pg, c := range n.children {
+			if c.page != pg {
+				return 0, fmt.Errorf("page %d filed under key %d", c.page, pg)
+			}
+			kids = append(kids, c)
+		}
+		slices.SortFunc(kids, func(a, b *node) int { return cmp.Compare(a.page, b.page) })
+	} else if n.only != nil {
+		kids = append(kids, n.only)
+	}
+	if n.nchild != len(kids) {
+		return 0, fmt.Errorf("page %d: nchild = %d, but %d children linked", n.page, n.nchild, len(kids))
+	}
+	var count int64
+	for _, c := range kids {
+		if c.parent != n {
+			return 0, fmt.Errorf("page %d: parent link does not point at page %d", c.page, n.page)
+		}
+		sub, err := checkSubtree(c, seen)
+		if err != nil {
+			return 0, err
+		}
+		count += 1 + sub
+	}
+	return count, nil
+}
+
+// Property: Used+Reserved never exceeds Capacity and the radix tree stays
+// well formed under random operations.
 func TestPropertyCapacityInvariant(t *testing.T) {
 	f := func(ops []uint32, capRaw uint16) bool {
 		capacity := int64(capRaw%64+1) * 16
 		p := New(capacity, 16)
 		var reserved []int64
+		type pin struct {
+			pages []PageID
+			count int
+		}
+		var pins []pin
 		for _, op := range ops {
-			switch op % 4 {
+			n := int(op>>3)%8 + 1
+			pages := make([]PageID, n)
+			for i := range pages {
+				pages[i] = PageID((op >> 3) + uint32(i))
+			}
+			switch op % 6 {
 			case 0:
-				n := int(op>>2)%8 + 1
-				pages := make([]PageID, n)
-				for i := range pages {
-					pages[i] = PageID((op >> 2) + uint32(i))
-				}
 				p.Insert(pages)
 			case 1:
-				tok := int64(op>>2)%capacity + 1
+				tok := int64(op>>3)%capacity + 1
 				if p.Reserve(tok) {
 					reserved = append(reserved, tok)
 				}
@@ -237,12 +326,26 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 					reserved = reserved[:len(reserved)-1]
 				}
 			case 3:
-				p.Match(seq(uint64(op>>2), uint64(op>>3)))
+				p.Match(seq(uint64(op>>3), uint64(op>>4)))
+			case 4:
+				count := int(op>>6)%n + 1
+				p.Pin(pages, count)
+				pins = append(pins, pin{pages, count})
+			case 5:
+				if len(pins) > 0 {
+					last := pins[len(pins)-1]
+					p.Unpin(last.pages, last.count)
+					pins = pins[:len(pins)-1]
+				}
 			}
 			if p.Used()+p.Reserved() > p.Capacity() {
 				return false
 			}
 			if p.Free() < 0 {
+				return false
+			}
+			if err := checkTree(p); err != nil {
+				t.Logf("op %d: %v", op%6, err)
 				return false
 			}
 		}
@@ -333,4 +436,32 @@ func BenchmarkMatchInsert(b *testing.B) {
 		p.MatchTokens(tr, len(tr)*16)
 		p.Insert(tr)
 	}
+}
+
+// BenchmarkEvictChurn has the pool traffic of a long-context replay: on a
+// full pool a request reserves ~1900 pages of KV, evicting the oldest
+// cached chain tail first, releases them when it finishes, and publishes
+// its own fresh ~1900-page context. Time is reported per page evicted.
+func BenchmarkEvictChurn(b *testing.B) {
+	const chain = 1900
+	p := New(4*chain*16, 16)
+	pages := make([]PageID, chain)
+	for c := 0; c < 4; c++ {
+		for j := range pages {
+			pages[j] = PageID(uint64(c)<<32 | uint64(j))
+		}
+		p.Insert(pages)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !p.Reserve(chain * 16) {
+			b.Fatal("Reserve failed on an unpinned pool")
+		}
+		p.Release(chain * 16)
+		for j := range pages {
+			pages[j] = PageID(uint64(i+4)<<32 | uint64(j))
+		}
+		p.Insert(pages)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/chain, "ns/page")
 }
