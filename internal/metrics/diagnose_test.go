@@ -90,7 +90,8 @@ func TestDiagnoseCauses(t *testing.T) {
 }
 
 // Misses must equal offered − WithinSLO for any mix, with zero targets
-// disabling their half of the check exactly like WithinSLO does.
+// disabling their half of the check exactly like WithinSLO does, on
+// recorders holding aborted requests and on merged ones.
 func TestDiagnoseMatchesWithinSLO(t *testing.T) {
 	for _, slo := range []SLO{diagSLO(), {TTFT: sim.Second}, {TBT: 50 * sim.Millisecond}, {}} {
 		r := NewRecorder()
@@ -103,15 +104,38 @@ func TestDiagnoseMatchesWithinSLO(t *testing.T) {
 		r.Token(3, 500*sim.Millisecond)
 		r.Finish(3, 500*sim.Millisecond)
 		r.Arrive(4, 0, 10)
-
-		b := r.Diagnose(slo, DiagnoseAux{})
-		if got := len(r.IDs()) - r.WithinSLO(slo); b.Misses != got {
-			t.Errorf("slo %+v: Misses %d, want %d", slo, b.Misses, got)
+		// 5 and 6 break the TBT target, then abort; 6 re-arrives here and
+		// finishes cleanly, so neither old gap may count.
+		for _, id := range []int{5, 6} {
+			r.Arrive(id, 0, 10)
+			r.Token(id, 10*sim.Millisecond)
+			r.Token(id, 900*sim.Millisecond)
+			r.Abort(id)
 		}
-		sum := b.QueuedTooLong + b.SlowPrefill + b.TBTViolation +
-			b.MigrationStall + b.Crash + b.Unfinished + b.Other
-		if sum != b.Misses {
-			t.Errorf("slo %+v: buckets sum %d != Misses %d", slo, sum, b.Misses)
+		finishCleanly(r, 6, sim.Second)
+
+		other := NewRecorder()
+		finishCleanly(other, 7, 0)
+		other.Arrive(8, 0, 10)
+		other.Token(8, 10*sim.Millisecond)
+		other.Token(8, 500*sim.Millisecond)
+		other.Finish(8, 500*sim.Millisecond)
+
+		for _, rec := range []*Recorder{r, Merge(r, other)} {
+			b := rec.Diagnose(slo, DiagnoseAux{})
+			if got := len(rec.IDs()) - rec.WithinSLO(slo); b.Misses != got {
+				t.Errorf("slo %+v: Misses %d, want %d", slo, b.Misses, got)
+			}
+			sum := b.QueuedTooLong + b.SlowPrefill + b.TBTViolation +
+				b.MigrationStall + b.Crash + b.Unfinished + b.Other
+			if sum != b.Misses {
+				t.Errorf("slo %+v: buckets sum %d != Misses %d", slo, sum, b.Misses)
+			}
+		}
+		if slo == diagSLO() {
+			if b := r.Diagnose(slo, DiagnoseAux{}); b.TBTViolation != 1 || b.Misses != 3 {
+				t.Errorf("breakdown %+v, want 3 misses with only request 3 a TBT violation", b)
+			}
 		}
 	}
 }

@@ -26,44 +26,66 @@ type SLO struct {
 
 // reqRec tracks one request's lifecycle.
 type reqRec struct {
+	id          int
 	arrival     sim.Time
 	admitted    sim.Time // -1 until the engine admits it out of its queue
 	firstToken  sim.Time
 	lastToken   sim.Time
 	finished    sim.Time
+	maxGap      sim.Time // worst inter-token gap so far
 	tokens      int
 	inputTokens int
-	idx         int // position in Recorder.ids (the removal index map)
+	idx         int // position in Recorder.recs, the record's Slot
 	tbtN        int // TBT samples this request contributed
 	done        bool
+	dead        bool // aborted; awaiting compaction out of recs
 }
 
-// tombstoneID marks an aborted request's slot in the ids slice; iteration
-// skips it and compaction reclaims it. Real request IDs never take this
-// value.
-const tombstoneID = math.MinInt
-
-// tbtSample is one inter-token gap, tagged with the request that emitted
-// it and the emission time so windowed rollups and aborts can attribute
-// the sample.
+// tbtSample is one inter-token gap in nanoseconds, tagged with the
+// emission time (windowed rollups) and the emitting record's slot, so an
+// aborted record's samples can be recognised and skipped.
 type tbtSample struct {
-	id int
-	at sim.Time
-	v  float64 // seconds
+	at, gap sim.Time
+	rec     int32
 }
+
+// The TBT log grows in blocks that are never copied: the first holds
+// minBlock samples, and each next one doubles up to maxBlock.
+const (
+	minBlock = 64
+	maxBlock = 8192
+)
+
+// Slot caches where a request's record sits in a Recorder, so the
+// per-token path can skip the ID lookup. The zero Slot is valid.
+// TokenSlot checks the slot against the request ID and re-resolves a
+// stale one, after an abort or compaction or on another recorder.
+type Slot int32
 
 // Recorder collects latency samples during a simulation run.
+//
+// Records live in recs in arrival order; a record's index there is its
+// Slot. Abort marks a record dead instead of splicing it out, and readers
+// skip dead records and their samples. Once dead records and samples
+// outnumber live ones, compact drops them all in one pass, so aborts cost
+// O(1) amortized.
+//
+// The TBT log keeps one sample per generated token after the first, in
+// emission order. Gaps stay in integer nanoseconds until a reader
+// converts them with Seconds. Seconds is monotone, so radix-sorting the
+// integers gives exactly the order sort.Float64s gives the converted
+// values, and Avg, summed in that ascending order, is bitwise the same.
 type Recorder struct {
-	reqs map[int]*reqRec
-	// ids holds request IDs in insertion order for deterministic
-	// iteration. Abort overwrites the request's slot (found through its
-	// record's index, not a scan) with tombstoneID; compact reclaims the
-	// slots once they outnumber the live entries.
-	ids        []int
-	tombstones int
-	open       int // arrived-but-unfinished requests
+	reqs map[int]*reqRec // live records by request ID
+	recs []*reqRec       // every record in arrival order, dead ones included
 
-	tbt []tbtSample // all requests pooled
+	tbt   [][]tbtSample // TBT log blocks; only the last has spare capacity
+	nTBT  int           // samples in the log, dead ones included
+	open  int           // arrived-but-unfinished requests
+	nDead int           // dead records in recs
+	// deadTBT counts the log's samples from dead records. While it is
+	// zero, readers skip the per-sample liveness check.
+	deadTBT int
 
 	prefillTokens int64
 	decodeTokens  int64
@@ -109,8 +131,9 @@ func (r *Recorder) Arrive(id int, at sim.Time, inputTokens int) {
 	if _, ok := r.reqs[id]; ok {
 		return
 	}
-	r.reqs[id] = &reqRec{arrival: at, admitted: -1, firstToken: -1, inputTokens: inputTokens, idx: len(r.ids)}
-	r.ids = append(r.ids, id)
+	rec := &reqRec{id: id, arrival: at, admitted: -1, firstToken: -1, inputTokens: inputTokens, idx: len(r.recs)}
+	r.reqs[id] = rec
+	r.recs = append(r.recs, rec)
 	r.open++
 	if r.trace != nil {
 		r.trace.AsyncBegin(at, r.track, "request", int64(id), "request",
@@ -150,22 +173,69 @@ func (r *Recorder) Token(id int, at sim.Time) {
 	if !ok || r.halted {
 		return
 	}
+	r.token(rec, at)
+}
+
+// TokenSlot is Token for callers that emit many tokens per request: slot
+// caches the request's record between calls. A stale or zero slot falls
+// back to the ID lookup and is refreshed.
+func (r *Recorder) TokenSlot(slot *Slot, id int, at sim.Time) {
+	if r.halted {
+		return
+	}
+	if i := uint(*slot); i < uint(len(r.recs)) {
+		if rec := r.recs[i]; rec.id == id && !rec.dead {
+			r.token(rec, at)
+			return
+		}
+	}
+	rec, ok := r.reqs[id]
+	if !ok {
+		return
+	}
+	*slot = Slot(rec.idx)
+	r.token(rec, at)
+}
+
+func (r *Recorder) token(rec *reqRec, at sim.Time) {
 	rec.tokens++
 	r.decodeTokens++
 	if rec.firstToken < 0 {
 		rec.firstToken = at
 		if r.OnFirstToken != nil {
-			r.OnFirstToken(id, at-rec.arrival)
+			r.OnFirstToken(rec.id, at-rec.arrival)
 		}
 		if r.trace != nil {
-			r.trace.AsyncInstant(at, r.track, "request", int64(id), "first-token",
+			r.trace.AsyncInstant(at, r.track, "request", int64(rec.id), "first-token",
 				obs.Arg{Key: "ttft_ms", Val: (at - rec.arrival).Milliseconds()})
 		}
 	} else {
-		r.tbt = append(r.tbt, tbtSample{id: id, at: at, v: (at - rec.lastToken).Seconds()})
+		gap := at - rec.lastToken
+		rec.maxGap = max(rec.maxGap, gap)
 		rec.tbtN++
+		r.appendTBT(tbtSample{at: at, gap: gap, rec: int32(rec.idx)})
 	}
 	rec.lastToken = at
+}
+
+// appendTBT adds s to the log, opening a new block when the last is full.
+func (r *Recorder) appendTBT(s tbtSample) {
+	n := len(r.tbt)
+	if n == 0 || len(r.tbt[n-1]) == cap(r.tbt[n-1]) {
+		size := minBlock
+		if n > 0 {
+			size = min(2*cap(r.tbt[n-1]), maxBlock)
+		}
+		r.tbt = append(r.tbt, make([]tbtSample, 0, size))
+		n++
+	}
+	r.tbt[n-1] = append(r.tbt[n-1], s)
+	r.nTBT++
+}
+
+// live reports whether s belongs to a record that has not been aborted.
+func (r *Recorder) live(s tbtSample) bool {
+	return r.deadTBT == 0 || !r.recs[s.rec].dead
 }
 
 // Finish marks the request complete.
@@ -218,39 +288,66 @@ func (r *Recorder) Abort(id int) bool {
 	r.decodeTokens -= int64(rec.tokens)
 	delete(r.reqs, id)
 	r.open--
-	// O(1) slot removal through the record's index; the order-preserving
-	// compaction runs only when tombstones outnumber live entries, so a
-	// drain aborting k of n requests costs O(k + n) total, not O(k·n).
-	r.ids[rec.idx] = tombstoneID
-	r.tombstones++
-	if r.tombstones > len(r.ids)-r.tombstones {
+	rec.dead = true
+	r.nDead++
+	r.deadTBT += rec.tbtN
+	// A compaction costs one pass over records and samples, and runs only
+	// once the dead outnumber the live, so each dead item pays for its
+	// own removal: O(1) amortized per abort, not a rescan of the log.
+	if r.nDead+r.deadTBT > len(r.recs)-r.nDead+r.nTBT-r.deadTBT {
 		r.compact()
-	}
-	if rec.tbtN > 0 {
-		kept := r.tbt[:0]
-		for _, s := range r.tbt {
-			if s.id != id {
-				kept = append(kept, s)
-			}
-		}
-		r.tbt = kept
 	}
 	return true
 }
 
-// compact rewrites ids without tombstones, preserving insertion order and
-// refreshing every record's index.
+// compact drops dead records and their samples, preserving arrival and
+// emission order, and renumbers the surviving records' slots.
 func (r *Recorder) compact() {
-	kept := r.ids[:0]
-	for _, id := range r.ids {
-		if id == tombstoneID {
-			continue
+	n := 0
+	for _, rec := range r.recs {
+		if !rec.dead {
+			rec.idx = n
+			n++
 		}
-		r.reqs[id].idx = len(kept)
-		kept = append(kept, id)
 	}
-	r.ids = kept
-	r.tombstones = 0
+	// Samples still carry old slots, which index the not yet compacted
+	// recs. Rewrite them to the new slots in place, front to back: the
+	// write cursor never passes the read cursor, and every block but the
+	// last is full, so refilling the blocks in order stays in bounds.
+	var blocks [][]tbtSample
+	var kept []tbtSample
+	for _, b := range r.tbt {
+		for _, s := range b {
+			rec := r.recs[s.rec]
+			if rec.dead {
+				continue
+			}
+			if len(kept) == cap(kept) {
+				if kept != nil {
+					blocks = append(blocks, kept)
+				}
+				kept = r.tbt[len(blocks)][:0]
+			}
+			s.rec = int32(rec.idx)
+			kept = append(kept, s)
+		}
+	}
+	if kept != nil {
+		blocks = append(blocks, kept)
+	}
+	r.tbt = blocks
+	r.nTBT -= r.deadTBT
+	r.deadTBT = 0
+
+	live := r.recs[:0]
+	for _, rec := range r.recs {
+		if !rec.dead {
+			live = append(live, rec)
+		}
+	}
+	clear(r.recs[len(live):])
+	r.recs = live
+	r.nDead = 0
 }
 
 // OpenIDs returns the IDs of arrived-but-unfinished requests in arrival
@@ -258,12 +355,9 @@ func (r *Recorder) compact() {
 // re-dispatch.
 func (r *Recorder) OpenIDs() []int {
 	var out []int
-	for _, id := range r.ids {
-		if id == tombstoneID {
-			continue
-		}
-		if !r.reqs[id].done {
-			out = append(out, id)
+	for _, rec := range r.recs {
+		if !rec.dead && !rec.done {
+			out = append(out, rec.id)
 		}
 	}
 	return out
@@ -296,20 +390,42 @@ func quantiles(samples []float64) Quantiles {
 	return q
 }
 
+// timeQuantiles is quantiles over nanosecond samples, reported in
+// seconds. It sorts ts in place with sortTimes. Seconds is monotone, so
+// the result is bitwise what quantiles returns on the converted samples:
+// the same order statistics, and Avg summed in the same ascending order.
+func timeQuantiles(ts []sim.Time) Quantiles {
+	q := Quantiles{N: len(ts)}
+	if len(ts) == 0 {
+		return q
+	}
+	sortTimes(ts)
+	var sum float64
+	for _, t := range ts {
+		sum += t.Seconds()
+	}
+	n := len(ts)
+	q.Avg = sum / float64(n)
+	q.P50 = ts[rank(n, 0.50)].Seconds()
+	q.P90 = ts[rank(n, 0.90)].Seconds()
+	q.P99 = ts[rank(n, 0.99)].Seconds()
+	q.Max = ts[n-1].Seconds()
+	return q
+}
+
 // percentile returns the p-quantile of a sorted sample via the
 // nearest-rank method the serving literature uses for tail latencies.
 func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return sorted[rank(len(sorted), p)]
+}
+
+// rank is the nearest-rank index of the p-quantile in n sorted samples.
+func rank(n int, p float64) int {
+	idx := int(math.Ceil(p*float64(n))) - 1
+	return min(max(idx, 0), n-1)
 }
 
 // String formats the headline quantiles in milliseconds.
@@ -359,17 +475,27 @@ type Summary struct {
 
 // TBTAttainment returns the fraction of TBT samples within the SLO.
 func (r *Recorder) TBTAttainment(slo sim.Time) float64 {
-	if len(r.tbt) == 0 {
+	n := r.nTBT - r.deadTBT
+	if n == 0 {
 		return 1
 	}
 	target := slo.Seconds()
 	ok := 0
-	for _, s := range r.tbt {
-		if s.v <= target {
-			ok++
+	for _, b := range r.tbt {
+		for _, s := range b {
+			if r.live(s) && s.gap.Seconds() <= target {
+				ok++
+			}
 		}
 	}
-	return float64(ok) / float64(len(r.tbt))
+	return float64(ok) / float64(n)
+}
+
+// tbtMiss reports whether some inter-token gap of the request exceeded
+// target seconds. Comparing the worst gap is exact: Seconds is monotone,
+// so the worst gap converts to the worst converted gap.
+func (rec *reqRec) tbtMiss(target float64) bool {
+	return rec.maxGap.Seconds() > target
 }
 
 // WithinSLO returns how many requests met the SLO end to end: finished,
@@ -379,22 +505,13 @@ func (r *Recorder) TBTAttainment(slo sim.Time) float64 {
 // span turns it into the frontier's goodput numerator. A zero TTFT or
 // TBT target disables that half of the check.
 func (r *Recorder) WithinSLO(slo SLO) int {
-	bad := map[int]bool{}
-	if slo.TBT > 0 {
-		target := slo.TBT.Seconds()
-		for _, s := range r.tbt {
-			if s.v > target {
-				bad[s.id] = true
-			}
-		}
-	}
+	target := slo.TBT.Seconds()
 	n := 0
-	for _, id := range r.ids {
-		if id == tombstoneID {
+	for _, rec := range r.recs {
+		if rec.dead || !rec.done || rec.firstToken < 0 {
 			continue
 		}
-		rec := r.reqs[id]
-		if !rec.done || rec.firstToken < 0 || bad[id] {
+		if slo.TBT > 0 && rec.tbtMiss(target) {
 			continue
 		}
 		if slo.TTFT > 0 && rec.firstToken-rec.arrival > slo.TTFT {
@@ -408,12 +525,8 @@ func (r *Recorder) WithinSLO(slo SLO) int {
 // TTFTAttainment returns the fraction of first tokens within the SLO.
 func (r *Recorder) TTFTAttainment(slo sim.Time) float64 {
 	total, ok := 0, 0
-	for _, id := range r.ids {
-		if id == tombstoneID {
-			continue
-		}
-		rec := r.reqs[id]
-		if rec.firstToken < 0 {
+	for _, rec := range r.recs {
+		if rec.dead || rec.firstToken < 0 {
 			continue
 		}
 		total++
@@ -431,33 +544,33 @@ func (r *Recorder) TTFTAttainment(slo sim.Time) float64 {
 // for makespan and stability accounting.
 func (r *Recorder) Summarize(name string, now sim.Time) Summary {
 	s := Summary{Name: name, Makespan: now}
-	var ttft, tpot, e2e, perTok []float64
-	for _, id := range r.ids {
-		if id == tombstoneID {
+	var ttft, e2e []sim.Time
+	var tpot, perTok []float64
+	for _, rec := range r.recs {
+		if rec.dead {
 			continue
 		}
-		rec := r.reqs[id]
 		s.Requests++
 		if rec.firstToken >= 0 {
-			t := (rec.firstToken - rec.arrival).Seconds()
+			t := rec.firstToken - rec.arrival
 			ttft = append(ttft, t)
 			if rec.inputTokens > 0 {
-				perTok = append(perTok, t/float64(rec.inputTokens))
+				perTok = append(perTok, t.Seconds()/float64(rec.inputTokens))
 			}
 		}
 		if !rec.done {
 			continue
 		}
 		s.Finished++
-		e2e = append(e2e, (rec.finished - rec.arrival).Seconds())
+		e2e = append(e2e, rec.finished-rec.arrival)
 		if rec.tokens > 1 {
 			tpot = append(tpot, (rec.lastToken-rec.firstToken).Seconds()/float64(rec.tokens-1))
 		}
 	}
-	s.TTFT = quantiles(ttft)
-	s.TBT = quantiles(r.TBTSamples())
+	s.TTFT = timeQuantiles(ttft)
+	s.TBT = timeQuantiles(r.appendGaps(make([]sim.Time, 0, r.nTBT-r.deadTBT)))
 	s.TPOT = quantiles(tpot)
-	s.E2E = quantiles(e2e)
+	s.E2E = timeQuantiles(e2e)
 	s.TTFTPerToken = quantiles(perTok)
 	s.DecodeTokens = r.decodeTokens
 	s.PrefillTokens = r.prefillTokens
@@ -468,13 +581,28 @@ func (r *Recorder) Summarize(name string, now sim.Time) Summary {
 	return s
 }
 
+// appendGaps appends the live TBT gaps to dst in emission order.
+func (r *Recorder) appendGaps(dst []sim.Time) []sim.Time {
+	for _, b := range r.tbt {
+		for _, s := range b {
+			if r.live(s) {
+				dst = append(dst, s.gap)
+			}
+		}
+	}
+	return dst
+}
+
 // IDs returns the recorded request IDs in arrival-insertion order
 // (cluster tests map them back to trace sessions).
 func (r *Recorder) IDs() []int {
-	if r.tombstones > 0 {
-		r.compact()
+	out := make([]int, 0, len(r.recs)-r.nDead)
+	for _, rec := range r.recs {
+		if !rec.dead {
+			out = append(out, rec.id)
+		}
 	}
-	return r.ids
+	return out
 }
 
 // Unfinished returns how many arrived requests have not completed.
@@ -482,9 +610,13 @@ func (r *Recorder) Unfinished() int { return r.open }
 
 // TBTSamples exposes raw TBT samples in seconds (CDF plotting).
 func (r *Recorder) TBTSamples() []float64 {
-	out := make([]float64, len(r.tbt))
-	for i, s := range r.tbt {
-		out[i] = s.v
+	out := make([]float64, 0, r.nTBT-r.deadTBT)
+	for _, b := range r.tbt {
+		for _, s := range b {
+			if r.live(s) {
+				out = append(out, s.gap.Seconds())
+			}
+		}
 	}
 	return out
 }
@@ -492,12 +624,8 @@ func (r *Recorder) TBTSamples() []float64 {
 // TTFTPerTokenSamples returns TTFT/input-length for every started request.
 func (r *Recorder) TTFTPerTokenSamples() []float64 {
 	var out []float64
-	for _, id := range r.ids {
-		if id == tombstoneID {
-			continue
-		}
-		rec := r.reqs[id]
-		if rec.firstToken >= 0 && rec.inputTokens > 0 {
+	for _, rec := range r.recs {
+		if !rec.dead && rec.firstToken >= 0 && rec.inputTokens > 0 {
 			out = append(out, (rec.firstToken-rec.arrival).Seconds()/float64(rec.inputTokens))
 		}
 	}

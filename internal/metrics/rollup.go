@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 
 	"muxwise/internal/sim"
 )
@@ -14,31 +13,57 @@ import (
 // Request IDs must be disjoint across the inputs (a cluster routes each
 // request to exactly one replica, so per-replica recorders never share
 // an ID); a duplicate panics rather than producing a silently
-// half-merged summary. The merged recorder shares the per-request
-// records of its inputs and must be treated as read-only.
+// half-merged summary. The merged recorder holds copies of its inputs'
+// live records and samples; the inputs are not modified.
 func Merge(recs ...*Recorder) *Recorder {
 	m := NewRecorder()
+	nRecs, nTBT := 0, 0
+	for _, r := range recs {
+		if r != nil {
+			nRecs += len(r.recs) - r.nDead
+			nTBT += r.nTBT - r.deadTBT
+		}
+	}
+	arena := make([]reqRec, 0, nRecs)
+	m.recs = make([]*reqRec, 0, nRecs)
+	log := make([]tbtSample, 0, nTBT)
 	for _, r := range recs {
 		if r == nil {
 			continue
 		}
-		for _, id := range r.ids {
-			if id == tombstoneID {
+		// slot maps the input's record slots to the merged ones.
+		slot := make([]int32, len(r.recs))
+		for i, rec := range r.recs {
+			if rec.dead {
 				continue
 			}
-			if _, dup := m.reqs[id]; dup {
-				panic(fmt.Sprintf("metrics: Merge saw request ID %d twice; inputs must be disjoint", id))
+			if _, dup := m.reqs[rec.id]; dup {
+				panic(fmt.Sprintf("metrics: Merge saw request ID %d twice; inputs must be disjoint", rec.id))
 			}
-			rec := r.reqs[id]
-			m.reqs[id] = rec
-			m.ids = append(m.ids, id)
-			if !rec.done {
+			arena = append(arena, *rec)
+			c := &arena[len(arena)-1]
+			c.idx = len(m.recs)
+			slot[i] = int32(c.idx)
+			m.reqs[c.id] = c
+			m.recs = append(m.recs, c)
+			if !c.done {
 				m.open++
 			}
 		}
-		m.tbt = append(m.tbt, r.tbt...)
+		for _, b := range r.tbt {
+			for _, s := range b {
+				if r.live(s) {
+					s.rec = slot[s.rec]
+					log = append(log, s)
+				}
+			}
+		}
 		m.prefillTokens += r.prefillTokens
 		m.decodeTokens += r.decodeTokens
+	}
+	if len(log) > 0 {
+		m.tbt = [][]tbtSample{log}
+		m.nTBT = len(log)
 	}
 	return m
 }
@@ -92,63 +117,91 @@ func (r *Recorder) RollupSLO(bounds []sim.Time, tbtSLO sim.Time) []Window {
 	}
 	n := len(bounds) - 1
 	wins := make([]Window, n)
-	ttft := make([][]float64, n)
-	tbt := make([][]float64, n)
+	ttft := make([][]sim.Time, n)
 	for i := range wins {
 		wins[i].From, wins[i].To = bounds[i], bounds[i+1]
 	}
-	// locate returns the window index containing t, or -1. The final
-	// bound is inclusive: the last window is closed, so a sample landing
-	// exactly on the run's end instant is not dropped.
-	locate := func(t sim.Time) int {
-		i := sort.Search(len(bounds), func(i int) bool { return bounds[i] > t }) - 1
-		if i == n && t == bounds[n] {
-			return n - 1
-		}
-		if i < 0 || i >= n {
-			return -1
-		}
-		return i
-	}
-	for _, id := range r.ids {
-		if id == tombstoneID {
+	for _, rec := range r.recs {
+		if rec.dead {
 			continue
 		}
-		rec := r.reqs[id]
-		if i := locate(rec.arrival); i >= 0 {
+		if i := locate(bounds, rec.arrival); i >= 0 {
 			wins[i].Arrivals++
 		}
 		if rec.firstToken >= 0 {
-			if i := locate(rec.firstToken); i >= 0 {
+			if i := locate(bounds, rec.firstToken); i >= 0 {
 				wins[i].Started++
-				ttft[i] = append(ttft[i], (rec.firstToken - rec.arrival).Seconds())
+				ttft[i] = append(ttft[i], rec.firstToken-rec.arrival)
 			}
 		}
 		if rec.done {
-			if i := locate(rec.finished); i >= 0 {
+			if i := locate(bounds, rec.finished); i >= 0 {
 				wins[i].Finished++
 			}
 		}
 	}
-	target := tbtSLO.Seconds()
-	for _, s := range r.tbt {
-		i := locate(s.at)
-		if i < 0 {
-			continue
-		}
-		tbt[i] = append(tbt[i], s.v)
-		if tbtSLO > 0 {
-			wins[i].tbtN++
-			if s.v <= target {
-				wins[i].tbtOK++
+	// Bucket the live TBT gaps by window into one exact-size array: a
+	// counting pass sizes each window's run, a second pass fills it.
+	// next[i] starts as window i's first index and ends past its last.
+	next := make([]int, n+1)
+	for _, b := range r.tbt {
+		for _, s := range b {
+			if i := locate(bounds, s.at); i >= 0 && r.live(s) {
+				next[i+1]++
 			}
 		}
 	}
+	for i := range n {
+		next[i+1] += next[i]
+	}
+	gaps := make([]sim.Time, next[n])
+	target := tbtSLO.Seconds()
+	for _, b := range r.tbt {
+		for _, s := range b {
+			i := locate(bounds, s.at)
+			if i < 0 || !r.live(s) {
+				continue
+			}
+			gaps[next[i]] = s.gap
+			next[i]++
+			if tbtSLO > 0 {
+				wins[i].tbtN++
+				if s.gap.Seconds() <= target {
+					wins[i].tbtOK++
+				}
+			}
+		}
+	}
+	start := 0
 	for i := range wins {
-		wins[i].TTFT = quantiles(ttft[i])
-		wins[i].TBT = quantiles(tbt[i])
+		wins[i].TTFT = timeQuantiles(ttft[i])
+		wins[i].TBT = timeQuantiles(gaps[start:next[i]])
+		start = next[i]
 	}
 	return wins
+}
+
+// locate returns the index of the window [bounds[i], bounds[i+1])
+// containing t, or -1. The final bound is inclusive: the last window is
+// closed, so a sample landing exactly on the run's end instant is not
+// dropped.
+func locate(bounds []sim.Time, t sim.Time) int {
+	n := len(bounds) - 1
+	switch {
+	case t < bounds[0] || t > bounds[n]:
+		return -1
+	case t == bounds[n]:
+		return n - 1
+	}
+	lo, hi := 0, n // bounds[lo] <= t < bounds[hi]
+	for hi-lo > 1 {
+		if mid := int(uint(lo+hi) >> 1); bounds[mid] <= t {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // TTFTSamplesSince returns the TTFT samples (seconds) of requests whose
@@ -162,12 +215,8 @@ func (r *Recorder) TTFTSamplesSince(from sim.Time) []float64 {
 // are appended to dst (reusing its capacity), so per-tick autoscaler
 // snapshots do not allocate once the buffer has grown.
 func (r *Recorder) AppendTTFTSince(dst []float64, from sim.Time) []float64 {
-	for _, id := range r.ids {
-		if id == tombstoneID {
-			continue
-		}
-		rec := r.reqs[id]
-		if rec.firstToken >= from {
+	for _, rec := range r.recs {
+		if !rec.dead && rec.firstToken >= from {
 			dst = append(dst, (rec.firstToken - rec.arrival).Seconds())
 		}
 	}

@@ -104,13 +104,12 @@ func TestPropertyRollupPartitionsSumToTrace(t *testing.T) {
 		// The final bound must cover every sample: tokens can land after
 		// arrivals stop, so close the last window at the last emission.
 		end := sim.Time(0)
-		for _, s := range rec.tbt {
-			if s.at > end {
-				end = s.at
+		for _, b := range rec.tbt {
+			for _, s := range b {
+				end = max(end, s.at)
 			}
 		}
-		for _, id := range rec.ids {
-			r := rec.reqs[id]
+		for _, r := range rec.recs {
 			if r.lastToken > end {
 				end = r.lastToken
 			}
@@ -120,10 +119,9 @@ func TestPropertyRollupPartitionsSumToTrace(t *testing.T) {
 		}
 		end += sim.Second
 
-		wantArrivals := len(rec.ids)
+		wantArrivals := len(rec.recs)
 		wantStarted, wantFinished := 0, 0
-		for _, id := range rec.ids {
-			r := rec.reqs[id]
+		for _, r := range rec.recs {
 			if r.firstToken >= 0 {
 				wantStarted++
 			}
@@ -131,11 +129,13 @@ func TestPropertyRollupPartitionsSumToTrace(t *testing.T) {
 				wantFinished++
 			}
 		}
-		wantTBT := len(rec.tbt)
+		wantTBT := rec.nTBT
 		wantOK := 0
-		for _, s := range rec.tbt {
-			if s.v <= slo.Seconds() {
-				wantOK++
+		for _, b := range rec.tbt {
+			for _, s := range b {
+				if s.gap.Seconds() <= slo.Seconds() {
+					wantOK++
+				}
 			}
 		}
 

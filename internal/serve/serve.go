@@ -87,6 +87,10 @@ type Running struct {
 	Generated int
 	// PrefilledTokens tracks chunked progress through the new context.
 	PrefilledTokens int
+
+	// RecSlot caches the request's record in the engine's recorder for
+	// the per-token calls of Batch.StepInto.
+	RecSlot metrics.Slot
 }
 
 // CtxTokens returns the current attended context length.
@@ -191,7 +195,7 @@ func (b *Batch) StepInto(now sim.Time, rec *metrics.Recorder, dst []*Running) []
 	keep := b.Reqs[:0]
 	for _, r := range b.Reqs {
 		r.Generated++
-		rec.Token(r.R.ID, now)
+		rec.TokenSlot(&r.RecSlot, r.R.ID, now)
 		if r.DecodeDone() {
 			rec.Finish(r.R.ID, now)
 			finished = append(finished, r)
