@@ -924,21 +924,11 @@ func Run(cfg Config, trace *workload.Trace) (Result, error) {
 		return Result{}, err
 	}
 
-	var lastArrival sim.Time
-	for _, r := range trace.Requests {
-		if r.Arrival > lastArrival {
-			lastArrival = r.Arrival
-		}
-	}
+	lastArrival := serve.LastArrival(trace.Requests)
 	if cfg.Fleet != nil {
 		attachFleet(c, *cfg.Fleet, lastArrival)
 	}
-	// One shared submit callback; each arrival rides as the event
-	// argument (no per-request closure).
-	submit := func(arg any) { c.Submit(arg.(*workload.Request)) }
-	for _, r := range trace.Requests {
-		s.AtFunc(r.Arrival, submit, r)
-	}
+	serve.ScheduleArrivals(s, trace.Requests, func(r *workload.Request) { c.Submit(r) })
 	// Fleet-level stability probe, mirroring serve.Run.
 	backlog := 0
 	s.At(lastArrival+30*sim.Second, func() { backlog = c.Unfinished() })

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -130,8 +131,10 @@ func parseScorer(s string) (string, float64, error) {
 	weight := 1.0
 	if hasWeight {
 		v, err := strconv.ParseFloat(w, 64)
-		if err != nil || v <= 0 {
-			return "", 0, fmt.Errorf("scorer %q: weight %q must be a positive number", s, w)
+		// NaN and ±Inf would make every weighted score NaN, and max-score
+		// would then silently pick the first candidate.
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
+			return "", 0, fmt.Errorf("scorer %q: weight %q must be a positive finite number", s, w)
 		}
 		weight = v
 	}

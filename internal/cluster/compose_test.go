@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -27,6 +28,47 @@ func TestParseCompositionRejectsBadSpecs(t *testing.T) {
 			t.Errorf("ParseComposition(%q) accepted a bad spec", spec)
 		}
 	}
+}
+
+// Non-finite weights would turn every weighted score into NaN, so
+// max-score would route every request to the first candidate.
+func TestParseCompositionRejectsNonFiniteWeights(t *testing.T) {
+	for _, w := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "1e999"} {
+		spec := "epp:scorers=least-tokens:" + w
+		if _, err := ParseComposition(spec); err == nil {
+			t.Errorf("ParseComposition(%q) accepted a non-finite weight", spec)
+		}
+	}
+}
+
+// FuzzParseComposition feeds arbitrary specs to the parser. A spec must
+// either fail to parse or yield only positive finite weights and a
+// router that honors the empty-view and singleton-view contracts. The
+// committed corpus under testdata/fuzz/FuzzParseComposition replays on
+// every go test run.
+func FuzzParseComposition(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		plan, err := parsePlan(spec)
+		if err != nil {
+			return
+		}
+		for _, s := range plan.scorers {
+			if !(s.weight > 0) || math.IsInf(s.weight, 0) {
+				t.Fatalf("%q: accepted weight %v for %s", spec, s.weight, s.name)
+			}
+		}
+		r := plan.policy()()
+		if r.Name() != spec {
+			t.Fatalf("composed router named %q, want the spec %q", r.Name(), spec)
+		}
+		if got := r.Pick(coldReq(0), view(nil)); got != nil {
+			t.Fatalf("%q: empty view picked %v", spec, got)
+		}
+		single := bareFleet(RoleGeneral)
+		if got := r.Pick(coldReq(1), view(single)); got != nil && got != single[0] {
+			t.Fatalf("%q: singleton view picked %v", spec, got)
+		}
+	})
 }
 
 func TestParseCompositionAcceptsGrammar(t *testing.T) {

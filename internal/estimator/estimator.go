@@ -18,14 +18,15 @@ type Estimator struct {
 	TP   int
 	Arch model.Arch
 
-	// Per partition-size latency models. Keys are decode/prefill SMs per
-	// GPU; the full-device size is always present. Each model is the max
-	// of a memory-regime and a compute-regime plane over the Eq. 1/2
-	// features, fitted on samples labelled by which roofline side bound
-	// them during profiling (real systems label with perf counters, as
-	// in GPUlet/HSM).
-	decodeTheta  map[int]planes
-	prefillTheta map[int]planes
+	// Per partition-size latency models, indexed by decode/prefill SMs
+	// per GPU over [0, Spec.SMs]. Each entry holds the model fitted for
+	// the nearest profiled configuration (see snapTable). Each model is
+	// the max of a memory-regime and a compute-regime plane over the
+	// Eq. 1/2 features, fitted on samples labelled by which roofline side
+	// bound them during profiling (real systems label with perf
+	// counters, as in GPUlet/HSM).
+	decodeTheta  []planes
+	prefillTheta []planes
 
 	guard *Guard
 }
@@ -69,11 +70,7 @@ func New(spec gpu.Spec, tp int, arch model.Arch) *Estimator {
 	v, _ := profileCache.LoadOrStore(key, &cacheEntry{})
 	ce := v.(*cacheEntry)
 	ce.once.Do(func() {
-		e := &Estimator{
-			Spec: spec, TP: tp, Arch: arch,
-			decodeTheta:  map[int]planes{},
-			prefillTheta: map[int]planes{},
-		}
+		e := &Estimator{Spec: spec, TP: tp, Arch: arch}
 		e.profileSolo()
 		e.guard = profileGuard(spec, tp, arch, e)
 		ce.est = e
@@ -240,14 +237,18 @@ func fitRegimes(x [][]float64, y []float64, isMem []bool) planes {
 	return p
 }
 
-// profileSolo fits the Eq. 1/2 models per partition configuration.
+// profileSolo fits the Eq. 1/2 models per partition configuration and
+// builds the SM-indexed lookup tables from them.
 func (e *Estimator) profileSolo() {
 	bss := []int{1, 2, 4, 8, 16, 32, 64, 128, 192, 256}
 	ctxs := []int{512, 2048, 8192, 32768, 131072}
 	news := []int{256, 512, 2048, 8192, 32768}
 	reuses := []int{0, 2048, 8192, 32768, 131072}
 
-	for _, sms := range e.Configs() {
+	configs := e.Configs()
+	decode := make([]planes, len(configs))
+	prefill := make([]planes, len(configs))
+	for ci, sms := range configs {
 		var dx [][]float64
 		var dy []float64
 		var dm []bool
@@ -263,7 +264,7 @@ func (e *Estimator) profileSolo() {
 				dm = append(dm, e.memoryBound(e.Arch.DecodeIter(dctxs, e.TP), gpu.Decode, sms))
 			}
 		}
-		e.decodeTheta[sms] = fitRegimes(dx, dy, dm)
+		decode[ci] = fitRegimes(dx, dy, dm)
 
 		var px [][]float64
 		var py []float64
@@ -280,33 +281,40 @@ func (e *Estimator) profileSolo() {
 				pm = append(pm, e.memoryBound(e.Arch.PrefillLayer(seqs, e.TP, true), gpu.Prefill, sms))
 			}
 		}
-		e.prefillTheta[sms] = fitRegimes(px, py, pm)
+		prefill[ci] = fitRegimes(px, py, pm)
 	}
+	e.decodeTheta = snapTable(configs, decode, e.Spec.SMs)
+	e.prefillTheta = snapTable(configs, prefill, e.Spec.SMs)
 }
 
-// nearestConfig snaps an SM count to a profiled configuration.
-func (e *Estimator) nearestConfig(m map[int]planes, sms int) planes {
-	if th, ok := m[sms]; ok {
-		return th
-	}
-	best, bestDiff := 0, math.MaxInt
-	//muxvet:ordered equal distances tie-break to the smaller SM count, so the scan is order-independent
-	for k := range m {
-		d := k - sms
-		if d < 0 {
-			d = -d
+// snapTable returns a table of length sms+1 whose entry k is the model
+// fitted for the profiled configuration nearest to k SMs, equal
+// distances going to the smaller configuration. configs must be
+// ascending, lie in [0, sms] and include sms, as Configs does.
+func snapTable(configs []int, fits []planes, sms int) []planes {
+	tab := make([]planes, sms+1)
+	c := 0
+	for k := range tab {
+		// Move to the next configuration once it is strictly nearer.
+		for c+1 < len(configs) && configs[c+1]-k < k-configs[c] {
+			c++
 		}
-		if d < bestDiff || (d == bestDiff && k < best) {
-			best, bestDiff = k, d
-		}
+		tab[k] = fits[c]
 	}
-	return m[best]
+	return tab
+}
+
+// lookup returns the model for an SM count, clamped to [0, Spec.SMs]:
+// no profiled configuration lies outside that range, so the clamp
+// picks the same nearest configuration as the unclamped count.
+func lookup(tab []planes, sms int) planes {
+	return tab[min(max(sms, 0), len(tab)-1)]
 }
 
 // DecodeSolo predicts the solo-run latency of a decode iteration with the
 // given total context, batch size and decode partition size.
 func (e *Estimator) DecodeSolo(totalCtx, bs, sms int) sim.Time {
-	lat := e.nearestConfig(e.decodeTheta, sms).predict(decodeFeatures(totalCtx, bs))
+	lat := lookup(e.decodeTheta, sms).predict(decodeFeatures(totalCtx, bs))
 	if lat < 0 {
 		lat = 0
 	}
@@ -316,7 +324,7 @@ func (e *Estimator) DecodeSolo(totalCtx, bs, sms int) sim.Time {
 // PrefillPhase predicts the solo-run latency of a full layer-wise prefill
 // phase for the batch on the given prefill partition size.
 func (e *Estimator) PrefillPhase(seqs []model.Seq, sms int) sim.Time {
-	lat := e.nearestConfig(e.prefillTheta, sms).predict(prefillFeatures(seqs))
+	lat := lookup(e.prefillTheta, sms).predict(prefillFeatures(seqs))
 	if lat < 0 {
 		lat = 0
 	}

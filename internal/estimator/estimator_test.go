@@ -213,3 +213,45 @@ func BenchmarkEstimatorQueries(b *testing.B) {
 		e.DecodeWorst(32*4096, 32, 44, 2048, 8192)
 	}
 }
+
+// nearestProfiled is the nearest-configuration rule the SM-indexed
+// tables replace: the profiled size closest to sms, equal distances
+// going to the smaller size.
+func nearestProfiled(configs []int, sms int) int {
+	best, bestDiff := 0, math.MaxInt
+	for _, k := range configs {
+		d := k - sms
+		if d < 0 {
+			d = -d
+		}
+		if d < bestDiff || (d == bestDiff && k < best) {
+			best, bestDiff = k, d
+		}
+	}
+	return best
+}
+
+// The SM-indexed tables pick, for every SM count a caller can pass
+// (including counts outside [0, SMs]), the model of the configuration
+// the nearest-configuration rule picks.
+func TestSnapTableMatchesNearestConfig(t *testing.T) {
+	for _, spec := range []gpu.Spec{gpu.A100(), gpu.H100(), gpu.B200()} {
+		e := &Estimator{Spec: spec}
+		configs := e.Configs()
+		// Tag each configuration's model with its SM count.
+		fits := make([]planes, len(configs))
+		for i, c := range configs {
+			fits[i] = planes{mem: []float64{float64(c)}}
+		}
+		tab := snapTable(configs, fits, spec.SMs)
+		if len(tab) != spec.SMs+1 {
+			t.Fatalf("%s: table length %d, want %d", spec.Name, len(tab), spec.SMs+1)
+		}
+		for sms := -1; sms <= spec.SMs+1; sms++ {
+			got := int(lookup(tab, sms).mem[0])
+			if want := nearestProfiled(configs, sms); got != want {
+				t.Fatalf("%s: %d SMs snap to %d, want %d", spec.Name, sms, got, want)
+			}
+		}
+	}
+}

@@ -86,9 +86,8 @@ func bubbleRatio(p *gpu.Partition, window float64) float64 {
 // driveTrace replays a trace directly against an engine's Submit.
 func driveTrace(env *serve.Env, submit func(*workload.Request), tr *workload.Trace) {
 	for _, r := range tr.Requests {
-		r := r
 		env.Rec.Arrive(r.ID, r.Arrival, r.InputTokens)
-		env.Sim.At(r.Arrival, func() { submit(r) })
 	}
+	serve.ScheduleArrivals(env.Sim, tr.Requests, submit)
 	env.Sim.Run()
 }

@@ -12,6 +12,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"muxwise/internal/obs"
@@ -72,7 +73,7 @@ type Slot int32
 //
 // The TBT log keeps one sample per generated token after the first, in
 // emission order. Gaps stay in integer nanoseconds until a reader
-// converts them with Seconds. Seconds is monotone, so radix-sorting the
+// converts them with Seconds. Seconds is monotone, so sorting the
 // integers gives exactly the order sort.Float64s gives the converted
 // values, and Avg, summed in that ascending order, is bitwise the same.
 type Recorder struct {
@@ -391,7 +392,7 @@ func quantiles(samples []float64) Quantiles {
 }
 
 // timeQuantiles is quantiles over nanosecond samples, reported in
-// seconds. It sorts ts in place with sortTimes. Seconds is monotone, so
+// seconds. It sorts ts in place. Seconds is monotone, so
 // the result is bitwise what quantiles returns on the converted samples:
 // the same order statistics, and Avg summed in the same ascending order.
 func timeQuantiles(ts []sim.Time) Quantiles {
@@ -399,7 +400,7 @@ func timeQuantiles(ts []sim.Time) Quantiles {
 	if len(ts) == 0 {
 		return q
 	}
-	sortTimes(ts)
+	slices.Sort(ts)
 	var sum float64
 	for _, t := range ts {
 		sum += t.Seconds()

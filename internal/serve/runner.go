@@ -72,17 +72,8 @@ func Run(factory Factory, cfg Config, trace *workload.Trace) Result {
 	s := sim.New()
 	inst := NewInstance(s, factory, cfg, "")
 
-	// One shared submit callback for every arrival: the request rides as
-	// the event argument, so scheduling a million-request trace allocates
-	// one closure, not a million.
-	submit := func(arg any) { inst.Submit(arg.(*workload.Request)) }
-	var lastArrival sim.Time
-	for _, r := range trace.Requests {
-		s.AtFunc(r.Arrival, submit, r)
-		if r.Arrival > lastArrival {
-			lastArrival = r.Arrival
-		}
-	}
+	ScheduleArrivals(s, trace.Requests, inst.Submit)
+	lastArrival := LastArrival(trace.Requests)
 	// Stability probe: a keeping-up system holds only its in-flight
 	// requests shortly after arrivals stop; a saturated one has a queue.
 	backlog := 0
@@ -94,6 +85,26 @@ func Run(factory Factory, cfg Config, trace *workload.Trace) Result {
 	res.Diagnostics = inst.Rec.Diagnose(cfg.SLO, metrics.DiagnoseAux{})
 	res.Loop = s.Stats()
 	return res
+}
+
+// ScheduleArrivals schedules submit(r) at r.Arrival for every request,
+// as one sim stream: the event heap holds only the next arrival, not the
+// whole trace, yet dispatch order and loop counters are those of one
+// event per request scheduled in slice order. Arrival times must not
+// change until the request is submitted.
+func ScheduleArrivals(s *sim.Sim, reqs []*workload.Request, submit func(*workload.Request)) {
+	s.AtStream(len(reqs),
+		func(i int) sim.Time { return reqs[i].Arrival },
+		func(i int) { submit(reqs[i]) })
+}
+
+// LastArrival returns the latest arrival time in reqs, or 0 when empty.
+func LastArrival(reqs []*workload.Request) sim.Time {
+	var last sim.Time
+	for _, r := range reqs {
+		last = max(last, r.Arrival)
+	}
+	return last
 }
 
 // ApplyBacklog records the stability-probe backlog on the summary and

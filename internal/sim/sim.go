@@ -14,11 +14,21 @@
 // (no container/heap interface boxing), and the AtFunc/AfterFunc
 // variants let callers schedule a pre-bound func(arg) without allocating
 // a fresh closure per event.
+//
+// The heap holds live work only. A batch of future events known up front
+// — a trace's arrivals — registers as one stream with AtStream: the call
+// reserves one sequence number per entry, exactly as that many AtFunc
+// calls would, but only the stream's earliest entry sits in the heap; the
+// next is pushed, with its reserved sequence number, when that one fires.
+// Dispatch order, Pending and LoopStats are those of the per-entry
+// schedule, while heap operations stay proportional to the live events.
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
@@ -83,6 +93,34 @@ type Event struct {
 	fn  func()    // closure form
 	afn func(any) // closure-free form: afn(arg)
 	arg any
+	st  *stream // stream form: the event is st's next entry
+}
+
+// stream is one AtStream registration: n entries holding the reserved
+// sequence numbers base..base+n-1, dispatched in (time, seq) order with
+// only the next one in the heap.
+type stream struct {
+	at    func(i int) Time
+	fire  func(i int)
+	base  int64
+	order []int // dispatch order of the entries; nil when registered sorted
+	pos   int   // position in dispatch order of the entry in the heap
+	n     int
+}
+
+// entry returns the index of the entry at position k of dispatch order.
+func (st *stream) entry(k int) int {
+	if st.order == nil {
+		return k
+	}
+	return st.order[k]
+}
+
+// key sets e's key to the entry at position st.pos.
+func (st *stream) key(e *Event) {
+	i := st.entry(st.pos)
+	e.at = st.at(i)
+	e.seq = st.base + int64(i)
 }
 
 // Handle identifies one scheduled event. The zero Handle is valid and
@@ -111,6 +149,7 @@ type Sim struct {
 	events     []*Event // 4-ary min-heap on (at, seq)
 	free       []*Event // recycled slots
 	seq        int64
+	reserved   int // stream entries with reserved seqs, not yet in the heap
 	stopped    bool
 	fired      int64
 	canceled   int64
@@ -118,18 +157,19 @@ type Sim struct {
 }
 
 // LoopStats snapshots the event loop's lifetime counters — the raw
-// material for events/sec and ns/event perf tracking. Every schedule
-// and cancel is a heap operation, so Scheduled+Canceled+Fired bounds
-// the loop's heap work. Scheduled == Fired + Canceled + Pending holds
-// at every instant.
+// material for events/sec and ns/event perf tracking. A stream entry
+// counts as scheduled from its AtStream call, as if each entry had been
+// scheduled on its own, so the counters do not depend on how a caller
+// registers its events. Scheduled == Fired + Canceled + Pending holds at
+// every instant.
 type LoopStats struct {
 	// Fired counts events dispatched.
 	Fired int64 `json:"fired"`
-	// Scheduled counts events ever pushed (fired or not).
+	// Scheduled counts events ever scheduled (fired or not).
 	Scheduled int64 `json:"scheduled"`
 	// Canceled counts events removed before firing.
 	Canceled int64 `json:"canceled"`
-	// MaxPending is the high-water mark of the event heap.
+	// MaxPending is the high-water mark of Pending.
 	MaxPending int `json:"max_pending"`
 }
 
@@ -147,23 +187,32 @@ func (s *Sim) Now() Time { return s.now }
 // Fired returns the number of events dispatched so far.
 func (s *Sim) Fired() int64 { return s.fired }
 
-// Pending returns the number of scheduled, not-yet-fired events.
-func (s *Sim) Pending() int { return len(s.events) }
+// Pending returns the number of scheduled, not-yet-fired events,
+// counting every stream entry that has not fired.
+func (s *Sim) Pending() int { return len(s.events) + s.reserved }
 
-// alloc takes a slot off the free list (or makes one) and keys it for
-// scheduling at t.
-func (s *Sim) alloc(t Time) *Event {
-	var e *Event
+// slot takes a slot off the free list, or makes one.
+func (s *Sim) slot() *Event {
 	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
+		e := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-	} else {
-		e = &Event{}
+		return e
 	}
+	return &Event{}
+}
+
+// checkTime panics when t lies before the current time.
+func (s *Sim) checkTime(t Time) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling at %v which is before now %v", t, s.now))
 	}
+}
+
+// alloc takes a slot and keys it for scheduling at t.
+func (s *Sim) alloc(t Time) *Event {
+	s.checkTime(t)
+	e := s.slot()
 	e.at = t
 	e.seq = s.seq
 	s.seq++
@@ -175,8 +224,8 @@ func (s *Sim) push(e *Event) {
 	e.index = int32(len(s.events))
 	s.events = append(s.events, e)
 	s.up(int(e.index))
-	if len(s.events) > s.maxPending {
-		s.maxPending = len(s.events)
+	if p := s.Pending(); p > s.maxPending {
+		s.maxPending = p
 	}
 }
 
@@ -188,6 +237,7 @@ func (s *Sim) release(e *Event) {
 	e.fn = nil
 	e.afn = nil
 	e.arg = nil
+	e.st = nil
 	s.free = append(s.free, e)
 }
 
@@ -211,6 +261,48 @@ func (s *Sim) AtFunc(t Time, fn func(any), arg any) Handle {
 	e.arg = arg
 	s.push(e)
 	return Handle{ev: e, gen: e.gen}
+}
+
+// AtStream schedules fire(i) at time at(i) for every i in [0, n). It
+// reserves n consecutive sequence numbers, entry i taking the i-th, so
+// the entries dispatch exactly where n AtFunc calls in index order would
+// have put them. Only the earliest unfired entry is held in the heap;
+// Pending and LoopStats count every unfired entry.
+//
+// at must return the same time for an index on every call; it is read
+// once per entry here and once when the entry enters the heap. Entries
+// sorted by time, the usual case for a trace's arrivals, need no extra
+// state; unsorted ones are stably sorted by time once, here. Entries
+// have no Handles and cannot be cancelled. An entry before Now panics.
+func (s *Sim) AtStream(n int, at func(i int) Time, fire func(i int)) {
+	if n <= 0 {
+		return
+	}
+	sorted := true
+	prev := at(0)
+	s.checkTime(prev)
+	for i := 1; i < n; i++ {
+		t := at(i)
+		s.checkTime(t)
+		if t < prev {
+			sorted = false
+		}
+		prev = t
+	}
+	st := &stream{at: at, fire: fire, base: s.seq, n: n}
+	if !sorted {
+		st.order = make([]int, n)
+		for i := range st.order {
+			st.order[i] = i
+		}
+		slices.SortStableFunc(st.order, func(a, b int) int { return cmp.Compare(at(a), at(b)) })
+	}
+	s.seq += int64(n)
+	s.reserved += n - 1
+	e := s.slot()
+	e.st = st
+	st.key(e)
+	s.push(e)
 }
 
 // After schedules fn to run d after the current time. Negative delays are
@@ -267,6 +359,10 @@ func (s *Sim) RunUntil(limit Time) {
 		s.popMin()
 		s.now = next.at
 		s.fired++
+		if st := next.st; st != nil {
+			st.fire(s.advance(st, next))
+			continue
+		}
 		// Copy the callback out and recycle the slot before dispatching,
 		// so events the callback schedules can reuse it immediately.
 		fn, afn, arg := next.fn, next.afn, next.arg
@@ -280,6 +376,21 @@ func (s *Sim) RunUntil(limit Time) {
 	if len(s.events) == 0 && s.now < limit && limit < MaxTime {
 		s.now = limit
 	}
+}
+
+// advance hands e, the slot of st's firing entry, to st's next entry,
+// keyed with its reserved seq, or releases it once st is exhausted. It
+// returns the index of the firing entry.
+func (s *Sim) advance(st *stream, e *Event) int {
+	i := st.entry(st.pos)
+	if st.pos++; st.pos < st.n {
+		s.reserved--
+		st.key(e)
+		s.push(e)
+	} else {
+		s.release(e)
+	}
+	return i
 }
 
 // The priority queue is a 4-ary indexed min-heap on (at, seq): same
