@@ -58,23 +58,25 @@ import (
 
 // replicasGrammar documents the accepted -replicas syntax; it is printed
 // whenever the spec fails to parse.
-const replicasGrammar = `accepted -replicas grammar (comma-separated shapes):
+var replicasGrammar = fmt.Sprintf(`accepted -replicas grammar (comma-separated shapes):
   COUNTxENGINE[:ROLE][@GPUS][/HW]
-    COUNT   replicas of this shape (positive integer; "x" separator)
+    COUNT   replicas of this shape (positive integer; "x" separator);
+            the whole fleet holds at most %d replicas
     ENGINE  one of the engine names below
     ROLE    general (default), prefill, or decode
-    GPUS    devices per replica (positive integer)
+    GPUS    devices per replica (integer from 1 to %d)
     HW      A100 (default), H100, H200, or B200
   examples:
     4xMuxWise
     6xMuxWise,2xSGLang-PD:prefill@2
-    2xMuxWise/A100,2xMuxWise/H100`
+    2xMuxWise/A100,2xMuxWise/H100`, muxwise.MaxReplicas, muxwise.MaxGPUs)
 
 // parseReplicas validates the full spec eagerly — engine names, roles,
 // hardware and counts — so a typo fails before any simulation runs.
 func parseReplicas(spec string) ([]muxwise.ReplicaSpec, error) {
 	known := muxwise.Engines()
 	var out []muxwise.ReplicaSpec
+	total := 0
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -87,8 +89,8 @@ func parseReplicas(spec string) ([]muxwise.ReplicaSpec, error) {
 		}
 		if at := strings.SplitN(part, "@", 2); len(at) == 2 {
 			g, err := strconv.Atoi(at[1])
-			if err != nil || g < 1 {
-				return nil, fmt.Errorf("bad gpu count %q in %q", at[1], part)
+			if err != nil || g < 1 || g > muxwise.MaxGPUs {
+				return nil, fmt.Errorf("bad gpu count %q in %q (want 1 to %d)", at[1], part, muxwise.MaxGPUs)
 			}
 			rs.GPUs = g
 			part = at[0]
@@ -120,6 +122,10 @@ func parseReplicas(spec string) ([]muxwise.ReplicaSpec, error) {
 				return nil, fmt.Errorf("unknown hardware %q in %q (want A100, H100, H200, or B200)", rs.Hardware, spec)
 			}
 		}
+		if rs.Count > muxwise.MaxReplicas-total {
+			return nil, fmt.Errorf("fleet of more than %d replicas in %q", muxwise.MaxReplicas, spec)
+		}
+		total += rs.Count
 		out = append(out, rs)
 	}
 	if len(out) == 0 {

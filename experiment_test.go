@@ -109,6 +109,31 @@ func TestExperimentOptionErrors(t *testing.T) {
 	}
 }
 
+// TestExperimentRejectsHostileGPUCounts: a GPU count past MaxGPUs is a
+// Run error for a single engine, a fleet's deployment and a replica
+// shape. Unbounded, HBM capacity × GPUs overflowed int64 and every
+// request was reported unfinished with no error.
+func TestExperimentRejectsHostileGPUCounts(t *testing.T) {
+	const hostile = 1_000_000_000
+	big := dep8B()
+	big.GPUs = hostile
+	tr := muxwise.ShareGPT(1, 3).WithPoissonArrivals(1, 1)
+	cases := []struct {
+		name string
+		exp  *muxwise.Experiment
+	}{
+		{"engine deployment", muxwise.NewExperiment(muxwise.WithDeployment(big), muxwise.WithEngine("MuxWise"))},
+		{"fleet deployment", muxwise.NewExperiment(muxwise.WithDeployment(big), muxwise.WithFleet(muxwise.ReplicaSpec{Engine: "MuxWise"}))},
+		{"replica shape", muxwise.NewExperiment(muxwise.WithDeployment(dep8B()),
+			muxwise.WithFleet(muxwise.ReplicaSpec{Engine: "MuxWise", GPUs: hostile}))},
+	}
+	for _, c := range cases {
+		if _, err := c.exp.Run(tr); err == nil {
+			t.Errorf("%s: %d GPUs should be a Run error (limit %d)", c.name, hostile, muxwise.MaxGPUs)
+		}
+	}
+}
+
 // TestExperimentMatchesLegacyServe pins the deprecation contract: the
 // legacy entry points are thin wrappers, so the Experiment must produce
 // identical summaries for the same inputs.

@@ -21,7 +21,7 @@
 // the ordinary cache-hit machinery.
 //
 // Fleet-wide metrics reuse the single-instance machinery: per-replica
-// recorders are merged (metrics.Merge) into one Summary, and
+// recorders are merged (metrics.MergeSorted) into one Summary, and
 // Probe/Sweep/Goodput apply the same §4 goodput criterion (stable, ≥99%
 // of TBT samples within SLO) to the merged view. Runs with fleet events
 // additionally report per-epoch rollups: one metrics.Window plus a
@@ -312,6 +312,12 @@ type Cluster struct {
 	heldReqs    map[int]bool
 }
 
+// MaxReplicas bounds a fleet's size: the initial replicas, every
+// replica spawned by a fleet event, and the autoscaler's ceiling. Each
+// replica is a whole simulated engine, so the bound turns a hostile
+// count into an error instead of an out-of-memory crash.
+const MaxReplicas = 10000
+
 // validate checks the config without constructing any engine.
 func validate(cfg Config) error {
 	if len(cfg.Replicas) == 0 {
@@ -320,25 +326,40 @@ func validate(cfg Config) error {
 	if cfg.Policy == nil {
 		return fmt.Errorf("cluster: no router policy configured")
 	}
+	if cfg.Base.GPUs > serve.MaxGPUs {
+		return fmt.Errorf("cluster: %d GPUs per replica exceeds the limit of %d", cfg.Base.GPUs, serve.MaxGPUs)
+	}
+	initial := 0
 	for _, spec := range cfg.Replicas {
 		if spec.Factory == nil {
 			return fmt.Errorf("cluster: replica spec %q has no factory", spec.Engine)
 		}
+		n, err := checkShape(spec)
+		if err != nil {
+			return err
+		}
+		if initial += n; initial > MaxReplicas {
+			return fmt.Errorf("cluster: fleet of more than %d replicas", MaxReplicas)
+		}
 	}
 	if cfg.Fleet != nil {
-		initial := 0
-		for _, spec := range cfg.Replicas {
-			n := spec.Count
-			if n <= 0 {
-				n = 1
-			}
-			initial += n
-		}
 		if err := cfg.Fleet.validate(initial); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// checkShape bounds one replica shape's count and GPUs and returns how
+// many replicas it adds (a count ≤ 0 means one).
+func checkShape(spec ReplicaSpec) (int, error) {
+	if spec.Count > MaxReplicas {
+		return 0, fmt.Errorf("cluster: %d %s replicas exceeds the limit of %d", spec.Count, spec.Engine, MaxReplicas)
+	}
+	if spec.GPUs > serve.MaxGPUs {
+		return 0, fmt.Errorf("cluster: %d GPUs per %s replica exceeds the limit of %d", spec.GPUs, spec.Engine, serve.MaxGPUs)
+	}
+	return max(spec.Count, 1), nil
 }
 
 // New expands the config into a fleet inside the shared simulator s. The
@@ -936,6 +957,7 @@ func Run(cfg Config, trace *workload.Trace) (Result, error) {
 
 	res := Result{Router: c.Router.Name(), Failures: c.failures, Events: c.log, Unrouted: len(c.pending)}
 	recs := make([]*metrics.Recorder, 0, len(c.Replicas))
+	tbt := make([]metrics.SortedTBT, 0, len(c.Replicas))
 	for _, rep := range c.Replicas {
 		rr := rep.result(s.Now())
 		hw := cfg.Base.Spec.Name
@@ -962,9 +984,13 @@ func Run(cfg Config, trace *workload.Trace) (Result, error) {
 			KVMigratedOut: rep.kvOut,
 		})
 		recs = append(recs, rep.Inst.Rec)
+		tbt = append(tbt, rr.TBT)
 	}
-	res.Rec = metrics.Merge(recs...)
-	res.Summary = res.Rec.Summarize("cluster/"+c.Router.Name(), s.Now())
+	// A replica frozen at down-time hands over the gaps it had then; if
+	// its recorder moved since, MergeSorted falls back to a sort.
+	var merged metrics.SortedTBT
+	res.Rec, merged = metrics.MergeSorted(recs, tbt)
+	res.Summary = res.Rec.SummarizeSorted("cluster/"+c.Router.Name(), s.Now(), merged)
 	serve.ApplyBacklog(&res.Summary, backlog)
 	res.CacheHit = c.aggCache().HitRate()
 	res.Epochs = c.epochs(res.Rec, s.Now(), cfg.Base.SLO.TBT)

@@ -250,6 +250,12 @@ func (fc FleetConfig) validate(initial int) error {
 	if fc.Min > 0 && fc.Max > 0 && fc.Min > fc.Max {
 		return fmt.Errorf("cluster: fleet min %d exceeds max %d", fc.Min, fc.Max)
 	}
+	if fc.Min > MaxReplicas || fc.Max > MaxReplicas {
+		return fmt.Errorf("cluster: fleet bounds %d..%d exceed the limit of %d replicas", fc.Min, fc.Max, MaxReplicas)
+	}
+	if _, err := checkShape(fc.Spawn); err != nil {
+		return err
+	}
 	order := make([]int, len(fc.Events))
 	for i := range order {
 		order[i] = i
@@ -265,11 +271,13 @@ func (fc FleetConfig) validate(initial int) error {
 		}
 		switch ev.Kind {
 		case SpawnReplica:
-			n := ev.Spec.Count
-			if n <= 0 {
-				n = 1
+			n, err := checkShape(ev.Spec)
+			if err != nil {
+				return err
 			}
-			spawned += n
+			if spawned += n; spawned > MaxReplicas {
+				return fmt.Errorf("cluster: fleet events spawn past the limit of %d replicas", MaxReplicas)
+			}
 		case DrainReplica, FailReplica, RetireReplica:
 			if ev.Replica < 0 || ev.Replica >= spawned {
 				return fmt.Errorf("cluster: fleet event %d (%v at %v) targets replica %d, but only %d exist by then",

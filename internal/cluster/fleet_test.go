@@ -415,6 +415,50 @@ func TestFleetConfigValidation(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsFleetSize is the hostile-size regression test: a
+// replica count or GPU count past the library's limits must fail
+// validation, before any replica is built. Unbounded, 50M replicas
+// crash the process out of memory and 1e9 GPUs overflow the int64
+// device memory, leaving every request silently unfinished.
+func TestValidateBoundsFleetSize(t *testing.T) {
+	const hostile = 1_000_000_000
+	spawn := func(spec ReplicaSpec) *FleetConfig {
+		return &FleetConfig{Events: []FleetEvent{{At: sim.Second, Kind: SpawnReplica, Spec: spec}}}
+	}
+	shape := ReplicaSpec{Engine: "MuxWise", Factory: core.New}
+	cases := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"replica count", func(c *Config) { c.Replicas[0].Count = 50_000_000 }},
+		{"fleet total", func(c *Config) {
+			c.Replicas[0].Count = MaxReplicas
+			c.Replicas = append(c.Replicas, shape)
+		}},
+		{"replica GPUs", func(c *Config) { c.Replicas[0].GPUs = hostile }},
+		{"deployment GPUs", func(c *Config) { c.Base.GPUs = hostile }},
+		{"spawned count", func(c *Config) { c.Fleet = spawn(ReplicaSpec{Count: MaxReplicas}) }},
+		{"spawned GPUs", func(c *Config) { c.Fleet = spawn(ReplicaSpec{GPUs: hostile}) }},
+		{"autoscaler ceiling", func(c *Config) { c.Fleet = &FleetConfig{Max: hostile} }},
+		{"autoscaler shape", func(c *Config) { c.Fleet = &FleetConfig{Spawn: ReplicaSpec{GPUs: hostile}} }},
+	}
+	for _, tc := range cases {
+		cfg := fleetCfg(RoundRobin, 1)
+		tc.edit(&cfg)
+		if err := validate(cfg); err == nil {
+			t.Errorf("%s: hostile size validated", tc.name)
+		}
+	}
+	// The limits themselves are accepted.
+	cfg := fleetCfg(RoundRobin, MaxReplicas)
+	cfg.Base.GPUs = serve.MaxGPUs
+	cfg.Replicas[0].GPUs = serve.MaxGPUs
+	cfg.Fleet = &FleetConfig{Max: MaxReplicas}
+	if err := validate(cfg); err != nil {
+		t.Errorf("fleet at the limits rejected: %v", err)
+	}
+}
+
 func TestParseRoleRoundTrips(t *testing.T) {
 	for _, role := range []Role{RoleGeneral, RolePrefill, RoleDecode} {
 		got, err := ParseRole(role.String())

@@ -57,6 +57,10 @@ const (
 	maxBlock = 8192
 )
 
+// tbtKey identifies a state of the live TBT gaps: every change to them
+// moves nTBT (a token) or mut (an abort or compaction).
+type tbtKey struct{ n, mut int }
+
 // Slot caches where a request's record sits in a Recorder, so the
 // per-token path can skip the ID lookup. The zero Slot is valid.
 // TokenSlot checks the slot against the request ID and re-resolves a
@@ -87,6 +91,10 @@ type Recorder struct {
 	// deadTBT counts the log's samples from dead records. While it is
 	// zero, readers skip the per-sample liveness check.
 	deadTBT int
+	// mut counts aborts and compactions. An abort changes the live gaps
+	// without moving nTBT, and mut only grows, so (nTBT, mut) never
+	// repeats: it keys a SortedTBT at no cost to the token path.
+	mut int
 
 	prefillTokens int64
 	decodeTokens  int64
@@ -234,6 +242,32 @@ func (r *Recorder) appendTBT(s tbtSample) {
 	r.nTBT++
 }
 
+// key is the current state of the live TBT gaps.
+func (r *Recorder) key() tbtKey { return tbtKey{r.nTBT, r.mut} }
+
+// SortedTBT is a recorder's live TBT gaps in ascending order, tied to
+// the recorder state they were taken in. A summary or fleet merge handed
+// one skips its sort while that state holds. Its gaps are never written
+// once built. The zero value is current for no recorder.
+type SortedTBT struct {
+	rec  *Recorder
+	key  tbtKey
+	gaps []sim.Time
+}
+
+// SortedTBT sorts the live TBT gaps. It does not modify the recorder.
+func (r *Recorder) SortedTBT() SortedTBT {
+	gaps := r.appendGaps(make([]sim.Time, 0, r.nTBT-r.deadTBT))
+	slices.Sort(gaps)
+	return SortedTBT{rec: r, key: r.key(), gaps: gaps}
+}
+
+// current reports whether st still holds r's live gaps: it was taken
+// from r, and no token, abort or compaction has happened since.
+func (st SortedTBT) current(r *Recorder) bool {
+	return r != nil && st.rec == r && st.key == r.key()
+}
+
 // live reports whether s belongs to a record that has not been aborted.
 func (r *Recorder) live(s tbtSample) bool {
 	return r.deadTBT == 0 || !r.recs[s.rec].dead
@@ -292,6 +326,7 @@ func (r *Recorder) Abort(id int) bool {
 	rec.dead = true
 	r.nDead++
 	r.deadTBT += rec.tbtN
+	r.mut++
 	// A compaction costs one pass over records and samples, and runs only
 	// once the dead outnumber the live, so each dead item pays for its
 	// own removal: O(1) amortized per abort, not a rescan of the log.
@@ -339,6 +374,7 @@ func (r *Recorder) compact() {
 	r.tbt = blocks
 	r.nTBT -= r.deadTBT
 	r.deadTBT = 0
+	r.mut++
 
 	live := r.recs[:0]
 	for _, rec := range r.recs {
@@ -396,11 +432,16 @@ func quantiles(samples []float64) Quantiles {
 // the result is bitwise what quantiles returns on the converted samples:
 // the same order statistics, and Avg summed in the same ascending order.
 func timeQuantiles(ts []sim.Time) Quantiles {
+	slices.Sort(ts)
+	return sortedTimeQuantiles(ts)
+}
+
+// sortedTimeQuantiles is timeQuantiles over samples already ascending.
+func sortedTimeQuantiles(ts []sim.Time) Quantiles {
 	q := Quantiles{N: len(ts)}
 	if len(ts) == 0 {
 		return q
 	}
-	slices.Sort(ts)
 	var sum float64
 	for _, t := range ts {
 		sum += t.Seconds()
@@ -544,6 +585,16 @@ func (r *Recorder) TTFTAttainment(slo sim.Time) float64 {
 // Summarize builds the run summary. now is the simulation end time, used
 // for makespan and stability accounting.
 func (r *Recorder) Summarize(name string, now sim.Time) Summary {
+	return r.SummarizeSorted(name, now, r.SortedTBT())
+}
+
+// SummarizeSorted is Summarize with the TBT gaps sorted beforehand: a
+// tbt current for r spares the sort, any other tbt is ignored and the
+// gaps are sorted afresh. Either way the summary is bitwise Summarize's.
+func (r *Recorder) SummarizeSorted(name string, now sim.Time, tbt SortedTBT) Summary {
+	if !tbt.current(r) {
+		tbt = r.SortedTBT()
+	}
 	s := Summary{Name: name, Makespan: now}
 	var ttft, e2e []sim.Time
 	var tpot, perTok []float64
@@ -569,7 +620,7 @@ func (r *Recorder) Summarize(name string, now sim.Time) Summary {
 		}
 	}
 	s.TTFT = timeQuantiles(ttft)
-	s.TBT = timeQuantiles(r.appendGaps(make([]sim.Time, 0, r.nTBT-r.deadTBT)))
+	s.TBT = sortedTimeQuantiles(tbt.gaps)
 	s.TPOT = quantiles(tpot)
 	s.E2E = timeQuantiles(e2e)
 	s.TTFTPerToken = quantiles(perTok)

@@ -68,6 +68,88 @@ func Merge(recs ...*Recorder) *Recorder {
 	return m
 }
 
+// MergeSorted is Merge for inputs whose sorted TBT gaps are at hand:
+// tbt[i] was taken from recs[i] (entries of nil inputs are ignored). It
+// also returns the merged recorder's sorted gaps, merged from the
+// inputs' runs instead of sorted, for its SummarizeSorted. The merge
+// holds the same multiset in the same ascending order, so the quantiles
+// and the ascending-order Avg are bitwise those of a fresh sort. If any
+// input's gaps are not current, the returned SortedTBT is the zero one
+// and the summary sorts afresh.
+func MergeSorted(recs []*Recorder, tbt []SortedTBT) (*Recorder, SortedTBT) {
+	m := Merge(recs...)
+	runs := make([][]sim.Time, 0, len(recs))
+	for i, r := range recs {
+		if r == nil {
+			continue
+		}
+		if !tbt[i].current(r) {
+			return m, SortedTBT{}
+		}
+		runs = append(runs, tbt[i].gaps)
+	}
+	return m, SortedTBT{rec: m, key: m.key(), gaps: mergeRuns(runs, m.nTBT)}
+}
+
+// mergeRuns merges ascending runs into one ascending run of n samples.
+// Runs merge pairwise in rounds, so a sample moves once per round:
+// O(n log k) for k runs, never more than a sort. Each round writes into
+// the buffer the previous round did not, so no merge reads what it
+// overwrites. A lone run is returned as is (SortedTBT gaps are never
+// written once built). The runs slice itself is overwritten.
+func mergeRuns(runs [][]sim.Time, n int) []sim.Time {
+	var bufs [2][]sim.Time
+	for round := 0; len(runs) > 1; round++ {
+		buf := bufs[round%2]
+		if buf == nil {
+			buf = make([]sim.Time, n)
+			bufs[round%2] = buf
+		}
+		// Merged run i/2 is stored once runs i and i+1 are read, so the
+		// next round's runs can reuse the slice in place.
+		next, w := runs[:0], 0
+		for i := 0; i < len(runs); i += 2 {
+			var out []sim.Time
+			if i+1 < len(runs) {
+				out = buf[w : w+len(runs[i])+len(runs[i+1])]
+				merge2(out, runs[i], runs[i+1])
+			} else {
+				out = buf[w : w+len(runs[i])]
+				copy(out, runs[i])
+			}
+			w += len(out)
+			next = append(next, out)
+		}
+		runs = next
+	}
+	if len(runs) == 0 {
+		return nil
+	}
+	return runs[0]
+}
+
+// merge2 merges ascending a and b into out, which holds len(a)+len(b).
+func merge2(out, a, b []sim.Time) {
+	i, j, w := 0, 0, 0
+	for ; i < len(a) && j < len(b); w++ {
+		// A branch-free select: which side is smaller is data
+		// dependent, and a branch on it mispredicts half the time.
+		x, y := a[i], b[j]
+		c := 0
+		if y < x {
+			c = 1
+		}
+		if c == 1 {
+			x = y
+		}
+		out[w] = x
+		i += 1 - c
+		j += c
+	}
+	w += copy(out[w:], a[i:])
+	copy(out[w:], b[j:])
+}
+
 // Window is a time-bounded rollup of recorder samples — one fleet epoch
 // or one fixed-width slice of a run. Sample assignment follows the time
 // the observation was made: arrivals by arrival time, TTFT by

@@ -106,8 +106,11 @@ func RouterPick(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// A fresh router per iteration: Pick mutates policy state
 		// (session stickiness, prefix indexes), and every iteration must
-		// replay identical work.
+		// replay identical work. Building it is set-up, not picking, so
+		// it runs off the timer.
+		b.StopTimer()
 		r := policy()
+		b.StartTimer()
 		for j, req := range trace.Requests {
 			view := cluster.FleetView{Now: sim.Time(j), Candidates: cands}
 			if rep := r.Pick(req, view); rep == nil {

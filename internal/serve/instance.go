@@ -180,10 +180,12 @@ func (i *Instance) CacheHit() float64 { return i.CacheStats().HitRate() }
 
 // Result snapshots the instance's run result at simulation time now.
 func (i *Instance) Result(now sim.Time) Result {
+	tbt := i.Rec.SortedTBT()
 	res := Result{
-		Summary:  i.Rec.Summarize(i.Label, now),
+		Summary:  i.Rec.SummarizeSorted(i.Label, now, tbt),
 		Timeline: i.Eng.Timeline(),
 		Rec:      i.Rec,
+		TBT:      tbt,
 		CacheHit: i.CacheHit(),
 	}
 	for _, d := range i.Eng.Devices() {

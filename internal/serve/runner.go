@@ -9,6 +9,11 @@ import (
 	"muxwise/internal/workload"
 )
 
+// MaxGPUs bounds the devices one engine instance may span. Device
+// memory is HBMCapacity × GPUs bytes in an int64, and the bound keeps
+// that product far from overflow on every catalogued GPU.
+const MaxGPUs = 1024
+
 // Config describes a serving deployment for a run.
 type Config struct {
 	Spec gpu.Spec
@@ -57,6 +62,9 @@ type Result struct {
 	Devices  []gpu.Stats
 	CacheHit float64
 	Rec      *metrics.Recorder
+	// TBT is Rec's sorted TBT gaps as Summary used them, for a fleet
+	// summary to merge instead of re-sorting.
+	TBT metrics.SortedTBT `json:"-"`
 
 	// Diagnostics attributes every SLO miss to a cause (set by Run;
 	// zero on bare Instance snapshots).

@@ -74,6 +74,15 @@ const (
 	Second      = sim.Second
 )
 
+// Size limits checked before anything is built: a deployment or replica
+// shape spans at most MaxGPUs devices, and a fleet — initial replicas,
+// scheduled spawns and the autoscaler's ceiling — holds at most
+// MaxReplicas replicas.
+const (
+	MaxGPUs     = serve.MaxGPUs
+	MaxReplicas = cluster.MaxReplicas
+)
+
 // FromDuration converts a wall-clock duration to simulated time.
 func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 
@@ -162,6 +171,9 @@ func (d Deployment) config() (serve.Config, error) {
 	gpus := d.GPUs
 	if gpus <= 0 {
 		gpus = 8
+	}
+	if gpus > MaxGPUs {
+		return serve.Config{}, fmt.Errorf("muxwise: %d GPUs exceeds the limit of %d", gpus, MaxGPUs)
 	}
 	slo := d.SLO
 	if slo.TBT == 0 {
