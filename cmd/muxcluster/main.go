@@ -166,12 +166,16 @@ type scenarioOpts struct {
 	migration  bool
 }
 
-// applyScenario rewrites the deployment for the requested scenario.
-func applyScenario(dep *muxwise.ClusterDeployment, specFlagSet bool, o scenarioOpts) error {
+// scenarioOptions returns the fleet options for the requested scenario:
+// the replica shapes (specs, adjusted by the scenario) and the lifecycle
+// options. hw is the deployment's default hardware.
+func scenarioOptions(hw string, specs []muxwise.ReplicaSpec, specFlagSet bool, o scenarioOpts) ([]muxwise.Option, error) {
+	replicas := append([]muxwise.ReplicaSpec(nil), specs...)
+	var fleet *muxwise.FleetOptions
 	switch o.name {
 	case "":
 	case "failure":
-		dep.Fleet = &muxwise.FleetOptions{
+		fleet = &muxwise.FleetOptions{
 			Events: []muxwise.FleetEvent{
 				{At: muxwise.FromDuration(o.failAt), Kind: "fail", Replica: 0},
 			},
@@ -185,7 +189,7 @@ func applyScenario(dep *muxwise.ClusterDeployment, specFlagSet bool, o scenarioO
 		if spawnAt < 0 {
 			spawnAt = 0
 		}
-		dep.Fleet = &muxwise.FleetOptions{
+		fleet = &muxwise.FleetOptions{
 			ColdStart: muxwise.FromDuration(o.coldStart),
 			Events: []muxwise.FleetEvent{
 				{At: muxwise.FromDuration(spawnAt), Kind: "spawn"},
@@ -193,11 +197,11 @@ func applyScenario(dep *muxwise.ClusterDeployment, specFlagSet bool, o scenarioO
 			},
 		}
 	case "autoscale":
-		if len(dep.Replicas) > 1 {
-			return fmt.Errorf("scenario autoscale wants a single replica shape, got %d", len(dep.Replicas))
+		if len(replicas) > 1 {
+			return nil, fmt.Errorf("scenario autoscale wants a single replica shape, got %d", len(replicas))
 		}
-		dep.Replicas[0].Count = o.minReps
-		dep.Fleet = &muxwise.FleetOptions{
+		replicas[0].Count = o.minReps
+		fleet = &muxwise.FleetOptions{
 			Autoscaler:  o.autoscaler,
 			MinReplicas: o.minReps,
 			MaxReplicas: o.maxReps,
@@ -205,32 +209,36 @@ func applyScenario(dep *muxwise.ClusterDeployment, specFlagSet bool, o scenarioO
 		}
 	case "hetero":
 		if !specFlagSet {
-			dep.Replicas = []muxwise.ReplicaSpec{
+			replicas = []muxwise.ReplicaSpec{
 				{Engine: "MuxWise", Count: 2, Hardware: "A100"},
 				{Engine: "MuxWise", Count: 2, Hardware: "H100"},
 			}
 		}
 		shapes := map[string]bool{}
-		for _, rs := range dep.Replicas {
-			hw := rs.Hardware
-			if hw == "" {
-				hw = dep.Hardware
+		for _, rs := range replicas {
+			shape := rs.Hardware
+			if shape == "" {
+				shape = hw
 			}
-			shapes[strings.ToUpper(hw)] = true
+			shapes[strings.ToUpper(shape)] = true
 		}
 		if len(shapes) < 2 {
-			return fmt.Errorf("scenario hetero wants mixed hardware; tag shapes with /A100, /H100 or /H200")
+			return nil, fmt.Errorf("scenario hetero wants mixed hardware; tag shapes with /A100, /H100 or /H200")
 		}
 	default:
-		return fmt.Errorf("unknown scenario %q (want autoscale, drain, failure, or hetero)", o.name)
+		return nil, fmt.Errorf("unknown scenario %q (want autoscale, drain, failure, or hetero)", o.name)
 	}
 	if o.migration {
-		if dep.Fleet == nil {
-			dep.Fleet = &muxwise.FleetOptions{}
+		if fleet == nil {
+			fleet = &muxwise.FleetOptions{}
 		}
-		dep.Fleet.Migration = true
+		fleet.Migration = true
 	}
-	return nil
+	opts := []muxwise.Option{muxwise.WithFleet(replicas...)}
+	if fleet != nil {
+		opts = append(opts, muxwise.WithFleetOptions(*fleet))
+	}
+	return opts, nil
 }
 
 // routerRow is the JSON record for one router's fleet run.
@@ -380,18 +388,13 @@ func runGoodput(rng string, routers []string, specs []muxwise.ReplicaSpec, sc sc
 		fmt.Printf("%-16s %10s\n", "router", "goodput")
 	}
 	for _, name := range routers {
-		dep := muxwise.ClusterDeployment{
-			Deployment: muxwise.Deployment{Hardware: hw, GPUs: gpus, Model: mdl, SLO: slo},
-			Replicas:   append([]muxwise.ReplicaSpec(nil), specs...),
-			Router:     name,
-		}
-		if err := applyScenario(&dep, specFlagSet, sc); err != nil {
+		opts, err := scenarioOptions(hw, specs, specFlagSet, sc)
+		if err != nil {
 			return err
 		}
-		opts := []muxwise.Option{
-			muxwise.WithDeployment(dep.Deployment),
-			muxwise.WithFleet(dep.Replicas...),
-			muxwise.WithRouter(dep.Router),
+		opts = append(opts,
+			muxwise.WithDeployment(muxwise.Deployment{Hardware: hw, GPUs: gpus, Model: mdl, SLO: slo}),
+			muxwise.WithRouter(name),
 			// The parameter doubles as Poisson rate and profile scale:
 			// buildTrace reads whichever slot the workload uses.
 			muxwise.WithWorkload(func(x float64) *muxwise.Trace {
@@ -401,12 +404,9 @@ func runGoodput(rng string, routers []string, specs []muxwise.ReplicaSpec, sc sc
 				}
 				return t
 			}),
-		}
+		)
 		if costModel != "" {
 			opts = append(opts, muxwise.WithCostModel(costModel))
-		}
-		if dep.Fleet != nil {
-			opts = append(opts, muxwise.WithFleetOptions(*dep.Fleet))
 		}
 		g, err := muxwise.NewExperiment(opts...).Goodput(lo, hi)
 		switch {
@@ -524,28 +524,20 @@ func main() {
 
 	var rows []routerRow
 	for _, name := range routers {
-		dep := muxwise.ClusterDeployment{
-			Deployment: muxwise.Deployment{Hardware: *hw, GPUs: *gpus, Model: *mdl, SLO: slo},
-			Replicas:   append([]muxwise.ReplicaSpec(nil), specs...),
-			Router:     name,
-		}
-		if err := applyScenario(&dep, specFlagSet, scenarioOpts{
+		opts, err := scenarioOptions(*hw, specs, specFlagSet, scenarioOpts{
 			name: *scenario, failAt: *failAt, drainAt: *drainAt, minReps: *minReps, maxReps: *maxReps,
 			coldStart: *coldStart, autoscaler: *autoscaler, migration: *migration,
-		}); err != nil {
+		})
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "muxcluster:", err)
 			os.Exit(2)
 		}
-		opts := []muxwise.Option{
-			muxwise.WithDeployment(dep.Deployment),
-			muxwise.WithFleet(dep.Replicas...),
-			muxwise.WithRouter(dep.Router),
-		}
+		opts = append(opts,
+			muxwise.WithDeployment(muxwise.Deployment{Hardware: *hw, GPUs: *gpus, Model: *mdl, SLO: slo}),
+			muxwise.WithRouter(name),
+		)
 		if *costModel != "" {
 			opts = append(opts, muxwise.WithCostModel(*costModel))
-		}
-		if dep.Fleet != nil {
-			opts = append(opts, muxwise.WithFleetOptions(*dep.Fleet))
 		}
 		if fr != nil {
 			opts = append(opts, muxwise.WithTrace(fr))

@@ -31,18 +31,18 @@ func main() {
 	for _, engine := range []string{"MuxWise", "Chunked", "SGLang-PD", "LoongServe"} {
 		// 400 sessions, ~2.2 turns each, Poisson arrivals at 0.35 req/s.
 		trace := muxwise.ToolAgent(7, 400).WithPoissonArrivals(7, 0.35)
-		res, err := muxwise.Serve(engine, dep, trace)
+		rep, err := muxwise.NewExperiment(muxwise.WithDeployment(dep), muxwise.WithEngine(engine)).Run(trace)
 		if err != nil {
 			panic(err)
 		}
-		s := res.Summary
+		s := rep.Summary
 		state := "stable"
 		if s.Unstable {
 			state = "UNSTABLE"
 		}
 		fmt.Fprintf(w, "%s\t%.2f\t%.1f\t%.1f\t%s\n",
 			engine, s.TTFT.P99, s.TBT.P99*1e3,
-			res.Rec.TBTAttainment(dep.SLO.TBT)*100, state)
+			rep.Attainment*100, state)
 	}
 	w.Flush()
 	fmt.Println("\nMuxWise keeps one KV pool (multi-turn prefixes hit the radix cache)")

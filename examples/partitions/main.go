@@ -34,10 +34,11 @@ func main() {
 	fmt.Println("mean SM shares chosen by the dispatcher (Llama-70B, 8×A100):")
 	fmt.Printf("%-14s %10s %10s %10s\n", "workload", "prefill%", "decode%", "splits")
 	for _, c := range cases {
-		res, err := muxwise.Serve("MuxWise", dep, c.trace)
+		rep, err := muxwise.NewExperiment(muxwise.WithDeployment(dep), muxwise.WithEngine("MuxWise")).Run(c.trace)
 		if err != nil {
 			panic(err)
 		}
+		res := rep.Engine
 		dec, pre := res.Timeline.MeanSharesActive(res.Summary.Makespan, 108)
 		fmt.Printf("%-14s %9.1f%% %9.1f%% %10d\n",
 			c.name, pre*100, dec*100, res.Timeline.DistinctConfigs())

@@ -171,7 +171,7 @@ func WithEvents(events ...FleetEvent) Option {
 // WithFleetOptions replaces the experiment's whole fleet lifecycle
 // configuration (events, autoscaler and its knobs) at once. Prefer the
 // targeted options; this exists for callers that already hold a
-// FleetOptions, e.g. the deprecated ServeCluster path.
+// FleetOptions, e.g. a scenario built up front.
 func WithFleetOptions(fo FleetOptions) Option {
 	return func(e *Experiment) { e.fleet = fo }
 }
@@ -316,12 +316,11 @@ func (e *Experiment) resolve() (resolved, error) {
 		cfg.CostModel = e.cost
 		return resolved{factory: f, cfg: cfg.WithDefaults(), slo: cfg.SLO}, nil
 	}
-	cd := ClusterDeployment{Deployment: dep, Replicas: e.replicas, Router: e.router}
+	var fleet *FleetOptions
 	if e.fleetActive() {
-		fo := e.fleet
-		cd.Fleet = &fo
+		fleet = &e.fleet
 	}
-	cfg, err := cd.config()
+	cfg, err := clusterConfig(dep, e.replicas, e.router, fleet)
 	if err != nil {
 		return resolved{}, err
 	}

@@ -50,28 +50,28 @@ func TestGoodputRangeValidation(t *testing.T) {
 	mk := func(rate float64) *muxwise.Trace {
 		return muxwise.ShareGPT(5, 30).WithPoissonArrivals(5, rate)
 	}
+	engine := muxwise.NewExperiment(muxwise.WithDeployment(dep8B()), muxwise.WithEngine("MuxWise"),
+		muxwise.WithWorkload(mk))
 	// Invalid ranges error out instead of silently returning 0.
-	if _, err := muxwise.Goodput("MuxWise", dep8B(), mk, 2, 1); err == nil {
+	if _, err := engine.Goodput(2, 1); err == nil {
 		t.Error("lo > hi should error")
 	}
-	if _, err := muxwise.Goodput("MuxWise", dep8B(), mk, -1, 1); err == nil {
+	if _, err := engine.Goodput(-1, 1); err == nil {
 		t.Error("negative lo should error")
 	}
-	if _, err := muxwise.ClusterGoodput(fleet("least-tokens"), mk, 3, 2); err == nil {
+	cluster := fleet("least-tokens", muxwise.WithWorkload(mk))
+	if _, err := cluster.Goodput(3, 2); err == nil {
 		t.Error("cluster lo > hi should error")
 	}
 
 	// A range that never meets the SLO is not an error-free zero: it is
 	// ErrNoFeasibleRate, distinguishable with errors.Is.
-	impossible := dep8B()
-	impossible.SLO = muxwise.SLO{TTFT: muxwise.Second, TBT: muxwise.Time(1)}
-	g, err := muxwise.Goodput("MuxWise", impossible, mk, 0.5, 2)
+	impossible := muxwise.WithSLO(muxwise.SLO{TTFT: muxwise.Second, TBT: muxwise.Time(1)})
+	g, err := engine.With(impossible).Goodput(0.5, 2)
 	if !errors.Is(err, muxwise.ErrNoFeasibleRate) {
 		t.Errorf("infeasible range: got (%v, %v), want ErrNoFeasibleRate", g, err)
 	}
-	cdep := fleet("least-tokens")
-	cdep.SLO = muxwise.SLO{TTFT: muxwise.Second, TBT: muxwise.Time(1)}
-	g, err = muxwise.ClusterGoodput(cdep, mk, 0.5, 2)
+	g, err = cluster.With(impossible).Goodput(0.5, 2)
 	if !errors.Is(err, muxwise.ErrNoFeasibleRate) {
 		t.Errorf("infeasible cluster range: got (%v, %v), want ErrNoFeasibleRate", g, err)
 	}
@@ -131,49 +131,6 @@ func TestExperimentRejectsHostileGPUCounts(t *testing.T) {
 		if _, err := c.exp.Run(tr); err == nil {
 			t.Errorf("%s: %d GPUs should be a Run error (limit %d)", c.name, hostile, muxwise.MaxGPUs)
 		}
-	}
-}
-
-// TestExperimentMatchesLegacyServe pins the deprecation contract: the
-// legacy entry points are thin wrappers, so the Experiment must produce
-// identical summaries for the same inputs.
-func TestExperimentMatchesLegacyServe(t *testing.T) {
-	trace := muxwise.ShareGPT(9, 60).WithPoissonArrivals(9, 3)
-	legacy, err := muxwise.Serve("MuxWise", dep8B(), trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := muxwise.NewExperiment(
-		muxwise.WithDeployment(dep8B()), muxwise.WithEngine("MuxWise"),
-	).Run(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Engine == nil || rep.Fleet != nil {
-		t.Fatal("engine experiment should report Engine detail only")
-	}
-	if rep.Summary != legacy.Summary {
-		t.Fatalf("Experiment summary diverged from legacy Serve:\n%+v\nvs\n%+v", rep.Summary, legacy.Summary)
-	}
-
-	ctrace := clusterTrace()
-	clegacy, err := muxwise.ServeCluster(fleet("prefix-affinity"), ctrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crep, err := muxwise.NewExperiment(
-		muxwise.WithDeployment(fleet("").Deployment),
-		muxwise.WithFleet(fleet("").Replicas...),
-		muxwise.WithRouter("prefix-affinity"),
-	).Run(ctrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crep.Fleet == nil || crep.Engine != nil {
-		t.Fatal("fleet experiment should report Fleet detail only")
-	}
-	if crep.Summary != clegacy.Summary {
-		t.Fatalf("Experiment summary diverged from legacy ServeCluster:\n%+v\nvs\n%+v", crep.Summary, clegacy.Summary)
 	}
 }
 

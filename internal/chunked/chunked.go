@@ -11,7 +11,6 @@ package chunked
 import (
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
-	"muxwise/internal/metrics"
 	"muxwise/internal/model"
 	"muxwise/internal/serve"
 	"muxwise/internal/workload"
@@ -19,32 +18,29 @@ import (
 
 // Engine is the chunked-prefill baseline.
 type Engine struct {
+	serve.Base
 	env    *serve.Env
 	budget int
 
-	// EngineName overrides Name (used by derived baselines).
-	EngineName string
 	// Transform rewrites an iteration's kernel cost before launch and may
 	// override its MFU; NanoFlow uses it to model nano-batch weight
 	// reloads and its compute/memory overlap bonus. chunkTokens is the
 	// chunk's share of the iteration (0 for pure decode).
 	Transform func(cost model.Cost, chunkTokens int) (model.Cost, float64)
 
-	dev  *gpu.Device
 	part *gpu.Partition
 	pool *kvcache.Pool
 
-	decode  serve.Batch
-	queue   []*serve.Running // prefill in FIFO order, head is chunking
-	pending []*workload.Request
-	running bool
+	// decode.Running guards the single fused stream: every iteration
+	// carries the decode step, chunk or not.
+	decode  serve.DecodeStream
+	queue   serve.Queue[*serve.Running] // prefill in FIFO order, head is chunking
+	pending serve.Queue[*workload.Request]
 
 	// inFlight is the chunk progress of the iteration on the device (one
-	// at a time, guarded by running); the rest is reused scratch.
+	// at a time, guarded by decode.Running); the rest is reused scratch.
 	inFlight   []progress
 	seqScratch []model.Seq
-	ctxScratch []int
-	finScratch []*serve.Running
 }
 
 // BudgetFor returns the paper's offline-tuned token budget for a TBT SLO:
@@ -53,11 +49,10 @@ type Engine struct {
 // evaluation lands on 256 for Llama-70B at 100 ms and SGLang-typical
 // 2048/4096 only under loose SLOs).
 func BudgetFor(env *serve.Env) int {
-	est := newProbe(env)
 	budget := 64
 	for b := 64; b <= 8192; b *= 2 {
 		// Representative fused iteration: decode bs=32 with 1K contexts.
-		if est.fusedLatency(b, 32, 1024) <= env.SLO.TBT.Seconds() {
+		if fusedLatency(env, b, 32, 1024) <= env.SLO.TBT.Seconds() {
 			budget = b
 		}
 	}
@@ -72,34 +67,15 @@ func New(env *serve.Env) serve.Engine { return NewWithBudget(env, BudgetFor(env)
 // the Fig. 6 sweeps and the NanoFlow configuration).
 func NewWithBudget(env *serve.Env, budget int) *Engine {
 	dev := gpu.NewDevice(env.Sim, env.Spec, env.GPUs, "chunked")
-	return &Engine{
+	e := &Engine{
 		env:    env,
 		budget: budget,
-		dev:    dev,
 		part:   dev.Partition(env.Spec.SMs, "fused"),
 		pool:   kvcache.New(env.PoolTokens(env.GPUs), kvcache.DefaultPageTokens),
 	}
+	e.Base = serve.NewBase("Chunked", []*gpu.Device{dev}, e.pool)
+	return e
 }
-
-// Name implements serve.Engine.
-func (e *Engine) Name() string {
-	if e.EngineName != "" {
-		return e.EngineName
-	}
-	return "Chunked"
-}
-
-// Timeline implements serve.Engine (static full-device execution).
-func (e *Engine) Timeline() *metrics.Timeline { return &metrics.Timeline{} }
-
-// Devices implements serve.Engine.
-func (e *Engine) Devices() []*gpu.Device { return []*gpu.Device{e.dev} }
-
-// Pool exposes the KV pool.
-func (e *Engine) Pool() *kvcache.Pool { return e.pool }
-
-// CachePools implements serve.PoolReporter.
-func (e *Engine) CachePools() []*kvcache.Pool { return []*kvcache.Pool{e.pool} }
 
 // Partition exposes the single fused compute stream (bubble accounting).
 func (e *Engine) Partition() *gpu.Partition { return e.part }
@@ -109,71 +85,53 @@ func (e *Engine) Budget() int { return e.budget }
 
 // Submit implements serve.Engine.
 func (e *Engine) Submit(r *workload.Request) {
-	e.pending = append(e.pending, r)
+	e.pending.Push(r)
 	e.admit()
 	e.step()
 }
 
 func (e *Engine) admit() {
-	for len(e.pending) > 0 {
-		if e.decode.Size()+len(e.queue) >= e.env.MaxBatch {
-			return
-		}
-		run := serve.Admit(e.pool, e.pending[0])
+	for {
+		run := e.env.AdmitNext(&e.pending, e.decode.Size()+e.queue.Len(), e.pool, true)
 		if run == nil {
 			return
 		}
-		e.env.Admitted(run.R.ID)
-		e.pending = e.pending[1:]
-		e.queue = append(e.queue, run)
+		e.queue.Push(run)
 	}
 }
 
 // step launches the next fused iteration: one decode step for the whole
 // batch plus a prefill chunk from the queue head(s) filling the budget.
 func (e *Engine) step() {
-	if e.running {
+	if e.decode.Running {
 		return
 	}
-	if e.decode.Size() == 0 && len(e.queue) == 0 {
+	if e.decode.Size() == 0 && e.queue.Len() == 0 {
 		return
 	}
-	chunkBudget := e.budget - e.decode.Size()
-	if chunkBudget < 0 {
-		chunkBudget = 0
-	}
+	chunkBudget := max(0, e.budget-e.decode.Size())
 
 	// Assemble the chunk: requests from the queue head, possibly several
 	// if the head finishes its prefill inside the budget.
 	chunkSeqs := e.seqScratch[:0]
 	progressed := e.inFlight[:0]
-	for _, run := range e.queue {
-		if chunkBudget <= 0 {
-			break
-		}
-		newTotal := run.R.InputTokens - run.CachedTokens
-		rem := newTotal - run.PrefilledTokens
-		if rem < 1 {
-			rem = 1
-		}
-		take := rem
-		if take > chunkBudget {
-			take = chunkBudget
-		}
+	for i := 0; i < e.queue.Len() && chunkBudget > 0; i++ {
+		run := e.queue.At(i)
+		take := min(max(1, run.PrefillRemaining()), chunkBudget)
 		chunkSeqs = append(chunkSeqs, model.Seq{New: take, Prior: run.PrefilledTokens, Reused: run.CachedTokens})
 		progressed = append(progressed, progress{run, take})
 		chunkBudget -= take
 	}
 	e.seqScratch, e.inFlight = chunkSeqs, progressed
 
-	e.ctxScratch = e.decode.CtxsInto(e.ctxScratch)
+	ctxs := e.decode.Contexts()
 	var cost model.Cost
 	if len(chunkSeqs) == 1 {
-		cost = e.env.Arch.FusedChunkIter(chunkSeqs[0], e.ctxScratch, e.env.GPUs)
+		cost = e.env.Arch.FusedChunkIter(chunkSeqs[0], ctxs, e.env.GPUs)
 	} else {
 		// Multiple chunk slices: accumulate each without re-paying
 		// weights (the iteration streams them once).
-		cost = e.env.Arch.FusedChunkIter(model.Seq{}, e.ctxScratch, e.env.GPUs)
+		cost = e.env.Arch.FusedChunkIter(model.Seq{}, ctxs, e.env.GPUs)
 		for _, sq := range chunkSeqs {
 			layer := e.env.Arch.PrefillLayer([]model.Seq{sq}, e.env.GPUs, false)
 			part := layer.Scale(float64(e.env.Arch.Layers))
@@ -202,12 +160,10 @@ func (e *Engine) step() {
 	if e.Transform != nil {
 		cost, mfu = e.Transform(cost, chunkTokens)
 	}
-	e.running = true
-	e.part.LaunchFn(gpu.Kernel{
-		Label: "fused-iter", Kind: kind,
-		FLOPs: cost.FLOPs, Bytes: cost.Bytes, CommBytes: cost.CommBytes,
-		Tokens: cost.Tokens, Launch: e.env.Spec.GraphLaunch, MFU: mfu,
-	}, iterDone, e)
+	e.decode.Running = true
+	k := serve.NewKernel("fused-iter", kind, cost, e.env.Spec.GraphLaunch)
+	k.MFU = mfu
+	e.part.LaunchFn(k, iterDone, e)
 }
 
 // iterDone is the engine's bound completion callback: the engine rides
@@ -229,10 +185,7 @@ type progress struct {
 // prefills into the decode batch.
 func (e *Engine) onIterDone(chunks []progress) {
 	now := e.env.Sim.Now()
-	e.running = false
-
-	e.finScratch = e.decode.StepInto(now, e.env.Rec, e.finScratch)
-	for _, r := range e.finScratch {
+	for _, r := range e.decode.Step(now, e.env.Rec) {
 		r.Complete(e.pool)
 	}
 
@@ -240,12 +193,9 @@ func (e *Engine) onIterDone(chunks []progress) {
 		c.run.PrefilledTokens += c.take
 		if c.run.PrefillRemaining() == 0 {
 			// Prefill complete: first token now.
-			e.queue = removeRun(e.queue, c.run)
+			e.queue.Remove(c.run)
 			e.env.Rec.PrefillDone(c.run.R.InputTokens - c.run.CachedTokens)
-			e.env.Rec.Token(c.run.R.ID, now)
-			c.run.Generated = 1
-			if c.run.DecodeDone() {
-				e.env.Rec.Finish(c.run.R.ID, now)
+			if serve.FirstToken(e.env.Rec, c.run, now) {
 				c.run.Complete(e.pool)
 				continue
 			}
@@ -256,45 +206,22 @@ func (e *Engine) onIterDone(chunks []progress) {
 	e.step()
 }
 
-func removeRun(q []*serve.Running, r *serve.Running) []*serve.Running {
-	for i, v := range q {
-		if v == r {
-			return append(q[:i], q[i+1:]...)
-		}
-	}
-	return q
-}
-
-// probe estimates fused-iteration latency analytically for budget tuning
-// (the offline step SARATHI-Serve performs before deployment).
-type probe struct {
-	env *serve.Env
-}
-
-func newProbe(env *serve.Env) probe { return probe{env} }
-
-func (p probe) fusedLatency(budget, bs, ctx int) float64 {
+// fusedLatency estimates a fused iteration's latency analytically for
+// budget tuning (the offline step SARATHI-Serve performs before
+// deployment): closed-form kernel time on the full device.
+func fusedLatency(env *serve.Env, budget, bs, ctx int) float64 {
 	ctxs := make([]int, bs)
 	for i := range ctxs {
 		ctxs[i] = ctx
 	}
-	chunk := model.Seq{New: budget - bs, Reused: 1024}
-	if chunk.New < 0 {
-		chunk.New = 0
-	}
-	cost := p.env.Arch.FusedChunkIter(chunk, ctxs, p.env.GPUs)
+	chunk := model.Seq{New: max(0, budget-bs), Reused: 1024}
+	cost := env.Arch.FusedChunkIter(chunk, ctxs, env.GPUs)
 
-	// Closed-form kernel time on the full device.
-	spec := p.env.Spec
-	tp := float64(p.env.GPUs)
-	tok := float64(cost.Tokens)
-	eff := spec.MFUPrefill * tok / (tok + spec.SatTokensPerSM*float64(spec.SMs)*tp)
+	spec := env.Spec
+	tp := float64(env.GPUs)
+	eff := spec.PrefillMFU(spec.MFUPrefill, cost.Tokens, 1, env.GPUs)
 	compute := cost.FLOPs / (spec.TensorFLOPS * tp * eff)
 	mem := cost.Bytes / (spec.HBMBandwidth * tp)
 	comm := cost.CommBytes / spec.NVLinkBandwidth
-	lat := compute
-	if mem > lat {
-		lat = mem
-	}
-	return lat + comm + spec.GraphLaunch.Seconds()
+	return max(compute, mem) + comm + spec.GraphLaunch.Seconds()
 }

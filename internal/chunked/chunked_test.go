@@ -100,7 +100,7 @@ func TestPrefixCacheAcrossTurns(t *testing.T) {
 		s.At(r.Arrival, func() { e.Submit(r) })
 	}
 	s.Run()
-	if hr := e.Pool().Stats().HitRate(); hr < 0.2 {
+	if hr := e.CachePools()[0].Stats().HitRate(); hr < 0.2 {
 		t.Fatalf("radix hit rate %.3f, want ≥0.2 on multi-turn trace", hr)
 	}
 }
@@ -110,7 +110,7 @@ func TestNameAndOverride(t *testing.T) {
 	if e.Name() != "Chunked" {
 		t.Fatalf("Name = %q", e.Name())
 	}
-	e.EngineName = "Custom"
+	e.SetName("Custom")
 	if e.Name() != "Custom" {
 		t.Fatalf("Name override = %q", e.Name())
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // CompositionPrefix marks an inline pipeline spec wherever a router
-// name is accepted (WithRouter, ClusterDeployment.Router, muxcluster
-// -router, sweep tables): new policies become config, not code.
+// name is accepted (WithRouter, muxcluster -router, sweep tables): new
+// policies become config, not code.
 const CompositionPrefix = "epp:"
 
 // compositionPlan is a validated, buildable form of an "epp:" spec.

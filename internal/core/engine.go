@@ -20,7 +20,6 @@ package core
 import (
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
-	"muxwise/internal/metrics"
 	"muxwise/internal/model"
 	"muxwise/internal/obs"
 	"muxwise/internal/serve"
@@ -91,34 +90,27 @@ func (j *prefillJob) reusedTokens() int {
 
 // Engine is the MuxWise serving engine for one tensor-parallel instance.
 type Engine struct {
+	serve.Base
 	env  *serve.Env
 	opts Options
 
-	dev      *gpu.Device
 	decodeP  *gpu.Partition
 	prefillP *gpu.Partition
 	pool     *kvcache.Pool
 	est      serve.CostModel
 
-	decode          serve.Batch
-	decodeRunning   bool
+	decode          serve.DecodeStream
 	decodeIterStart sim.Time
 	decodeSolo      sim.Time
 
-	active  *prefillJob   // job whose layers are executing
-	queue   []*prefillJob // admitted jobs waiting for the prefill stream
-	merging []*prefillJob // prefill-complete jobs awaiting a decode boundary
-	pending []*workload.Request
+	active  *prefillJob              // job whose layers are executing
+	queue   serve.Queue[*prefillJob] // admitted jobs waiting for the prefill stream
+	merging []*prefillJob            // prefill-complete jobs awaiting a decode boundary
+	pending serve.Queue[*workload.Request]
 
-	timeline    metrics.Timeline
 	configs     []int
 	curConfig   int
 	preemptions int
-
-	// Per-iteration scratch, reused so the decode hot loop does not
-	// allocate.
-	ctxScratch []int
-	finScratch []*serve.Running
 
 	// prefillSpan tracks whether a flight-recorder span is open for the
 	// active prefill job (invariant while tracing: open ⇔ active != nil).
@@ -140,46 +132,34 @@ func NewWithOptions(env *serve.Env, opts Options) *Engine {
 	e := &Engine{
 		env:  env,
 		opts: opts,
-		dev:  dev,
 		pool: kvcache.New(env.PoolTokens(env.GPUs), kvcache.DefaultPageTokens),
 		// The fitted default arrives forked: this engine refines the
 		// contention guard online, and concurrent sweep probes must not
 		// share mutable guard state.
 		est: env.Cost(),
 	}
+	e.Base = serve.NewBase(name(opts), []*gpu.Device{dev}, e.pool)
 	e.configs = env.Spec.PartitionSizes()
 	e.curConfig = env.Spec.SMs
 	e.decodeP = dev.Partition(env.Spec.SMs, "decode")
 	e.prefillP = dev.Partition(0, "prefill")
-	e.timeline.Record(0, env.Spec.SMs, 0)
+	e.Timeline().Record(0, env.Spec.SMs, 0)
 	return e
 }
 
-// Name implements serve.Engine.
-func (e *Engine) Name() string {
+// name labels an ablation variant.
+func name(opts Options) string {
 	switch {
-	case !e.opts.LayerWise && !e.opts.QuerySync:
+	case !opts.LayerWise && !opts.QuerySync:
 		return "MuxWise w/o B&Q"
-	case !e.opts.LayerWise:
+	case !opts.LayerWise:
 		return "MuxWise w/o B"
-	case !e.opts.Preemption:
+	case !opts.Preemption:
 		return "MuxWise w/o P"
 	default:
 		return "MuxWise"
 	}
 }
-
-// Timeline implements serve.Engine.
-func (e *Engine) Timeline() *metrics.Timeline { return &e.timeline }
-
-// Devices implements serve.Engine.
-func (e *Engine) Devices() []*gpu.Device { return []*gpu.Device{e.dev} }
-
-// Pool exposes the shared KV pool (tests, cache statistics).
-func (e *Engine) Pool() *kvcache.Pool { return e.pool }
-
-// CachePools implements serve.PoolReporter.
-func (e *Engine) CachePools() []*kvcache.Pool { return []*kvcache.Pool{e.pool} }
 
 // DecodePartition exposes the decode green context for bubble accounting.
 func (e *Engine) DecodePartition() *gpu.Partition { return e.decodeP }
@@ -189,28 +169,22 @@ func (e *Engine) PrefillPartition() *gpu.Partition { return e.prefillP }
 
 // Submit implements serve.Engine.
 func (e *Engine) Submit(r *workload.Request) {
-	e.pending = append(e.pending, r)
+	e.pending.Push(r)
 	e.admitPending()
 	e.schedule()
 }
 
 // hasPrefillWork reports whether any prefill batch needs compute.
-func (e *Engine) hasPrefillWork() bool { return e.active != nil || len(e.queue) > 0 }
+func (e *Engine) hasPrefillWork() bool { return e.active != nil || e.queue.Len() > 0 }
 
 // admitPending admits as many queued arrivals as the KV pool allows,
 // forming prefill jobs.
 func (e *Engine) admitPending() {
-	for len(e.pending) > 0 {
-		if e.inflight() >= e.env.MaxBatch {
-			return
-		}
-		r := e.pending[0]
-		run := serve.Admit(e.pool, r)
+	for {
+		run := e.env.AdmitNext(&e.pending, e.inflight(), e.pool, true)
 		if run == nil {
-			return // pool full; retry on completion
+			return // pool full or batch full; retry on completion
 		}
-		e.env.Admitted(r.ID)
-		e.pending = e.pending[1:]
 		e.enqueue(run)
 	}
 }
@@ -221,8 +195,8 @@ func (e *Engine) inflight() int {
 	if e.active != nil {
 		n += len(e.active.reqs)
 	}
-	for _, j := range e.queue {
-		n += len(j.reqs)
+	for i := 0; i < e.queue.Len(); i++ {
+		n += len(e.queue.At(i).reqs)
 	}
 	for _, j := range e.merging {
 		n += len(j.reqs)
@@ -234,13 +208,9 @@ func (e *Engine) inflight() int {
 // the most recent waiting job when the token budget allows, and applies
 // the preemption policy.
 func (e *Engine) enqueue(run *serve.Running) {
-	newTok := run.R.InputTokens - run.CachedTokens
-	if newTok < 1 {
-		newTok = 1
-	}
-	seq := model.Seq{New: newTok, Reused: run.CachedTokens}
-	if n := len(e.queue); n > 0 {
-		last := e.queue[n-1]
+	seq := run.PrefillSeq()
+	if n := e.queue.Len(); n > 0 {
+		last := e.queue.At(n - 1)
 		if !last.isPreemptor && last.newTokens()+seq.New <= maxPrefillBatchTokens {
 			last.reqs = append(last.reqs, run)
 			last.seqs = append(last.seqs, seq)
@@ -253,7 +223,7 @@ func (e *Engine) enqueue(run *serve.Running) {
 		seqs:    []model.Seq{seq},
 		arrival: e.env.Sim.Now(),
 	}
-	e.queue = append(e.queue, job)
+	e.queue.Push(job)
 	e.maybePreempt(job)
 }
 
@@ -274,7 +244,8 @@ func (e *Engine) maybePreempt(job *prefillJob) {
 		return
 	}
 	a := e.active
-	if a == nil || a.isPreemptor || len(e.queue) == 0 || e.queue[len(e.queue)-1] != job {
+	last := e.queue.Len() - 1
+	if a == nil || a.isPreemptor || last < 0 || e.queue.At(last) != job {
 		return
 	}
 	if e.env.SLO.TTFT <= 0 {
@@ -289,8 +260,8 @@ func (e *Engine) maybePreempt(job *prefillJob) {
 	// everything queued ahead.
 	rem := e.est.PrefillPhase(a.seqs, prefSMs)
 	wait := sim.Time(float64(rem) * float64(e.env.Arch.Layers-a.layersDone) / float64(e.env.Arch.Layers))
-	for _, q := range e.queue[:len(e.queue)-1] {
-		wait += e.est.PrefillPhase(q.seqs, prefSMs)
+	for i := 0; i < last; i++ {
+		wait += e.est.PrefillPhase(e.queue.At(i).seqs, prefSMs)
 	}
 	own := e.est.PrefillPhase(job.seqs, prefSMs)
 	if now+wait+own <= e.deadline(job) {
@@ -311,8 +282,9 @@ func (e *Engine) maybePreempt(job *prefillJob) {
 	job.isPreemptor = true
 	// Pause the active job: it re-enters the queue right behind the
 	// preemptor and later resumes from layersDone.
-	e.queue = e.queue[:len(e.queue)-1]
-	e.queue = append([]*prefillJob{job, a}, e.queue...)
+	e.queue.Remove(job)
+	e.queue.PushFront(a)
+	e.queue.PushFront(job)
 	e.active = nil // in-air layers drain, then the preemptor runs
 	if e.prefillSpan {
 		e.prefillSpan = false
@@ -327,7 +299,7 @@ func traceArg(k string, v any) obs.Arg { return obs.Arg{Key: k, Val: v} }
 // prefillSMs returns the SMs the prefill partition would own under the
 // current split.
 func (e *Engine) prefillSMs() int {
-	if e.decode.Size() == 0 && !e.decodeRunning {
+	if e.decode.Size() == 0 && !e.decode.Running {
 		return e.env.Spec.SMs
 	}
 	return e.env.Spec.SMs - e.curConfig
@@ -351,8 +323,8 @@ func (e *Engine) chooseConfig() int {
 	pNew, pReused := 0, 0
 	if e.active != nil {
 		pNew, pReused = e.active.newTokens(), e.active.reusedTokens()
-	} else if len(e.queue) > 0 {
-		pNew, pReused = e.queue[0].newTokens(), e.queue[0].reusedTokens()
+	} else if e.queue.Len() > 0 {
+		pNew, pReused = e.queue.Front().newTokens(), e.queue.Front().reusedTokens()
 	}
 	margin := e.env.Spec.GraphLaunch + sim.Millisecond
 	for _, cfg := range e.configs {
@@ -378,12 +350,12 @@ func (e *Engine) reconfigure(decodeSMs int) {
 	e.curConfig = decodeSMs
 	e.decodeP.SetSMs(decodeSMs)
 	e.prefillP.SetSMs(prefillSMs)
-	e.timeline.Record(e.env.Sim.Now(), decodeSMs, prefillSMs)
+	e.Timeline().Record(e.env.Sim.Now(), decodeSMs, prefillSMs)
 }
 
 // startDecode launches the next decode iteration if one is due.
 func (e *Engine) startDecode() {
-	if e.decodeRunning || e.decode.Size() == 0 {
+	if e.decode.Running || e.decode.Size() == 0 {
 		return
 	}
 	// Without query-based synchronization the next iteration blocks
@@ -394,9 +366,6 @@ func (e *Engine) startDecode() {
 	}
 	e.reconfigure(e.chooseConfig())
 
-	e.ctxScratch = e.decode.CtxsInto(e.ctxScratch)
-	cost := e.env.Arch.DecodeIter(e.ctxScratch, e.env.GPUs)
-	e.decodeRunning = true
 	e.decodeIterStart = e.env.Sim.Now()
 	if e.env.Trace != nil {
 		e.env.Trace.Begin(e.decodeIterStart, e.track("decode"), "decode-iter",
@@ -404,11 +373,7 @@ func (e *Engine) startDecode() {
 			traceArg("sms", e.curConfig))
 	}
 	e.decodeSolo = e.est.DecodeSolo(e.decode.TotalCtx(), e.decode.Size(), e.curConfig)
-	e.decodeP.LaunchFn(gpu.Kernel{
-		Label: "decode", Kind: gpu.Decode,
-		FLOPs: cost.FLOPs, Bytes: cost.Bytes, CommBytes: cost.CommBytes,
-		Tokens: cost.Tokens, Launch: e.env.Spec.GraphLaunch,
-	}, decodeDone, e)
+	e.decode.Launch(e.env, e.decodeP, e.env.GPUs, 0, decodeDone, e)
 }
 
 // decodeDone is the bound completion callback for decode iterations.
@@ -418,7 +383,6 @@ func decodeDone(arg any) { arg.(*Engine).onDecodeDone() }
 // merge finished prefills (query sync), and continue.
 func (e *Engine) onDecodeDone() {
 	now := e.env.Sim.Now()
-	e.decodeRunning = false
 	if e.env.Trace != nil {
 		e.env.Trace.End(now, e.track("decode"), "decode-iter")
 	}
@@ -432,8 +396,7 @@ func (e *Engine) onDecodeDone() {
 			e.decode.Size(), e.decode.TotalCtx(), e.curConfig, slow)
 	}
 
-	e.finScratch = e.decode.StepInto(now, e.env.Rec, e.finScratch)
-	finished := e.finScratch
+	finished := e.decode.Step(now, e.env.Rec)
 	for _, r := range finished {
 		r.Complete(e.pool)
 	}
@@ -455,10 +418,7 @@ func (e *Engine) mergeJob(j *prefillJob) {
 	now := e.env.Sim.Now()
 	for i, r := range j.reqs {
 		e.env.Rec.PrefillDone(j.seqs[i].New)
-		e.env.Rec.Token(r.R.ID, now) // prefill produces the first token
-		r.Generated = 1
-		if r.DecodeDone() {
-			e.env.Rec.Finish(r.R.ID, now)
+		if serve.FirstToken(e.env.Rec, r, now) {
 			r.Complete(e.pool)
 			continue
 		}
@@ -469,9 +429,8 @@ func (e *Engine) mergeJob(j *prefillJob) {
 
 // pumpPrefill keeps the prefill stream fed with layer launches.
 func (e *Engine) pumpPrefill() {
-	for e.active == nil && len(e.queue) > 0 {
-		j := e.queue[0]
-		e.queue = e.queue[1:]
+	for e.active == nil && e.queue.Len() > 0 {
+		j := e.queue.Pop()
 		if j.layersDone >= e.env.Arch.Layers {
 			continue // completed while preempted; finishPrefill owns it
 		}
@@ -491,7 +450,7 @@ func (e *Engine) pumpPrefill() {
 	// takes the whole device when decode is idle — or when decode is
 	// deliberately blocked on the prefill phase (the w/o query-sync
 	// ablation serializes the phases, so prefill must not starve).
-	if !e.decodeRunning && (e.decode.Size() == 0 || !e.opts.QuerySync) {
+	if !e.decode.Running && (e.decode.Size() == 0 || !e.opts.QuerySync) {
 		e.reconfigure(0)
 	}
 	if e.prefillP.SMs() <= 0 {
@@ -523,11 +482,7 @@ func (e *Engine) pumpPrefill() {
 func (e *Engine) launchLayer(j *prefillJob) {
 	cost := e.env.Arch.PrefillLayer(j.seqs, e.env.GPUs, true)
 	j.layersInAir++
-	e.prefillP.LaunchFn(gpu.Kernel{
-		Label: "prefill-layer", Kind: gpu.Prefill,
-		FLOPs: cost.FLOPs, Bytes: cost.Bytes, CommBytes: cost.CommBytes,
-		Tokens: cost.Tokens, Launch: e.env.Spec.LayerLaunch,
-	}, layerDone, j)
+	e.prefillP.LaunchFn(serve.NewKernel("prefill-layer", gpu.Prefill, cost, e.env.Spec.LayerLaunch), layerDone, j)
 }
 
 // layerDone is the bound completion callback for prefill layer kernels.
@@ -543,14 +498,8 @@ func (e *Engine) launchWholePhase(j *prefillJob) {
 	if j.layersInAir > 0 {
 		return
 	}
-	phase := e.env.Arch.PrefillPhase(j.seqs, e.env.GPUs)
 	j.layersInAir = e.env.Arch.Layers
-	e.prefillP.LaunchFn(gpu.Kernel{
-		Label: "prefill-phase", Kind: gpu.Prefill,
-		FLOPs: phase.FLOPs, Bytes: phase.Bytes, CommBytes: phase.CommBytes,
-		Tokens: phase.Tokens,
-		Launch: sim.Time(e.env.Arch.Layers) * e.env.Spec.LayerLaunch,
-	}, wholePhaseDone, j)
+	e.prefillP.LaunchFn(e.env.PrefillPhaseKernel(j.seqs, e.env.GPUs), wholePhaseDone, j)
 }
 
 // wholePhaseDone is the bound completion callback for monolithic prefill
@@ -587,13 +536,8 @@ func (e *Engine) finishPrefill(j *prefillJob) {
 				traceArg("outcome", "done"))
 		}
 	}
-	for i, q := range e.queue {
-		if q == j {
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
-			break
-		}
-	}
-	if e.decodeRunning {
+	e.queue.Remove(j)
+	if e.decode.Running {
 		e.merging = append(e.merging, j)
 		e.pumpPrefill() // next job can use the prefill partition meanwhile
 		return

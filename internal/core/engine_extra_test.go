@@ -107,11 +107,11 @@ func TestFullCacheHitTurn(t *testing.T) {
 	if sum.Finished != 2 {
 		t.Fatalf("finished %d/2", sum.Finished)
 	}
-	if free := e.Pool().Free(); free < 0 {
+	if free := e.CachePools()[0].Free(); free < 0 {
 		t.Fatalf("pool accounting corrupted: free = %d", free)
 	}
-	if e.Pool().Reserved() != 0 {
-		t.Fatalf("leaked reservations: %d", e.Pool().Reserved())
+	if e.CachePools()[0].Reserved() != 0 {
+		t.Fatalf("leaked reservations: %d", e.CachePools()[0].Reserved())
 	}
 }
 

@@ -100,7 +100,7 @@ func TestMultiTurnCacheReuse(t *testing.T) {
 		s.At(r.Arrival, func() { eng.Submit(r) })
 	}
 	s.Run()
-	hr := eng.Pool().Stats().HitRate()
+	hr := eng.CachePools()[0].Stats().HitRate()
 	if hr < 0.25 {
 		t.Fatalf("multi-turn cache hit rate %.3f, want ≥0.25", hr)
 	}

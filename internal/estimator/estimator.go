@@ -197,14 +197,10 @@ func (e *Estimator) memoryBound(c model.Cost, kind gpu.Kind, sms int) bool {
 	frac := float64(sms) / float64(e.Spec.SMs)
 	mfu := e.Spec.MFUDecode
 	if kind == gpu.Prefill {
-		smsTotal := frac * float64(e.Spec.SMs) * float64(e.TP)
-		tok := math.Max(1, float64(c.Tokens))
-		mfu = e.Spec.MFUPrefill * tok / (tok + e.Spec.SatTokensPerSM*smsTotal)
+		mfu = e.Spec.PrefillMFU(e.Spec.MFUPrefill, c.Tokens, frac, e.TP)
 	}
 	computeT := c.FLOPs / (frac * e.Spec.TensorFLOPS * float64(e.TP) * mfu)
-	bw := e.Spec.HBMBandwidth * float64(e.TP)
-	bwCap := math.Min(bw, frac/e.Spec.BWSaturationFrac*bw)
-	memT := c.Bytes / bwCap
+	memT := c.Bytes / e.Spec.BandwidthCap(frac, e.Spec.HBMBandwidth*float64(e.TP))
 	return memT >= computeT
 }
 

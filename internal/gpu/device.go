@@ -337,12 +337,7 @@ func (d *Device) efficiency(k Kernel, frac float64) float64 {
 	if k.Kind != Prefill {
 		return mfu
 	}
-	sms := frac * float64(d.Spec.SMs) * float64(d.TP)
-	tok := float64(k.Tokens)
-	if tok <= 0 {
-		tok = 1
-	}
-	return mfu * tok / (tok + d.Spec.SatTokensPerSM*sms)
+	return d.Spec.PrefillMFU(mfu, k.Tokens, frac, d.TP)
 }
 
 // reallocate recomputes every running kernel's rates (water-filling the
@@ -401,8 +396,7 @@ func (d *Device) reallocate() {
 			caps[i] = 0
 			continue
 		}
-		c := occ[i] / d.Spec.BWSaturationFrac * bw
-		caps[i] = math.Min(bw, c)
+		caps[i] = d.Spec.BandwidthCap(occ[i], bw)
 	}
 	alloc := growFloats(&d.alloc, n)
 	d.unsat = waterfillInto(alloc, caps, bw, d.unsat)

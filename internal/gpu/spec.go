@@ -11,7 +11,11 @@
 // paper's bubble-less engine exists to remove.
 package gpu
 
-import "muxwise/internal/sim"
+import (
+	"math"
+
+	"muxwise/internal/sim"
+)
 
 // Spec describes one physical GPU model. All rates are per GPU.
 type Spec struct {
@@ -178,6 +182,25 @@ func SpecByName(name string) (Spec, bool) {
 // is the whole recipe for new hardware under the roofline cost model.
 func Catalog() []Spec {
 	return []Spec{A100(), H100(), H200(), B200()}
+}
+
+// PrefillMFU is the fraction of peak FLOPS a prefill kernel of tokens new
+// tokens reaches on SM fraction frac of each of tp GPUs, given the MFU it
+// would reach saturated: mfu·tok/(tok + SatTokensPerSM·sms), counting at
+// least one token. Every prefill rate — the simulated device, the
+// roofline cost model, the fitted estimator's regime labels — goes
+// through this one curve.
+func (s Spec) PrefillMFU(mfu float64, tokens int, frac float64, tp int) float64 {
+	sms := frac * float64(s.SMs) * float64(tp)
+	tok := max(1, float64(tokens))
+	return mfu * tok / (tok + s.SatTokensPerSM*sms)
+}
+
+// BandwidthCap is the share of HBM bandwidth bw a kernel on SM fraction
+// frac can absorb: a kernel saturates bandwidth once it holds
+// BWSaturationFrac of the SMs.
+func (s Spec) BandwidthCap(frac, bw float64) float64 {
+	return math.Min(bw, frac/s.BWSaturationFrac*bw)
 }
 
 // PartitionSizes returns the valid decode-partition SM counts for this

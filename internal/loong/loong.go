@@ -11,10 +11,8 @@ package loong
 
 import (
 	"muxwise/internal/gpu"
-	"muxwise/internal/metrics"
 	"muxwise/internal/model"
 	"muxwise/internal/serve"
-	"muxwise/internal/sim"
 	"muxwise/internal/workload"
 )
 
@@ -24,29 +22,23 @@ const prefillTokensPerGPU = 8192
 
 // Engine is the dynamic-disaggregation baseline.
 type Engine struct {
+	serve.Base
 	env *serve.Env
 
 	baseTP     int // tensor parallelism inside each SP slice
 	total      int
 	free       int
 	decodeGs   int // GPUs currently in the decode group
-	devices    []*gpu.Device
-	decodeDev  map[int]*gpu.Device
 	decodePart map[int]*gpu.Partition
 
+	// Admission reserves each request's full context (its
+	// ReservedTokens) against the cluster-wide capacity.
 	capTokensPerGPU int64
 	reservedTokens  int64
 
-	decode        serve.Batch
-	decodeRunning bool
-	reserved      map[*serve.Running]int64
-
-	queue   []*pjob
-	merging []*serve.Running
-	pending []*workload.Request
-
-	ctxScratch []int
-	finScratch []*serve.Running
+	decode  serve.DecodeStream // holds migrated requests until a boundary
+	queue   serve.Queue[*pjob]
+	pending serve.Queue[*workload.Request]
 }
 
 type pjob struct {
@@ -62,39 +54,22 @@ func New(env *serve.Env) serve.Engine {
 	if env.Arch.Params() > 30e9 {
 		baseTP = 4
 	}
-	if baseTP > env.GPUs {
-		baseTP = env.GPUs
-	}
+	baseTP = min(baseTP, env.GPUs)
 	perGPU := float64(env.Spec.HBMCapacity)*(1-env.ReserveFrac) - env.Arch.WeightBytes()/float64(baseTP)
-	capTok := int64(perGPU / env.Arch.KVBytesPerToken())
-	if capTok < 0 {
-		capTok = 0
-	}
-	e := &Engine{
+	return &Engine{
+		Base:            serve.NewBase("LoongServe", nil),
 		env:             env,
 		baseTP:          baseTP,
 		total:           env.GPUs,
 		free:            env.GPUs,
-		decodeDev:       map[int]*gpu.Device{},
 		decodePart:      map[int]*gpu.Partition{},
-		capTokensPerGPU: capTok,
-		reserved:        map[*serve.Running]int64{},
+		capTokensPerGPU: max(0, int64(perGPU/env.Arch.KVBytesPerToken())),
 	}
-	return e
 }
-
-// Name implements serve.Engine.
-func (e *Engine) Name() string { return "LoongServe" }
-
-// Timeline implements serve.Engine.
-func (e *Engine) Timeline() *metrics.Timeline { return &metrics.Timeline{} }
-
-// Devices implements serve.Engine.
-func (e *Engine) Devices() []*gpu.Device { return e.devices }
 
 // Submit implements serve.Engine.
 func (e *Engine) Submit(r *workload.Request) {
-	e.pending = append(e.pending, r)
+	e.pending.Push(r)
 	e.admit()
 	e.schedule()
 }
@@ -102,28 +77,28 @@ func (e *Engine) Submit(r *workload.Request) {
 // admit checks cluster-wide KV capacity; LoongServe has no prefix cache,
 // so admission just reserves memory for the request's full context.
 func (e *Engine) admit() {
-	for len(e.pending) > 0 {
-		if e.decode.Size()+len(e.queue)+len(e.merging) >= e.env.MaxBatch {
+	for e.pending.Len() > 0 {
+		if e.decode.Size()+e.queue.Len()+e.decode.Held() >= e.env.MaxBatch {
 			return
 		}
-		r := e.pending[0]
+		r := e.pending.Front()
 		need := int64(r.InputTokens + r.OutputTokens)
 		if e.reservedTokens+need > e.capTokensPerGPU*int64(e.total) {
 			return
 		}
 		e.env.Admitted(r.ID)
-		e.pending = e.pending[1:]
+		e.pending.Pop()
 		e.reservedTokens += need
-		run := &serve.Running{R: r} // CachedTokens stays 0: no reuse
-		e.reserved[run] = need
-		e.queue = append(e.queue, &pjob{eng: e, run: run})
+		// CachedTokens stays 0: no reuse.
+		run := &serve.Running{R: r, ReservedTokens: need}
+		e.queue.Push(&pjob{eng: e, run: run})
 	}
 }
 
 func (e *Engine) schedule() {
 	// An idle decode group returns its GPUs to the elastic pool — the
 	// scale-to-zero flexibility Fig. 4b illustrates.
-	if e.decode.Size() == 0 && !e.decodeRunning && len(e.merging) == 0 && e.decodeGs > 0 {
+	if e.decode.Size() == 0 && !e.decode.Running && e.decode.Held() == 0 && e.decodeGs > 0 {
 		e.free += e.decodeGs
 		e.decodeGs = 0
 	}
@@ -144,8 +119,8 @@ func (e *Engine) roundUpTP(g int) int {
 
 // startPrefills elastically assigns free GPUs to queued prefill jobs.
 func (e *Engine) startPrefills() {
-	for len(e.queue) > 0 {
-		job := e.queue[0]
+	for e.queue.Len() > 0 {
+		job := e.queue.Front()
 		want := e.roundUpTP((job.run.R.InputTokens + prefillTokensPerGPU - 1) / prefillTokensPerGPU)
 		g := want
 		if g > e.free {
@@ -157,7 +132,7 @@ func (e *Engine) startPrefills() {
 		if g < e.baseTP {
 			return // no capacity; wait for a release
 		}
-		e.queue = e.queue[1:]
+		e.queue.Pop()
 		e.free -= g
 		job.gpus = g
 		e.launchPrefill(job)
@@ -168,15 +143,9 @@ func (e *Engine) startPrefills() {
 // group of job.gpus GPUs. The full context is recomputed (Reused = 0).
 func (e *Engine) launchPrefill(job *pjob) {
 	dev := gpu.NewDevice(e.env.Sim, e.env.Spec, job.gpus, "loong-prefill")
-	e.devices = append(e.devices, dev)
-	part := dev.Partition(e.env.Spec.SMs, "prefill")
-	phase := e.env.Arch.PrefillPhase([]model.Seq{{New: job.run.R.InputTokens}}, job.gpus)
-	part.LaunchFn(gpu.Kernel{
-		Label: "prefill-phase", Kind: gpu.Prefill,
-		FLOPs: phase.FLOPs, Bytes: phase.Bytes, CommBytes: phase.CommBytes,
-		Tokens: phase.Tokens,
-		Launch: sim.Time(e.env.Arch.Layers) * e.env.Spec.LayerLaunch,
-	}, prefillDone, job)
+	e.AddDevice(dev)
+	k := e.env.PrefillPhaseKernel([]model.Seq{{New: job.run.R.InputTokens}}, job.gpus)
+	dev.Partition(e.env.Spec.SMs, "prefill").LaunchFn(k, prefillDone, job)
 }
 
 // prefillDone / mergeAfterMigrate / decodeDone are the engine's bound
@@ -197,30 +166,24 @@ func (e *Engine) onPrefillDone(job *pjob) {
 	// Freed GPUs may unblock queued prefills or a starved decode group
 	// before the KV migration completes.
 	defer e.schedule()
-	kvBytes := float64(run.R.InputTokens) * e.env.Arch.KVBytesPerToken()
-	delay := sim.FromSeconds(kvBytes / (e.env.Spec.NVLinkBandwidth * float64(job.gpus)))
-	e.env.Sim.AfterFunc(delay, mergeAfterMigrate, job)
+	e.env.Sim.AfterFunc(e.env.KVTransferDelay(run.R.InputTokens, job.gpus), mergeAfterMigrate, job)
 }
 
 // onMigrated lands a prefilled request in the decode group once its KV
 // migration completes.
 func (e *Engine) onMigrated(run *serve.Running) {
-	e.env.Rec.Token(run.R.ID, e.env.Sim.Now())
-	run.Generated = 1
-	if run.DecodeDone() {
-		e.finish(run)
-	} else if e.decodeRunning {
-		e.merging = append(e.merging, run)
+	if serve.FirstToken(e.env.Rec, run, e.env.Sim.Now()) {
+		e.release(run)
 	} else {
-		e.decode.Add(run)
+		e.decode.Join(run)
 	}
 	e.schedule()
 }
 
-func (e *Engine) finish(run *serve.Running) {
-	e.env.Rec.Finish(run.R.ID, e.env.Sim.Now())
-	e.reservedTokens -= e.reserved[run]
-	delete(e.reserved, run)
+// release returns a finished request's KV reservation and admits what
+// now fits.
+func (e *Engine) release(run *serve.Running) {
+	e.reservedTokens -= run.ReservedTokens
 	e.admit()
 }
 
@@ -258,49 +221,31 @@ func (e *Engine) decodePartition() *gpu.Partition {
 		return p
 	}
 	d := gpu.NewDevice(e.env.Sim, e.env.Spec, e.decodeGs, "loong-decode")
-	e.decodeDev[e.decodeGs] = d
 	p := d.Partition(e.env.Spec.SMs, "decode")
 	e.decodePart[e.decodeGs] = p
-	e.devices = append(e.devices, d)
+	e.AddDevice(d)
 	return p
 }
 
 // startDecode runs the next iteration on the elastic decode group.
 func (e *Engine) startDecode() {
-	if e.decodeRunning || e.decode.Size() == 0 {
+	if e.decode.Running || e.decode.Size() == 0 {
 		return
 	}
 	e.resizeDecodeGroup()
 	if e.decodeGs < e.baseTP {
 		return // every GPU is in a prefill group; retried on release
 	}
-	part := e.decodePartition()
-	e.ctxScratch = e.decode.CtxsInto(e.ctxScratch)
-	cost := e.env.Arch.DecodeIter(e.ctxScratch, e.decodeGs)
 	// Sequence parallelism replicates weights across slices: each SP
-	// slice streams the full (TP-sharded) weights.
-	slices := e.decodeGs / e.baseTP
-	if slices > 1 {
-		cost.Bytes += float64(slices-1) * e.env.Arch.WeightBytes()
-	}
-	e.decodeRunning = true
-	part.LaunchFn(gpu.Kernel{
-		Label: "decode", Kind: gpu.Decode,
-		FLOPs: cost.FLOPs, Bytes: cost.Bytes, CommBytes: cost.CommBytes,
-		Tokens: cost.Tokens, Launch: e.env.Spec.GraphLaunch,
-	}, decodeDone, e)
+	// slice beyond the first streams the full (TP-sharded) weights again.
+	replicas := float64(e.decodeGs/e.baseTP-1) * e.env.Arch.WeightBytes()
+	e.decode.Launch(e.env, e.decodePartition(), e.decodeGs, replicas, decodeDone, e)
 }
 
 func (e *Engine) onDecodeDone() {
-	now := e.env.Sim.Now()
-	e.decodeRunning = false
-	e.finScratch = e.decode.StepInto(now, e.env.Rec, e.finScratch)
-	for _, r := range e.finScratch {
-		e.finish(r)
+	for _, r := range e.decode.Step(e.env.Sim.Now(), e.env.Rec) {
+		e.release(r)
 	}
-	for _, r := range e.merging {
-		e.decode.Add(r)
-	}
-	e.merging = e.merging[:0]
+	e.decode.FoldHeld()
 	e.schedule()
 }

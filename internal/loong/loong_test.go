@@ -70,7 +70,7 @@ func TestElasticPrefillGroups(t *testing.T) {
 	env.Sim.At(0, func() { e.Submit(r) })
 	env.Sim.Run()
 	maxTP := 0
-	for _, d := range e.devices {
+	for _, d := range e.Devices() {
 		if d.TP > maxTP {
 			maxTP = d.TP
 		}

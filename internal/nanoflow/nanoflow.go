@@ -28,7 +28,7 @@ const nanoBatches = 2
 // TBT SLOs, §4.1).
 func New(env *serve.Env) serve.Engine {
 	e := chunked.NewWithBudget(env, chunked.BudgetFor(env))
-	e.EngineName = "NanoFlow"
+	e.SetName("NanoFlow")
 	weights := env.Arch.LayerWeightBytes() * float64(env.Arch.Layers)
 	if env.Arch.MoE() {
 		weights = env.Arch.ActiveLayerWeightBytes() * float64(env.Arch.Layers)

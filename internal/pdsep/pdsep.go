@@ -13,38 +13,32 @@ package pdsep
 import (
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
-	"muxwise/internal/metrics"
 	"muxwise/internal/model"
 	"muxwise/internal/serve"
-	"muxwise/internal/sim"
 	"muxwise/internal/workload"
 )
 
 // Engine is the static-disaggregation baseline.
 type Engine struct {
+	serve.Base
 	env *serve.Env
 
-	pDev, dDev   *gpu.Device
+	tp           int // GPUs per instance
 	pPart, dPart *gpu.Partition
 	pPool, dPool *kvcache.Pool
 
-	decode        serve.Batch
-	decodeRunning bool
-	prefillBusy   bool
+	// A request's ReservedTokens holds its prefill-pool reservation until
+	// the prefill publishes its KV, then its decode-pool reservation.
+	decode serve.DecodeStream // holds migrated requests until a boundary
 
-	queue     []*serve.Running // waiting for the prefill instance
-	handoff   []*handoffReq    // prefill done, waiting for decode pool space
-	merging   []*serve.Running // migrated, waiting for a decode boundary
-	pending   []*workload.Request
-	dReserved map[*serve.Running]int64 // decode-pool reservations
+	queue   serve.Queue[*serve.Running] // waiting for the prefill instance
+	handoff serve.Queue[*handoffReq]    // prefill done, waiting for decode pool space
+	pending serve.Queue[*workload.Request]
 
-	// inFlight is the prefill batch currently on the device (one at a
-	// time, guarded by prefillBusy); the remaining slices are reused
-	// per-iteration scratch.
+	// inFlight is the prefill batch on the device, empty when the
+	// prefill instance is idle; seqScratch is reused per batch.
 	inFlight   []*serve.Running
 	seqScratch []model.Seq
-	ctxScratch []int
-	finScratch []*serve.Running
 }
 
 type handoffReq struct {
@@ -54,75 +48,49 @@ type handoffReq struct {
 
 // New builds an SGLang-PD engine with P:D = 1:1.
 func New(env *serve.Env) serve.Engine {
-	half := env.GPUs / 2
-	if half < 1 {
-		half = 1
-	}
+	half := max(1, env.GPUs/2)
 	pDev := gpu.NewDevice(env.Sim, env.Spec, half, "prefill-instance")
 	dDev := gpu.NewDevice(env.Sim, env.Spec, half, "decode-instance")
-	return &Engine{
-		env:       env,
-		pDev:      pDev,
-		dDev:      dDev,
-		pPart:     pDev.Partition(env.Spec.SMs, "prefill"),
-		dPart:     dDev.Partition(env.Spec.SMs, "decode"),
-		pPool:     kvcache.New(env.PoolTokens(half), kvcache.DefaultPageTokens),
-		dPool:     kvcache.New(env.PoolTokens(half), kvcache.DefaultPageTokens),
-		dReserved: map[*serve.Running]int64{},
+	e := &Engine{
+		env:   env,
+		tp:    half,
+		pPart: pDev.Partition(env.Spec.SMs, "prefill"),
+		dPart: dDev.Partition(env.Spec.SMs, "decode"),
+		pPool: kvcache.New(env.PoolTokens(half), kvcache.DefaultPageTokens),
+		dPool: kvcache.New(env.PoolTokens(half), kvcache.DefaultPageTokens),
 	}
+	// Prefix lookups happen on the prefill side only; the decode pool
+	// holds per-request KV, so it adds no hit/miss samples.
+	e.Base = serve.NewBase("SGLang-PD", []*gpu.Device{pDev, dDev}, e.pPool, e.dPool)
+	return e
 }
-
-// Name implements serve.Engine.
-func (e *Engine) Name() string { return "SGLang-PD" }
-
-// Timeline implements serve.Engine (the split is static).
-func (e *Engine) Timeline() *metrics.Timeline { return &metrics.Timeline{} }
-
-// Devices implements serve.Engine.
-func (e *Engine) Devices() []*gpu.Device { return []*gpu.Device{e.pDev, e.dDev} }
-
-// PrefillPool exposes the prefill instance's radix cache.
-func (e *Engine) PrefillPool() *kvcache.Pool { return e.pPool }
-
-// CachePools implements serve.PoolReporter. Prefix lookups happen on the
-// prefill side only; the decode pool holds per-request KV, so reporting
-// it would not add hit/miss samples.
-func (e *Engine) CachePools() []*kvcache.Pool { return []*kvcache.Pool{e.pPool, e.dPool} }
 
 // Submit implements serve.Engine.
 func (e *Engine) Submit(r *workload.Request) {
-	e.pending = append(e.pending, r)
+	e.pending.Push(r)
 	e.admit()
 	e.schedule()
 }
 
+// admit reserves prefill-side KV for the input only; output KV lives on
+// the decode instance.
 func (e *Engine) admit() {
-	for len(e.pending) > 0 {
-		if e.decode.Size()+len(e.queue)+len(e.handoff)+len(e.merging) >= e.env.MaxBatch {
+	for {
+		inflight := e.decode.Size() + e.queue.Len() + e.handoff.Len() + e.decode.Held()
+		run := e.env.AdmitNext(&e.pending, inflight, e.pPool, false)
+		if run == nil {
 			return
 		}
-		// Admission reserves prefill-side KV for the input only; output
-		// KV lives on the decode instance.
-		r := e.pending[0]
-		hit := e.pPool.MatchTokens(r.Pages, r.InputTokens)
-		hitPages := hit / e.pPool.PageTokens()
-		need := int64(r.InputTokens - hit)
-		if !e.pPool.Reserve(need) {
-			return
-		}
-		e.pPool.Pin(r.Pages, hitPages)
-		e.env.Admitted(r.ID)
-		e.pending = e.pending[1:]
-		e.queue = append(e.queue, &serve.Running{
-			R: r, CachedTokens: hit, PinnedPages: hitPages, ReservedTokens: need,
-		})
+		e.queue.Push(run)
 	}
 }
 
 func (e *Engine) schedule() {
 	e.startPrefill()
 	e.tryHandoff()
-	e.startDecode()
+	if !e.decode.Running && e.decode.Size() > 0 {
+		e.decode.Launch(e.env, e.dPart, e.tp, 0, decodeDone, e)
+	}
 }
 
 // maxPrefillBatchTokens caps a prefill batch, matching SGLang's budget.
@@ -131,35 +99,23 @@ const maxPrefillBatchTokens = 16384
 // startPrefill runs the next batch of queued requests on the prefill
 // instance (SGLang batches prefills up to its token budget).
 func (e *Engine) startPrefill() {
-	if e.prefillBusy || len(e.queue) == 0 {
+	if len(e.inFlight) > 0 || e.queue.Len() == 0 {
 		return
 	}
 	batch := e.inFlight[:0]
 	seqs := e.seqScratch[:0]
 	tokens := 0
-	for len(e.queue) > 0 {
-		run := e.queue[0]
-		newTok := run.R.InputTokens - run.CachedTokens
-		if newTok < 1 {
-			newTok = 1
-		}
-		if len(batch) > 0 && tokens+newTok > maxPrefillBatchTokens {
+	for e.queue.Len() > 0 {
+		seq := e.queue.Front().PrefillSeq()
+		if len(batch) > 0 && tokens+seq.New > maxPrefillBatchTokens {
 			break
 		}
-		e.queue = e.queue[1:]
-		batch = append(batch, run)
-		seqs = append(seqs, model.Seq{New: newTok, Reused: run.CachedTokens})
-		tokens += newTok
+		batch = append(batch, e.queue.Pop())
+		seqs = append(seqs, seq)
+		tokens += seq.New
 	}
 	e.inFlight, e.seqScratch = batch, seqs
-	phase := e.env.Arch.PrefillPhase(seqs, e.pDev.TP)
-	e.prefillBusy = true
-	e.pPart.LaunchFn(gpu.Kernel{
-		Label: "prefill-phase", Kind: gpu.Prefill,
-		FLOPs: phase.FLOPs, Bytes: phase.Bytes, CommBytes: phase.CommBytes,
-		Tokens: phase.Tokens,
-		Launch: sim.Time(e.env.Arch.Layers) * e.env.Spec.LayerLaunch,
-	}, prefillBatchDone, e)
+	e.pPart.LaunchFn(e.env.PrefillPhaseKernel(seqs, e.tp), prefillBatchDone, e)
 }
 
 // prefillBatchDone / migrated / decodeDone are the engine's bound
@@ -167,7 +123,6 @@ func (e *Engine) startPrefill() {
 // so steady-state scheduling allocates no closures.
 func prefillBatchDone(arg any) {
 	e := arg.(*Engine)
-	e.prefillBusy = false
 	for i, run := range e.inFlight {
 		e.onPrefillDone(run)
 		e.inFlight[i] = nil
@@ -188,77 +143,44 @@ func (e *Engine) onPrefillDone(run *serve.Running) {
 	e.pPool.Unpin(run.R.Pages, run.PinnedPages)
 	e.pPool.Release(run.ReservedTokens)
 	e.pPool.Insert(run.R.Pages)
-	e.handoff = append(e.handoff, &handoffReq{eng: e, run: run})
+	e.handoff.Push(&handoffReq{eng: e, run: run})
 }
 
 // tryHandoff migrates completed prefills into the decode instance when
 // its pool has room: KV crosses NVLink, then the request joins the batch
 // at the next decode boundary.
 func (e *Engine) tryHandoff() {
-	for len(e.handoff) > 0 {
-		h := e.handoff[0]
+	for e.handoff.Len() > 0 {
+		h := e.handoff.Front()
 		need := int64(h.run.R.InputTokens + h.run.R.OutputTokens)
 		if !e.dPool.Reserve(need) {
 			return // decode pool full: prefill stalls (§4.3 OpenThoughts)
 		}
-		e.handoff = e.handoff[1:]
-		e.dReserved[h.run] = need
-		kvBytes := float64(h.run.R.InputTokens) * e.env.Arch.KVBytesPerToken()
-		delay := sim.FromSeconds(kvBytes / (e.env.Spec.NVLinkBandwidth * float64(e.pDev.TP)))
-		e.env.Sim.AfterFunc(delay, migrated, h)
+		e.handoff.Pop()
+		h.run.ReservedTokens = need
+		e.env.Sim.AfterFunc(e.env.KVTransferDelay(h.run.R.InputTokens, e.tp), migrated, h)
 	}
 }
 
 // onMigrated lands a request on the decode instance once its KV has
 // crossed NVLink. First token is delivered after migration.
 func (e *Engine) onMigrated(run *serve.Running) {
-	e.env.Rec.Token(run.R.ID, e.env.Sim.Now())
-	run.Generated = 1
-	if run.DecodeDone() {
-		e.finishDecode(run)
-	} else if e.decodeRunning {
-		e.merging = append(e.merging, run)
+	if serve.FirstToken(e.env.Rec, run, e.env.Sim.Now()) {
+		e.dPool.Release(run.ReservedTokens)
+		e.admit()
 	} else {
-		e.decode.Add(run)
+		e.decode.Join(run)
 	}
 	e.schedule()
 }
 
-func (e *Engine) finishDecode(run *serve.Running) {
-	e.env.Rec.Finish(run.R.ID, e.env.Sim.Now())
-	e.dPool.Release(e.dReserved[run])
-	delete(e.dReserved, run)
-	e.admit()
-}
-
-// startDecode runs decode iterations on the decode instance.
-func (e *Engine) startDecode() {
-	if e.decodeRunning || e.decode.Size() == 0 {
-		return
-	}
-	e.ctxScratch = e.decode.CtxsInto(e.ctxScratch)
-	cost := e.env.Arch.DecodeIter(e.ctxScratch, e.dDev.TP)
-	e.decodeRunning = true
-	e.dPart.LaunchFn(gpu.Kernel{
-		Label: "decode", Kind: gpu.Decode,
-		FLOPs: cost.FLOPs, Bytes: cost.Bytes, CommBytes: cost.CommBytes,
-		Tokens: cost.Tokens, Launch: e.env.Spec.GraphLaunch,
-	}, decodeDone, e)
-}
-
 func (e *Engine) onDecodeDone() {
-	now := e.env.Sim.Now()
-	e.decodeRunning = false
-	e.finScratch = e.decode.StepInto(now, e.env.Rec, e.finScratch)
-	for _, r := range e.finScratch {
-		e.dPool.Release(e.dReserved[r])
-		delete(e.dReserved, r)
+	finished := e.decode.Step(e.env.Sim.Now(), e.env.Rec)
+	for _, r := range finished {
+		e.dPool.Release(r.ReservedTokens)
 	}
-	for _, r := range e.merging {
-		e.decode.Add(r)
-	}
-	e.merging = e.merging[:0]
-	if len(e.finScratch) > 0 {
+	e.decode.FoldHeld()
+	if len(finished) > 0 {
 		e.admit()
 	}
 	e.schedule()

@@ -58,7 +58,7 @@ func TestPrefillRadixReuse(t *testing.T) {
 		s.At(r.Arrival, func() { e.Submit(r) })
 	}
 	s.Run()
-	if hr := e.PrefillPool().Stats().HitRate(); hr < 0.2 {
+	if hr := e.CachePools()[0].Stats().HitRate(); hr < 0.2 {
 		t.Fatalf("prefill radix hit rate %.3f, want ≥0.2", hr)
 	}
 	sum := rec.Summarize("pd", s.Now())

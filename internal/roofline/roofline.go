@@ -84,14 +84,10 @@ func (m *Model) rates(kind gpu.Kind, tokens, sms int) (crate, brate float64) {
 	frac := float64(sms) / float64(m.Spec.SMs)
 	mfu := m.Spec.MFUDecode
 	if kind == gpu.Prefill {
-		smsTotal := frac * float64(m.Spec.SMs) * float64(m.TP)
-		tok := math.Max(1, float64(tokens))
-		mfu = m.Spec.MFUPrefill * tok / (tok + m.Spec.SatTokensPerSM*smsTotal)
+		mfu = m.Spec.PrefillMFU(m.Spec.MFUPrefill, tokens, frac, m.TP)
 	}
 	crate = frac * m.Spec.TensorFLOPS * float64(m.TP) * mfu
-	bw := m.Spec.HBMBandwidth * float64(m.TP)
-	brate = math.Min(bw, frac/m.Spec.BWSaturationFrac*bw)
-	return crate, brate
+	return crate, m.Spec.BandwidthCap(frac, m.Spec.HBMBandwidth*float64(m.TP))
 }
 
 // execSeconds is the roofline max over the three sub-streams (compute,
@@ -163,7 +159,7 @@ func (m *Model) DecodeWorst(totalCtx, bs, sms, prefillNew, prefillReused int) si
 		launch += m.Spec.LayerLaunch
 		bw := m.Spec.HBMBandwidth * float64(m.TP)
 		fracP := float64(preSM) / float64(m.Spec.SMs)
-		capP := math.Min(bw, fracP/m.Spec.BWSaturationFrac*bw)
+		capP := m.Spec.BandwidthCap(fracP, bw)
 		if brate+capP > bw {
 			// Oversubscribed HBM: max-min fair shares, each side still
 			// capped by its own absorption limit.

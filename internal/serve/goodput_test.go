@@ -51,7 +51,7 @@ func TestGoodputResolutionBound(t *testing.T) {
 		if current.Load() >= 50_000 {
 			gap = 200 * sim.Millisecond
 		}
-		return &fakeEngine{env: env, delay: 10 * sim.Millisecond, gap: gap}
+		return &fakeEngine{Base: NewBase("fake", nil), env: env, delay: 10 * sim.Millisecond, gap: gap}
 	}
 	mk := func(rate float64) *workload.Trace {
 		current.Store(int64(rate * 1000))

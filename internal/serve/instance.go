@@ -7,13 +7,6 @@ import (
 	"muxwise/internal/workload"
 )
 
-// PoolReporter is implemented by engines that expose their KV cache
-// pools, letting the runner and the cluster rollups report cache-hit
-// rates without knowing engine internals.
-type PoolReporter interface {
-	CachePools() []*kvcache.Pool
-}
-
 // Instance is one engine embedded in a simulation it does not own. It
 // bundles the engine with its private recorder and environment, so
 // several instances (a replica fleet) can share a single deterministic
@@ -124,15 +117,8 @@ func (i *Instance) Abort(id int) bool { return i.Rec.Abort(id) }
 // a re-prefill. Returns pages actually inserted (capacity may evict or
 // truncate); a halted instance or a pool-less engine accepts nothing.
 func (i *Instance) PreloadKV(pages []kvcache.PageID) int {
-	if i.halted || len(pages) == 0 {
-		return 0
-	}
-	pr, ok := i.Eng.(PoolReporter)
-	if !ok {
-		return 0
-	}
-	pools := pr.CachePools()
-	if len(pools) == 0 {
+	pools := i.Eng.CachePools()
+	if i.halted || len(pages) == 0 || len(pools) == 0 {
 		return 0
 	}
 	return pools[0].Insert(pages)
@@ -144,11 +130,7 @@ func (i *Instance) PreloadKV(pages []kvcache.PageID) int {
 // what a drain can stream to what the pool physically retains — evicted
 // KV cannot be migrated.
 func (i *Instance) PeekKV(pages []kvcache.PageID) (matched, pageTokens int) {
-	pr, ok := i.Eng.(PoolReporter)
-	if !ok {
-		return 0, 0
-	}
-	pools := pr.CachePools()
+	pools := i.Eng.CachePools()
 	if len(pools) == 0 {
 		return 0, 0
 	}
@@ -159,11 +141,7 @@ func (i *Instance) PeekKV(pages []kvcache.PageID) (matched, pageTokens int) {
 // returns zeros when the engine exposes none.
 func (i *Instance) CacheStats() kvcache.Stats {
 	var agg kvcache.Stats
-	pr, ok := i.Eng.(PoolReporter)
-	if !ok {
-		return agg
-	}
-	for _, p := range pr.CachePools() {
+	for _, p := range i.Eng.CachePools() {
 		s := p.Stats()
 		agg.Lookups += s.Lookups
 		agg.HitTokens += s.HitTokens

@@ -1,7 +1,12 @@
 // Package serve defines the pieces every serving engine shares: the
-// runtime view of a request, KV-cache admission, decode-batch
-// bookkeeping, the engine interface, and the trace runner that couples a
-// workload to an engine on a simulated cluster.
+// engine interface, the runtime view of a request, the trace runner that
+// couples a workload to an engine on a simulated cluster, and the engine
+// skeleton — Base (Name, Timeline, Devices, CachePools), the Queue ring
+// FIFO, the Env.AdmitNext admission step, the DecodeStream decode loop
+// and the FirstToken/NewKernel helpers — so that each engine package
+// keeps only its scheduling decisions: which partition or GPU group runs
+// what, when prefill and decode take turns, how prefills batch or chunk,
+// and where KV lives.
 package serve
 
 import (
@@ -66,6 +71,11 @@ type Engine interface {
 	// Devices exposes the engine's logical devices for utilization
 	// accounting.
 	Devices() []*gpu.Device
+	// CachePools exposes the engine's KV pools, the prefix-lookup pool
+	// first, so the runner and the cluster rollups can report cache-hit
+	// rates without knowing engine internals. Engines without a prefix
+	// cache return none.
+	CachePools() []*kvcache.Pool
 }
 
 // Factory builds an engine inside a prepared environment.
@@ -109,15 +119,17 @@ func (r *Running) PrefillRemaining() int {
 }
 
 // Admit performs cache lookup, pinning and pool reservation for a
-// request. It returns nil when the pool cannot hold the request's KV (the
-// caller should queue and retry after a completion frees space).
-func Admit(pool *kvcache.Pool, r *workload.Request) *Running {
+// request, reserving the prompt tokens the prefix cache missed plus extra
+// (the output tokens, for engines that decode in the same pool). It
+// returns nil when the pool cannot hold the reservation (the caller
+// should queue and retry after a completion frees space).
+func Admit(pool *kvcache.Pool, r *workload.Request, extra int) *Running {
 	hit := pool.MatchTokens(r.Pages, r.InputTokens)
 	hitPages := hit / pool.PageTokens()
-	need := int64(r.InputTokens - hit + r.OutputTokens)
+	need := int64(r.InputTokens - hit + extra)
 	if !pool.Reserve(need) {
-		// Roll back the optimistic statistics? No: lookup stats stand —
-		// the lookup really happened; only the reservation failed.
+		// Lookup statistics stand: the lookup really happened; only the
+		// reservation failed.
 		return nil
 	}
 	pool.Pin(r.Pages, hitPages)
@@ -152,15 +164,9 @@ type Batch struct {
 // Size returns the batch size.
 func (b *Batch) Size() int { return len(b.Reqs) }
 
-// Ctxs returns per-request attended context lengths for the cost model.
-func (b *Batch) Ctxs() []int {
-	return b.CtxsInto(make([]int, 0, len(b.Reqs)))
-}
-
-// CtxsInto is the allocation-free Ctxs: it fills dst (reusing its
-// capacity) and returns it. Engines keep one scratch slice and call this
-// every decode iteration; the cost model reads the slice synchronously
-// and never retains it.
+// CtxsInto fills dst (reusing its capacity) with the per-request attended
+// context lengths for the cost model and returns it. The cost model reads
+// the slice synchronously and never retains it.
 func (b *Batch) CtxsInto(dst []int) []int {
 	dst = dst[:0]
 	for _, r := range b.Reqs {
@@ -181,15 +187,9 @@ func (b *Batch) TotalCtx() int {
 // Add appends a request to the batch.
 func (b *Batch) Add(r *Running) { b.Reqs = append(b.Reqs, r) }
 
-// Step credits one generated token to every request at time now,
-// removing and returning the requests that finished.
-func (b *Batch) Step(now sim.Time, rec *metrics.Recorder) []*Running {
-	return b.StepInto(now, rec, nil)
-}
-
-// StepInto is Step with a caller-owned result buffer: finished requests
-// are appended to dst (reusing its capacity) so per-iteration stepping
-// does not allocate.
+// StepInto credits one generated token to every request at time now and
+// removes the requests that finished, appending them to dst (reusing its
+// capacity, so per-iteration stepping does not allocate).
 func (b *Batch) StepInto(now sim.Time, rec *metrics.Recorder, dst []*Running) []*Running {
 	finished := dst[:0]
 	keep := b.Reqs[:0]

@@ -31,7 +31,7 @@ func req(id int, input, output int) *workload.Request {
 func TestAdmitReservesAndPins(t *testing.T) {
 	pool := kvcache.New(10000, 16)
 	r := req(1, 1000, 100)
-	run := Admit(pool, r)
+	run := Admit(pool, r, r.OutputTokens)
 	if run == nil {
 		t.Fatal("admission failed with ample pool")
 	}
@@ -46,7 +46,7 @@ func TestAdmitReservesAndPins(t *testing.T) {
 		t.Fatalf("reserved after complete = %d", pool.Reserved())
 	}
 	// Second identical request hits the published KV.
-	run2 := Admit(pool, r)
+	run2 := Admit(pool, r, r.OutputTokens)
 	if run2 == nil {
 		t.Fatal("second admission failed")
 	}
@@ -57,7 +57,7 @@ func TestAdmitReservesAndPins(t *testing.T) {
 
 func TestAdmitFailsWhenFull(t *testing.T) {
 	pool := kvcache.New(500, 16)
-	if run := Admit(pool, req(1, 1000, 100)); run != nil {
+	if run := Admit(pool, req(1, 1000, 100), 100); run != nil {
 		t.Fatal("admission should fail when KV cannot fit")
 	}
 }
@@ -65,12 +65,12 @@ func TestAdmitFailsWhenFull(t *testing.T) {
 func TestAbortReleasesWithoutPublishing(t *testing.T) {
 	pool := kvcache.New(10000, 16)
 	r := req(2, 800, 50)
-	run := Admit(pool, r)
+	run := Admit(pool, r, r.OutputTokens)
 	run.Abort(pool)
 	if pool.Reserved() != 0 {
 		t.Fatalf("reserved after abort = %d", pool.Reserved())
 	}
-	if got := Admit(pool, r); got.CachedTokens != 0 {
+	if got := Admit(pool, r, r.OutputTokens); got.CachedTokens != 0 {
 		t.Fatalf("abort must not publish KV; cached = %d", got.CachedTokens)
 	}
 }
@@ -102,7 +102,7 @@ func TestBatchStep(t *testing.T) {
 	rec.Arrive(2, 0, 10)
 	b.Add(a)
 	b.Add(c)
-	fin := b.Step(sim.Second, rec)
+	fin := b.StepInto(sim.Second, rec, nil)
 	if len(fin) != 1 || fin[0] != a {
 		t.Fatalf("finished = %v, want request 1", fin)
 	}
@@ -117,14 +117,12 @@ func TestBatchStep(t *testing.T) {
 // fakeEngine serves requests with fixed synthetic latencies so the runner
 // and goodput helpers can be tested in isolation.
 type fakeEngine struct {
+	Base
 	env   *Env
 	delay sim.Time
 	gap   sim.Time
 }
 
-func (f *fakeEngine) Name() string                { return "fake" }
-func (f *fakeEngine) Timeline() *metrics.Timeline { return &metrics.Timeline{} }
-func (f *fakeEngine) Devices() []*gpu.Device      { return nil }
 func (f *fakeEngine) Submit(r *workload.Request) {
 	at := f.env.Sim.Now() + f.delay
 	for i := 0; i < r.OutputTokens; i++ {
@@ -139,7 +137,9 @@ func (f *fakeEngine) Submit(r *workload.Request) {
 }
 
 func fakeFactory(delay, gap sim.Time) Factory {
-	return func(env *Env) Engine { return &fakeEngine{env: env, delay: delay, gap: gap} }
+	return func(env *Env) Engine {
+		return &fakeEngine{Base: NewBase("fake", nil), env: env, delay: delay, gap: gap}
+	}
 }
 
 func testCfg() Config {
@@ -216,7 +216,7 @@ func TestGoodputBisection(t *testing.T) {
 	factory := func(rate *float64) Factory {
 		return func(env *Env) Engine {
 			gap := sim.Time(float64(20*sim.Millisecond) * *rate)
-			return &fakeEngine{env: env, delay: 10 * sim.Millisecond, gap: gap}
+			return &fakeEngine{Base: NewBase("fake", nil), env: env, delay: 10 * sim.Millisecond, gap: gap}
 		}
 	}
 	var current float64
@@ -233,5 +233,64 @@ func TestGoodputBisection(t *testing.T) {
 	bad := Goodput(fakeFactory(10*sim.Millisecond, 200*sim.Millisecond), testCfg(), mk, 0.5, 8)
 	if bad != 0 {
 		t.Fatalf("failing engine goodput = %v, want 0", bad)
+	}
+}
+
+// TestAdmitNext checks the shared admission step: the MaxBatch cap and a
+// full pool leave the pending head in place, a success pops it, and
+// reserveOutput decides whether the output tokens join the reservation.
+func TestAdmitNext(t *testing.T) {
+	s := sim.New()
+	rec := metrics.NewRecorder()
+	env := &Env{Sim: s, Rec: rec, MaxBatch: 2}
+	pool := kvcache.New(1500, 16)
+	var pending Queue[*workload.Request]
+	for id := 1; id <= 2; id++ {
+		rec.Arrive(id, 0, 1000)
+		pending.Push(req(id, 1000, 100))
+	}
+	if run := env.AdmitNext(&pending, 2, pool, true); run != nil || pending.Len() != 2 {
+		t.Fatal("a full batch must not admit")
+	}
+	run := env.AdmitNext(&pending, 0, pool, true)
+	if run == nil || run.R.ID != 1 || run.ReservedTokens != 1100 || pending.Len() != 1 {
+		t.Fatalf("first admission: run %+v, pending %d", run, pending.Len())
+	}
+	if run := env.AdmitNext(&pending, 1, pool, true); run != nil || pending.Front().ID != 2 {
+		t.Fatal("a full pool must leave the head pending")
+	}
+	run = env.AdmitNext(&pending, 1, kvcache.New(1500, 16), false)
+	if run == nil || run.ReservedTokens != 1000 || pending.Len() != 0 {
+		t.Fatalf("input-only admission: run %+v", run)
+	}
+	if env.AdmitNext(&pending, 0, pool, true) != nil {
+		t.Fatal("an empty queue admits nothing")
+	}
+}
+
+// TestDecodeStreamHoldsUntilBoundary checks that requests joining while
+// an iteration runs wait for the boundary, and join at once otherwise.
+func TestDecodeStreamHoldsUntilBoundary(t *testing.T) {
+	rec := metrics.NewRecorder()
+	var d DecodeStream
+	a := &Running{R: req(1, 10, 3), Generated: 1}
+	b := &Running{R: req(2, 10, 3), Generated: 1}
+	rec.Arrive(1, 0, 10)
+	rec.Arrive(2, 0, 10)
+	d.Join(a)
+	if d.Size() != 1 || d.Held() != 0 {
+		t.Fatal("an idle stream takes a joining request at once")
+	}
+	d.Running = true
+	d.Join(b)
+	if d.Size() != 1 || d.Held() != 1 {
+		t.Fatal("a running stream must park a joining request")
+	}
+	if fin := d.Step(sim.Second, rec); len(fin) != 0 || d.Running || a.Generated != 2 || b.Generated != 1 {
+		t.Fatal("Step must credit only the batch and end the iteration")
+	}
+	d.FoldHeld()
+	if d.Size() != 2 || d.Held() != 0 {
+		t.Fatalf("FoldHeld left batch %d, held %d", d.Size(), d.Held())
 	}
 }

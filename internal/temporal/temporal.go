@@ -10,7 +10,6 @@ package temporal
 import (
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
-	"muxwise/internal/metrics"
 	"muxwise/internal/model"
 	"muxwise/internal/serve"
 	"muxwise/internal/sim"
@@ -20,24 +19,22 @@ import (
 // Engine interleaves decode iterations with prefill layer bursts on one
 // full-device stream.
 type Engine struct {
+	serve.Base
 	env *serve.Env
 
-	dev  *gpu.Device
 	part *gpu.Partition
 	pool *kvcache.Pool
 	est  serve.CostModel
 
-	decode  serve.Batch
-	busy    bool
+	decode  serve.DecodeStream
+	busy    bool // the single stream runs a decode iteration or a burst
 	active  *job
-	queue   []*job
-	pending []*workload.Request
+	queue   serve.Queue[*job]
+	pending serve.Queue[*workload.Request]
 
 	// burstN is the layer count of the prefill burst on the device (one
-	// launch at a time, guarded by busy); the slices are reused scratch.
-	burstN     int
-	ctxScratch []int
-	finScratch []*serve.Running
+	// launch at a time, guarded by busy).
+	burstN int
 }
 
 type job struct {
@@ -49,50 +46,30 @@ type job struct {
 // New builds a temporal-multiplexing engine.
 func New(env *serve.Env) serve.Engine {
 	dev := gpu.NewDevice(env.Sim, env.Spec, env.GPUs, "temporal")
-	return &Engine{
+	e := &Engine{
 		env:  env,
-		dev:  dev,
 		part: dev.Partition(env.Spec.SMs, "serial"),
 		pool: kvcache.New(env.PoolTokens(env.GPUs), kvcache.DefaultPageTokens),
 		est:  env.Cost(),
 	}
+	e.Base = serve.NewBase("Temporal", []*gpu.Device{dev}, e.pool)
+	return e
 }
-
-// Name implements serve.Engine.
-func (e *Engine) Name() string { return "Temporal" }
-
-// Timeline implements serve.Engine.
-func (e *Engine) Timeline() *metrics.Timeline { return &metrics.Timeline{} }
-
-// Devices implements serve.Engine.
-func (e *Engine) Devices() []*gpu.Device { return []*gpu.Device{e.dev} }
-
-// CachePools implements serve.PoolReporter.
-func (e *Engine) CachePools() []*kvcache.Pool { return []*kvcache.Pool{e.pool} }
 
 // Submit implements serve.Engine.
 func (e *Engine) Submit(r *workload.Request) {
-	e.pending = append(e.pending, r)
+	e.pending.Push(r)
 	e.admit()
 	e.step()
 }
 
 func (e *Engine) admit() {
-	for len(e.pending) > 0 {
-		if e.decode.Size()+len(e.queue) >= e.env.MaxBatch {
-			return
-		}
-		run := serve.Admit(e.pool, e.pending[0])
+	for {
+		run := e.env.AdmitNext(&e.pending, e.decode.Size()+e.queue.Len(), e.pool, true)
 		if run == nil {
 			return
 		}
-		e.env.Admitted(run.R.ID)
-		e.pending = e.pending[1:]
-		newTok := run.R.InputTokens - run.CachedTokens
-		if newTok < 1 {
-			newTok = 1
-		}
-		e.queue = append(e.queue, &job{run: run, seq: model.Seq{New: newTok, Reused: run.CachedTokens}})
+		e.queue.Push(&job{run: run, seq: run.PrefillSeq()})
 	}
 }
 
@@ -102,31 +79,18 @@ func (e *Engine) step() {
 	if e.busy {
 		return
 	}
-	if e.active == nil && len(e.queue) > 0 {
-		e.active = e.queue[0]
-		e.queue = e.queue[1:]
+	if e.active == nil && e.queue.Len() > 0 {
+		e.active = e.queue.Pop()
 	}
 	if e.decode.Size() > 0 {
-		e.runDecodeThenLayers()
+		e.busy = true
+		e.decode.Launch(e.env, e.part, e.env.GPUs, 0, decodeDone, e)
 		return
 	}
 	if e.active != nil {
 		// No decode pending: prefill runs layers back to back.
 		e.runLayers(e.env.Arch.Layers - e.active.layersDone)
 	}
-}
-
-// runDecodeThenLayers launches one decode iteration followed by a layer
-// burst sized to the TBT slack.
-func (e *Engine) runDecodeThenLayers() {
-	e.ctxScratch = e.decode.CtxsInto(e.ctxScratch)
-	cost := e.env.Arch.DecodeIter(e.ctxScratch, e.env.GPUs)
-	e.busy = true
-	e.part.LaunchFn(gpu.Kernel{
-		Label: "decode", Kind: gpu.Decode,
-		FLOPs: cost.FLOPs, Bytes: cost.Bytes, CommBytes: cost.CommBytes,
-		Tokens: cost.Tokens, Launch: e.env.Spec.GraphLaunch,
-	}, decodeDone, e)
 }
 
 // decodeDone / burstDone are the engine's bound completion callbacks:
@@ -137,10 +101,8 @@ func decodeDone(arg any) { arg.(*Engine).onDecodeDone() }
 func burstDone(arg any) { arg.(*Engine).onBurstDone() }
 
 func (e *Engine) onDecodeDone() {
-	now := e.env.Sim.Now()
 	e.busy = false
-	e.finScratch = e.decode.StepInto(now, e.env.Rec, e.finScratch)
-	for _, r := range e.finScratch {
+	for _, r := range e.decode.Step(e.env.Sim.Now(), e.env.Rec) {
 		r.Complete(e.pool)
 	}
 	e.admit()
@@ -175,15 +137,10 @@ func (e *Engine) runLayers(n int) {
 		n = e.env.Arch.Layers - j.layersDone
 	}
 	layer := e.env.Arch.PrefillLayer([]model.Seq{j.seq}, e.env.GPUs, true)
-	burst := layer.Scale(float64(n))
 	e.busy = true
 	e.burstN = n
-	e.part.LaunchFn(gpu.Kernel{
-		Label: "prefill-burst", Kind: gpu.Prefill,
-		FLOPs: burst.FLOPs, Bytes: burst.Bytes, CommBytes: burst.CommBytes,
-		Tokens: layer.Tokens,
-		Launch: sim.Time(n) * e.env.Spec.LayerLaunch,
-	}, burstDone, e)
+	e.part.LaunchFn(serve.NewKernel("prefill-burst", gpu.Prefill, layer.Scale(float64(n)),
+		sim.Time(n)*e.env.Spec.LayerLaunch), burstDone, e)
 }
 
 func (e *Engine) onBurstDone() {
@@ -197,13 +154,9 @@ func (e *Engine) onBurstDone() {
 }
 
 func (e *Engine) finishPrefill(j *job) {
-	now := e.env.Sim.Now()
 	e.active = nil
 	e.env.Rec.PrefillDone(j.seq.New)
-	e.env.Rec.Token(j.run.R.ID, now)
-	j.run.Generated = 1
-	if j.run.DecodeDone() {
-		e.env.Rec.Finish(j.run.R.ID, now)
+	if serve.FirstToken(e.env.Rec, j.run, e.env.Sim.Now()) {
 		j.run.Complete(e.pool)
 		return
 	}

@@ -10,99 +10,66 @@ package windserve
 import (
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
-	"muxwise/internal/metrics"
 	"muxwise/internal/model"
 	"muxwise/internal/serve"
-	"muxwise/internal/sim"
 	"muxwise/internal/workload"
 )
 
 // Engine multiplexes on unpartitioned streams.
 type Engine struct {
+	serve.Base
 	env *serve.Env
 
-	dev      *gpu.Device
 	decodeS  *gpu.Partition // "stream", full SMs
 	prefillS *gpu.Partition // "stream", full SMs
 	pool     *kvcache.Pool
 
-	decode        serve.Batch
-	decodeRunning bool
-	prefillBusy   bool
-	queue         []*serve.Running
-	merging       []*serve.Running
-	pending       []*workload.Request
+	// decode's hold list parks prefilled requests whose first token
+	// waits for the iteration boundary.
+	decode  serve.DecodeStream
+	queue   serve.Queue[*serve.Running]
+	pending serve.Queue[*workload.Request]
 
-	// pInFlight is the prefill on the device (one at a time, guarded by
-	// prefillBusy); the slices are reused scratch.
-	pInFlight  *serve.Running
-	ctxScratch []int
-	finScratch []*serve.Running
+	// pInFlight is the prefill on the device, nil when the prefill
+	// stream is idle.
+	pInFlight *serve.Running
 }
 
 // New builds a WindServe-style engine.
 func New(env *serve.Env) serve.Engine {
 	dev := gpu.NewDevice(env.Sim, env.Spec, env.GPUs, "windserve")
-	return &Engine{
+	e := &Engine{
 		env:      env,
-		dev:      dev,
 		decodeS:  dev.Partition(env.Spec.SMs, "decode-stream"),
 		prefillS: dev.Partition(env.Spec.SMs, "prefill-stream"),
 		pool:     kvcache.New(env.PoolTokens(env.GPUs), kvcache.DefaultPageTokens),
 	}
+	e.Base = serve.NewBase("WindServe", []*gpu.Device{dev}, e.pool)
+	return e
 }
-
-// Name implements serve.Engine.
-func (e *Engine) Name() string { return "WindServe" }
-
-// Timeline implements serve.Engine (no partitioning to record).
-func (e *Engine) Timeline() *metrics.Timeline { return &metrics.Timeline{} }
-
-// Devices implements serve.Engine.
-func (e *Engine) Devices() []*gpu.Device { return []*gpu.Device{e.dev} }
-
-// CachePools implements serve.PoolReporter.
-func (e *Engine) CachePools() []*kvcache.Pool { return []*kvcache.Pool{e.pool} }
 
 // Submit implements serve.Engine.
 func (e *Engine) Submit(r *workload.Request) {
-	e.pending = append(e.pending, r)
+	e.pending.Push(r)
 	e.admit()
 	e.schedule()
 }
 
 func (e *Engine) admit() {
-	for len(e.pending) > 0 {
-		if e.decode.Size()+len(e.queue)+len(e.merging) >= e.env.MaxBatch {
-			return
-		}
-		run := serve.Admit(e.pool, e.pending[0])
+	for {
+		run := e.env.AdmitNext(&e.pending, e.decode.Size()+e.queue.Len()+e.decode.Held(), e.pool, true)
 		if run == nil {
 			return
 		}
-		e.env.Admitted(run.R.ID)
-		e.pending = e.pending[1:]
-		e.queue = append(e.queue, run)
+		e.queue.Push(run)
 	}
 }
 
 func (e *Engine) schedule() {
-	e.startDecode()
-	e.startPrefill()
-}
-
-func (e *Engine) startDecode() {
-	if e.decodeRunning || e.decode.Size() == 0 {
-		return
+	if !e.decode.Running && e.decode.Size() > 0 {
+		e.decode.Launch(e.env, e.decodeS, e.env.GPUs, 0, decodeDone, e)
 	}
-	e.ctxScratch = e.decode.CtxsInto(e.ctxScratch)
-	cost := e.env.Arch.DecodeIter(e.ctxScratch, e.env.GPUs)
-	e.decodeRunning = true
-	e.decodeS.LaunchFn(gpu.Kernel{
-		Label: "decode", Kind: gpu.Decode,
-		FLOPs: cost.FLOPs, Bytes: cost.Bytes, CommBytes: cost.CommBytes,
-		Tokens: cost.Tokens, Launch: e.env.Spec.GraphLaunch,
-	}, decodeDone, e)
+	e.startPrefill()
 }
 
 // decodeDone / prefillDone are the engine's bound completion callbacks:
@@ -114,9 +81,8 @@ func prefillDone(arg any) {
 	e := arg.(*Engine)
 	run := e.pInFlight
 	e.pInFlight = nil
-	e.prefillBusy = false
-	if e.decodeRunning {
-		e.merging = append(e.merging, run)
+	if e.decode.Running {
+		e.decode.Hold(run)
 	} else {
 		e.mergeOne(run)
 	}
@@ -124,27 +90,19 @@ func prefillDone(arg any) {
 }
 
 func (e *Engine) onDecodeDone() {
-	now := e.env.Sim.Now()
-	e.decodeRunning = false
-	e.finScratch = e.decode.StepInto(now, e.env.Rec, e.finScratch)
-	for _, r := range e.finScratch {
+	for _, r := range e.decode.Step(e.env.Sim.Now(), e.env.Rec) {
 		r.Complete(e.pool)
 	}
-	for _, r := range e.merging {
+	for _, r := range e.decode.TakeHeld() {
 		e.mergeOne(r)
 	}
-	e.merging = e.merging[:0]
 	e.admit()
 	e.schedule()
 }
 
 func (e *Engine) mergeOne(r *serve.Running) {
-	now := e.env.Sim.Now()
 	e.env.Rec.PrefillDone(r.R.InputTokens - r.CachedTokens)
-	e.env.Rec.Token(r.R.ID, now)
-	r.Generated = 1
-	if r.DecodeDone() {
-		e.env.Rec.Finish(r.R.ID, now)
+	if serve.FirstToken(e.env.Rec, r, e.env.Sim.Now()) {
 		r.Complete(e.pool)
 		return
 	}
@@ -154,22 +112,10 @@ func (e *Engine) mergeOne(r *serve.Running) {
 // startPrefill launches the queue head as one whole-phase kernel on the
 // unpartitioned prefill stream.
 func (e *Engine) startPrefill() {
-	if e.prefillBusy || len(e.queue) == 0 {
+	if e.pInFlight != nil || e.queue.Len() == 0 {
 		return
 	}
-	run := e.queue[0]
-	e.queue = e.queue[1:]
-	newTok := run.R.InputTokens - run.CachedTokens
-	if newTok < 1 {
-		newTok = 1
-	}
-	phase := e.env.Arch.PrefillPhase([]model.Seq{{New: newTok, Reused: run.CachedTokens}}, e.env.GPUs)
-	e.prefillBusy = true
-	e.pInFlight = run
-	e.prefillS.LaunchFn(gpu.Kernel{
-		Label: "prefill-phase", Kind: gpu.Prefill,
-		FLOPs: phase.FLOPs, Bytes: phase.Bytes, CommBytes: phase.CommBytes,
-		Tokens: phase.Tokens,
-		Launch: sim.Time(e.env.Arch.Layers) * e.env.Spec.LayerLaunch,
-	}, prefillDone, e)
+	e.pInFlight = e.queue.Pop()
+	k := e.env.PrefillPhaseKernel([]model.Seq{e.pInFlight.PrefillSeq()}, e.env.GPUs)
+	e.prefillS.LaunchFn(k, prefillDone, e)
 }

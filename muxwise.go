@@ -44,9 +44,6 @@
 // by name (RegisterRouter, RegisterAutoscaler) to use it anywhere a
 // built-in name works. The "adaptive-ttft" policy — per-replica EWMA of
 // observed TTFT — is the reference learned router built on that seam.
-//
-// The pre-Experiment entry points (Serve, Goodput, Sweep, ServeCluster,
-// ClusterGoodput, ClusterSweep) remain as thin deprecated wrappers.
 package muxwise
 
 import (
@@ -202,46 +199,6 @@ func factory(engine string) (serve.Factory, error) {
 	return f, nil
 }
 
-// Serve replays the trace against the named engine on the deployment and
-// returns the run result. Runs are deterministic for a given input.
-//
-// Deprecated: use NewExperiment(WithDeployment(dep),
-// WithEngine(engine)).Run(trace) and read Report.Engine.
-func Serve(engine string, dep Deployment, trace *Trace) (Result, error) {
-	rep, err := NewExperiment(WithDeployment(dep), WithEngine(engine)).Run(trace)
-	if err != nil {
-		return Result{}, err
-	}
-	return *rep.Engine, nil
-}
-
-// Goodput finds the highest request rate (req/s, within [lo, hi]) at
-// which the engine sustains ≥99% TBT SLO attainment on traces built by
-// mkTrace — the paper's headline metric. An invalid range is an error;
-// a range whose floor rate already misses the criterion returns
-// ErrNoFeasibleRate.
-//
-// Deprecated: use NewExperiment(WithDeployment(dep), WithEngine(engine),
-// WithWorkload(mkTrace)).Goodput(lo, hi).
-func Goodput(engine string, dep Deployment, mkTrace func(rate float64) *Trace, lo, hi float64) (float64, error) {
-	return NewExperiment(
-		WithDeployment(dep), WithEngine(engine), WithWorkload(mkTrace),
-	).Goodput(lo, hi)
-}
-
-// Sweep probes each offered rate, stopping shortly after the engine
-// first misses the SLO criterion. Probes run concurrently (results are
-// identical to a sequential sweep), so mkTrace must be safe to call
-// from multiple goroutines — return a fresh trace per call.
-//
-// Deprecated: use NewExperiment(WithDeployment(dep), WithEngine(engine),
-// WithWorkload(mkTrace)).Sweep(rates...).
-func Sweep(engine string, dep Deployment, mkTrace func(rate float64) *Trace, rates []float64) ([]RatePoint, error) {
-	return NewExperiment(
-		WithDeployment(dep), WithEngine(engine), WithWorkload(mkTrace),
-	).Sweep(rates...)
-}
-
 // Cluster types re-exported from internal/cluster.
 type (
 	// ClusterResult aggregates a fleet run: the merged fleet summary,
@@ -257,7 +214,7 @@ type (
 	FleetLogEntry = cluster.LogEntry
 )
 
-// ReplicaSpec describes one shape of replica in a ClusterDeployment.
+// ReplicaSpec describes one shape of replica in a fleet (WithFleet).
 type ReplicaSpec struct {
 	// Engine names the serving engine, see Engines().
 	Engine string
@@ -318,8 +275,8 @@ type FleetEvent struct {
 	ColdStart Time
 }
 
-// FleetOptions attaches lifecycle events and autoscaling to a
-// ClusterDeployment.
+// FleetOptions attaches lifecycle events and autoscaling to a fleet
+// (WithFleetOptions).
 type FleetOptions struct {
 	// Events are scheduled fleet transitions.
 	Events []FleetEvent
@@ -408,103 +365,40 @@ func (fo *FleetOptions) fleetConfig() (*cluster.FleetConfig, error) {
 	return fc, nil
 }
 
-// ClusterDeployment describes a replica fleet behind a request router.
-// The embedded Deployment supplies the per-replica hardware, model and
-// SLO (its GPUs field is the per-replica default).
-type ClusterDeployment struct {
-	Deployment
-	// Replicas lists the fleet shapes, e.g. 6× MuxWise + 2× SGLang-PD.
-	Replicas []ReplicaSpec
-	// Router names the policy, see RouterPolicies(). Empty selects
-	// prefix-affinity (the EPP-style default).
-	Router string
-	// Fleet optionally scripts lifecycle events (spawn with cold start,
-	// drain, fail, retire) and attaches an autoscaler. Nil keeps the
-	// fleet fixed for the whole run.
-	Fleet *FleetOptions
-}
-
-// experiment lowers the legacy deployment struct onto the Experiment
-// runner the deprecated Cluster* wrappers delegate to.
-func (d ClusterDeployment) experiment() *Experiment {
-	opts := []Option{
-		WithDeployment(d.Deployment),
-		WithFleet(d.Replicas...),
-		WithRouter(d.Router),
-	}
-	if d.Fleet != nil {
-		opts = append(opts, WithFleetOptions(*d.Fleet))
-	}
-	return NewExperiment(opts...)
-}
-
-// config resolves the cluster deployment into a cluster.Config.
-func (d ClusterDeployment) config() (cluster.Config, error) {
-	base, err := d.Deployment.config()
+// clusterConfig resolves a fleet deployment into a cluster.Config: dep
+// supplies the per-replica hardware, model and SLO (its GPUs field is the
+// per-replica default), replicas the fleet shapes, router the policy
+// (empty selects prefix-affinity) and fleet the optional lifecycle
+// options.
+func clusterConfig(dep Deployment, replicas []ReplicaSpec, router string, fleet *FleetOptions) (cluster.Config, error) {
+	base, err := dep.config()
 	if err != nil {
 		return cluster.Config{}, err
 	}
-	name := d.Router
-	if name == "" {
-		name = cluster.PrefixAffinityPolicy
+	if router == "" {
+		router = cluster.PrefixAffinityPolicy
 	}
-	policy, err := cluster.ResolvePolicy(name)
+	policy, err := cluster.ResolvePolicy(router)
 	if err != nil {
 		return cluster.Config{}, fmt.Errorf("muxwise: %w", err)
 	}
 	cfg := cluster.Config{Base: base, Policy: policy}
-	for _, rs := range d.Replicas {
+	for _, rs := range replicas {
 		spec, err := rs.spec()
 		if err != nil {
 			return cluster.Config{}, err
 		}
 		cfg.Replicas = append(cfg.Replicas, spec)
 	}
-	cfg.Fleet, err = d.Fleet.fleetConfig()
+	cfg.Fleet, err = fleet.fleetConfig()
 	if err != nil {
 		return cluster.Config{}, err
 	}
-	if d.Fleet != nil {
+	if fleet != nil {
 		cfg.Migration = cluster.MigrationConfig{
-			Enabled: d.Fleet.Migration,
-			Handoff: d.Fleet.MigrationHandoff,
+			Enabled: fleet.Migration,
+			Handoff: fleet.MigrationHandoff,
 		}
 	}
 	return cfg, nil
-}
-
-// ServeCluster replays the trace against a simulated replica fleet and
-// returns fleet-wide plus per-replica results. Runs are deterministic.
-//
-// Deprecated: use NewExperiment(WithDeployment(dep.Deployment),
-// WithFleet(dep.Replicas...), WithRouter(dep.Router)).Run(trace) and
-// read Report.Fleet.
-func ServeCluster(dep ClusterDeployment, trace *Trace) (ClusterResult, error) {
-	rep, err := dep.experiment().Run(trace)
-	if err != nil {
-		return ClusterResult{}, err
-	}
-	return *rep.Fleet, nil
-}
-
-// ClusterGoodput finds the highest request rate (req/s, within [lo, hi])
-// at which the fleet sustains the §4 goodput criterion on its merged
-// metrics — the paper's headline metric lifted to the cluster level. An
-// invalid range is an error; a range whose floor rate already misses
-// the criterion returns ErrNoFeasibleRate.
-//
-// Deprecated: use an Experiment with WithFleet and WithWorkload, then
-// Goodput(lo, hi).
-func ClusterGoodput(dep ClusterDeployment, mkTrace func(rate float64) *Trace, lo, hi float64) (float64, error) {
-	return dep.experiment().With(WithWorkload(mkTrace)).Goodput(lo, hi)
-}
-
-// ClusterSweep probes each offered rate against the fleet, with the
-// same early-stop semantics as Sweep. Like Sweep, probes run
-// concurrently and mkTrace must be goroutine-safe.
-//
-// Deprecated: use an Experiment with WithFleet and WithWorkload, then
-// Sweep(rates...).
-func ClusterSweep(dep ClusterDeployment, mkTrace func(rate float64) *Trace, rates []float64) ([]RatePoint, error) {
-	return dep.experiment().With(WithWorkload(mkTrace)).Sweep(rates...)
 }

@@ -6,15 +6,26 @@ import (
 	"muxwise"
 )
 
-func fleet(router string) muxwise.ClusterDeployment {
-	return muxwise.ClusterDeployment{
-		Deployment: muxwise.Deployment{Hardware: "A100", GPUs: 1, Model: "Llama-8B"},
-		Replicas: []muxwise.ReplicaSpec{
-			{Engine: "MuxWise", Count: 3},
-			{Engine: "SGLang-PD", Count: 1, GPUs: 2, Role: "prefill"},
-		},
-		Router: router,
+// fleetShapes is the test fleet: three MuxWise replicas plus a two-GPU
+// SGLang-PD prefill replica, on single-A100 Llama-8B deployments.
+func fleetShapes() []muxwise.ReplicaSpec {
+	return []muxwise.ReplicaSpec{
+		{Engine: "MuxWise", Count: 3},
+		{Engine: "SGLang-PD", Count: 1, GPUs: 2, Role: "prefill"},
 	}
+}
+
+// fleetOf runs the given shapes on the test deployment; opts add to it.
+func fleetOf(shapes []muxwise.ReplicaSpec, opts ...muxwise.Option) *muxwise.Experiment {
+	return muxwise.NewExperiment(
+		muxwise.WithDeployment(muxwise.Deployment{Hardware: "A100", GPUs: 1, Model: "Llama-8B"}),
+		muxwise.WithFleet(shapes...),
+	).With(opts...)
+}
+
+// fleet runs the test fleet behind router; opts add to it.
+func fleet(router string, opts ...muxwise.Option) *muxwise.Experiment {
+	return fleetOf(fleetShapes(), muxwise.WithRouter(router)).With(opts...)
 }
 
 func clusterTrace() *muxwise.Trace {
@@ -26,53 +37,56 @@ func clusterTrace() *muxwise.Trace {
 func TestServeClusterPolicies(t *testing.T) {
 	tr := clusterTrace()
 	for _, router := range muxwise.RouterPolicies() {
-		res, err := muxwise.ServeCluster(fleet(router), tr)
+		rep, err := fleet(router).Run(tr)
 		if err != nil {
 			t.Fatalf("%s: %v", router, err)
 		}
-		if res.Summary.Requests != tr.Len() {
-			t.Fatalf("%s: fleet saw %d of %d requests", router, res.Summary.Requests, tr.Len())
+		if rep.Fleet == nil || rep.Engine != nil {
+			t.Fatalf("%s: fleet experiment should report Fleet detail only", router)
 		}
-		if len(res.Replicas) != 4 {
-			t.Fatalf("%s: %d replicas, want 4", router, len(res.Replicas))
+		if rep.Fleet.Summary != rep.Summary {
+			t.Fatalf("%s: Report.Summary should be the fleet summary", router)
+		}
+		if rep.Summary.Requests != tr.Len() {
+			t.Fatalf("%s: fleet saw %d of %d requests", router, rep.Summary.Requests, tr.Len())
+		}
+		if len(rep.Fleet.Replicas) != 4 {
+			t.Fatalf("%s: %d replicas, want 4", router, len(rep.Fleet.Replicas))
 		}
 	}
 }
 
 func TestServeClusterErrors(t *testing.T) {
 	tr := muxwise.ShareGPT(1, 5).WithPoissonArrivals(1, 1)
-	bad := fleet("round-robin")
-	bad.Router = "random"
-	if _, err := muxwise.ServeCluster(bad, tr); err == nil {
+	if _, err := fleet("random").Run(tr); err == nil {
 		t.Error("unknown router should error")
 	}
-	bad = fleet("")
-	bad.Replicas[0].Engine = "vLLM"
-	if _, err := muxwise.ServeCluster(bad, tr); err == nil {
+	bad := fleetShapes()
+	bad[0].Engine = "vLLM"
+	if _, err := fleetOf(bad).Run(tr); err == nil {
 		t.Error("unknown engine should error")
 	}
-	bad = fleet("")
-	bad.Replicas[0].Role = "embedding"
-	if _, err := muxwise.ServeCluster(bad, tr); err == nil {
+	bad = fleetShapes()
+	bad[0].Role = "embedding"
+	if _, err := fleetOf(bad).Run(tr); err == nil {
 		t.Error("unknown role should error")
 	}
 }
 
 func TestFleetLifecycleAPI(t *testing.T) {
 	tr := clusterTrace()
-	dep := fleet("prefix-affinity")
-	dep.Fleet = &muxwise.FleetOptions{
-		Events: []muxwise.FleetEvent{
-			{At: 30 * muxwise.Second, Kind: "fail", Replica: 0},
-			{At: 60 * muxwise.Second, Kind: "spawn",
+	rep, err := fleet("prefix-affinity",
+		muxwise.WithEvents(
+			muxwise.FleetEvent{At: 30 * muxwise.Second, Kind: "fail", Replica: 0},
+			muxwise.FleetEvent{At: 60 * muxwise.Second, Kind: "spawn",
 				Spec: &muxwise.ReplicaSpec{Engine: "MuxWise", Hardware: "H100"}},
-		},
-		ColdStart: 10 * muxwise.Second,
-	}
-	res, err := muxwise.ServeCluster(dep, tr)
+		),
+		muxwise.WithColdStart(10*muxwise.Second),
+	).Run(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rep.Fleet
 	if res.Failures != 1 {
 		t.Fatalf("failures = %d, want 1", res.Failures)
 	}
@@ -96,19 +110,15 @@ func TestFleetLifecycleAPI(t *testing.T) {
 
 func TestFleetOptionsErrors(t *testing.T) {
 	tr := muxwise.ShareGPT(1, 5).WithPoissonArrivals(1, 1)
-	bad := fleet("round-robin")
-	bad.Fleet = &muxwise.FleetOptions{Autoscaler: "magic"}
-	if _, err := muxwise.ServeCluster(bad, tr); err == nil {
+	if _, err := fleet("round-robin", muxwise.WithAutoscaler("magic")).Run(tr); err == nil {
 		t.Error("unknown autoscaler should error")
 	}
-	bad = fleet("round-robin")
-	bad.Fleet = &muxwise.FleetOptions{Events: []muxwise.FleetEvent{{Kind: "explode"}}}
-	if _, err := muxwise.ServeCluster(bad, tr); err == nil {
+	if _, err := fleet("round-robin", muxwise.WithEvents(muxwise.FleetEvent{Kind: "explode"})).Run(tr); err == nil {
 		t.Error("unknown event kind should error")
 	}
-	bad = fleet("round-robin")
-	bad.Replicas[0].Hardware = "TPU"
-	if _, err := muxwise.ServeCluster(bad, tr); err == nil {
+	bad := fleetShapes()
+	bad[0].Hardware = "TPU"
+	if _, err := fleetOf(bad, muxwise.WithRouter("round-robin")).Run(tr); err == nil {
 		t.Error("unknown hardware should error")
 	}
 }
@@ -117,14 +127,15 @@ func TestClusterSweepAPI(t *testing.T) {
 	mk := func(rate float64) *muxwise.Trace {
 		return muxwise.ShareGPT(6, 60).WithPoissonArrivals(6, rate)
 	}
-	pts, err := muxwise.ClusterSweep(fleet("least-tokens"), mk, []float64{0.5, 1})
+	exp := fleet("least-tokens", muxwise.WithWorkload(mk))
+	pts, err := exp.Sweep(0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) == 0 {
 		t.Fatal("empty cluster sweep")
 	}
-	g, err := muxwise.ClusterGoodput(fleet("least-tokens"), mk, 0.25, 1)
+	g, err := exp.Goodput(0.25, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

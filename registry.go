@@ -63,8 +63,8 @@ const (
 )
 
 // RegisterRouter adds a router policy to the registry under name,
-// making it selectable everywhere built-in names are: WithRouter,
-// ClusterDeployment.Router, and the muxcluster CLI. Registering an
+// making it selectable everywhere built-in names are: WithRouter and the
+// muxcluster CLI. Registering an
 // empty name, a nil constructor, or a name already taken fails loudly
 // with an error.
 func RegisterRouter(name string, p RouterPolicy) error {
@@ -101,9 +101,8 @@ func RouterPolicies() []string { return cluster.PolicyNames() }
 // Picker: max-score (default) or round-robin.
 //
 // The returned policy can be registered under a short name with
-// RegisterRouter, and every router-name seam (WithRouter,
-// ClusterDeployment.Router, the muxcluster -router flag) also accepts
-// the spec string directly.
+// RegisterRouter, and every router-name seam (WithRouter, the muxcluster
+// -router flag) also accepts the spec string directly.
 func ComposedRouter(spec string) (RouterPolicy, error) { return cluster.ParseComposition(spec) }
 
 // AutoscalerPolicies lists every selectable autoscaler name — built-ins

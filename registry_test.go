@@ -78,24 +78,19 @@ func TestRegistriesMatchPolicies(t *testing.T) {
 	// Every advertised name must be accepted end to end, and nothing else.
 	tr := muxwise.ShareGPT(1, 5).WithPoissonArrivals(1, 1)
 	for _, name := range routers {
-		dep := fleet(name)
-		if _, err := muxwise.ServeCluster(dep, tr); err != nil {
+		if _, err := fleet(name).Run(tr); err != nil {
 			t.Errorf("advertised router %q rejected: %v", name, err)
 		}
 	}
-	if _, err := muxwise.ServeCluster(fleet("not-a-router"), tr); err == nil {
+	if _, err := fleet("not-a-router").Run(tr); err == nil {
 		t.Error("unadvertised router accepted")
 	}
 	for _, name := range scalers {
-		dep := fleet("round-robin")
-		dep.Fleet = &muxwise.FleetOptions{Autoscaler: name}
-		if _, err := muxwise.ServeCluster(dep, tr); err != nil {
+		if _, err := fleet("round-robin", muxwise.WithAutoscaler(name)).Run(tr); err != nil {
 			t.Errorf("advertised autoscaler %q rejected: %v", name, err)
 		}
 	}
-	bad := fleet("round-robin")
-	bad.Fleet = &muxwise.FleetOptions{Autoscaler: "not-a-scaler"}
-	if _, err := muxwise.ServeCluster(bad, tr); err == nil {
+	if _, err := fleet("round-robin", muxwise.WithAutoscaler("not-a-scaler")).Run(tr); err == nil {
 		t.Error("unadvertised autoscaler accepted")
 	}
 }
