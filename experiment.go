@@ -212,7 +212,9 @@ func WithCadence(d Time) Option {
 
 // WithEpochs slices every Run into fixed-width reporting windows of the
 // given width, rolled up in Report.Windows — per-interval arrivals, TTFT
-// and TBT quantiles, and TBT SLO attainment.
+// and TBT quantiles, and TBT SLO attainment. A run is cut into at most
+// MaxWindows windows: Run returns an error when its makespan needs more
+// windows of this width.
 func WithEpochs(width Time) Option {
 	return func(e *Experiment) {
 		if width <= 0 {
@@ -330,16 +332,21 @@ func (e *Experiment) resolve() (resolved, error) {
 }
 
 // windows builds the fixed-width rollups requested with WithEpochs.
-func (e *Experiment) windows(rec *Recorder, makespan Time, tbtSLO Time) []MetricsWindow {
+func (e *Experiment) windows(rec *Recorder, makespan Time, tbtSLO Time) ([]MetricsWindow, error) {
 	if e.epochs <= 0 || makespan <= 0 {
-		return nil
+		return nil, nil
 	}
-	bounds := []Time{0}
+	n := (makespan-1)/e.epochs + 1
+	if n > MaxWindows {
+		return nil, fmt.Errorf("muxwise: WithEpochs: width %v cuts the %v run into %d windows, more than the limit of %d",
+			e.epochs, makespan, n, MaxWindows)
+	}
+	bounds := make([]Time, 1, n+1)
 	for t := e.epochs; t < makespan; t += e.epochs {
 		bounds = append(bounds, t)
 	}
 	bounds = append(bounds, makespan)
-	return rec.RollupSLO(bounds, tbtSLO)
+	return rec.RollupSLO(bounds, tbtSLO), nil
 }
 
 // Run replays the trace against a fresh instance of the experiment's
@@ -362,23 +369,31 @@ func (e *Experiment) Run(trace *Trace) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
+		wins, err := e.windows(res.Rec, res.Summary.Makespan, r.slo.TBT)
+		if err != nil {
+			return nil, err
+		}
 		return &Report{
 			Summary:    res.Summary,
 			SLO:        r.slo,
 			Attainment: res.Rec.TBTAttainment(r.slo.TBT),
 			Fleet:      &res,
-			Windows:    e.windows(res.Rec, res.Summary.Makespan, r.slo.TBT),
+			Windows:    wins,
 			MissCauses: res.Diagnostics,
 		}, nil
 	}
 	r.cfg.Trace = e.trace
 	res := serve.Run(r.factory, r.cfg, trace)
+	wins, err := e.windows(res.Rec, res.Summary.Makespan, r.slo.TBT)
+	if err != nil {
+		return nil, err
+	}
 	return &Report{
 		Summary:    res.Summary,
 		SLO:        r.slo,
 		Attainment: res.Rec.TBTAttainment(r.slo.TBT),
 		Engine:     &res,
-		Windows:    e.windows(res.Rec, res.Summary.Makespan, r.slo.TBT),
+		Windows:    wins,
 		MissCauses: res.Diagnostics,
 	}, nil
 }

@@ -134,6 +134,27 @@ func TestExperimentRejectsHostileGPUCounts(t *testing.T) {
 	}
 }
 
+// Regression: WithEpochs built one window bound per width up to the
+// makespan with no limit, so a 1 ns width on a seconds-long run asked
+// for billions of bounds. A width just past MaxWindows is now a Run
+// error, on engines and fleets alike.
+func TestExperimentEpochWindowLimit(t *testing.T) {
+	tr := muxwise.ShareGPT(1, 3).WithPoissonArrivals(1, 1)
+	for _, deploy := range []muxwise.Option{
+		muxwise.WithEngine("MuxWise"),
+		muxwise.WithFleet(muxwise.ReplicaSpec{Engine: "MuxWise"}),
+	} {
+		rep, err := muxwise.NewExperiment(muxwise.WithDeployment(dep8B()), deploy).Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		width := (rep.Summary.Makespan - 1) / muxwise.MaxWindows
+		if _, err := muxwise.NewExperiment(muxwise.WithDeployment(dep8B()), deploy, muxwise.WithEpochs(width)).Run(tr); err == nil {
+			t.Errorf("a %v width over a %v run should exceed %d windows", width, rep.Summary.Makespan, muxwise.MaxWindows)
+		}
+	}
+}
+
 func TestExperimentEpochWindows(t *testing.T) {
 	trace := muxwise.ShareGPT(4, 40).WithPoissonArrivals(4, 2)
 	rep, err := muxwise.NewExperiment(

@@ -112,7 +112,7 @@ func checkMerge(t *testing.T, trial int, recs []*Recorder, tbt []SortedTBT, cloc
 	t.Helper()
 	m, merged := MergeSorted(recs, tbt)
 	fast := 0
-	if merged.current(m) && len(merged.gaps) > 0 {
+	if merged.current(m) && len(merged.runs) > 0 {
 		fast = 1
 	}
 	got := m.SummarizeSorted("fleet", clock, merged)
@@ -148,36 +148,47 @@ func TestMergeSortedUsesRuns(t *testing.T) {
 	}
 	recs := []*Recorder{a, nil, b}
 	tbt := []SortedTBT{a.SortedTBT(), {}, b.SortedTBT()}
-	if m, merged := MergeSorted(recs, tbt); !merged.current(m) || len(merged.gaps) != 8 {
-		t.Fatalf("merge of current inputs kept %d sorted gaps (current %v), want 8", len(merged.gaps), merged.current(m))
+	if m, merged := MergeSorted(recs, tbt); !merged.current(m) || runQuantiles(merged.runs).N != 8 {
+		t.Fatalf("merge of current inputs kept %d sorted gaps (current %v), want 8", runQuantiles(merged.runs).N, merged.current(m))
 	}
 	b.Token(2, ms(200))
 	if m, merged := MergeSorted(recs, tbt); merged.current(m) {
-		t.Fatalf("merge with a stale input carried sorted gaps %v", merged.gaps)
+		t.Fatalf("merge with a stale input carried sorted gaps %v", merged.runs)
 	}
 }
 
-// TestMergeRunsSorts: merging any number of ascending runs, empty ones
-// included, gives the sorted concatenation.
+// TestMergeRunsSorts: merging any number of ascending lists of
+// weighted runs, empty ones included, gives the sorted concatenation.
 func TestMergeRunsSorts(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 3))
 	for _, k := range []int{0, 1, 2, 3, 5, 8, 33, 100} {
 		for range 20 {
-			runs := make([][]sim.Time, k)
-			var want []sim.Time
+			runs := make([][]gapRun, k)
+			var want []gapRun
 			for i := range runs {
-				run := make([]sim.Time, rng.IntN(40))
+				run := make([]gapRun, rng.IntN(40))
 				for j := range run {
-					run[j] = sim.Time(rng.IntN(50))
+					run[j] = gapRun{gap: sim.Time(rng.IntN(50)), n: 1 + rng.IntN(4)}
 				}
-				slices.Sort(run)
+				sortRuns(run)
 				runs[i] = run
 				want = append(want, run...)
 			}
-			slices.Sort(want)
-			if got := mergeRuns(slices.Clone(runs), len(want)); !slices.Equal(got, want) {
-				t.Fatalf("%d runs merged to %v, want %v", k, got, want)
+			sortRuns(want)
+			if got := mergeRuns(slices.Clone(runs), len(want)); !slices.Equal(expand(got), expand(want)) {
+				t.Fatalf("%d lists merged to %v, want %v", k, got, want)
 			}
 		}
 	}
+}
+
+// expand lists the samples of runs, one gap per sample.
+func expand(runs []gapRun) []sim.Time {
+	var out []sim.Time
+	for _, run := range runs {
+		for range run.n {
+			out = append(out, run.gap)
+		}
+	}
+	return out
 }

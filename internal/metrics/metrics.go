@@ -42,21 +42,6 @@ type reqRec struct {
 	dead        bool // aborted; awaiting compaction out of recs
 }
 
-// tbtSample is one inter-token gap in nanoseconds, tagged with the
-// emission time (windowed rollups) and the emitting record's slot, so an
-// aborted record's samples can be recognised and skipped.
-type tbtSample struct {
-	at, gap sim.Time
-	rec     int32
-}
-
-// The TBT log grows in blocks that are never copied: the first holds
-// minBlock samples, and each next one doubles up to maxBlock.
-const (
-	minBlock = 64
-	maxBlock = 8192
-)
-
 // tbtKey identifies a state of the live TBT gaps: every change to them
 // moves nTBT (a token) or mut (an abort or compaction).
 type tbtKey struct{ n, mut int }
@@ -75,21 +60,27 @@ type Slot int32
 // outnumber live ones, compact drops them all in one pass, so aborts cost
 // O(1) amortized.
 //
-// The TBT log keeps one sample per generated token after the first, in
-// emission order. Gaps stay in integer nanoseconds until a reader
-// converts them with Seconds. Seconds is monotone, so sorting the
-// integers gives exactly the order sort.Float64s gives the converted
-// values, and Avg, summed in that ascending order, is bitwise the same.
+// Every generated token after a request's first is one TBT sample. The
+// TBT log stores them run-length encoded: consecutive samples with the
+// same emission time and gap form one (at, gap, n) run, so a decode step
+// logs one run for its whole batch. A parallel slot log holds each
+// sample's record slot, 4 bytes in emission order, so an aborted
+// record's samples can be told apart inside a run. Gaps stay in integer
+// nanoseconds until a reader converts them with Seconds. Seconds is
+// monotone, so sorting the integers gives exactly the order
+// sort.Float64s gives the converted values, and Avg, summed in that
+// ascending order, is bitwise the same.
 type Recorder struct {
 	reqs map[int]*reqRec // live records by request ID
 	recs []*reqRec       // every record in arrival order, dead ones included
 
-	tbt   [][]tbtSample // TBT log blocks; only the last has spare capacity
-	nTBT  int           // samples in the log, dead ones included
-	open  int           // arrived-but-unfinished requests
-	nDead int           // dead records in recs
+	runs  blockLog[tbtRun] // TBT samples as runs, in emission order
+	slots blockLog[int32]  // each sample's record slot, in emission order
+	nTBT  int              // samples in the log, dead ones included
+	open  int              // arrived-but-unfinished requests
+	nDead int              // dead records in recs
 	// deadTBT counts the log's samples from dead records. While it is
-	// zero, readers skip the per-sample liveness check.
+	// zero, readers take each run's n as is and never read the slot log.
 	deadTBT int
 	// mut counts aborts and compactions. An abort changes the live gaps
 	// without moving nTBT, and mut only grows, so (nTBT, mut) never
@@ -222,55 +213,41 @@ func (r *Recorder) token(rec *reqRec, at sim.Time) {
 		gap := at - rec.lastToken
 		rec.maxGap = max(rec.maxGap, gap)
 		rec.tbtN++
-		r.appendTBT(tbtSample{at: at, gap: gap, rec: int32(rec.idx)})
+		r.appendTBT(at, gap, int32(rec.idx))
 	}
 	rec.lastToken = at
-}
-
-// appendTBT adds s to the log, opening a new block when the last is full.
-func (r *Recorder) appendTBT(s tbtSample) {
-	n := len(r.tbt)
-	if n == 0 || len(r.tbt[n-1]) == cap(r.tbt[n-1]) {
-		size := minBlock
-		if n > 0 {
-			size = min(2*cap(r.tbt[n-1]), maxBlock)
-		}
-		r.tbt = append(r.tbt, make([]tbtSample, 0, size))
-		n++
-	}
-	r.tbt[n-1] = append(r.tbt[n-1], s)
-	r.nTBT++
 }
 
 // key is the current state of the live TBT gaps.
 func (r *Recorder) key() tbtKey { return tbtKey{r.nTBT, r.mut} }
 
-// SortedTBT is a recorder's live TBT gaps in ascending order, tied to
-// the recorder state they were taken in. A summary or fleet merge handed
-// one skips its sort while that state holds. Its gaps are never written
-// once built. The zero value is current for no recorder.
+// SortedTBT is a recorder's live TBT gaps as (gap, n) runs in ascending
+// gap order, tied to the recorder state they were taken in. A summary or
+// fleet merge handed one skips its sort while that state holds. Its runs
+// are never written once built. The zero value is current for no
+// recorder.
 type SortedTBT struct {
 	rec  *Recorder
 	key  tbtKey
-	gaps []sim.Time
+	runs []gapRun
 }
 
-// SortedTBT sorts the live TBT gaps. It does not modify the recorder.
+// SortedTBT sorts the live runs of the TBT log by gap, so it sorts one
+// entry per decode step rather than one per token. It does not modify
+// the recorder.
 func (r *Recorder) SortedTBT() SortedTBT {
-	gaps := r.appendGaps(make([]sim.Time, 0, r.nTBT-r.deadTBT))
-	slices.Sort(gaps)
-	return SortedTBT{rec: r, key: r.key(), gaps: gaps}
+	runs := make([]gapRun, 0, r.runs.len())
+	for run := range r.liveRuns(nil) {
+		runs = append(runs, gapRun{gap: run.gap, n: run.n})
+	}
+	sortRuns(runs)
+	return SortedTBT{rec: r, key: r.key(), runs: runs}
 }
 
 // current reports whether st still holds r's live gaps: it was taken
 // from r, and no token, abort or compaction has happened since.
 func (st SortedTBT) current(r *Recorder) bool {
 	return r != nil && st.rec == r && st.key == r.key()
-}
-
-// live reports whether s belongs to a record that has not been aborted.
-func (r *Recorder) live(s tbtSample) bool {
-	return r.deadTBT == 0 || !r.recs[s.rec].dead
 }
 
 // Finish marks the request complete.
@@ -337,7 +314,8 @@ func (r *Recorder) Abort(id int) bool {
 }
 
 // compact drops dead records and their samples, preserving arrival and
-// emission order, and renumbers the surviving records' slots.
+// emission order, and renumbers the surviving records' slots. Runs left
+// with no live sample are dropped.
 func (r *Recorder) compact() {
 	n := 0
 	for _, rec := range r.recs {
@@ -346,32 +324,15 @@ func (r *Recorder) compact() {
 			n++
 		}
 	}
-	// Samples still carry old slots, which index the not yet compacted
-	// recs. Rewrite them to the new slots in place, front to back: the
-	// write cursor never passes the read cursor, and every block but the
-	// last is full, so refilling the blocks in order stays in bounds.
-	var blocks [][]tbtSample
-	var kept []tbtSample
-	for _, b := range r.tbt {
-		for _, s := range b {
-			rec := r.recs[s.rec]
-			if rec.dead {
-				continue
-			}
-			if len(kept) == cap(kept) {
-				if kept != nil {
-					blocks = append(blocks, kept)
-				}
-				kept = r.tbt[len(blocks)][:0]
-			}
-			s.rec = int32(rec.idx)
-			kept = append(kept, s)
-		}
+	// The slot log still holds old slots, which index the not yet
+	// compacted recs. Both logs are rewritten in place to the live runs
+	// and the survivors' new slots.
+	runs, slots := refill[tbtRun]{l: &r.runs}, refill[int32]{l: &r.slots}
+	for run := range r.liveRuns(func(s int32) { slots.put(int32(r.recs[s].idx)) }) {
+		runs.put(run)
 	}
-	if kept != nil {
-		blocks = append(blocks, kept)
-	}
-	r.tbt = blocks
+	runs.done()
+	slots.done()
 	r.nTBT -= r.deadTBT
 	r.deadTBT = 0
 	r.mut++
@@ -432,16 +393,11 @@ func quantiles(samples []float64) Quantiles {
 // the result is bitwise what quantiles returns on the converted samples:
 // the same order statistics, and Avg summed in the same ascending order.
 func timeQuantiles(ts []sim.Time) Quantiles {
-	slices.Sort(ts)
-	return sortedTimeQuantiles(ts)
-}
-
-// sortedTimeQuantiles is timeQuantiles over samples already ascending.
-func sortedTimeQuantiles(ts []sim.Time) Quantiles {
 	q := Quantiles{N: len(ts)}
 	if len(ts) == 0 {
 		return q
 	}
+	slices.Sort(ts)
 	var sum float64
 	for _, t := range ts {
 		sum += t.Seconds()
@@ -523,11 +479,9 @@ func (r *Recorder) TBTAttainment(slo sim.Time) float64 {
 	}
 	target := slo.Seconds()
 	ok := 0
-	for _, b := range r.tbt {
-		for _, s := range b {
-			if r.live(s) && s.gap.Seconds() <= target {
-				ok++
-			}
+	for run := range r.liveRuns(nil) {
+		if run.gap.Seconds() <= target {
+			ok += run.n
 		}
 	}
 	return float64(ok) / float64(n)
@@ -620,7 +574,7 @@ func (r *Recorder) SummarizeSorted(name string, now sim.Time, tbt SortedTBT) Sum
 		}
 	}
 	s.TTFT = timeQuantiles(ttft)
-	s.TBT = sortedTimeQuantiles(tbt.gaps)
+	s.TBT = runQuantiles(tbt.runs)
 	s.TPOT = quantiles(tpot)
 	s.E2E = timeQuantiles(e2e)
 	s.TTFTPerToken = quantiles(perTok)
@@ -631,18 +585,6 @@ func (r *Recorder) SummarizeSorted(name string, now sim.Time, tbt SortedTBT) Sum
 	}
 	s.Unstable = s.Finished < s.Requests*95/100
 	return s
-}
-
-// appendGaps appends the live TBT gaps to dst in emission order.
-func (r *Recorder) appendGaps(dst []sim.Time) []sim.Time {
-	for _, b := range r.tbt {
-		for _, s := range b {
-			if r.live(s) {
-				dst = append(dst, s.gap)
-			}
-		}
-	}
-	return dst
 }
 
 // IDs returns the recorded request IDs in arrival-insertion order
@@ -660,14 +602,14 @@ func (r *Recorder) IDs() []int {
 // Unfinished returns how many arrived requests have not completed.
 func (r *Recorder) Unfinished() int { return r.open }
 
-// TBTSamples exposes raw TBT samples in seconds (CDF plotting).
+// TBTSamples exposes raw TBT samples in seconds (CDF plotting), one per
+// token in emission order.
 func (r *Recorder) TBTSamples() []float64 {
 	out := make([]float64, 0, r.nTBT-r.deadTBT)
-	for _, b := range r.tbt {
-		for _, s := range b {
-			if r.live(s) {
-				out = append(out, s.gap.Seconds())
-			}
+	for run := range r.liveRuns(nil) {
+		s := run.gap.Seconds()
+		for range run.n {
+			out = append(out, s)
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -232,4 +233,103 @@ func BenchmarkSummarize(b *testing.B) {
 	for b.Loop() {
 		r.Summarize("bench", 120*sim.Second)
 	}
+}
+
+// BenchmarkRecorderStep is the per-token cost when decode steps batch
+// their tokens: 25 requests in flight, the mean batch of a ShareGPT
+// engine run, each take a token at every 20 ms step through cached
+// slots, as Batch.StepInto does. Requests finish staggered and are
+// replaced. ns/op and B/op are per token; a fresh recorder every 2^16
+// tokens bounds memory.
+func BenchmarkRecorderStep(b *testing.B) {
+	const batch, perReq, perRecorder = 25, 200, 1 << 16
+	var r *Recorder
+	slots := make([]Slot, batch)
+	ids := make([]int, batch)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		k := i % perRecorder
+		if k == 0 {
+			r = NewRecorder()
+			clear(slots)
+			for j := range ids {
+				ids[j] = j
+				r.Arrive(j, 0, 100)
+			}
+		}
+		j, step := k%batch, k/batch
+		at := sim.Time(step) * 20 * sim.Millisecond
+		r.TokenSlot(&slots[j], ids[j], at)
+		if (step+8*j)%perReq == perReq-1 {
+			r.Finish(ids[j], at)
+			ids[j] += batch
+			r.Arrive(ids[j], at, 100)
+		}
+	}
+}
+
+// BenchmarkRecorderRunFree is the per-token cost when no runs form: one
+// request at a time emits 256 tokens 20 ms apart by request ID, the
+// shape of muxperf's recorder replay and of long-prompt runs whose
+// decode batches hold about one request. ns/op and B/op are per token.
+func BenchmarkRecorderRunFree(b *testing.B) {
+	const perReq, perRecorder = 256, 1 << 16
+	var r *Recorder
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		k := i % perRecorder
+		if k == 0 {
+			r = NewRecorder()
+		}
+		id, t := k/perReq, k%perReq
+		start := sim.Time(id) * 10 * sim.Second
+		if t == 0 {
+			r.Arrive(id, start, 100)
+		}
+		at := start + sim.Time(t)*20*sim.Millisecond
+		r.Token(id, at)
+		if t == perReq-1 {
+			r.Finish(id, at)
+		}
+	}
+}
+
+// BenchmarkSortedTBT sorts 200k TBT gaps logged by decode steps of one
+// request (no runs form) and of 25 requests (one run per step), each
+// step 5-55 ms long.
+func BenchmarkSortedTBT(b *testing.B) {
+	for _, batch := range []int{1, 25} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			r := stepRecorder(rand.New(rand.NewPCG(7, 8)), batch, 200_000)
+			b.ReportAllocs()
+			for b.Loop() {
+				r.SortedTBT()
+			}
+		})
+	}
+}
+
+// stepRecorder logs decode steps of batch requests until the recorder
+// holds samples TBT gaps. Each request takes 1-400 tokens and is
+// replaced when it finishes.
+func stepRecorder(rng *rand.Rand, batch, samples int) *Recorder {
+	r := NewRecorder()
+	ids, left := make([]int, batch), make([]int, batch)
+	next := 0
+	var at sim.Time
+	for r.nTBT < samples {
+		at += 5*sim.Millisecond + sim.Time(rng.Int64N(int64(50*sim.Millisecond)))
+		for j := range ids {
+			if left[j] == 0 {
+				ids[j], left[j] = next, 1+rng.IntN(400)
+				next++
+				r.Arrive(ids[j], at, 512)
+			}
+			r.Token(ids[j], at)
+			if left[j]--; left[j] == 0 {
+				r.Finish(ids[j], at)
+			}
+		}
+	}
+	return r
 }

@@ -17,16 +17,20 @@ import (
 // live records and samples; the inputs are not modified.
 func Merge(recs ...*Recorder) *Recorder {
 	m := NewRecorder()
-	nRecs, nTBT := 0, 0
+	nRecs, nRuns, nTBT := 0, 0, 0
 	for _, r := range recs {
 		if r != nil {
 			nRecs += len(r.recs) - r.nDead
+			nRuns += r.runs.len()
 			nTBT += r.nTBT - r.deadTBT
 		}
 	}
 	arena := make([]reqRec, 0, nRecs)
 	m.recs = make([]*reqRec, 0, nRecs)
-	log := make([]tbtSample, 0, nTBT)
+	if nTBT > 0 {
+		m.runs.open = make([]tbtRun, 0, nRuns)
+		m.slots.open = make([]int32, 0, nTBT)
+	}
 	for _, r := range recs {
 		if r == nil {
 			continue
@@ -50,35 +54,28 @@ func Merge(recs ...*Recorder) *Recorder {
 				m.open++
 			}
 		}
-		for _, b := range r.tbt {
-			for _, s := range b {
-				if r.live(s) {
-					s.rec = slot[s.rec]
-					log = append(log, s)
-				}
-			}
+		for run := range r.liveRuns(func(s int32) { m.slots.open = append(m.slots.open, slot[s]) }) {
+			m.runs.open = append(m.runs.open, run)
 		}
 		m.prefillTokens += r.prefillTokens
 		m.decodeTokens += r.decodeTokens
 	}
-	if len(log) > 0 {
-		m.tbt = [][]tbtSample{log}
-		m.nTBT = len(log)
-	}
+	m.nTBT = nTBT
 	return m
 }
 
 // MergeSorted is Merge for inputs whose sorted TBT gaps are at hand:
 // tbt[i] was taken from recs[i] (entries of nil inputs are ignored). It
 // also returns the merged recorder's sorted gaps, merged from the
-// inputs' runs instead of sorted, for its SummarizeSorted. The merge
-// holds the same multiset in the same ascending order, so the quantiles
-// and the ascending-order Avg are bitwise those of a fresh sort. If any
-// input's gaps are not current, the returned SortedTBT is the zero one
-// and the summary sorts afresh.
+// inputs' sorted runs instead of sorted, for its SummarizeSorted. The
+// merge holds the same multiset in the same ascending order, so the
+// quantiles and the ascending-order Avg are bitwise those of a fresh
+// sort. If any input's gaps are not current, the returned SortedTBT is
+// the zero one and the summary sorts afresh.
 func MergeSorted(recs []*Recorder, tbt []SortedTBT) (*Recorder, SortedTBT) {
 	m := Merge(recs...)
-	runs := make([][]sim.Time, 0, len(recs))
+	lists := make([][]gapRun, 0, len(recs))
+	n := 0
 	for i, r := range recs {
 		if r == nil {
 			continue
@@ -86,57 +83,60 @@ func MergeSorted(recs []*Recorder, tbt []SortedTBT) (*Recorder, SortedTBT) {
 		if !tbt[i].current(r) {
 			return m, SortedTBT{}
 		}
-		runs = append(runs, tbt[i].gaps)
+		lists = append(lists, tbt[i].runs)
+		n += len(tbt[i].runs)
 	}
-	return m, SortedTBT{rec: m, key: m.key(), gaps: mergeRuns(runs, m.nTBT)}
+	return m, SortedTBT{rec: m, key: m.key(), runs: mergeRuns(lists, n)}
 }
 
-// mergeRuns merges ascending runs into one ascending run of n samples.
-// Runs merge pairwise in rounds, so a sample moves once per round:
-// O(n log k) for k runs, never more than a sort. Each round writes into
-// the buffer the previous round did not, so no merge reads what it
-// overwrites. A lone run is returned as is (SortedTBT gaps are never
-// written once built). The runs slice itself is overwritten.
-func mergeRuns(runs [][]sim.Time, n int) []sim.Time {
-	var bufs [2][]sim.Time
-	for round := 0; len(runs) > 1; round++ {
+// mergeRuns merges lists of weighted runs, each ascending by gap, into
+// one ascending list of n runs. Lists merge pairwise in rounds, so a run
+// moves once per round: O(n log k) for k lists, never more than a sort.
+// Each round writes into the buffer the previous round did not, so no
+// merge reads what it overwrites. A lone list is returned as is
+// (SortedTBT runs are never written once built). The lists slice itself
+// is overwritten.
+func mergeRuns(lists [][]gapRun, n int) []gapRun {
+	var bufs [2][]gapRun
+	for round := 0; len(lists) > 1; round++ {
 		buf := bufs[round%2]
 		if buf == nil {
-			buf = make([]sim.Time, n)
+			buf = make([]gapRun, n)
 			bufs[round%2] = buf
 		}
-		// Merged run i/2 is stored once runs i and i+1 are read, so the
-		// next round's runs can reuse the slice in place.
-		next, w := runs[:0], 0
-		for i := 0; i < len(runs); i += 2 {
-			var out []sim.Time
-			if i+1 < len(runs) {
-				out = buf[w : w+len(runs[i])+len(runs[i+1])]
-				merge2(out, runs[i], runs[i+1])
+		// Merged list i/2 is stored once lists i and i+1 are read, so the
+		// next round's lists can reuse the slice in place.
+		next, w := lists[:0], 0
+		for i := 0; i < len(lists); i += 2 {
+			var out []gapRun
+			if i+1 < len(lists) {
+				out = buf[w : w+len(lists[i])+len(lists[i+1])]
+				merge2(out, lists[i], lists[i+1])
 			} else {
-				out = buf[w : w+len(runs[i])]
-				copy(out, runs[i])
+				out = buf[w : w+len(lists[i])]
+				copy(out, lists[i])
 			}
 			w += len(out)
 			next = append(next, out)
 		}
-		runs = next
+		lists = next
 	}
-	if len(runs) == 0 {
+	if len(lists) == 0 {
 		return nil
 	}
-	return runs[0]
+	return lists[0]
 }
 
-// merge2 merges ascending a and b into out, which holds len(a)+len(b).
-func merge2(out, a, b []sim.Time) {
+// merge2 merges a and b, ascending by gap, into out, which holds
+// len(a)+len(b).
+func merge2(out, a, b []gapRun) {
 	i, j, w := 0, 0, 0
 	for ; i < len(a) && j < len(b); w++ {
 		// A branch-free select: which side is smaller is data
 		// dependent, and a branch on it mispredicts half the time.
 		x, y := a[i], b[j]
 		c := 0
-		if y < x {
+		if y.gap < x.gap {
 			c = 1
 		}
 		if c == 1 {
@@ -222,42 +222,39 @@ func (r *Recorder) RollupSLO(bounds []sim.Time, tbtSLO sim.Time) []Window {
 			}
 		}
 	}
-	// Bucket the live TBT gaps by window into one exact-size array: a
-	// counting pass sizes each window's run, a second pass fills it.
+	// Bucket the live TBT runs by window into one exact-size array: a
+	// counting pass sizes each window's share, a second pass fills it.
 	// next[i] starts as window i's first index and ends past its last.
 	next := make([]int, n+1)
-	for _, b := range r.tbt {
-		for _, s := range b {
-			if i := locate(bounds, s.at); i >= 0 && r.live(s) {
-				next[i+1]++
-			}
+	for run := range r.liveRuns(nil) {
+		if i := locate(bounds, run.at); i >= 0 {
+			next[i+1]++
 		}
 	}
 	for i := range n {
 		next[i+1] += next[i]
 	}
-	gaps := make([]sim.Time, next[n])
+	runs := make([]gapRun, next[n])
 	target := tbtSLO.Seconds()
-	for _, b := range r.tbt {
-		for _, s := range b {
-			i := locate(bounds, s.at)
-			if i < 0 || !r.live(s) {
-				continue
-			}
-			gaps[next[i]] = s.gap
-			next[i]++
-			if tbtSLO > 0 {
-				wins[i].tbtN++
-				if s.gap.Seconds() <= target {
-					wins[i].tbtOK++
-				}
+	for run := range r.liveRuns(nil) {
+		i := locate(bounds, run.at)
+		if i < 0 {
+			continue
+		}
+		runs[next[i]] = gapRun{gap: run.gap, n: run.n}
+		next[i]++
+		if tbtSLO > 0 {
+			wins[i].tbtN += run.n
+			if run.gap.Seconds() <= target {
+				wins[i].tbtOK += run.n
 			}
 		}
 	}
 	start := 0
 	for i := range wins {
 		wins[i].TTFT = timeQuantiles(ttft[i])
-		wins[i].TBT = timeQuantiles(gaps[start:next[i]])
+		sortRuns(runs[start:next[i]])
+		wins[i].TBT = runQuantiles(runs[start:next[i]])
 		start = next[i]
 	}
 	return wins

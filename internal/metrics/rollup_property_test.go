@@ -104,10 +104,8 @@ func TestPropertyRollupPartitionsSumToTrace(t *testing.T) {
 		// The final bound must cover every sample: tokens can land after
 		// arrivals stop, so close the last window at the last emission.
 		end := sim.Time(0)
-		for _, b := range rec.tbt {
-			for _, s := range b {
-				end = max(end, s.at)
-			}
+		for run := range rec.liveRuns(nil) {
+			end = max(end, run.at)
 		}
 		for _, r := range rec.recs {
 			if r.lastToken > end {
@@ -131,11 +129,9 @@ func TestPropertyRollupPartitionsSumToTrace(t *testing.T) {
 		}
 		wantTBT := rec.nTBT
 		wantOK := 0
-		for _, b := range rec.tbt {
-			for _, s := range b {
-				if s.gap.Seconds() <= slo.Seconds() {
-					wantOK++
-				}
+		for run := range rec.liveRuns(nil) {
+			if run.gap.Seconds() <= slo.Seconds() {
+				wantOK += run.n
 			}
 		}
 

@@ -71,13 +71,15 @@ const (
 	Second      = sim.Second
 )
 
-// Size limits checked before anything is built: a deployment or replica
-// shape spans at most MaxGPUs devices, and a fleet — initial replicas,
-// scheduled spawns and the autoscaler's ceiling — holds at most
-// MaxReplicas replicas.
+// Size limits: a deployment or replica shape spans at most MaxGPUs
+// devices, and a fleet — initial replicas, scheduled spawns and the
+// autoscaler's ceiling — holds at most MaxReplicas replicas; both are
+// checked before anything is built. WithEpochs cuts a run into at most
+// MaxWindows reporting windows, checked once the run's makespan is known.
 const (
 	MaxGPUs     = serve.MaxGPUs
 	MaxReplicas = cluster.MaxReplicas
+	MaxWindows  = 100_000
 )
 
 // FromDuration converts a wall-clock duration to simulated time.
