@@ -56,6 +56,16 @@ type Kernel struct {
 }
 
 // Device is a logical tensor-parallel group of TP identical GPUs.
+//
+// A kernel costs the event loop only the events that can change the
+// simulation. Its host-launch-ready event is a reserved sim.Ticket that
+// is pushed only if the kernel becomes the head of an idle partition's
+// queue before its launch completes; a kernel queued behind a running one
+// starts when that one retires, with no event of its own. The device
+// keeps one completion timer for all running kernels, re-keyed in place
+// when a kernel starts. Its firings re-run the bandwidth waterfill only
+// when a kernel retired or a demand drained under a saturated waterfill;
+// otherwise they only recompute the deadlines.
 type Device struct {
 	Spec Spec
 	TP   int
@@ -67,13 +77,13 @@ type Device struct {
 	running    []*run
 	next       sim.Handle
 	lastAt     sim.Time
+	saturated  bool // the last waterfill ran out of bandwidth
 
 	// Pool and scratch buffers: reallocate runs on every kernel start and
 	// every sub-stream completion, so its working set is reused rather
 	// than reallocated.
 	runFree  []*run
 	occ      []float64
-	order    []int
 	caps     []float64
 	alloc    []float64
 	unsat    []int
@@ -185,14 +195,13 @@ type run struct {
 	dfn  func(any) // closure-free completion callback: dfn(darg)
 	darg any
 
-	ready   bool // host launch finished
-	readyAt sim.Time
+	ticket sim.Ticket // key of the host-launch-ready event
 
-	frac     float64 // SM fraction captured at execution start
-	startSeq int64   // execution start order (SM occupancy priority)
-	remC     float64 // remaining FLOPs
-	remB     float64 // remaining HBM bytes
-	remComm  float64 // remaining interconnect bytes
+	frac    float64 // SM fraction captured at execution start
+	eff     float64 // fraction of peak FLOPS, fixed at execution start
+	remC    float64 // remaining FLOPs
+	remB    float64 // remaining HBM bytes
+	remComm float64 // remaining interconnect bytes
 
 	crate, brate, commRate float64 // current rates (per second)
 }
@@ -215,8 +224,9 @@ func (p *Partition) LaunchFn(k Kernel, done func(any), arg any) {
 	r.darg = arg
 }
 
-// submit queues a pooled run for k and schedules its host-launch-ready
-// event.
+// submit queues a pooled run for k and reserves its host-launch-ready
+// event, pushing it only when k heads an idle partition's queue: behind
+// other work the event would start nothing.
 func (p *Partition) submit(k Kernel) *run {
 	d := p.dev
 	now := d.sim.Now()
@@ -230,22 +240,20 @@ func (p *Partition) submit(k Kernel) *run {
 	r := d.allocRun()
 	r.part = p
 	r.k = k
-	r.readyAt = d.hostFreeAt
+	r.ticket = d.sim.Reserve(d.hostFreeAt)
 	if p.qhead > 0 && p.qhead == len(p.queue) {
 		p.queue = p.queue[:0]
 		p.qhead = 0
 	}
 	p.queue = append(p.queue, r)
-	d.sim.AtFunc(r.readyAt, runReady, r)
+	if p.current == nil && len(p.queue)-p.qhead == 1 {
+		d.sim.AtTicket(r.ticket, runReady, r)
+	}
 	return r
 }
 
 // runReady is the bound callback for a run's host-launch completion.
-func runReady(arg any) {
-	r := arg.(*run)
-	r.ready = true
-	r.part.tryStart()
-}
+func runReady(arg any) { arg.(*run).part.tryStart() }
 
 // allocRun takes a run off the device's free list, or makes one.
 func (d *Device) allocRun() *run {
@@ -259,8 +267,8 @@ func (d *Device) allocRun() *run {
 }
 
 // releaseRun recycles a retired run. Callers must ensure nothing still
-// references it: it has left the queue, d.running, and its ready event
-// has fired.
+// references it: it has left the queue and d.running, and its ready event,
+// if pushed, has fired.
 func (d *Device) releaseRun(r *run) {
 	*r = run{}
 	d.runFree = append(d.runFree, r)
@@ -269,7 +277,7 @@ func (d *Device) releaseRun(r *run) {
 // tryStart begins executing the queue head if the stream is idle and the
 // head's host launch has completed.
 func (p *Partition) tryStart() {
-	if p.current != nil || p.qhead == len(p.queue) || !p.queue[p.qhead].ready {
+	if p.current != nil || p.qhead == len(p.queue) || !p.dev.sim.Passed(p.queue[p.qhead].ticket) {
 		return
 	}
 	r := p.queue[p.qhead]
@@ -284,9 +292,12 @@ func (p *Partition) tryStart() {
 }
 
 func (d *Device) startRun(r *run) {
+	if r.part.sms == 0 && (r.k.FLOPs > workEps || r.k.Bytes > workEps) {
+		panic(fmt.Sprintf("gpu: kernel with work started on partition %q of 0 SMs", r.part.label))
+	}
 	d.progress()
 	r.frac = float64(r.part.sms) / float64(d.Spec.SMs)
-	r.startSeq = d.kernels
+	r.eff = d.efficiency(r.k, r.frac)
 	r.remC = r.k.FLOPs
 	r.remB = r.k.Bytes
 	r.remComm = r.k.CommBytes
@@ -309,15 +320,15 @@ func (d *Device) progress() {
 	}
 	var smSum, flopsUsed, bwUsed float64
 	for _, r := range d.running {
-		r.remC = math.Max(0, r.remC-r.crate*dt)
-		r.remB = math.Max(0, r.remB-r.brate*dt)
-		r.remComm = math.Max(0, r.remComm-r.commRate*dt)
+		r.remC = max(0, r.remC-r.crate*dt)
+		r.remB = max(0, r.remB-r.brate*dt)
+		r.remComm = max(0, r.remComm-r.commRate*dt)
 		r.part.busy += dt
 		smSum += r.frac
 		flopsUsed += r.crate
 		bwUsed += r.brate
 	}
-	d.smInt += math.Min(1, smSum) * dt
+	d.smInt += min(1, smSum) * dt
 	d.computeInt += flopsUsed / d.TotalFLOPS() * dt
 	d.bwInt += bwUsed / d.TotalBandwidth() * dt
 	d.lastWork = now
@@ -340,52 +351,39 @@ func (d *Device) efficiency(k Kernel, frac float64) float64 {
 	return d.Spec.PrefillMFU(mfu, k.Tokens, frac, d.TP)
 }
 
-// reallocate recomputes every running kernel's rates (water-filling the
-// bandwidth) and schedules the next sub-stream completion event.
+// reallocate recomputes every running kernel's rates and schedules the
+// next sub-stream completion event.
 func (d *Device) reallocate() {
-	d.sim.Cancel(d.next)
-	d.next = sim.Handle{}
 	if len(d.running) == 0 {
+		d.sim.Cancel(d.next)
+		d.next = sim.Handle{}
 		return
 	}
+	d.setRates()
+	d.schedule()
+}
 
+// setRates sets every running kernel's rates: SM occupancy, then the
+// bandwidth water-filled across the kernels' SM-limited demands.
+func (d *Device) setRates() {
 	// SM occupancy: green-context partitions are disjoint, so each
 	// kernel keeps its fraction. When streams oversubscribe the SMs
 	// (plain CUDA streams, or a reconfiguration racing an in-flight
 	// kernel), occupancy is non-preemptive: kernels resident earlier
 	// keep their SMs and later arrivals squeeze into what remains, with
-	// a small floor for the blocks that do sneak in.
+	// a small floor for the blocks that do sneak in. d.running is in
+	// start order: startRun appends and retirement filters in place.
 	const occupancyFloor = 0.02
 	n := len(d.running)
 	occ := growFloats(&d.occ, n)
-	order := growInts(&d.order, n)
-	for i := range d.running {
-		order[i] = i
-	}
-	// Insertion sort on startSeq: a handful of streams at most, and no
-	// reflect.Swapper allocation per call.
-	for i := 1; i < n; i++ {
-		v := order[i]
-		seq := d.running[v].startSeq
-		j := i
-		for j > 0 && d.running[order[j-1]].startSeq > seq {
-			order[j] = order[j-1]
-			j--
-		}
-		order[j] = v
-	}
 	remaining := 1.0
-	for _, i := range order {
-		r := d.running[i]
-		g := math.Min(r.frac, remaining)
+	for i, r := range d.running {
+		g := min(r.frac, remaining)
 		if g < occupancyFloor {
-			g = math.Min(occupancyFloor, r.frac)
+			g = min(occupancyFloor, r.frac)
 		}
 		occ[i] = g
-		remaining -= g
-		if remaining < 0 {
-			remaining = 0
-		}
+		remaining = max(0, remaining-g)
 	}
 
 	// Bandwidth demands, capped by each kernel's SM-limited absorption.
@@ -399,15 +397,20 @@ func (d *Device) reallocate() {
 		caps[i] = d.Spec.BandwidthCap(occ[i], bw)
 	}
 	alloc := growFloats(&d.alloc, n)
-	d.unsat = waterfillInto(alloc, caps, bw, d.unsat)
-
-	soonest := sim.MaxTime
-	now := d.sim.Now()
+	d.unsat, d.saturated = waterfillInto(alloc, caps, bw, d.unsat)
 	for i, r := range d.running {
-		eff := d.efficiency(r.k, r.frac)
-		r.crate = occ[i] * d.TotalFLOPS() * eff
+		r.crate = occ[i] * d.TotalFLOPS() * r.eff
 		r.brate = alloc[i]
 		r.commRate = d.Spec.NVLinkBandwidth
+	}
+}
+
+// schedule keys the device's completion event at the earliest sub-stream
+// deadline under the current rates, re-keying a pending event in place.
+func (d *Device) schedule() {
+	soonest := sim.MaxTime
+	now := d.sim.Now()
+	for _, r := range d.running {
 		// A zero rate means starved this round; a future reallocate
 		// unblocks it.
 		if t := subStreamDeadline(now, r.remC, r.crate); t < soonest {
@@ -421,10 +424,15 @@ func (d *Device) reallocate() {
 		}
 	}
 	if soonest == sim.MaxTime {
-		// Nothing has pending work: everything finishes now.
+		// Nothing has pending work: startRun refuses work on 0 SMs, so
+		// every running kernel is within workEps of done and retires now.
 		soonest = now + 1
 	}
-	d.next = d.sim.AtFunc(soonest, deviceProgress, d)
+	if d.next.Pending() {
+		d.next = d.sim.Reschedule(d.next, soonest)
+	} else {
+		d.next = d.sim.AtFunc(soonest, deviceProgress, d)
+	}
 }
 
 // subStreamDeadline returns when rem units drain at rate units/second, or
@@ -444,24 +452,46 @@ func subStreamDeadline(now sim.Time, rem, rate float64) sim.Time {
 func deviceProgress(arg any) { arg.(*Device).onProgress() }
 
 // onProgress fires at the earliest sub-stream completion: it advances
-// work, retires finished kernels, and reallocates.
+// work, retires finished kernels, and reschedules. Rates change only when
+// the running set does or a bandwidth demand drains: with no retirement,
+// a drained demand under an unsaturated waterfill only frees its own
+// share (every other kernel already has its full demand), and with no
+// drained demand the waterfill inputs are unchanged. Only a retirement
+// or a drain under a saturated waterfill re-runs the waterfill.
 func (d *Device) onProgress() {
 	d.next = sim.Handle{}
 	d.progress()
 	finished := d.finished[:0]
 	remaining := d.running[:0]
+	drained := false
 	for _, r := range d.running {
 		if r.remC <= workEps && r.remB <= workEps && r.remComm <= workEps {
 			finished = append(finished, r)
 		} else {
 			remaining = append(remaining, r)
+			if r.remB <= 0 && r.brate > 0 {
+				r.brate = 0
+				drained = true
+			}
 		}
 	}
 	d.running = remaining
 	for _, r := range finished {
-		r.part.current = nil
+		p := r.part
+		p.current = nil
+		// The new head queued behind r, so its ready event was never
+		// pushed; push it now unless it has already passed.
+		if p.qhead < len(p.queue) {
+			if h := p.queue[p.qhead]; !d.sim.Passed(h.ticket) {
+				d.sim.AtTicket(h.ticket, runReady, h)
+			}
+		}
 	}
-	d.reallocate()
+	if len(finished) > 0 || drained && d.saturated {
+		d.reallocate()
+	} else {
+		d.schedule()
+	}
 	for i, r := range finished {
 		if r.dfn != nil {
 			r.dfn(r.darg)
@@ -530,8 +560,9 @@ func waterfill(demands []float64, capacity float64) []float64 {
 
 // waterfillInto is the allocation-free waterfill: it fills alloc (which
 // must have len(demands)) in place, using and returning the unsat scratch
-// slice so callers can reuse its capacity.
-func waterfillInto(alloc, demands []float64, capacity float64, unsat []int) []int {
+// slice so callers can reuse its capacity. saturated reports whether the
+// demands exceeded capacity; when they did not, alloc equals demands.
+func waterfillInto(alloc, demands []float64, capacity float64, unsat []int) (_ []int, saturated bool) {
 	for i := range alloc {
 		alloc[i] = 0
 	}
@@ -544,11 +575,11 @@ func waterfillInto(alloc, demands []float64, capacity float64, unsat []int) []in
 		}
 	}
 	if active == 0 {
-		return unsat
+		return unsat, false
 	}
 	if total <= capacity {
 		copy(alloc, demands)
-		return unsat
+		return unsat, false
 	}
 	remaining := capacity
 	unsat = unsat[:0]
@@ -580,7 +611,7 @@ func waterfillInto(alloc, demands []float64, capacity float64, unsat []int) []in
 			break
 		}
 	}
-	return scratch
+	return scratch, true
 }
 
 // growFloats resizes *s to n elements, reusing capacity. Contents are
@@ -588,15 +619,6 @@ func waterfillInto(alloc, demands []float64, capacity float64, unsat []int) []in
 func growFloats(s *[]float64, n int) []float64 {
 	if cap(*s) < n {
 		*s = make([]float64, n)
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-// growInts resizes *s to n elements, reusing capacity.
-func growInts(s *[]int, n int) []int {
-	if cap(*s) < n {
-		*s = make([]int, n)
 	}
 	*s = (*s)[:n]
 	return *s

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"muxwise/internal/sim"
@@ -142,4 +143,29 @@ func TestPartitionPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	d.Partition(109, "too-big")
+}
+
+// Regression: work started on a 0-SM partition can never progress. It
+// used to book a completion check 1 ns ahead forever, so the loop spun
+// and done never ran; starting it now panics, naming the partition.
+// Zero-work kernels still complete on 0 SMs.
+func TestZeroSMPartitionWorkPanics(t *testing.T) {
+	s := sim.New()
+	d := NewDevice(s, A100(), 1, "zero-sm")
+	p := d.Partition(0, "p")
+	zeroDone := false
+	p.Launch(Kernel{Kind: Aux}, func() { zeroDone = true })
+	s.Run()
+	if !zeroDone {
+		t.Fatal("zero-work kernel on 0 SMs never completed")
+	}
+	done := false
+	p.Launch(Kernel{Kind: Prefill, FLOPs: 1e12, Bytes: 1e9, Tokens: 100}, func() { done = true })
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"p"`) {
+			t.Fatalf("want a panic naming partition \"p\", got %q (done %v, %d events fired)", msg, done, s.Fired())
+		}
+	}()
+	s.RunUntil(10 * sim.Microsecond)
 }

@@ -11,11 +11,7 @@
 // paper's bubble-less engine exists to remove.
 package gpu
 
-import (
-	"math"
-
-	"muxwise/internal/sim"
-)
+import "muxwise/internal/sim"
 
 // Spec describes one physical GPU model. All rates are per GPU.
 type Spec struct {
@@ -200,7 +196,7 @@ func (s Spec) PrefillMFU(mfu float64, tokens int, frac float64, tp int) float64 
 // frac can absorb: a kernel saturates bandwidth once it holds
 // BWSaturationFrac of the SMs.
 func (s Spec) BandwidthCap(frac, bw float64) float64 {
-	return math.Min(bw, frac/s.BWSaturationFrac*bw)
+	return min(bw, frac/s.BWSaturationFrac*bw)
 }
 
 // PartitionSizes returns the valid decode-partition SM counts for this

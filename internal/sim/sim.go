@@ -22,6 +22,15 @@
 // next is pushed, with its reserved sequence number, when that one fires.
 // Dispatch order, Pending and LoopStats are those of the per-entry
 // schedule, while heap operations stay proportional to the live events.
+//
+// An event that may turn out to do nothing need not be pushed at all.
+// Reserve takes the (time, sequence) key an AtFunc at that time would
+// have had and returns it as a Ticket; AtTicket pushes an event at exactly
+// that key if the caller later finds the event has work to do, and Passed
+// answers whether the eager event would already have fired. A ticket that
+// is never pushed is not counted in Pending or LoopStats. Reschedule
+// re-keys a pending event in place, dispatching and counting exactly as a
+// Cancel followed by a fresh schedule would.
 package sim
 
 import (
@@ -148,9 +157,11 @@ type Sim struct {
 	now        Time
 	events     []*Event // 4-ary min-heap on (at, seq)
 	free       []*Event // recycled slots
-	seq        int64
-	reserved   int // stream entries with reserved seqs, not yet in the heap
+	seq        int64    // next sequence number to hand out
+	cut        int64    // keys (now, seq) with seq < cut have passed
+	reserved   int      // stream entries with reserved seqs, not yet in the heap
 	stopped    bool
+	scheduled  int64
 	fired      int64
 	canceled   int64
 	maxPending int
@@ -160,8 +171,10 @@ type Sim struct {
 // material for events/sec and ns/event perf tracking. A stream entry
 // counts as scheduled from its AtStream call, as if each entry had been
 // scheduled on its own, so the counters do not depend on how a caller
-// registers its events. Scheduled == Fired + Canceled + Pending holds at
-// every instant.
+// registers its events. A Ticket counts only once AtTicket pushes it; one
+// that is never pushed is not counted at all. Reschedule counts as one
+// cancel plus one schedule. Scheduled == Fired + Canceled + Pending holds
+// at every instant.
 type LoopStats struct {
 	// Fired counts events dispatched.
 	Fired int64 `json:"fired"`
@@ -175,7 +188,7 @@ type LoopStats struct {
 
 // Stats returns the loop's counters so far.
 func (s *Sim) Stats() LoopStats {
-	return LoopStats{Fired: s.fired, Scheduled: s.seq, Canceled: s.canceled, MaxPending: s.maxPending}
+	return LoopStats{Fired: s.fired, Scheduled: s.scheduled, Canceled: s.canceled, MaxPending: s.maxPending}
 }
 
 // New returns a fresh simulator positioned at time zero.
@@ -216,6 +229,7 @@ func (s *Sim) alloc(t Time) *Event {
 	e.at = t
 	e.seq = s.seq
 	s.seq++
+	s.scheduled++
 	return e
 }
 
@@ -298,11 +312,57 @@ func (s *Sim) AtStream(n int, at func(i int) Time, fire func(i int)) {
 		slices.SortStableFunc(st.order, func(a, b int) int { return cmp.Compare(at(a), at(b)) })
 	}
 	s.seq += int64(n)
+	s.scheduled += int64(n)
 	s.reserved += n - 1
 	e := s.slot()
 	e.st = st
 	st.key(e)
 	s.push(e)
+}
+
+// Ticket is a reserved event key: the (time, sequence) position an
+// AtFunc call at that time would have taken.
+type Ticket struct {
+	at  Time
+	seq int64
+}
+
+// Reserve takes the next sequence number for an event at t without
+// scheduling anything: the returned Ticket holds the key AtFunc(t, …)
+// would have used here. Pushing it later with AtTicket dispatches the
+// event exactly where the eager AtFunc would have; leaving it unpushed
+// costs nothing. Reserving in the past (t < Now) panics.
+func (s *Sim) Reserve(t Time) Ticket {
+	s.checkTime(t)
+	tk := Ticket{at: t, seq: s.seq}
+	s.seq++
+	return tk
+}
+
+// AtTicket schedules fn(arg) at tk's reserved key. Pushing a ticket that
+// has passed panics: its slot in the dispatch order is already behind the
+// loop. Pushing one ticket twice is a caller error the loop cannot catch.
+func (s *Sim) AtTicket(tk Ticket, fn func(any), arg any) Handle {
+	if s.Passed(tk) {
+		panic(fmt.Sprintf("sim: ticket at %v has already passed (now %v)", tk.at, s.now))
+	}
+	e := s.slot()
+	e.at = tk.at
+	e.seq = tk.seq
+	e.afn = fn
+	e.arg = arg
+	s.scheduled++
+	s.push(e)
+	return Handle{ev: e, gen: e.gen}
+}
+
+// Passed reports whether tk's key is at or before the key of the event
+// being dispatched — whether an event pushed at tk would already have
+// fired. Between RunUntil calls, every ticket keyed at or before Now that
+// was reserved before the return counts as passed, unless Stop cut the
+// run short with events still due at Now.
+func (s *Sim) Passed(tk Ticket) bool {
+	return tk.at < s.now || tk.at == s.now && tk.seq < s.cut
 }
 
 // After schedules fn to run d after the current time. Negative delays are
@@ -336,6 +396,29 @@ func (s *Sim) Cancel(h Handle) {
 	s.canceled++
 }
 
+// Reschedule moves the pending event h to time t and returns its new
+// Handle. Dispatch position, LoopStats and the invalidation of h are
+// exactly those of Cancel(h) followed by a fresh schedule of the same
+// callback at t, but the event is re-keyed in place with one heap
+// fix-up. Rescheduling an event that is not pending, or to a time before
+// Now, panics.
+func (s *Sim) Reschedule(h Handle, t Time) Handle {
+	if !h.Pending() {
+		panic("sim: rescheduling an event that is not pending")
+	}
+	s.checkTime(t)
+	e := h.ev
+	e.gen++
+	e.at = t
+	e.seq = s.seq
+	s.seq++
+	s.canceled++
+	s.scheduled++
+	s.down(int(e.index))
+	s.up(int(e.index))
+	return Handle{ev: e, gen: e.gen}
+}
+
 // Stop makes the current Run invocation return after the in-flight event
 // completes. Pending events stay queued.
 func (s *Sim) Stop() { s.stopped = true }
@@ -351,13 +434,16 @@ func (s *Sim) RunUntil(limit Time) {
 	for len(s.events) > 0 && !s.stopped {
 		next := s.events[0]
 		if next.at > limit {
-			if s.now < limit {
+			if s.now <= limit {
+				// Everything keyed at or before limit has fired.
 				s.now = limit
+				s.cut = s.seq
 			}
 			return
 		}
 		s.popMin()
 		s.now = next.at
+		s.cut = next.seq + 1
 		s.fired++
 		if st := next.st; st != nil {
 			st.fire(s.advance(st, next))
@@ -373,8 +459,11 @@ func (s *Sim) RunUntil(limit Time) {
 			fn()
 		}
 	}
-	if len(s.events) == 0 && s.now < limit && limit < MaxTime {
-		s.now = limit
+	if len(s.events) == 0 {
+		if s.now < limit && limit < MaxTime {
+			s.now = limit
+		}
+		s.cut = s.seq
 	}
 }
 

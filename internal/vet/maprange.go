@@ -39,16 +39,19 @@ var outputMethods = map[string]bool{
 	"Encode":      true,
 }
 
-// scheduling seams: pushing events in map order permutes the event
-// loop's (time, seq) tie-break and changes the whole replay.
+// scheduling seams: pushing events — or handing out the sequence
+// numbers they will fire with — in map order permutes the event loop's
+// (time, seq) tie-break and changes the whole replay.
 var scheduleMethods = map[string]bool{
-	"At":        true,
-	"AtFunc":    true,
-	"After":     true,
-	"AfterFunc": true,
-	"Launch":    true,
-	"LaunchFn":  true,
-	"Schedule":  true,
+	"At":         true,
+	"AtFunc":     true,
+	"After":      true,
+	"AfterFunc":  true,
+	"Launch":     true,
+	"LaunchFn":   true,
+	"Reserve":    true,
+	"Reschedule": true,
+	"Schedule":   true,
 }
 
 var fmtOutputFuncs = map[string]bool{

@@ -13,3 +13,11 @@ func scheduleAll(s *sim.Sim, pending map[int]waiter) {
 		s.At(w.when, tick)
 	}
 }
+
+// Reserving sequence numbers in map order permutes the tie-break just
+// as scheduling does.
+func reserveAll(s *sim.Sim, pending map[int]waiter) {
+	for _, w := range pending { // want `schedules events \(Reserve\)`
+		s.Reserve(w.when)
+	}
+}

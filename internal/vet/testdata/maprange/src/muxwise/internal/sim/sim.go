@@ -7,3 +7,7 @@ type Time int64
 type Sim struct{ now Time }
 
 func (s *Sim) At(t Time, fn func()) {}
+
+type Ticket struct{ at Time }
+
+func (s *Sim) Reserve(t Time) Ticket { return Ticket{t} }
