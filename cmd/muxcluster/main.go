@@ -170,16 +170,17 @@ type scenarioOpts struct {
 // the replica shapes (specs, adjusted by the scenario) and the lifecycle
 // options. hw is the deployment's default hardware.
 func scenarioOptions(hw string, specs []muxwise.ReplicaSpec, specFlagSet bool, o scenarioOpts) ([]muxwise.Option, error) {
+	if o.coldStart <= 0 {
+		return nil, fmt.Errorf("-cold-start %v must be positive", o.coldStart)
+	}
 	replicas := append([]muxwise.ReplicaSpec(nil), specs...)
-	var fleet *muxwise.FleetOptions
+	var opts []muxwise.Option
 	switch o.name {
 	case "":
 	case "failure":
-		fleet = &muxwise.FleetOptions{
-			Events: []muxwise.FleetEvent{
-				{At: muxwise.FromDuration(o.failAt), Kind: "fail", Replica: 0},
-			},
-		}
+		opts = append(opts, muxwise.WithEvents(
+			muxwise.FleetEvent{At: muxwise.FromDuration(o.failAt), Kind: "fail", Replica: 0},
+		))
 	case "drain":
 		// A rolling drain: a replacement of the first shape spawns so it
 		// is ready ahead of the drain, then replica 0 leaves gracefully.
@@ -189,24 +190,23 @@ func scenarioOptions(hw string, specs []muxwise.ReplicaSpec, specFlagSet bool, o
 		if spawnAt < 0 {
 			spawnAt = 0
 		}
-		fleet = &muxwise.FleetOptions{
-			ColdStart: muxwise.FromDuration(o.coldStart),
-			Events: []muxwise.FleetEvent{
-				{At: muxwise.FromDuration(spawnAt), Kind: "spawn"},
-				{At: muxwise.FromDuration(o.drainAt), Kind: "drain", Replica: 0},
-			},
-		}
+		opts = append(opts,
+			muxwise.WithColdStart(muxwise.FromDuration(o.coldStart)),
+			muxwise.WithEvents(
+				muxwise.FleetEvent{At: muxwise.FromDuration(spawnAt), Kind: "spawn"},
+				muxwise.FleetEvent{At: muxwise.FromDuration(o.drainAt), Kind: "drain", Replica: 0},
+			),
+		)
 	case "autoscale":
 		if len(replicas) > 1 {
 			return nil, fmt.Errorf("scenario autoscale wants a single replica shape, got %d", len(replicas))
 		}
 		replicas[0].Count = o.minReps
-		fleet = &muxwise.FleetOptions{
-			Autoscaler:  o.autoscaler,
-			MinReplicas: o.minReps,
-			MaxReplicas: o.maxReps,
-			ColdStart:   muxwise.FromDuration(o.coldStart),
-		}
+		opts = append(opts,
+			muxwise.WithAutoscaler(o.autoscaler),
+			muxwise.WithScaleBounds(o.minReps, o.maxReps),
+			muxwise.WithColdStart(muxwise.FromDuration(o.coldStart)),
+		)
 	case "hetero":
 		if !specFlagSet {
 			replicas = []muxwise.ReplicaSpec{
@@ -229,16 +229,9 @@ func scenarioOptions(hw string, specs []muxwise.ReplicaSpec, specFlagSet bool, o
 		return nil, fmt.Errorf("unknown scenario %q (want autoscale, drain, failure, or hetero)", o.name)
 	}
 	if o.migration {
-		if fleet == nil {
-			fleet = &muxwise.FleetOptions{}
-		}
-		fleet.Migration = true
+		opts = append(opts, muxwise.WithMigration())
 	}
-	opts := []muxwise.Option{muxwise.WithFleet(replicas...)}
-	if fleet != nil {
-		opts = append(opts, muxwise.WithFleetOptions(*fleet))
-	}
-	return opts, nil
+	return append(opts, muxwise.WithFleet(replicas...)), nil
 }
 
 // routerRow is the JSON record for one router's fleet run.
@@ -367,11 +360,10 @@ type goodputRow struct {
 	Feasible bool
 }
 
-// runGoodput searches the highest sustainable load per router — rate
-// for Poisson workloads, Fig. 13 burst scale for profile workloads —
-// and prints one row per policy (JSON with -json).
-func runGoodput(rng string, routers []string, specs []muxwise.ReplicaSpec, sc scenarioOpts,
-	hw string, gpus int, mdl string, costModel string, slo muxwise.SLO, specFlagSet bool,
+// runGoodput searches the highest sustainable load per router on the
+// base experiment — rate for Poisson workloads, Fig. 13 burst scale for
+// profile workloads — and prints one row per policy (JSON with -json).
+func runGoodput(rng string, routers []string, base *muxwise.Experiment,
 	wl string, seed uint64, n int, asJSON bool) error {
 	loS, hiS, ok := strings.Cut(rng, ":")
 	if !ok {
@@ -388,12 +380,7 @@ func runGoodput(rng string, routers []string, specs []muxwise.ReplicaSpec, sc sc
 		fmt.Printf("%-16s %10s\n", "router", "goodput")
 	}
 	for _, name := range routers {
-		opts, err := scenarioOptions(hw, specs, specFlagSet, sc)
-		if err != nil {
-			return err
-		}
-		opts = append(opts,
-			muxwise.WithDeployment(muxwise.Deployment{Hardware: hw, GPUs: gpus, Model: mdl, SLO: slo}),
+		g, err := base.With(
 			muxwise.WithRouter(name),
 			// The parameter doubles as Poisson rate and profile scale:
 			// buildTrace reads whichever slot the workload uses.
@@ -404,11 +391,7 @@ func runGoodput(rng string, routers []string, specs []muxwise.ReplicaSpec, sc sc
 				}
 				return t
 			}),
-		)
-		if costModel != "" {
-			opts = append(opts, muxwise.WithCostModel(costModel))
-		}
-		g, err := muxwise.NewExperiment(opts...).Goodput(lo, hi)
+		).Goodput(lo, hi)
 		switch {
 		case errors.Is(err, muxwise.ErrNoFeasibleRate):
 			rows = append(rows, goodputRow{Router: name})
@@ -444,7 +427,7 @@ func main() {
 	minReps := flag.Int("min-replicas", 1, "autoscale scenario: starting and minimum fleet size")
 	maxReps := flag.Int("max-replicas", 8, "autoscale scenario: maximum fleet size")
 	coldStart := flag.Duration("cold-start", 15*time.Second,
-		"autoscale/drain scenarios: spawn-to-ready delay (drain places the replacement spawn this far ahead)")
+		"autoscale/drain scenarios: spawn-to-ready delay, positive (drain places the replacement spawn this far ahead)")
 	autoscaler := flag.String("autoscaler", "backlog",
 		"autoscale scenario policy ("+strings.Join(muxwise.AutoscalerPolicies(), ", ")+")")
 	mdl := flag.String("model", "Llama-8B", "model name")
@@ -503,13 +486,27 @@ func main() {
 		fr = muxwise.NewFlightRecorder()
 	}
 
+	opts, err := scenarioOptions(*hw, specs, specFlagSet, scenarioOpts{
+		name: *scenario, failAt: *failAt, drainAt: *drainAt, minReps: *minReps, maxReps: *maxReps,
+		coldStart: *coldStart, autoscaler: *autoscaler, migration: *migration,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "muxcluster:", err)
+		os.Exit(2)
+	}
+	opts = append(opts, muxwise.WithDeployment(muxwise.Deployment{Hardware: *hw, GPUs: *gpus, Model: *mdl, SLO: slo}))
+	if *costModel != "" {
+		opts = append(opts, muxwise.WithCostModel(*costModel))
+	}
+	if fr != nil {
+		opts = append(opts, muxwise.WithTrace(fr))
+	}
+	base := muxwise.NewExperiment(opts...)
+
 	if *goodput != "" {
 		// Goodput mode builds its own traces per probe; the single
 		// default trace below is never used.
-		if err := runGoodput(*goodput, routers, specs, scenarioOpts{
-			name: *scenario, failAt: *failAt, drainAt: *drainAt, minReps: *minReps, maxReps: *maxReps,
-			coldStart: *coldStart, autoscaler: *autoscaler, migration: *migration,
-		}, *hw, *gpus, *mdl, *costModel, slo, specFlagSet, *wl, *seed, *n, *asJSON); err != nil {
+		if err := runGoodput(*goodput, routers, base, *wl, *seed, *n, *asJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "muxcluster:", err)
 			os.Exit(1)
 		}
@@ -524,25 +521,7 @@ func main() {
 
 	var rows []routerRow
 	for _, name := range routers {
-		opts, err := scenarioOptions(*hw, specs, specFlagSet, scenarioOpts{
-			name: *scenario, failAt: *failAt, drainAt: *drainAt, minReps: *minReps, maxReps: *maxReps,
-			coldStart: *coldStart, autoscaler: *autoscaler, migration: *migration,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "muxcluster:", err)
-			os.Exit(2)
-		}
-		opts = append(opts,
-			muxwise.WithDeployment(muxwise.Deployment{Hardware: *hw, GPUs: *gpus, Model: *mdl, SLO: slo}),
-			muxwise.WithRouter(name),
-		)
-		if *costModel != "" {
-			opts = append(opts, muxwise.WithCostModel(*costModel))
-		}
-		if fr != nil {
-			opts = append(opts, muxwise.WithTrace(fr))
-		}
-		report, err := muxwise.NewExperiment(opts...).Run(trace)
+		report, err := base.With(muxwise.WithRouter(name)).Run(trace)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"muxwise"
 )
@@ -33,6 +34,22 @@ func TestParseReplicasBoundsFleetSize(t *testing.T) {
 	}
 	if got[0].Count+got[1].Count != muxwise.MaxReplicas || got[1].GPUs != muxwise.MaxGPUs {
 		t.Fatalf("parsed %+v, want %d replicas with %d GPUs on the last", got, muxwise.MaxReplicas, muxwise.MaxGPUs)
+	}
+}
+
+// TestScenarioOptionsRejectsNonPositiveColdStart: -cold-start 0 used to
+// spawn with the 15 s default, and a negative one placed the drain
+// scenario's replacement spawn after the drain it should precede.
+func TestScenarioOptionsRejectsNonPositiveColdStart(t *testing.T) {
+	specs := []muxwise.ReplicaSpec{{Engine: "MuxWise", Count: 2}}
+	for _, d := range []time.Duration{0, -5 * time.Second} {
+		for _, name := range []string{"drain", "autoscale"} {
+			o := scenarioOpts{name: name, drainAt: 45 * time.Second, minReps: 1, maxReps: 4,
+				coldStart: d, autoscaler: "backlog"}
+			if _, err := scenarioOptions("A100", specs, true, o); err == nil {
+				t.Errorf("scenario %s with -cold-start %v accepted", name, d)
+			}
+		}
 	}
 }
 

@@ -40,12 +40,19 @@ type Experiment struct {
 	fleetSet bool
 	replicas []ReplicaSpec
 	router   string
-	fleet    FleetOptions
 	epochs   Time
 	mk       func(rate float64) *Trace
 	trace    *FlightRecorder
 	cost     string
 	errs     []error
+
+	// Fleet lifecycle: WithEvents, WithAutoscaler, WithColdStart,
+	// WithScaleBounds and WithMigration, one field each.
+	events           []FleetEvent
+	autoscaler       string
+	coldStart        Time
+	minReps, maxReps int
+	migration        bool
 }
 
 // Option configures an Experiment.
@@ -67,7 +74,7 @@ func NewExperiment(opts ...Option) *Experiment {
 func (e *Experiment) With(opts ...Option) *Experiment {
 	c := *e
 	c.replicas = append([]ReplicaSpec(nil), e.replicas...)
-	c.fleet.Events = append([]FleetEvent(nil), e.fleet.Events...)
+	c.events = append([]FleetEvent(nil), e.events...)
 	c.errs = append([]error(nil), e.errs...)
 	for _, opt := range opts {
 		opt(&c)
@@ -158,40 +165,33 @@ func WithAutoscaler(name string) Option {
 			e.failf("WithAutoscaler: empty autoscaler name")
 			return
 		}
-		e.fleet.Autoscaler = name
+		e.autoscaler = name
 	}
 }
 
 // WithEvents schedules fleet lifecycle events (spawn, drain, fail,
 // retire, mark) inside the run's deterministic loop.
 func WithEvents(events ...FleetEvent) Option {
-	return func(e *Experiment) { e.fleet.Events = append(e.fleet.Events, events...) }
-}
-
-// WithFleetOptions replaces the experiment's whole fleet lifecycle
-// configuration (events, autoscaler and its knobs) at once. Prefer the
-// targeted options; this exists for callers that already hold a
-// FleetOptions, e.g. a scenario built up front.
-func WithFleetOptions(fo FleetOptions) Option {
-	return func(e *Experiment) { e.fleet = fo }
+	return func(e *Experiment) { e.events = append(e.events, events...) }
 }
 
 // WithScaleBounds bounds the autoscaler's fleet size (defaults 1, 64).
 func WithScaleBounds(minReplicas, maxReplicas int) Option {
 	return func(e *Experiment) {
-		e.fleet.MinReplicas, e.fleet.MaxReplicas = minReplicas, maxReplicas
+		e.minReps, e.maxReps = minReplicas, maxReplicas
 	}
 }
 
-// WithColdStart sets the spawn-to-ready delay for spawned replicas
-// (default 15 s).
+// WithColdStart sets the spawn-to-ready delay of every spawned replica
+// (default 15 s). The delay must be positive.
 func WithColdStart(d Time) Option {
-	return func(e *Experiment) { e.fleet.ColdStart = d }
-}
-
-// WithTargetTTFT sets the "ttft" autoscaler's P99 target (default 1 s).
-func WithTargetTTFT(d Time) Option {
-	return func(e *Experiment) { e.fleet.TargetTTFT = d }
+	return func(e *Experiment) {
+		if d <= 0 {
+			e.failf("WithColdStart: cold start %v must be positive", d)
+			return
+		}
+		e.coldStart = d
+	}
 }
 
 // WithMigration enables KV migration on graceful takedowns: drains,
@@ -202,12 +202,7 @@ func WithTargetTTFT(d Time) Option {
 // Failures still lose their KV, including streams the crash catches
 // mid-flight. Requires a fleet (WithFleet).
 func WithMigration() Option {
-	return func(e *Experiment) { e.fleet.Migration = true }
-}
-
-// WithCadence sets the autoscaler observation interval (default 5 s).
-func WithCadence(d Time) Option {
-	return func(e *Experiment) { e.fleet.Cadence = d }
+	return func(e *Experiment) { e.migration = true }
 }
 
 // WithEpochs slices every Run into fixed-width reporting windows of the
@@ -270,15 +265,11 @@ type resolved struct {
 	slo     SLO
 }
 
-// fleetActive reports whether any lifecycle option was configured — a
-// zero FleetOptions is equivalent to none at all, keeping plain fleets
-// on the exact code path they always ran.
+// fleetActive reports whether any lifecycle option was configured;
+// plain fleets run without a fleet controller.
 func (e *Experiment) fleetActive() bool {
-	fo := &e.fleet
-	return len(fo.Events) > 0 || fo.Autoscaler != "" || fo.Spawn != nil ||
-		fo.MinReplicas != 0 || fo.MaxReplicas != 0 || fo.TargetTTFT != 0 ||
-		fo.Cadence != 0 || fo.ColdStart != 0 || fo.Migration ||
-		fo.MigrationHandoff != 0
+	return len(e.events) > 0 || e.autoscaler != "" || e.coldStart != 0 ||
+		e.minReps != 0 || e.maxReps != 0 || e.migration
 }
 
 // resolve validates the experiment and lowers it onto the internal
@@ -318,13 +309,15 @@ func (e *Experiment) resolve() (resolved, error) {
 		cfg.CostModel = e.cost
 		return resolved{factory: f, cfg: cfg.WithDefaults(), slo: cfg.SLO}, nil
 	}
-	var fleet *FleetOptions
-	if e.fleetActive() {
-		fleet = &e.fleet
-	}
-	cfg, err := clusterConfig(dep, e.replicas, e.router, fleet)
+	cfg, err := clusterConfig(dep, e.replicas, e.router)
 	if err != nil {
 		return resolved{}, err
+	}
+	if e.fleetActive() {
+		if cfg.Fleet, err = e.fleetConfig(); err != nil {
+			return resolved{}, err
+		}
+		cfg.Migration = e.migration
 	}
 	cfg.Base.CostModel = e.cost
 	cfg.Base = cfg.Base.WithDefaults()

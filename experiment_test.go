@@ -92,6 +92,9 @@ func TestExperimentOptionErrors(t *testing.T) {
 		{"autoscaler without fleet", muxwise.NewExperiment(dep, muxwise.WithEngine("MuxWise"), muxwise.WithAutoscaler("backlog"))},
 		{"empty engine", muxwise.NewExperiment(dep, muxwise.WithEngine(""))},
 		{"bad epoch width", muxwise.NewExperiment(dep, muxwise.WithEngine("MuxWise"), muxwise.WithEpochs(0))},
+		// A non-positive cold start is an error, not the 15 s default.
+		{"zero cold start", muxwise.NewExperiment(dep, muxwise.WithFleet(shape), muxwise.WithColdStart(0))},
+		{"negative cold start", muxwise.NewExperiment(dep, muxwise.WithFleet(shape), muxwise.WithColdStart(-5*muxwise.Second))},
 		{"unknown router", muxwise.NewExperiment(dep, muxwise.WithFleet(shape), muxwise.WithRouter("nope"))},
 	}
 	for _, c := range cases {

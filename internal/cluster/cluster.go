@@ -140,9 +140,10 @@ type Config struct {
 	// before.
 	Fleet *FleetConfig
 	// Migration enables KV streaming on graceful takedowns (drain,
-	// retire, autoscaler scale-down) at the modeled interconnect cost.
-	// The zero value keeps the re-prefill-only behavior.
-	Migration MigrationConfig
+	// retire, autoscaler scale-down) at the modeled interconnect cost:
+	// Base.Arch.KVBytesPerToken per token plus kvcache.DefaultHandoff per
+	// stream. False keeps the re-prefill-only behavior.
+	Migration bool
 }
 
 // Replica is one engine instance plus the load bookkeeping routers
@@ -291,11 +292,12 @@ type Cluster struct {
 	// failures counts FailReplica events applied.
 	failures int
 
-	// KV migration state: configuration, the derived per-token wire
-	// size, every stream started, running totals, how many re-dispatched
-	// requests are held on the wire right now, and which replica holds
-	// each live session's KV (maintained only when migration is enabled).
-	migCfg          MigrationConfig
+	// KV migration state: whether it is enabled, the model's per-token
+	// wire size, every stream started, running totals, how many
+	// re-dispatched requests are held on the wire right now, and which
+	// replica holds each live session's KV (maintained only when
+	// migration is enabled).
+	migrate         bool
 	kvBytesPerToken float64
 	migs            []*migration
 	migStats        MigrationStats
@@ -373,16 +375,9 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		Sim: s, Router: cfg.Policy(), base: cfg.Base,
 		nameSeq: map[string]int{}, kvHolder: map[int]int{},
+		migrate: cfg.Migration, kvBytesPerToken: cfg.Base.Arch.KVBytesPerToken(),
 		trace:       cfg.Base.Trace,
 		crashedReqs: map[int]bool{}, heldReqs: map[int]bool{},
-	}
-	c.migCfg = cfg.Migration
-	if c.migCfg.Handoff <= 0 {
-		c.migCfg.Handoff = kvcache.DefaultHandoff
-	}
-	c.kvBytesPerToken = cfg.Migration.BytesPerToken
-	if c.kvBytesPerToken <= 0 {
-		c.kvBytesPerToken = cfg.Base.Arch.KVBytesPerToken()
 	}
 	for _, spec := range cfg.Replicas {
 		count := spec.Count
@@ -544,7 +539,7 @@ func (c *Cluster) Submit(r *workload.Request) *Replica {
 		c.pending = append(c.pending, r)
 		return nil
 	}
-	rep := c.Router.Pick(r, FleetView{Now: c.Sim.Now(), Candidates: cands, c: c})
+	rep := c.Router.Pick(r, FleetView{Now: c.Sim.Now(), Candidates: cands})
 	if rep == nil || !rep.routable() {
 		rep = cands[0]
 	}
@@ -721,7 +716,7 @@ func (c *Cluster) takeDown(rep *Replica, state State, label string) {
 	c.mark(label + " " + rep.Name)
 	c.traceFleet(label, obs.Arg{Key: "replica", Val: rep.Name},
 		obs.Arg{Key: "redispatched", Val: len(redispatch)})
-	graceful := c.migCfg.Enabled && state != StateFailed
+	graceful := c.migrate && state != StateFailed
 	for _, req := range redispatch {
 		// A graceful retire streams each re-dispatched request's input
 		// KV to the target and holds the request until it lands; a
@@ -765,10 +760,10 @@ func (c *Cluster) TTFTTail(from sim.Time) metrics.Quantiles {
 	return metrics.QuantilesInPlace(c.ttftScratch)
 }
 
-// Snapshot assembles the trailing-window metrics view routers and
-// autoscalers observe: first-token latencies emitted inside the window
-// plus the current fleet-wide backlog. A window of zero (or one reaching
-// past the start) opens the window at time zero.
+// Snapshot assembles the trailing-window metrics view autoscalers
+// observe: first-token latencies emitted inside the window plus the
+// current fleet-wide backlog. A window of zero (or one reaching past
+// the start) opens the window at time zero.
 func (c *Cluster) Snapshot(window sim.Time) metrics.Snapshot {
 	now := c.Sim.Now()
 	from := now - window

@@ -60,14 +60,10 @@ type FleetEvent struct {
 	// configured replica shape. Spec.Count > 1 spawns that many
 	// replicas at once, each with its own cold start.
 	Spec ReplicaSpec
-	// ColdStart overrides FleetConfig.ColdStart for this spawn
-	// (zero means the config default).
-	ColdStart sim.Time
 }
 
 // FleetSnapshot is what an autoscaler observes each cadence tick: the
-// per-state replica counts plus the windowed metrics rollup routers see
-// through FleetView.Metrics.
+// per-state replica counts plus a rollup of the trailing six cadences.
 type FleetSnapshot struct {
 	Now sim.Time
 	// Ready/Starting/Draining count replicas per lifecycle state.
@@ -119,26 +115,22 @@ func Scalers() map[string]func() Autoscaler { return scalerRegistry.all() }
 // order.
 func ScalerNames() []string { return scalerRegistry.names() }
 
+// Backlog thresholds of BacklogScaler, in arrived-but-unfinished
+// requests per ready or starting replica.
+const (
+	backlogHi = 8
+	backlogLo = 1
+)
+
 // BacklogScaler scales on arrived-but-unfinished requests per routable
-// replica: spawn above Hi, drain below Lo. The zero value uses Hi=8,
-// Lo=1.
-type BacklogScaler struct {
-	Hi, Lo int
-}
+// replica: spawn at backlogHi or more, drain at backlogLo or fewer.
+type BacklogScaler struct{}
 
 // Name implements Autoscaler.
 func (b BacklogScaler) Name() string { return "backlog" }
 
 // Decide implements Autoscaler.
 func (b BacklogScaler) Decide(s FleetSnapshot) int {
-	hi := b.Hi
-	if hi <= 0 {
-		hi = 8
-	}
-	lo := b.Lo
-	if lo <= 0 {
-		lo = 1
-	}
 	n := s.Ready + s.Starting
 	if n == 0 {
 		if s.Backlog() > 0 {
@@ -147,20 +139,12 @@ func (b BacklogScaler) Decide(s FleetSnapshot) int {
 		return 0
 	}
 	switch per := s.Backlog() / n; {
-	case per >= hi:
+	case per >= backlogHi:
 		return 1
-	case per <= lo && s.Starting == 0 && s.Draining == 0:
+	case per <= backlogLo && s.Starting == 0 && s.Draining == 0:
 		return -1
 	}
 	return 0
-}
-
-// TTFTTargeted is implemented by autoscalers that accept a TTFT target
-// (the FleetOptions.TargetTTFT knob). WithTarget returns the scaler to
-// use — typically a copy with the target applied — so value-typed
-// scalers work without mutation.
-type TTFTTargeted interface {
-	WithTarget(target sim.Time) Autoscaler
 }
 
 // TTFTScaler scales on the trailing-window P99 TTFT: spawn above Target,
@@ -168,12 +152,6 @@ type TTFTTargeted interface {
 // zero value targets 1 s.
 type TTFTScaler struct {
 	Target sim.Time
-}
-
-// WithTarget implements TTFTTargeted.
-func (t TTFTScaler) WithTarget(target sim.Time) Autoscaler {
-	t.Target = target
-	return t
 }
 
 // Name implements Autoscaler.
@@ -202,19 +180,15 @@ type FleetConfig struct {
 	Events []FleetEvent
 
 	// Scaler, when set, observes the fleet every Cadence and emits
-	// spawn/drain decisions.
+	// spawn/drain decisions; it spawns the first configured replica
+	// shape.
 	Scaler Autoscaler
-	// Cadence is the autoscaler observation interval (default 5 s).
+	// Cadence is the autoscaler observation interval (default 5 s). Each
+	// snapshot summarises the TTFT samples of the trailing six cadences.
 	Cadence sim.Time
-	// Window is the trailing span of TTFT samples the snapshot
-	// summarises (default 6×Cadence).
-	Window sim.Time
-	// ColdStart is the spawn-to-ready delay (default 15 s — weight
-	// loading plus CUDA-graph capture).
+	// ColdStart is the spawn-to-ready delay of every spawn (default
+	// 15 s — weight loading plus CUDA-graph capture).
 	ColdStart sim.Time
-	// Spawn is the shape the autoscaler adds; a nil Factory borrows the
-	// first configured replica shape.
-	Spawn ReplicaSpec
 	// Min and Max bound the autoscaler's fleet size, counting ready +
 	// starting replicas (defaults: 1 and 64). Scheduled events are not
 	// clamped.
@@ -225,9 +199,6 @@ type FleetConfig struct {
 func (fc FleetConfig) withDefaults() FleetConfig {
 	if fc.Cadence <= 0 {
 		fc.Cadence = 5 * sim.Second
-	}
-	if fc.Window <= 0 {
-		fc.Window = 6 * fc.Cadence
 	}
 	if fc.ColdStart <= 0 {
 		fc.ColdStart = 15 * sim.Second
@@ -252,9 +223,6 @@ func (fc FleetConfig) validate(initial int) error {
 	}
 	if fc.Min > MaxReplicas || fc.Max > MaxReplicas {
 		return fmt.Errorf("cluster: fleet bounds %d..%d exceed the limit of %d replicas", fc.Min, fc.Max, MaxReplicas)
-	}
-	if _, err := checkShape(fc.Spawn); err != nil {
-		return err
 	}
 	order := make([]int, len(fc.Events))
 	for i := range order {
@@ -315,13 +283,10 @@ func attachFleet(c *Cluster, cfg FleetConfig, lastArrival sim.Time) *FleetContro
 }
 
 // spawnSpec resolves the shape a spawn uses, preserving the requested
-// count on the borrowed-shape fallback.
+// count when it borrows the first replica's shape.
 func (fc *FleetController) spawnSpec(spec ReplicaSpec) ReplicaSpec {
 	if spec.Factory == nil {
-		base := fc.cfg.Spawn
-		if base.Factory == nil {
-			base = fc.c.Replicas[0].Spec
-		}
+		base := fc.c.Replicas[0].Spec
 		base.Count = spec.Count
 		return base
 	}
@@ -332,17 +297,9 @@ func (fc *FleetController) spawnSpec(spec ReplicaSpec) ReplicaSpec {
 func (fc *FleetController) apply(ev FleetEvent) {
 	switch ev.Kind {
 	case SpawnReplica:
-		cold := ev.ColdStart
-		if cold <= 0 {
-			cold = fc.cfg.ColdStart
-		}
 		spec := fc.spawnSpec(ev.Spec)
-		n := spec.Count
-		if n <= 0 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			fc.c.Spawn(spec, cold)
+		for range max(spec.Count, 1) {
+			fc.c.Spawn(spec, fc.cfg.ColdStart)
 		}
 	case DrainReplica:
 		fc.c.Drain(fc.c.Replica(ev.Replica))
@@ -362,7 +319,7 @@ func (fc *FleetController) snapshot() FleetSnapshot {
 		Ready:    fc.c.countState(StateReady),
 		Starting: fc.c.countState(StateStarting),
 		Draining: fc.c.countState(StateDraining),
-		Metrics:  fc.c.Snapshot(fc.cfg.Window),
+		Metrics:  fc.c.Snapshot(6 * fc.cfg.Cadence),
 	}
 }
 

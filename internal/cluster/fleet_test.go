@@ -249,10 +249,13 @@ func TestSpawnColdStartAndPendingFlush(t *testing.T) {
 	// A one-replica fleet fails at 5s; a replacement spawns at 10s with a
 	// 5s cold start. Requests arriving in the gap queue and flush.
 	tr := longTrace(10, 2*sim.Second, 64)
-	res := fleetRun(t, fleetCfg(RoundRobin, 1), &FleetConfig{Events: []FleetEvent{
-		{At: 5 * sim.Second, Kind: FailReplica, Replica: 0},
-		{At: 10 * sim.Second, Kind: SpawnReplica, ColdStart: 5 * sim.Second},
-	}}, tr)
+	res := fleetRun(t, fleetCfg(RoundRobin, 1), &FleetConfig{
+		Events: []FleetEvent{
+			{At: 5 * sim.Second, Kind: FailReplica, Replica: 0},
+			{At: 10 * sim.Second, Kind: SpawnReplica},
+		},
+		ColdStart: 5 * sim.Second,
+	}, tr)
 
 	if len(res.Replicas) != 2 {
 		t.Fatalf("%d replicas, want 2 (initial + spawned)", len(res.Replicas))
@@ -440,7 +443,6 @@ func TestValidateBoundsFleetSize(t *testing.T) {
 		{"spawned count", func(c *Config) { c.Fleet = spawn(ReplicaSpec{Count: MaxReplicas}) }},
 		{"spawned GPUs", func(c *Config) { c.Fleet = spawn(ReplicaSpec{GPUs: hostile}) }},
 		{"autoscaler ceiling", func(c *Config) { c.Fleet = &FleetConfig{Max: hostile} }},
-		{"autoscaler shape", func(c *Config) { c.Fleet = &FleetConfig{Spawn: ReplicaSpec{GPUs: hostile}} }},
 	}
 	for _, tc := range cases {
 		cfg := fleetCfg(RoundRobin, 1)

@@ -26,21 +26,6 @@ import (
 // flight through the crashed replica — half-migrated KV does not
 // survive, those sessions fall back to the re-prefill penalty.
 
-// MigrationConfig enables and tunes KV streaming on graceful takedowns.
-// The zero value disables migration, preserving the re-prefill-only
-// fleet behavior byte for byte.
-type MigrationConfig struct {
-	// Enabled turns on KV streaming for drains, retires and autoscaler
-	// scale-downs. Failures always lose their KV.
-	Enabled bool
-	// Handoff is the fixed per-session stream setup latency (default
-	// kvcache.DefaultHandoff).
-	Handoff sim.Time
-	// BytesPerToken overrides the per-token KV wire size; zero derives
-	// it from the deployment model (Arch.KVBytesPerToken).
-	BytesPerToken float64
-}
-
 // MigrationStats aggregates a run's KV-migration accounting. Token
 // conservation holds at every instant: DrainKVTokens (in-flight session
 // KV observed at graceful takedowns) equals MigratedTokens (delivered)
@@ -90,7 +75,7 @@ type sessionKV struct {
 // steal the session back from the stream's destination. No-op while
 // migration is disabled, keeping the legacy fleet byte-identical.
 func (c *Cluster) trackKV(rep *Replica, req *workload.Request) {
-	if !c.migCfg.Enabled || rep.State != StateReady {
+	if !c.migrate || rep.State != StateReady {
 		return
 	}
 	if prev, ok := c.kvHolder[req.Session]; ok && prev != rep.ID {
@@ -191,7 +176,7 @@ func (c *Cluster) migrateKV(src *Replica, session int, tokens int64, pages []kvc
 		return false
 	}
 	link := gpu.LinkBetween(c.hwOf(src), c.hwOf(dst))
-	d := kvcache.TransferTime(tokens, c.kvBytesPerToken, link, c.migCfg.Handoff)
+	d := kvcache.TransferTime(tokens, c.kvBytesPerToken, link)
 	m := &migration{id: len(c.migs), session: session, src: src.ID, dst: dst.ID, tokens: tokens, pages: pages, req: req}
 	c.migs = append(c.migs, m)
 	c.migStats.Streams++
@@ -315,7 +300,7 @@ func (c *Cluster) cancelMigrations(rep *Replica, srcCrashed bool) {
 // session's next turn — which re-routes immediately, the draining
 // replica being unroutable — finds its KV warm at the destination.
 func (c *Cluster) drainMigrations(rep *Replica) {
-	if !c.migCfg.Enabled {
+	if !c.migrate {
 		return
 	}
 	seen := map[int]bool{}

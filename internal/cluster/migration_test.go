@@ -42,7 +42,7 @@ func drainHeavyCfg(policy Policy, migrate bool) Config {
 		},
 	}
 	if migrate {
-		cfg.Migration = MigrationConfig{Enabled: true}
+		cfg.Migration = true
 	}
 	return cfg
 }
@@ -83,7 +83,7 @@ func TestMigrationConservation(t *testing.T) {
 	}
 }
 
-// TestMigrationDisabledIsInert: the zero MigrationConfig keeps the
+// TestMigrationDisabledIsInert: Config.Migration false keeps the
 // re-prefill-only behavior — no streams, no counters, no held requests.
 func TestMigrationDisabledIsInert(t *testing.T) {
 	res, err := Run(drainHeavyCfg(PrefixAffinity, false), mixedTrace(1, 40, 0.3))

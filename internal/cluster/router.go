@@ -3,15 +3,14 @@ package cluster
 import (
 	"fmt"
 
-	"muxwise/internal/metrics"
 	"muxwise/internal/sim"
 	"muxwise/internal/workload"
 )
 
 // FleetView is the read-only context a Router sees at every arrival:
-// the routable candidates plus, on demand, a windowed rollup of the
-// fleet's recent observations. User-supplied policies receive exactly
-// this view — nothing in it lets them mutate the fleet.
+// the instant and the routable candidates. Policies that learn from
+// latency observe it through TTFTObserver. User-supplied policies
+// receive exactly this view — nothing in it lets them mutate the fleet.
 type FleetView struct {
 	// Now is the simulation instant of the routing decision.
 	Now sim.Time
@@ -19,20 +18,6 @@ type FleetView struct {
 	// scratch buffer rebuilt per arrival; policies must not retain it
 	// (key remembered state by Replica.ID instead).
 	Candidates []*Replica
-
-	c *Cluster
-}
-
-// Metrics summarises the trailing window of fleet-wide observations
-// (first-token latencies by emission time, plus the current backlog).
-// It walks the fleet's recorders, so policies that need it every pick
-// should prefer event-driven state via TTFTObserver. A view built
-// without a cluster (unit tests) reports an empty snapshot.
-func (v FleetView) Metrics(window sim.Time) metrics.Snapshot {
-	if v.c == nil {
-		return metrics.Snapshot{From: v.Now, To: v.Now}
-	}
-	return v.c.Snapshot(window)
 }
 
 // Router picks a replica for each arriving request. Pick is called from

@@ -17,9 +17,9 @@ import (
 // compare migration-enabled drains against the re-prefill baseline.
 
 // DefaultHandoff is the fixed per-session handoff latency charged on
-// every KV stream when the caller does not override it. Connection
-// setup plus exchanging the paged block table sits in the
-// few-millisecond range on NCCL/NIXL-style transports.
+// every KV stream. Connection setup plus exchanging the paged block
+// table sits in the few-millisecond range on NCCL/NIXL-style
+// transports.
 const DefaultHandoff = 8 * sim.Millisecond
 
 // TransferBytes returns the wire size of a KV stream covering tokens of
@@ -32,18 +32,14 @@ func TransferBytes(tokens int64, bytesPerToken float64) float64 {
 	return float64(tokens) * bytesPerToken
 }
 
-// TransferTime models streaming tokens of KV across the link: handoff
-// latency plus bytes over bandwidth. A zero handoff selects
-// DefaultHandoff; a link without bandwidth cannot stream (the caller
-// should have fallen back to re-prefill), so it degenerates to the
-// handoff alone.
-func TransferTime(tokens int64, bytesPerToken float64, link gpu.Link, handoff sim.Time) sim.Time {
-	if handoff <= 0 {
-		handoff = DefaultHandoff
-	}
+// TransferTime models streaming tokens of KV across the link:
+// DefaultHandoff plus bytes over bandwidth. A link without bandwidth
+// cannot stream (the caller should have fallen back to re-prefill), so
+// it degenerates to the handoff alone.
+func TransferTime(tokens int64, bytesPerToken float64, link gpu.Link) sim.Time {
 	bytes := TransferBytes(tokens, bytesPerToken)
 	if bytes <= 0 || link.Bandwidth <= 0 {
-		return handoff
+		return DefaultHandoff
 	}
-	return handoff + sim.FromSeconds(bytes/link.Bandwidth)
+	return DefaultHandoff + sim.FromSeconds(bytes/link.Bandwidth)
 }

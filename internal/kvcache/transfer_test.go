@@ -23,23 +23,19 @@ func TestTransferTime(t *testing.T) {
 	link := gpu.Link{Class: gpu.LinkNVLink, Bandwidth: 600e9}
 	// 4096 tokens of Llama-8B-sized KV (131072 B/token) over 600 GB/s
 	// ≈ 0.895 ms on the wire plus the 8 ms default handoff.
-	got := TransferTime(4096, 131072, link, 0)
+	got := TransferTime(4096, 131072, link)
 	wire := sim.FromSeconds(4096 * 131072 / 600e9)
 	want := DefaultHandoff + wire
 	if got != want {
 		t.Fatalf("TransferTime = %v, want %v", got, want)
 	}
-	// An explicit handoff replaces the default.
-	if got := TransferTime(4096, 131072, link, 2*sim.Millisecond); got != 2*sim.Millisecond+wire {
-		t.Fatalf("explicit handoff: %v", got)
-	}
 	// A slower link takes proportionally longer.
 	pcie := gpu.Link{Class: gpu.LinkPCIe, Bandwidth: 32e9}
-	if TransferTime(4096, 131072, pcie, 0) <= got {
+	if TransferTime(4096, 131072, pcie) <= got {
 		t.Fatal("PCIe stream not slower than NVLink")
 	}
 	// No bandwidth degenerates to the handoff alone.
-	if got := TransferTime(4096, 131072, gpu.Link{}, 0); got != DefaultHandoff {
+	if got := TransferTime(4096, 131072, gpu.Link{}); got != DefaultHandoff {
 		t.Fatalf("zero-bandwidth link: %v, want bare handoff", got)
 	}
 }

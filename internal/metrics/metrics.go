@@ -367,8 +367,8 @@ type Quantiles struct {
 	N                       int
 }
 
-// quantiles summarises a sample set, sorting it IN PLACE — internal
-// callers own their slices; the exported QuantilesOf copies first.
+// quantiles summarises a sample set, sorting it IN PLACE — callers own
+// their slices.
 func quantiles(samples []float64) Quantiles {
 	q := Quantiles{N: len(samples)}
 	if len(samples) == 0 {

@@ -283,16 +283,10 @@ func locate(bounds []sim.Time, t sim.Time) int {
 	return lo
 }
 
-// TTFTSamplesSince returns the TTFT samples (seconds) of requests whose
-// first token was observed at or after from, in arrival order. Fleet
-// autoscalers pool these across replicas before summarising.
-func (r *Recorder) TTFTSamplesSince(from sim.Time) []float64 {
-	return r.AppendTTFTSince(nil, from)
-}
-
-// AppendTTFTSince is TTFTSamplesSince with a caller-owned buffer: samples
-// are appended to dst (reusing its capacity), so per-tick autoscaler
-// snapshots do not allocate once the buffer has grown.
+// AppendTTFTSince appends to dst the TTFT samples (seconds) of requests
+// whose first token was observed at or after from, in arrival order.
+// Fleet autoscalers pool these across replicas into a reused buffer, so
+// per-tick snapshots do not allocate once the buffer has grown.
 func (r *Recorder) AppendTTFTSince(dst []float64, from sim.Time) []float64 {
 	for _, rec := range r.recs {
 		if !rec.dead && rec.firstToken >= from {
@@ -302,15 +296,8 @@ func (r *Recorder) AppendTTFTSince(dst []float64, from sim.Time) []float64 {
 	return dst
 }
 
-// QuantilesOf summarises an arbitrary sample set (seconds) with the same
-// statistics the recorder reports, for callers that pool samples across
-// recorders themselves. The input is not modified.
-func QuantilesOf(samples []float64) Quantiles {
-	return quantiles(append([]float64(nil), samples...))
-}
-
-// QuantilesInPlace is QuantilesOf for callers that own the sample slice:
-// it sorts samples in place, skipping the defensive copy. Per-tick
+// QuantilesInPlace summarises a sample set (seconds) with the same
+// statistics the recorder reports, sorting samples in place. Per-tick
 // consumers (fleet autoscalers) pair it with AppendTTFTSince over a
 // reused scratch buffer.
 func QuantilesInPlace(samples []float64) Quantiles { return quantiles(samples) }

@@ -272,75 +272,21 @@ type FleetEvent struct {
 	// Spec is the shape a spawn adds; nil borrows the first configured
 	// replica shape.
 	Spec *ReplicaSpec
-	// ColdStart overrides the fleet-wide spawn-to-ready delay for this
-	// spawn (zero means the FleetOptions default).
-	ColdStart Time
 }
 
-// FleetOptions attaches lifecycle events and autoscaling to a fleet
-// (WithFleetOptions).
-type FleetOptions struct {
-	// Events are scheduled fleet transitions.
-	Events []FleetEvent
-	// Autoscaler is "", "backlog", or "ttft".
-	Autoscaler string
-	// TargetTTFT is the "ttft" autoscaler's P99 target (default 1 s).
-	TargetTTFT Time
-	// Cadence is the autoscaler observation interval (default 5 s).
-	Cadence Time
-	// ColdStart is the spawn-to-ready delay (default 15 s).
-	ColdStart Time
-	// Spawn is the shape the autoscaler adds; nil borrows the first
-	// configured replica shape.
-	Spawn *ReplicaSpec
-	// MinReplicas and MaxReplicas bound the autoscaler (defaults 1, 64).
-	MinReplicas, MaxReplicas int
-	// Migration enables KV streaming on graceful takedowns (drain,
-	// retire, autoscaler scale-down): instead of repaying a full
-	// re-prefill, a leaving replica's in-flight sessions stream their KV
-	// to the replica their traffic re-routes to, at the modeled
-	// interconnect cost (NVLink within a hardware shape, PCIe across
-	// shapes). Failures still lose their KV — including streams caught
-	// mid-flight by the crash.
-	Migration bool
-	// MigrationHandoff overrides the fixed per-session stream setup
-	// latency (default 8 ms).
-	MigrationHandoff Time
-}
-
-// fleetConfig resolves the public fleet options.
-func (fo *FleetOptions) fleetConfig() (*cluster.FleetConfig, error) {
-	if fo == nil {
-		return nil, nil
-	}
-	fc := &cluster.FleetConfig{
-		Cadence:   fo.Cadence,
-		ColdStart: fo.ColdStart,
-		Min:       fo.MinReplicas,
-		Max:       fo.MaxReplicas,
-	}
-	if fo.Autoscaler != "" {
-		mk, ok := cluster.Scalers()[fo.Autoscaler]
+// fleetConfig resolves the experiment's fleet lifecycle options
+// (WithEvents, WithAutoscaler, WithColdStart, WithScaleBounds).
+func (e *Experiment) fleetConfig() (*cluster.FleetConfig, error) {
+	fc := &cluster.FleetConfig{ColdStart: e.coldStart, Min: e.minReps, Max: e.maxReps}
+	if e.autoscaler != "" {
+		mk, ok := cluster.Scalers()[e.autoscaler]
 		if !ok {
-			return nil, fmt.Errorf("muxwise: unknown autoscaler %q (have %v)", fo.Autoscaler, AutoscalerPolicies())
+			return nil, fmt.Errorf("muxwise: unknown autoscaler %q (have %v)", e.autoscaler, AutoscalerPolicies())
 		}
-		sc := mk()
-		// The TTFT target flows through the plugin seam: any scaler —
-		// built-in or registered — that implements TTFTTargeted gets it.
-		if tt, ok := sc.(cluster.TTFTTargeted); ok && fo.TargetTTFT > 0 {
-			sc = tt.WithTarget(fo.TargetTTFT)
-		}
-		fc.Scaler = sc
+		fc.Scaler = mk()
 	}
-	if fo.Spawn != nil {
-		spec, err := fo.Spawn.spec()
-		if err != nil {
-			return nil, err
-		}
-		fc.Spawn = spec
-	}
-	for _, ev := range fo.Events {
-		out := cluster.FleetEvent{At: ev.At, Replica: ev.Replica, ColdStart: ev.ColdStart}
+	for _, ev := range e.events {
+		out := cluster.FleetEvent{At: ev.At, Replica: ev.Replica}
 		switch ev.Kind {
 		case "spawn":
 			out.Kind = cluster.SpawnReplica
@@ -369,10 +315,9 @@ func (fo *FleetOptions) fleetConfig() (*cluster.FleetConfig, error) {
 
 // clusterConfig resolves a fleet deployment into a cluster.Config: dep
 // supplies the per-replica hardware, model and SLO (its GPUs field is the
-// per-replica default), replicas the fleet shapes, router the policy
-// (empty selects prefix-affinity) and fleet the optional lifecycle
-// options.
-func clusterConfig(dep Deployment, replicas []ReplicaSpec, router string, fleet *FleetOptions) (cluster.Config, error) {
+// per-replica default), replicas the fleet shapes and router the policy
+// (empty selects prefix-affinity).
+func clusterConfig(dep Deployment, replicas []ReplicaSpec, router string) (cluster.Config, error) {
 	base, err := dep.config()
 	if err != nil {
 		return cluster.Config{}, err
@@ -391,16 +336,6 @@ func clusterConfig(dep Deployment, replicas []ReplicaSpec, router string, fleet 
 			return cluster.Config{}, err
 		}
 		cfg.Replicas = append(cfg.Replicas, spec)
-	}
-	cfg.Fleet, err = fleet.fleetConfig()
-	if err != nil {
-		return cluster.Config{}, err
-	}
-	if fleet != nil {
-		cfg.Migration = cluster.MigrationConfig{
-			Enabled: fleet.Migration,
-			Handoff: fleet.MigrationHandoff,
-		}
 	}
 	return cfg, nil
 }

@@ -108,7 +108,7 @@ func TestFleetLifecycleAPI(t *testing.T) {
 	}
 }
 
-func TestFleetOptionsErrors(t *testing.T) {
+func TestFleetLifecycleErrors(t *testing.T) {
 	tr := muxwise.ShareGPT(1, 5).WithPoissonArrivals(1, 1)
 	if _, err := fleet("round-robin", muxwise.WithAutoscaler("magic")).Run(tr); err == nil {
 		t.Error("unknown autoscaler should error")

@@ -18,7 +18,7 @@ type (
 	// sweep probe, each bisection step) gets its own.
 	RouterPolicy = cluster.Policy
 	// FleetView is the read-only context a Router sees at each arrival:
-	// the routable candidates plus on-demand windowed metrics.
+	// the decision instant and the routable candidates.
 	FleetView = cluster.FleetView
 	// FleetReplica is one replica as routers see it: identity, role and
 	// load counters.
@@ -39,10 +39,9 @@ type (
 	MigrationStats = cluster.MigrationStats
 	// Autoscaler decides fleet scale from a FleetSnapshot on a cadence.
 	Autoscaler = cluster.Autoscaler
-	// TTFTTargeted is implemented by autoscalers that accept the
-	// WithTargetTTFT / FleetOptions.TargetTTFT knob.
-	TTFTTargeted = cluster.TTFTTargeted
-	// FleetSnapshot is what an Autoscaler observes each tick.
+	// FleetSnapshot is what an Autoscaler observes each tick: replica
+	// counts per lifecycle state, the fleet backlog, and the TTFT tail
+	// of the trailing six ticks.
 	FleetSnapshot = cluster.FleetSnapshot
 	// ReplicaRole tags what a FleetReplica is specialised for.
 	ReplicaRole = cluster.Role
@@ -73,7 +72,7 @@ func RegisterRouter(name string, p RouterPolicy) error {
 
 // RegisterAutoscaler adds an autoscaler constructor to the registry
 // under name, making it selectable everywhere built-in names are:
-// WithAutoscaler, FleetOptions.Autoscaler, and the muxcluster CLI.
+// WithAutoscaler and the muxcluster CLI.
 // Registering an empty name, a nil constructor, or a name already taken
 // fails loudly with an error.
 func RegisterAutoscaler(name string, mk func() Autoscaler) error {
