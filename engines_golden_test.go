@@ -16,7 +16,7 @@ import (
 // -update rewrites the per-engine goldens from the current run:
 //
 //	go test . -run TestEngineGolden -update
-var updateEngineGolden = flag.Bool("update", false, "rewrite testdata/engines goldens from this run")
+var updateEngineGolden = flag.Bool("update", false, "rewrite testdata/engines and testdata/traces.json goldens from this run")
 
 // engineGolden is what the per-engine golden pins for one engine: the
 // digest TestTraceDeterminism compares (Summary, Attainment,

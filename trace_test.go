@@ -2,7 +2,12 @@ package muxwise_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -221,6 +226,83 @@ func TestTraceSingleEngine(t *testing.T) {
 	for _, want := range []string{`"prefill"`, `"decode-iter"`, `"first-token"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("single-engine trace missing %s spans", want)
+		}
+	}
+}
+
+// traceExportGolden is what testdata/traces.json pins per scenario: the
+// flight recorder's event count and the sha256 of both exports.
+type traceExportGolden struct {
+	Events int    `json:"events"`
+	Chrome string `json:"chrome_sha256"`
+	JSONL  string `json:"jsonl_sha256"`
+}
+
+// TestTraceExportGolden pins the Chrome and JSONL trace exports of the
+// drain-migrate and failure scenarios byte for byte, across commits:
+// fleet and tracing refactors must leave testdata/traces.json untouched.
+// -update (declared in engines_golden_test.go, same test binary)
+// rewrites it:
+//
+//	go test . -run TestTraceExportGolden -update
+func TestTraceExportGolden(t *testing.T) {
+	scenarios := []struct {
+		name string
+		mk   func(*muxwise.FlightRecorder) *muxwise.Experiment
+	}{
+		{"drain-migrate", drainMigrateExperiment},
+		{"failure", failureExperiment},
+	}
+	path := filepath.Join("testdata", "traces.json")
+	want := map[string]traceExportGolden{}
+	update := flag.Lookup("update").Value.String() == "true"
+	if !update {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (regenerate with -update)", err)
+		}
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatalf("golden unreadable: %v", err)
+		}
+	}
+	got := map[string]traceExportGolden{}
+	for _, sc := range scenarios {
+		fr := muxwise.NewFlightRecorder()
+		if _, err := sc.mk(fr).Run(muxwise.MixedBursty(1, 40, 0.2)); err != nil {
+			t.Fatal(err)
+		}
+		var chrome, jsonl bytes.Buffer
+		if err := muxwise.WriteChromeTrace(&chrome, fr); err != nil {
+			t.Fatal(err)
+		}
+		if err := muxwise.WriteTraceJSONL(&jsonl, fr); err != nil {
+			t.Fatal(err)
+		}
+		g := traceExportGolden{
+			Events: fr.Len(),
+			Chrome: fmt.Sprintf("%x", sha256.Sum256(chrome.Bytes())),
+			JSONL:  fmt.Sprintf("%x", sha256.Sum256(jsonl.Bytes())),
+		}
+		got[sc.name] = g
+		if update || g == want[sc.name] {
+			continue
+		}
+		dir := t.TempDir()
+		for file, data := range map[string][]byte{"trace.json": chrome.Bytes(), "trace.jsonl": jsonl.Bytes()} {
+			if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Errorf("%s: trace export drifted:\n got %+v\nwant %+v\nexports written under %s",
+			sc.name, g, want[sc.name], dir)
+	}
+	if update {
+		out, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
