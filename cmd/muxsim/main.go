@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -29,6 +30,10 @@ func main() {
 	ttft := flag.Duration("ttft", time.Second, "TTFT SLO")
 	tbt := flag.Duration("tbt", 100*time.Millisecond, "TBT SLO")
 	flag.Parse()
+	if math.IsNaN(*rate) {
+		fmt.Fprintln(os.Stderr, "muxsim: -rate must be a number")
+		os.Exit(2)
+	}
 
 	var trace *muxwise.Trace
 	if *traceFile != "" {

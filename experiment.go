@@ -6,6 +6,7 @@ import (
 
 	"muxwise/internal/cluster"
 	"muxwise/internal/serve"
+	"muxwise/internal/workload"
 )
 
 // ErrNoFeasibleRate is returned by goodput searches when no rate in the
@@ -352,6 +353,11 @@ func (e *Experiment) Run(trace *Trace) (*Report, error) {
 	}
 	if trace == nil {
 		return nil, fmt.Errorf("muxwise: Run: nil trace")
+	}
+	for _, req := range trace.Requests {
+		if req.Arrival < 0 || req.Arrival > workload.MaxArrival {
+			return nil, fmt.Errorf("muxwise: Run: request %d arrives at %v, outside [0, %v]", req.ID, req.Arrival, workload.MaxArrival)
+		}
 	}
 	if r.isFleet {
 		// The flight recorder rides only on Run: Sweep and Goodput

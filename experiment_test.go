@@ -77,6 +77,41 @@ func TestGoodputRangeValidation(t *testing.T) {
 	}
 }
 
+// TestDegenerateArrivals: a zero Poisson rate yields an empty trace
+// that runs cleanly on one engine and on a fleet, a goodput search with
+// a floor of 0 returns a rate or ErrNoFeasibleRate, and an arrival
+// before time zero is a Run error — none of them panics the simulator.
+func TestDegenerateArrivals(t *testing.T) {
+	mk := func(rate float64) *muxwise.Trace {
+		return muxwise.ShareGPT(5, 30).WithPoissonArrivals(5, rate)
+	}
+	exps := []struct {
+		name string
+		exp  *muxwise.Experiment
+	}{
+		{"engine", muxwise.NewExperiment(muxwise.WithDeployment(dep8B()), muxwise.WithEngine("MuxWise"),
+			muxwise.WithWorkload(mk))},
+		{"fleet", fleet("least-tokens", muxwise.WithWorkload(mk))},
+	}
+	for _, e := range exps {
+		rep, err := e.exp.Run(muxwise.ShareGPT(1, 5).WithPoissonArrivals(1, 0))
+		if err != nil {
+			t.Fatalf("%s: zero-rate run: %v", e.name, err)
+		}
+		if rep.Summary.Requests != 0 {
+			t.Errorf("%s: zero-rate trace served %d requests, want 0", e.name, rep.Summary.Requests)
+		}
+		if g, err := e.exp.Goodput(0, 4); err != nil && !errors.Is(err, muxwise.ErrNoFeasibleRate) {
+			t.Errorf("%s: Goodput(0, 4) = (%v, %v), want a rate or ErrNoFeasibleRate", e.name, g, err)
+		}
+		early := muxwise.ShareGPT(1, 3).WithPoissonArrivals(1, 1)
+		early.Requests[0].Arrival = -1
+		if _, err := e.exp.Run(early); err == nil {
+			t.Errorf("%s: an arrival at -1ns should be a Run error", e.name)
+		}
+	}
+}
+
 func TestExperimentOptionErrors(t *testing.T) {
 	dep := muxwise.WithDeployment(dep8B())
 	shape := muxwise.ReplicaSpec{Engine: "MuxWise"}

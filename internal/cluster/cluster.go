@@ -161,7 +161,6 @@ type Replica struct {
 	ReadyAt sim.Time
 	DownAt  sim.Time
 
-	inFlight  int
 	outTokens int64
 	assigned  int
 	reqs      map[int]*workload.Request // in-flight, by request ID
@@ -171,11 +170,6 @@ type Replica struct {
 	// over its life.
 	migTokens   int64
 	kvIn, kvOut int64
-
-	// sessions maps each session whose latest completed turn ran here to
-	// the context KV this replica's pool holds for it — what a graceful
-	// takedown streams out. Maintained only when migration is enabled.
-	sessions map[int]sessionKV
 
 	// frozen* snapshot the replica's result and cache stats at the
 	// instant it went down, excluding any ghost simulation work after.
@@ -190,8 +184,10 @@ func (r *Replica) EndpointID() int { return r.ID }
 // EndpointRole implements epp.Endpoint.
 func (r *Replica) EndpointRole() Role { return r.Role }
 
-// InFlight returns how many routed requests have not finished.
-func (r *Replica) InFlight() int { return r.inFlight }
+// InFlight returns how many routed requests have not finished: the
+// size of the in-flight request map, which submit fills, completion
+// empties and a takedown clears for re-dispatch.
+func (r *Replica) InFlight() int { return len(r.reqs) }
 
 // OutstandingTokens returns the input+output tokens of in-flight
 // requests plus any in-transit migrated KV — the
@@ -214,7 +210,6 @@ func (r *Replica) down() bool { return r.State == StateFailed || r.State == Stat
 // submit routes a request into the replica at (or after) its arrival.
 func (r *Replica) submit(req *workload.Request) {
 	r.assigned++
-	r.inFlight++
 	r.outTokens += int64(req.InputTokens + req.OutputTokens)
 	r.reqs[req.ID] = req
 	r.Inst.Submit(req)
@@ -227,7 +222,6 @@ func (r *Replica) finish(id int) {
 		return
 	}
 	delete(r.reqs, id)
-	r.inFlight--
 	r.outTokens -= int64(req.InputTokens + req.OutputTokens)
 }
 
@@ -289,20 +283,17 @@ type Cluster struct {
 	log   []LogEntry
 	marks []epochMark
 
-	// failures counts FailReplica events applied.
-	failures int
-
 	// KV migration state: whether it is enabled, the model's per-token
 	// wire size, every stream started, running totals, how many
-	// re-dispatched requests are held on the wire right now, and which
-	// replica holds each live session's KV (maintained only when
-	// migration is enabled).
+	// re-dispatched requests are held on the wire right now, and the
+	// context KV each live session's holder keeps for it (maintained
+	// only when migration is enabled).
 	migrate         bool
 	kvBytesPerToken float64
 	migs            []*migration
 	migStats        MigrationStats
 	migHeld         int
-	kvHolder        map[int]int
+	kv              map[int]sessionKV
 
 	// trace is the flight recorder (nil when tracing is off); fleet
 	// lifecycle, router picks and migration streams are emitted here.
@@ -374,7 +365,7 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		Sim: s, Router: cfg.Policy(), base: cfg.Base,
-		nameSeq: map[string]int{}, kvHolder: map[int]int{},
+		nameSeq: map[string]int{}, kv: map[int]sessionKV{},
 		migrate: cfg.Migration, kvBytesPerToken: cfg.Base.Arch.KVBytesPerToken(),
 		trace:       cfg.Base.Trace,
 		crashedReqs: map[int]bool{}, heldReqs: map[int]bool{},
@@ -391,32 +382,9 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 	}
 	c.mark("start")
 	if c.trace != nil {
-		c.trace.Counter(0, "fleet", "replicas", obs.Arg{Key: "ready", Val: c.readyCount()})
+		c.trace.Counter(0, "fleet", "replicas", obs.Arg{Key: "ready", Val: c.countState(StateReady)})
 	}
 	return c, nil
-}
-
-// readyCount counts routable (ready) replicas — the series the fleet
-// track's replica counter samples.
-func (c *Cluster) readyCount() int {
-	n := 0
-	for _, rep := range c.Replicas {
-		if rep.State == StateReady {
-			n++
-		}
-	}
-	return n
-}
-
-// traceFleet emits one fleet-track instant plus a fresh sample of the
-// ready-replica counter. No-op when tracing is off.
-func (c *Cluster) traceFleet(name string, args ...obs.Arg) {
-	if c.trace == nil {
-		return
-	}
-	now := c.Sim.Now()
-	c.trace.Instant(now, "fleet", name, args...)
-	c.trace.Counter(now, "fleet", "replicas", obs.Arg{Key: "ready", Val: c.readyCount()})
 }
 
 // addReplica constructs one replica (in StateStarting) and appends it to
@@ -432,13 +400,12 @@ func (c *Cluster) addReplica(spec ReplicaSpec) *Replica {
 	seq := c.nameSeq[spec.Engine]
 	c.nameSeq[spec.Engine] = seq + 1
 	rep := &Replica{
-		ID:       len(c.Replicas),
-		Name:     fmt.Sprintf("%s-%d", spec.Engine, seq),
-		Role:     spec.Role,
-		Spec:     spec,
-		State:    StateStarting,
-		reqs:     map[int]*workload.Request{},
-		sessions: map[int]sessionKV{},
+		ID:    len(c.Replicas),
+		Name:  fmt.Sprintf("%s-%d", spec.Engine, seq),
+		Role:  spec.Role,
+		Spec:  spec,
+		State: StateStarting,
+		reqs:  map[int]*workload.Request{},
 	}
 	rep.Inst = serve.NewInstance(c.Sim, spec.Factory, base, rep.Name)
 	rep.Inst.OnFinish(func(id int, at sim.Time) {
@@ -447,7 +414,7 @@ func (c *Cluster) addReplica(spec ReplicaSpec) *Replica {
 		if req != nil {
 			c.trackKV(rep, req)
 		}
-		if rep.State == StateDraining && rep.inFlight == 0 {
+		if rep.State == StateDraining && rep.InFlight() == 0 {
 			c.retireDrained(rep)
 		}
 	})
@@ -498,6 +465,20 @@ func (c *Cluster) logf(format string, args ...any) {
 	c.log = append(c.log, LogEntry{At: c.Sim.Now(), Msg: fmt.Sprintf(format, args...)})
 }
 
+// note records one fleet transition of rep: the log line
+// "<event> <replica><detail>" and, when tracing, a fleet-track instant
+// named event (the replica, then args) plus a fresh sample of the
+// ready-replica counter.
+func (c *Cluster) note(event string, rep *Replica, detail string, args ...obs.Arg) {
+	now := c.Sim.Now()
+	c.log = append(c.log, LogEntry{At: now, Msg: event + " " + rep.Name + detail})
+	if c.trace == nil {
+		return
+	}
+	c.trace.Instant(now, "fleet", event, append([]obs.Arg{{Key: "replica", Val: rep.Name}}, args...)...)
+	c.trace.Counter(now, "fleet", "replicas", obs.Arg{Key: "ready", Val: c.countState(StateReady)})
+}
+
 // mark opens a new fleet epoch at the current instant.
 func (c *Cluster) mark(label string) {
 	c.marks = append(c.marks, epochMark{
@@ -515,12 +496,7 @@ func (c *Cluster) mark(label string) {
 func (c *Cluster) aggCache() kvcache.Stats {
 	var agg kvcache.Stats
 	for _, rep := range c.Replicas {
-		cs := rep.cacheStats()
-		agg.Lookups += cs.Lookups
-		agg.HitTokens += cs.HitTokens
-		agg.MissTokens += cs.MissTokens
-		agg.Evictions += cs.Evictions
-		agg.Inserts += cs.Inserts
+		agg.Add(rep.cacheStats())
 	}
 	return agg
 }
@@ -554,7 +530,7 @@ func (c *Cluster) Submit(r *workload.Request) *Replica {
 		for _, cand := range cands {
 			args = append(args, obs.Arg{
 				Key: cand.Name,
-				Val: fmt.Sprintf("%dtok/%dreq", cand.outTokens, cand.inFlight),
+				Val: fmt.Sprintf("%dtok/%dreq", cand.outTokens, cand.InFlight()),
 			})
 		}
 		c.trace.Instant(c.Sim.Now(), "router", "pick", args...)
@@ -584,8 +560,7 @@ func (c *Cluster) Spawn(spec ReplicaSpec, coldStart sim.Time) *Replica {
 		c.makeReady(rep)
 		return rep
 	}
-	c.logf("spawn %s (cold start %v)", rep.Name, coldStart)
-	c.traceFleet("spawn", obs.Arg{Key: "replica", Val: rep.Name},
+	c.note("spawn", rep, fmt.Sprintf(" (cold start %v)", coldStart),
 		obs.Arg{Key: "cold_start_ms", Val: coldStart.Milliseconds()})
 	c.Sim.After(coldStart, func() { c.makeReady(rep) })
 	return rep
@@ -598,9 +573,8 @@ func (c *Cluster) makeReady(rep *Replica) {
 	}
 	rep.State = StateReady
 	rep.ReadyAt = c.Sim.Now()
-	c.logf("ready %s", rep.Name)
 	c.mark("ready " + rep.Name)
-	c.traceFleet("ready", obs.Arg{Key: "replica", Val: rep.Name})
+	c.note("ready", rep, "")
 	c.flushPending()
 }
 
@@ -616,14 +590,13 @@ func (c *Cluster) Drain(rep *Replica) {
 		return
 	}
 	rep.State = StateDraining
-	c.logf("drain %s (%d in flight)", rep.Name, rep.inFlight)
 	c.mark("drain " + rep.Name)
-	c.traceFleet("drain", obs.Arg{Key: "replica", Val: rep.Name},
-		obs.Arg{Key: "in_flight", Val: rep.inFlight})
+	c.note("drain", rep, fmt.Sprintf(" (%d in flight)", rep.InFlight()),
+		obs.Arg{Key: "in_flight", Val: rep.InFlight()})
 	// The draining replica left the routable set, so its sessions
 	// re-route from this instant on; stream their KV after it.
 	c.drainMigrations(rep)
-	if rep.inFlight == 0 {
+	if rep.InFlight() == 0 {
 		c.retireDrained(rep)
 	}
 }
@@ -641,7 +614,6 @@ func (c *Cluster) Fail(rep *Replica) {
 	if rep == nil || rep.down() {
 		return
 	}
-	c.failures++
 	c.takeDown(rep, StateFailed, "fail")
 }
 
@@ -654,9 +626,6 @@ func (c *Cluster) Retire(rep *Replica) {
 	}
 	c.takeDown(rep, StateRetired, "retire")
 }
-
-// Failures returns how many replicas failed during the run.
-func (c *Cluster) Failures() int { return c.failures }
 
 // takeDown removes a replica from the fleet: halt its instance, abort
 // and collect its in-flight requests, notify the router, and re-dispatch
@@ -691,8 +660,8 @@ func (c *Cluster) takeDown(rep *Replica, state State, label string) {
 		}
 		redispatch = append(redispatch, req)
 	}
-	rep.inFlight = 0
 	rep.outTokens = 0
+	rep.migTokens = 0
 	rep.reqs = map[int]*workload.Request{}
 
 	// Freeze the replica's view after the aborts: its summary holds only
@@ -712,9 +681,8 @@ func (c *Cluster) takeDown(rep *Replica, state State, label string) {
 	// destination cannot accept, and a crashed source loses even the
 	// KV it was mid-stream on — those sessions repay the re-prefill.
 	c.cancelMigrations(rep, state == StateFailed)
-	c.logf("%s %s (%d in-flight re-dispatched)", label, rep.Name, len(redispatch))
 	c.mark(label + " " + rep.Name)
-	c.traceFleet(label, obs.Arg{Key: "replica", Val: rep.Name},
+	c.note(label, rep, fmt.Sprintf(" (%d in-flight re-dispatched)", len(redispatch)),
 		obs.Arg{Key: "redispatched", Val: len(redispatch)})
 	graceful := c.migrate && state != StateFailed
 	for _, req := range redispatch {
@@ -950,24 +918,16 @@ func Run(cfg Config, trace *workload.Trace) (Result, error) {
 	s.At(lastArrival+30*sim.Second, func() { backlog = c.Unfinished() })
 	s.RunUntil(lastArrival + cfg.Base.Horizon)
 
-	res := Result{Router: c.Router.Name(), Failures: c.failures, Events: c.log, Unrouted: len(c.pending)}
+	res := Result{Router: c.Router.Name(), Failures: c.countState(StateFailed), Events: c.log, Unrouted: len(c.pending)}
 	recs := make([]*metrics.Recorder, 0, len(c.Replicas))
 	tbt := make([]metrics.SortedTBT, 0, len(c.Replicas))
 	for _, rep := range c.Replicas {
 		rr := rep.result(s.Now())
-		hw := cfg.Base.Spec.Name
-		if rep.Spec.Hardware.Name != "" {
-			hw = rep.Spec.Hardware.Name
-		}
-		gpus := cfg.Base.GPUs
-		if rep.Spec.GPUs > 0 {
-			gpus = rep.Spec.GPUs
-		}
 		res.Replicas = append(res.Replicas, ReplicaResult{
 			Name:          rep.Name,
 			Engine:        rep.Spec.Engine,
-			Hardware:      hw,
-			GPUs:          gpus,
+			Hardware:      rep.Inst.Env.Spec.Name,
+			GPUs:          rep.Inst.Env.GPUs,
 			Role:          rep.Role,
 			State:         rep.State,
 			ReadyAt:       rep.ReadyAt,

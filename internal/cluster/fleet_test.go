@@ -500,7 +500,10 @@ func TestPickDegenerateFleets(t *testing.T) {
 		hot := bareFleet(RoleGeneral, RolePrefill, RoleDecode)
 		for _, rep := range hot {
 			rep.outTokens = 1 << 30
-			rep.inFlight = 99
+			rep.reqs = map[int]*workload.Request{}
+			for i := 0; i < 99; i++ {
+				rep.reqs[i] = req(i)
+			}
 		}
 		r = policy()
 		first := r.Pick(req(0), view(hot))

@@ -59,30 +59,31 @@ type MigrationStats struct {
 	Stall sim.Time
 }
 
-// sessionKV is the context KV a replica's pool holds for one session:
-// the token span and pages of its latest completed turn.
+// sessionKV is one session's entry in the cluster's KV-holder map: the
+// replica whose pool holds the session's context KV, and the token span
+// and pages of the latest completed turn there — what a graceful
+// takedown of that replica streams out. A session has at most one
+// holder; a newer holder replaces the entry.
 type sessionKV struct {
+	holder int // replica ID
 	tokens int64
 	pages  []kvcache.PageID
 }
 
 // trackKV records, at turn completion, that rep's pool now holds the
-// session's context KV (Complete published AllPages there). The
-// previous holder — if the session hopped replicas — is released: its
-// copy is stale for routing purposes. Only ready replicas claim
-// holdership: a draining replica's finishing turns were already
-// streamed out at the drain instant, and their completions must not
-// steal the session back from the stream's destination. No-op while
-// migration is disabled, keeping the legacy fleet byte-identical.
+// session's context KV (Complete published AllPages there), replacing
+// any previous holder — if the session hopped replicas, that copy is
+// stale for routing purposes. Only ready replicas claim holdership: a
+// draining replica's finishing turns were already streamed out at the
+// drain instant, and their completions must not steal the session back
+// from the stream's destination. No-op while migration is disabled,
+// keeping the legacy fleet byte-identical.
 func (c *Cluster) trackKV(rep *Replica, req *workload.Request) {
 	if !c.migrate || rep.State != StateReady {
 		return
 	}
-	if prev, ok := c.kvHolder[req.Session]; ok && prev != rep.ID {
-		delete(c.Replicas[prev].sessions, req.Session)
-	}
-	c.kvHolder[req.Session] = rep.ID
-	rep.sessions[req.Session] = sessionKV{
+	c.kv[req.Session] = sessionKV{
+		holder: rep.ID,
 		tokens: int64(req.InputTokens + req.OutputTokens),
 		pages:  req.AllPages,
 	}
@@ -91,21 +92,19 @@ func (c *Cluster) trackKV(rep *Replica, req *workload.Request) {
 // releaseKV detaches one session from rep's holdings (ownership passes
 // to a stream or dies with a crash).
 func (c *Cluster) releaseKV(rep *Replica, session int) {
-	delete(rep.sessions, session)
-	if c.kvHolder[session] == rep.ID {
-		delete(c.kvHolder, session)
+	if kv, ok := c.kv[session]; ok && kv.holder == rep.ID {
+		delete(c.kv, session)
 	}
 }
 
 // forgetKV drops every session holding still attached to a replica that
 // left the fleet — whatever was not streamed out is gone.
 func (c *Cluster) forgetKV(rep *Replica) {
-	for session := range rep.sessions {
-		if c.kvHolder[session] == rep.ID {
-			delete(c.kvHolder, session)
+	for session, kv := range c.kv {
+		if kv.holder == rep.ID {
+			delete(c.kv, session)
 		}
 	}
-	rep.sessions = map[int]sessionKV{}
 }
 
 // migration is one in-flight KV stream.
@@ -131,15 +130,6 @@ type migration struct {
 // re-prefilling somewhere cold.
 type MigrationObserver interface {
 	SessionMigrated(session, from, to int, pages []kvcache.PageID)
-}
-
-// hwOf resolves a replica's hardware shape (per-shape override or the
-// deployment base).
-func (c *Cluster) hwOf(rep *Replica) gpu.Spec {
-	if rep.Spec.Hardware.Name != "" {
-		return rep.Spec.Hardware
-	}
-	return c.base.Spec
 }
 
 // migrationTarget picks where a leaving replica's session KV streams:
@@ -175,7 +165,7 @@ func (c *Cluster) migrateKV(src *Replica, session int, tokens int64, pages []kvc
 		c.migStats.RePrefillTokens += tokens
 		return false
 	}
-	link := gpu.LinkBetween(c.hwOf(src), c.hwOf(dst))
+	link := gpu.LinkBetween(src.Inst.Env.Spec, dst.Inst.Env.Spec)
 	d := kvcache.TransferTime(tokens, c.kvBytesPerToken, link)
 	m := &migration{id: len(c.migs), session: session, src: src.ID, dst: dst.ID, tokens: tokens, pages: pages, req: req}
 	c.migs = append(c.migs, m)
@@ -231,9 +221,8 @@ func (c *Cluster) finishMigration(m *migration) {
 	// The destination is the session's KV holder now — unless a turn
 	// that arrived mid-stream already re-homed it elsewhere, in which
 	// case the newer holder wins.
-	if _, ok := c.kvHolder[m.session]; !ok && dst.State == StateReady {
-		c.kvHolder[m.session] = dst.ID
-		dst.sessions[m.session] = sessionKV{tokens: m.tokens, pages: m.pages}
+	if _, ok := c.kv[m.session]; !ok && dst.State == StateReady {
+		c.kv[m.session] = sessionKV{holder: dst.ID, tokens: m.tokens, pages: m.pages}
 	}
 	if mo, ok := c.Router.(MigrationObserver); ok {
 		mo.SessionMigrated(m.session, m.src, m.dst, m.pages)
@@ -314,7 +303,6 @@ func (c *Cluster) drainMigrations(rep *Replica) {
 		c.migrateKV(rep, req.Session, int64(req.InputTokens+req.OutputTokens), req.AllPages, nil)
 	}
 	c.sweepSessionKV(rep)
-	c.forgetKV(rep)
 }
 
 // sweepSessionKV streams every idle session holding off a replica, in
@@ -325,14 +313,16 @@ func (c *Cluster) drainMigrations(rep *Replica) {
 // stream for want of a routable target are charged as re-prefill
 // fallbacks.
 func (c *Cluster) sweepSessionKV(rep *Replica) {
-	ids := make([]int, 0, len(rep.sessions))
-	for session := range rep.sessions {
-		ids = append(ids, session)
+	var ids []int
+	for session, kv := range c.kv {
+		if kv.holder == rep.ID {
+			ids = append(ids, session)
+		}
 	}
 	sort.Ints(ids)
 	for _, session := range ids {
-		kv := rep.sessions[session]
-		c.releaseKV(rep, session)
+		kv := c.kv[session]
+		delete(c.kv, session)
 		matched, pageTokens := rep.Inst.PeekKV(kv.pages)
 		if matched <= 0 {
 			continue

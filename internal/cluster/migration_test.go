@@ -216,6 +216,61 @@ func TestFailDuringMigrationRePrefills(t *testing.T) {
 	}
 }
 
+// TestFailedDestinationDropsInTransitKV: a replica that crashes while a
+// drain stream is still on the wire toward it stops counting that KV —
+// outstanding tokens include in-transit KV, so both counters of the
+// dead replica read zero. Same hand-built scenario as
+// TestFailDuringMigrationRePrefills, but the crash hits the stream's
+// destination instead of its source.
+func TestFailedDestinationDropsInTransitKV(t *testing.T) {
+	s := sim.New()
+	cfg := drainHeavyCfg(PrefixAffinity, true)
+	cfg.Base = cfg.Base.WithDefaults()
+	cfg.Fleet = nil
+	cfg.Replicas[0].Count = 3
+	c, err := New(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := make([]kvcache.PageID, 520)
+	for i := range pages {
+		pages[i] = kvcache.PageID(i + 1)
+	}
+	req := &workload.Request{
+		ID: 1, Session: 9, Arrival: 0,
+		InputTokens: 8000, OutputTokens: 320,
+		Pages:    pages[:500],
+		AllPages: pages,
+	}
+	s.At(0, func() { c.Replicas[0].submit(req) })
+	var dst *Replica
+	s.At(sim.Second, func() {
+		c.Drain(c.Replicas[0])
+		if len(c.migs) != 1 {
+			t.Fatalf("drain started %d streams, want 1", len(c.migs))
+		}
+		dst = c.Replicas[c.migs[0].dst]
+		if dst.MigratingTokens() == 0 {
+			t.Fatal("stream destination carries no in-transit KV")
+		}
+	})
+	s.At(sim.Second+2*sim.Millisecond, func() { c.Fail(dst) })
+	s.RunUntil(600 * sim.Second)
+
+	if dst.State != StateFailed {
+		t.Fatalf("destination state %v, want failed", dst.State)
+	}
+	if c.migStats.Canceled != 1 {
+		t.Errorf("destination crash canceled %d of 1 streams", c.migStats.Canceled)
+	}
+	if got := dst.MigratingTokens(); got != 0 {
+		t.Errorf("failed destination still counts %d in-transit tokens", got)
+	}
+	if got := dst.OutstandingTokens(); got != 0 {
+		t.Errorf("failed destination still counts %d outstanding tokens", got)
+	}
+}
+
 // TestMigrationOccupancy: while a stream is on the wire the destination
 // carries the in-transit KV in its token load, and it drops off on
 // arrival — the router-visible occupancy the issue's accounting demands.

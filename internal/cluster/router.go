@@ -111,7 +111,7 @@ func leastLoaded(cands []*Replica) *Replica {
 	for _, rep := range cands {
 		if best == nil ||
 			rep.outTokens < best.outTokens ||
-			(rep.outTokens == best.outTokens && rep.inFlight < best.inFlight) {
+			(rep.outTokens == best.outTokens && rep.InFlight() < best.InFlight()) {
 			best = rep
 		}
 	}

@@ -148,6 +148,15 @@ type Stats struct {
 	Inserts    int64
 }
 
+// Add accumulates o into s field by field.
+func (s *Stats) Add(o Stats) {
+	s.Lookups += o.Lookups
+	s.HitTokens += o.HitTokens
+	s.MissTokens += o.MissTokens
+	s.Evictions += o.Evictions
+	s.Inserts += o.Inserts
+}
+
 // HitRate returns token-weighted hit rate, 0 when nothing was looked up.
 func (s Stats) HitRate() float64 {
 	total := s.HitTokens + s.MissTokens

@@ -16,8 +16,6 @@ type Instance struct {
 	Env   *Env
 	Eng   Engine
 	Rec   *metrics.Recorder
-
-	halted bool
 }
 
 // NewInstance builds an engine inside the shared simulator s. The config
@@ -77,7 +75,7 @@ func (i *Instance) OnFirstToken(fn func(id int, ttft sim.Time)) {
 // replica: the recorder keeps the original arrival, so the failover
 // latency shows up in TTFT).
 func (i *Instance) Submit(r *workload.Request) {
-	if i.halted {
+	if i.Rec.Halted() {
 		return
 	}
 	i.Rec.Arrive(r.ID, r.Arrival, r.InputTokens)
@@ -95,10 +93,7 @@ func (i *Instance) Open() []int { return i.Rec.OpenIDs() }
 // cooperation), but none of that ghost work can reach the metrics. The
 // caller snapshots Result and CacheStats at the halt instant; later
 // reads of either would include ghost activity.
-func (i *Instance) Halt() { i.halted = true; i.Rec.Halt() }
-
-// Halted reports whether the instance has been halted.
-func (i *Instance) Halted() bool { return i.halted }
+func (i *Instance) Halt() { i.Rec.Halt() }
 
 // Abort withdraws one in-flight request from the instance's metrics so
 // it can be re-dispatched to another replica under the same ID. The
@@ -118,7 +113,7 @@ func (i *Instance) Abort(id int) bool { return i.Rec.Abort(id) }
 // truncate); a halted instance or a pool-less engine accepts nothing.
 func (i *Instance) PreloadKV(pages []kvcache.PageID) int {
 	pools := i.Eng.CachePools()
-	if i.halted || len(pages) == 0 || len(pools) == 0 {
+	if i.Rec.Halted() || len(pages) == 0 || len(pools) == 0 {
 		return 0
 	}
 	return pools[0].Insert(pages)
@@ -142,12 +137,7 @@ func (i *Instance) PeekKV(pages []kvcache.PageID) (matched, pageTokens int) {
 func (i *Instance) CacheStats() kvcache.Stats {
 	var agg kvcache.Stats
 	for _, p := range i.Eng.CachePools() {
-		s := p.Stats()
-		agg.Lookups += s.Lookups
-		agg.HitTokens += s.HitTokens
-		agg.MissTokens += s.MissTokens
-		agg.Evictions += s.Evictions
-		agg.Inserts += s.Inserts
+		agg.Add(p.Stats())
 	}
 	return agg
 }

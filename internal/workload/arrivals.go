@@ -8,6 +8,13 @@ import (
 	"muxwise/internal/sim"
 )
 
+// MaxArrival bounds every arrival a trace may carry (~3 simulated years;
+// real traces span minutes). ReadJSONL rejects later arrivals,
+// WithPoissonArrivals truncates the trace before them, and
+// Experiment.Run refuses traces outside [0, MaxArrival] — so adding a
+// run horizon to the last arrival cannot overflow sim.Time.
+const MaxArrival = 100_000_000 * sim.Second
+
 // sessionSeconds approximates how long a multi-turn session stays live in
 // a cluster trace (turns separated by user think time). It sizes the
 // window of concurrently active sessions: concurrency ≈ rate × duration.
@@ -84,15 +91,22 @@ func sessionWindow(reqPerSec float64) int {
 }
 
 // WithPoissonArrivals assigns homogeneous Poisson arrivals at reqPerSec,
-// following prior work's load-sweep methodology (§4.2.3).
+// following prior work's load-sweep methodology (§4.2.3), and truncates
+// the trace to the arrivals that fit in [0, MaxArrival] — so a rate
+// that is not positive, or is NaN, yields an empty trace.
 func (t *Trace) WithPoissonArrivals(seed uint64, reqPerSec float64) *Trace {
 	rng := rand.New(rand.NewPCG(seed, 0xA24BAED4963EE407))
-	times := make([]sim.Time, len(t.Requests))
+	limit := MaxArrival.Seconds()
+	times := make([]sim.Time, 0, len(t.Requests))
 	at := 0.0
-	for i := range times {
+	for len(times) < len(t.Requests) {
 		at += rng.ExpFloat64() / reqPerSec
-		times[i] = sim.FromSeconds(at)
+		if !(at >= 0 && at <= limit) {
+			break
+		}
+		times = append(times, sim.FromSeconds(at))
 	}
+	t.Requests = t.Requests[:len(times)]
 	return assignArrivals(t, times, sessionWindow(reqPerSec))
 }
 

@@ -26,9 +26,6 @@ const (
 	// many near-cap lines the input stacks up (~4× the largest
 	// paper-scale trace).
 	maxJSONLTotalTokens = 1 << 26
-	// maxJSONLArrivalSeconds bounds arrival timestamps (~3 simulated
-	// years; real traces span minutes).
-	maxJSONLArrivalSeconds = 1e8
 	// maxJSONLRequests bounds the request count, so a flood of minimal
 	// lines cannot build an unbounded trace under the token budget
 	// (~250× the paper-scale bursty mix).
@@ -99,8 +96,8 @@ func ReadJSONL(r io.Reader, name string) (*Trace, error) {
 		if rec.Reused < 0 || rec.Reused >= rec.Input {
 			return nil, fmt.Errorf("workload: line %d: reused tokens %d outside [0,%d)", line, rec.Reused, rec.Input)
 		}
-		if math.IsNaN(rec.Arrival) || rec.Arrival < 0 || rec.Arrival > maxJSONLArrivalSeconds {
-			return nil, fmt.Errorf("workload: line %d: arrival %v outside [0,%g] seconds", line, rec.Arrival, float64(maxJSONLArrivalSeconds))
+		if math.IsNaN(rec.Arrival) || rec.Arrival < 0 || rec.Arrival > MaxArrival.Seconds() {
+			return nil, fmt.Errorf("workload: line %d: arrival %v outside [0,%g] seconds", line, rec.Arrival, MaxArrival.Seconds())
 		}
 		// Request IDs must be unique: recorders key on them, and a fleet
 		// run merging per-replica recorders panics on a duplicate — reject
