@@ -3,6 +3,11 @@
 // on: one pool shared by the prefill and decode phases, cross-request
 // prefix reuse, LRU eviction, and pinning for in-flight requests.
 //
+// As in SGLang's radix cache, tree edges are compressed: a node holds a
+// run of pages with no branch point inside it, so lookups, pins, inserts
+// and evictions cost O(runs touched + victims) rather than O(pages),
+// while recency and eviction order stay exactly per page.
+//
 // Token content is abstracted as a sequence of PageIDs: two requests that
 // share a context prefix present the same leading page IDs (the workload
 // generator derives IDs from session identity and position), so prefix
@@ -25,32 +30,46 @@ func PageCount(tokens, pageTokens int) int {
 	return (tokens + pageTokens - 1) / pageTokens
 }
 
-// node is one cached page in the radix tree. Most nodes sit on a linear
-// chain (one child), so the single child is held inline and the children
-// map is only allocated when a node actually branches.
+// node is one run (extent) of cached pages in the radix tree: pages[0]
+// hangs under the parent's last page, and each later page under the one
+// before it. A run never contains a branch point, and all its pages share
+// one pin count. Most nodes have one child, so the single child is held
+// inline and the children map is only allocated when a node branches.
+// Children are keyed by their first page.
 //
-// A node is evictable while it is a live, unpinned leaf. lastAccess comes
-// from the pool's strictly monotonic clock, so no two node lifetimes ever
-// share a value. Evicted nodes are recycled through the pool's free list;
-// the recycled slot's fresh lastAccess makes every heap entry left over
-// from its previous life mismatch and drop.
+// Recency is per page but stored per run: page i was last touched at
+// tick base+i. Every walk touches a whole run, in page order, so the
+// ticks stay consecutive; a walk, pin or unpin that stops inside a run
+// splits the run there first (the tail keeps its ticks, pins and
+// children). A run's last page is its only page that can be an LRU leaf,
+// so the node is listed for eviction under its tail tick, base+len-1.
+//
+// Each node owns the backing array of pages up to cap(pages), which no
+// other node shares: a split hands the prefix pages[:m:m], so appending
+// within capacity never writes into another run. Evicted nodes are
+// recycled through the pool's free list with their buffers. Ticks are
+// unique per page touch, so every heap entry left over from a recycled
+// node's previous life names a tick no cached page holds, and drops.
 type node struct {
-	page       PageID
-	parent     *node
-	only       *node            // the single child while children == nil
-	children   map[PageID]*node // allocated on the second distinct child
-	nchild     int
-	pins       int
-	lastAccess int64
-	dead       bool
+	pages    []PageID
+	parent   *node
+	only     *node            // the single child while children == nil
+	children map[PageID]*node // allocated on the second distinct child
+	nchild   int
+	pins     int
+	base     int64
+	dead     bool
 }
 
-// child returns the child holding page pg, or nil.
+// tail is the tick of the run's last page.
+func (n *node) tail() int64 { return n.base + int64(len(n.pages)) - 1 }
+
+// child returns the child whose run starts with page pg, or nil.
 func (n *node) child(pg PageID) *node {
 	if n.children != nil {
 		return n.children[pg]
 	}
-	if n.only != nil && n.only.page == pg {
+	if n.only != nil && n.only.pages[0] == pg {
 		return n.only
 	}
 	return nil
@@ -60,11 +79,11 @@ func (n *node) child(pg PageID) *node {
 func (n *node) addChild(c *node) {
 	switch {
 	case n.children != nil:
-		n.children[c.page] = c
+		n.children[c.pages[0]] = c
 	case n.only == nil:
 		n.only = c
 	default:
-		n.children = map[PageID]*node{n.only.page: n.only, c.page: c}
+		n.children = map[PageID]*node{n.only.pages[0]: n.only, c.pages[0]: c}
 		n.only = nil
 	}
 	n.nchild++
@@ -74,26 +93,49 @@ func (n *node) addChild(c *node) {
 // (branch points tend to branch again).
 func (n *node) removeChild(c *node) {
 	if n.children != nil {
-		delete(n.children, c.page)
+		delete(n.children, c.pages[0])
 	} else if n.only == c {
 		n.only = nil
 	}
 	n.nchild--
 }
 
+// replaceChild files c in place of the child whose run starts with the
+// same page.
+func (n *node) replaceChild(c *node) {
+	if n.children != nil {
+		n.children[c.pages[0]] = c
+	} else {
+		n.only = c
+	}
+}
+
 // evictable reports whether the node could be evicted right now.
 func (n *node) evictable() bool { return !n.dead && n.nchild == 0 && n.pins == 0 }
 
+// common returns how many leading pages run and pages share; the caller
+// has already matched the first.
+func common(run, pages []PageID) int {
+	m := min(len(run), len(pages))
+	for i := 1; i < m; i++ {
+		if run[i] != pages[i] {
+			return i
+		}
+	}
+	return m
+}
+
 // evEntry is a lazy LRU heap entry: node n, listed while it was a leaf
-// whose lastAccess was access. It is live while n is evictable with that
-// same lastAccess, and stale otherwise — n was touched, pinned, extended
-// or evicted since. Stale entries are dropped when they reach the top.
+// whose tail tick was access. It is live while n is evictable with that
+// same tail tick, and stale otherwise — n was touched, pinned, extended,
+// trimmed or evicted since. Stale entries are dropped when they reach
+// the top.
 type evEntry struct {
 	n      *node
 	access int64
 }
 
-func (e evEntry) live() bool { return e.n.evictable() && e.n.lastAccess == e.access }
+func (e evEntry) live() bool { return e.n.evictable() && e.n.tail() == e.access }
 
 // evHeap is a hand-rolled min-heap on access — container/heap would box
 // every Push/Pop through any, allocating on the pool's hottest path.
@@ -167,20 +209,20 @@ func (s Stats) HitRate() float64 {
 }
 
 // Pool is a KV cache pool measured in tokens. It combines a radix prefix
-// tree of cached pages with a reservation counter for the KV of running
-// requests that has not yet been published into the tree.
+// tree of cached page runs with a reservation counter for the KV of
+// running requests that has not yet been published into the tree.
 //
-// Eviction is exact LRU over leaves: the evictable node with the smallest
-// lastAccess goes first. The lru heap holds only nodes that were leaves
-// when listed, and between operations every evictable node has a live
-// entry there, so the heap's smallest live entry is always the next
-// victim. Two paths keep the heap small without bending that order:
-// Insert lists only the tail of the chain it adds (every interior page
-// gains a child before an eviction can see it as a leaf), and when
-// evicting a victim leaves its parent a leaf older than the heap's live
-// minimum, freeTokens evicts that parent directly rather than pushing it
-// and popping it straight back — so an LRU chain dies tail first with no
-// heap traffic.
+// Eviction is exact LRU over leaf pages: the evictable page with the
+// oldest access goes first. Only a run's last page can be a leaf, so the
+// lru heap lists runs under their tail tick, and between operations
+// every evictable run has a live entry there; the heap's smallest live
+// entry is always the next victim. Its whole run is older than every
+// other listed leaf, so per-page LRU would take its pages tail first and
+// in a row: freeTokens drops as many as the shortfall needs in one step,
+// and re-lists a partly trimmed run under its new tail. When emptying a
+// run leaves its parent a leaf older than the heap's live minimum, the
+// parent is the next victim directly, with no push and pop — so an LRU
+// chain dies tail first with no heap traffic.
 type Pool struct {
 	capacity   int64
 	pageTokens int
@@ -191,14 +233,19 @@ type Pool struct {
 	lru       evHeap
 	clock     int64
 	stats     Stats
-	free      []*node // recycled evicted nodes
-	slab      []node  // fresh nodes, carved out nodeSlab at a time
+	free      []*node  // recycled evicted nodes, buffers kept
+	slab      []node   // fresh nodes, carved out nodeSlab at a time
+	arena     []PageID // fresh page storage, carved out pageArena at a time
 }
 
-// nodeSlab is how many nodes one allocation provides: a pool fills by
-// thousands of pages per long request, and one allocation per page was
-// the pool's largest remaining cost.
-const nodeSlab = 256
+// nodeSlab is how many nodes one allocation provides, and pageArena how
+// many pages: a pool publishes a run per finished request, and allocating
+// each node and buffer alone raised the allocations per request of
+// short-context replays.
+const (
+	nodeSlab  = 64
+	pageArena = 4096
+)
 
 // New creates a pool holding capacityTokens of KV, paged by pageTokens.
 func New(capacityTokens int64, pageTokens int) *Pool {
@@ -212,27 +259,37 @@ func New(capacityTokens int64, pageTokens int) *Pool {
 	}
 }
 
-// allocNode takes a node off the free list (or the current slab) keyed
-// for page pg under parent.
-func (p *Pool) allocNode(pg PageID, parent *node) *node {
-	var n *node
+// allocNode takes a node off the free list (or the current slab), with
+// an empty run and no links.
+func (p *Pool) allocNode() *node {
 	if l := len(p.free); l > 0 {
-		n = p.free[l-1]
+		n := p.free[l-1]
 		p.free[l-1] = nil
 		p.free = p.free[:l-1]
-		m := n.children
-		*n = node{children: m} // keep the (empty) branch map for reuse
-	} else {
-		if len(p.slab) == 0 {
-			p.slab = make([]node, nodeSlab)
-		}
-		n = &p.slab[0]
-		p.slab = p.slab[1:]
+		*n = node{pages: n.pages[:0], children: n.children} // keep the buffer and (empty) branch map
+		return n
 	}
-	n.page = pg
-	n.parent = parent
-	n.lastAccess = p.tick()
+	if len(p.slab) == 0 {
+		p.slab = make([]node, nodeSlab)
+	}
+	n := &p.slab[0]
+	p.slab = p.slab[1:]
 	return n
+}
+
+// carve returns an empty page buffer of capacity k that no other run
+// shares. Runs longer than a quarter arena get their own allocation, so
+// one long run never strands most of an arena.
+func (p *Pool) carve(k int) []PageID {
+	if k > pageArena/4 {
+		return make([]PageID, 0, k)
+	}
+	if len(p.arena) < k {
+		p.arena = make([]PageID, pageArena)
+	}
+	buf := p.arena[:0:k]
+	p.arena = p.arena[k:]
+	return buf
 }
 
 // Capacity returns pool capacity in tokens.
@@ -253,17 +310,12 @@ func (p *Pool) Free() int64 { return p.capacity - p.Used() - p.reserved }
 // Stats returns a snapshot of cache statistics.
 func (p *Pool) Stats() Stats { return p.stats }
 
-func (p *Pool) tick() int64 {
-	p.clock++
-	return p.clock
-}
-
-// touch refreshes a node's recency and re-lists it if evictable.
+// touch refreshes the recency of every page of a run, in order, and
+// re-lists the run if evictable.
 func (p *Pool) touch(n *node) {
-	n.lastAccess = p.tick()
-	if n.evictable() {
-		p.lru.push(evEntry{n, n.lastAccess})
-	}
+	n.base = p.clock + 1
+	p.clock += int64(len(n.pages))
+	p.listIfEvictable(n)
 }
 
 // listIfEvictable registers the node in the eviction heap when eligible,
@@ -271,8 +323,25 @@ func (p *Pool) touch(n *node) {
 // eviction must not jump to most-recently-used).
 func (p *Pool) listIfEvictable(n *node) {
 	if n != p.root && n.evictable() {
-		p.lru.push(evEntry{n, n.lastAccess})
+		p.lru.push(evEntry{n, n.tail()})
 	}
+}
+
+// split cuts c after its first m pages and returns the new prefix node,
+// which takes c's place under its parent with c's first ticks and pins.
+// c keeps the tail: its later ticks, pins, children and heap entries.
+func (p *Pool) split(c *node, m int) *node {
+	pre := p.allocNode()
+	pre.pages = c.pages[:m:m]
+	pre.base = c.base
+	pre.pins = c.pins
+	pre.parent = c.parent
+	c.parent.replaceChild(pre)
+	c.pages = c.pages[m:]
+	c.base += int64(m)
+	c.parent = pre
+	pre.addChild(c)
+	return pre
 }
 
 // Peek returns how many leading pages of the sequence are cached,
@@ -280,33 +349,48 @@ func (p *Pool) listIfEvictable(n *node) {
 // probe for callers (KV migration) that ask "what does this pool still
 // hold?" rather than performing an admission lookup.
 func (p *Pool) Peek(pages []PageID) int {
-	n := p.root
-	matched := 0
-	for _, pg := range pages {
-		child := n.child(pg)
-		if child == nil {
+	n, matched := p.root, 0
+	for matched < len(pages) {
+		c := n.child(pages[matched])
+		if c == nil {
 			break
 		}
-		n = child
-		matched++
+		m := common(c.pages, pages[matched:])
+		matched += m
+		if m < len(c.pages) {
+			break
+		}
+		n = c
 	}
 	return matched
+}
+
+// walk follows the sequence down the tree, touching every page it
+// matches, and returns the deepest node reached with the number of pages
+// matched. A match that ends inside a run splits it there first, so the
+// returned node always ends at the last matched page.
+func (p *Pool) walk(pages []PageID) (*node, int) {
+	n, matched := p.root, 0
+	for matched < len(pages) {
+		c := n.child(pages[matched])
+		if c == nil {
+			break
+		}
+		m := common(c.pages, pages[matched:])
+		if m < len(c.pages) {
+			c = p.split(c, m)
+		}
+		p.touch(c)
+		matched += m
+		n = c
+	}
+	return n, matched
 }
 
 // Match walks the tree and returns how many leading pages of the sequence
 // are cached, refreshing their recency.
 func (p *Pool) Match(pages []PageID) int {
-	n := p.root
-	matched := 0
-	for _, pg := range pages {
-		child := n.child(pg)
-		if child == nil {
-			break
-		}
-		p.touch(child)
-		n = child
-		matched++
-	}
+	_, matched := p.walk(pages)
 	return matched
 }
 
@@ -335,19 +419,20 @@ func (p *Pool) popLive() *node {
 	return nil
 }
 
-// olderThanListed reports whether n is at least as old as the heap's
-// live minimum, dropping stale tops first. Ticks are unique per node, so
-// a tie means the top is n's own entry.
+// olderThanListed reports whether n's tail is at least as old as the
+// heap's live minimum, dropping stale tops first. Ticks are unique per
+// page, so a tie means the top is n's own entry.
 func (p *Pool) olderThanListed(n *node) bool {
 	for len(p.lru) > 0 && !p.lru[0].live() {
 		p.lru.pop()
 	}
-	return len(p.lru) == 0 || n.lastAccess <= p.lru[0].access
+	return len(p.lru) == 0 || n.tail() <= p.lru[0].access
 }
 
 // freeTokens evicts until at least want tokens are free (or nothing more
 // can be evicted). It reports whether the target was reached.
 func (p *Pool) freeTokens(want int64) bool {
+	pt := int64(p.pageTokens)
 	var next *node // the next victim, known without consulting the heap
 	for p.Free() < want {
 		v := next
@@ -357,11 +442,19 @@ func (p *Pool) freeTokens(want int64) bool {
 			}
 		}
 		next = nil
+		if k := (want - p.Free() + pt - 1) / pt; k < int64(len(v.pages)) {
+			v.pages = v.pages[:int64(len(v.pages))-k]
+			p.usedPages -= k
+			p.stats.Evictions += k
+			p.lru.push(evEntry{v, v.tail()})
+			return true
+		}
 		par := v.parent
-		v.dead = true
 		par.removeChild(v)
-		p.usedPages--
-		p.stats.Evictions++
+		p.usedPages -= int64(len(v.pages))
+		p.stats.Evictions += int64(len(v.pages))
+		v.pages = v.pages[:0]
+		v.dead = true
 		p.free = append(p.free, v)
 		// A parent left a leaf keeps its own recency; if it is older than
 		// every listed leaf it is the next LRU victim anyway.
@@ -399,39 +492,47 @@ func (p *Pool) Release(tokens int64) {
 // Insert publishes a page sequence into the tree (typically a finished
 // request's full context). Pages already present are deduplicated. If
 // space runs out mid-insert, the remaining suffix is dropped — matching
-// radix caches that keep whatever prefix fits. Returns pages added.
+// radix caches that keep whatever prefix fits. Returns pages added. The
+// pool copies the pages it keeps; the caller may reuse the slice.
 func (p *Pool) Insert(pages []PageID) int {
-	n := p.root
-	added := 0
-	for _, pg := range pages {
-		if child := n.child(pg); child != nil {
-			p.touch(child)
-			n = child
-			continue
-		}
-		// Pinned, n cannot be evicted to make room for its own child.
-		n.pins++
-		ok := p.freeTokens(int64(p.pageTokens))
-		n.pins--
-		if !ok {
+	n, matched := p.walk(pages)
+	add := pages[matched:]
+	if len(add) == 0 {
+		return 0
+	}
+	// Pinned, n cannot be evicted to make room for its own extension.
+	n.pins++
+	ok := p.freeTokens(int64(len(add)) * int64(p.pageTokens))
+	n.pins--
+	if !ok {
+		add = add[:max(p.Free(), 0)/int64(p.pageTokens)]
+		if len(add) == 0 {
 			// While pinned, n's entry (if any) was stale and may have
 			// been dropped.
 			p.listIfEvictable(n)
-			return added
+			return 0
 		}
-		child := p.allocNode(pg, n)
-		n.addChild(child)
-		p.usedPages++
-		p.stats.Inserts++
-		n = child
-		added++
 	}
-	// Interior pages gained a child before any eviction could see them as
-	// leaves; only the new tail needs listing.
-	if added > 0 {
-		p.listIfEvictable(n)
+	if n != p.root && n.nchild == 0 && n.pins == 0 && cap(n.pages)-len(n.pages) >= len(add) {
+		// The walk touched n last, so its ticks run on into the new
+		// pages; unpinned, it shares its pin count with them too.
+		n.pages = append(n.pages, add...)
+	} else {
+		c := p.allocNode()
+		if cap(c.pages) < len(add) {
+			c.pages = p.carve(len(add))
+		}
+		c.pages = append(c.pages, add...)
+		c.base = p.clock + 1
+		c.parent = n
+		n.addChild(c)
+		n = c
 	}
-	return added
+	p.clock += int64(len(add))
+	p.usedPages += int64(len(add))
+	p.stats.Inserts += int64(len(add))
+	p.listIfEvictable(n)
+	return len(add)
 }
 
 // Pin protects the first count pages of the sequence (walking from the
@@ -447,18 +548,27 @@ func (p *Pool) Unpin(pages []PageID, count int) {
 }
 
 func (p *Pool) adjustPins(pages []PageID, count, delta int) {
-	n := p.root
-	for i := 0; i < count && i < len(pages); i++ {
-		child := n.child(pages[i])
-		if child == nil {
+	pages = pages[:max(min(count, len(pages)), 0)]
+	n, done := p.root, 0
+	for done < len(pages) {
+		c := n.child(pages[done])
+		if c == nil {
 			return
 		}
-		child.pins += delta
-		if child.pins < 0 {
-			child.pins = 0
+		m := common(c.pages, pages[done:])
+		inside := m < len(c.pages)
+		if delta > 0 || c.pins > 0 { // an unpin of an unpinned run changes nothing
+			if inside {
+				c = p.split(c, m)
+			}
+			c.pins = max(c.pins+delta, 0)
+			p.listIfEvictable(c)
 		}
-		p.listIfEvictable(child)
-		n = child
+		if inside {
+			return
+		}
+		done += m
+		n = c
 	}
 }
 

@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
@@ -140,12 +141,13 @@ func (r *refPool) adjustPins(pages []PageID, count, delta int) {
 const maxPoolOps = 200
 
 // opPages decodes a page sequence from an op byte and its argument: one of
-// four sessions, 1–8 pages long, forking at a position into one of four
-// variants, so programs share prefixes, branch and extend one another.
+// four sessions, 1–16 pages long, forking at an even position into one of
+// four variants, so programs share prefixes, branch and extend one
+// another, and matches, pins and inserts can end inside a run.
 func opPages(op, arg byte) []PageID {
 	session := uint64(arg & 3)
-	n := int(arg>>2&7) + 1
-	fork := int(op >> 3 & 7)
+	n := int(arg>>2&15) + 1
+	fork := int(op>>3&7) * 2
 	variant := uint64(op >> 6)
 	pages := make([]PageID, n)
 	for i := range pages {
@@ -158,10 +160,33 @@ func opPages(op, arg byte) []PageID {
 	return pages
 }
 
+// checkTicks reports the first cached page whose recency in Pool (tick
+// base+i of its run) differs from the reference's per-page lastAccess.
+func checkTicks(n *node, r *refNode) error {
+	for i, pg := range n.pages {
+		if r = r.children[pg]; r == nil {
+			return fmt.Errorf("page %d is cached but not in the reference", pg)
+		}
+		if tick := n.base + int64(i); tick != r.lastAccess {
+			return fmt.Errorf("page %d last touched at tick %d, reference %d", pg, tick, r.lastAccess)
+		}
+	}
+	for _, c := range n.children {
+		if err := checkTicks(c, r); err != nil {
+			return err
+		}
+	}
+	if n.only != nil {
+		return checkTicks(n.only, r)
+	}
+	return nil
+}
+
 // runPoolOps decodes data as a pool capacity followed by (op, arg) byte
 // pairs, applies each operation to a Pool and to refPool, and fails on
 // the first divergence in return values, accounting, Stats, the Peek of
-// any sequence inserted so far, or the tree invariants.
+// any sequence inserted so far, any cached page's recency, or the tree
+// invariants.
 func runPoolOps(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -240,6 +265,9 @@ func runPoolOps(t *testing.T, data []byte) {
 			}
 		}
 		if err := checkTree(p); err != nil {
+			t.Fatalf("step %d (op %d): %v", step, op&7, err)
+		}
+		if err := checkTicks(p.root, r.root); err != nil {
 			t.Fatalf("step %d (op %d): %v", step, op&7, err)
 		}
 	}

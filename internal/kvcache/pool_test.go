@@ -163,6 +163,46 @@ func TestInsertNeverEvictsItsOwnTail(t *testing.T) {
 	}
 }
 
+// The pool keeps its own copy of what Insert publishes: callers (and
+// BenchmarkEvictChurn) reuse their page buffers afterwards.
+func TestInsertCopiesPages(t *testing.T) {
+	p := New(1000, 16)
+	pages := seq(1, 2, 3, 4)
+	p.Insert(pages)
+	for i := range pages {
+		pages[i] = PageID(100 + i)
+	}
+	if got := p.Peek(seq(1, 2, 3, 4)); got != 4 {
+		t.Fatalf("Peek of the inserted sequence = %d after the caller reused its slice, want 4", got)
+	}
+	if got := p.Peek(pages); got != 0 {
+		t.Fatalf("Peek of the overwritten slice = %d, want 0", got)
+	}
+}
+
+// Reserving k pages' worth on a full pool holding one long chain evicts
+// exactly k pages, from the chain's tail.
+func TestReserveTrimsRunTail(t *testing.T) {
+	const chain = 1900
+	pages := make([]PageID, chain)
+	for i := range pages {
+		pages[i] = PageID(i + 1)
+	}
+	for _, k := range []int{1, 37, 1899, chain} {
+		p := New(chain*16, 16)
+		p.Insert(pages)
+		if !p.Reserve(int64(k) * 16) {
+			t.Fatalf("k=%d: Reserve failed on an unpinned pool", k)
+		}
+		if got := p.Stats().Evictions; got != int64(k) {
+			t.Fatalf("k=%d: Evictions = %d, want %d", k, got, k)
+		}
+		if got := p.Match(pages); got != chain-k {
+			t.Fatalf("k=%d: Match = %d, want %d", k, got, chain-k)
+		}
+	}
+}
+
 func TestPinMissingPagesIgnored(t *testing.T) {
 	p := New(1000, 16)
 	p.Insert(seq(1))
@@ -236,9 +276,10 @@ func TestZeroAndNegativeReserve(t *testing.T) {
 }
 
 // checkTree walks the radix tree and reports the first broken structural
-// invariant: usedPages must count exactly the reachable non-root nodes,
-// no reachable node may be dead, parent and child links must agree with
-// nchild, and pins must never go negative.
+// invariant: usedPages must count exactly the pages of the reachable
+// non-root runs, every such run must be non-empty and filed under its
+// first page, no reachable node may be dead, parent and child links must
+// agree with nchild, and pins must never go negative.
 func checkTree(p *Pool) error {
 	seen := map[*node]bool{}
 	reachable, err := checkSubtree(p.root, seen)
@@ -246,50 +287,56 @@ func checkTree(p *Pool) error {
 		return err
 	}
 	if reachable != p.usedPages {
-		return fmt.Errorf("usedPages = %d, but %d nodes are reachable", p.usedPages, reachable)
+		return fmt.Errorf("usedPages = %d, but %d pages are reachable", p.usedPages, reachable)
 	}
 	return nil
 }
 
 func checkSubtree(n *node, seen map[*node]bool) (int64, error) {
 	if seen[n] {
-		return 0, fmt.Errorf("page %d reached twice", n.page)
+		return 0, fmt.Errorf("run %v reached twice", n.pages)
 	}
 	seen[n] = true
 	if n.dead {
-		return 0, fmt.Errorf("page %d is reachable but dead", n.page)
+		return 0, fmt.Errorf("run %v is reachable but dead", n.pages)
 	}
 	if n.pins < 0 {
-		return 0, fmt.Errorf("page %d has %d pins", n.page, n.pins)
+		return 0, fmt.Errorf("run %v has %d pins", n.pages, n.pins)
 	}
 	var kids []*node
 	if n.children != nil {
 		if n.only != nil {
-			return 0, fmt.Errorf("page %d holds both a branch map and an inline child", n.page)
+			return 0, fmt.Errorf("run %v holds both a branch map and an inline child", n.pages)
 		}
 		for pg, c := range n.children {
-			if c.page != pg {
-				return 0, fmt.Errorf("page %d filed under key %d", c.page, pg)
+			if len(c.pages) == 0 {
+				return 0, fmt.Errorf("empty run filed under key %d", pg)
+			}
+			if c.pages[0] != pg {
+				return 0, fmt.Errorf("run %v filed under key %d", c.pages, pg)
 			}
 			kids = append(kids, c)
 		}
-		slices.SortFunc(kids, func(a, b *node) int { return cmp.Compare(a.page, b.page) })
+		slices.SortFunc(kids, func(a, b *node) int { return cmp.Compare(a.pages[0], b.pages[0]) })
 	} else if n.only != nil {
+		if len(n.only.pages) == 0 {
+			return 0, fmt.Errorf("run %v has an empty inline child", n.pages)
+		}
 		kids = append(kids, n.only)
 	}
 	if n.nchild != len(kids) {
-		return 0, fmt.Errorf("page %d: nchild = %d, but %d children linked", n.page, n.nchild, len(kids))
+		return 0, fmt.Errorf("run %v: nchild = %d, but %d children linked", n.pages, n.nchild, len(kids))
 	}
 	var count int64
 	for _, c := range kids {
 		if c.parent != n {
-			return 0, fmt.Errorf("page %d: parent link does not point at page %d", c.page, n.page)
+			return 0, fmt.Errorf("run %v: parent link does not point at run %v", c.pages, n.pages)
 		}
 		sub, err := checkSubtree(c, seen)
 		if err != nil {
 			return 0, err
 		}
-		count += 1 + sub
+		count += int64(len(c.pages)) + sub
 	}
 	return count, nil
 }
@@ -464,4 +511,59 @@ func BenchmarkEvictChurn(b *testing.B) {
 		p.Insert(pages)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/chain, "ns/page")
+}
+
+// BenchmarkMultiTurn has the pool traffic of multi-turn conversations on
+// a full pool: each turn looks up the session's previous context, pins
+// the hit, reserves KV for the rest, unpins and releases when it
+// finishes, and publishes the context extended by the new turn. Sessions
+// restart as fresh conversations past maxContext pages. Time is reported
+// per page of published context.
+func BenchmarkMultiTurn(b *testing.B) {
+	const (
+		sessions   = 32
+		maxContext = 1024
+		capacity   = 8192 // pages, about half of what the sessions hold
+	)
+	p := New(capacity*16, 16)
+	rng := rand.New(rand.NewPCG(3, 3))
+	type session struct {
+		pages []PageID // buffer of maxContext page IDs
+		n     int      // pages published so far
+	}
+	ss := make([]session, sessions)
+	conv := uint64(0)
+	restart := func(s *session) {
+		conv++
+		for j := range s.pages {
+			s.pages[j] = PageID(conv<<32 | uint64(j))
+		}
+		s.n = 0
+	}
+	for i := range ss {
+		ss[i].pages = make([]PageID, maxContext)
+		restart(&ss[i])
+	}
+	var published int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := &ss[rng.IntN(sessions)]
+		turn := rng.IntN(57) + 8
+		if s.n+turn > maxContext {
+			restart(s)
+		}
+		prev, next := s.pages[:s.n], s.pages[:s.n+turn]
+		hitPages := p.MatchTokens(prev, len(prev)*16) / 16
+		p.Pin(prev, hitPages)
+		need := int64(len(next)-hitPages) * 16
+		if !p.Reserve(need) {
+			b.Fatal("Reserve failed with only one turn pinned")
+		}
+		p.Unpin(prev, hitPages)
+		p.Release(need)
+		p.Insert(next)
+		s.n = len(next)
+		published += int64(len(next))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(published, 1)), "ns/page")
 }
