@@ -124,14 +124,14 @@ func (e *Engine) step() {
 	}
 	e.seqScratch, e.inFlight = chunkSeqs, progressed
 
-	ctxs := e.decode.Contexts()
+	totalCtx, bs := e.decode.TotalCtx(), e.decode.Size()
 	var cost model.Cost
 	if len(chunkSeqs) == 1 {
-		cost = e.env.Arch.FusedChunkIter(chunkSeqs[0], ctxs, e.env.GPUs)
+		cost = e.env.Arch.FusedChunkIter(chunkSeqs[0], totalCtx, bs, e.env.GPUs)
 	} else {
 		// Multiple chunk slices: accumulate each without re-paying
 		// weights (the iteration streams them once).
-		cost = e.env.Arch.FusedChunkIter(model.Seq{}, ctxs, e.env.GPUs)
+		cost = e.env.Arch.FusedChunkIter(model.Seq{}, totalCtx, bs, e.env.GPUs)
 		for _, sq := range chunkSeqs {
 			layer := e.env.Arch.PrefillLayer([]model.Seq{sq}, e.env.GPUs, false)
 			part := layer.Scale(float64(e.env.Arch.Layers))
@@ -210,12 +210,8 @@ func (e *Engine) onIterDone(chunks []progress) {
 // budget tuning (the offline step SARATHI-Serve performs before
 // deployment): closed-form kernel time on the full device.
 func fusedLatency(env *serve.Env, budget, bs, ctx int) float64 {
-	ctxs := make([]int, bs)
-	for i := range ctxs {
-		ctxs[i] = ctx
-	}
 	chunk := model.Seq{New: max(0, budget-bs), Reused: 1024}
-	cost := env.Arch.FusedChunkIter(chunk, ctxs, env.GPUs)
+	cost := env.Arch.FusedChunkIter(chunk, bs*ctx, bs, env.GPUs)
 
 	spec := env.Spec
 	tp := float64(env.GPUs)

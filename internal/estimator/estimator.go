@@ -134,11 +134,7 @@ func measureDecode(spec gpu.Spec, tp int, arch model.Arch, sms, bs, ctxPerReq in
 	s := sim.New()
 	d := gpu.NewDevice(s, spec, tp, "profile")
 	p := d.Partition(sms, "decode")
-	ctxs := make([]int, bs)
-	for i := range ctxs {
-		ctxs[i] = ctxPerReq
-	}
-	c := arch.DecodeIter(ctxs, tp)
+	c := arch.DecodeIterTotals(bs*ctxPerReq, bs, tp)
 	var done sim.Time
 	p.Launch(gpu.Kernel{
 		Kind: gpu.Decode, FLOPs: c.FLOPs, Bytes: c.Bytes, CommBytes: c.CommBytes,
@@ -253,11 +249,7 @@ func (e *Estimator) profileSolo() {
 				lat := measureDecode(e.Spec, e.TP, e.Arch, sms, bs, ctx)
 				dx = append(dx, decodeFeatures(bs*ctx, bs))
 				dy = append(dy, lat)
-				dctxs := make([]int, bs)
-				for i := range dctxs {
-					dctxs[i] = ctx
-				}
-				dm = append(dm, e.memoryBound(e.Arch.DecodeIter(dctxs, e.TP), gpu.Decode, sms))
+				dm = append(dm, e.memoryBound(e.Arch.DecodeIterTotals(bs*ctx, bs, e.TP), gpu.Decode, sms))
 			}
 		}
 		decode[ci] = fitRegimes(dx, dy, dm)

@@ -141,11 +141,7 @@ func measureDecodeCoRun(spec gpu.Spec, tp int, arch model.Arch, decSM, preSM, bs
 	// Decode launches first — MuxWise's launch-order policy (§3.2.2) —
 	// then prefill layers stream on the complementary partition so the
 	// decode kernel executes under steady-state contention.
-	ctxs := make([]int, bs)
-	for i := range ctxs {
-		ctxs[i] = ctxPerReq
-	}
-	c := arch.DecodeIter(ctxs, tp)
+	c := arch.DecodeIterTotals(bs*ctxPerReq, bs, tp)
 	var done sim.Time
 	dec.Launch(gpu.Kernel{
 		Kind: gpu.Decode, FLOPs: c.FLOPs, Bytes: c.Bytes, CommBytes: c.CommBytes,

@@ -141,7 +141,8 @@ func Sec45(o Opts) []Table {
 	greenCtx := 4.0 * float64(1<<20) // 4 MB per green-context group
 	// The serving system records decode graphs for ~20 batch sizes; each
 	// decode-phase compute partition (6 configs on A100) re-records them.
-	configs := float64(len(gpu.A100().PartitionSizes()))
+	a100 := gpu.A100()
+	configs := float64(len(a100.PartitionSizes()))
 	batchSizes := 20.0
 	perGraph := 330.0 * float64(1<<20) // graph memory per recorded batch size
 	graphs := configs * batchSizes * perGraph

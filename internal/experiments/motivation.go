@@ -108,15 +108,11 @@ func fusedIterLatency(arch model.Arch, spec gpu.Spec, budget, bs, decCtx, chunkP
 	s := newSim()
 	d := gpu.NewDevice(s, spec, 8, "fig6")
 	p := d.Partition(spec.SMs, "fused")
-	ctxs := make([]int, bs)
-	for i := range ctxs {
-		ctxs[i] = decCtx
-	}
 	chunk := model.Seq{New: budget - bs, Prior: chunkPrior, Reused: chunkReused}
 	if chunk.New < 0 {
 		chunk.New = 0
 	}
-	cost := arch.FusedChunkIter(chunk, ctxs, 8)
+	cost := arch.FusedChunkIter(chunk, bs*decCtx, bs, 8)
 	var done float64
 	p.Launch(gpu.Kernel{
 		Kind: gpu.Prefill, FLOPs: cost.FLOPs, Bytes: cost.Bytes,

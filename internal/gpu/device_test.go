@@ -15,7 +15,8 @@ func newTestDevice(t *testing.T, tp int) (*sim.Sim, *Device) {
 }
 
 func TestPartitionSizes(t *testing.T) {
-	a := A100().PartitionSizes()
+	a100, h100, h200 := A100(), H100(), H200()
+	a := a100.PartitionSizes()
 	wantA := []int{12, 28, 44, 60, 76, 92}
 	if len(a) != len(wantA) {
 		t.Fatalf("A100 partition sizes = %v, want %v", a, wantA)
@@ -25,7 +26,7 @@ func TestPartitionSizes(t *testing.T) {
 			t.Fatalf("A100 partition sizes = %v, want %v", a, wantA)
 		}
 	}
-	h := H100().PartitionSizes()
+	h := h100.PartitionSizes()
 	wantH := []int{20, 36, 52, 68, 84, 100, 116}
 	if len(h) != len(wantH) {
 		t.Fatalf("H100 partition sizes = %v (%d configs), want %v (7 configs)", h, len(h), wantH)
@@ -35,7 +36,7 @@ func TestPartitionSizes(t *testing.T) {
 			t.Fatalf("H100 partition sizes = %v, want %v", h, wantH)
 		}
 	}
-	if got := H200().PartitionSizes(); len(got) != 7 {
+	if got := h200.PartitionSizes(); len(got) != 7 {
 		t.Fatalf("H200 should have 7 configs, got %v", got)
 	}
 }
@@ -364,7 +365,8 @@ func TestPropertyWaterfill(t *testing.T) {
 // stays bounded (the Fig. 11 premise: bounded worst case).
 func TestPropertyContentionBounded(t *testing.T) {
 	f := func(decSMraw, bytesRaw uint8) bool {
-		sizes := A100().PartitionSizes()
+		spec := A100()
+		sizes := spec.PartitionSizes()
 		decSM := sizes[int(decSMraw)%len(sizes)]
 		bytes := (float64(bytesRaw) + 1) * 1e8
 

@@ -38,7 +38,7 @@ type Link struct {
 const defaultPCIeBandwidth = 16e9
 
 // pcie returns the spec's PCIe bandwidth, defaulted.
-func (s Spec) pcie() float64 {
+func (s *Spec) pcie() float64 {
 	if s.PCIeBandwidth > 0 {
 		return s.PCIeBandwidth
 	}

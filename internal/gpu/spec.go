@@ -186,7 +186,7 @@ func Catalog() []Spec {
 // least one token. Every prefill rate — the simulated device, the
 // roofline cost model, the fitted estimator's regime labels — goes
 // through this one curve.
-func (s Spec) PrefillMFU(mfu float64, tokens int, frac float64, tp int) float64 {
+func (s *Spec) PrefillMFU(mfu float64, tokens int, frac float64, tp int) float64 {
 	sms := frac * float64(s.SMs) * float64(tp)
 	tok := max(1, float64(tokens))
 	return mfu * tok / (tok + s.SatTokensPerSM*sms)
@@ -195,7 +195,7 @@ func (s Spec) PrefillMFU(mfu float64, tokens int, frac float64, tp int) float64 
 // BandwidthCap is the share of HBM bandwidth bw a kernel on SM fraction
 // frac can absorb: a kernel saturates bandwidth once it holds
 // BWSaturationFrac of the SMs.
-func (s Spec) BandwidthCap(frac, bw float64) float64 {
+func (s *Spec) BandwidthCap(frac, bw float64) float64 {
 	return min(bw, frac/s.BWSaturationFrac*bw)
 }
 
@@ -205,7 +205,7 @@ func (s Spec) BandwidthCap(frac, bw float64) float64 {
 // For A100 (108 SMs, step 16) this is [12 28 44 60 76 92]; for H100/H200
 // (132 SMs) it is [20 36 52 68 84 100 116], matching the paper's 6 and 7
 // configurations.
-func (s Spec) PartitionSizes() []int {
+func (s *Spec) PartitionSizes() []int {
 	step := s.PartitionGranularity
 	if step <= 0 {
 		step = 16

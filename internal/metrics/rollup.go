@@ -174,7 +174,7 @@ type Window struct {
 // Attainment returns the window's TBT SLO attainment (1 when the window
 // holds no samples, matching TBTAttainment's convention). It is only
 // meaningful on windows produced by RollupSLO.
-func (w Window) Attainment() float64 {
+func (w *Window) Attainment() float64 {
 	if w.tbtN == 0 {
 		return 1
 	}

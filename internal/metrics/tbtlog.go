@@ -3,6 +3,7 @@ package metrics
 import (
 	"cmp"
 	"iter"
+	"math/bits"
 	"slices"
 
 	"muxwise/internal/sim"
@@ -157,9 +158,78 @@ func (r *Recorder) liveRuns(keep func(slot int32)) iter.Seq[tbtRun] {
 	}
 }
 
-// sortRuns orders runs by ascending gap.
+// sortRuns orders runs by ascending gap, in place and without
+// allocating: an MSD radix sort on the gaps' bytes. A negative gap, which
+// a recorder never logs, falls back to a comparison sort.
 func sortRuns(runs []gapRun) {
-	slices.SortFunc(runs, func(a, b gapRun) int { return cmp.Compare(a.gap, b.gap) })
+	if slices.ContainsFunc(runs, func(run gapRun) bool { return run.gap < 0 }) {
+		slices.SortFunc(runs, func(a, b gapRun) int { return cmp.Compare(a.gap, b.gap) })
+		return
+	}
+	radixSortRuns(runs)
+}
+
+// insertionCutoff is the bucket size at and below which radixSortRuns
+// insertion-sorts rather than distributing over 256 buckets.
+const insertionCutoff = 32
+
+// radixSortRuns sorts runs with non-negative gaps by ascending gap. The
+// bytes above the highest bit in which two gaps differ are shared by all
+// of them and skipped: the runs are distributed in place over the 256
+// values of the highest byte that differs (American flag sort), and each
+// bucket is sorted the same way.
+func radixSortRuns(runs []gapRun) {
+	if len(runs) <= insertionCutoff {
+		insertionSortRuns(runs)
+		return
+	}
+	var diff uint64
+	for _, run := range runs {
+		diff |= uint64(run.gap ^ runs[0].gap)
+	}
+	if diff == 0 {
+		return // all gaps equal
+	}
+	shift := uint(bits.Len64(diff)-1) &^ 7
+	digit := func(r gapRun) int { return int(uint64(r.gap) >> shift & 0xff) }
+	// next[b] is bucket b's first unplaced slot, end[b] its end.
+	var next, end [256]int
+	for _, run := range runs {
+		end[digit(run)]++
+	}
+	at := 0
+	for b := range end {
+		next[b] = at
+		at += end[b]
+		end[b] = at
+	}
+	// Cycle each unplaced run to its bucket, taking the run it displaces.
+	for b := range next {
+		for next[b] < end[b] {
+			run := runs[next[b]]
+			for d := digit(run); d != b; d = digit(run) {
+				run, runs[next[d]] = runs[next[d]], run
+				next[d]++
+			}
+			runs[next[b]] = run
+			next[b]++
+		}
+	}
+	start := 0
+	for _, stop := range end {
+		radixSortRuns(runs[start:stop])
+		start = stop
+	}
+}
+
+func insertionSortRuns(runs []gapRun) {
+	for i := 1; i < len(runs); i++ {
+		run, j := runs[i], i
+		for ; j > 0 && runs[j-1].gap > run.gap; j-- {
+			runs[j] = runs[j-1]
+		}
+		runs[j] = run
+	}
 }
 
 // runQuantiles is timeQuantiles over the samples of runs sorted by

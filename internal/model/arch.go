@@ -35,10 +35,10 @@ type Arch struct {
 }
 
 // MoE reports whether the architecture is a mixture-of-experts model.
-func (a Arch) MoE() bool { return a.Experts > 0 }
+func (a *Arch) MoE() bool { return a.Experts > 0 }
 
 // qkvoParams returns attention projection parameters per layer.
-func (a Arch) qkvoParams() float64 {
+func (a *Arch) qkvoParams() float64 {
 	h := float64(a.Hidden)
 	q := h * float64(a.Heads*a.HeadDim)
 	kv := 2 * h * float64(a.KVHeads*a.HeadDim)
@@ -48,7 +48,7 @@ func (a Arch) qkvoParams() float64 {
 
 // ffnParamsActive returns FFN parameters touched per token per layer
 // (all of a dense FFN; only active experts for MoE).
-func (a Arch) ffnParamsActive() float64 {
+func (a *Arch) ffnParamsActive() float64 {
 	h := float64(a.Hidden)
 	if a.MoE() {
 		router := h * float64(a.Experts)
@@ -58,7 +58,7 @@ func (a Arch) ffnParamsActive() float64 {
 }
 
 // ffnParamsTotal returns all FFN parameters stored per layer.
-func (a Arch) ffnParamsTotal() float64 {
+func (a *Arch) ffnParamsTotal() float64 {
 	h := float64(a.Hidden)
 	if a.MoE() {
 		router := h * float64(a.Experts)
@@ -68,24 +68,24 @@ func (a Arch) ffnParamsTotal() float64 {
 }
 
 // Params returns the total parameter count.
-func (a Arch) Params() float64 {
+func (a *Arch) Params() float64 {
 	perLayer := a.qkvoParams() + a.ffnParamsTotal()
 	embed := 2 * float64(a.Vocab) * float64(a.Hidden) // embedding + LM head
 	return float64(a.Layers)*perLayer + embed
 }
 
 // ActiveParams returns parameters touched per token (MoE-aware).
-func (a Arch) ActiveParams() float64 {
+func (a *Arch) ActiveParams() float64 {
 	perLayer := a.qkvoParams() + a.ffnParamsActive()
 	embed := 2 * float64(a.Vocab) * float64(a.Hidden)
 	return float64(a.Layers)*perLayer + embed
 }
 
 // WeightBytes returns total model weight bytes.
-func (a Arch) WeightBytes() float64 { return a.Params() * float64(a.BytesPerParam) }
+func (a *Arch) WeightBytes() float64 { return a.Params() * float64(a.BytesPerParam) }
 
 // LayerWeightBytes returns stored weight bytes for one layer.
-func (a Arch) LayerWeightBytes() float64 {
+func (a *Arch) LayerWeightBytes() float64 {
 	return (a.qkvoParams() + a.ffnParamsTotal()) * float64(a.BytesPerParam)
 }
 
@@ -93,17 +93,17 @@ func (a Arch) LayerWeightBytes() float64 {
 // pass must stream per layer (active experts only for MoE). For decode,
 // a batched iteration streams at least these bytes and at most
 // LayerWeightBytes, depending on expert coverage; see decodeWeightBytes.
-func (a Arch) ActiveLayerWeightBytes() float64 {
+func (a *Arch) ActiveLayerWeightBytes() float64 {
 	return (a.qkvoParams() + a.ffnParamsActive()) * float64(a.BytesPerParam)
 }
 
 // KVBytesPerTokenLayer returns KV cache bytes per token per layer.
-func (a Arch) KVBytesPerTokenLayer() float64 {
+func (a *Arch) KVBytesPerTokenLayer() float64 {
 	return 2 * float64(a.KVHeads*a.HeadDim) * float64(a.BytesPerParam)
 }
 
 // KVBytesPerToken returns KV cache bytes per token across all layers.
-func (a Arch) KVBytesPerToken() float64 {
+func (a *Arch) KVBytesPerToken() float64 {
 	return float64(a.Layers) * a.KVBytesPerTokenLayer()
 }
 

@@ -42,7 +42,7 @@ func (c Cost) Scale(f float64) Cost {
 
 // activationBytesPerToken approximates intermediate activation traffic
 // per token per layer (reads+writes of hidden states around the matmuls).
-func (a Arch) activationBytesPerToken() float64 {
+func (a *Arch) activationBytesPerToken() float64 {
 	return 12 * float64(a.Hidden) * float64(a.BytesPerParam)
 }
 
@@ -58,7 +58,7 @@ func ringFactor(tp int) float64 {
 // attnFLOPs returns attention score+value FLOPs for n new query tokens
 // attending causally over a context that starts at ctx tokens (reused +
 // prior) and grows with each new token.
-func (a Arch) attnFLOPs(n, ctx int) float64 {
+func (a *Arch) attnFLOPs(n, ctx int) float64 {
 	if n <= 0 {
 		return 0
 	}
@@ -73,7 +73,7 @@ func (a Arch) attnFLOPs(n, ctx int) float64 {
 // prefill over the batch, with tensor parallel degree tp. withWeights
 // controls whether layer weights are streamed (false when the layer is
 // fused into an iteration that already pays for them).
-func (a Arch) PrefillLayer(seqs []Seq, tp int, withWeights bool) Cost {
+func (a *Arch) PrefillLayer(seqs []Seq, tp int, withWeights bool) Cost {
 	var c Cost
 	kvTok := a.KVBytesPerTokenLayer()
 	for _, s := range seqs {
@@ -104,7 +104,7 @@ func (a Arch) PrefillLayer(seqs []Seq, tp int, withWeights bool) Cost {
 
 // PrefillPhase returns the cost of the whole prefill phase (all layers
 // plus the LM head for the first generated token of each sequence).
-func (a Arch) PrefillPhase(seqs []Seq, tp int) Cost {
+func (a *Arch) PrefillPhase(seqs []Seq, tp int) Cost {
 	layer := a.PrefillLayer(seqs, tp, true)
 	c := layer.Scale(float64(a.Layers))
 	c.Tokens = layer.Tokens
@@ -118,7 +118,7 @@ func (a Arch) PrefillPhase(seqs []Seq, tp int) Cost {
 // moeWeightBytes estimates expert weight traffic for a kernel processing
 // tok tokens: with random routing, the expected number of distinct
 // experts activated saturates at the full expert pool.
-func (a Arch) moeWeightBytes(tok int) float64 {
+func (a *Arch) moeWeightBytes(tok int) float64 {
 	if !a.MoE() {
 		return a.LayerWeightBytes()
 	}
@@ -134,48 +134,20 @@ func (a Arch) moeWeightBytes(tok int) float64 {
 
 // DecodeIter returns the cost of one decode iteration (all layers, one
 // token per request) over a batch whose per-request attended context
-// lengths are given in ctxs.
-func (a Arch) DecodeIter(ctxs []int, tp int) Cost {
-	var c Cost
-	bs := float64(len(ctxs))
-	if bs == 0 {
-		return c
-	}
-	kvTok := a.KVBytesPerTokenLayer()
-	var totalCtx float64
+// lengths are given in ctxs. It is DecodeIterTotals of their sum.
+func (a *Arch) DecodeIter(ctxs []int, tp int) Cost {
+	total := 0
 	for _, r := range ctxs {
-		totalCtx += float64(r)
+		total += r
 	}
-	perLayerFLOPs := 2*bs*(a.qkvoParams()+a.ffnParamsActive()) +
-		4*float64(a.Heads*a.HeadDim)*(totalCtx+bs)
-	var weights float64
-	if a.MoE() {
-		weights = a.moeWeightBytes(len(ctxs))
-	} else {
-		weights = a.LayerWeightBytes()
-	}
-	perLayerBytes := weights +
-		(totalCtx+bs)*kvTok + // stream cached KV + the new token's
-		bs*kvTok + // write new KV
-		bs*a.activationBytesPerToken()
-	perLayerComm := ringFactor(tp) * 2 * bs * float64(a.Hidden) * float64(a.BytesPerParam)
-
-	c.FLOPs = float64(a.Layers) * perLayerFLOPs
-	c.Bytes = float64(a.Layers) * perLayerBytes
-	c.CommBytes = float64(a.Layers) * perLayerComm
-	c.Tokens = len(ctxs)
-	// LM head for every request in the batch.
-	c.FLOPs += 2 * bs * float64(a.Hidden) * float64(a.Vocab)
-	c.Bytes += float64(a.Vocab) * float64(a.Hidden) * float64(a.BytesPerParam)
-	return c
+	return a.DecodeIterTotals(total, len(ctxs), tp)
 }
 
-// DecodeIterTotals returns the same cost as DecodeIter for a batch of bs
-// requests whose attended context lengths sum to totalCtx. DecodeIter's
-// formulas depend only on those two totals, so callers that already carry
-// aggregates (the estimators' hot paths) can avoid materialising a ctxs
-// slice.
-func (a Arch) DecodeIterTotals(totalCtx, bs, tp int) Cost {
+// DecodeIterTotals returns the cost of one decode iteration (all layers,
+// one token per request) over a batch of bs requests whose attended
+// context lengths sum to totalCtx. The cost depends on the batch only
+// through those two totals.
+func (a *Arch) DecodeIterTotals(totalCtx, bs, tp int) Cost {
 	var c Cost
 	if bs <= 0 {
 		return c
@@ -192,8 +164,8 @@ func (a Arch) DecodeIterTotals(totalCtx, bs, tp int) Cost {
 		weights = a.LayerWeightBytes()
 	}
 	perLayerBytes := weights +
-		(ctxf+bsf)*kvTok +
-		bsf*kvTok +
+		(ctxf+bsf)*kvTok + // stream cached KV + the new token's
+		bsf*kvTok + // write new KV
 		bsf*a.activationBytesPerToken()
 	perLayerComm := ringFactor(tp) * 2 * bsf * float64(a.Hidden) * float64(a.BytesPerParam)
 
@@ -201,23 +173,25 @@ func (a Arch) DecodeIterTotals(totalCtx, bs, tp int) Cost {
 	c.Bytes = float64(a.Layers) * perLayerBytes
 	c.CommBytes = float64(a.Layers) * perLayerComm
 	c.Tokens = bs
+	// LM head for every request in the batch.
 	c.FLOPs += 2 * bsf * float64(a.Hidden) * float64(a.Vocab)
 	c.Bytes += float64(a.Vocab) * float64(a.Hidden) * float64(a.BytesPerParam)
 	return c
 }
 
 // FusedChunkIter returns the cost of a chunked-prefill iteration that
-// fuses a prefill chunk with a decode step (SARATHI-style). Weights are
-// streamed once; the chunk re-reads the KV of all previously processed
-// tokens, which is the quadratic overhead the paper highlights.
-func (a Arch) FusedChunkIter(chunk Seq, decodeCtxs []int, tp int) Cost {
-	c := a.DecodeIter(decodeCtxs, tp)
+// fuses a prefill chunk with a decode step over bs requests attending
+// totalCtx tokens in all (SARATHI-style). Weights are streamed once; the
+// chunk re-reads the KV of all previously processed tokens, which is the
+// quadratic overhead the paper highlights.
+func (a *Arch) FusedChunkIter(chunk Seq, totalCtx, bs, tp int) Cost {
+	c := a.DecodeIterTotals(totalCtx, bs, tp)
 	if chunk.New > 0 {
 		// Chunk layers without double-counting weights.
 		cl := a.PrefillLayer([]Seq{chunk}, tp, false)
 		pc := cl.Scale(float64(a.Layers))
 		pc.Tokens = cl.Tokens
-		if len(decodeCtxs) == 0 {
+		if bs == 0 {
 			// Nothing fused: the chunk pays for weights itself.
 			if a.MoE() {
 				pc.Bytes += float64(a.Layers) * a.moeWeightBytes(chunk.New)
@@ -226,7 +200,7 @@ func (a Arch) FusedChunkIter(chunk Seq, decodeCtxs []int, tp int) Cost {
 			}
 		}
 		c.Add(pc)
-		c.Tokens = chunk.New + len(decodeCtxs)
+		c.Tokens = chunk.New + bs
 	}
 	return c
 }
@@ -234,7 +208,7 @@ func (a Arch) FusedChunkIter(chunk Seq, decodeCtxs []int, tp int) Cost {
 // KVPoolTokens returns how many KV tokens fit in a serving instance's
 // pool: aggregate HBM minus weights minus a runtime reserve fraction
 // (activations, CUDA graphs, allocator slack).
-func (a Arch) KVPoolTokens(totalMemBytes int64, reserveFrac float64) int64 {
+func (a *Arch) KVPoolTokens(totalMemBytes int64, reserveFrac float64) int64 {
 	avail := float64(totalMemBytes)*(1-reserveFrac) - a.WeightBytes()
 	if avail <= 0 {
 		return 0

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -39,22 +40,23 @@ func TestQwenActiveParams(t *testing.T) {
 	if !q.MoE() {
 		t.Error("Qwen should be MoE")
 	}
-	if Llama8B().MoE() {
+	if l := Llama8B(); l.MoE() {
 		t.Error("Llama-8B should not be MoE")
 	}
 }
 
 func TestKVBytesPerToken(t *testing.T) {
+	l70, l8, q := Llama70B(), Llama8B(), Qwen235B()
 	// Llama-70B: 80 layers × 2 × 8 heads × 128 dim × 2 bytes = 320 KiB.
-	if got := Llama70B().KVBytesPerToken(); got != 80*4096 {
+	if got := l70.KVBytesPerToken(); got != 80*4096 {
 		t.Errorf("Llama-70B KV/token = %.0f, want %d", got, 80*4096)
 	}
 	// Llama-8B: 32 × 4096 = 128 KiB.
-	if got := Llama8B().KVBytesPerToken(); got != 32*4096 {
+	if got := l8.KVBytesPerToken(); got != 32*4096 {
 		t.Errorf("Llama-8B KV/token = %.0f, want %d", got, 32*4096)
 	}
 	// Qwen: 4 KV heads → 94 × 2048.
-	if got := Qwen235B().KVBytesPerToken(); got != 94*2048 {
+	if got := q.KVBytesPerToken(); got != 94*2048 {
 		t.Errorf("Qwen KV/token = %.0f, want %d", got, 94*2048)
 	}
 }
@@ -125,7 +127,8 @@ func ctxs(bs, ctx int) []int {
 }
 
 func TestDecodeEmptyBatch(t *testing.T) {
-	c := Llama8B().DecodeIter(nil, 8)
+	a := Llama8B()
+	c := a.DecodeIter(nil, 8)
 	if c.FLOPs != 0 || c.Bytes != 0 {
 		t.Errorf("empty decode iter = %+v, want zero", c)
 	}
@@ -135,9 +138,8 @@ func TestDecodeEmptyBatch(t *testing.T) {
 // paying weights separately.
 func TestFusedChunkSavesWeights(t *testing.T) {
 	a := Llama70B()
-	dec := ctxs(32, 1024)
-	fused := a.FusedChunkIter(Seq{New: 480, Reused: 1024}, dec, 8)
-	separate := a.DecodeIter(dec, 8)
+	fused := a.FusedChunkIter(Seq{New: 480, Reused: 1024}, 32*1024, 32, 8)
+	separate := a.DecodeIter(ctxs(32, 1024), 8)
 	chunkAlone := a.PrefillLayer([]Seq{{New: 480, Reused: 1024}}, 8, true).Scale(float64(a.Layers))
 	if fused.Bytes >= separate.Bytes+chunkAlone.Bytes {
 		t.Errorf("fused bytes %.3g not cheaper than separate %.3g",
@@ -151,8 +153,8 @@ func TestFusedChunkSavesWeights(t *testing.T) {
 // Chunked prefill re-reads prior KV: later chunks cost more bytes.
 func TestChunkKVReRead(t *testing.T) {
 	a := Llama70B()
-	first := a.FusedChunkIter(Seq{New: 512, Prior: 0}, nil, 8)
-	later := a.FusedChunkIter(Seq{New: 512, Prior: 16384}, nil, 8)
+	first := a.FusedChunkIter(Seq{New: 512, Prior: 0}, 0, 0, 8)
+	later := a.FusedChunkIter(Seq{New: 512, Prior: 16384}, 0, 0, 8)
 	delta := later.Bytes - first.Bytes
 	want := 16384 * a.KVBytesPerTokenLayer() * float64(a.Layers)
 	if !near(delta, want, 0.01) {
@@ -261,11 +263,52 @@ func TestPropertyDecodeAdditive(t *testing.T) {
 	}
 }
 
+// TestDecodeIterMatchesTotals pins DecodeIter to DecodeIterTotals bit for
+// bit over random batches of every catalog arch at tp 1-8. It also checks
+// that summing the contexts as ints and converting once equals adding
+// them one by one as floats, which is how DecodeIter once accumulated
+// them: int sums below 2^53 convert exactly.
+func TestDecodeIterMatchesTotals(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	bits := func(c Cost) [4]uint64 {
+		return [4]uint64{math.Float64bits(c.FLOPs), math.Float64bits(c.Bytes),
+			math.Float64bits(c.CommBytes), uint64(c.Tokens)}
+	}
+	for _, a := range Catalog() {
+		for tp := 1; tp <= 8; tp++ {
+			for range 100 {
+				batch := make([]int, rng.IntN(257))
+				total, floatSum := 0, 0.0
+				for i := range batch {
+					batch[i] = rng.IntN(1 << 21)
+					total += batch[i]
+					floatSum += float64(batch[i])
+				}
+				if float64(total) != floatSum {
+					t.Fatalf("int sum %d converts to %v, float sum is %v", total, float64(total), floatSum)
+				}
+				got, want := a.DecodeIter(batch, tp), a.DecodeIterTotals(total, len(batch), tp)
+				if bits(got) != bits(want) {
+					t.Fatalf("%s tp=%d bs=%d: DecodeIter %+v != DecodeIterTotals %+v", a.Name, tp, len(batch), got, want)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkDecodeIterCost(b *testing.B) {
 	a := Llama70B()
 	batch := ctxs(64, 8192)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.DecodeIter(batch, 8)
+	}
+}
+
+func BenchmarkPrefillLayerCost(b *testing.B) {
+	a := Llama70B()
+	seqs := []Seq{{New: 2048, Reused: 8192}, {New: 512}}
+	for b.Loop() {
+		a.PrefillLayer(seqs, 8, true)
 	}
 }

@@ -148,7 +148,7 @@ func TestMonotoneInTokens(t *testing.T) {
 				}
 				prev = 0
 				for n := 64; n <= 16384; n *= 4 {
-					cur := m.FusedStep(model.Seq{New: n}, []int{1024, 2048}, sms)
+					cur := m.FusedStep(model.Seq{New: n}, 1024+2048, 2, sms)
 					if cur < prev {
 						t.Errorf("%s/%s sms=%d: fused time shrank at chunk=%d", spec.Name, arch.Name, sms, n)
 					}

@@ -196,8 +196,8 @@ func (m *Model) DecodeWorst(totalCtx, bs, sms, prefillNew, prefillReused int) si
 // land in a single kernel whose compute, memory and interconnect streams
 // drain concurrently, so the mixed batch costs the max of its rooflines
 // rather than their sum — the chunked-prefill overlap the paper measures.
-func (m *Model) FusedStep(chunk model.Seq, decodeCtxs []int, sms int) sim.Time {
-	c := m.Arch.FusedChunkIter(chunk, decodeCtxs, m.TP)
+func (m *Model) FusedStep(chunk model.Seq, totalCtx, bs, sms int) sim.Time {
+	c := m.Arch.FusedChunkIter(chunk, totalCtx, bs, m.TP)
 	kind := gpu.Decode
 	if chunk.New > 0 {
 		kind = gpu.Prefill

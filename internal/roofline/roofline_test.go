@@ -82,16 +82,16 @@ func TestFusedStepMatchesDirectCost(t *testing.T) {
 	arch := model.Llama8B()
 	m := roofline.New(spec, 1, arch)
 	chunk := model.Seq{New: 512, Prior: 1024, Reused: 2048}
-	ctxs := []int{1000, 4000, 9000}
-	c := arch.FusedChunkIter(chunk, ctxs, 1)
+	const totalCtx, bs = 1000 + 4000 + 9000, 3
+	c := arch.FusedChunkIter(chunk, totalCtx, bs, 1)
 	want := spec.GraphLaunch + m.KernelTime(c, gpu.Prefill, spec.SMs)
-	if got := m.FusedStep(chunk, ctxs, spec.SMs); got != want {
+	if got := m.FusedStep(chunk, totalCtx, bs, spec.SMs); got != want {
 		t.Fatalf("FusedStep %v != GraphLaunch + KernelTime %v", got, want)
 	}
 	// A pure-decode "chunk" (New=0) must time with the flat decode MFU.
-	cd := arch.FusedChunkIter(model.Seq{}, ctxs, 1)
+	cd := arch.FusedChunkIter(model.Seq{}, totalCtx, bs, 1)
 	wantD := spec.GraphLaunch + m.KernelTime(cd, gpu.Decode, spec.SMs)
-	if got := m.FusedStep(model.Seq{}, ctxs, spec.SMs); got != wantD {
+	if got := m.FusedStep(model.Seq{}, totalCtx, bs, spec.SMs); got != wantD {
 		t.Fatalf("decode-only FusedStep %v != %v", got, wantD)
 	}
 }
@@ -234,4 +234,28 @@ func TestConfigsMirrorsEstimator(t *testing.T) {
 			t.Fatalf("config menus differ: roofline %v vs fitted %v", rl, fit)
 		}
 	}
+}
+
+// BenchmarkPredict times the roofline's per-step predictions for the
+// Llama-70B on 2xH100 shape: a ~30k-token prefill phase and a 64-request
+// decode iteration, solo and beside that prefill.
+func BenchmarkPredict(b *testing.B) {
+	m := roofline.New(gpu.H100(), 2, model.Llama70B())
+	seqs := []model.Seq{{New: 30000, Reused: 2048}}
+	sms := m.Configs()[2]
+	b.Run("PrefillPhase", func(b *testing.B) {
+		for b.Loop() {
+			m.PrefillPhase(seqs, sms)
+		}
+	})
+	b.Run("DecodeSolo", func(b *testing.B) {
+		for b.Loop() {
+			m.DecodeSolo(64*8192, 64, sms)
+		}
+	})
+	b.Run("DecodeWorst", func(b *testing.B) {
+		for b.Loop() {
+			m.DecodeWorst(64*8192, 64, sms, 30000, 2048)
+		}
+	})
 }

@@ -164,17 +164,6 @@ type Batch struct {
 // Size returns the batch size.
 func (b *Batch) Size() int { return len(b.Reqs) }
 
-// CtxsInto fills dst (reusing its capacity) with the per-request attended
-// context lengths for the cost model and returns it. The cost model reads
-// the slice synchronously and never retains it.
-func (b *Batch) CtxsInto(dst []int) []int {
-	dst = dst[:0]
-	for _, r := range b.Reqs {
-		dst = append(dst, r.CtxTokens())
-	}
-	return dst
-}
-
 // TotalCtx returns the summed context length of the batch.
 func (b *Batch) TotalCtx() int {
 	t := 0

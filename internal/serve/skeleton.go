@@ -120,7 +120,6 @@ type DecodeStream struct {
 	Running bool
 
 	held []*Running
-	ctx  []int
 	fin  []*Running
 }
 
@@ -128,17 +127,10 @@ type DecodeStream struct {
 // for tp-way tensor parallelism plus surcharge extra HBM bytes; done(arg)
 // runs at completion.
 func (d *DecodeStream) Launch(env *Env, part *gpu.Partition, tp int, surcharge float64, done func(any), arg any) {
-	cost := env.Arch.DecodeIter(d.Contexts(), tp)
+	cost := env.Arch.DecodeIterTotals(d.TotalCtx(), d.Size(), tp)
 	cost.Bytes += surcharge
 	d.Running = true
 	part.LaunchFn(NewKernel("decode", gpu.Decode, cost, env.Spec.GraphLaunch), done, arg)
-}
-
-// Contexts returns the batch's attended context lengths in a scratch
-// slice the next call reuses.
-func (d *DecodeStream) Contexts() []int {
-	d.ctx = d.CtxsInto(d.ctx)
-	return d.ctx
 }
 
 // Step ends the running iteration at now: every request in the batch

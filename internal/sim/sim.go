@@ -76,16 +76,18 @@ func (t Time) String() string {
 
 // FromSeconds converts seconds to a simulation Time, rounding up so that
 // an event scheduled at FromSeconds(d) never lands before the real-valued
-// deadline. Saturates at MaxTime.
+// deadline. Saturates at 0 and MaxTime, and panics on NaN.
 func FromSeconds(s float64) Time {
+	if s > 0 {
+		if ns := math.Ceil(s * 1e9); ns < float64(math.MaxInt64) {
+			return Time(ns)
+		}
+		return MaxTime
+	}
 	if s <= 0 {
 		return 0
 	}
-	ns := math.Ceil(s * 1e9)
-	if ns >= float64(math.MaxInt64) {
-		return MaxTime
-	}
-	return Time(ns)
+	panic("sim: FromSeconds(NaN)")
 }
 
 // Event is one pooled scheduling slot. Callers never hold an *Event

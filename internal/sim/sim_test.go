@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -208,6 +209,18 @@ func TestFromSeconds(t *testing.T) {
 	if got := FromSeconds(1e30); got != MaxTime {
 		t.Fatalf("FromSeconds(huge) = %v, want MaxTime", got)
 	}
+	if got := FromSeconds(math.Inf(1)); got != MaxTime {
+		t.Fatalf("FromSeconds(+Inf) = %v, want MaxTime", got)
+	}
+	if got := FromSeconds(math.Inf(-1)); got != 0 {
+		t.Fatalf("FromSeconds(-Inf) = %v, want 0", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FromSeconds(NaN) did not panic")
+		}
+	}()
+	FromSeconds(math.NaN())
 }
 
 // Property: for any set of event times, dispatch order is the sorted order.

@@ -25,6 +25,7 @@ func TestMapRange(t *testing.T) {
 func TestHotClosure(t *testing.T) {
 	vettest.Run(t, "testdata/hotclosure", []*vet.Analyzer{vet.HotClosure},
 		"muxwise/internal/gpu",
+		"muxwise/internal/model",
 		"muxwise/internal/cluster",
 	)
 }
@@ -79,6 +80,7 @@ func TestClassification(t *testing.T) {
 		{"muxwise/internal/par", true, true},
 		{"muxwise/internal/frontier", true, false},
 		{"muxwise/internal/roofline", true, true},
+		{"muxwise/internal/model", true, true},
 		{"muxwise/internal/cluster", true, false},
 		{"muxwise/internal/cluster/epp", true, true},
 		{"muxwise/cmd/muxtool", false, false},

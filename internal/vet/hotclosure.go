@@ -8,14 +8,16 @@ import (
 // HotClosure flags per-call allocation patterns on pooled hot paths.
 var HotClosure = &Analyzer{
 	Name: "hotclosure",
-	Doc: "flag closures, fmt formatting, and interface boxing on pooled hot paths\n\n" +
+	Doc: "flag closures, fmt formatting, interface boxing and large value receivers on pooled hot paths\n\n" +
 		"In the pooled hot-path packages (sim, gpu, metrics, kvcache, par) a\n" +
 		"closure literal passed to a scheduling seam that also offers a\n" +
 		"closure-free form (At→AtFunc, After→AfterFunc, Launch→LaunchFn)\n" +
 		"allocates per event — exactly the regressions the BENCH_simcore\n" +
 		"alloc gate catches after the fact. Also flagged: fmt.Sprintf-family\n" +
-		"calls outside String/Error/Format methods and panic messages, and\n" +
-		"struct values boxed into interface parameters. Every function in a\n" +
+		"calls outside String/Error/Format methods and panic messages,\n" +
+		"struct values boxed into interface parameters, and methods other than\n" +
+		"String/Error/Format whose value receiver is a struct of more than 80\n" +
+		"bytes, which every call copies. Every function in a\n" +
 		"hot package is presumed reachable from the EngineStep/FleetTick\n" +
 		"benchmark roots unless it is pure formatting or a terminal panic.",
 	Run: runHotClosure,
@@ -45,6 +47,9 @@ func runHotClosure(p *Pass) error {
 	for _, f := range p.SourceFiles() {
 		funcDecls(f, func(fd *ast.FuncDecl) {
 			isFormatting := formattingMethods[fd.Name.Name]
+			if !isFormatting {
+				p.checkValueReceiver(fd)
+			}
 			var stack []ast.Node
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if n == nil {
@@ -66,6 +71,34 @@ func runHotClosure(p *Pass) error {
 		})
 	}
 	return nil
+}
+
+// largeReceiverBytes is the size above which a struct value receiver is
+// flagged: each call copies it (the 104-byte model.Arch receiver once
+// cost the cost model a runtime.duffcopy per call).
+const largeReceiverBytes = 80
+
+// receiverSizes sizes receivers as the gc compiler lays them out on
+// amd64, so the verdict does not depend on the host.
+var receiverSizes = types.SizesFor("gc", "amd64")
+
+// checkValueReceiver flags a method whose value receiver is a struct
+// larger than largeReceiverBytes.
+func (p *Pass) checkValueReceiver(fd *ast.FuncDecl) {
+	if fd.Recv == nil || len(fd.Recv.List) != 1 {
+		return
+	}
+	t := p.Info.TypeOf(fd.Recv.List[0].Type)
+	if t == nil {
+		return
+	}
+	if _, ok := t.Underlying().(*types.Struct); !ok {
+		return
+	}
+	if size := receiverSizes.Sizeof(t); size > largeReceiverBytes {
+		p.Reportf(fd.Recv.Pos(), "method %s copies its %d-byte %s receiver on every call on a pooled hot path; use a pointer receiver",
+			fd.Name.Name, size, types.TypeString(t, types.RelativeTo(p.Pkg)))
+	}
 }
 
 // checkClosureSeam flags a func literal passed to a method when the

@@ -233,8 +233,10 @@ var hotPathPkgs = map[string]bool{
 	modulePath + "/internal/par":         true,
 	modulePath + "/internal/cluster/epp": true,
 	// roofline predictions run on every engine step (the cost-model
-	// seam), so the analytical model is held to the same no-alloc bar.
+	// seam), so the analytical model is held to the same no-alloc bar,
+	// and so are the per-kernel cost formulas under it.
 	modulePath + "/internal/roofline": true,
+	modulePath + "/internal/model":    true,
 }
 
 // IsSimCritical reports whether the package at path must stay

@@ -190,12 +190,18 @@ func ToolAgentProfile(scale float64) RateProfile {
 
 // WithProfileArrivals assigns arrivals from a non-homogeneous Poisson
 // process (thinning) over the profile and truncates the trace to the
-// arrivals that fit in the profile window.
+// arrivals that fit in the profile window — so a peak rate that is not
+// positive and finite (a NaN, infinite or non-positive profile scale)
+// yields an empty trace.
 func (t *Trace) WithProfileArrivals(seed uint64, p RateProfile) *Trace {
 	rng := rand.New(rand.NewPCG(seed, 0x2545F4914F6CDD1D))
 	var times []sim.Time
+	want := len(t.Requests)
+	if !(p.Peak > 0 && p.Peak <= math.MaxFloat64) {
+		want = 0
+	}
 	at := 0.0
-	for len(times) < len(t.Requests) {
+	for len(times) < want {
 		at += rng.ExpFloat64() / p.Peak
 		ts := sim.FromSeconds(at)
 		if ts > p.Duration {

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"muxwise/internal/kvcache"
 	"muxwise/internal/sim"
@@ -260,6 +261,26 @@ func TestProfileArrivalsWithinWindow(t *testing.T) {
 	}
 	if burst, quiet := countIn(590, 650), countIn(940, 1000); burst <= quiet {
 		t.Errorf("burst window %d arrivals ≤ quiet window %d", burst, quiet)
+	}
+}
+
+// Regression: WithProfileArrivals spun forever on a NaN or +Inf profile
+// scale, and a negative one put every request at t=0. A peak rate that is
+// not positive and finite must yield an empty trace.
+func TestProfileArrivalsRejectsBadScale(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {
+		done := make(chan int, 1)
+		go func() {
+			done <- Conversation(1, 5).WithProfileArrivals(1, ConversationProfile(scale)).Len()
+		}()
+		select {
+		case n := <-done:
+			if n != 0 {
+				t.Errorf("scale %v: %d arrivals, want none", scale, n)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("scale %v: WithProfileArrivals did not return within 10s", scale)
+		}
 	}
 }
 
