@@ -1,6 +1,12 @@
 package experiments
 
 import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -8,10 +14,32 @@ import (
 	"muxwise/internal/serve"
 )
 
-// Every registered experiment must run at quick scale and produce rows.
+// -update rewrites the paper-table golden from the current run:
+//
+//	go test ./internal/experiments -run TestRegistryRunsQuick -update
+//
+// Inspect the diff before committing: the golden pins the reproduced
+// paper tables, so an unexplained shift is a regression, not noise.
+var update = flag.Bool("update", false, "rewrite testdata/paper_tables.json from this run")
+
+// paperTablesPath is the golden of every registered experiment's
+// quick-scale tables: `muxbench -run all -quick -json` for the built-in
+// registry, without the timings.
+var paperTablesPath = filepath.Join("testdata", "paper_tables.json")
+
+// paperTables is one experiment's entry in the golden.
+type paperTables struct {
+	ID     string
+	Paper  string
+	Tables []Table
+}
+
+// Every registered experiment must run at quick scale, produce rows, and
+// reproduce its committed tables cell for cell.
 func TestRegistryRunsQuick(t *testing.T) {
-	for _, e := range Registry() {
-		e := e
+	reg := Registry()
+	got := make([]paperTables, len(reg))
+	for i, e := range reg {
 		t.Run(e.ID, func(t *testing.T) {
 			tables := e.Run(Opts{Quick: true})
 			if len(tables) == 0 {
@@ -30,8 +58,86 @@ func TestRegistryRunsQuick(t *testing.T) {
 					}
 				}
 			}
+			got[i] = paperTables{ID: e.ID, Paper: e.Paper, Tables: tables}
 		})
 	}
+	if *update {
+		for i, g := range got {
+			if g.ID == "" {
+				t.Fatalf("-update needs every experiment; %s did not run", reg[i].ID)
+			}
+		}
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(paperTablesPath, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d experiments)", paperTablesPath, len(got))
+		return
+	}
+	raw, err := os.ReadFile(paperTablesPath)
+	if err != nil {
+		t.Fatalf("load golden (run with -update to regenerate): %v", err)
+	}
+	var want []paperTables
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("decode %s: %v", paperTablesPath, err)
+	}
+	byID := make(map[string]paperTables, len(want))
+	for _, w := range want {
+		byID[w.ID] = w
+	}
+	for _, g := range got {
+		if g.ID == "" {
+			continue // filtered out by -run
+		}
+		w, ok := byID[g.ID]
+		if !ok {
+			t.Errorf("%s: no entry in %s", g.ID, paperTablesPath)
+			continue
+		}
+		delete(byID, g.ID)
+		for _, d := range diffTables(g, w) {
+			t.Errorf("%s: %s", g.ID, d)
+		}
+	}
+	if len(got) == len(want) && len(byID) > 0 {
+		t.Errorf("%s holds %d experiments missing from the registry", paperTablesPath, len(byID))
+	}
+	if t.Failed() {
+		t.Logf("if the shift is intentional, regenerate with -update")
+	}
+}
+
+// diffTables lists where got departs from the golden entry want: paper
+// label, table count, and per table its metadata and every differing row.
+func diffTables(got, want paperTables) []string {
+	var out []string
+	if got.Paper != want.Paper {
+		out = append(out, fmt.Sprintf("paper %q, golden %q", got.Paper, want.Paper))
+	}
+	if len(got.Tables) != len(want.Tables) {
+		return append(out, fmt.Sprintf("%d tables, golden %d", len(got.Tables), len(want.Tables)))
+	}
+	for i, g := range got.Tables {
+		w := want.Tables[i]
+		if g.ID != w.ID || g.Title != w.Title || !slices.Equal(g.Columns, w.Columns) || !slices.Equal(g.Notes, w.Notes) {
+			out = append(out, fmt.Sprintf("table %d: %s %q %q notes %q, golden %s %q %q notes %q",
+				i, g.ID, g.Title, g.Columns, g.Notes, w.ID, w.Title, w.Columns, w.Notes))
+		}
+		if len(g.Rows) != len(w.Rows) {
+			out = append(out, fmt.Sprintf("table %d (%s): %d rows, golden %d", i, g.ID, len(g.Rows), len(w.Rows)))
+			continue
+		}
+		for r := range g.Rows {
+			if !slices.Equal(g.Rows[r], w.Rows[r]) {
+				out = append(out, fmt.Sprintf("table %d (%s) row %d: %q, golden %q", i, g.ID, r, g.Rows[r], w.Rows[r]))
+			}
+		}
+	}
+	return out
 }
 
 func TestByID(t *testing.T) {
