@@ -3,7 +3,8 @@ package muxwise_test
 // One benchmark per reproduced table and figure. Each runs the
 // corresponding experiment at quick scale so `go test -bench=.` exercises
 // the full harness; `cmd/muxbench -run all` produces the paper-scale
-// numbers recorded in EXPERIMENTS.md.
+// numbers, and internal/experiments/testdata/paper_tables.json pins the
+// quick-scale ones.
 
 import (
 	"testing"

@@ -78,9 +78,9 @@ func main() {
 		return
 	}
 
-	// The frontier sweep lives outside internal/experiments (it drives
-	// the public muxwise.Experiment API, which that package underpins),
-	// so it joins the registry here.
+	// The frontier sweep lives in internal/frontier, which builds on
+	// internal/experiments' Opts and Table, so it joins the registry
+	// here. Both run on the public muxwise.Experiment API.
 	registry := append(experiments.Registry(),
 		frontier.BenchExperiment(*frontierReport),
 		frontier.RooflineBenchExperiment())

@@ -3,6 +3,8 @@ package muxwise
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sync"
 
 	"muxwise/internal/cluster"
 	"muxwise/internal/serve"
@@ -351,6 +353,15 @@ func (e *Experiment) Run(trace *Trace) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.run(r, trace, true)
+}
+
+// run is the one run path of Run, Sweep and Goodput: it replays the
+// trace against a fresh engine or fleet of the resolved deployment.
+// Only Run passes traced, which attaches the flight recorder and rolls
+// up the WithEpochs windows: rate probes run concurrently with a shared
+// config, where a single recorder would interleave unrelated runs.
+func (e *Experiment) run(r resolved, trace *Trace, traced bool) (*Report, error) {
 	if trace == nil {
 		return nil, fmt.Errorf("muxwise: Run: nil trace")
 	}
@@ -359,102 +370,119 @@ func (e *Experiment) Run(trace *Trace) (*Report, error) {
 			return nil, fmt.Errorf("muxwise: Run: request %d arrives at %v, outside [0, %v]", req.ID, req.Arrival, workload.MaxArrival)
 		}
 	}
+	var fr *FlightRecorder
+	if traced {
+		fr = e.trace
+	}
+	rep := &Report{SLO: r.slo}
+	var rec *Recorder
 	if r.isFleet {
-		// The flight recorder rides only on Run: Sweep and Goodput
-		// probe concurrently with a shared config, where a single
-		// recorder would interleave unrelated runs.
-		r.cluster.Base.Trace = e.trace
+		r.cluster.Base.Trace = fr
 		res, err := cluster.Run(r.cluster, trace)
 		if err != nil {
 			return nil, err
 		}
-		wins, err := e.windows(res.Rec, res.Summary.Makespan, r.slo.TBT)
-		if err != nil {
+		rep.Summary, rep.MissCauses, rep.Fleet, rec = res.Summary, res.Diagnostics, &res, res.Rec
+	} else {
+		r.cfg.Trace = fr
+		res := serve.Run(r.factory, r.cfg, trace)
+		rep.Summary, rep.MissCauses, rep.Engine, rec = res.Summary, res.Diagnostics, &res, res.Rec
+	}
+	rep.Attainment = rec.TBTAttainment(r.slo.TBT)
+	if traced {
+		var err error
+		if rep.Windows, err = e.windows(rec, rep.Summary.Makespan, r.slo.TBT); err != nil {
 			return nil, err
 		}
-		return &Report{
-			Summary:    res.Summary,
-			SLO:        r.slo,
-			Attainment: res.Rec.TBTAttainment(r.slo.TBT),
-			Fleet:      &res,
-			Windows:    wins,
-			MissCauses: res.Diagnostics,
-		}, nil
 	}
-	r.cfg.Trace = e.trace
-	res := serve.Run(r.factory, r.cfg, trace)
-	wins, err := e.windows(res.Rec, res.Summary.Makespan, r.slo.TBT)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		Summary:    res.Summary,
-		SLO:        r.slo,
-		Attainment: res.Rec.TBTAttainment(r.slo.TBT),
-		Engine:     &res,
-		Windows:    wins,
-		MissCauses: res.Diagnostics,
-	}, nil
+	return rep, nil
 }
 
-// workload returns the configured trace generator or an error.
-func (e *Experiment) workload() (func(rate float64) *Trace, error) {
-	if e.mk == nil {
-		return nil, fmt.Errorf("muxwise: no workload configured (WithWorkload)")
+// prober resolves the experiment into the rate probe Sweep and Goodput
+// search with: one run of the configured workload at the offered rate.
+// Probes may run concurrently, so failures are collected rather than
+// returned: the second result reports the first one once the probes
+// are done, and a failed run never masquerades as a zero-attainment
+// point.
+func (e *Experiment) prober() (func(rate float64) RatePoint, func() error, error) {
+	r, err := e.resolve()
+	if err != nil {
+		return nil, nil, err
 	}
-	return e.mk, nil
+	if e.mk == nil {
+		return nil, nil, fmt.Errorf("muxwise: no workload configured (WithWorkload)")
+	}
+	var mu sync.Mutex
+	var firstErr error
+	probe := func(rate float64) RatePoint {
+		rep, err := e.run(r, e.mk(rate), false)
+		if err != nil {
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+			return RatePoint{}
+		}
+		p := RatePoint{
+			Rate:       rate,
+			Attainment: rep.Attainment,
+			P99TTFT:    rep.Summary.TTFT.P99,
+			P99TBT:     rep.Summary.TBT.P99,
+			Unstable:   rep.Summary.Unstable,
+			TokensPerS: rep.Summary.TokensPerSecond,
+		}
+		if rep.Fleet != nil {
+			p.Util = rep.Fleet.MeanUtil()
+		} else {
+			p.Util = rep.Engine.MeanUtil()
+		}
+		return p
+	}
+	return probe, func() error { return firstErr }, nil
 }
 
 // Sweep probes each offered rate (req/s) with the configured workload,
 // stopping shortly after the deployment first misses the §4 SLO
-// criterion. Probes run concurrently but the points are identical to a
-// sequential sweep.
+// criterion. Every rate must be positive and finite. Probes run
+// concurrently but the points are identical to a sequential sweep.
 func (e *Experiment) Sweep(rates ...float64) ([]RatePoint, error) {
-	r, err := e.resolve()
-	if err != nil {
-		return nil, err
-	}
-	mk, err := e.workload()
+	probe, errOf, err := e.prober()
 	if err != nil {
 		return nil, err
 	}
 	if len(rates) == 0 {
 		return nil, fmt.Errorf("muxwise: Sweep: no rates given")
 	}
-	if r.isFleet {
-		return cluster.Sweep(r.cluster, mk, rates)
+	for _, rate := range rates {
+		if !(rate > 0 && rate <= math.MaxFloat64) {
+			return nil, fmt.Errorf("muxwise: Sweep: invalid rate %g: want a positive, finite req/s", rate)
+		}
 	}
-	return serve.Sweep(r.factory, r.cfg, mk, rates), nil
+	pts := serve.SweepBy(probe, rates)
+	if err := errOf(); err != nil {
+		return nil, err
+	}
+	return pts, nil
 }
 
 // Goodput finds the highest request rate (req/s, within [lo, hi]) at
 // which the deployment sustains the §4 goodput criterion on the
 // configured workload — the paper's headline metric. An invalid range
-// (lo < 0, lo > hi, or NaN) is an error; a valid range in which even
-// the floor rate misses the criterion returns ErrNoFeasibleRate.
+// (lo < 0, lo > hi, an infinite bound, or NaN) is an error; a valid
+// range in which even the floor rate misses the criterion returns
+// ErrNoFeasibleRate.
 func (e *Experiment) Goodput(lo, hi float64) (float64, error) {
-	r, err := e.resolve()
+	probe, errOf, err := e.prober()
 	if err != nil {
 		return 0, err
 	}
-	mk, err := e.workload()
-	if err != nil {
+	if !(lo >= 0 && hi >= lo && hi <= math.MaxFloat64) {
+		return 0, fmt.Errorf("muxwise: Goodput: invalid rate range [%g, %g]: want 0 <= lo <= hi, both finite", lo, hi)
+	}
+	g, feasible := serve.GoodputBy(probe, lo, hi)
+	if err := errOf(); err != nil {
 		return 0, err
-	}
-	if !(lo >= 0 && hi >= lo) {
-		return 0, fmt.Errorf("muxwise: Goodput: invalid rate range [%g, %g]: want 0 <= lo <= hi", lo, hi)
-	}
-	var g float64
-	var feasible bool
-	if r.isFleet {
-		g, feasible, err = cluster.Goodput(r.cluster, mk, lo, hi)
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		g, feasible = serve.GoodputBy(func(rate float64) RatePoint {
-			return serve.Probe(r.factory, r.cfg, mk, rate)
-		}, lo, hi)
 	}
 	if !feasible {
 		return 0, ErrNoFeasibleRate

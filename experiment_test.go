@@ -2,6 +2,8 @@ package muxwise_test
 
 import (
 	"errors"
+	"math"
+	"sync/atomic"
 	"testing"
 
 	"muxwise"
@@ -74,6 +76,41 @@ func TestGoodputRangeValidation(t *testing.T) {
 	g, err = cluster.With(impossible).Goodput(0.5, 2)
 	if !errors.Is(err, muxwise.ErrNoFeasibleRate) {
 		t.Errorf("infeasible cluster range: got (%v, %v), want ErrNoFeasibleRate", g, err)
+	}
+}
+
+// TestProbeRateBounds: Goodput rejects a non-finite bound and Sweep any
+// rate that is not positive and finite, on one engine and on a fleet,
+// before probing anything — rather than reporting a goodput of 0 or
+// +Inf, or an attainment taken from an empty trace.
+func TestProbeRateBounds(t *testing.T) {
+	var probes atomic.Int64
+	mk := func(rate float64) *muxwise.Trace {
+		probes.Add(1)
+		return muxwise.ShareGPT(5, 30).WithPoissonArrivals(5, rate)
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, e := range []struct {
+		name string
+		exp  *muxwise.Experiment
+	}{
+		{"engine", muxwise.NewExperiment(muxwise.WithDeployment(dep8B()), muxwise.WithEngine("MuxWise"),
+			muxwise.WithWorkload(mk))},
+		{"fleet", fleet("least-tokens", muxwise.WithWorkload(mk))},
+	} {
+		for _, r := range [][2]float64{{0, inf}, {inf, inf}, {1, inf}, {nan, 1}, {0, nan}, {-inf, 1}} {
+			if g, err := e.exp.Goodput(r[0], r[1]); err == nil || errors.Is(err, muxwise.ErrNoFeasibleRate) {
+				t.Errorf("%s: Goodput(%g, %g) = (%v, %v), want a range error", e.name, r[0], r[1], g, err)
+			}
+		}
+		for _, rate := range []float64{nan, -1, 0, inf, -inf} {
+			if pts, err := e.exp.Sweep(1, rate); err == nil {
+				t.Errorf("%s: Sweep(1, %g) = %+v, want a rate error", e.name, rate, pts)
+			}
+		}
+	}
+	if n := probes.Load(); n != 0 {
+		t.Errorf("rejected ranges and rates still ran %d probes", n)
 	}
 }
 

@@ -21,16 +21,15 @@
 // the ordinary cache-hit machinery.
 //
 // Fleet-wide metrics reuse the single-instance machinery: per-replica
-// recorders are merged (metrics.MergeSorted) into one Summary, and
-// Probe/Sweep/Goodput apply the same §4 goodput criterion (stable, ≥99%
-// of TBT samples within SLO) to the merged view. Runs with fleet events
+// recorders are merged (metrics.MergeSorted) into one Summary, which the
+// root package's rate probes judge by the same §4 goodput criterion
+// (stable, ≥99% of TBT samples within SLO). Runs with fleet events
 // additionally report per-epoch rollups: one metrics.Window plus a
 // cache-hit rate per interval between fleet mutations.
 package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"muxwise/internal/cluster/epp"
 	"muxwise/internal/gpu"
@@ -961,71 +960,4 @@ func Run(cfg Config, trace *workload.Trace) (Result, error) {
 	})
 	res.Loop = s.Stats()
 	return res, nil
-}
-
-// Probe runs one point of a fleet load sweep.
-func Probe(cfg Config, mkTrace func(rate float64) *workload.Trace, rate float64) (serve.RatePoint, error) {
-	res, err := Run(cfg, mkTrace(rate))
-	if err != nil {
-		return serve.RatePoint{}, err
-	}
-	return serve.RatePoint{
-		Rate:       rate,
-		Attainment: res.Rec.TBTAttainment(cfg.Base.SLO.TBT),
-		P99TTFT:    res.Summary.TTFT.P99,
-		P99TBT:     res.Summary.TBT.P99,
-		Unstable:   res.Summary.Unstable,
-		TokensPerS: res.Summary.TokensPerSecond,
-		Util:       res.MeanUtil(),
-	}, nil
-}
-
-// probeFn adapts Probe to the serve sweep machinery, capturing the
-// first error (probes may run concurrently) instead of letting a failed
-// run masquerade as a zero-attainment point.
-func probeFn(cfg Config, mkTrace func(rate float64) *workload.Trace) (func(rate float64) serve.RatePoint, func() error) {
-	var mu sync.Mutex
-	var firstErr error
-	probe := func(rate float64) serve.RatePoint {
-		p, err := Probe(cfg, mkTrace, rate)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}
-		return p
-	}
-	return probe, func() error { return firstErr }
-}
-
-// Sweep probes each offered rate with the §4 early-stop semantics,
-// reusing the serve sweep machinery over the fleet-wide criterion.
-func Sweep(cfg Config, mkTrace func(rate float64) *workload.Trace, rates []float64) ([]serve.RatePoint, error) {
-	if err := validate(cfg); err != nil {
-		return nil, err
-	}
-	probe, errOf := probeFn(cfg, mkTrace)
-	pts := serve.SweepBy(probe, rates)
-	if err := errOf(); err != nil {
-		return nil, err
-	}
-	return pts, nil
-}
-
-// Goodput finds the highest request rate within [lo, hi] at which the
-// fleet sustains the §4 goodput criterion on the merged metrics. The
-// second result reports feasibility: false means no rate in the range
-// met the criterion (as opposed to a goodput of 0 req/s).
-func Goodput(cfg Config, mkTrace func(rate float64) *workload.Trace, lo, hi float64) (float64, bool, error) {
-	if err := validate(cfg); err != nil {
-		return 0, false, err
-	}
-	probe, errOf := probeFn(cfg, mkTrace)
-	g, ok := serve.GoodputBy(probe, lo, hi)
-	if err := errOf(); err != nil {
-		return 0, false, err
-	}
-	return g, ok, nil
 }

@@ -354,31 +354,6 @@ func TestPDSplitDivertWidensPastHotPool(t *testing.T) {
 	}
 }
 
-func TestClusterSweepAndGoodput(t *testing.T) {
-	mk := func(rate float64) *workload.Trace {
-		return workload.ShareGPT(21, 40).WithPoissonArrivals(21, rate)
-	}
-	cfg := fleetCfg(LeastTokens, 2)
-	pts, err := Sweep(cfg, mk, []float64{0.5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) == 0 || pts[0].Rate != 0.5 {
-		t.Fatalf("sweep points wrong: %+v", pts)
-	}
-	g, feasible, err := Goodput(cfg, mk, 0.25, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !feasible || g <= 0 {
-		t.Fatalf("two-replica fleet should sustain the floor rate, got %v (feasible=%v)", g, feasible)
-	}
-	g2, _, _ := Goodput(cfg, mk, 0.25, 1)
-	if g != g2 {
-		t.Fatalf("goodput not deterministic: %v vs %v", g, g2)
-	}
-}
-
 func TestMergedSummaryCountsFleetWide(t *testing.T) {
 	tr := mixedTrace(13, 10, 0.1)
 	res, err := Run(fleetCfg(RoundRobin, 3), tr)

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"muxwise/internal/chunked"
+	"muxwise"
 	"muxwise/internal/core"
 	"muxwise/internal/estimator"
 	"muxwise/internal/gpu"
@@ -12,8 +12,6 @@ import (
 	"muxwise/internal/par"
 	"muxwise/internal/serve"
 	"muxwise/internal/sim"
-	"muxwise/internal/temporal"
-	"muxwise/internal/windserve"
 	"muxwise/internal/workload"
 )
 
@@ -97,6 +95,25 @@ func Fig19(o Opts) []Table {
 // MuxWise improves goodput ~1.2× over chunked-prefill even without
 // chunking pressure, because a strict TBT SLO forces a small budget.
 func Sec431(o Opts) []Table {
+	t := Table{
+		ID:      "sec431",
+		Title:   "single A100, Llama-8B, ShareGPT goodput",
+		Columns: []string{"system", "goodput(req/s)"},
+	}
+	gs := shareGPTGoodputs(o, 431, "MuxWise", "Chunked")
+	gm, gc := gs[0], gs[1]
+	t.Add("MuxWise", fmt.Sprintf("%.2f", gm))
+	t.Add("Chunked", fmt.Sprintf("%.2f", gc))
+	if gc > 0 {
+		t.Notes = append(t.Notes, fmt.Sprintf("ratio %.2f× (paper: 1.2×)", gm/gc))
+	}
+	return []Table{t}
+}
+
+// shareGPTGoodputs searches each engine's goodput on ShareGPT with
+// Poisson arrivals, served by Llama-8B on a single A100 under a 50 ms
+// TBT SLO — the §4.3.1 and §6 setting.
+func shareGPTGoodputs(o Opts, seed uint64, engines ...string) []float64 {
 	cfg := serve.Config{
 		Spec: gpu.A100(), GPUs: 1, Arch: model.Llama8B(),
 		SLO: metrics.SLO{TTFT: 500 * sim.Millisecond, TBT: 50 * sim.Millisecond},
@@ -105,28 +122,15 @@ func Sec431(o Opts) []Table {
 		// Fixed-duration probes: the trace must outlast the stability
 		// grace at every rate, or overload never accumulates.
 		n := o.Size(max(600, int(rate*120)), 150)
-		return workload.ShareGPT(431, n).WithPoissonArrivals(431+uint64(rate*100), rate)
+		return workload.ShareGPT(seed, n).WithPoissonArrivals(seed+uint64(rate*100), rate)
 	}
 	lo, hi := 0.5, 60.0
 	if o.Quick {
 		hi = 2.0
 	}
-	t := Table{
-		ID:      "sec431",
-		Title:   "single A100, Llama-8B, ShareGPT goodput",
-		Columns: []string{"system", "goodput(req/s)"},
-	}
-	factories := []serve.Factory{core.New, chunked.New}
-	gs := par.RunIndexed(len(factories), func(i int) float64 {
-		return serve.Goodput(factories[i], cfg, mk, lo, hi)
+	return par.RunIndexed(len(engines), func(i int) float64 {
+		return goodput(engine(cfg, engines[i], muxwise.WithWorkload(mk)), lo, hi)
 	})
-	gm, gc := gs[0], gs[1]
-	t.Add("MuxWise", fmt.Sprintf("%.2f", gm))
-	t.Add("Chunked", fmt.Sprintf("%.2f", gc))
-	if gc > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("ratio %.2f× (paper: 1.2×)", gm/gc))
-	}
-	return []Table{t}
 }
 
 // Sec45 reproduces §4.5: the memory and runtime overheads of realizing
@@ -176,7 +180,7 @@ func Sec45(o Opts) []Table {
 // zero launch cost — the launch-overhead-free reference the layer-wise
 // overhead is judged against.
 func measurePhaseNoLaunch(spec gpu.Spec, tp int, arch model.Arch, seqs []model.Seq) float64 {
-	s := newSim()
+	s := sim.New()
 	d := gpu.NewDevice(s, spec, tp, "ref")
 	p := d.Partition(spec.SMs, "phase")
 	phase := arch.PrefillPhase(seqs, tp)
@@ -194,27 +198,12 @@ func measurePhaseNoLaunch(spec gpu.Spec, tp int, arch model.Arch, seqs []model.S
 // A100, Llama-8B, 50 ms TBT) and vs the temporal-only layer-sliced
 // variant (paper: at least 20% worse than MuxWise).
 func Sec6(o Opts) []Table {
-	cfg := serve.Config{
-		Spec: gpu.A100(), GPUs: 1, Arch: model.Llama8B(),
-		SLO: metrics.SLO{TTFT: 500 * sim.Millisecond, TBT: 50 * sim.Millisecond},
-	}
-	mk := func(rate float64) *workload.Trace {
-		n := o.Size(max(600, int(rate*120)), 150)
-		return workload.ShareGPT(61, n).WithPoissonArrivals(61+uint64(rate*100), rate)
-	}
-	lo, hi := 0.5, 60.0
-	if o.Quick {
-		hi = 2.0
-	}
 	t := Table{
 		ID:      "sec6",
 		Title:   "related multiplexers, ShareGPT goodput (A100×1, Llama-8B)",
 		Columns: []string{"system", "goodput(req/s)", "MuxWise ratio"},
 	}
-	factories := []serve.Factory{core.New, windserve.New, temporal.New}
-	gs := par.RunIndexed(len(factories), func(i int) float64 {
-		return serve.Goodput(factories[i], cfg, mk, lo, hi)
-	})
+	gs := shareGPTGoodputs(o, 61, "MuxWise", "WindServe", "Temporal")
 	gm, gw, gt := gs[0], gs[1], gs[2]
 	add := func(name string, g float64) {
 		ratio := "n/a"
@@ -227,6 +216,5 @@ func Sec6(o Opts) []Table {
 	add("WindServe", gw)
 	add("Temporal", gt)
 	t.Notes = append(t.Notes, "paper: 1.61× over WindServe; temporal-only ≥20% worse")
-	_ = metrics.SLO{}
 	return []Table{t}
 }

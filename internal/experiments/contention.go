@@ -53,7 +53,7 @@ func Fig11(o Opts) []Table {
 					}
 				}
 			}
-			t.Addf("", sms, minS, sum/float64(n), maxS)
+			t.Addf(sms, minS, sum/float64(n), maxS)
 		}
 		t.Notes = append(t.Notes, "paper: slowdown ranges ~0-30% and varies with the partition split")
 		out = append(out, t)

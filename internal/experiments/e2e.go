@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"muxwise"
 	"muxwise/internal/par"
 	"muxwise/internal/serve"
 	"muxwise/internal/workload"
@@ -32,11 +33,9 @@ func fig14Cell(o Opts, cfg serve.Config, wl string, scale float64, seed uint64) 
 		Columns: []string{"system", "p99 TTFT(s)", "p99 TBT(ms)", "TBT attain%", "state"},
 	}
 	sessions := o.Size(1200, 120)
-	factories := Baselines()
 	rows := par.RunIndexed(len(fig14Systems), func(i int) []string {
 		name := fig14Systems[i]
-		tr := realTrace(wl, scale, sessions, seed)
-		res := serve.Run(factories[name], cfg, tr)
+		res := must(engine(cfg, name).Run(realTrace(wl, scale, sessions, seed)))
 		state := "stable"
 		if res.Summary.Unstable {
 			state = "UNSTABLE"
@@ -44,7 +43,7 @@ func fig14Cell(o Opts, cfg serve.Config, wl string, scale float64, seed uint64) 
 		return []string{name,
 			sec(res.Summary.TTFT.P99),
 			ms(res.Summary.TBT.P99),
-			fmt.Sprintf("%.1f", res.Rec.TBTAttainment(cfg.SLO.TBT)*100),
+			fmt.Sprintf("%.1f", res.Attainment*100),
 			state}
 	})
 	for _, row := range rows {
@@ -98,7 +97,6 @@ func Tables34(o Opts) []Table {
 		cells = cells[:1]
 	}
 	sessions := o.Size(1200, 120)
-	factories := Baselines()
 	for _, c := range cells {
 		t := Table{
 			ID:      c.id,
@@ -107,8 +105,7 @@ func Tables34(o Opts) []Table {
 		}
 		rows := par.RunIndexed(len(fig14Systems), func(i int) []string {
 			name := fig14Systems[i]
-			tr := realTrace(c.wl, scale70B, sessions, c.seed)
-			res := serve.Run(factories[name], config70B(), tr)
+			res := must(engine(config70B(), name).Run(realTrace(c.wl, scale70B, sessions, c.seed)))
 			s := res.Summary
 			return []string{name,
 				fmt.Sprintf("%.1f/%.1f", s.TTFT.Avg, s.TTFT.P50),
@@ -150,7 +147,6 @@ func Fig15(o Opts) []Table {
 		cases[0].rates = []float64{0.1, 0.3}
 	}
 	sessions := o.Size(700, 80)
-	factories := Baselines()
 	for _, c := range cases {
 		t := Table{
 			ID:      "fig15",
@@ -169,8 +165,8 @@ func Fig15(o Opts) []Table {
 		}
 		results := par.RunIndexed(len(fig14Systems), func(idx int) sweepRow {
 			name := fig14Systems[idx]
-			mk := poissonToolAgent(c.seed, sessions)
-			pts := serve.Sweep(factories[name], c.cfg, mk, c.rates)
+			exp := engine(c.cfg, name, muxwise.WithWorkload(poissonToolAgent(c.seed, sessions)))
+			pts := must(exp.Sweep(c.rates...))
 			row := []string{name}
 			best := 0.0
 			for i := range c.rates {
@@ -223,17 +219,15 @@ func Table5(o Opts) []Table {
 	var out []Table
 	cases := []struct {
 		cfg  serve.Config
-		rate map[string]float64 // operating rate per system (its goodput)
 		seed uint64
 	}{
-		{config8B(), nil, 201},
-		{config70B(), nil, 202},
+		{config8B(), 201},
+		{config70B(), 202},
 	}
 	if o.Quick {
 		cases = cases[1:]
 	}
 	sessions := o.Size(700, 80)
-	factories := Baselines()
 	for _, c := range cases {
 		t := Table{
 			ID:      "tab5",
@@ -250,15 +244,16 @@ func Table5(o Opts) []Table {
 		rows := par.RunIndexed(len(fig14Systems), func(i int) []string {
 			name := fig14Systems[i]
 			mk := poissonToolAgent(c.seed, sessions)
-			g := serve.Goodput(factories[name], c.cfg, mk, lo, hi)
+			exp := engine(c.cfg, name, muxwise.WithWorkload(mk))
+			g := goodput(exp, lo, hi)
 			if g == 0 {
 				return []string{name, "0", "-", "-"}
 			}
-			res := serve.Run(factories[name], c.cfg, mk(g))
-			util := res.MeanUtil() * 100
-			utilCell := fmt.Sprintf("%.1f", util)
-			if name == "SGLang-PD" && len(res.Devices) == 2 {
-				utilCell = fmt.Sprintf("P(%.1f)/D(%.1f)", res.Devices[0].Util*100, res.Devices[1].Util*100)
+			res := must(exp.Run(mk(g)))
+			devs := res.Engine.Devices
+			utilCell := fmt.Sprintf("%.1f", res.Engine.MeanUtil()*100)
+			if name == "SGLang-PD" && len(devs) == 2 {
+				utilCell = fmt.Sprintf("P(%.1f)/D(%.1f)", devs[0].Util*100, devs[1].Util*100)
 			}
 			return []string{name, fmt.Sprintf("%.2f", g),
 				fmt.Sprintf("%.0f", res.Summary.TokensPerSecond), utilCell}

@@ -11,7 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"muxwise/internal/serve"
+	"muxwise"
 )
 
 // -update rewrites the paper-table golden from the current run:
@@ -149,15 +149,6 @@ func TestByID(t *testing.T) {
 	}
 }
 
-func TestBaselinesComplete(t *testing.T) {
-	b := Baselines()
-	for _, name := range append([]string{"WindServe", "Temporal"}, fig14Systems...) {
-		if _, ok := b[name]; !ok {
-			t.Errorf("baseline %q missing", name)
-		}
-	}
-}
-
 func TestTableFprint(t *testing.T) {
 	tbl := Table{ID: "x", Title: "t", Columns: []string{"a", "bb"}, Notes: []string{"n"}}
 	tbl.Add("1", "2")
@@ -213,18 +204,21 @@ func TestFig14Ordering(t *testing.T) {
 func TestGoodputBeatsChunked(t *testing.T) {
 	mk := poissonToolAgent(202, 80)
 	rates := []float64{0.1, 0.2, 0.3, 0.4}
-	best := func(f serve.Factory) float64 {
+	best := func(name string) float64 {
+		pts, err := engine(config70B(), name, muxwise.WithWorkload(mk)).Sweep(rates...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		b := 0.0
-		for _, p := range serve.Sweep(f, config70B(), mk, rates) {
+		for _, p := range pts {
 			if !p.Unstable && p.Attainment >= 0.99 {
 				b = p.Rate
 			}
 		}
 		return b
 	}
-	factories := Baselines()
-	gm := best(factories["MuxWise"])
-	gc := best(factories["Chunked"])
+	gm := best("MuxWise")
+	gc := best("Chunked")
 	if gm <= gc {
 		t.Fatalf("MuxWise goodput %.2f not above chunked %.2f", gm, gc)
 	}

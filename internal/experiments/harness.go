@@ -1,27 +1,25 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§2 motivation and §4). Each experiment returns Tables whose
 // rows mirror the series the paper plots, so the output can be compared
-// against the publication shape for shape (see EXPERIMENTS.md).
+// against the publication shape for shape: `muxbench -list` names every
+// experiment and the paper table or figure it regenerates, and the
+// README shows how to run them. Runs, sweeps and goodput searches go
+// through the public muxwise.Experiment API; testdata/paper_tables.json
+// pins the quick-scale tables.
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
-	"muxwise/internal/chunked"
-	"muxwise/internal/core"
+	"muxwise"
 	"muxwise/internal/gpu"
-	"muxwise/internal/loong"
 	"muxwise/internal/metrics"
 	"muxwise/internal/model"
-	"muxwise/internal/nanoflow"
-	"muxwise/internal/pdsep"
 	"muxwise/internal/serve"
 	"muxwise/internal/sim"
-	"muxwise/internal/temporal"
-	"muxwise/internal/windserve"
 )
 
 // Opts controls experiment scale.
@@ -53,8 +51,8 @@ type Table struct {
 // Add appends a formatted row.
 func (t *Table) Add(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Addf appends a row of formatted values.
-func (t *Table) Addf(format string, cells ...any) {
+// Addf appends a row of values, formatting floats with %.3g.
+func (t *Table) Addf(cells ...any) {
 	parts := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
@@ -68,7 +66,6 @@ func (t *Table) Addf(format string, cells ...any) {
 			parts[i] = fmt.Sprint(v)
 		}
 	}
-	_ = format
 	t.Rows = append(t.Rows, parts)
 }
 
@@ -164,33 +161,10 @@ func Find(list []Experiment, id string) (Experiment, bool) {
 // ByID finds an experiment in the built-in registry.
 func ByID(id string) (Experiment, bool) { return Find(Registry(), id) }
 
-// Baselines returns the engine factories compared in §4.2.
-func Baselines() map[string]serve.Factory {
-	return map[string]serve.Factory{
-		"MuxWise":    core.New,
-		"Chunked":    chunked.New,
-		"NanoFlow":   nanoflow.New,
-		"LoongServe": loong.New,
-		"SGLang-PD":  pdsep.New,
-		"WindServe":  windserve.New,
-		"Temporal":   temporal.New,
-	}
-}
-
 // fig14Systems is the five-system comparison order used in §4.2.
 var fig14Systems = []string{"MuxWise", "Chunked", "NanoFlow", "LoongServe", "SGLang-PD"}
 
-// sortedNames returns map keys in deterministic order.
-func sortedNames(m map[string]serve.Factory) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// deployment bundles the standard test configurations.
+// config8B and config70B are the standard §4 deployments.
 func config8B() serve.Config {
 	return serve.Config{
 		Spec: gpu.A100(), GPUs: 8, Arch: model.Llama8B(),
@@ -208,4 +182,28 @@ func config70B() serve.Config {
 func ms(v float64) string  { return fmt.Sprintf("%.1f", v*1e3) }
 func sec(v float64) string { return fmt.Sprintf("%.2f", v) }
 
-func newSim() *sim.Sim { return sim.New() }
+// engine runs the named engine on cfg's hardware, model and SLO through
+// the public API.
+func engine(cfg serve.Config, name string, opts ...muxwise.Option) *muxwise.Experiment {
+	dep := muxwise.Deployment{Hardware: cfg.Spec.Name, GPUs: cfg.GPUs, Model: cfg.Arch.Name, SLO: cfg.SLO}
+	return muxwise.NewExperiment(muxwise.WithDeployment(dep), muxwise.WithEngine(name)).With(opts...)
+}
+
+// must unwraps a muxwise.Experiment result. Every experiment here is
+// configured from the built-in catalogs, so an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// goodput searches exp's goodput over [lo, hi]; 0 means even lo misses
+// the §4 criterion.
+func goodput(exp *muxwise.Experiment, lo, hi float64) float64 {
+	g, err := exp.Goodput(lo, hi)
+	if errors.Is(err, muxwise.ErrNoFeasibleRate) {
+		return 0
+	}
+	return must(g, err)
+}

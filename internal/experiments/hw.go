@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"muxwise/internal/chunked"
-	"muxwise/internal/core"
 	"muxwise/internal/gpu"
 	"muxwise/internal/metrics"
 	"muxwise/internal/model"
@@ -41,9 +39,8 @@ func Fig16(o Opts) []Table {
 				Columns: []string{"system", "p99 TTFT(s)", "p99 TBT(ms)"},
 			}
 			cfg := serve.Config{Spec: c.spec, GPUs: 8, Arch: c.arch, SLO: c.slo}
-			for _, f := range []serve.Factory{core.New, chunked.New} {
-				tr := realTrace(wl, c.scale, sessions, c.seed)
-				res := serve.Run(f, cfg, tr)
+			for _, name := range []string{"MuxWise", "Chunked"} {
+				res := must(engine(cfg, name).Run(realTrace(wl, c.scale, sessions, c.seed)))
 				t.Add(res.Summary.Name, sec(res.Summary.TTFT.P99), ms(res.Summary.TBT.P99))
 			}
 			t.Notes = append(t.Notes, "paper: avg 2.28× p99-TTFT and 1.81× p99-TBT speedups across these cells")

@@ -7,6 +7,7 @@ import (
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
 	"muxwise/internal/model"
+	"muxwise/internal/sim"
 	"muxwise/internal/workload"
 )
 
@@ -45,7 +46,7 @@ func Fig3(o Opts) []Table {
 		gpus := gpuEquiv(func(sms int) float64 {
 			return estimator.MeasurePrefillSolo(spec, 8, arch, sms, seqs)
 		}, 0.4)
-		pre.Addf("", fmt.Sprintf("%d", r/1000), gpus, kvGB(r+2048))
+		pre.Addf(fmt.Sprintf("%d", r/1000), gpus, kvGB(r+2048))
 	}
 
 	dec := Table{
@@ -62,7 +63,7 @@ func Fig3(o Opts) []Table {
 		gpus := gpuEquiv(func(sms int) float64 {
 			return estimator.MeasureDecodeSolo(spec, 8, arch, sms, 32, per)
 		}, 0.1)
-		dec.Addf("", fmt.Sprintf("%d", total/1000), gpus, kvGB(total))
+		dec.Addf(fmt.Sprintf("%d", total/1000), gpus, kvGB(total))
 	}
 	pre.Notes = append(pre.Notes, "paper: prefill demand grows with reuse; decode demand is less sensitive")
 	return []Table{pre, dec}
@@ -105,7 +106,7 @@ func Fig5(o Opts) []Table {
 // fusedIterLatency measures one chunked-prefill fused iteration on the
 // simulated device (full 8×A100, Llama-70B).
 func fusedIterLatency(arch model.Arch, spec gpu.Spec, budget, bs, decCtx, chunkPrior, chunkReused int) float64 {
-	s := newSim()
+	s := sim.New()
 	d := gpu.NewDevice(s, spec, 8, "fig6")
 	p := d.Partition(spec.SMs, "fused")
 	chunk := model.Seq{New: budget - bs, Prior: chunkPrior, Reused: chunkReused}
@@ -140,7 +141,7 @@ func Fig6(o Opts) []Table {
 	}
 	for _, b := range budgets {
 		lat := fusedIterLatency(arch, spec, b, 32, 1024, 0, 1024)
-		a.Addf("", b, lat*1e3)
+		a.Addf(b, lat*1e3)
 	}
 	a.Notes = append(a.Notes, "paper: saturation at (4K, 505ms); SLO-compliant budget ~256 for 100ms TBT")
 

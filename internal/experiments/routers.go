@@ -1,13 +1,8 @@
 package experiments
 
 import (
+	"muxwise"
 	"muxwise/internal/cluster"
-	"muxwise/internal/core"
-	"muxwise/internal/gpu"
-	"muxwise/internal/metrics"
-	"muxwise/internal/model"
-	"muxwise/internal/serve"
-	"muxwise/internal/sim"
 	"muxwise/internal/workload"
 )
 
@@ -28,10 +23,6 @@ func Routers(o Opts) []Table {
 		return workload.Conversation(17, sessions).
 			WithProfileArrivals(17, workload.ConversationProfile(scale))
 	}
-	base := serve.Config{
-		Spec: gpu.A100(), GPUs: 1, Arch: model.Llama8B(),
-		SLO: metrics.SLO{TTFT: sim.Second, TBT: 50 * sim.Millisecond},
-	}
 	t := Table{
 		ID:    "routers",
 		Title: "router-policy goodput, bursty Conversation (burst scale sustained)",
@@ -42,6 +33,17 @@ func Routers(o Opts) []Table {
 			"fleet: 1×MuxWise/A100 + 1×MuxWise/H100; n/a = floor scale misses the SLO",
 		},
 	}
+	fleet := muxwise.NewExperiment(
+		muxwise.WithDeployment(muxwise.Deployment{
+			Hardware: "A100", GPUs: 1, Model: "Llama-8B",
+			SLO: muxwise.SLO{TTFT: muxwise.Second, TBT: 50 * muxwise.Millisecond},
+		}),
+		muxwise.WithFleet(
+			muxwise.ReplicaSpec{Engine: "MuxWise", Count: 1, Hardware: "A100"},
+			muxwise.ReplicaSpec{Engine: "MuxWise", Count: 1, Hardware: "H100"},
+		),
+		muxwise.WithWorkload(mk),
+	)
 	goodputs := map[string]float64{}
 	// The trailing entry is not a registered policy but an inline EPP
 	// composition spec — config-only construction competing in the same
@@ -49,25 +51,7 @@ func Routers(o Opts) []Table {
 	// WithRouter use.
 	names := append(cluster.PolicyNames(), "epp:scorers=prefix:2,least-tokens:1")
 	for _, name := range names {
-		policy, err := cluster.ResolvePolicy(name)
-		if err != nil {
-			goodputs[name] = 0
-			continue
-		}
-		cfg := cluster.Config{
-			Base: base,
-			Replicas: []cluster.ReplicaSpec{
-				{Engine: "MuxWise", Factory: core.New, Count: 1, Hardware: gpu.A100()},
-				{Engine: "MuxWise", Factory: core.New, Count: 1, Hardware: gpu.H100()},
-			},
-			Policy: policy,
-		}
-		g, feasible, err := cluster.Goodput(cfg, mk, lo, hi)
-		if err != nil || !feasible {
-			goodputs[name] = 0
-			continue
-		}
-		goodputs[name] = g
+		goodputs[name] = goodput(fleet.With(muxwise.WithRouter(name)), lo, hi)
 	}
 	ref := goodputs[cluster.LeastTokensPolicy]
 	for _, name := range names {
@@ -76,9 +60,9 @@ func Routers(o Opts) []Table {
 		case g == 0:
 			t.Add(name, "n/a", "-")
 		case ref > 0:
-			t.Addf("", name, g, goodputs[name]/ref)
+			t.Addf(name, g, goodputs[name]/ref)
 		default:
-			t.Addf("", name, g, "-")
+			t.Addf(name, g, "-")
 		}
 	}
 	return []Table{t}

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"muxwise"
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
 	"muxwise/internal/metrics"
@@ -50,9 +51,7 @@ func TestStressAllEngines(t *testing.T) {
 	}
 	specs := []gpu.Spec{gpu.A100(), gpu.H100()}
 	archs := []model.Arch{model.Llama8B(), model.Llama70B()}
-	factories := Baselines()
-	for _, name := range sortedNames(factories) {
-		name := name
+	for _, name := range muxwise.Engines() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(0xBEEF, 0xCAFE))
 			for trial := 0; trial < 4; trial++ {
@@ -71,7 +70,10 @@ func TestStressAllEngines(t *testing.T) {
 					continue // model does not fit this deployment
 				}
 				tr := randomTrace(rng, uint64(trial)*1009+7)
-				res := serve.Run(factories[name], cfg, tr)
+				res, err := engine(cfg, name).Run(tr)
+				if err != nil {
+					t.Fatal(err)
+				}
 				label := fmt.Sprintf("trial %d (%s %dx%s tbt=%v)", trial, arch.Name, gpus, spec.Name, tbt)
 
 				if res.Summary.Finished != res.Summary.Requests {
@@ -123,10 +125,12 @@ func TestDegenerateWorkloads(t *testing.T) {
 		{"giant-context", mk(120000, 3, 3)},
 		{"many-tiny", mk(4, 4, 200)},
 	}
-	factories := Baselines()
-	for _, name := range sortedNames(factories) {
+	for _, name := range muxwise.Engines() {
 		for _, c := range cases {
-			res := serve.Run(factories[name], cfg, c.trace)
+			res, err := engine(cfg, name).Run(c.trace)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, c.name, err)
+			}
 			if res.Summary.Finished != res.Summary.Requests {
 				t.Errorf("%s/%s: finished %d/%d", name, c.name,
 					res.Summary.Finished, res.Summary.Requests)

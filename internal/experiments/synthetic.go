@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"muxwise"
 	"muxwise/internal/core"
-	"muxwise/internal/metrics"
 	"muxwise/internal/par"
 	"muxwise/internal/serve"
 	"muxwise/internal/sim"
@@ -45,16 +45,15 @@ func Fig17(o Opts) []Table {
 		cases[0].rates = []float64{1, 3}
 	}
 	n := o.Size(1600, 160)
-	factories := Baselines()
 	for _, c := range cases {
 		t := Table{
 			ID:      "fig17",
 			Title:   fmt.Sprintf("Llama-70B on synthetic %s", c.kind),
 			Columns: []string{"system", "rate", "p99 TTFT(s)", "p99 TBT(ms)", "attain%"},
 		}
-		sweeps := par.RunIndexed(len(fig14Systems), func(i int) []serve.RatePoint {
-			mk := syntheticTrace(c.kind, c.seed, n)
-			return serve.Sweep(factories[fig14Systems[i]], config70B(), mk, c.rates)
+		sweeps := par.RunIndexed(len(fig14Systems), func(i int) []muxwise.RatePoint {
+			exp := engine(config70B(), fig14Systems[i], muxwise.WithWorkload(syntheticTrace(c.kind, c.seed, n)))
+			return must(exp.Sweep(c.rates...))
 		})
 		for i, pts := range sweeps {
 			for _, p := range pts {
@@ -100,14 +99,15 @@ func Fig18(o Opts) []Table {
 		prefill float64
 	}
 	var shares []share
+	mux := engine(config70B(), "MuxWise")
 	for _, c := range cases {
-		tr := syntheticTrace(c.kind, c.seed, n)(c.rate)
-		res := serve.Run(core.New, config70B(), tr)
-		dec, pre := res.Timeline.MeanSharesActive(res.Summary.Makespan, config70B().Spec.SMs)
+		res := must(mux.Run(syntheticTrace(c.kind, c.seed, n)(c.rate)))
+		tl := res.Engine.Timeline
+		dec, pre := tl.MeanSharesActive(res.Summary.Makespan, config70B().Spec.SMs)
 		t.Add(c.kind,
 			fmt.Sprintf("%.1f", pre*100),
 			fmt.Sprintf("%.1f", dec*100),
-			fmt.Sprintf("%d", res.Timeline.DistinctConfigs()))
+			fmt.Sprintf("%d", tl.DistinctConfigs()))
 		shares = append(shares, share{c.kind, pre})
 	}
 	t.Notes = append(t.Notes, "paper: prefill share LooGLE > ShareGPT > OpenThoughts (measured over multiplexed intervals)")
@@ -119,11 +119,10 @@ func Fig18(o Opts) []Table {
 		Columns: []string{"window", "configs active"},
 	}
 	if !o.Quick {
-		tr := realTrace("Tool&Agent", scale70B*1.5, o.Size(900, 100), 414)
-		res := serve.Run(core.New, config70B(), tr)
+		res := must(mux.Run(realTrace("Tool&Agent", scale70B*1.5, o.Size(900, 100), 414)))
 		maxIn30 := 0
 		for at := sim.Time(0); at < res.Summary.Makespan; at += 15 * sim.Second {
-			if c := res.Timeline.ConfigsWithin(at, at+30*sim.Second); c > maxIn30 {
+			if c := res.Engine.Timeline.ConfigsWithin(at, at+30*sim.Second); c > maxIn30 {
 				maxIn30 = c
 			}
 		}
@@ -171,5 +170,3 @@ func Fig20(o Opts) []Table {
 	}
 	return []Table{t}
 }
-
-var _ = metrics.SLO{} // keep the import set stable across edits

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"muxwise/internal/par"
-	"muxwise/internal/workload"
-)
+import "muxwise/internal/par"
 
 // RatePoint is one sample of a load sweep.
 type RatePoint struct {
@@ -19,20 +16,6 @@ type RatePoint struct {
 // meets reports whether the point satisfies the goodput criterion used
 // throughout §4: stable and ≥99% of TBT samples within the SLO.
 func (p RatePoint) meets() bool { return !p.Unstable && p.Attainment >= 0.99 }
-
-// Probe runs one point of a load sweep.
-func Probe(f Factory, cfg Config, mkTrace func(rate float64) *workload.Trace, rate float64) RatePoint {
-	res := Run(f, cfg, mkTrace(rate))
-	return RatePoint{
-		Rate:       rate,
-		Attainment: res.Rec.TBTAttainment(cfg.SLO.TBT),
-		P99TTFT:    res.Summary.TTFT.P99,
-		P99TBT:     res.Summary.TBT.P99,
-		Unstable:   res.Summary.Unstable,
-		TokensPerS: res.Summary.TokensPerSecond,
-		Util:       res.MeanUtil(),
-	}
-}
 
 // SweepBy probes each rate with the given probe function and keeps the
 // points up to two past the first SLO miss (the paper stops testing once
@@ -69,17 +52,6 @@ func SweepBy(probe func(rate float64) RatePoint, rates []float64) []RatePoint {
 	return pts
 }
 
-// Sweep probes each offered rate in order, stopping two points after the
-// engine first misses the SLO criterion. Probes run concurrently, so
-// mkTrace (and the factory) must be safe to call from multiple
-// goroutines — return a fresh trace per call instead of mutating a
-// shared one.
-func Sweep(f Factory, cfg Config, mkTrace func(rate float64) *workload.Trace, rates []float64) []RatePoint {
-	return SweepBy(func(rate float64) RatePoint {
-		return Probe(f, cfg, mkTrace, rate)
-	}, rates)
-}
-
 // GoodputBy finds the highest offered rate (within [lo, hi]) whose probe
 // meets the SLO criterion, by bisection to a 2% relative resolution.
 // Bisection is inherently sequential: each probe decides the next rate.
@@ -100,14 +72,4 @@ func GoodputBy(probe func(rate float64) RatePoint, lo, hi float64) (float64, boo
 		}
 	}
 	return best, true
-}
-
-// Goodput finds the highest offered rate (within [lo, hi]) at which the
-// engine meets the SLO criterion — the paper's headline metric. An
-// infeasible range reports 0; use GoodputBy to tell the cases apart.
-func Goodput(f Factory, cfg Config, mkTrace func(rate float64) *workload.Trace, lo, hi float64) float64 {
-	g, _ := GoodputBy(func(rate float64) RatePoint {
-		return Probe(f, cfg, mkTrace, rate)
-	}, lo, hi)
-	return g
 }

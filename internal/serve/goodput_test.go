@@ -8,6 +8,23 @@ import (
 	"muxwise/internal/workload"
 )
 
+// probe is the rate probe muxwise.Experiment builds from Run: one run of
+// the trace generated at the offered rate, judged against cfg's SLO.
+func probe(f Factory, cfg Config, mkTrace func(rate float64) *workload.Trace) func(rate float64) RatePoint {
+	return func(rate float64) RatePoint {
+		res := Run(f, cfg, mkTrace(rate))
+		return RatePoint{
+			Rate:       rate,
+			Attainment: res.Rec.TBTAttainment(cfg.SLO.TBT),
+			P99TTFT:    res.Summary.TTFT.P99,
+			P99TBT:     res.Summary.TBT.P99,
+			Unstable:   res.Summary.Unstable,
+			TokensPerS: res.Summary.TokensPerSecond,
+			Util:       res.MeanUtil(),
+		}
+	}
+}
+
 // countingTrace wraps smallTrace with a goroutine-safe probe counter.
 func countingTrace(calls *atomic.Int64) func(rate float64) *workload.Trace {
 	return func(rate float64) *workload.Trace {
@@ -18,10 +35,10 @@ func countingTrace(calls *atomic.Int64) func(rate float64) *workload.Trace {
 
 func TestGoodputInfeasibleLo(t *testing.T) {
 	var calls atomic.Int64
-	g := Goodput(fakeFactory(10*sim.Millisecond, 200*sim.Millisecond), testCfg(),
-		countingTrace(&calls), 0.5, 8)
-	if g != 0 {
-		t.Fatalf("goodput = %v, want 0 when the floor rate already fails", g)
+	g, ok := GoodputBy(probe(fakeFactory(10*sim.Millisecond, 200*sim.Millisecond), testCfg(),
+		countingTrace(&calls)), 0.5, 8)
+	if ok || g != 0 {
+		t.Fatalf("goodput = (%v, %v), want (0, false) when the floor rate already fails", g, ok)
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("infeasible lo should stop after one probe, ran %d", calls.Load())
@@ -32,8 +49,8 @@ func TestGoodputFullyFeasibleHi(t *testing.T) {
 	var calls atomic.Int64
 	// 10ms gaps always meet the 50ms TBT SLO: every bisection step
 	// passes, so the answer converges to the ceiling.
-	g := Goodput(fakeFactory(10*sim.Millisecond, 10*sim.Millisecond), testCfg(),
-		countingTrace(&calls), 1, 10)
+	g, _ := GoodputBy(probe(fakeFactory(10*sim.Millisecond, 10*sim.Millisecond), testCfg(),
+		countingTrace(&calls)), 1, 10)
 	if g < 9.0 {
 		t.Fatalf("goodput = %v, want ≈hi when every rate is feasible", g)
 	}
@@ -57,7 +74,7 @@ func TestGoodputResolutionBound(t *testing.T) {
 		current.Store(int64(rate * 1000))
 		return smallTrace(20)
 	}
-	g := Goodput(f, testCfg(), mk, 1, 100)
+	g, _ := GoodputBy(probe(f, testCfg(), mk), 1, 100)
 	if g < 48 || g >= 50 {
 		t.Fatalf("goodput = %v, want within [48, 50) (2%% of hi below the threshold)", g)
 	}
@@ -67,8 +84,8 @@ func TestSweepParallelDeterministic(t *testing.T) {
 	mk := func(rate float64) *workload.Trace { return smallTrace(20) }
 	rates := []float64{1, 2, 3, 4, 5, 6}
 	f := fakeFactory(10*sim.Millisecond, 10*sim.Millisecond)
-	a := Sweep(f, testCfg(), mk, rates)
-	b := Sweep(f, testCfg(), mk, rates)
+	a := SweepBy(probe(f, testCfg(), mk), rates)
+	b := SweepBy(probe(f, testCfg(), mk), rates)
 	if len(a) != len(rates) || len(a) != len(b) {
 		t.Fatalf("sweep lengths %d/%d, want %d", len(a), len(b), len(rates))
 	}
@@ -86,7 +103,7 @@ func TestSweepEarlyStopMatchesSequentialRule(t *testing.T) {
 	// Failing engine: the ordered results must truncate two points after
 	// the first miss, exactly like the sequential sweep did.
 	mk := func(rate float64) *workload.Trace { return smallTrace(20) }
-	pts := Sweep(fakeFactory(10*sim.Millisecond, 80*sim.Millisecond), testCfg(), mk,
+	pts := SweepBy(probe(fakeFactory(10*sim.Millisecond, 80*sim.Millisecond), testCfg(), mk),
 		[]float64{1, 2, 3, 4, 5})
 	if len(pts) != 2 {
 		t.Fatalf("sweep kept %d points, want 2 (stop at second miss)", len(pts))

@@ -194,16 +194,16 @@ func TestPoolTokensHelper(t *testing.T) {
 func TestProbeAndSweep(t *testing.T) {
 	mk := func(rate float64) *workload.Trace { return smallTrace(20) }
 	// Fast engine: 10ms TBT < 50ms SLO → meets.
-	p := Probe(fakeFactory(10*sim.Millisecond, 10*sim.Millisecond), testCfg(), mk, 1)
+	p := probe(fakeFactory(10*sim.Millisecond, 10*sim.Millisecond), testCfg(), mk)(1)
 	if p.Attainment < 0.99 || p.Unstable {
 		t.Fatalf("fast engine should meet SLO: %+v", p)
 	}
 	// Slow engine: 80ms gaps violate.
-	p2 := Probe(fakeFactory(10*sim.Millisecond, 80*sim.Millisecond), testCfg(), mk, 1)
+	p2 := probe(fakeFactory(10*sim.Millisecond, 80*sim.Millisecond), testCfg(), mk)(1)
 	if p2.Attainment > 0.01 {
 		t.Fatalf("slow engine attainment = %v, want ≈0", p2.Attainment)
 	}
-	pts := Sweep(fakeFactory(10*sim.Millisecond, 80*sim.Millisecond), testCfg(), mk, []float64{1, 2, 3, 4, 5})
+	pts := SweepBy(probe(fakeFactory(10*sim.Millisecond, 80*sim.Millisecond), testCfg(), mk), []float64{1, 2, 3, 4, 5})
 	if len(pts) > 3 {
 		t.Fatalf("sweep should stop after repeated misses, got %d points", len(pts))
 	}
@@ -225,14 +225,14 @@ func TestGoodputBisection(t *testing.T) {
 		current = rate
 		return mk(rate)
 	}
-	g := Goodput(f, testCfg(), mkTrack, 0.5, 8)
+	g, _ := GoodputBy(probe(f, testCfg(), mkTrack), 0.5, 8)
 	if g < 1.5 || g > 3.0 {
 		t.Fatalf("goodput = %v, want ≈2.5 (gap crosses 50ms there)", g)
 	}
 	// Engine failing even at the floor → 0.
-	bad := Goodput(fakeFactory(10*sim.Millisecond, 200*sim.Millisecond), testCfg(), mk, 0.5, 8)
-	if bad != 0 {
-		t.Fatalf("failing engine goodput = %v, want 0", bad)
+	bad, ok := GoodputBy(probe(fakeFactory(10*sim.Millisecond, 200*sim.Millisecond), testCfg(), mk), 0.5, 8)
+	if ok || bad != 0 {
+		t.Fatalf("failing engine goodput = (%v, %v), want (0, false)", bad, ok)
 	}
 }
 

@@ -50,13 +50,19 @@ import (
 	"fmt"
 	"time"
 
+	"muxwise/internal/chunked"
 	"muxwise/internal/cluster"
-	"muxwise/internal/experiments"
+	"muxwise/internal/core"
 	"muxwise/internal/gpu"
+	"muxwise/internal/loong"
 	"muxwise/internal/metrics"
 	"muxwise/internal/model"
+	"muxwise/internal/nanoflow"
+	"muxwise/internal/pdsep"
 	"muxwise/internal/serve"
 	"muxwise/internal/sim"
+	"muxwise/internal/temporal"
+	"muxwise/internal/windserve"
 	"muxwise/internal/workload"
 )
 
@@ -187,18 +193,38 @@ func (d Deployment) config() (serve.Config, error) {
 	return serve.Config{Spec: spec, GPUs: gpus, Arch: arch, SLO: slo}, nil
 }
 
+// engines is the engine table: every servable engine by name, in
+// Engines() order.
+var engines = []struct {
+	name    string
+	factory serve.Factory
+}{
+	{"MuxWise", core.New},
+	{"Chunked", chunked.New},
+	{"NanoFlow", nanoflow.New},
+	{"LoongServe", loong.New},
+	{"SGLang-PD", pdsep.New},
+	{"WindServe", windserve.New},
+	{"Temporal", temporal.New},
+}
+
 // Engines lists the available engine names.
 func Engines() []string {
-	return []string{"MuxWise", "Chunked", "NanoFlow", "LoongServe", "SGLang-PD", "WindServe", "Temporal"}
+	names := make([]string, len(engines))
+	for i, e := range engines {
+		names[i] = e.name
+	}
+	return names
 }
 
 // factory resolves an engine name.
 func factory(engine string) (serve.Factory, error) {
-	f, ok := experiments.Baselines()[engine]
-	if !ok {
-		return nil, fmt.Errorf("muxwise: unknown engine %q (have %v)", engine, Engines())
+	for _, e := range engines {
+		if e.name == engine {
+			return e.factory, nil
+		}
 	}
-	return f, nil
+	return nil, fmt.Errorf("muxwise: unknown engine %q (have %v)", engine, Engines())
 }
 
 // Cluster types re-exported from internal/cluster.

@@ -132,8 +132,8 @@ func TestClusterSweepAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) == 0 {
-		t.Fatal("empty cluster sweep")
+	if len(pts) == 0 || pts[0].Rate != 0.5 {
+		t.Fatalf("cluster sweep points wrong: %+v", pts)
 	}
 	g, err := exp.Goodput(0.25, 1)
 	if err != nil {
@@ -141,5 +141,8 @@ func TestClusterSweepAPI(t *testing.T) {
 	}
 	if g <= 0 {
 		t.Fatalf("fleet goodput %v, want > 0", g)
+	}
+	if g2, err := exp.Goodput(0.25, 1); err != nil || g2 != g {
+		t.Fatalf("fleet goodput not deterministic: %v vs (%v, %v)", g, g2, err)
 	}
 }

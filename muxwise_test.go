@@ -1,6 +1,7 @@
 package muxwise_test
 
 import (
+	"slices"
 	"testing"
 
 	"muxwise"
@@ -45,6 +46,17 @@ func TestServeAllEngines(t *testing.T) {
 		if rep.Summary.Finished == 0 {
 			t.Errorf("%s finished nothing", name)
 		}
+	}
+}
+
+// TestEnginesOrder pins the engine table: every engine the paper
+// compares, in this order. The order is observable — benchmark
+// workloads and goldens iterate Engines() — so a reorder must be
+// deliberate.
+func TestEnginesOrder(t *testing.T) {
+	want := []string{"MuxWise", "Chunked", "NanoFlow", "LoongServe", "SGLang-PD", "WindServe", "Temporal"}
+	if got := muxwise.Engines(); !slices.Equal(got, want) {
+		t.Fatalf("Engines() = %q, want %q", got, want)
 	}
 }
 
