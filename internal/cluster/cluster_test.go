@@ -354,6 +354,42 @@ func TestPDSplitDivertWidensPastHotPool(t *testing.T) {
 	}
 }
 
+// TestClusterSweepAndGoodput drives the serve sweep machinery with a
+// probe over cluster.Run, judging each rate on the merged fleet view.
+func TestClusterSweepAndGoodput(t *testing.T) {
+	mk := func(rate float64) *workload.Trace {
+		return workload.ShareGPT(21, 40).WithPoissonArrivals(21, rate)
+	}
+	cfg := fleetCfg(LeastTokens, 2)
+	probe := func(rate float64) serve.RatePoint {
+		res, err := Run(cfg, mk(rate))
+		if err != nil {
+			t.Errorf("rate %v: %v", rate, err)
+			return serve.RatePoint{}
+		}
+		return serve.RatePoint{
+			Rate:       rate,
+			Attainment: res.Rec.TBTAttainment(cfg.Base.SLO.TBT),
+			P99TTFT:    res.Summary.TTFT.P99,
+			P99TBT:     res.Summary.TBT.P99,
+			Unstable:   res.Summary.Unstable,
+			TokensPerS: res.Summary.TokensPerSecond,
+			Util:       res.MeanUtil(),
+		}
+	}
+	pts := serve.SweepBy(probe, []float64{0.5, 1})
+	if len(pts) == 0 || pts[0].Rate != 0.5 {
+		t.Fatalf("sweep points wrong: %+v", pts)
+	}
+	g, feasible := serve.GoodputBy(probe, 0.25, 1)
+	if !feasible || g <= 0 {
+		t.Fatalf("two-replica fleet should sustain the floor rate, got %v (feasible=%v)", g, feasible)
+	}
+	if g2, _ := serve.GoodputBy(probe, 0.25, 1); g != g2 {
+		t.Fatalf("goodput not deterministic: %v vs %v", g, g2)
+	}
+}
+
 func TestMergedSummaryCountsFleetWide(t *testing.T) {
 	tr := mixedTrace(13, 10, 0.1)
 	res, err := Run(fleetCfg(RoundRobin, 3), tr)
