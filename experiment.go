@@ -178,9 +178,14 @@ func WithEvents(events ...FleetEvent) Option {
 	return func(e *Experiment) { e.events = append(e.events, events...) }
 }
 
-// WithScaleBounds bounds the autoscaler's fleet size (defaults 1, 64).
+// WithScaleBounds bounds the autoscaler's fleet size (defaults 1, 64;
+// a zero bound keeps its default). A negative bound is an error.
 func WithScaleBounds(minReplicas, maxReplicas int) Option {
 	return func(e *Experiment) {
+		if minReplicas < 0 || maxReplicas < 0 {
+			e.failf("WithScaleBounds: bounds %d..%d must not be negative", minReplicas, maxReplicas)
+			return
+		}
 		e.minReps, e.maxReps = minReplicas, maxReplicas
 	}
 }
@@ -310,7 +315,7 @@ func (e *Experiment) resolve() (resolved, error) {
 			return resolved{}, err
 		}
 		cfg.CostModel = e.cost
-		return resolved{factory: f, cfg: cfg.WithDefaults(), slo: cfg.SLO}, nil
+		return resolved{factory: f, cfg: cfg, slo: cfg.SLO}, nil
 	}
 	cfg, err := clusterConfig(dep, e.replicas, e.router)
 	if err != nil {
@@ -323,7 +328,6 @@ func (e *Experiment) resolve() (resolved, error) {
 		cfg.Migration = e.migration
 	}
 	cfg.Base.CostModel = e.cost
-	cfg.Base = cfg.Base.WithDefaults()
 	return resolved{cluster: cfg, isFleet: true, slo: cfg.Base.SLO}, nil
 }
 

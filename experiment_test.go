@@ -209,6 +209,60 @@ func TestExperimentRejectsHostileGPUCounts(t *testing.T) {
 	}
 }
 
+// Regression: negative deployment values were silently replaced or
+// accepted — -2 GPUs ran on the 8-GPU default, a negative SLO target
+// ran with every request missing it, a negative replica count ran one
+// replica, a negative replica GPU count inherited the deployment's, and
+// negative scale bounds were taken as given. Each is now a Run error,
+// while a zero keeps its documented default.
+func TestExperimentRejectsNegativeDeploymentValues(t *testing.T) {
+	with := func(edit func(*muxwise.Deployment)) muxwise.Option {
+		dep := dep8B()
+		edit(&dep)
+		return muxwise.WithDeployment(dep)
+	}
+	engine := muxwise.WithEngine("MuxWise")
+	fleet := func(rs muxwise.ReplicaSpec) muxwise.Option {
+		rs.Engine = "MuxWise"
+		return muxwise.WithFleet(rs)
+	}
+	plain := muxwise.WithDeployment(dep8B())
+	one := fleet(muxwise.ReplicaSpec{})
+	tr := muxwise.ShareGPT(1, 3).WithPoissonArrivals(1, 1)
+	cases := []struct {
+		name string
+		opts []muxwise.Option
+	}{
+		{"engine GPUs", []muxwise.Option{with(func(d *muxwise.Deployment) { d.GPUs = -2 }), engine}},
+		{"fleet GPUs", []muxwise.Option{with(func(d *muxwise.Deployment) { d.GPUs = -2 }), one}},
+		{"TBT target", []muxwise.Option{with(func(d *muxwise.Deployment) { d.SLO.TBT = -muxwise.Millisecond }), one}},
+		{"TTFT target", []muxwise.Option{with(func(d *muxwise.Deployment) { d.SLO.TTFT = -muxwise.Second }), engine}},
+		{"WithSLO", []muxwise.Option{plain, engine, muxwise.WithSLO(muxwise.SLO{TTFT: -1, TBT: -1})}},
+		{"replica count", []muxwise.Option{plain, fleet(muxwise.ReplicaSpec{Count: -4})}},
+		{"replica GPUs", []muxwise.Option{plain, fleet(muxwise.ReplicaSpec{GPUs: -4})}},
+		{"spawn GPUs", []muxwise.Option{plain, one, muxwise.WithEvents(muxwise.FleetEvent{
+			Kind: "spawn", Spec: &muxwise.ReplicaSpec{Engine: "MuxWise", GPUs: -4}})}},
+		{"both scale bounds", []muxwise.Option{plain, one, muxwise.WithScaleBounds(-5, -2)}},
+		{"max scale bound", []muxwise.Option{plain, one, muxwise.WithScaleBounds(5, -2)}},
+	}
+	for _, c := range cases {
+		if _, err := muxwise.NewExperiment(c.opts...).Run(tr); err == nil {
+			t.Errorf("%s: a negative value should be a Run error", c.name)
+		}
+	}
+
+	zero := muxwise.Deployment{Hardware: "A100", Model: "Llama-8B"}
+	for _, deploy := range []muxwise.Option{engine, one} {
+		rep, err := muxwise.NewExperiment(muxwise.WithDeployment(zero), deploy, muxwise.WithScaleBounds(0, 0)).Run(tr)
+		if err != nil {
+			t.Fatalf("zero GPUs, SLO and bounds keep their defaults: %v", err)
+		}
+		if want := (muxwise.SLO{TTFT: muxwise.Second, TBT: 50 * muxwise.Millisecond}); rep.SLO != want {
+			t.Errorf("zero SLO resolved to %+v, want %+v", rep.SLO, want)
+		}
+	}
+}
+
 // Regression: WithEpochs built one window bound per width up to the
 // makespan with no limit, so a 1 ns width on a seconds-long run asked
 // for billions of bounds. A width just past MaxWindows is now a Run

@@ -13,10 +13,11 @@ import (
 
 func env70B(tbt sim.Time) *serve.Env {
 	return &serve.Env{
-		Sim: sim.New(), Spec: gpu.A100(), GPUs: 8, Arch: model.Llama70B(),
-		SLO:         metrics.SLO{TTFT: sim.Second, TBT: tbt},
-		Rec:         metrics.NewRecorder(),
-		ReserveFrac: 0.1, MaxBatch: 256,
+		Config: serve.Config{
+			Spec: gpu.A100(), GPUs: 8, Arch: model.Llama70B(),
+			SLO: metrics.SLO{TTFT: sim.Second, TBT: tbt},
+		},
+		Sim: sim.New(), Rec: metrics.NewRecorder(),
 	}
 }
 
@@ -88,10 +89,7 @@ func TestPrefixCacheAcrossTurns(t *testing.T) {
 	cfg := cfg70B()
 	s := sim.New()
 	rec := metrics.NewRecorder()
-	env := &serve.Env{
-		Sim: s, Spec: cfg.Spec, GPUs: cfg.GPUs, Arch: cfg.Arch,
-		SLO: cfg.SLO, Rec: rec, ReserveFrac: 0.1, MaxBatch: 256,
-	}
+	env := &serve.Env{Config: cfg, Sim: s, Rec: rec}
 	e := NewWithBudget(env, 512)
 	tr := workload.Conversation(4, 40).WithPoissonArrivals(4, 0.5)
 	for _, r := range tr.Requests {

@@ -32,5 +32,5 @@ func AdaptiveTTFT() Router {
 		{Name: "cold", Scorers: ttftTiers},
 	}
 	cl := epp.NewAffinityClassifier(aff, 0, 1, 2)
-	return NewPipelineRouter(epp.New(AdaptiveTTFTPolicy, cl, profiles, aff, learned))
+	return epp.New(AdaptiveTTFTPolicy, cl, profiles, aff, learned)
 }

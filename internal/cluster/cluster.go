@@ -900,7 +900,6 @@ func (c *Cluster) epochs(rec *metrics.Recorder, end sim.Time, tbtSLO sim.Time) [
 // events and every replica's engine all execute in one event loop keyed
 // by (time, seq).
 func Run(cfg Config, trace *workload.Trace) (Result, error) {
-	cfg.Base = cfg.Base.WithDefaults()
 	s := sim.New()
 	c, err := New(s, cfg)
 	if err != nil {
@@ -915,7 +914,7 @@ func Run(cfg Config, trace *workload.Trace) (Result, error) {
 	// Fleet-level stability probe, mirroring serve.Run.
 	backlog := 0
 	s.At(lastArrival+30*sim.Second, func() { backlog = c.Unfinished() })
-	s.RunUntil(lastArrival + cfg.Base.Horizon)
+	s.RunUntil(lastArrival + serve.Horizon)
 
 	res := Result{Router: c.Router.Name(), Failures: c.countState(StateFailed), Events: c.log, Unrouted: len(c.pending)}
 	recs := make([]*metrics.Recorder, 0, len(c.Replicas))

@@ -195,7 +195,7 @@ func (plan *compositionPlan) policy() Policy {
 		if plan.picker == "round-robin" {
 			prof.Picker = epp.RoundRobin[*Replica]()
 		}
-		return NewPipelineRouter(epp.New(plan.spec, nil, []PipelineProfile{prof}, state...))
+		return epp.New(plan.spec, nil, []PipelineProfile{prof}, state...)
 	}
 }
 

@@ -173,6 +173,10 @@ func (t TTFTScaler) Decide(s FleetSnapshot) int {
 	return 0
 }
 
+// Cadence is the autoscaler observation interval. Each snapshot
+// summarises the TTFT samples of the trailing six cadences.
+const Cadence = 5 * sim.Second
+
 // FleetConfig scripts lifecycle events and attaches an autoscaler to a
 // cluster run.
 type FleetConfig struct {
@@ -183,9 +187,6 @@ type FleetConfig struct {
 	// spawn/drain decisions; it spawns the first configured replica
 	// shape.
 	Scaler Autoscaler
-	// Cadence is the autoscaler observation interval (default 5 s). Each
-	// snapshot summarises the TTFT samples of the trailing six cadences.
-	Cadence sim.Time
 	// ColdStart is the spawn-to-ready delay of every spawn (default
 	// 15 s — weight loading plus CUDA-graph capture).
 	ColdStart sim.Time
@@ -197,9 +198,6 @@ type FleetConfig struct {
 
 // withDefaults resolves zero-valued knobs.
 func (fc FleetConfig) withDefaults() FleetConfig {
-	if fc.Cadence <= 0 {
-		fc.Cadence = 5 * sim.Second
-	}
 	if fc.ColdStart <= 0 {
 		fc.ColdStart = 15 * sim.Second
 	}
@@ -277,7 +275,7 @@ func attachFleet(c *Cluster, cfg FleetConfig, lastArrival sim.Time) *FleetContro
 		c.Sim.At(ev.At, func() { fc.apply(ev) })
 	}
 	if fc.cfg.Scaler != nil {
-		c.Sim.AtFunc(fc.cfg.Cadence, fleetTick, fc)
+		c.Sim.AtFunc(Cadence, fleetTick, fc)
 	}
 	return fc
 }
@@ -319,7 +317,7 @@ func (fc *FleetController) snapshot() FleetSnapshot {
 		Ready:    fc.c.countState(StateReady),
 		Starting: fc.c.countState(StateStarting),
 		Draining: fc.c.countState(StateDraining),
-		Metrics:  fc.c.Snapshot(6 * fc.cfg.Cadence),
+		Metrics:  fc.c.Snapshot(6 * Cadence),
 	}
 }
 
@@ -374,7 +372,7 @@ func (fc *FleetController) tick() {
 		size--
 	}
 	if c.Sim.Now() < fc.lastArrival || c.Unfinished() > 0 {
-		c.Sim.AfterFunc(fc.cfg.Cadence, fleetTick, fc)
+		c.Sim.AfterFunc(Cadence, fleetTick, fc)
 	}
 }
 

@@ -288,7 +288,6 @@ func TestBacklogAutoscalerSpawnsUnderPressure(t *testing.T) {
 	tr := longTrace(60, 500*sim.Millisecond, 600)
 	res := fleetRun(t, fleetCfg(LeastTokens, 1), &FleetConfig{
 		Scaler:    BacklogScaler{},
-		Cadence:   2 * sim.Second,
 		ColdStart: 3 * sim.Second,
 		Max:       6,
 	}, tr)
@@ -314,7 +313,6 @@ func TestBacklogAutoscalerSpawnsUnderPressure(t *testing.T) {
 	// Determinism of the scaling trajectory.
 	res2 := fleetRun(t, fleetCfg(LeastTokens, 1), &FleetConfig{
 		Scaler:    BacklogScaler{},
-		Cadence:   2 * sim.Second,
 		ColdStart: 3 * sim.Second,
 		Max:       6,
 	}, longTrace(60, 500*sim.Millisecond, 600))
@@ -329,7 +327,6 @@ func TestTTFTAutoscalerReactsToTail(t *testing.T) {
 	tr := burstTrace(20, 100*sim.Millisecond, 16000, 100)
 	res := fleetRun(t, fleetCfg(LeastTokens, 1), &FleetConfig{
 		Scaler:    TTFTScaler{Target: 500 * sim.Millisecond},
-		Cadence:   2 * sim.Second,
 		ColdStart: 3 * sim.Second,
 		Max:       4,
 	}, tr)

@@ -12,6 +12,7 @@ package cluster
 import (
 	"testing"
 
+	"muxwise/internal/cluster/epp"
 	"muxwise/internal/core"
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
@@ -352,7 +353,7 @@ func legacyPolicies() map[string]Policy {
 			return &legacyPrefixAffinity{aff: newLegacyAffinity()}
 		},
 		PDSplitPolicy: func() Router {
-			return &legacyPDSplit{aff: newLegacyAffinity(), threshold: defaultPDSplitTokens}
+			return &legacyPDSplit{aff: newLegacyAffinity(), threshold: epp.DefaultPDSplitTokens}
 		},
 		AdaptiveTTFTPolicy: func() Router {
 			return &legacyAdaptiveTTFT{aff: newLegacyAffinity(), ewma: map[int]float64{}}

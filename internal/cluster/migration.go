@@ -122,16 +122,6 @@ type migration struct {
 	done, canceled bool
 }
 
-// MigrationObserver is implemented by routers that track
-// session→replica affinity. SessionMigrated fires when a session's KV
-// finished streaming to a new holder: the router should re-pin the
-// session (if it still points at the source) and advertise the pages on
-// the destination, so the session's next turn follows its KV instead of
-// re-prefilling somewhere cold.
-type MigrationObserver interface {
-	SessionMigrated(session, from, to int, pages []kvcache.PageID)
-}
-
 // migrationTarget picks where a leaving replica's session KV streams:
 // the least-loaded routable replica, preferring replicas of the
 // source's role so the migrated pins do not fight role-aware routing

@@ -159,7 +159,6 @@ func mustWithinSLO(t *testing.T, res Result, slo metrics.SLO) int {
 func TestFailDuringMigrationRePrefills(t *testing.T) {
 	s := sim.New()
 	cfg := drainHeavyCfg(PrefixAffinity, true)
-	cfg.Base = cfg.Base.WithDefaults()
 	cfg.Fleet = nil
 	cfg.Replicas[0].Count = 3
 	c, err := New(s, cfg)
@@ -225,7 +224,6 @@ func TestFailDuringMigrationRePrefills(t *testing.T) {
 func TestFailedDestinationDropsInTransitKV(t *testing.T) {
 	s := sim.New()
 	cfg := drainHeavyCfg(PrefixAffinity, true)
-	cfg.Base = cfg.Base.WithDefaults()
 	cfg.Fleet = nil
 	cfg.Replicas[0].Count = 3
 	c, err := New(s, cfg)
@@ -277,7 +275,6 @@ func TestFailedDestinationDropsInTransitKV(t *testing.T) {
 func TestMigrationOccupancy(t *testing.T) {
 	s := sim.New()
 	cfg := drainHeavyCfg(PrefixAffinity, true)
-	cfg.Base = cfg.Base.WithDefaults()
 	cfg.Fleet = nil
 	c, err := New(s, cfg)
 	if err != nil {

@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"muxwise/internal/cluster/epp"
-	"muxwise/internal/kvcache"
-	"muxwise/internal/sim"
-	"muxwise/internal/workload"
-)
+import "muxwise/internal/cluster/epp"
 
 // The built-in router policies are epp compositions: each constructor
 // below assembles filter → scorer → picker profiles over shared
@@ -16,39 +11,12 @@ import (
 // goldens and TestTraceDeterminism byte-stable across the refactor.
 
 // Pipeline is a composed endpoint-picker routing *Replica — the
-// instantiation of epp.Pipeline the fleet runs.
+// instantiation of epp.Pipeline the fleet runs. It implements Router and
+// every observer interface, fanning each signal out to its stages.
 type Pipeline = epp.Pipeline[*Replica]
 
 // PipelineProfile is one filter → scorer → picker chain over *Replica.
 type PipelineProfile = epp.Profile[*Replica]
-
-// pipelineRouter adapts an epp pipeline to the Router seam and fans the
-// cluster's observer callbacks into it. It implements every observer
-// interface unconditionally; pipelines whose stages keep no matching
-// state just fan out to an empty list.
-type pipelineRouter struct{ p *Pipeline }
-
-// NewPipelineRouter wraps a composed pipeline as a fleet Router.
-func NewPipelineRouter(p *Pipeline) Router { return pipelineRouter{p: p} }
-
-func (pr pipelineRouter) Name() string { return pr.p.Name() }
-
-func (pr pipelineRouter) Pick(r *workload.Request, view FleetView) *Replica {
-	return pr.p.Pick(r, epp.View[*Replica]{Now: view.Now, Candidates: view.Candidates})
-}
-
-// ReplicaDown implements FleetObserver.
-func (pr pipelineRouter) ReplicaDown(id int) { pr.p.ReplicaDown(id) }
-
-// ObserveTTFT implements TTFTObserver.
-func (pr pipelineRouter) ObserveTTFT(replica int, ttft sim.Time) {
-	pr.p.ObserveTTFT(replica, ttft)
-}
-
-// SessionMigrated implements MigrationObserver.
-func (pr pipelineRouter) SessionMigrated(session, from, to int, pages []kvcache.PageID) {
-	pr.p.SessionMigrated(session, from, to, pages)
-}
 
 // tier wraps a single scorer as one weight-1 lexicographic tier.
 func tier(s epp.Scorer[*Replica]) []epp.Weighted[*Replica] {
@@ -70,16 +38,16 @@ func loadTiers() [][]epp.Weighted[*Replica] {
 // length), the ring stays fair when the fleet resizes mid-run: a spawn
 // or drain never repeats or starves a replica across the boundary.
 func RoundRobin() Router {
-	return NewPipelineRouter(epp.New(RoundRobinPolicy, nil,
-		[]PipelineProfile{{Name: "all", Picker: epp.RoundRobin[*Replica]()}}))
+	return epp.New(RoundRobinPolicy, nil,
+		[]PipelineProfile{{Name: "all", Picker: epp.RoundRobin[*Replica]()}})
 }
 
 // LeastTokens routes to the replica with the fewest outstanding
 // (in-flight input+output) tokens, breaking ties by in-flight requests
 // then lowest ID.
 func LeastTokens() Router {
-	return NewPipelineRouter(epp.New(LeastTokensPolicy, nil,
-		[]PipelineProfile{{Name: "all", Scorers: loadTiers()}}))
+	return epp.New(LeastTokensPolicy, nil,
+		[]PipelineProfile{{Name: "all", Scorers: loadTiers()}})
 }
 
 // PrefixAffinity keeps multi-turn sessions sticky to the replica holding
@@ -100,7 +68,7 @@ func PrefixAffinity() Router {
 		{Name: "cold", Scorers: prefixTiers},
 	}
 	cl := epp.NewAffinityClassifier(aff, 0, 1, 2)
-	return NewPipelineRouter(epp.New(PrefixAffinityPolicy, cl, profiles, aff))
+	return epp.New(PrefixAffinityPolicy, cl, profiles, aff)
 }
 
 // PDSplit implements the EPP P/D lifecycle decision: sessions stay on
@@ -127,9 +95,5 @@ func PDSplit(threshold int) Router {
 		}, Scorers: loadTiers()},
 	}
 	cl := epp.NewPDClassifier(aff, threshold, 0, 1, 2)
-	return NewPipelineRouter(epp.New(PDSplitPolicy, cl, profiles, aff))
+	return epp.New(PDSplitPolicy, cl, profiles, aff)
 }
-
-// defaultPDSplitTokens re-exports the classifier default for the tests
-// and docs that reference it by its historical name.
-const defaultPDSplitTokens = epp.DefaultPDSplitTokens

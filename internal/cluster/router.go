@@ -3,22 +3,28 @@ package cluster
 import (
 	"fmt"
 
-	"muxwise/internal/sim"
+	"muxwise/internal/cluster/epp"
 	"muxwise/internal/workload"
 )
 
-// FleetView is the read-only context a Router sees at every arrival:
-// the instant and the routable candidates. Policies that learn from
-// latency observe it through TTFTObserver. User-supplied policies
-// receive exactly this view — nothing in it lets them mutate the fleet.
-type FleetView struct {
-	// Now is the simulation instant of the routing decision.
-	Now sim.Time
-	// Candidates are the routable replicas in ID order. The slice is a
-	// scratch buffer rebuilt per arrival; policies must not retain it
-	// (key remembered state by Replica.ID instead).
-	Candidates []*Replica
-}
+// The router vocabulary is epp's, instantiated over *Replica: a
+// composed *Pipeline is itself a Router and implements every observer
+// below; the cluster finds a router's observers by type assertion.
+type (
+	// FleetView is the read-only context a Router sees at every
+	// arrival: the instant and the routable candidates in ID order. The
+	// slice is rebuilt per arrival; key remembered state by Replica.ID.
+	FleetView = epp.View[*Replica]
+	// FleetObserver hears ReplicaDown when a replica fails or retires:
+	// its KV is gone, so sessions pinned there must re-stick.
+	FleetObserver = epp.DownObserver
+	// TTFTObserver hears each request's TTFT against the replica that
+	// served it, at the instant the first token is emitted.
+	TTFTObserver = epp.TTFTObserver
+	// MigrationObserver hears SessionMigrated when a session's KV
+	// finished streaming to a new holder, so the pin can follow the KV.
+	MigrationObserver = epp.MigrationObserver
+)
 
 // Router picks a replica for each arriving request. Pick is called from
 // inside the simulation in deterministic arrival order, so stateful
@@ -33,28 +39,11 @@ type FleetView struct {
 // Pick must return nil (not panic) on an empty candidate view: the
 // cluster queues arrivals while nothing is routable, and the plugin
 // seam does not promise callers a non-empty view. The built-in policies
-// are all epp.Pipeline compositions (see NewPipelineRouter), which
-// guarantee this centrally.
+// are all *Pipeline compositions (see pipeline.go), which guarantee this
+// centrally.
 type Router interface {
 	Name() string
 	Pick(r *workload.Request, view FleetView) *Replica
-}
-
-// FleetObserver is implemented by routers that keep per-replica state.
-// The cluster calls ReplicaDown when a replica fails or retires so the
-// router can unpin its sessions and drop its prefix index — the KV held
-// there is gone, and the next turn of every affected session pays a full
-// re-prefill on whichever replica it re-sticks to.
-type FleetObserver interface {
-	ReplicaDown(id int)
-}
-
-// TTFTObserver is implemented by routers that learn from observed
-// latency. The cluster reports each request's TTFT against the replica
-// that served it, at the instant the first token is emitted — the signal
-// the adaptive-ttft policy folds into its per-replica EWMA.
-type TTFTObserver interface {
-	ObserveTTFT(replica int, ttft sim.Time)
 }
 
 // Policy constructs a fresh router. Routers keep per-run state, so every

@@ -155,3 +155,28 @@ func TestLegacyRoundRobinSkewsAcrossResize(t *testing.T) {
 		t.Fatalf("legacy cursor should repeat replica 1 after the spawn, got %d", got.ID)
 	}
 }
+
+// TestPoliciesObserveTheFleet: the cluster finds a router's observers
+// by type assertion, so a policy that stopped implementing one would
+// silently lose replica-down, TTFT or migration feedback. Every
+// built-in and an epp: composition must implement all three.
+func TestPoliciesObserveTheFleet(t *testing.T) {
+	policies := builtinPolicies()
+	composed, err := ParseComposition("epp:filters=sticky;scorers=prefix,ttft-ewma")
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies["composed"] = composed
+	for name, p := range policies {
+		r := p()
+		if _, ok := r.(FleetObserver); !ok {
+			t.Errorf("%s does not implement FleetObserver", name)
+		}
+		if _, ok := r.(TTFTObserver); !ok {
+			t.Errorf("%s does not implement TTFTObserver", name)
+		}
+		if _, ok := r.(MigrationObserver); !ok {
+			t.Errorf("%s does not implement MigrationObserver", name)
+		}
+	}
+}

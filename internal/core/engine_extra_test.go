@@ -44,32 +44,35 @@ func TestLlama70BOnH100(t *testing.T) {
 	}
 }
 
-// The decode batch must never exceed MaxBatch even under floods.
+// The decode batch must never exceed serve.MaxBatch even under floods,
+// and a flood well above the cap must actually reach it.
 func TestMaxBatchHonored(t *testing.T) {
 	cfg := serve.Config{
 		Spec: gpu.A100(), GPUs: 8, Arch: model.Llama8B(),
-		SLO:      metrics.SLO{TTFT: sim.Second, TBT: 50 * sim.Millisecond},
-		MaxBatch: 16,
+		SLO: metrics.SLO{TTFT: sim.Second, TBT: 50 * sim.Millisecond},
 	}
 	s := sim.New()
 	rec := metrics.NewRecorder()
-	env := &serve.Env{
-		Sim: s, Spec: cfg.Spec, GPUs: cfg.GPUs, Arch: cfg.Arch,
-		SLO: cfg.SLO, Rec: rec, ReserveFrac: 0.1, MaxBatch: cfg.MaxBatch,
-	}
+	env := &serve.Env{Config: cfg, Sim: s, Rec: rec}
 	e := NewWithOptions(env, DefaultOptions())
-	tr := workload.ShareGPT(33, 100).WithPoissonArrivals(33, 100) // flood
+	tr := workload.ShareGPT(33, 1000).WithPoissonArrivals(33, 1000) // flood
+	peak := 0
 	for _, r := range tr.Requests {
 		r := r
 		rec.Arrive(r.ID, r.Arrival, r.InputTokens)
 		s.At(r.Arrival, func() {
 			e.Submit(r)
-			if got := e.inflight(); got > cfg.MaxBatch {
-				t.Fatalf("inflight %d exceeds MaxBatch %d", got, cfg.MaxBatch)
+			got := e.inflight()
+			if got > serve.MaxBatch {
+				t.Fatalf("inflight %d exceeds MaxBatch %d", got, serve.MaxBatch)
 			}
+			peak = max(peak, got)
 		})
 	}
 	s.Run()
+	if peak != serve.MaxBatch {
+		t.Fatalf("peak inflight %d, want the flood to fill MaxBatch %d", peak, serve.MaxBatch)
+	}
 	sum := rec.Summarize("mux", s.Now())
 	if sum.Finished != sum.Requests {
 		t.Fatalf("finished %d/%d", sum.Finished, sum.Requests)
@@ -82,10 +85,7 @@ func TestFullCacheHitTurn(t *testing.T) {
 	cfg := cfg8B()
 	s := sim.New()
 	rec := metrics.NewRecorder()
-	env := &serve.Env{
-		Sim: s, Spec: cfg.Spec, GPUs: cfg.GPUs, Arch: cfg.Arch,
-		SLO: cfg.SLO, Rec: rec, ReserveFrac: 0.1, MaxBatch: 256,
-	}
+	env := &serve.Env{Config: cfg, Sim: s, Rec: rec}
 	e := NewWithOptions(env, DefaultOptions())
 	first := &workload.Request{
 		ID: 0, Session: 1, Turn: 0, InputTokens: 512, OutputTokens: 4,
@@ -165,10 +165,7 @@ func TestGuardRuntimeRefinement(t *testing.T) {
 	cfg := cfg8B()
 	s := sim.New()
 	rec := metrics.NewRecorder()
-	env := &serve.Env{
-		Sim: s, Spec: cfg.Spec, GPUs: cfg.GPUs, Arch: cfg.Arch,
-		SLO: cfg.SLO, Rec: rec, ReserveFrac: 0.1, MaxBatch: 256,
-	}
+	env := &serve.Env{Config: cfg, Sim: s, Rec: rec}
 	e := NewWithOptions(env, DefaultOptions())
 	fitted := e.est.(*estimator.Estimator)
 	before := fitted.Guard().Cells()

@@ -89,9 +89,11 @@ func TestMultiTurnCacheReuse(t *testing.T) {
 	s := sim.New()
 	rec := metrics.NewRecorder()
 	env := &serve.Env{
-		Sim: s, Spec: gpu.A100(), GPUs: 8, Arch: model.Llama8B(),
-		SLO: metrics.SLO{TTFT: 500 * sim.Millisecond, TBT: 50 * sim.Millisecond},
-		Rec: rec, ReserveFrac: 0.1, MaxBatch: 256,
+		Config: serve.Config{
+			Spec: gpu.A100(), GPUs: 8, Arch: model.Llama8B(),
+			SLO: metrics.SLO{TTFT: 500 * sim.Millisecond, TBT: 50 * sim.Millisecond},
+		},
+		Sim: s, Rec: rec,
 	}
 	eng := NewWithOptions(env, DefaultOptions())
 	for _, r := range tr.Requests {

@@ -100,23 +100,10 @@ func (e *Estimator) Configs() []int {
 	return append(e.Spec.PartitionSizes(), e.Spec.SMs)
 }
 
-// MeasureDecodeSolo runs one decode iteration solo on a fresh simulated
-// device and returns its latency in seconds (including graph launch) —
-// the probe the offline profiling and the motivation experiments share.
-func MeasureDecodeSolo(spec gpu.Spec, tp int, arch model.Arch, sms, bs, ctxPerReq int) float64 {
-	return measureDecode(spec, tp, arch, sms, bs, ctxPerReq)
-}
-
-// MeasurePrefillSolo runs a full layer-wise prefill phase solo and
-// returns its latency in seconds.
-func MeasurePrefillSolo(spec gpu.Spec, tp int, arch model.Arch, sms int, seqs []model.Seq) float64 {
-	return measurePrefill(spec, tp, arch, sms, seqs)
-}
-
 // CoRunSlowdown measures the decode slowdown factor (co-run latency over
 // solo latency) for one multiplexing configuration — the Fig. 11 probe.
 func CoRunSlowdown(spec gpu.Spec, tp int, arch model.Arch, decSM, bs, dCtx, pNew, pReused int) float64 {
-	solo := measureDecode(spec, tp, arch, decSM, bs, dCtx)
+	solo := MeasureDecodeSolo(spec, tp, arch, decSM, bs, dCtx)
 	co := measureDecodeCoRun(spec, tp, arch, decSM, spec.SMs-decSM, bs, dCtx, pNew, pReused)
 	if solo <= 0 {
 		return 1
@@ -128,9 +115,10 @@ func CoRunSlowdown(spec gpu.Spec, tp int, arch model.Arch, decSM, bs, dCtx, pNew
 	return f
 }
 
-// measureDecode runs one decode iteration solo on a fresh simulated
-// device and returns its latency in seconds (including graph launch).
-func measureDecode(spec gpu.Spec, tp int, arch model.Arch, sms, bs, ctxPerReq int) float64 {
+// MeasureDecodeSolo runs one decode iteration solo on a fresh simulated
+// device and returns its latency in seconds (including graph launch) —
+// the probe the offline profiling and the motivation experiments share.
+func MeasureDecodeSolo(spec gpu.Spec, tp int, arch model.Arch, sms, bs, ctxPerReq int) float64 {
 	s := sim.New()
 	d := gpu.NewDevice(s, spec, tp, "profile")
 	p := d.Partition(sms, "decode")
@@ -144,9 +132,9 @@ func measureDecode(spec gpu.Spec, tp int, arch model.Arch, sms, bs, ctxPerReq in
 	return done.Seconds()
 }
 
-// measurePrefill runs a full layer-wise prefill phase solo and returns
-// its latency in seconds.
-func measurePrefill(spec gpu.Spec, tp int, arch model.Arch, sms int, seqs []model.Seq) float64 {
+// MeasurePrefillSolo runs a full layer-wise prefill phase solo and
+// returns its latency in seconds.
+func MeasurePrefillSolo(spec gpu.Spec, tp int, arch model.Arch, sms int, seqs []model.Seq) float64 {
 	s := sim.New()
 	d := gpu.NewDevice(s, spec, tp, "profile")
 	p := d.Partition(sms, "prefill")
@@ -246,7 +234,7 @@ func (e *Estimator) profileSolo() {
 		var dm []bool
 		for _, bs := range bss {
 			for _, ctx := range ctxs {
-				lat := measureDecode(e.Spec, e.TP, e.Arch, sms, bs, ctx)
+				lat := MeasureDecodeSolo(e.Spec, e.TP, e.Arch, sms, bs, ctx)
 				dx = append(dx, decodeFeatures(bs*ctx, bs))
 				dy = append(dy, lat)
 				dm = append(dm, e.memoryBound(e.Arch.DecodeIterTotals(bs*ctx, bs, e.TP), gpu.Decode, sms))
@@ -263,7 +251,7 @@ func (e *Estimator) profileSolo() {
 					continue
 				}
 				seqs := []model.Seq{{New: n, Reused: r}}
-				lat := measurePrefill(e.Spec, e.TP, e.Arch, sms, seqs)
+				lat := MeasurePrefillSolo(e.Spec, e.TP, e.Arch, sms, seqs)
 				px = append(px, prefillFeatures(seqs))
 				py = append(py, lat)
 				pm = append(pm, e.memoryBound(e.Arch.PrefillLayer(seqs, e.TP, true), gpu.Prefill, sms))
@@ -345,7 +333,7 @@ func (e *Estimator) MaxDeviation() (prefill, decode float64) {
 	for _, sms := range []int{e.Configs()[0], e.Spec.SMs} {
 		for _, bs := range []int{3, 12, 48, 160} {
 			for _, ctx := range []int{1024, 12288, 65536} {
-				actual := measureDecode(e.Spec, e.TP, e.Arch, sms, bs, ctx)
+				actual := MeasureDecodeSolo(e.Spec, e.TP, e.Arch, sms, bs, ctx)
 				pred := e.DecodeSolo(bs*ctx, bs, sms).Seconds()
 				if dev := math.Abs(pred-actual) / actual; dev > decode {
 					decode = dev
@@ -355,7 +343,7 @@ func (e *Estimator) MaxDeviation() (prefill, decode float64) {
 		for _, n := range []int{384, 3000, 12000} {
 			for _, r := range []int{0, 5000, 60000} {
 				seqs := []model.Seq{{New: n, Reused: r}}
-				actual := measurePrefill(e.Spec, e.TP, e.Arch, sms, seqs)
+				actual := MeasurePrefillSolo(e.Spec, e.TP, e.Arch, sms, seqs)
 				pred := e.PrefillPhase(seqs, sms).Seconds()
 				if dev := math.Abs(pred-actual) / actual; dev > prefill {
 					prefill = dev

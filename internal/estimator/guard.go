@@ -115,7 +115,7 @@ func profileGuard(spec gpu.Spec, tp int, arch model.Arch, est *Estimator) *Guard
 				}
 				for _, bs := range bucketBS {
 					for dj, dCtx := range bucketTokens {
-						solo := measureDecode(spec, tp, arch, decSM, bs, dCtx)
+						solo := MeasureDecodeSolo(spec, tp, arch, decSM, bs, dCtx)
 						co := measureDecodeCoRun(spec, tp, arch, decSM, preSM, bs, dCtx, pNew, pReused)
 						factor := co / solo
 						if factor < 1 {

@@ -6,7 +6,6 @@ import (
 	"muxwise/internal/chunked"
 	"muxwise/internal/core"
 	"muxwise/internal/gpu"
-	"muxwise/internal/metrics"
 	"muxwise/internal/serve"
 	"muxwise/internal/sim"
 	"muxwise/internal/workload"
@@ -27,40 +26,26 @@ func Sec442(o Opts) []Table {
 	if o.Quick {
 		rate = 2.0
 	}
-	tr := func(seed uint64) *workload.Trace {
-		return workload.ToolAgent(seed, sessions).WithPoissonArrivals(seed, rate)
+	// run replays the Tool&Agent trace to completion on a fresh engine.
+	run := func(f serve.Factory) serve.Engine {
+		s := sim.New()
+		inst := serve.NewInstance(s, f, config8B(), "")
+		tr := workload.ToolAgent(442, sessions).WithPoissonArrivals(442, rate)
+		serve.ScheduleArrivals(s, tr.Requests, inst.Submit)
+		s.Run()
+		return inst.Eng
 	}
 
 	// MuxWise: average the decode and prefill green contexts.
-	{
-		cfg := config8B()
-		s := sim.New()
-		rec := metrics.NewRecorder()
-		env := &serve.Env{
-			Sim: s, Spec: cfg.Spec, GPUs: cfg.GPUs, Arch: cfg.Arch,
-			SLO: cfg.SLO, Rec: rec, ReserveFrac: 0.1, MaxBatch: 256,
-		}
-		e := core.NewWithOptions(env, core.DefaultOptions())
-		driveTrace(env, e.Submit, tr(442))
-		win := e.Devices()[0].Stats().ActiveSeconds
-		ratio := (bubbleRatio(e.DecodePartition(), win) + bubbleRatio(e.PrefillPartition(), win)) / 2
-		t.Add("MuxWise", fmt.Sprintf("%.1f", ratio*100), "2 (decode+prefill)")
-	}
+	mux := run(core.New).(*core.Engine)
+	win := mux.Devices()[0].Stats().ActiveSeconds
+	ratio := (bubbleRatio(mux.DecodePartition(), win) + bubbleRatio(mux.PrefillPartition(), win)) / 2
+	t.Add("MuxWise", fmt.Sprintf("%.1f", ratio*100), "2 (decode+prefill)")
 
 	// Chunked: one fused stream.
-	{
-		cfg := config8B()
-		s := sim.New()
-		rec := metrics.NewRecorder()
-		env := &serve.Env{
-			Sim: s, Spec: cfg.Spec, GPUs: cfg.GPUs, Arch: cfg.Arch,
-			SLO: cfg.SLO, Rec: rec, ReserveFrac: 0.1, MaxBatch: 256,
-		}
-		e := chunked.NewWithBudget(env, chunked.BudgetFor(env))
-		driveTrace(env, e.Submit, tr(442))
-		win := e.Devices()[0].Stats().ActiveSeconds
-		t.Add("Chunked", fmt.Sprintf("%.1f", bubbleRatio(e.Partition(), win)*100), "1 (fused)")
-	}
+	ch := run(chunked.New).(*chunked.Engine)
+	win = ch.Devices()[0].Stats().ActiveSeconds
+	t.Add("Chunked", fmt.Sprintf("%.1f", bubbleRatio(ch.Partition(), win)*100), "1 (fused)")
 	t.Notes = append(t.Notes,
 		"paper: MuxWise 7.7% vs chunked 4.5%; the extra bubbles appear when all prefill layers",
 		"complete during pure-decode stretches and do not hurt goodput (§4.4.2)")
@@ -81,13 +66,4 @@ func bubbleRatio(p *gpu.Partition, window float64) float64 {
 		return 1
 	}
 	return r
-}
-
-// driveTrace replays a trace directly against an engine's Submit.
-func driveTrace(env *serve.Env, submit func(*workload.Request), tr *workload.Trace) {
-	for _, r := range tr.Requests {
-		env.Rec.Arrive(r.ID, r.Arrival, r.InputTokens)
-	}
-	serve.ScheduleArrivals(env.Sim, tr.Requests, submit)
-	env.Sim.Run()
 }

@@ -42,12 +42,12 @@ type Composition struct {
 const (
 	// Steady runs the fleet unchanged end to end.
 	Steady = "steady"
-	// Failure crashes replica 0 mid-run (at FailFrac of the arrival
+	// Failure crashes replica 0 mid-run (at failFrac of the arrival
 	// span): in-flight work re-dispatches and its KV is re-prefilled
 	// wherever sessions re-stick.
 	Failure = "failure"
 	// Autoscale attaches the backlog autoscaler with a cold-start delay,
-	// letting the fleet grow by MaxSpawn replicas under burst pressure.
+	// letting the fleet grow by maxSpawn replicas under burst pressure.
 	Autoscale = "autoscale"
 	// Drain rolls replica 0 out gracefully mid-run (a replacement
 	// spawns first, so capacity holds): its sessions re-route and repay
@@ -59,6 +59,22 @@ const (
 	// target at the modeled interconnect cost. Contrast with Drain to
 	// read the transfer-vs-recompute tradeoff off the frontier.
 	DrainMigrate = "drain-migrate"
+)
+
+// The operating conditions' fixed settings.
+const (
+	// failFrac places the Failure condition's crash as a fraction of the
+	// arrival span.
+	failFrac = 0.4
+	// drainFrac places the Drain/DrainMigrate conditions' rolling drain
+	// as a fraction of the arrival span; the replacement spawns
+	// coldStart earlier so it is ready at the drain instant.
+	drainFrac = 0.4
+	// coldStart is the spawn-to-ready delay of every spawn.
+	coldStart = 15 * muxwise.Second
+	// maxSpawn bounds how many replicas the autoscaler may add on top of
+	// the initial fleet.
+	maxSpawn = 2
 )
 
 // Matrix describes one frontier sweep. The zero value is not runnable;
@@ -80,19 +96,6 @@ type Matrix struct {
 	Sessions int
 	// Seed drives trace generation.
 	Seed uint64
-	// FailFrac places the Failure condition's crash as a fraction of the
-	// arrival span (default 0.4).
-	FailFrac float64
-	// DrainFrac places the Drain/DrainMigrate conditions' rolling drain
-	// as a fraction of the arrival span (default 0.4); the replacement
-	// spawns ColdStart earlier so it is ready at the drain instant.
-	DrainFrac float64
-	// ColdStart is the Autoscale condition's spawn-to-ready delay
-	// (default 15 s).
-	ColdStart muxwise.Time
-	// MaxSpawn bounds how many replicas the autoscaler may add on top of
-	// the initial fleet (default 2).
-	MaxSpawn int
 	// CostModel selects the step-time estimator for every cell: "" or
 	// "fitted" for the paper's profiled planes, "roofline" for the
 	// analytical datasheet model (required for shapes with no profile,
@@ -136,10 +139,6 @@ func Default(quick bool) Matrix {
 		Scales:     scales,
 		Sessions:   o.Size(150, 60),
 		Seed:       11,
-		FailFrac:   0.4,
-		DrainFrac:  0.4,
-		ColdStart:  15 * muxwise.Second,
-		MaxSpawn:   2,
 	}
 }
 
@@ -185,7 +184,7 @@ func Roofline(quick bool) Matrix {
 	}
 }
 
-// withDefaults resolves zero-valued knobs and puts the scale grid in
+// withDefaults resolves an empty baseline and puts the scale grid in
 // canonical ascending order — crossover extraction reads "smallest
 // scale" off the grid's iteration order, so the order is semantics, not
 // presentation.
@@ -195,18 +194,6 @@ func (m Matrix) withDefaults() Matrix {
 	m.Scales = scales
 	if m.Baseline == "" && len(m.Compositions) > 0 {
 		m.Baseline = m.Compositions[0].Name
-	}
-	if m.FailFrac <= 0 {
-		m.FailFrac = 0.4
-	}
-	if m.DrainFrac <= 0 {
-		m.DrainFrac = 0.4
-	}
-	if m.ColdStart <= 0 {
-		m.ColdStart = 15 * muxwise.Second
-	}
-	if m.MaxSpawn <= 0 {
-		m.MaxSpawn = 2
 	}
 	return m
 }
@@ -258,11 +245,7 @@ func (m Matrix) validate() error {
 func initialCount(c Composition) int {
 	n := 0
 	for _, rs := range c.Replicas {
-		cnt := rs.Count
-		if cnt <= 0 {
-			cnt = 1
-		}
-		n += cnt
+		n += max(rs.Count, 1)
 	}
 	return n
 }
@@ -368,31 +351,31 @@ func (m Matrix) runCell(comp Composition, cond, router string, scale float64) (C
 	}
 	switch cond {
 	case Failure:
-		failAt := muxwise.Time(float64(span) * m.FailFrac)
+		failAt := muxwise.Time(float64(span) * failFrac)
 		opts = append(opts, muxwise.WithEvents(muxwise.FleetEvent{
 			At: failAt, Kind: "fail", Replica: 0,
 		}))
 	case Autoscale:
 		opts = append(opts,
 			muxwise.WithAutoscaler("backlog"),
-			muxwise.WithColdStart(m.ColdStart),
-			muxwise.WithScaleBounds(1, initialCount(comp)+m.MaxSpawn),
+			muxwise.WithColdStart(coldStart),
+			muxwise.WithScaleBounds(1, initialCount(comp)+maxSpawn),
 		)
 	case Drain, DrainMigrate:
 		// A rolling drain of replica 0: the replacement (same shape)
-		// spawns ColdStart plus a short lead ahead, so it is routable
+		// spawns coldStart plus a short lead ahead, so it is routable
 		// when its predecessor leaves and capacity never dips — the two
 		// conditions then differ only in how the drained replica's
 		// session KV moves.
-		drainAt := muxwise.Time(float64(span) * m.DrainFrac)
-		spawnAt := drainAt - m.ColdStart - 2*muxwise.Second
+		drainAt := muxwise.Time(float64(span) * drainFrac)
+		spawnAt := drainAt - coldStart - 2*muxwise.Second
 		if spawnAt < 0 {
 			spawnAt = 0
 		}
 		spec := comp.Replicas[0]
 		spec.Count = 1
 		opts = append(opts,
-			muxwise.WithColdStart(m.ColdStart),
+			muxwise.WithColdStart(coldStart),
 			muxwise.WithEvents(
 				muxwise.FleetEvent{At: spawnAt, Kind: "spawn", Spec: &spec},
 				muxwise.FleetEvent{At: drainAt, Kind: "drain", Replica: 0},
@@ -421,7 +404,7 @@ func (m Matrix) runCell(comp Composition, cond, router string, scale float64) (C
 		Router:        router,
 		Composition:   comp.Name,
 		Scale:         round(scale),
-		GPUs:          fleetGPUs(comp, m.Deployment),
+		GPUs:          fleetGPUs(fleet.Replicas[:initialCount(comp)]),
 		Offered:       trace.Len(),
 		OfferedRate:   round(float64(trace.Len()) / spanSec),
 		WithinSLO:     within,
@@ -436,23 +419,11 @@ func (m Matrix) runCell(comp Composition, cond, router string, scale float64) (C
 	}, nil
 }
 
-// fleetGPUs totals the devices of a composition's initial fleet.
-func fleetGPUs(c Composition, dep muxwise.Deployment) int {
-	per := dep.GPUs
-	if per <= 0 {
-		per = 8
-	}
+// fleetGPUs totals the devices of a run's initial fleet.
+func fleetGPUs(initial []muxwise.ClusterReplicaResult) int {
 	total := 0
-	for _, rs := range c.Replicas {
-		cnt := rs.Count
-		if cnt <= 0 {
-			cnt = 1
-		}
-		g := rs.GPUs
-		if g <= 0 {
-			g = per
-		}
-		total += cnt * g
+	for _, rep := range initial {
+		total += rep.GPUs
 	}
 	return total
 }

@@ -55,7 +55,7 @@ func New(env *serve.Env) serve.Engine {
 		baseTP = 4
 	}
 	baseTP = min(baseTP, env.GPUs)
-	perGPU := float64(env.Spec.HBMCapacity)*(1-env.ReserveFrac) - env.Arch.WeightBytes()/float64(baseTP)
+	perGPU := float64(env.Spec.HBMCapacity)*(1-serve.ReserveFrac) - env.Arch.WeightBytes()/float64(baseTP)
 	return &Engine{
 		Base:            serve.NewBase("LoongServe", nil),
 		env:             env,
@@ -78,7 +78,7 @@ func (e *Engine) Submit(r *workload.Request) {
 // so admission just reserves memory for the request's full context.
 func (e *Engine) admit() {
 	for e.pending.Len() > 0 {
-		if e.decode.Size()+e.queue.Len()+e.decode.Held() >= e.env.MaxBatch {
+		if e.decode.Size()+e.queue.Len()+e.decode.Held() >= serve.MaxBatch {
 			return
 		}
 		r := e.pending.Front()

@@ -28,8 +28,8 @@ func TestServesTrace(t *testing.T) {
 
 func TestBaseTPFollowsModelSize(t *testing.T) {
 	env := &serve.Env{
-		Sim: sim.New(), Spec: gpu.A100(), GPUs: 8, Arch: model.Llama70B(),
-		Rec: metrics.NewRecorder(), ReserveFrac: 0.1, MaxBatch: 256,
+		Config: serve.Config{Spec: gpu.A100(), GPUs: 8, Arch: model.Llama70B()},
+		Sim:    sim.New(), Rec: metrics.NewRecorder(),
 	}
 	if e := New(env).(*Engine); e.baseTP != 4 {
 		t.Fatalf("70B baseTP = %d, want 4", e.baseTP)
@@ -60,9 +60,11 @@ func TestMultiTurnRecompute(t *testing.T) {
 // wider than the base TP when GPUs are free.
 func TestElasticPrefillGroups(t *testing.T) {
 	env := &serve.Env{
-		Sim: sim.New(), Spec: gpu.A100(), GPUs: 8, Arch: model.Llama70B(),
-		SLO: metrics.SLO{TTFT: sim.Second, TBT: 100 * sim.Millisecond},
-		Rec: metrics.NewRecorder(), ReserveFrac: 0.1, MaxBatch: 256,
+		Config: serve.Config{
+			Spec: gpu.A100(), GPUs: 8, Arch: model.Llama70B(),
+			SLO: metrics.SLO{TTFT: sim.Second, TBT: 100 * sim.Millisecond},
+		},
+		Sim: sim.New(), Rec: metrics.NewRecorder(),
 	}
 	e := New(env).(*Engine)
 	r := &workload.Request{ID: 0, InputTokens: 60000, OutputTokens: 4}
@@ -86,9 +88,11 @@ func TestElasticPrefillGroups(t *testing.T) {
 
 func TestGPUAccountingInvariant(t *testing.T) {
 	env := &serve.Env{
-		Sim: sim.New(), Spec: gpu.A100(), GPUs: 8, Arch: model.Llama8B(),
-		SLO: metrics.SLO{TTFT: sim.Second, TBT: 50 * sim.Millisecond},
-		Rec: metrics.NewRecorder(), ReserveFrac: 0.1, MaxBatch: 256,
+		Config: serve.Config{
+			Spec: gpu.A100(), GPUs: 8, Arch: model.Llama8B(),
+			SLO: metrics.SLO{TTFT: sim.Second, TBT: 50 * sim.Millisecond},
+		},
+		Sim: sim.New(), Rec: metrics.NewRecorder(),
 	}
 	e := New(env).(*Engine)
 	tr := workload.ToolAgent(5, 40).WithPoissonArrivals(5, 2)

@@ -46,10 +46,7 @@ func TestPrefillRadixReuse(t *testing.T) {
 	cfg := cfg70B()
 	s := sim.New()
 	rec := metrics.NewRecorder()
-	env := &serve.Env{
-		Sim: s, Spec: cfg.Spec, GPUs: cfg.GPUs, Arch: cfg.Arch,
-		SLO: cfg.SLO, Rec: rec, ReserveFrac: 0.1, MaxBatch: 256,
-	}
+	env := &serve.Env{Config: cfg, Sim: s, Rec: rec}
 	e := New(env).(*Engine)
 	tr := workload.Conversation(3, 40).WithPoissonArrivals(3, 0.4)
 	for _, r := range tr.Requests {

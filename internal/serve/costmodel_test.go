@@ -13,7 +13,7 @@ import (
 // engines a different estimator per cost-model name, and the default is
 // the fitted one.
 func TestCostSeamSelectsModel(t *testing.T) {
-	env := &Env{Spec: gpu.A100(), GPUs: 1, Arch: model.Llama8B()}
+	env := &Env{Config: Config{Spec: gpu.A100(), GPUs: 1, Arch: model.Llama8B()}}
 	if _, ok := env.Cost().(*estimator.Estimator); !ok {
 		t.Fatalf("empty cost model resolved to %T, want the fitted estimator", env.Cost())
 	}

@@ -8,40 +8,24 @@ import (
 )
 
 // Instance is one engine embedded in a simulation it does not own. It
-// bundles the engine with its private recorder and environment, so
-// several instances (a replica fleet) can share a single deterministic
-// event loop. Run is a thin wrapper over a single Instance.
+// bundles the engine with its environment, whose private recorder
+// (Rec) and trace label (Label) it promotes, so several instances (a
+// replica fleet) can share a single deterministic event loop. Run is a
+// thin wrapper over a single Instance.
 type Instance struct {
-	Label string
-	Env   *Env
-	Eng   Engine
-	Rec   *metrics.Recorder
+	*Env
+	Eng Engine
 }
 
-// NewInstance builds an engine inside the shared simulator s. The config
-// is resolved with the same defaults Run applies.
+// NewInstance builds an engine inside the shared simulator s. An empty
+// label names the instance after its engine.
 func NewInstance(s *sim.Sim, f Factory, cfg Config, label string) *Instance {
-	cfg = cfg.WithDefaults()
-	rec := metrics.NewRecorder()
-	env := &Env{
-		Sim:         s,
-		Spec:        cfg.Spec,
-		GPUs:        cfg.GPUs,
-		Arch:        cfg.Arch,
-		SLO:         cfg.SLO,
-		Rec:         rec,
-		ReserveFrac: cfg.ReserveFrac,
-		MaxBatch:    cfg.MaxBatch,
-		CostModel:   cfg.CostModel,
-		Trace:       cfg.Trace,
-		Label:       label,
-	}
-	inst := &Instance{Label: label, Env: env, Eng: f(env), Rec: rec}
+	env := &Env{Config: cfg, Sim: s, Rec: metrics.NewRecorder(), Label: label}
+	inst := &Instance{Env: env, Eng: f(env)}
 	if label == "" {
-		inst.Label = inst.Eng.Name()
-		env.Label = inst.Label
+		env.Label = inst.Eng.Name()
 	}
-	rec.SetTrace(cfg.Trace, inst.Label)
+	env.Rec.SetTrace(cfg.Trace, env.Label)
 	return inst
 }
 

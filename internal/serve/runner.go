@@ -14,21 +14,24 @@ import (
 // that product far from overflow on every catalogued GPU.
 const MaxGPUs = 1024
 
+// Settings every deployment shares.
+const (
+	// ReserveFrac of HBM is withheld from KV pools for activations, CUDA
+	// graphs and allocator slack.
+	ReserveFrac = 0.10
+	// MaxBatch caps the decode batch size (SGLang default-style).
+	MaxBatch = 256
+	// Horizon bounds the simulation beyond the last arrival. Runs hitting
+	// the horizon with unfinished requests are summarised as unstable.
+	Horizon = 30 * 60 * sim.Second
+)
+
 // Config describes a serving deployment for a run.
 type Config struct {
 	Spec gpu.Spec
 	GPUs int
 	Arch model.Arch
 	SLO  metrics.SLO
-
-	// ReserveFrac of HBM withheld from KV pools (default 0.10).
-	ReserveFrac float64
-	// MaxBatch caps decode batch size (default 256).
-	MaxBatch int
-	// Horizon bounds the simulation beyond the last arrival (default
-	// 30 simulated minutes). Runs hitting the horizon with unfinished
-	// requests are summarised as unstable.
-	Horizon sim.Time
 
 	// CostModel selects the step-time estimator: "fitted" (default, the
 	// paper's offline-profiled planes) or "roofline" (analytical, any
@@ -39,20 +42,6 @@ type Config struct {
 	// Tracing is purely observational: results are byte-identical with
 	// it on or off.
 	Trace *obs.Tracer
-}
-
-// WithDefaults resolves zero-valued knobs to their documented defaults.
-func (c Config) WithDefaults() Config {
-	if c.ReserveFrac == 0 {
-		c.ReserveFrac = 0.10
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 256
-	}
-	if c.Horizon == 0 {
-		c.Horizon = 30 * 60 * sim.Second
-	}
-	return c
 }
 
 // Result couples the metrics summary with engine-side accounting.
@@ -76,7 +65,6 @@ type Result struct {
 // Run replays the trace against a fresh engine built by factory and
 // returns the aggregated result. The run is fully deterministic.
 func Run(factory Factory, cfg Config, trace *workload.Trace) Result {
-	cfg = cfg.WithDefaults()
 	s := sim.New()
 	inst := NewInstance(s, factory, cfg, "")
 
@@ -86,7 +74,7 @@ func Run(factory Factory, cfg Config, trace *workload.Trace) Result {
 	// requests shortly after arrivals stop; a saturated one has a queue.
 	backlog := 0
 	s.At(lastArrival+30*sim.Second, func() { backlog = inst.Rec.Unfinished() })
-	s.RunUntil(lastArrival + cfg.Horizon)
+	s.RunUntil(lastArrival + Horizon)
 
 	res := inst.Result(s.Now())
 	ApplyBacklog(&res.Summary, backlog)

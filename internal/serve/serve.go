@@ -13,36 +13,17 @@ import (
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
 	"muxwise/internal/metrics"
-	"muxwise/internal/model"
-	"muxwise/internal/obs"
 	"muxwise/internal/sim"
 	"muxwise/internal/workload"
 )
 
-// Env is everything an engine needs to build itself.
+// Env is everything an engine needs to build itself: the deployment it
+// serves (the embedded Config), the simulator it runs in and the
+// recorder its requests report to.
 type Env struct {
-	Sim  *sim.Sim
-	Spec gpu.Spec
-	GPUs int // physical GPUs available to the engine
-	Arch model.Arch
-	SLO  metrics.SLO
-	Rec  *metrics.Recorder
-
-	// ReserveFrac of HBM is withheld from the KV pool for activations,
-	// CUDA graphs and allocator slack.
-	ReserveFrac float64
-
-	// MaxBatch caps the decode batch size (SGLang default-style).
-	MaxBatch int
-
-	// CostModel names the step-time estimator engines resolve through
-	// Cost(): "fitted" (default) or "roofline".
-	CostModel string
-
-	// Trace is the flight recorder, nil when tracing is off. Engines
-	// emitting their own spans (scheduler phases, partition counters)
-	// read it directly; request lifecycle events flow through Rec.
-	Trace *obs.Tracer
+	Config
+	Sim *sim.Sim
+	Rec *metrics.Recorder
 
 	// Label names the instance's trace track (set by NewInstance).
 	Label string
@@ -55,9 +36,9 @@ type Env struct {
 func (e *Env) Admitted(id int) { e.Rec.Admitted(id, e.Sim.Now()) }
 
 // PoolTokens returns the KV pool capacity for an instance spanning gpus
-// devices, given the env's model and reserve fraction.
+// devices, given the env's model and the ReserveFrac withheld.
 func (e *Env) PoolTokens(gpus int) int64 {
-	return e.Arch.KVPoolTokens(int64(gpus)*e.Spec.HBMCapacity, e.ReserveFrac)
+	return e.Arch.KVPoolTokens(int64(gpus)*e.Spec.HBMCapacity, ReserveFrac)
 }
 
 // Engine is a serving scheduler under test.

@@ -183,7 +183,7 @@ func TestRunnerDeterministic(t *testing.T) {
 func time20() sim.Time { return 20 * sim.Millisecond }
 
 func TestPoolTokensHelper(t *testing.T) {
-	env := Env{Spec: gpu.A100(), Arch: model.Llama8B(), ReserveFrac: 0.1}
+	env := Env{Config: Config{Spec: gpu.A100(), Arch: model.Llama8B()}}
 	one := env.PoolTokens(1)
 	eight := env.PoolTokens(8)
 	if one <= 0 || eight <= one*7 {
@@ -242,14 +242,14 @@ func TestGoodputBisection(t *testing.T) {
 func TestAdmitNext(t *testing.T) {
 	s := sim.New()
 	rec := metrics.NewRecorder()
-	env := &Env{Sim: s, Rec: rec, MaxBatch: 2}
+	env := &Env{Sim: s, Rec: rec}
 	pool := kvcache.New(1500, 16)
 	var pending Queue[*workload.Request]
 	for id := 1; id <= 2; id++ {
 		rec.Arrive(id, 0, 1000)
 		pending.Push(req(id, 1000, 100))
 	}
-	if run := env.AdmitNext(&pending, 2, pool, true); run != nil || pending.Len() != 2 {
+	if run := env.AdmitNext(&pending, MaxBatch, pool, true); run != nil || pending.Len() != 2 {
 		t.Fatal("a full batch must not admit")
 	}
 	run := env.AdmitNext(&pending, 0, pool, true)

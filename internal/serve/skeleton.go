@@ -51,7 +51,7 @@ func (b *Base) CachePools() []*kvcache.Pool { return b.pools }
 // returns nil, leaving pending untouched, when the queue is empty, the
 // batch is full or the pool cannot hold the head.
 func (e *Env) AdmitNext(pending *Queue[*workload.Request], inflight int, pool *kvcache.Pool, reserveOutput bool) *Running {
-	if pending.Len() == 0 || inflight >= e.MaxBatch {
+	if pending.Len() == 0 || inflight >= MaxBatch {
 		return nil
 	}
 	r := pending.Front()

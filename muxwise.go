@@ -153,13 +153,14 @@ type Deployment struct {
 	// Hardware names a GPU spec: "A100", "H100", "H200", or "B200".
 	Hardware string
 	// GPUs is the number of devices (tensor-parallel width for
-	// aggregated engines).
+	// aggregated engines); zero means 8, a negative count is an error.
 	GPUs int
 	// Model names an architecture: "Llama-8B", "Llama-70B",
 	// "Qwen3-235B-A22B", or "CodeLlama-34B".
 	Model string
 	// SLO sets the latency targets; zero values use per-model defaults
-	// (50 ms TBT for small models, 100 ms for large, per §4.1).
+	// (1 s TTFT; 50 ms TBT for small models, 100 ms for large, per
+	// §4.1), and a negative target is an error.
 	SLO SLO
 }
 
@@ -174,13 +175,16 @@ func (d Deployment) config() (serve.Config, error) {
 		return serve.Config{}, fmt.Errorf("muxwise: unknown model %q", d.Model)
 	}
 	gpus := d.GPUs
-	if gpus <= 0 {
+	if gpus == 0 {
 		gpus = 8
 	}
-	if gpus > MaxGPUs {
-		return serve.Config{}, fmt.Errorf("muxwise: %d GPUs exceeds the limit of %d", gpus, MaxGPUs)
+	if gpus < 0 || gpus > MaxGPUs {
+		return serve.Config{}, fmt.Errorf("muxwise: %d GPUs is outside [1, %d]", gpus, MaxGPUs)
 	}
 	slo := d.SLO
+	if slo.TTFT < 0 || slo.TBT < 0 {
+		return serve.Config{}, fmt.Errorf("muxwise: SLO targets TTFT %v and TBT %v must not be negative", slo.TTFT, slo.TBT)
+	}
 	if slo.TBT == 0 {
 		slo.TBT = 100 * sim.Millisecond
 		if arch.Params() < 30e9 {
@@ -246,9 +250,10 @@ type (
 type ReplicaSpec struct {
 	// Engine names the serving engine, see Engines().
 	Engine string
-	// Count is how many replicas of this shape to run (default 1).
+	// Count is how many replicas of this shape to run (zero means 1).
 	Count int
-	// GPUs overrides the deployment's per-replica device count.
+	// GPUs overrides the deployment's per-replica device count (zero
+	// inherits it).
 	GPUs int
 	// Hardware overrides the deployment's GPU spec for this shape
 	// ("A100", "H100", "H200", "B200"); empty inherits the deployment. Mixing
@@ -263,6 +268,12 @@ type ReplicaSpec struct {
 // spec resolves the public replica spec against the engine and hardware
 // registries.
 func (rs ReplicaSpec) spec() (cluster.ReplicaSpec, error) {
+	if rs.Count < 0 {
+		return cluster.ReplicaSpec{}, fmt.Errorf("muxwise: %s replica count %d is negative", rs.Engine, rs.Count)
+	}
+	if rs.GPUs < 0 || rs.GPUs > MaxGPUs {
+		return cluster.ReplicaSpec{}, fmt.Errorf("muxwise: %d GPUs per %s replica is outside [0, %d]", rs.GPUs, rs.Engine, MaxGPUs)
+	}
 	f, err := factory(rs.Engine)
 	if err != nil {
 		return cluster.ReplicaSpec{}, err
