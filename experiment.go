@@ -325,6 +325,11 @@ func (e *Experiment) resolve() (resolved, error) {
 		if cfg.Fleet, err = e.fleetConfig(); err != nil {
 			return resolved{}, err
 		}
+		for _, ev := range cfg.Fleet.Events {
+			if err := fits(ev.Spec.Config(cfg.Base)); err != nil {
+				return resolved{}, err
+			}
+		}
 		cfg.Migration = e.migration
 	}
 	cfg.Base.CostModel = e.cost

@@ -386,16 +386,22 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
+// Config returns the serving config of one replica of this shape: base
+// with the shape's GPU count and hardware applied.
+func (s *ReplicaSpec) Config(base serve.Config) serve.Config {
+	if s.GPUs > 0 {
+		base.GPUs = s.GPUs
+	}
+	if s.Hardware.Name != "" {
+		base.Spec = s.Hardware
+	}
+	return base
+}
+
 // addReplica constructs one replica (in StateStarting) and appends it to
 // the fleet.
 func (c *Cluster) addReplica(spec ReplicaSpec) *Replica {
-	base := c.base
-	if spec.GPUs > 0 {
-		base.GPUs = spec.GPUs
-	}
-	if spec.Hardware.Name != "" {
-		base.Spec = spec.Hardware
-	}
+	base := spec.Config(c.base)
 	seq := c.nameSeq[spec.Engine]
 	c.nameSeq[spec.Engine] = seq + 1
 	rep := &Replica{

@@ -104,6 +104,8 @@ type Engine struct {
 	decodeSolo      sim.Time
 
 	active  *prefillJob              // job whose layers are executing
+	layer   gpu.Kernel               // per-layer kernel of layerOf, priced once from its seqs
+	layerOf *prefillJob              // nil once enqueue appends to that job
 	queue   serve.Queue[*prefillJob] // admitted jobs waiting for the prefill stream
 	merging []*prefillJob            // prefill-complete jobs awaiting a decode boundary
 	pending serve.Queue[*workload.Request]
@@ -214,6 +216,9 @@ func (e *Engine) enqueue(run *serve.Running) {
 		if !last.isPreemptor && last.newTokens()+seq.New <= maxPrefillBatchTokens {
 			last.reqs = append(last.reqs, run)
 			last.seqs = append(last.seqs, seq)
+			if last == e.layerOf {
+				e.layerOf = nil
+			}
 			return
 		}
 	}
@@ -478,11 +483,17 @@ func (e *Engine) pumpPrefill() {
 	}
 }
 
-// launchLayer issues one prefill layer kernel.
+// launchLayer issues one prefill layer kernel. Every layer of a job costs
+// the same, so the kernel is priced once per job (again only after a
+// preemption switched jobs or an arrival joined it).
 func (e *Engine) launchLayer(j *prefillJob) {
-	cost := e.env.Arch.PrefillLayer(j.seqs, e.env.GPUs, true)
+	if e.layerOf != j {
+		cost := e.env.Arch.PrefillLayer(j.seqs, e.env.GPUs, true)
+		e.layer = serve.NewKernel("prefill-layer", gpu.Prefill, cost, e.env.Spec.LayerLaunch)
+		e.layerOf = j
+	}
 	j.layersInAir++
-	e.prefillP.LaunchFn(serve.NewKernel("prefill-layer", gpu.Prefill, cost, e.env.Spec.LayerLaunch), layerDone, j)
+	e.prefillP.LaunchFn(e.layer, layerDone, j)
 }
 
 // layerDone is the bound completion callback for prefill layer kernels.

@@ -63,9 +63,12 @@ type Kernel struct {
 // queue before its launch completes; a kernel queued behind a running one
 // starts when that one retires, with no event of its own. The device
 // keeps one completion timer for all running kernels, re-keyed in place
-// when a kernel starts. Its firings re-run the bandwidth waterfill only
-// when a kernel retired or a demand drained under a saturated waterfill;
-// otherwise they only recompute the deadlines.
+// whenever rates change. It is keyed at the earliest kernel retirement:
+// the latest of a kernel's compute, HBM and interconnect deadlines at its
+// current rates. While the last bandwidth waterfill was saturated, an HBM
+// drain keys it too, because only then does a drain free bandwidth that
+// other kernels take up; any other drain changes no rate and fires no
+// event.
 type Device struct {
 	Spec Spec
 	TP   int
@@ -80,8 +83,8 @@ type Device struct {
 	saturated  bool // the last waterfill ran out of bandwidth
 
 	// Pool and scratch buffers: reallocate runs on every kernel start and
-	// every sub-stream completion, so its working set is reused rather
-	// than reallocated.
+	// every timer firing, so its working set is reused rather than
+	// reallocated.
 	runFree  []*run
 	occ      []float64
 	caps     []float64
@@ -311,6 +314,8 @@ func (d *Device) startRun(r *run) {
 
 // progress advances all running kernels' remaining work to the current
 // time at their last-computed rates and accumulates accounting integrals.
+// A kernel's HBM demand may drain mid-interval with no event, so the
+// bandwidth integral counts the bytes actually moved.
 func (d *Device) progress() {
 	now := d.sim.Now()
 	dt := (now - d.lastAt).Seconds()
@@ -318,19 +323,20 @@ func (d *Device) progress() {
 	if dt <= 0 || len(d.running) == 0 {
 		return
 	}
-	var smSum, flopsUsed, bwUsed float64
+	var smSum, flopsUsed, moved float64
 	for _, r := range d.running {
+		b := min(r.remB, r.brate*dt)
 		r.remC = max(0, r.remC-r.crate*dt)
-		r.remB = max(0, r.remB-r.brate*dt)
+		r.remB -= b
 		r.remComm = max(0, r.remComm-r.commRate*dt)
 		r.part.busy += dt
 		smSum += r.frac
 		flopsUsed += r.crate
-		bwUsed += r.brate
+		moved += b
 	}
 	d.smInt += min(1, smSum) * dt
 	d.computeInt += flopsUsed / d.TotalFLOPS() * dt
-	d.bwInt += bwUsed / d.TotalBandwidth() * dt
+	d.bwInt += moved / d.TotalBandwidth()
 	d.lastWork = now
 }
 
@@ -351,14 +357,9 @@ func (d *Device) efficiency(k Kernel, frac float64) float64 {
 	return d.Spec.PrefillMFU(mfu, k.Tokens, frac, d.TP)
 }
 
-// reallocate recomputes every running kernel's rates and schedules the
-// next sub-stream completion event.
+// reallocate recomputes every running kernel's rates and re-keys the
+// completion timer.
 func (d *Device) reallocate() {
-	if len(d.running) == 0 {
-		d.sim.Cancel(d.next)
-		d.next = sim.Handle{}
-		return
-	}
 	d.setRates()
 	d.schedule()
 }
@@ -405,40 +406,45 @@ func (d *Device) setRates() {
 	}
 }
 
-// schedule keys the device's completion event at the earliest sub-stream
-// deadline under the current rates, re-keying a pending event in place.
+// schedule keys the device's completion timer at the earliest kernel
+// retirement under the current rates, or at an earlier HBM drain while
+// the waterfill is saturated, re-keying a pending event in place. A
+// kernel with no work left retires 1 ns from now.
 func (d *Device) schedule() {
 	soonest := sim.MaxTime
 	now := d.sim.Now()
 	for _, r := range d.running {
-		// A zero rate means starved this round; a future reallocate
-		// unblocks it.
-		if t := subStreamDeadline(now, r.remC, r.crate); t < soonest {
-			soonest = t
+		drain := subStreamDeadline(now, r.remB, r.brate)
+		t := max(subStreamDeadline(now, r.remC, r.crate), drain, subStreamDeadline(now, r.remComm, r.commRate))
+		if t == now {
+			t = now + 1
 		}
-		if t := subStreamDeadline(now, r.remB, r.brate); t < soonest {
-			soonest = t
+		if d.saturated && r.remB > 0 {
+			t = min(t, drain)
 		}
-		if t := subStreamDeadline(now, r.remComm, r.commRate); t < soonest {
-			soonest = t
-		}
+		soonest = min(soonest, t)
 	}
-	if soonest == sim.MaxTime {
-		// Nothing has pending work: startRun refuses work on 0 SMs, so
-		// every running kernel is within workEps of done and retires now.
-		soonest = now + 1
-	}
-	if d.next.Pending() {
+	switch {
+	case soonest == sim.MaxTime:
+		// Nothing is running, or every running kernel is starved until
+		// the running set changes.
+		d.sim.Cancel(d.next)
+		d.next = sim.Handle{}
+	case d.next.Pending():
 		d.next = d.sim.Reschedule(d.next, soonest)
-	} else {
+	default:
 		d.next = d.sim.AtFunc(soonest, deviceProgress, d)
 	}
 }
 
-// subStreamDeadline returns when rem units drain at rate units/second, or
-// MaxTime when the sub-stream has no pending work or is starved.
+// subStreamDeadline returns when rem units drain at rate units/second:
+// now when the sub-stream has no pending work, MaxTime when it is
+// starved.
 func subStreamDeadline(now sim.Time, rem, rate float64) sim.Time {
-	if rem <= 0 || rate <= 0 {
+	if rem <= 0 {
+		return now
+	}
+	if rate <= 0 {
 		return sim.MaxTime
 	}
 	t := now + sim.FromSeconds(rem/rate)
@@ -448,31 +454,23 @@ func subStreamDeadline(now sim.Time, rem, rate float64) sim.Time {
 	return t
 }
 
-// deviceProgress is the bound callback for the next-completion event.
+// deviceProgress is the bound callback for the completion timer.
 func deviceProgress(arg any) { arg.(*Device).onProgress() }
 
-// onProgress fires at the earliest sub-stream completion: it advances
-// work, retires finished kernels, and reschedules. Rates change only when
-// the running set does or a bandwidth demand drains: with no retirement,
-// a drained demand under an unsaturated waterfill only frees its own
-// share (every other kernel already has its full demand), and with no
-// drained demand the waterfill inputs are unchanged. Only a retirement
-// or a drain under a saturated waterfill re-runs the waterfill.
+// onProgress fires at a kernel retirement or a drain under a saturated
+// waterfill: it advances work, retires finished kernels, and re-runs the
+// waterfill. Both firings change its inputs: a retirement removes a
+// kernel's demand, and a drain zeroes one.
 func (d *Device) onProgress() {
 	d.next = sim.Handle{}
 	d.progress()
 	finished := d.finished[:0]
 	remaining := d.running[:0]
-	drained := false
 	for _, r := range d.running {
 		if r.remC <= workEps && r.remB <= workEps && r.remComm <= workEps {
 			finished = append(finished, r)
 		} else {
 			remaining = append(remaining, r)
-			if r.remB <= 0 && r.brate > 0 {
-				r.brate = 0
-				drained = true
-			}
 		}
 	}
 	d.running = remaining
@@ -487,11 +485,7 @@ func (d *Device) onProgress() {
 			}
 		}
 	}
-	if len(finished) > 0 || drained && d.saturated {
-		d.reallocate()
-	} else {
-		d.schedule()
-	}
+	d.reallocate()
 	for i, r := range finished {
 		if r.dfn != nil {
 			r.dfn(r.darg)

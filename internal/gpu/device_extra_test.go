@@ -100,6 +100,48 @@ func TestZeroWorkKernel(t *testing.T) {
 	}
 }
 
+// A lone kernel whose compute, HBM and interconnect sub-streams drain at
+// three different times fires two events, its launch-ready and its
+// retirement, and retires at ready + ⌈slowest sub-stream time⌉. No rate
+// changes at the two earlier drains, so they fire nothing.
+func TestSubStreamDrainsFireNoEvent(t *testing.T) {
+	s := sim.New()
+	d := NewDevice(s, A100(), 2, "lone")
+	p := d.Partition(108, "full")
+	k := Kernel{Kind: Decode, FLOPs: 1e11, Bytes: 4e9, CommBytes: 1e9, Launch: 10 * sim.Microsecond}
+	compute := k.FLOPs / (d.TotalFLOPS() * d.efficiency(k, 1))
+	hbm := k.Bytes / d.Spec.BandwidthCap(1, d.TotalBandwidth())
+	comm := k.CommBytes / d.Spec.NVLinkBandwidth
+	if compute == hbm || hbm == comm || compute == comm {
+		t.Fatalf("sub-stream times %v, %v, %v must differ", compute, hbm, comm)
+	}
+	var doneAt sim.Time
+	p.Launch(k, func() { doneAt = s.Now() })
+	s.Run()
+	if want := k.Launch + sim.FromSeconds(max(compute, hbm, comm)); doneAt != want {
+		t.Fatalf("kernel retired at %v, want %v", doneAt, want)
+	}
+	if got := s.Fired(); got != 2 {
+		t.Fatalf("%d events fired, want 2 (launch-ready, retirement)", got)
+	}
+}
+
+// A zero-work kernel beside a long-running kernel on another partition
+// retires 1 ns after it starts, not at the long kernel's next drain.
+func TestZeroWorkKernelBesideLongKernel(t *testing.T) {
+	s := sim.New()
+	d := NewDevice(s, A100(), 1, "zero")
+	long := d.Partition(54, "long")
+	zero := d.Partition(54, "zero")
+	var longAt, zeroAt sim.Time
+	long.Launch(Kernel{Kind: Prefill, FLOPs: 1e13, Tokens: 4096}, func() { longAt = s.Now() })
+	zero.Launch(Kernel{Kind: Aux, Launch: 5 * sim.Microsecond}, func() { zeroAt = s.Now() })
+	s.Run()
+	if want := 5*sim.Microsecond + 1; zeroAt != want {
+		t.Fatalf("zero-work kernel retired at %v, want %v (the long kernel retired at %v)", zeroAt, want, longAt)
+	}
+}
+
 // A three-way co-run: bandwidth allocation respects every kernel's SM cap
 // and the total never exceeds device bandwidth.
 func TestThreeWayContention(t *testing.T) {

@@ -96,6 +96,7 @@ func runDeviceProgram(t testing.TB, data []byte) *deviceProgram {
 	}
 	p.s.Run()
 	p.checkStats()
+	p.checkBytes()
 	return p
 }
 
@@ -159,6 +160,23 @@ func (p *deviceProgram) checkStats() {
 	}
 }
 
+// checkBytes fails unless the bandwidth integral of the drained program
+// accounts for every launched HBM byte: BWUtil·ActiveSeconds·bandwidth
+// equals the launched Bytes, within workEps per kernel (a kernel retires
+// with up to that much left) plus float rounding.
+func (p *deviceProgram) checkBytes() {
+	p.t.Helper()
+	var want float64
+	for _, pk := range p.kernels {
+		want += pk.k.Bytes
+	}
+	st := p.d.Stats()
+	got := st.BWUtil * st.ActiveSeconds * p.d.TotalBandwidth()
+	if tol := workEps*float64(len(p.kernels)) + 1e-9*want; math.Abs(got-want) > tol {
+		p.t.Fatalf("bandwidth integral moved %g bytes, launched kernels hold %g (tolerance %g)", got, want, tol)
+	}
+}
+
 // check verifies the program's invariants after it ran to completion:
 // every kernel completes exactly once, in FIFO order on its partition,
 // and never before its host launch was ready.
@@ -209,7 +227,7 @@ func (p *deviceProgram) hash(h hash.Hash) {
 // deviceTimelineDigest pins the simulated device byte for byte: any
 // change to when a kernel starts or completes, to the fluid rates or to
 // the accounting integrals moves it.
-const deviceTimelineDigest = "aafb97d2e3088bf1d8894371410324c468ce715c5d79b94479151ef37cf3c748"
+const deviceTimelineDigest = "216af042932fe68376a841a0bf3b1d6a0260a54796a8ef8cc8c28a8563fc4112"
 
 // The device timeline over 1000 seeded random programs matches the
 // committed digest, and every program satisfies the invariants.
@@ -237,7 +255,8 @@ func TestDeviceTimelineDigest(t *testing.T) {
 
 // FuzzDeviceOps checks the device invariants on arbitrary programs: every
 // kernel completes exactly once, in FIFO order per partition, never
-// before its host launch is ready, with utilizations in [0, 1].
+// before its host launch is ready, with utilizations in [0, 1] and every
+// launched HBM byte counted once.
 func FuzzDeviceOps(f *testing.F) {
 	f.Add([]byte{0x00, 50, 0, 1, 2, 5, 0, 40})
 	f.Add([]byte{0x89, 200, 200, 200, 3, 0x83, 11, 11, 0x83, 12, 4, 60, 1, 5, 0, 100, 6, 0, 1})

@@ -412,3 +412,33 @@ func BenchmarkDeviceContention(b *testing.B) {
 		s.Run()
 	}
 }
+
+// BenchmarkDeviceLayerPipeline runs a layer-wise prefill beside
+// back-to-back decode iterations at TP=2, the MuxWise engine's steady
+// state, and reports how many events the loop fires per kernel.
+func BenchmarkDeviceLayerPipeline(b *testing.B) {
+	const layers = 80
+	layer := Kernel{Kind: Prefill, FLOPs: 2e12, Bytes: 2e9, CommBytes: 6e7, Tokens: 4096, Launch: 15 * sim.Microsecond}
+	iter := Kernel{Kind: Decode, FLOPs: 1e11, Bytes: 3e10, CommBytes: 1e7, Launch: 40 * sim.Microsecond}
+	var events, kernels int64
+	for i := 0; i < b.N; i++ {
+		s := sim.New()
+		d := NewDevice(s, A100(), 2, "bench")
+		dec := d.Partition(44, "dec")
+		pre := d.Partition(64, "pre")
+		for range layers {
+			pre.Launch(layer, nil)
+		}
+		var step func()
+		step = func() {
+			if !pre.Idle() {
+				dec.Launch(iter, step)
+			}
+		}
+		step()
+		s.Run()
+		events += s.Fired()
+		kernels += d.Stats().Kernels
+	}
+	b.ReportMetric(float64(events)/float64(kernels), "events/kernel")
+}

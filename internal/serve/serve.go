@@ -36,9 +36,9 @@ type Env struct {
 func (e *Env) Admitted(id int) { e.Rec.Admitted(id, e.Sim.Now()) }
 
 // PoolTokens returns the KV pool capacity for an instance spanning gpus
-// devices, given the env's model and the ReserveFrac withheld.
-func (e *Env) PoolTokens(gpus int) int64 {
-	return e.Arch.KVPoolTokens(int64(gpus)*e.Spec.HBMCapacity, ReserveFrac)
+// devices, given the config's model and the ReserveFrac withheld.
+func (c *Config) PoolTokens(gpus int) int64 {
+	return c.Arch.KVPoolTokens(int64(gpus)*c.Spec.HBMCapacity, ReserveFrac)
 }
 
 // Engine is a serving scheduler under test.

@@ -194,7 +194,18 @@ func (d Deployment) config() (serve.Config, error) {
 	if slo.TTFT == 0 {
 		slo.TTFT = sim.Second
 	}
-	return serve.Config{Spec: spec, GPUs: gpus, Arch: arch, SLO: slo}, nil
+	cfg := serve.Config{Spec: spec, GPUs: gpus, Arch: arch, SLO: slo}
+	return cfg, fits(cfg)
+}
+
+// fits rejects a serving shape whose model weights leave no room for a
+// KV pool: every engine on it would finish no request.
+func fits(cfg serve.Config) error {
+	if cfg.PoolTokens(cfg.GPUs) <= 0 {
+		return fmt.Errorf("muxwise: %s does not fit %d %s GPUs: its weights leave no room for a KV cache",
+			cfg.Arch.Name, cfg.GPUs, cfg.Spec.Name)
+	}
+	return nil
 }
 
 // engines is the engine table: every servable engine by name, in
@@ -370,6 +381,9 @@ func clusterConfig(dep Deployment, replicas []ReplicaSpec, router string) (clust
 	for _, rs := range replicas {
 		spec, err := rs.spec()
 		if err != nil {
+			return cluster.Config{}, err
+		}
+		if err := fits(spec.Config(base)); err != nil {
 			return cluster.Config{}, err
 		}
 		cfg.Replicas = append(cfg.Replicas, spec)

@@ -2,6 +2,7 @@ package muxwise_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"muxwise"
@@ -70,6 +71,30 @@ func TestServeUnknowns(t *testing.T) {
 	}
 	if _, err := serve("MuxWise", muxwise.Deployment{Hardware: "A100", Model: "GPT-5"}, trace); err == nil {
 		t.Error("unknown model should error")
+	}
+}
+
+// Llama-70B's weights fill one A100 and leave no KV pool. Resolving that
+// deployment, or a fleet with such a replica or spawn shape, is an error
+// rather than a run in which no request finishes.
+func TestModelThatDoesNotFitIsRejected(t *testing.T) {
+	trace := muxwise.Conversation(4, 5).WithPoissonArrivals(4, 1)
+	roomy := muxwise.Deployment{Hardware: "A100", Model: "Llama-70B"}
+	tight := roomy
+	tight.GPUs = 1
+	oneGPU := &muxwise.ReplicaSpec{Engine: "MuxWise", GPUs: 1}
+	for name, opts := range map[string][]muxwise.Option{
+		"engine": {muxwise.WithDeployment(tight), muxwise.WithEngine("Chunked")},
+		"fleet":  {muxwise.WithDeployment(tight), muxwise.WithFleet(muxwise.ReplicaSpec{Engine: "MuxWise", GPUs: 8})},
+		"replica": {muxwise.WithDeployment(roomy),
+			muxwise.WithFleet(muxwise.ReplicaSpec{Engine: "MuxWise"}, *oneGPU)},
+		"spawn": {muxwise.WithDeployment(roomy), muxwise.WithFleet(muxwise.ReplicaSpec{Engine: "MuxWise"}),
+			muxwise.WithEvents(muxwise.FleetEvent{At: muxwise.Second, Kind: "spawn", Spec: oneGPU})},
+	} {
+		_, err := muxwise.NewExperiment(opts...).Run(trace)
+		if err == nil || !strings.Contains(err.Error(), "does not fit 1 A100") {
+			t.Errorf("%s: Run error = %v, want Llama-70B rejected on 1 A100", name, err)
+		}
 	}
 }
 

@@ -1,13 +1,18 @@
 package muxwise
 
-import "testing"
+import (
+	"testing"
+
+	"muxwise/internal/serve"
+)
 
 // FuzzResolve drives deployment and fleet values through
 // Experiment.resolve only — nothing is simulated. resolve must never
 // panic, and whatever it accepts must be runnable: every base and
-// replica shape spans 1 to MaxGPUs devices and both SLO targets are
-// positive. The committed corpus (testdata/fuzz/FuzzResolve) holds the
-// negative values resolve used to replace or accept silently.
+// replica shape spans 1 to MaxGPUs devices and leaves a KV pool, and
+// both SLO targets are positive. The committed corpus
+// (testdata/fuzz/FuzzResolve) holds the negative values resolve used to
+// replace or accept silently, and Llama-70B on one A100.
 func FuzzResolve(f *testing.F) {
 	hardware := []string{"A100", "H100", "H200", "B200", "", "TPU"}
 	models := []string{"Llama-8B", "Llama-70B", "Qwen3-235B-A22B", "CodeLlama-34B", "", "GPT-2"}
@@ -29,23 +34,22 @@ func FuzzResolve(f *testing.F) {
 		if err != nil {
 			return
 		}
-		inBounds := func(what string, g int) {
-			if g < 1 || g > MaxGPUs {
-				t.Fatalf("%s resolved to %d GPUs, outside [1, %d] (deployment %+v)", what, g, MaxGPUs, dep)
+		runnable := func(what string, cfg serve.Config) {
+			if cfg.GPUs < 1 || cfg.GPUs > MaxGPUs {
+				t.Fatalf("%s resolved to %d GPUs, outside [1, %d] (deployment %+v)", what, cfg.GPUs, MaxGPUs, dep)
+			}
+			if cfg.PoolTokens(cfg.GPUs) <= 0 {
+				t.Fatalf("%s resolved to %d %s GPUs with no KV pool (deployment %+v)", what, cfg.GPUs, cfg.Spec.Name, dep)
 			}
 		}
 		base := r.cfg
 		if r.isFleet {
 			base = r.cluster.Base
 			for _, rs := range r.cluster.Replicas {
-				g := rs.GPUs
-				if g == 0 {
-					g = base.GPUs
-				}
-				inBounds("replica shape", g)
+				runnable("replica shape", rs.Config(base))
 			}
 		}
-		inBounds("base", base.GPUs)
+		runnable("base", base)
 		for _, slo := range []SLO{r.slo, base.SLO} {
 			if slo.TTFT <= 0 || slo.TBT <= 0 {
 				t.Fatalf("SLO resolved to %+v, want positive targets (deployment %+v)", slo, dep)
