@@ -38,7 +38,6 @@ var ErrNoFeasibleRate = errors.New("muxwise: no rate in range meets the goodput 
 type Experiment struct {
 	dep      Deployment
 	depSet   bool
-	slo      *SLO // WithSLO override, applied over dep at resolve time
 	engine   string
 	fleetSet bool
 	replicas []ReplicaSpec
@@ -94,13 +93,6 @@ func (e *Experiment) failf(format string, args ...any) {
 // SLO baseline.
 func WithDeployment(dep Deployment) Option {
 	return func(e *Experiment) { e.dep, e.depSet = dep, true }
-}
-
-// WithSLO overrides the deployment's latency targets. The override
-// survives a later WithDeployment, so option order cannot silently
-// change which SLO a run is judged against.
-func WithSLO(slo SLO) Option {
-	return func(e *Experiment) { e.slo = &slo }
 }
 
 // WithEngine runs a single instance of the named engine (see Engines()).
@@ -295,10 +287,6 @@ func (e *Experiment) resolve() (resolved, error) {
 	if !e.depSet {
 		return resolved{}, fmt.Errorf("muxwise: no deployment configured (WithDeployment)")
 	}
-	dep := e.dep
-	if e.slo != nil {
-		dep.SLO = *e.slo
-	}
 	if e.engine != "" {
 		if e.router != "" {
 			return resolved{}, fmt.Errorf("muxwise: WithRouter requires a fleet (WithFleet)")
@@ -310,14 +298,14 @@ func (e *Experiment) resolve() (resolved, error) {
 		if err != nil {
 			return resolved{}, err
 		}
-		cfg, err := dep.config()
+		cfg, err := e.dep.config()
 		if err != nil {
 			return resolved{}, err
 		}
 		cfg.CostModel = e.cost
 		return resolved{factory: f, cfg: cfg, slo: cfg.SLO}, nil
 	}
-	cfg, err := clusterConfig(dep, e.replicas, e.router)
+	cfg, err := clusterConfig(e.dep, e.replicas, e.router)
 	if err != nil {
 		return resolved{}, err
 	}
@@ -351,7 +339,7 @@ func (e *Experiment) windows(rec *Recorder, makespan Time, tbtSLO Time) ([]Metri
 		bounds = append(bounds, t)
 	}
 	bounds = append(bounds, makespan)
-	return rec.RollupSLO(bounds, tbtSLO), nil
+	return rec.Rollup(bounds, tbtSLO), nil
 }
 
 // Run replays the trace against a fresh instance of the experiment's

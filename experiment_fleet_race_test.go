@@ -1,6 +1,7 @@
 package muxwise
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -129,6 +130,69 @@ func TestExperimentFleetChaosConcurrentRuns(t *testing.T) {
 		}
 		if got.Fleet.Failures != ref.Fleet.Failures || len(got.Fleet.Replicas) != len(ref.Fleet.Replicas) {
 			t.Fatalf("run %d fleet shape diverged", i)
+		}
+	}
+}
+
+// TestFinishedReportsReadConcurrently reads two finished reports, the
+// chaos fleet's (one replica recorder frozen at its crash) and one
+// engine's, from 8 goroutines at once: Summarize on the fleet recorder
+// and on every replica recorder, TBTAttainment and Rollup. Each read
+// must equal the single-goroutine one, taken after them. Recorders keep
+// their sorted TBT gaps, so a read that re-sorted would write them; the
+// CI race job fails this test if one does.
+func TestFinishedReportsReadConcurrently(t *testing.T) {
+	exp, trace := fleetChaosExperiment()
+	fleetRep, err := exp.Run(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep := Deployment{Hardware: "A100", GPUs: 1, Model: "Llama-8B"}
+	engineRep, err := NewExperiment(WithDeployment(dep), WithEngine("MuxWise")).
+		Run(ShareGPT(3, 60).WithPoissonArrivals(3, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type source struct {
+		rec *Recorder
+		rep *Report
+	}
+	srcs := []source{{fleetRep.Fleet.Rec, fleetRep}, {engineRep.Engine.Rec, engineRep}}
+	for _, r := range fleetRep.Fleet.Replicas {
+		srcs = append(srcs, source{r.Result.Rec, fleetRep})
+	}
+	type reading struct {
+		Summary    Summary
+		Attainment float64
+		Windows    []MetricsWindow
+	}
+	read := func() []reading {
+		out := make([]reading, len(srcs))
+		for i, src := range srcs {
+			end, slo := src.rep.Summary.Makespan, src.rep.SLO.TBT
+			out[i] = reading{
+				Summary:    src.rec.Summarize("read", end),
+				Attainment: src.rec.TBTAttainment(slo),
+				Windows:    src.rec.Rollup([]Time{0, end / 3, end / 2, end}, slo),
+			}
+		}
+		return out
+	}
+	const readers = 8
+	got := make([][]reading, readers)
+	var wg sync.WaitGroup
+	for g := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = read()
+		}()
+	}
+	wg.Wait()
+	want := read()
+	for g := range readers {
+		if !reflect.DeepEqual(got[g], want) {
+			t.Fatalf("reader %d disagrees with the single-goroutine read:\n%+v\n%+v", g, got[g], want)
 		}
 	}
 }

@@ -68,12 +68,15 @@ func TestGoodputRangeValidation(t *testing.T) {
 
 	// A range that never meets the SLO is not an error-free zero: it is
 	// ErrNoFeasibleRate, distinguishable with errors.Is.
-	impossible := muxwise.WithSLO(muxwise.SLO{TTFT: muxwise.Second, TBT: muxwise.Time(1)})
-	g, err := engine.With(impossible).Goodput(0.5, 2)
+	impossible := func(dep muxwise.Deployment) muxwise.Option {
+		dep.SLO = muxwise.SLO{TTFT: muxwise.Second, TBT: muxwise.Time(1)}
+		return muxwise.WithDeployment(dep)
+	}
+	g, err := engine.With(impossible(dep8B())).Goodput(0.5, 2)
 	if !errors.Is(err, muxwise.ErrNoFeasibleRate) {
 		t.Errorf("infeasible range: got (%v, %v), want ErrNoFeasibleRate", g, err)
 	}
-	g, err = cluster.With(impossible).Goodput(0.5, 2)
+	g, err = cluster.With(impossible(muxwise.Deployment{Hardware: "A100", GPUs: 1, Model: "Llama-8B"})).Goodput(0.5, 2)
 	if !errors.Is(err, muxwise.ErrNoFeasibleRate) {
 		t.Errorf("infeasible cluster range: got (%v, %v), want ErrNoFeasibleRate", g, err)
 	}
@@ -237,7 +240,6 @@ func TestExperimentRejectsNegativeDeploymentValues(t *testing.T) {
 		{"fleet GPUs", []muxwise.Option{with(func(d *muxwise.Deployment) { d.GPUs = -2 }), one}},
 		{"TBT target", []muxwise.Option{with(func(d *muxwise.Deployment) { d.SLO.TBT = -muxwise.Millisecond }), one}},
 		{"TTFT target", []muxwise.Option{with(func(d *muxwise.Deployment) { d.SLO.TTFT = -muxwise.Second }), engine}},
-		{"WithSLO", []muxwise.Option{plain, engine, muxwise.WithSLO(muxwise.SLO{TTFT: -1, TBT: -1})}},
 		{"replica count", []muxwise.Option{plain, fleet(muxwise.ReplicaSpec{Count: -4})}},
 		{"replica GPUs", []muxwise.Option{plain, fleet(muxwise.ReplicaSpec{GPUs: -4})}},
 		{"spawn GPUs", []muxwise.Option{plain, one, muxwise.WithEvents(muxwise.FleetEvent{

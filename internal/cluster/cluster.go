@@ -21,7 +21,7 @@
 // the ordinary cache-hit machinery.
 //
 // Fleet-wide metrics reuse the single-instance machinery: per-replica
-// recorders are merged (metrics.MergeSorted) into one Summary, which the
+// recorders are merged (metrics.Merge) into one Summary, which the
 // root package's rate probes judge by the same §4 goodput criterion
 // (stable, ≥99% of TBT samples within SLO). Runs with fleet events
 // additionally report per-epoch rollups: one metrics.Window plus a
@@ -413,7 +413,7 @@ func (c *Cluster) addReplica(spec ReplicaSpec) *Replica {
 		reqs:  map[int]*workload.Request{},
 	}
 	rep.Inst = serve.NewInstance(c.Sim, spec.Factory, base, rep.Name)
-	rep.Inst.OnFinish(func(id int, at sim.Time) {
+	rep.Inst.Rec.OnFinish = func(id int, at sim.Time) {
 		req := rep.reqs[id]
 		rep.finish(id)
 		if req != nil {
@@ -422,11 +422,11 @@ func (c *Cluster) addReplica(spec ReplicaSpec) *Replica {
 		if rep.State == StateDraining && rep.InFlight() == 0 {
 			c.retireDrained(rep)
 		}
-	})
+	}
 	if obs, ok := c.Router.(TTFTObserver); ok {
-		rep.Inst.OnFirstToken(func(id int, ttft sim.Time) {
+		rep.Inst.Rec.OnFirstToken = func(id int, ttft sim.Time) {
 			obs.ObserveTTFT(rep.ID, ttft)
-		})
+		}
 	}
 	c.Replicas = append(c.Replicas, rep)
 	return rep
@@ -869,7 +869,7 @@ func (c *Cluster) epochs(rec *metrics.Recorder, end sim.Time, tbtSLO sim.Time) [
 	} else if len(bounds) < 2 {
 		return nil
 	}
-	wins := rec.RollupSLO(bounds, tbtSLO)
+	wins := rec.Rollup(bounds, tbtSLO)
 	final := c.aggCache()
 	out := make([]Epoch, len(wins))
 	for i := range wins {
@@ -924,7 +924,6 @@ func Run(cfg Config, trace *workload.Trace) (Result, error) {
 
 	res := Result{Router: c.Router.Name(), Failures: c.countState(StateFailed), Events: c.log, Unrouted: len(c.pending)}
 	recs := make([]*metrics.Recorder, 0, len(c.Replicas))
-	tbt := make([]metrics.SortedTBT, 0, len(c.Replicas))
 	for _, rep := range c.Replicas {
 		rr := rep.result(s.Now())
 		res.Replicas = append(res.Replicas, ReplicaResult{
@@ -943,13 +942,12 @@ func Run(cfg Config, trace *workload.Trace) (Result, error) {
 			KVMigratedOut: rep.kvOut,
 		})
 		recs = append(recs, rep.Inst.Rec)
-		tbt = append(tbt, rr.TBT)
 	}
-	// A replica frozen at down-time hands over the gaps it had then; if
-	// its recorder moved since, MergeSorted falls back to a sort.
-	var merged metrics.SortedTBT
-	res.Rec, merged = metrics.MergeSorted(recs, tbt)
-	res.Summary = res.Rec.SummarizeSorted("cluster/"+c.Router.Name(), s.Now(), merged)
+	// Every replica's gaps were sorted by its result above, or, for a
+	// replica frozen at down-time, by the result taken then; the merge
+	// merges them rather than sorting the fleet's.
+	res.Rec = metrics.Merge(recs...)
+	res.Summary = res.Rec.Summarize("cluster/"+c.Router.Name(), s.Now())
 	serve.ApplyBacklog(&res.Summary, backlog)
 	res.CacheHit = c.aggCache().HitRate()
 	res.Epochs = c.epochs(res.Rec, s.Now(), cfg.Base.SLO.TBT)

@@ -110,9 +110,8 @@ type Engine struct {
 	merging []*prefillJob            // prefill-complete jobs awaiting a decode boundary
 	pending serve.Queue[*workload.Request]
 
-	configs     []int
-	curConfig   int
-	preemptions int
+	configs   []int
+	curConfig int
 
 	// prefillSpan tracks whether a flight-recorder span is open for the
 	// active prefill job (invariant while tracing: open ⇔ active != nil).
@@ -121,9 +120,6 @@ type Engine struct {
 
 // track names the engine's flight-recorder track for one stream.
 func (e *Engine) track(stream string) string { return e.env.Label + "/" + stream }
-
-// Preemptions returns how many prefill batches preempted another.
-func (e *Engine) Preemptions() int { return e.preemptions }
 
 // New builds a MuxWise engine with default options.
 func New(env *serve.Env) serve.Engine { return NewWithOptions(env, DefaultOptions()) }
@@ -283,7 +279,6 @@ func (e *Engine) maybePreempt(job *prefillJob) {
 	if !meetsOwn && !short {
 		return
 	}
-	e.preemptions++
 	job.isPreemptor = true
 	// Pause the active job: it re-enters the queue right behind the
 	// preemptor and later resumes from layersDone.

@@ -116,9 +116,6 @@ func (d *Device) TotalFLOPS() float64 { return d.Spec.TensorFLOPS * float64(d.TP
 // TotalBandwidth is aggregate HBM bandwidth of the group.
 func (d *Device) TotalBandwidth() float64 { return d.Spec.HBMBandwidth * float64(d.TP) }
 
-// TotalMemory is aggregate HBM capacity of the group in bytes.
-func (d *Device) TotalMemory() int64 { return d.Spec.HBMCapacity * int64(d.TP) }
-
 // Partition binds a new stream to sms SMs per GPU. Partitions may coexist;
 // the caller decides whether their SM counts are disjoint (green contexts)
 // or oversubscribed (plain CUDA streams, as in WindServe).

@@ -571,13 +571,3 @@ func (p *Pool) adjustPins(pages []PageID, count, delta int) {
 		n = c
 	}
 }
-
-// Clear drops all cached pages (used by disaggregated engines when an
-// instance releases its pool) and resets reservations.
-func (p *Pool) Clear() {
-	p.root = &node{}
-	p.usedPages = 0
-	p.reserved = 0
-	p.lru = p.lru[:0]
-	p.free = p.free[:0] // dropped tree nodes must not be resurrected
-}

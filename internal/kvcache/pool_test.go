@@ -255,19 +255,6 @@ func TestReservePinnedBlocks(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	p := New(1000, 16)
-	p.Insert(seq(1, 2, 3))
-	p.Reserve(100)
-	p.Clear()
-	if p.Used() != 0 || p.Reserved() != 0 {
-		t.Fatalf("after Clear: used=%d reserved=%d", p.Used(), p.Reserved())
-	}
-	if got := p.Match(seq(1)); got != 0 {
-		t.Fatal("Clear left cached pages")
-	}
-}
-
 func TestZeroAndNegativeReserve(t *testing.T) {
 	p := New(10, 16)
 	if !p.Reserve(0) || !p.Reserve(-5) {

@@ -36,19 +36,27 @@ func playRecorder(rng *rand.Rand, r *Recorder, base, ops int, clock *sim.Time) {
 	}
 }
 
+// unsort drops r's sorted gaps, so its next Summarize sorts them afresh.
+func unsort(r *Recorder) { r.sorted, r.sortedAt = nil, tbtKey{n: -1} }
+
+// resorted is r's summary taken after a forced re-sort of its gaps.
+func resorted(r *Recorder, name string, now sim.Time) Summary {
+	unsort(r)
+	return r.Summarize(name, now)
+}
+
 // TestMergedSummaryMatchesResort: a fleet summary built from the
-// inputs' sorted gaps is bitwise the summary the re-sort path builds, in
-// every state an input can be in at merge time — sorted and untouched
-// since, given tokens or aborts after its gaps were sorted (with or
-// without a compaction), halted, never sorted, handed another
-// recorder's gaps, or nil.
+// inputs' sorted gaps is bitwise the summary a forced re-sort builds, in
+// every state an input can be in at merge time — summarized and
+// untouched since, given tokens or aborts after its summary (with or
+// without a compaction), halted, never summarized, or nil — and so is
+// every input's own summary from its kept gaps.
 func TestMergedSummaryMatchesResort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 2))
 	fast := 0
 	for trial := range 300 {
 		var clock sim.Time
 		recs := make([]*Recorder, 1+rng.IntN(5))
-		tbt := make([]SortedTBT, len(recs))
 		for i := range recs {
 			if rng.IntN(8) == 0 {
 				continue // a nil input
@@ -56,41 +64,36 @@ func TestMergedSummaryMatchesResort(t *testing.T) {
 			r := NewRecorder()
 			recs[i] = r
 			playRecorder(rng, r, 100000*i, 20+rng.IntN(200), &clock)
-			switch rng.IntN(7) {
-			case 0: // never sorted
-			case 1: // halted, then sorted: later calls are ignored
+			switch rng.IntN(6) {
+			case 0: // never summarized
+			case 1: // halted, then summarized: later calls are ignored
 				r.Halt()
-				tbt[i] = r.SortedTBT()
+				r.Summarize("r", clock)
 				playRecorder(rng, r, 100000*i+50000, 20, &clock)
-			case 2: // tokens, finishes and aborts after the sort
-				tbt[i] = r.SortedTBT()
+			case 2: // tokens, finishes and aborts after the summary
+				r.Summarize("r", clock)
 				playRecorder(rng, r, 100000*i+50000, 1+rng.IntN(20), &clock)
-			case 3: // aborts only after the sort
-				tbt[i] = r.SortedTBT()
+			case 3: // aborts only after the summary
+				r.Summarize("r", clock)
 				for _, id := range r.OpenIDs() {
 					if rng.IntN(2) == 0 {
 						r.Abort(id)
 					}
 				}
-			case 4: // another recorder's gaps
-				if i > 0 && recs[i-1] != nil {
-					tbt[i] = recs[i-1].SortedTBT()
-				}
-			default: // sorted and untouched since
-				tbt[i] = r.SortedTBT()
+			default: // summarized and untouched since
+				r.Summarize("r", clock)
 			}
 		}
-		fast += checkMerge(t, trial, recs, tbt, clock)
-		// Each input's summary from its gaps equals a plain Summarize.
-		for i, r := range recs {
+		fast += checkMerge(t, trial, recs, clock)
+		// Each input's summary from its kept gaps equals a re-sorted one.
+		for _, r := range recs {
 			if r == nil {
 				continue
 			}
-			got := r.SummarizeSorted("r", clock, tbt[i])
-			if want := r.Summarize("r", clock); fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
-				t.Fatalf("trial %d: summary from sorted gaps %+v, re-sorted %+v", trial, got, want)
+			got := r.Summarize("r", clock)
+			if want := resorted(r, "r", clock); fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
+				t.Fatalf("trial %d: summary from kept gaps %+v, re-sorted %+v", trial, got, want)
 			}
-			tbt[i] = r.SortedTBT()
 		}
 		// Every input's gaps are current now; half the trials stale one.
 		if rng.IntN(2) == 0 {
@@ -98,35 +101,36 @@ func TestMergedSummaryMatchesResort(t *testing.T) {
 				playRecorder(rng, r, 900000, 1+rng.IntN(10), &clock)
 			}
 		}
-		fast += checkMerge(t, trial, recs, tbt, clock)
+		fast += checkMerge(t, trial, recs, clock)
 	}
 	if fast < 100 {
 		t.Fatalf("only %d of 600 merges used the inputs' sorted gaps", fast)
 	}
 }
 
-// checkMerge compares the summary MergeSorted's gaps give with the one
-// the plain merged recorder gives, and reports 1 when the merge carried
+// checkMerge compares the summary of the merged recorder with the one
+// it gives after a forced re-sort, and reports 1 when the merge carried
 // sorted gaps over from its inputs.
-func checkMerge(t *testing.T, trial int, recs []*Recorder, tbt []SortedTBT, clock sim.Time) int {
+func checkMerge(t *testing.T, trial int, recs []*Recorder, clock sim.Time) int {
 	t.Helper()
-	m, merged := MergeSorted(recs, tbt)
+	m := Merge(recs...)
 	fast := 0
-	if merged.current(m) && len(merged.runs) > 0 {
+	if m.sortedAt == m.key() && len(m.sorted) > 0 {
 		fast = 1
 	}
-	got := m.SummarizeSorted("fleet", clock, merged)
-	if want := Merge(recs...).Summarize("fleet", clock); fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
-		t.Fatalf("trial %d: merged summary\n%+v\nre-sort path\n%+v", trial, got, want)
+	got := m.Summarize("fleet", clock)
+	if want := resorted(m, "fleet", clock); fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
+		t.Fatalf("trial %d: merged summary\n%+v\nre-sorted\n%+v", trial, got, want)
 	}
 	return fast
 }
 
-// TestMergeSortedUsesRuns pins the fast path itself: inputs whose gaps
-// are current hand MergeSorted their runs, a token on any input after
-// its sort sends the merge back to the re-sort path, and Summarize
-// leaves the recorder's state alone.
-func TestMergeSortedUsesRuns(t *testing.T) {
+// TestMergeUsesSortedRuns pins the kept gaps themselves: Summarize
+// keeps them without moving the recorder's gap state and a second
+// Summarize reuses them, inputs whose gaps are current hand Merge their
+// runs, and a token on any input after its summary sends the merged
+// recorder back to sorting its own.
+func TestMergeUsesSortedRuns(t *testing.T) {
 	a, b := NewRecorder(), NewRecorder()
 	for i, r := range []*Recorder{a, b} {
 		id := i + 1
@@ -137,23 +141,21 @@ func TestMergeSortedUsesRuns(t *testing.T) {
 	}
 	key := a.key()
 	a.Summarize("a", sim.Second)
-	if a.key() != key {
-		t.Fatalf("Summarize moved the recorder's gap state %v to %v", key, a.key())
+	if a.key() != key || a.sortedAt != key {
+		t.Fatalf("Summarize moved the gap state %v to %v, kept gaps of %v", key, a.key(), a.sortedAt)
 	}
-	// Gaps are tied to their recorder: a's state key equals b's, yet a's
-	// gaps must not summarize b.
-	got, want := b.SummarizeSorted("b", sim.Second, a.SortedTBT()), b.Summarize("b", sim.Second)
-	if a.key() != b.key() || fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
-		t.Fatalf("b summarized with a's gaps: %+v, want %+v", got.TBT, want.TBT)
+	kept := a.sorted
+	if a.Summarize("a", sim.Second); &a.sorted[0] != &kept[0] {
+		t.Fatal("a second Summarize re-sorted unchanged gaps")
 	}
+	b.Summarize("b", sim.Second)
 	recs := []*Recorder{a, nil, b}
-	tbt := []SortedTBT{a.SortedTBT(), {}, b.SortedTBT()}
-	if m, merged := MergeSorted(recs, tbt); !merged.current(m) || runQuantiles(merged.runs).N != 8 {
-		t.Fatalf("merge of current inputs kept %d sorted gaps (current %v), want 8", runQuantiles(merged.runs).N, merged.current(m))
+	if m := Merge(recs...); m.sortedAt != m.key() || runQuantiles(m.sorted).N != 8 {
+		t.Fatalf("merge of current inputs kept %d sorted gaps (current %v), want 8", runQuantiles(m.sorted).N, m.sortedAt == m.key())
 	}
 	b.Token(2, ms(200))
-	if m, merged := MergeSorted(recs, tbt); merged.current(m) {
-		t.Fatalf("merge with a stale input carried sorted gaps %v", merged.runs)
+	if m := Merge(recs...); m.sortedAt == m.key() {
+		t.Fatalf("merge with a stale input carried sorted gaps %v", m.sorted)
 	}
 }
 

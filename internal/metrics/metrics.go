@@ -70,6 +70,13 @@ type Slot int32
 // monotone, so sorting the integers gives exactly the order
 // sort.Float64s gives the converted values, and Avg, summed in that
 // ascending order, is bitwise the same.
+//
+// The recorder also keeps its live gaps sorted by gap, as (gap, n) runs
+// tied to the state they were sorted in. Summarize re-sorts only after
+// the gaps moved, and Merge merges its inputs' sorted runs instead of
+// sorting the fleet's. Only Summarize and Merge write the sorted runs,
+// and only while they are stale: once a run is over and its recorders
+// summarized, every reader, Summarize included, only reads them.
 type Recorder struct {
 	reqs map[int]*reqRec // live records by request ID
 	recs []*reqRec       // every record in arrival order, dead ones included
@@ -84,8 +91,16 @@ type Recorder struct {
 	deadTBT int
 	// mut counts aborts and compactions. An abort changes the live gaps
 	// without moving nTBT, and mut only grows, so (nTBT, mut) never
-	// repeats: it keys a SortedTBT at no cost to the token path.
+	// repeats: it keys the sorted gaps at no cost to the token path.
 	mut int
+
+	// sorted holds the live gaps as runs in ascending gap order, as they
+	// stood at state sortedAt; they are current while sortedAt equals
+	// key(). Their slice is replaced, never written in place, so a fleet
+	// merge may share it. The zero sortedAt is the state of a recorder
+	// that never logged a gap, whose sorted gaps are rightly none.
+	sorted   []gapRun
+	sortedAt tbtKey
 
 	prefillTokens int64
 	decodeTokens  int64
@@ -221,33 +236,21 @@ func (r *Recorder) token(rec *reqRec, at sim.Time) {
 // key is the current state of the live TBT gaps.
 func (r *Recorder) key() tbtKey { return tbtKey{r.nTBT, r.mut} }
 
-// SortedTBT is a recorder's live TBT gaps as (gap, n) runs in ascending
-// gap order, tied to the recorder state they were taken in. A summary or
-// fleet merge handed one skips its sort while that state holds. Its runs
-// are never written once built. The zero value is current for no
-// recorder.
-type SortedTBT struct {
-	rec  *Recorder
-	key  tbtKey
-	runs []gapRun
-}
-
-// SortedTBT sorts the live runs of the TBT log by gap, so it sorts one
-// entry per decode step rather than one per token. It does not modify
-// the recorder.
-func (r *Recorder) SortedTBT() SortedTBT {
+// sortedTBT returns the live gaps as runs in ascending gap order. It
+// sorts, one entry per decode step rather than one per token, only when
+// a token, abort or compaction moved the gaps since the last sort, and
+// keeps the result.
+func (r *Recorder) sortedTBT() []gapRun {
+	if r.sortedAt == r.key() {
+		return r.sorted
+	}
 	runs := make([]gapRun, 0, r.runs.len())
 	for run := range r.liveRuns(nil) {
 		runs = append(runs, gapRun{gap: run.gap, n: run.n})
 	}
 	sortRuns(runs)
-	return SortedTBT{rec: r, key: r.key(), runs: runs}
-}
-
-// current reports whether st still holds r's live gaps: it was taken
-// from r, and no token, abort or compaction has happened since.
-func (st SortedTBT) current(r *Recorder) bool {
-	return r != nil && st.rec == r && st.key == r.key()
+	r.sorted, r.sortedAt = runs, r.key()
+	return runs
 }
 
 // Finish marks the request complete.
@@ -537,18 +540,10 @@ func (r *Recorder) TTFTAttainment(slo sim.Time) float64 {
 }
 
 // Summarize builds the run summary. now is the simulation end time, used
-// for makespan and stability accounting.
+// for makespan and stability accounting. It sorts the TBT gaps only if
+// they moved since the last Summarize or Merge and keeps them sorted, so
+// a recorder summarized once after its run is only read by later calls.
 func (r *Recorder) Summarize(name string, now sim.Time) Summary {
-	return r.SummarizeSorted(name, now, r.SortedTBT())
-}
-
-// SummarizeSorted is Summarize with the TBT gaps sorted beforehand: a
-// tbt current for r spares the sort, any other tbt is ignored and the
-// gaps are sorted afresh. Either way the summary is bitwise Summarize's.
-func (r *Recorder) SummarizeSorted(name string, now sim.Time, tbt SortedTBT) Summary {
-	if !tbt.current(r) {
-		tbt = r.SortedTBT()
-	}
 	s := Summary{Name: name, Makespan: now}
 	var ttft, e2e []sim.Time
 	var tpot, perTok []float64
@@ -574,7 +569,7 @@ func (r *Recorder) SummarizeSorted(name string, now sim.Time, tbt SortedTBT) Sum
 		}
 	}
 	s.TTFT = timeQuantiles(ttft)
-	s.TBT = runQuantiles(tbt.runs)
+	s.TBT = runQuantiles(r.sortedTBT())
 	s.TPOT = quantiles(tpot)
 	s.E2E = timeQuantiles(e2e)
 	s.TTFTPerToken = quantiles(perTok)

@@ -96,8 +96,9 @@ func flatQuantiles(samples []flatSample) Quantiles {
 }
 
 // checkFlat compares every TBT reader of r bitwise with the flat
-// reference f: Summarize, TBTAttainment, the TBTSamples sequence and the
-// RollupSLO windows, plus the run and slot logs' own counts.
+// reference f: Summarize, from kept gaps and after a forced re-sort,
+// TBTAttainment, the TBTSamples sequence and the Rollup windows, plus
+// the run and slot logs' own counts.
 func checkFlat(t *testing.T, what string, r *Recorder, f *flatRecorder, end sim.Time) {
 	t.Helper()
 	const slo = 3 * sim.Millisecond
@@ -118,6 +119,9 @@ func checkFlat(t *testing.T, what string, r *Recorder, f *flatRecorder, end sim.
 	want.TBT = flatQuantiles(live)
 	if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
 		t.Fatalf("%s: summary TBT %#v, reference %#v", what, got.TBT, want.TBT)
+	}
+	if again := resorted(r, "x", end); fmt.Sprintf("%#v", again) != fmt.Sprintf("%#v", got) {
+		t.Fatalf("%s: re-sorted summary TBT %#v, from kept gaps %#v", what, again.TBT, got.TBT)
 	}
 
 	ok := 0
@@ -146,7 +150,7 @@ func checkFlat(t *testing.T, what string, r *Recorder, f *flatRecorder, end sim.
 		}
 	}
 	bounds = append(bounds, end)
-	wins := r.RollupSLO(bounds, slo)
+	wins := r.Rollup(bounds, slo)
 	for i, w := range wins {
 		var in []flatSample
 		want := w
@@ -174,8 +178,8 @@ const (
 
 // runRecorderOps interprets data as a program of two-byte (op, arg)
 // instructions over up to five recorders and their flat references,
-// then checks every recorder, their Merge and their MergeSorted against
-// the references.
+// then checks every recorder and their Merge, taken before and after the
+// inputs' gaps were sorted, against the references.
 func runRecorderOps(t *testing.T, data []byte) {
 	var (
 		recs  [maxRecorders]*Recorder
@@ -251,7 +255,8 @@ func runRecorderOps(t *testing.T, data []byte) {
 				flats[cur].finish(open[cur][i])
 				open[cur] = slices.Delete(open[cur], i, i+1)
 			}
-		case 12:
+		case 12: // switch recorders, sorting the one left so later ops stale its kept gaps
+			recs[cur].Summarize("x", clock)
 			use(arg % maxRecorders)
 		default: // one token, or rarely a halt
 			if arg < 8 {
@@ -263,24 +268,25 @@ func runRecorderOps(t *testing.T, data []byte) {
 		}
 	}
 	end := clock + sim.Millisecond
-	sorted := make([]SortedTBT, maxRecorders)
+	// Merged first, while some inputs' kept gaps may be stale or missing;
+	// checkFlat then sorts every input's, so the second merge merges them.
+	early := Merge(recs[:]...)
 	for i, r := range recs {
 		if r != nil {
 			checkFlat(t, fmt.Sprintf("recorder %d", i), r, flats[i], end)
-			sorted[i] = r.SortedTBT()
 		}
 	}
+	late := Merge(recs[:]...)
+	if late.sortedAt != late.key() {
+		t.Fatal("Merge of current inputs fell back to a sort")
+	}
+	got := late.Summarize("x", end)
 	m := mergedFlat(flats[:])
-	checkFlat(t, "merge", Merge(recs[:]...), m, end)
-	ms, st := MergeSorted(recs[:], sorted)
-	if !st.current(ms) {
-		t.Fatal("MergeSorted of current inputs fell back to a sort")
-	}
-	got := ms.SummarizeSorted("x", end, st)
 	if want := flatQuantiles(m.live()); fmt.Sprintf("%#v", got.TBT) != fmt.Sprintf("%#v", want) {
-		t.Fatalf("MergeSorted summary TBT %#v, reference %#v", got.TBT, want)
+		t.Fatalf("merged summary TBT %#v, reference %#v", got.TBT, want)
 	}
-	checkFlat(t, "merge sorted", ms, m, end)
+	checkFlat(t, "merge", early, m, end)
+	checkFlat(t, "merge of sorted inputs", late, m, end)
 }
 
 // The run log answers every TBT reader bitwise as the flat per-sample

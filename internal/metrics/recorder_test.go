@@ -56,7 +56,7 @@ func TestReArrivalAfterAbortStartsClean(t *testing.T) {
 	if s := r.Summarize("x", sim.Second); s.TBT.N != 2 || !near(s.TBT.Max, 0.01) || s.DecodeTokens != 4 {
 		t.Fatalf("summary TBT %+v decode %d, want 2 gaps of 10ms and 4 tokens", s.TBT, s.DecodeTokens)
 	}
-	if w := r.Rollup([]sim.Time{0, sim.Second}); w[0].TBT.N != 2 {
+	if w := r.Rollup([]sim.Time{0, sim.Second}, 0); w[0].TBT.N != 2 {
 		t.Fatalf("rollup TBT N = %d, want 2", w[0].TBT.N)
 	}
 	if m := Merge(r); m.WithinSLO(slo) != 2 || len(m.TBTSamples()) != 2 {
@@ -169,8 +169,8 @@ func TestSummarizeRepeatable(t *testing.T) {
 	}
 	log := r.TBTSamples()
 	bounds := []sim.Time{0, 2 * sim.Second, 10 * sim.Second}
-	a, wa := r.Summarize("x", 10*sim.Second), r.Rollup(bounds)
-	b, wb := r.Summarize("x", 10*sim.Second), r.Rollup(bounds)
+	a, wa := r.Summarize("x", 10*sim.Second), r.Rollup(bounds, 0)
+	b, wb := r.Summarize("x", 10*sim.Second), r.Rollup(bounds, 0)
 	if a != b || !slices.Equal(wa, wb) {
 		t.Fatalf("repeated summaries differ:\n%+v\n%+v", a, b)
 	}
@@ -216,7 +216,8 @@ func BenchmarkRecorderToken(b *testing.B) {
 }
 
 // BenchmarkSummarize is the end-of-run summary over 200k TBT gaps: 1000
-// requests of 200 gaps each, 5-55 ms apart.
+// requests of 200 gaps each, 5-55 ms apart. Every iteration drops the
+// kept gaps, so it sorts them as a run's first summary does.
 func BenchmarkSummarize(b *testing.B) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	r := NewRecorder()
@@ -231,6 +232,7 @@ func BenchmarkSummarize(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
+		unsort(r)
 		r.Summarize("bench", 120*sim.Second)
 	}
 }
@@ -296,26 +298,55 @@ func BenchmarkRecorderRunFree(b *testing.B) {
 
 // BenchmarkSortedTBT sorts 200k TBT gaps logged by decode steps of one
 // request (no runs form) and of 25 requests (one run per step), each
-// step 5-55 ms long.
+// step 5-55 ms long. Every iteration drops the kept gaps first.
 func BenchmarkSortedTBT(b *testing.B) {
 	for _, batch := range []int{1, 25} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			r := stepRecorder(rand.New(rand.NewPCG(7, 8)), batch, 200_000)
+			r := stepRecorder(rand.New(rand.NewPCG(7, 8)), batch, 200_000, 0)
 			b.ReportAllocs()
 			for b.Loop() {
-				r.SortedTBT()
+				unsort(r)
+				r.sortedTBT()
 			}
 		})
 	}
 }
 
+// BenchmarkMerge is the fleet summary, Merge then Summarize of the
+// merged recorder, over 200k gaps of 25-request decode steps split
+// across 3 and 64 recorders (64 is the autoscaler's default maximum
+// fleet). Current inputs were summarized, so the merge merges their
+// sorted runs; stale inputs were not, so the merged recorder sorts.
+func BenchmarkMerge(b *testing.B) {
+	for _, k := range []int{3, 64} {
+		rng := rand.New(rand.NewPCG(7, 9))
+		recs := make([]*Recorder, k)
+		for i := range recs {
+			recs[i] = stepRecorder(rng, 25, 200_000/k, 1_000_000*i)
+		}
+		for _, current := range []bool{true, false} {
+			b.Run(fmt.Sprintf("recorders=%d/current=%v", k, current), func(b *testing.B) {
+				for _, r := range recs {
+					if unsort(r); current {
+						r.Summarize("r", 0)
+					}
+				}
+				b.ReportAllocs()
+				for b.Loop() {
+					Merge(recs...).Summarize("fleet", 0)
+				}
+			})
+		}
+	}
+}
+
 // stepRecorder logs decode steps of batch requests until the recorder
 // holds samples TBT gaps. Each request takes 1-400 tokens and is
-// replaced when it finishes.
-func stepRecorder(rng *rand.Rand, batch, samples int) *Recorder {
+// replaced when it finishes; request IDs count up from base.
+func stepRecorder(rng *rand.Rand, batch, samples, base int) *Recorder {
 	r := NewRecorder()
 	ids, left := make([]int, batch), make([]int, batch)
-	next := 0
+	next := base
 	var at sim.Time
 	for r.nTBT < samples {
 		at += 5*sim.Millisecond + sim.Time(rng.Int64N(int64(50*sim.Millisecond)))

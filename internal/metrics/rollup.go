@@ -15,14 +15,25 @@ import (
 // an ID); a duplicate panics rather than producing a silently
 // half-merged summary. The merged recorder holds copies of its inputs'
 // live records and samples; the inputs are not modified.
+//
+// When every non-nil input's sorted gaps are current, the merged
+// recorder's sorted gaps are merged from them rather than sorted: the
+// same multiset in the same ascending order, so its quantiles and
+// ascending-order Avg are bitwise a fresh sort's. Otherwise its first
+// Summarize sorts them.
 func Merge(recs ...*Recorder) *Recorder {
 	m := NewRecorder()
-	nRecs, nRuns, nTBT := 0, 0, 0
+	nRecs, nRuns, nTBT, nSorted := 0, 0, 0, 0
+	lists := make([][]gapRun, 0, len(recs))
+	current := true
 	for _, r := range recs {
 		if r != nil {
 			nRecs += len(r.recs) - r.nDead
 			nRuns += r.runs.len()
 			nTBT += r.nTBT - r.deadTBT
+			current = current && r.sortedAt == r.key()
+			lists = append(lists, r.sorted)
+			nSorted += len(r.sorted)
 		}
 	}
 	arena := make([]reqRec, 0, nRecs)
@@ -61,32 +72,10 @@ func Merge(recs ...*Recorder) *Recorder {
 		m.decodeTokens += r.decodeTokens
 	}
 	m.nTBT = nTBT
-	return m
-}
-
-// MergeSorted is Merge for inputs whose sorted TBT gaps are at hand:
-// tbt[i] was taken from recs[i] (entries of nil inputs are ignored). It
-// also returns the merged recorder's sorted gaps, merged from the
-// inputs' sorted runs instead of sorted, for its SummarizeSorted. The
-// merge holds the same multiset in the same ascending order, so the
-// quantiles and the ascending-order Avg are bitwise those of a fresh
-// sort. If any input's gaps are not current, the returned SortedTBT is
-// the zero one and the summary sorts afresh.
-func MergeSorted(recs []*Recorder, tbt []SortedTBT) (*Recorder, SortedTBT) {
-	m := Merge(recs...)
-	lists := make([][]gapRun, 0, len(recs))
-	n := 0
-	for i, r := range recs {
-		if r == nil {
-			continue
-		}
-		if !tbt[i].current(r) {
-			return m, SortedTBT{}
-		}
-		lists = append(lists, tbt[i].runs)
-		n += len(tbt[i].runs)
+	if current {
+		m.sorted, m.sortedAt = mergeRuns(lists, nSorted), m.key()
 	}
-	return m, SortedTBT{rec: m, key: m.key(), runs: mergeRuns(lists, n)}
+	return m
 }
 
 // mergeRuns merges lists of weighted runs, each ascending by gap, into
@@ -94,7 +83,7 @@ func MergeSorted(recs []*Recorder, tbt []SortedTBT) (*Recorder, SortedTBT) {
 // moves once per round: O(n log k) for k lists, never more than a sort.
 // Each round writes into the buffer the previous round did not, so no
 // merge reads what it overwrites. A lone list is returned as is
-// (SortedTBT runs are never written once built). The lists slice itself
+// (sorted runs are never written once built). The lists slice itself
 // is overwritten.
 func mergeRuns(lists [][]gapRun, n int) []gapRun {
 	var bufs [2][]gapRun
@@ -167,13 +156,13 @@ type Window struct {
 	TBT  Quantiles
 
 	// tbtOK/tbtN count the window's TBT samples inside the SLO given to
-	// RollupSLO; Attainment reads them.
+	// Rollup; Attainment reads them.
 	tbtOK, tbtN int
 }
 
 // Attainment returns the window's TBT SLO attainment (1 when the window
 // holds no samples, matching TBTAttainment's convention). It is only
-// meaningful on windows produced by RollupSLO.
+// meaningful on windows rolled up against a positive TBT SLO.
 func (w *Window) Attainment() float64 {
 	if w.tbtN == 0 {
 		return 1
@@ -182,18 +171,13 @@ func (w *Window) Attainment() float64 {
 }
 
 // Rollup slices the recorder's samples into the half-open windows
-// [bounds[i], bounds[i+1]). Bounds must be ascending; the last window is
-// closed at bounds[len-1]. The result is independent of the order
-// requests were recorded (samples are pooled and quantiles sorted), so
-// merged fleet recorders roll up identically regardless of replica merge
-// order.
-func (r *Recorder) Rollup(bounds []sim.Time) []Window {
-	return r.RollupSLO(bounds, 0)
-}
-
-// RollupSLO is Rollup with per-window TBT attainment against tbtSLO
-// (a zero SLO leaves attainment at its no-samples convention).
-func (r *Recorder) RollupSLO(bounds []sim.Time, tbtSLO sim.Time) []Window {
+// [bounds[i], bounds[i+1]), with per-window TBT attainment against
+// tbtSLO (a zero SLO leaves attainment at its no-samples convention).
+// Bounds must be ascending; the last window is closed at
+// bounds[len-1]. The result is independent of the order requests were
+// recorded (samples are pooled and quantiles sorted), so merged fleet
+// recorders roll up identically regardless of replica merge order.
+func (r *Recorder) Rollup(bounds []sim.Time, tbtSLO sim.Time) []Window {
 	if len(bounds) < 2 {
 		return nil
 	}

@@ -71,12 +71,12 @@ func TestPropertyRollupMergeOrderInvariant(t *testing.T) {
 		recs := randomRecorders(rng, 2+rng.IntN(4), span)
 		bounds := randomBounds(rng, span+sim.Second)
 
-		forward := Merge(recs...).RollupSLO(bounds, slo)
+		forward := Merge(recs...).Rollup(bounds, slo)
 		shuffled := append([]*Recorder(nil), recs...)
 		rng.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		backward := Merge(shuffled...).RollupSLO(bounds, slo)
+		backward := Merge(shuffled...).Rollup(bounds, slo)
 
 		if len(forward) != len(backward) {
 			t.Fatalf("trial %d: window count %d vs %d", trial, len(forward), len(backward))
@@ -136,7 +136,7 @@ func TestPropertyRollupPartitionsSumToTrace(t *testing.T) {
 		}
 
 		for part := 0; part < 5; part++ {
-			wins := rec.RollupSLO(randomBounds(rng, end), slo)
+			wins := rec.Rollup(randomBounds(rng, end), slo)
 			arrivals, started, finished, tbtN, okN := 0, 0, 0, 0, 0
 			for _, w := range wins {
 				arrivals += w.Arrivals

@@ -91,7 +91,7 @@ func TestRollupMergeOrderInvariant(t *testing.T) {
 	b := mk()
 	rev := Merge(b[2], b[0], b[1])
 
-	fw, rw := fwd.RollupSLO(bounds, slo), rev.RollupSLO(bounds, slo)
+	fw, rw := fwd.Rollup(bounds, slo), rev.Rollup(bounds, slo)
 	if len(fw) != len(rw) {
 		t.Fatalf("window counts differ: %d vs %d", len(fw), len(rw))
 	}
@@ -115,7 +115,7 @@ func TestRollupAssignsSamplesByObservationTime(t *testing.T) {
 	r.Token(1, 220*sim.Millisecond) // TBT 70ms, lands in window 2
 	r.Finish(1, 220*sim.Millisecond)
 	bounds := []sim.Time{0, 100 * sim.Millisecond, 200 * sim.Millisecond, 300 * sim.Millisecond}
-	w := r.RollupSLO(bounds, 50*sim.Millisecond)
+	w := r.Rollup(bounds, 50*sim.Millisecond)
 	if w[0].Arrivals != 1 || w[0].Started != 0 || w[0].Finished != 0 {
 		t.Fatalf("window 0 = %+v, want arrival only", w[0])
 	}
@@ -135,7 +135,7 @@ func TestRollupAssignsSamplesByObservationTime(t *testing.T) {
 	r2.Token(1, 100*sim.Millisecond)
 	r2.Token(1, 300*sim.Millisecond)
 	r2.Finish(1, 300*sim.Millisecond)
-	w2 := r2.Rollup([]sim.Time{0, 150 * sim.Millisecond, 300 * sim.Millisecond})
+	w2 := r2.Rollup([]sim.Time{0, 150 * sim.Millisecond, 300 * sim.Millisecond}, 0)
 	if w2[1].Finished != 1 || w2[1].TBT.N != 1 {
 		t.Fatalf("samples at the closing bound dropped: %+v", w2[1])
 	}

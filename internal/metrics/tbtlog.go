@@ -17,7 +17,8 @@ type tbtRun struct {
 	n       int
 }
 
-// gapRun is n samples of one gap, an entry of a SortedTBT.
+// gapRun is n samples of one gap: an entry of a recorder's sorted gaps,
+// or of a window's gaps in Rollup.
 type gapRun struct {
 	gap sim.Time
 	n   int

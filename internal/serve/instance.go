@@ -29,30 +29,6 @@ func NewInstance(s *sim.Sim, f Factory, cfg Config, label string) *Instance {
 	return inst
 }
 
-// OnFinish registers a per-request completion callback, chaining with any
-// callback already installed.
-func (i *Instance) OnFinish(fn func(id int, at sim.Time)) {
-	prev := i.Rec.OnFinish
-	i.Rec.OnFinish = func(id int, at sim.Time) {
-		if prev != nil {
-			prev(id, at)
-		}
-		fn(id, at)
-	}
-}
-
-// OnFirstToken registers a per-request first-token callback (invoked
-// with the request's TTFT), chaining with any callback already installed.
-func (i *Instance) OnFirstToken(fn func(id int, ttft sim.Time)) {
-	prev := i.Rec.OnFirstToken
-	i.Rec.OnFirstToken = func(id int, ttft sim.Time) {
-		if prev != nil {
-			prev(id, ttft)
-		}
-		fn(id, ttft)
-	}
-}
-
 // Submit records the request's arrival and delivers it to the engine.
 // It must be called from inside the simulation at the arrival time (or
 // later, when a fleet controller re-dispatches a request off a failed
@@ -132,12 +108,10 @@ func (i *Instance) CacheHit() float64 { return i.CacheStats().HitRate() }
 
 // Result snapshots the instance's run result at simulation time now.
 func (i *Instance) Result(now sim.Time) Result {
-	tbt := i.Rec.SortedTBT()
 	res := Result{
-		Summary:  i.Rec.SummarizeSorted(i.Label, now, tbt),
+		Summary:  i.Rec.Summarize(i.Label, now),
 		Timeline: i.Eng.Timeline(),
 		Rec:      i.Rec,
-		TBT:      tbt,
 		CacheHit: i.CacheHit(),
 	}
 	for _, d := range i.Eng.Devices() {

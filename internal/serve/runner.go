@@ -51,9 +51,6 @@ type Result struct {
 	Devices  []gpu.Stats
 	CacheHit float64
 	Rec      *metrics.Recorder
-	// TBT is Rec's sorted TBT gaps as Summary used them, for a fleet
-	// summary to merge instead of re-sorting.
-	TBT metrics.SortedTBT `json:"-"`
 
 	// Diagnostics attributes every SLO miss to a cause (set by Run;
 	// zero on bare Instance snapshots).

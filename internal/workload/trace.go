@@ -40,9 +40,6 @@ func (r *Request) NewTokens() int {
 	return n
 }
 
-// TotalTokens returns input plus output tokens.
-func (r *Request) TotalTokens() int { return r.InputTokens + r.OutputTokens }
-
 // Trace is an ordered set of requests.
 type Trace struct {
 	Name     string
