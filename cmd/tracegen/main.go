@@ -8,8 +8,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -17,18 +15,6 @@ import (
 
 	"muxwise"
 )
-
-// record is the serialized view of one request.
-type record struct {
-	ID      int     `json:"id"`
-	Session int     `json:"session"`
-	Turn    int     `json:"turn"`
-	Arrival float64 `json:"arrival_s"`
-	Input   int     `json:"input_tokens"`
-	Reused  int     `json:"reused_tokens"`
-	Output  int     `json:"output_tokens"`
-	Dataset string  `json:"dataset"`
-}
 
 func main() {
 	wl := flag.String("workload", "sharegpt", "sharegpt, loogle, openthoughts, conversation, toolagent, mixed")
@@ -80,19 +66,8 @@ func emit(trace *muxwise.Trace, stats bool) {
 		fmt.Println(trace.Name, trace.Stats())
 		return
 	}
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	enc := json.NewEncoder(w)
-	for _, r := range trace.Requests {
-		rec := record{
-			ID: r.ID, Session: r.Session, Turn: r.Turn,
-			Arrival: r.Arrival.Seconds(),
-			Input:   r.InputTokens, Reused: r.ReusedTokens, Output: r.OutputTokens,
-			Dataset: r.Dataset,
-		}
-		if err := enc.Encode(rec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if err := trace.WriteJSONL(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

@@ -161,7 +161,7 @@ func (e *Engine) step() {
 		cost, mfu = e.Transform(cost, chunkTokens)
 	}
 	e.decode.Running = true
-	k := serve.NewKernel("fused-iter", kind, cost, e.env.Spec.GraphLaunch)
+	k := gpu.NewKernel("fused-iter", kind, cost, e.env.Spec.GraphLaunch)
 	k.MFU = mfu
 	e.part.LaunchFn(k, iterDone, e)
 }

@@ -12,8 +12,8 @@
 //     better. Scorers are arranged in tiers: within a tier, weighted
 //     scores sum; across tiers, comparison is lexicographic (a later
 //     tier only breaks ties left by the earlier ones). Single-scorer
-//     tiers reproduce the legacy monoliths' exact tie-break chains
-//     without floating-point epsilon games.
+//     tiers give exact tie-break chains without floating-point
+//     epsilon games.
 //   - The Picker turns scores into one endpoint. MaxScore (the default)
 //     takes the lexicographically best row and breaks remaining ties
 //     toward the first candidate — candidates arrive in ID order, so

@@ -148,7 +148,7 @@ func (p *Pipeline[E]) Pick(r *workload.Request, view View[E]) E {
 			row := arena[t*n : (t+1)*n]
 			if len(tier) == 1 && tier[0].Weight == 1 {
 				// The common single-scorer tier scores straight into its
-				// row — bit-exact with the legacy monolith comparisons.
+				// row, so its comparisons stay bit-exact (no weighted sum).
 				tier[0].Scorer.Score(r, view, cands, row)
 			} else {
 				for i := range row {

@@ -274,30 +274,6 @@ func TestPrefixIndexRingStaysBounded(t *testing.T) {
 	}
 }
 
-// TestLegacyFIFOPinsBackingArray pins why the ring exists: the
-// reslicing idiom cannot keep its backing store at the limit — each
-// cycle the slice walks off the front of its array (pinning the evicted
-// head entries) until append reallocates past the limit, churning a
-// fresh over-sized array every `limit` insertions.
-func TestLegacyFIFOPinsBackingArray(t *testing.T) {
-	const limit = 64
-	order := make([]kvcache.PageID, 0)
-	seen := map[kvcache.PageID]struct{}{}
-	grew := 0
-	for pg := uint64(0); pg < 100*limit; pg++ {
-		if len(order) >= limit {
-			delete(seen, order[0])
-			order = order[1:] // the leak: the backing array keeps its head
-		}
-		seen[kvcache.PageID(pg)] = struct{}{}
-		order = append(order, kvcache.PageID(pg))
-		grew = max(grew, cap(order))
-	}
-	if grew <= limit {
-		t.Fatalf("expected the legacy FIFO's backing array to outgrow the limit %d, saw cap %d", limit, grew)
-	}
-}
-
 func TestPDClassifierRoutesByThresholdAndStickiness(t *testing.T) {
 	aff := NewAffinity[*ep]()
 	c := NewPDClassifier(aff, 0, 0, 1, 2) // default threshold

@@ -4,11 +4,11 @@ import "muxwise/internal/cluster/epp"
 
 // The built-in router policies are epp compositions: each constructor
 // below assembles filter → scorer → picker profiles over shared
-// affinity / EWMA state instead of hand-rolling a Pick monolith. The
-// placements are bit-identical to the historical monoliths on a static
-// fleet (the pipeline-equivalence suite in legacy_test.go replays the
-// MixedBursty trace against both), which is what keeps the frontier
-// goldens and TestTraceDeterminism byte-stable across the refactor.
+// affinity / EWMA state instead of hand-rolling a Pick method.
+// TestPlacementDigests pins every built-in's placements on the
+// MixedBursty trace, static and under fleet churn, against
+// testdata/placements.json, so a change to a tie-break or to affinity
+// state shows up there by policy and replica.
 
 // Pipeline is a composed endpoint-picker routing *Replica — the
 // instantiation of epp.Pipeline the fleet runs. It implements Router and

@@ -1,11 +1,11 @@
 package cluster
 
 // Regression tests for the three router bugs fixed by the pipeline
-// refactor. Each fails against the pre-fix monoliths (preserved in
-// legacy_test.go): roundRobin.Pick panicked with a mod-by-zero on an
-// empty candidate view, prefixAffinity.Pick nil-dereferenced in
-// aff.record when score saw no candidates, and the positional
-// round-robin cursor skewed across fleet resizes.
+// refactor: round-robin panicked with a mod-by-zero on an empty
+// candidate view, prefix-affinity nil-dereferenced when its scorer saw
+// no candidates, and a positional round-robin cursor skewed across
+// fleet resizes. Placements on full traces are pinned separately by
+// TestPlacementDigests (testdata/placements.json).
 
 import (
 	"slices"
@@ -61,26 +61,6 @@ func TestPoliciesSurviveEmptyView(t *testing.T) {
 	}
 }
 
-// TestLegacyMonolithsFailOnEmptyView documents why the table test above
-// exists: the preserved pre-fix monoliths really do blow up on an empty
-// candidate view (round-robin: integer mod by zero; prefix-affinity:
-// nil-deref in record). If this test ever fails, the legacy copies no
-// longer reproduce the bug the pipeline fixed and the equivalence
-// baseline is suspect.
-func TestLegacyMonolithsFailOnEmptyView(t *testing.T) {
-	for _, name := range []string{RoundRobinPolicy, PrefixAffinityPolicy} {
-		r := legacyPolicies()[name]()
-		panicked := func() (p bool) {
-			defer func() { p = recover() != nil }()
-			r.Pick(coldReq(0), view(nil))
-			return false
-		}()
-		if !panicked {
-			t.Errorf("legacy %s survived an empty view; expected the historical panic", name)
-		}
-	}
-}
-
 // pickSeq routes n sequential single-turn requests and returns the
 // replica IDs picked, in order.
 func pickSeq(r Router, fleet []*Replica, from, n int) []int {
@@ -107,21 +87,21 @@ func TestRoundRobinFairAcrossResize(t *testing.T) {
 		t.Fatalf("static fleet sequence %v, want 0 1 2 0 1", got)
 	}
 
-	// Spawn replica 3 mid-cycle (the cursor just served ID 1). The
-	// legacy cursor (next=5) would compute 5%4 and serve ID 1 again,
-	// back to back; the ring continues to ID 2.
+	// Spawn replica 3 mid-cycle (the cursor just served ID 1). A
+	// positional cursor (next=5) would compute 5%4 and serve ID 1
+	// again, back to back; the ring continues to ID 2.
 	grown := append(fleet, &Replica{ID: 3, Name: "rep-3", Role: RoleGeneral})
 	got := pickSeq(r, grown, 10, 8)
 	if got[0] == 1 {
-		t.Fatalf("pick after spawn repeated replica 1 back to back (legacy cursor skew): %v", got)
+		t.Fatalf("pick after spawn repeated replica 1 back to back (positional cursor skew): %v", got)
 	}
 	if want := []int{2, 3, 0, 1, 2, 3, 0, 1}; !slices.Equal(got, want) {
 		t.Fatalf("post-spawn ring sequence %v, want %v", got, want)
 	}
 
 	// Drain replica 1 mid-cycle: the ring just served ID 1, so the next
-	// pick must be ID 2 — the legacy cursor lands back on an already-
-	// served replica while ID 3's share shrinks.
+	// pick must be ID 2 — a positional cursor lands back on an
+	// already-served replica while ID 3's share shrinks.
 	shrunk := []*Replica{grown[0], grown[2], grown[3]} // IDs 0, 2, 3
 	got = pickSeq(r, shrunk, 20, 6)
 	if want := []int{2, 3, 0, 2, 3, 0}; !slices.Equal(got, want) {
@@ -137,22 +117,6 @@ func TestRoundRobinFairAcrossResize(t *testing.T) {
 		if counts[rep.ID] != 2 {
 			t.Fatalf("post-drain spread uneven: %v", counts)
 		}
-	}
-}
-
-// TestLegacyRoundRobinSkewsAcrossResize pins the pre-fix behaviour the
-// test above guards against: the positional cursor really does serve
-// the same replica twice in a row when the fleet grows mid-cycle.
-func TestLegacyRoundRobinSkewsAcrossResize(t *testing.T) {
-	r := &legacyRoundRobin{}
-	fleet := bareFleet(RoleGeneral, RoleGeneral, RoleGeneral)
-	seq := pickSeq(r, fleet, 0, 5) // cursor now at 5, last served ID 1
-	if !slices.Equal(seq, []int{0, 1, 2, 0, 1}) {
-		t.Fatalf("legacy static sequence %v", seq)
-	}
-	grown := append(fleet, &Replica{ID: 3, Name: "rep-3", Role: RoleGeneral})
-	if got := r.Pick(coldReq(10), view(grown)); got.ID != 1 {
-		t.Fatalf("legacy cursor should repeat replica 1 after the spawn, got %d", got.ID)
 	}
 }
 

@@ -484,7 +484,7 @@ func (e *Engine) pumpPrefill() {
 func (e *Engine) launchLayer(j *prefillJob) {
 	if e.layerOf != j {
 		cost := e.env.Arch.PrefillLayer(j.seqs, e.env.GPUs, true)
-		e.layer = serve.NewKernel("prefill-layer", gpu.Prefill, cost, e.env.Spec.LayerLaunch)
+		e.layer = gpu.NewKernel("prefill-layer", gpu.Prefill, cost, e.env.Spec.LayerLaunch)
 		e.layerOf = j
 	}
 	j.layersInAir++

@@ -124,10 +124,7 @@ func MeasureDecodeSolo(spec gpu.Spec, tp int, arch model.Arch, sms, bs, ctxPerRe
 	p := d.Partition(sms, "decode")
 	c := arch.DecodeIterTotals(bs*ctxPerReq, bs, tp)
 	var done sim.Time
-	p.Launch(gpu.Kernel{
-		Kind: gpu.Decode, FLOPs: c.FLOPs, Bytes: c.Bytes, CommBytes: c.CommBytes,
-		Tokens: c.Tokens, Launch: spec.GraphLaunch,
-	}, func() { done = s.Now() })
+	p.Launch(gpu.NewKernel("decode", gpu.Decode, c, spec.GraphLaunch), func() { done = s.Now() })
 	s.Run()
 	return done.Seconds()
 }
@@ -142,10 +139,7 @@ func MeasurePrefillSolo(spec gpu.Spec, tp int, arch model.Arch, sms int, seqs []
 	var done sim.Time
 	for i := 0; i < arch.Layers; i++ {
 		last := i == arch.Layers-1
-		p.Launch(gpu.Kernel{
-			Kind: gpu.Prefill, FLOPs: layer.FLOPs, Bytes: layer.Bytes,
-			CommBytes: layer.CommBytes, Tokens: layer.Tokens, Launch: spec.LayerLaunch,
-		}, func() {
+		p.Launch(gpu.NewKernel("prefill-layer", gpu.Prefill, layer, spec.LayerLaunch), func() {
 			if last {
 				done = s.Now()
 			}

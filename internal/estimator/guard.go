@@ -143,17 +143,11 @@ func measureDecodeCoRun(spec gpu.Spec, tp int, arch model.Arch, decSM, preSM, bs
 	// decode kernel executes under steady-state contention.
 	c := arch.DecodeIterTotals(bs*ctxPerReq, bs, tp)
 	var done sim.Time
-	dec.Launch(gpu.Kernel{
-		Kind: gpu.Decode, FLOPs: c.FLOPs, Bytes: c.Bytes, CommBytes: c.CommBytes,
-		Tokens: c.Tokens, Launch: spec.GraphLaunch,
-	}, func() { done = s.Now() })
+	dec.Launch(gpu.NewKernel("decode", gpu.Decode, c, spec.GraphLaunch), func() { done = s.Now() })
 
 	layer := arch.PrefillLayer([]model.Seq{{New: pNew, Reused: pReused}}, tp, true)
 	for i := 0; i < arch.Layers; i++ {
-		pre.Launch(gpu.Kernel{
-			Kind: gpu.Prefill, FLOPs: layer.FLOPs, Bytes: layer.Bytes,
-			CommBytes: layer.CommBytes, Tokens: layer.Tokens, Launch: spec.LayerLaunch,
-		}, nil)
+		pre.Launch(gpu.NewKernel("prefill-layer", gpu.Prefill, layer, spec.LayerLaunch), nil)
 	}
 	s.Run()
 	return done.Seconds()

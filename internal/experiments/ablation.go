@@ -185,10 +185,7 @@ func measurePhaseNoLaunch(spec gpu.Spec, tp int, arch model.Arch, seqs []model.S
 	p := d.Partition(spec.SMs, "phase")
 	phase := arch.PrefillPhase(seqs, tp)
 	var done float64
-	p.Launch(gpu.Kernel{
-		Kind: gpu.Prefill, FLOPs: phase.FLOPs, Bytes: phase.Bytes,
-		CommBytes: phase.CommBytes, Tokens: phase.Tokens,
-	}, func() { done = s.Now().Seconds() })
+	p.Launch(gpu.NewKernel("prefill-phase", gpu.Prefill, phase, 0), func() { done = s.Now().Seconds() })
 	s.Run()
 	return done
 }

@@ -115,10 +115,7 @@ func fusedIterLatency(arch model.Arch, spec gpu.Spec, budget, bs, decCtx, chunkP
 	}
 	cost := arch.FusedChunkIter(chunk, bs*decCtx, bs, 8)
 	var done float64
-	p.Launch(gpu.Kernel{
-		Kind: gpu.Prefill, FLOPs: cost.FLOPs, Bytes: cost.Bytes,
-		CommBytes: cost.CommBytes, Tokens: cost.Tokens, Launch: spec.GraphLaunch,
-	}, func() { done = s.Now().Seconds() })
+	p.Launch(gpu.NewKernel("fused-iter", gpu.Prefill, cost, spec.GraphLaunch), func() { done = s.Now().Seconds() })
 	s.Run()
 	return done
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"muxwise/internal/model"
 	"muxwise/internal/sim"
 )
 
@@ -53,6 +54,15 @@ type Kernel struct {
 	Launch sim.Time
 	// MFU overrides the spec's default for this kind when nonzero.
 	MFU float64
+}
+
+// NewKernel turns a cost-model estimate into a kernel launch.
+func NewKernel(label string, kind Kind, c model.Cost, launch sim.Time) Kernel {
+	return Kernel{
+		Label: label, Kind: kind,
+		FLOPs: c.FLOPs, Bytes: c.Bytes, CommBytes: c.CommBytes,
+		Tokens: c.Tokens, Launch: launch,
+	}
 }
 
 // Device is a logical tensor-parallel group of TP identical GPUs.

@@ -3,10 +3,10 @@
 // couples a workload to an engine on a simulated cluster, and the engine
 // skeleton — Base (Name, Timeline, Devices, CachePools), the Queue ring
 // FIFO, the Env.AdmitNext admission step, the DecodeStream decode loop
-// and the FirstToken/NewKernel helpers — so that each engine package
-// keeps only its scheduling decisions: which partition or GPU group runs
-// what, when prefill and decode take turns, how prefills batch or chunk,
-// and where KV lives.
+// and the FirstToken helper — so that each engine package keeps only its
+// scheduling decisions: which partition or GPU group runs what, when
+// prefill and decode take turns, how prefills batch or chunk, and where
+// KV lives.
 package serve
 
 import (

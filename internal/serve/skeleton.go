@@ -68,20 +68,11 @@ func (e *Env) AdmitNext(pending *Queue[*workload.Request], inflight int, pool *k
 	return run
 }
 
-// NewKernel turns a cost-model estimate into a kernel launch.
-func NewKernel(label string, kind gpu.Kind, c model.Cost, launch sim.Time) gpu.Kernel {
-	return gpu.Kernel{
-		Label: label, Kind: kind,
-		FLOPs: c.FLOPs, Bytes: c.Bytes, CommBytes: c.CommBytes,
-		Tokens: c.Tokens, Launch: launch,
-	}
-}
-
 // PrefillPhaseKernel is a whole prefill phase of seqs on tp GPUs as one
 // kernel. Its host launch pays every layer's launch up front and blocks
 // later launches behind it.
 func (e *Env) PrefillPhaseKernel(seqs []model.Seq, tp int) gpu.Kernel {
-	return NewKernel("prefill-phase", gpu.Prefill, e.Arch.PrefillPhase(seqs, tp),
+	return gpu.NewKernel("prefill-phase", gpu.Prefill, e.Arch.PrefillPhase(seqs, tp),
 		sim.Time(e.Arch.Layers)*e.Spec.LayerLaunch)
 }
 
@@ -130,7 +121,7 @@ func (d *DecodeStream) Launch(env *Env, part *gpu.Partition, tp int, surcharge f
 	cost := env.Arch.DecodeIterTotals(d.TotalCtx(), d.Size(), tp)
 	cost.Bytes += surcharge
 	d.Running = true
-	part.LaunchFn(NewKernel("decode", gpu.Decode, cost, env.Spec.GraphLaunch), done, arg)
+	part.LaunchFn(gpu.NewKernel("decode", gpu.Decode, cost, env.Spec.GraphLaunch), done, arg)
 }
 
 // Step ends the running iteration at now: every request in the batch

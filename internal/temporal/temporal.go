@@ -139,7 +139,7 @@ func (e *Engine) runLayers(n int) {
 	layer := e.env.Arch.PrefillLayer([]model.Seq{j.seq}, e.env.GPUs, true)
 	e.busy = true
 	e.burstN = n
-	e.part.LaunchFn(serve.NewKernel("prefill-burst", gpu.Prefill, layer.Scale(float64(n)),
+	e.part.LaunchFn(gpu.NewKernel("prefill-burst", gpu.Prefill, layer.Scale(float64(n)),
 		sim.Time(n)*e.env.Spec.LayerLaunch), burstDone, e)
 }
 

@@ -112,15 +112,16 @@ func ReadJSONL(r io.Reader, name string) (*Trace, error) {
 		if len(tr.Requests) >= maxJSONLRequests {
 			return nil, fmt.Errorf("workload: line %d: trace exceeds %d requests", line, maxJSONLRequests)
 		}
-		stream := 0xFEED<<40 | uint64(rec.Session)
+		pages, allPages := requestPages(nil, 0xFEED<<40|uint64(rec.Session),
+			kvcache.PageCount(rec.Input, PageTokens), kvcache.PageCount(rec.Input+rec.Output, PageTokens))
 		tr.Requests = append(tr.Requests, &Request{
 			ID: rec.ID, Session: rec.Session, Turn: rec.Turn,
 			Arrival:      sim.FromSeconds(rec.Arrival),
 			InputTokens:  rec.Input,
 			ReusedTokens: rec.Reused,
 			OutputTokens: rec.Output,
-			Pages:        streamPages(stream, 0, kvcache.PageCount(rec.Input, PageTokens)),
-			AllPages:     streamPages(stream, 0, kvcache.PageCount(rec.Input+rec.Output, PageTokens)),
+			Pages:        pages,
+			AllPages:     allPages,
 			Dataset:      rec.Dataset,
 		})
 	}

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"bytes"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -147,21 +149,31 @@ func TestMultiTurnPrefixProperty(t *testing.T) {
 	}
 }
 
-// AllPages must extend Pages by the output coverage.
+// Pages must be exactly the input's prefix of AllPages, capped at its
+// length so an append to Pages cannot write into AllPages — on every
+// generator and on a trace loaded from JSONL.
 func TestAllPagesExtendInput(t *testing.T) {
-	for _, tr := range []*Trace{ShareGPT(2, 50), Conversation(2, 20), OpenThoughts(2, 30)} {
+	var buf bytes.Buffer
+	if err := ToolAgent(2, 20).WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadJSONL(&buf, "loaded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*Trace{ShareGPT(2, 50), LooGLE(2, 10), OpenThoughts(2, 30),
+		Conversation(2, 20), ToolAgent(2, 20), loaded} {
 		for _, r := range tr.Requests {
-			if len(r.AllPages) < len(r.Pages) {
-				t.Fatalf("%s req %d: AllPages shorter than Pages", tr.Name, r.ID)
+			in := kvcache.PageCount(r.InputTokens, PageTokens)
+			all := kvcache.PageCount(r.InputTokens+r.OutputTokens, PageTokens)
+			if len(r.Pages) != in || len(r.AllPages) != all {
+				t.Fatalf("%s req %d: %d/%d pages, want %d/%d", tr.Name, r.ID, len(r.Pages), len(r.AllPages), in, all)
 			}
-			for i := range r.Pages {
-				if r.AllPages[i] != r.Pages[i] {
-					t.Fatalf("%s req %d: AllPages not an extension of Pages", tr.Name, r.ID)
-				}
+			if !slices.Equal(r.Pages, r.AllPages[:in]) {
+				t.Fatalf("%s req %d: AllPages not an extension of Pages", tr.Name, r.ID)
 			}
-			wantAll := kvcache.PageCount(r.InputTokens+r.OutputTokens, PageTokens)
-			if math.Abs(float64(len(r.AllPages)-wantAll)) > 1 {
-				t.Fatalf("%s req %d: AllPages=%d, want ≈%d", tr.Name, r.ID, len(r.AllPages), wantAll)
+			if cap(r.Pages) != len(r.Pages) {
+				t.Fatalf("%s req %d: cap(Pages) %d != len %d", tr.Name, r.ID, cap(r.Pages), len(r.Pages))
 			}
 		}
 	}
