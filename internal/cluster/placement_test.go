@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"muxwise/internal/core"
@@ -55,11 +56,12 @@ func placementOf(res Result) placement {
 
 // TestPlacementDigests pins the placements of every built-in router and
 // one free-form composition on a mixed-role fleet (roleCfg), replaying
-// the MixedBursty trace twice: on a static fleet, and under lifecycle
-// churn — a mid-run spawn, a failure and a drain — which exercises the
-// observer fan-out (ReplicaDown, re-dispatch, re-stick). The golden was
-// generated while the pipeline-equivalence suite still ran, so every
-// pair it compared against the pre-pipeline routers stays pinned.
+// the MixedBursty trace in two subtests: "static", on a fixed fleet, and
+// "churn", under lifecycle events — a mid-run spawn, a failure and a
+// drain — which exercise the observer fan-out (ReplicaDown, re-dispatch,
+// re-stick). The golden was generated while the pipeline-equivalence
+// suite still ran, so every pair it compared against the pre-pipeline
+// routers stays pinned.
 func TestPlacementDigests(t *testing.T) {
 	composed := "epp:filters=sticky;scorers=prefix,ttft-ewma"
 	policies := builtinPolicies()
@@ -68,66 +70,98 @@ func TestPlacementDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	policies[composed] = p
-	churn := &FleetConfig{Events: []FleetEvent{
-		{At: 20 * sim.Second, Kind: SpawnReplica},
-		{At: 45 * sim.Second, Kind: FailReplica, Replica: 1},
-		{At: 70 * sim.Second, Kind: DrainReplica, Replica: 0},
-	}}
+	path := filepath.Join("testdata", "placements.json")
+	var raw []byte
+	want := map[string]placement{}
+	if !*updatePlacements {
+		if raw, err = os.ReadFile(path); err != nil {
+			t.Fatalf("%v (regenerate with -update)", err)
+		}
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatalf("golden unreadable: %v", err)
+		}
+	}
+	scenarios := []struct {
+		name  string
+		fleet *FleetConfig
+		seed  uint64
+	}{
+		{"static", nil, 29},
+		{"churn", &FleetConfig{Events: []FleetEvent{
+			{At: 20 * sim.Second, Kind: SpawnReplica},
+			{At: 45 * sim.Second, Kind: FailReplica, Replica: 1},
+			{At: 70 * sim.Second, Kind: DrainReplica, Replica: 0},
+		}}, 31},
+	}
 	got := map[string]placement{}
-	for name, policy := range policies {
-		cfg := roleCfg(policy)
-		res, err := Run(cfg, mixedTrace(29, 24, 0.14))
-		if err != nil {
-			t.Fatalf("static/%s: %v", name, err)
-		}
-		got["static/"+name] = placementOf(res)
-		cfg.Fleet = churn
-		if res, err = Run(cfg, mixedTrace(31, 24, 0.14)); err != nil {
-			t.Fatalf("churn/%s: %v", name, err)
-		}
-		got["churn/"+name] = placementOf(res)
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			for name, policy := range policies {
+				cfg := roleCfg(policy)
+				cfg.Fleet = sc.fleet
+				res, err := Run(cfg, mixedTrace(sc.seed, 24, 0.14))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got[sc.name+"/"+name] = placementOf(res)
+			}
+			if !*updatePlacements {
+				comparePlacements(t, sc.name+"/", got, want)
+			}
+		})
 	}
 	out, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	out = append(out, '\n')
-	path := filepath.Join("testdata", "placements.json")
 	if *updatePlacements {
 		if err := os.WriteFile(path, out, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
+	if !bytes.Equal(out, raw) {
+		t.Fatal("placements differ from testdata/placements.json")
 	}
-	if bytes.Equal(out, raw) {
-		return
-	}
-	var want map[string]placement
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("golden unreadable: %v", err)
-	}
-	for _, name := range slices.Sorted(maps.Keys(got)) {
-		g, w := got[name], want[name]
-		if g.Digest != w.Digest {
-			reps := maps.Clone(g.Requests)
-			maps.Copy(reps, w.Requests)
-			moved := false
-			for _, rep := range slices.Sorted(maps.Keys(reps)) {
-				if g.Requests[rep] != w.Requests[rep] {
-					moved = true
-					t.Errorf("%s: %s served %d requests, golden %d", name, rep, g.Requests[rep], w.Requests[rep])
-				}
-			}
-			if !moved {
-				t.Errorf("%s: per-replica counts held but placements or the summary moved", name)
+}
+
+// comparePlacements reports every case under prefix whose digest
+// differs between got and the golden want, naming each replica whose
+// request count moved, and every case present on one side only.
+func comparePlacements(t *testing.T, prefix string, got, want map[string]placement) {
+	t.Helper()
+	cases := maps.Clone(got)
+	maps.Copy(cases, want)
+	for _, name := range slices.Sorted(maps.Keys(cases)) {
+		if !strings.HasPrefix(name, prefix) {
+			continue
+		}
+		g, inGot := got[name]
+		w, inWant := want[name]
+		switch {
+		case !inWant:
+			t.Errorf("%s: not in the golden", name)
+			continue
+		case !inGot:
+			t.Errorf("%s: in the golden but not run", name)
+			continue
+		case g.Digest == w.Digest:
+			continue
+		}
+		reps := maps.Clone(g.Requests)
+		maps.Copy(reps, w.Requests)
+		moved := false
+		for _, rep := range slices.Sorted(maps.Keys(reps)) {
+			if g.Requests[rep] != w.Requests[rep] {
+				moved = true
+				t.Errorf("%s: %s served %d requests, golden %d", name, rep, g.Requests[rep], w.Requests[rep])
 			}
 		}
+		if !moved {
+			t.Errorf("%s: per-replica counts held but placements or the summary moved", name)
+		}
 	}
-	t.Fatal("placements differ from testdata/placements.json")
 }
 
 // roleCfg builds a mixed-role fleet so pd-split's pools are real: two
