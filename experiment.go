@@ -366,6 +366,9 @@ func (e *Experiment) run(r resolved, trace *Trace, traced bool) (*Report, error)
 		if req.Arrival < 0 || req.Arrival > workload.MaxArrival {
 			return nil, fmt.Errorf("muxwise: Run: request %d arrives at %v, outside [0, %v]", req.ID, req.Arrival, workload.MaxArrival)
 		}
+		if err := req.CheckSegments(); err != nil {
+			return nil, fmt.Errorf("muxwise: Run: request %d: %w", req.ID, err)
+		}
 	}
 	var fr *FlightRecorder
 	if traced {

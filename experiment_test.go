@@ -152,6 +152,47 @@ func TestDegenerateArrivals(t *testing.T) {
 	}
 }
 
+// TestExperimentRejectsInconsistentSegments: routing reads a request's
+// segments, not its pages, so a request whose segments do not describe
+// AllPages — none at all, too few or too many pages, a negative start,
+// a reversed run — is a Run error on one engine and on a fleet, and
+// PageSegments makes a hand-built request whole again.
+func TestExperimentRejectsInconsistentSegments(t *testing.T) {
+	exps := []struct {
+		name string
+		exp  *muxwise.Experiment
+	}{
+		{"engine", muxwise.NewExperiment(muxwise.WithDeployment(dep8B()), muxwise.WithEngine("MuxWise"))},
+		{"fleet", fleet("prefix-affinity")},
+	}
+	cases := []struct {
+		name string
+		segs func(n int) []muxwise.Segment
+	}{
+		{"pages without segments", func(int) []muxwise.Segment { return nil }},
+		{"one page short", func(n int) []muxwise.Segment { return []muxwise.Segment{{Stream: 1, To: n - 1}} }},
+		{"one page over", func(n int) []muxwise.Segment { return []muxwise.Segment{{Stream: 1, To: n + 1}} }},
+		{"negative from", func(n int) []muxwise.Segment { return []muxwise.Segment{{Stream: 1, From: -1, To: n - 1}} }},
+		{"reversed run", func(n int) []muxwise.Segment {
+			return []muxwise.Segment{{Stream: 1, From: 2, To: 1}, {Stream: 2, To: n + 1}}
+		}},
+	}
+	for _, e := range exps {
+		for _, c := range cases {
+			tr := muxwise.ShareGPT(1, 3).WithPoissonArrivals(1, 1)
+			r := tr.Requests[1]
+			r.Segments = c.segs(len(r.AllPages))
+			if _, err := e.exp.Run(tr); err == nil {
+				t.Errorf("%s: %s should be a Run error", e.name, c.name)
+			}
+			r.Segments = muxwise.PageSegments(r.AllPages)
+			if _, err := e.exp.Run(tr); err != nil {
+				t.Errorf("%s: %s repaired by PageSegments: %v", e.name, c.name, err)
+			}
+		}
+	}
+}
+
 func TestExperimentOptionErrors(t *testing.T) {
 	dep := muxwise.WithDeployment(dep8B())
 	shape := muxwise.ReplicaSpec{Engine: "MuxWise"}

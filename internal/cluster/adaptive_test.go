@@ -10,9 +10,9 @@ import (
 // coldReq builds a cold single-turn request with a distinct session, so
 // stickiness never masks the scoring decision under test.
 func coldReq(n int) *workload.Request {
-	return &workload.Request{ID: n, Session: 1000 + n,
+	return withSegs(&workload.Request{ID: n, Session: 1000 + n,
 		InputTokens: 800, OutputTokens: 64,
-		Pages: pdPages(uint64(200+n), 800), AllPages: pdPages(uint64(200+n), 864)}
+		Pages: pdPages(uint64(200+n), 800), AllPages: pdPages(uint64(200+n), 864)})
 }
 
 // observer extracts the TTFT-learning seam from a router; the adaptive
@@ -114,9 +114,9 @@ func TestAdaptiveTTFTSticksAndObservesDown(t *testing.T) {
 	r := AdaptiveTTFT()
 	obs := observer(t, r)
 	turn := func(n int) *workload.Request {
-		return &workload.Request{ID: n, Session: 7, Turn: n,
+		return withSegs(&workload.Request{ID: n, Session: 7, Turn: n,
 			InputTokens: 1000, OutputTokens: 100,
-			Pages: pdPages(42, 1000), AllPages: pdPages(42, 1100)}
+			Pages: pdPages(42, 1000), AllPages: pdPages(42, 1100)})
 	}
 	home := r.Pick(turn(0), view(fleet))
 	if r.Pick(turn(1), view(fleet)) != home {

@@ -697,7 +697,7 @@ func (c *Cluster) takeDown(rep *Replica, state State, label string) {
 		// immediately and the request re-prefills where it re-sticks.
 		if graceful {
 			c.releaseKV(rep, req.Session)
-			if c.migrateKV(rep, req.Session, int64(req.InputTokens), req.Pages, req) {
+			if c.migrateKV(rep, req.Session, int64(req.InputTokens), req.Pages, req.Segments, req) {
 				continue
 			}
 		}

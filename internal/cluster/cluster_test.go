@@ -178,6 +178,12 @@ func TestSessionStickiness(t *testing.T) {
 }
 
 // pdPages builds a page stream like the workload generator's.
+// withSegs gives a hand-built request the segments of its AllPages.
+func withSegs(r *workload.Request) *workload.Request {
+	r.Segments = workload.PageSegments(r.AllPages)
+	return r
+}
+
 func pdPages(stream uint64, tokens int) []kvcache.PageID {
 	n := kvcache.PageCount(tokens, workload.PageTokens)
 	out := make([]kvcache.PageID, n)
@@ -196,29 +202,29 @@ func pdTrace() *workload.Trace {
 	at := sim.Time(0)
 	for s := 0; s < 8; s++ {
 		// Long cold request: must take the split path.
-		long := &workload.Request{
+		long := withSegs(&workload.Request{
 			ID: id, Session: s, Arrival: at,
 			InputTokens: 9000, OutputTokens: 64,
 			Pages:    mkPages(uint64(s), 9000),
 			AllPages: mkPages(uint64(s), 9064),
-		}
+		})
 		id++
 		at += 2 * sim.Second
 		// Short session: two turns on the aggregated path.
-		first := &workload.Request{
+		first := withSegs(&workload.Request{
 			ID: id, Session: 100 + s, Turn: 0, Arrival: at,
 			InputTokens: 600, OutputTokens: 128,
 			Pages:    mkPages(uint64(100+s), 600),
 			AllPages: mkPages(uint64(100+s), 728),
-		}
+		})
 		id++
 		at += 2 * sim.Second
-		second := &workload.Request{
+		second := withSegs(&workload.Request{
 			ID: id, Session: 100 + s, Turn: 1, Arrival: at,
 			InputTokens: 1000, ReusedTokens: 728, OutputTokens: 128,
 			Pages:    mkPages(uint64(100+s), 1000),
 			AllPages: mkPages(uint64(100+s), 1128),
-		}
+		})
 		id++
 		at += 2 * sim.Second
 		tr.Requests = append(tr.Requests, long, first, second)
@@ -291,9 +297,9 @@ func TestAffinityDivertsOffOverloadedReplica(t *testing.T) {
 	fleet := bareFleet(RoleGeneral, RoleGeneral, RoleGeneral)
 	router := PrefixAffinity()
 	turn := func(n int) *workload.Request {
-		return &workload.Request{ID: n, Session: 7, Turn: n,
+		return withSegs(&workload.Request{ID: n, Session: 7, Turn: n,
 			InputTokens: 1000, OutputTokens: 100,
-			Pages: pdPages(42, 1000), AllPages: pdPages(42, 1100)}
+			Pages: pdPages(42, 1000), AllPages: pdPages(42, 1100)})
 	}
 	home := router.Pick(turn(0), view(fleet))
 	if router.Pick(turn(1), view(fleet)) != home {
@@ -311,9 +317,9 @@ func TestPDSplitSessionsFollowTheirKV(t *testing.T) {
 	fleet := bareFleet(RoleGeneral, RoleGeneral, RolePrefill)
 	router := PDSplit(4096)
 	turn := func(n, input, reused int) *workload.Request {
-		return &workload.Request{ID: n, Session: 3, Turn: n,
+		return withSegs(&workload.Request{ID: n, Session: 3, Turn: n,
 			InputTokens: input, ReusedTokens: reused, OutputTokens: 64,
-			Pages: pdPages(9, input), AllPages: pdPages(9, input+64)}
+			Pages: pdPages(9, input), AllPages: pdPages(9, input+64)})
 	}
 	home := router.Pick(turn(0, 9000, 0), view(fleet))
 	if home.Role != RolePrefill {
@@ -340,9 +346,9 @@ func TestPDSplitDivertWidensPastHotPool(t *testing.T) {
 	fleet := bareFleet(RoleGeneral, RolePrefill, RolePrefill)
 	router := PDSplit(4096)
 	turn := func(n int) *workload.Request {
-		return &workload.Request{ID: n, Session: 5, Turn: n,
+		return withSegs(&workload.Request{ID: n, Session: 5, Turn: n,
 			InputTokens: 800, OutputTokens: 64,
-			Pages: pdPages(5, 800), AllPages: pdPages(5, 864)}
+			Pages: pdPages(5, 800), AllPages: pdPages(5, 864)})
 	}
 	home := router.Pick(turn(0), view(fleet))
 	if home.Role != RoleGeneral {

@@ -111,8 +111,8 @@ func TestComposedPrefixWeightBeatsLoad(t *testing.T) {
 	// Route a warm-up onto replica 1 (replica 0 is busy); the pick
 	// records its pages in replica 1's prefix index.
 	fleet[0].outTokens = 100
-	warm := &workload.Request{ID: 0, Session: 50, InputTokens: 800, OutputTokens: 64,
-		Pages: pdPages(9, 800), AllPages: pdPages(9, 864)}
+	warm := withSegs(&workload.Request{ID: 0, Session: 50, InputTokens: 800, OutputTokens: 64,
+		Pages: pdPages(9, 800), AllPages: pdPages(9, 864)})
 	if got := r.Pick(warm, view(fleet)); got != fleet[1] {
 		t.Fatalf("warm-up routed to %s, want the idle replica", got.Name)
 	}
@@ -122,8 +122,8 @@ func TestComposedPrefixWeightBeatsLoad(t *testing.T) {
 	// blend is 2*match - outstanding, not a lexicographic tie-break.
 	fleet[0].outTokens = 5
 	fleet[1].outTokens = 6
-	probe := &workload.Request{ID: 1, Session: 51, InputTokens: 800, OutputTokens: 64,
-		Pages: pdPages(9, 800), AllPages: pdPages(9, 864)}
+	probe := withSegs(&workload.Request{ID: 1, Session: 51, InputTokens: 800, OutputTokens: 64,
+		Pages: pdPages(9, 800), AllPages: pdPages(9, 864)})
 	if got := r.Pick(probe, view(fleet)); got != fleet[1] {
 		t.Fatal("weighted prefix score should outweigh a small load gap")
 	}
@@ -166,9 +166,9 @@ func TestComposedStickyFilterPinsSessions(t *testing.T) {
 	r := p()
 	fleet := bareFleet(RoleGeneral, RoleGeneral)
 	turn := func(n int) *workload.Request {
-		return &workload.Request{ID: n, Session: 7, Turn: n,
+		return withSegs(&workload.Request{ID: n, Session: 7, Turn: n,
 			InputTokens: 1000, OutputTokens: 100,
-			Pages: pdPages(42, 1000), AllPages: pdPages(42, 1100)}
+			Pages: pdPages(42, 1000), AllPages: pdPages(42, 1100)})
 	}
 	fleet[0].outTokens = 100
 	home := r.Pick(turn(0), view(fleet))
@@ -191,9 +191,9 @@ func TestComposedPolicyBuildsFreshStatePerRouter(t *testing.T) {
 	}
 	fleet := bareFleet(RoleGeneral, RoleGeneral)
 	turn := func(n int) *workload.Request {
-		return &workload.Request{ID: n, Session: 3, Turn: n,
+		return withSegs(&workload.Request{ID: n, Session: 3, Turn: n,
 			InputTokens: 500, OutputTokens: 50,
-			Pages: pdPages(8, 500), AllPages: pdPages(8, 550)}
+			Pages: pdPages(8, 500), AllPages: pdPages(8, 550)})
 	}
 	fleet[0].outTokens = 100
 	first := p()

@@ -1,10 +1,10 @@
 package epp
 
 import (
-	"math/bits"
+	"math"
 	"slices"
+	"sort"
 
-	"muxwise/internal/kvcache"
 	"muxwise/internal/workload"
 )
 
@@ -14,17 +14,42 @@ import (
 const DefaultIndexLimit = 1 << 18
 
 // PrefixIndex approximates which leading pages an endpoint has cached,
-// with FIFO eviction over a fixed-capacity ring. The ring never grows
-// past the limit, so sustained eviction keeps the backing array bounded.
-// Membership lives in an open-addressed page set, so Add costs one probe
-// per page: the insert itself reports whether the page was new.
+// with FIFO eviction past a limit of pages. It holds runs, not pages:
+// per stream, the sorted and coalesced spans of page indexes it holds,
+// and a FIFO ring of the runs in insertion order. A request's content is
+// one or two stream runs, so Add and Match cost a few span lookups
+// however many pages they cover, and Add evicts exactly the pages a
+// per-page FIFO would. The ring never grows past the limit: each run
+// holds at least one page.
 type PrefixIndex struct {
 	limit   int
-	pages   pageSet
-	ring    []kvcache.PageID
-	head    int // next eviction / overwrite slot once the ring is full
-	evicted int // pages evicted so far; Affinity's memo compares it
+	held    int // pages held
+	streams map[uint64]spans
+	ring    []run // circular: n runs from head, oldest first
+	head, n int
 }
+
+// span is a half-open range [from, to) of one stream's page indexes.
+type span struct{ from, to int }
+
+// spans is one stream's held spans, sorted, disjoint and never
+// adjacent. A stream holding one span (the common case: a session's
+// history from index 0) keeps it inline in one, so it costs no
+// allocation; a stream holding more keeps them all in more. The zero
+// value holds nothing, and the index drops such streams.
+type spans struct {
+	one  span
+	more []span
+}
+
+// run is a ring entry: pages [from, to) of stream, inserted in order.
+type run struct {
+	stream   uint64
+	from, to int
+}
+
+// minRing is the ring's first allocation, in runs.
+const minRing = 8
 
 // NewPrefixIndex builds an index evicting FIFO past limit pages; a
 // limit ≤ 0 selects DefaultIndexLimit.
@@ -32,160 +57,234 @@ func NewPrefixIndex(limit int) *PrefixIndex {
 	if limit <= 0 {
 		limit = DefaultIndexLimit
 	}
-	return &PrefixIndex{limit: limit}
+	return &PrefixIndex{limit: limit, streams: map[uint64]spans{}}
 }
 
-// Match counts how many leading pages of the sequence the index holds.
-func (ix *PrefixIndex) Match(pages []kvcache.PageID) int {
-	for n, pg := range pages {
-		if !ix.pages.has(pg) {
-			return n
+// none is at's answer when no span ends after the page.
+var none = span{math.MaxInt, math.MaxInt}
+
+// at returns the first held span ending after page p: the span holding
+// p when from ≤ p, else the next held span (none if there is none).
+func (s spans) at(p int) span {
+	if s.more == nil {
+		if s.one.to > p {
+			return s.one
+		}
+		return none
+	}
+	if i := seek(s.more, p); i < len(s.more) {
+		return s.more[i]
+	}
+	return none
+}
+
+// seek returns the index of the first span in list ending after page p.
+func seek(list []span, p int) int {
+	return sort.Search(len(list), func(i int) bool { return list[i].to > p })
+}
+
+// add records the absent pages [p, q), joining held neighbours.
+func (s *spans) add(p, q int) {
+	if s.more == nil {
+		switch one := s.one; {
+		case one == span{}:
+			s.one = span{p, q}
+		case one.to == p:
+			s.one.to = q
+		case one.from == q:
+			s.one.from = p
+		case q < one.from:
+			s.more = []span{{p, q}, one}
+		default:
+			s.more = []span{one, {p, q}}
+		}
+		return
+	}
+	list := s.more
+	i := seek(list, p) // the first span past q, since [p, q) is absent
+	joinPrev := i > 0 && list[i-1].to == p
+	joinNext := i < len(list) && list[i].from == q
+	switch {
+	case joinPrev && joinNext:
+		list[i-1].to = list[i].to
+		list = slices.Delete(list, i, i+1)
+	case joinPrev:
+		list[i-1].to = q
+	case joinNext:
+		list[i].from = p
+	default:
+		list = slices.Insert(list, i, span{p, q})
+	}
+	s.set(list)
+}
+
+// drop removes the held pages [a, b), which lie in one span: spans are
+// coalesced, so held neighbours share a span. Dropping a stream's last
+// pages leaves the zero spans.
+func (s *spans) drop(a, b int) {
+	if s.more == nil {
+		switch one := s.one; {
+		case one.from == a && one.to == b:
+			s.one = span{}
+		case one.from == a:
+			s.one.from = b
+		case one.to == b:
+			s.one.to = a
+		default:
+			s.more = []span{{one.from, a}, {b, one.to}}
+		}
+		return
+	}
+	list := s.more
+	i := seek(list, a)
+	switch sp := list[i]; {
+	case sp.from == a && sp.to == b:
+		list = slices.Delete(list, i, i+1)
+	case sp.from == a:
+		list[i].from = b
+	case sp.to == b:
+		list[i].to = a
+	default:
+		list[i].to = a
+		list = slices.Insert(list, i+1, span{b, sp.to})
+	}
+	s.set(list)
+}
+
+// set stores a list of two or more spans in more, and a single one
+// inline.
+func (s *spans) set(list []span) {
+	if len(list) == 1 {
+		*s = spans{one: list[0]}
+		return
+	}
+	s.more = list
+}
+
+// Match counts how many of the first n pages of segs, in order, the
+// index holds before the first one it does not.
+func (ix *PrefixIndex) Match(segs []workload.Segment, n int) int {
+	matched := 0
+	for _, sg := range segs {
+		if matched == n {
+			break
+		}
+		to := min(sg.To, sg.From+n-matched)
+		if sg.From >= to {
+			continue
+		}
+		sp := ix.streams[sg.Stream].at(sg.From)
+		if sp.from > sg.From {
+			return matched
+		}
+		matched += min(sp.to, to) - sg.From
+		if sp.to < to {
+			return matched
 		}
 	}
-	return len(pages)
+	return matched
 }
 
-// Add records pages the endpoint will cache once the request finishes,
-// evicting the oldest entries FIFO once the limit is reached.
-func (ix *PrefixIndex) Add(pages []kvcache.PageID) {
-	for _, pg := range pages {
-		if !ix.pages.insert(pg) {
+// Add records the first n pages of segs, which the endpoint will cache
+// once the request finishes. Held spans are skipped; each absent sub-run
+// is inserted whole, evicting the oldest pages at once. The walk then
+// re-checks the next page, since those evictions may have removed pages
+// that come later in the same Add.
+func (ix *PrefixIndex) Add(segs []workload.Segment, n int) {
+	for _, sg := range segs {
+		if n <= 0 {
+			return
+		}
+		to := min(sg.To, sg.From+n)
+		if sg.From >= to {
 			continue
 		}
-		if len(ix.ring) < ix.limit {
-			ix.ring = append(ix.ring, pg)
-			continue
+		n -= to - sg.From
+		for p := sg.From; p < to; {
+			sp := ix.streams[sg.Stream].at(p)
+			if sp.from <= p {
+				p = sp.to
+				continue
+			}
+			q := min(to, sp.from)
+			ix.insert(sg.Stream, p, q)
+			p = q
 		}
-		ix.pages.remove(ix.ring[ix.head])
-		ix.evicted++
-		ix.ring[ix.head] = pg
-		ix.head++
-		if ix.head == len(ix.ring) {
-			ix.head = 0
+	}
+}
+
+// insert records the absent pages [p, q) of stream. A per-page FIFO
+// would insert them one at a time, evicting the oldest page whenever it
+// holds more than limit; evicting up front leaves the same pages. When
+// the run alone exceeds the limit, its own leading pages are among the
+// evicted, so only its last limit pages are inserted.
+func (ix *PrefixIndex) insert(stream uint64, p, q int) {
+	if over := ix.held + q - p - ix.limit; over > 0 {
+		ix.evict(min(over, ix.held))
+		p = max(p, q-ix.limit)
+	}
+	sp := ix.streams[stream]
+	sp.add(p, q)
+	ix.streams[stream] = sp
+	ix.held += q - p
+	if ix.n > 0 {
+		if tail := &ix.ring[ix.slot(ix.n-1)]; tail.stream == stream && tail.to == p {
+			tail.to = q
+			return
+		}
+	}
+	if ix.n == len(ix.ring) {
+		ix.grow()
+	}
+	ix.ring[ix.slot(ix.n)] = run{stream: stream, from: p, to: q}
+	ix.n++
+}
+
+// slot maps the k-th oldest run to its ring position.
+func (ix *PrefixIndex) slot(k int) int {
+	if k += ix.head; k >= len(ix.ring) {
+		k -= len(ix.ring)
+	}
+	return k
+}
+
+// grow enlarges the full ring, doubling up to the limit; the ring never
+// needs more, since it holds fewer runs than pages until a push.
+func (ix *PrefixIndex) grow() {
+	ring := make([]run, min(max(2*len(ix.ring), minRing), ix.limit))
+	for k := range ix.n {
+		ring[k] = ix.ring[ix.slot(k)]
+	}
+	ix.ring, ix.head = ring, 0
+}
+
+// evict drops the k oldest pages.
+func (ix *PrefixIndex) evict(k int) {
+	ix.held -= k
+	for k > 0 {
+		r := &ix.ring[ix.head]
+		m := min(k, r.to-r.from)
+		sp := ix.streams[r.stream]
+		if sp.drop(r.from, r.from+m); sp.more == nil && sp.one == (span{}) {
+			delete(ix.streams, r.stream)
+		} else {
+			ix.streams[r.stream] = sp
+		}
+		r.from += m
+		k -= m
+		if r.from == r.to {
+			ix.head = ix.slot(1)
+			ix.n--
 		}
 	}
 }
 
 // Len reports how many pages the index currently holds.
-func (ix *PrefixIndex) Len() int { return ix.pages.len() }
+func (ix *PrefixIndex) Len() int { return ix.held }
 
 // RingCap reports the eviction ring's backing capacity — bounded by the
 // limit, pinned by tests.
 func (ix *PrefixIndex) RingCap() int { return cap(ix.ring) }
-
-// pageSet is an open-addressed set of page IDs: linear probing over a
-// power-of-two table with a multiplicative (Fibonacci) hash, and
-// backward-shift deletion, so no tombstones ever lengthen a probe. Slot
-// value 0 marks an empty slot, so page 0 itself is held in a flag.
-type pageSet struct {
-	slots []kvcache.PageID
-	n     int  // pages held in slots (page 0 excluded)
-	shift uint // 64 − log2(len(slots))
-	zero  bool // page 0 is in the set
-}
-
-// minSlots is the table size of a set's first allocation.
-const minSlots = 16
-
-func (s *pageSet) len() int {
-	if s.zero {
-		return s.n + 1
-	}
-	return s.n
-}
-
-// home is pg's preferred slot: the top bits of pg × 2⁶⁴/φ.
-func (s *pageSet) home(pg kvcache.PageID) int {
-	return int(uint64(pg) * 0x9E3779B97F4A7C15 >> s.shift)
-}
-
-// find returns the slot holding pg (found) or the empty slot ending its
-// probe run (not found). pg must be nonzero and the table allocated.
-func (s *pageSet) find(pg kvcache.PageID) (int, bool) {
-	mask := len(s.slots) - 1
-	for i := s.home(pg); ; i = (i + 1) & mask {
-		switch s.slots[i] {
-		case pg:
-			return i, true
-		case 0:
-			return i, false
-		}
-	}
-}
-
-func (s *pageSet) has(pg kvcache.PageID) bool {
-	if pg == 0 {
-		return s.zero
-	}
-	if s.n == 0 {
-		return false
-	}
-	_, ok := s.find(pg)
-	return ok
-}
-
-// insert adds pg and reports whether it was absent before.
-func (s *pageSet) insert(pg kvcache.PageID) bool {
-	if pg == 0 {
-		added := !s.zero
-		s.zero = true
-		return added
-	}
-	if len(s.slots) == 0 {
-		s.resize(minSlots)
-	}
-	i, ok := s.find(pg)
-	if ok {
-		return false
-	}
-	// Keep the load at most 3/4: past it, linear probe runs lengthen fast.
-	if 4*(s.n+1) > 3*len(s.slots) {
-		s.resize(2 * len(s.slots))
-		i, _ = s.find(pg)
-	}
-	s.slots[i] = pg
-	s.n++
-	return true
-}
-
-// remove deletes pg if present. Backward shift: each later entry of the
-// probe run moves into the hole when the hole lies between its home and
-// its slot, so every remaining entry stays reachable from its home.
-func (s *pageSet) remove(pg kvcache.PageID) {
-	if pg == 0 {
-		s.zero = false
-		return
-	}
-	if s.n == 0 {
-		return
-	}
-	hole, ok := s.find(pg)
-	if !ok {
-		return
-	}
-	mask := len(s.slots) - 1
-	for j := (hole + 1) & mask; s.slots[j] != 0; j = (j + 1) & mask {
-		if q := s.slots[j]; (j-s.home(q))&mask >= (j-hole)&mask {
-			s.slots[hole] = q
-			hole = j
-		}
-	}
-	s.slots[hole] = 0
-	s.n--
-}
-
-// resize rehashes into a table of size slots (a power of two).
-func (s *pageSet) resize(size int) {
-	old := s.slots
-	s.slots = make([]kvcache.PageID, size)
-	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	for _, pg := range old {
-		if pg != 0 {
-			i, _ := s.find(pg)
-			s.slots[i] = pg
-		}
-	}
-}
 
 // Affinity is the shared session-stickiness and prefix-index state the
 // affine compositions (prefix-affinity, pd-split, adaptive-ttft) route
@@ -194,31 +293,21 @@ func (s *pageSet) resize(size int) {
 // pipeline keeps it current. State is keyed by endpoint ID, never by
 // candidate position.
 type Affinity[E Endpoint] struct {
-	sessions map[int]sessionPin
+	sessions map[int]int // session → the endpoint it is pinned to
 	index    map[int]*PrefixIndex
 	limit    int
-}
-
-// sessionPin is a session's holder plus a memo of the last page chain
-// indexed there on the session's behalf. Each turn of a session
-// re-presents its whole history, so the memo lets the next add skip the
-// leading run it proves is already indexed.
-type sessionPin struct {
-	id      int              // endpoint the session is pinned to
-	chain   []kvcache.PageID // last chain added to id's index for the session
-	evicted int              // id's index eviction count before that add
 }
 
 // NewAffinity builds empty affinity state with DefaultIndexLimit-sized
 // prefix indexes.
 func NewAffinity[E Endpoint]() *Affinity[E] {
-	return &Affinity[E]{sessions: map[int]sessionPin{}, index: map[int]*PrefixIndex{}, limit: DefaultIndexLimit}
+	return &Affinity[E]{sessions: map[int]int{}, index: map[int]*PrefixIndex{}, limit: DefaultIndexLimit}
 }
 
 // Holder returns the endpoint ID pinned to the session, if any.
 func (a *Affinity[E]) Holder(session int) (int, bool) {
-	pin, ok := a.sessions[session]
-	return pin.id, ok
+	id, ok := a.sessions[session]
+	return id, ok
 }
 
 // StickyIn returns the candidate currently owning the request's
@@ -226,26 +315,26 @@ func (a *Affinity[E]) Holder(session int) (int, bool) {
 // in the candidate set (starting, draining, failed, or retired).
 func (a *Affinity[E]) StickyIn(r *workload.Request, cands []E) (E, bool) {
 	var zero E
-	pin, ok := a.sessions[r.Session]
+	id, ok := a.sessions[r.Session]
 	if !ok {
 		return zero, false
 	}
 	for _, e := range cands {
-		if e.EndpointID() == pin.id {
+		if e.EndpointID() == id {
 			return e, true
 		}
 	}
 	return zero, false
 }
 
-// Match counts how many leading pages of the sequence the endpoint's
-// index advertises.
-func (a *Affinity[E]) Match(id int, pages []kvcache.PageID) int {
+// Match counts how many leading pages of the first n pages of segs the
+// endpoint's index advertises.
+func (a *Affinity[E]) Match(id int, segs []workload.Segment, n int) int {
 	ix := a.index[id]
 	if ix == nil {
 		return 0
 	}
-	return ix.Match(pages)
+	return ix.Match(segs, n)
 }
 
 // indexOf returns the endpoint's prefix index, creating it on first use.
@@ -258,38 +347,21 @@ func (a *Affinity[E]) indexOf(id int) *PrefixIndex {
 	return ix
 }
 
-// add indexes pages on endpoint id for a session whose previous pin is
-// pin (the zero pin when it has none) and returns the session's pin on
-// id. When the memo's chain went to the same index, nothing was evicted
-// there since before that add, and the chain leads pages, every page of
-// it is still indexed, so re-adding that run would change nothing: only
-// the suffix is added. pages must not be mutated afterwards.
-func (a *Affinity[E]) add(pin sessionPin, id int, pages []kvcache.PageID) sessionPin {
-	ix := a.indexOf(id)
-	before := ix.evicted
-	if n := len(pin.chain); pin.id == id && pin.evicted == before &&
-		n <= len(pages) && slices.Equal(pin.chain, pages[:n]) {
-		ix.Add(pages[n:])
-	} else {
-		ix.Add(pages)
-	}
-	return sessionPin{id: id, chain: pages, evicted: before}
-}
-
 // Picked implements PickObserver: pin the session to the chosen
 // endpoint and index the pages its radix cache will publish.
 func (a *Affinity[E]) Picked(r *workload.Request, picked E) {
-	a.sessions[r.Session] = a.add(a.sessions[r.Session], picked.EndpointID(), r.AllPages)
+	id := picked.EndpointID()
+	a.sessions[r.Session] = id
+	a.indexOf(id).Add(r.Segments, len(r.AllPages))
 }
 
 // ReplicaDown implements DownObserver: forget everything pinned to a
 // dead endpoint — sessions re-stick on their next turn (paying the KV
 // re-prefill there), and the prefix index stops advertising pages that
-// no longer exist anywhere. A memo names its session's holder, so this
-// sweep clears every memo of the dropped index too.
+// no longer exist anywhere.
 func (a *Affinity[E]) ReplicaDown(id int) {
-	for session, pin := range a.sessions {
-		if pin.id == id {
+	for session, holder := range a.sessions {
+		if holder == id {
 			delete(a.sessions, session)
 		}
 	}
@@ -299,12 +371,11 @@ func (a *Affinity[E]) ReplicaDown(id int) {
 // SessionMigrated implements MigrationObserver: re-home a session whose
 // KV streamed to a new holder. The pin follows the KV (unless a turn
 // already re-routed the session elsewhere mid-stream — then the newer
-// pin wins), and the destination's index advertises the migrated pages
-// either way, because they really are cached there now.
-func (a *Affinity[E]) SessionMigrated(session, from, to int, pages []kvcache.PageID) {
-	pin, ok := a.sessions[session]
-	next := a.add(pin, to, pages)
-	if !ok || pin.id == from || pin.id == to {
-		a.sessions[session] = next
+// pin wins), and the destination's index advertises the first n pages
+// of segs either way, because they really are cached there now.
+func (a *Affinity[E]) SessionMigrated(session, from, to int, segs []workload.Segment, n int) {
+	a.indexOf(to).Add(segs, n)
+	if holder, ok := a.sessions[session]; !ok || holder == from {
+		a.sessions[session] = to
 	}
 }

@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"muxwise/internal/kvcache"
+	"muxwise/internal/workload"
 )
 
 // refIndex is the reference prefix index: a Go map for membership and
-// the FIFO ring, with one lookup and one assign per page and no memo.
+// a per-page FIFO ring, with one lookup and one assign per page.
 type refIndex struct {
 	limit int
 	pages map[kvcache.PageID]struct{}
@@ -96,14 +97,48 @@ func (a *refAffinity) Match(id int, pages []kvcache.PageID) int {
 	return 0
 }
 
-// The op programs run over a few endpoints and sessions and a small page
-// space, so chains share heads, page 0 turns up, and evictions under a
-// small limit hit pages other sessions still lean on.
+// The op programs run over a few endpoints and sessions and a small
+// stream × index space: stream 0 is a system run any chain may lead
+// with, stream 1+s is session s's own, and random segments may name any
+// stream, overlap, repeat or be empty. Chains share heads, and
+// evictions under a small limit hit pages other sessions still lean on.
 const (
 	opEndpoints = 3
 	opSessions  = 4
-	opPageSpace = 24
+	opStreams   = 1 + opSessions
+	opIndexes   = 8
 )
+
+// opPage is the reference's page for index idx of stream: injective on
+// the op space, as pageID is on generated traces.
+func opPage(stream uint64, idx int) kvcache.PageID {
+	return kvcache.PageID(int(stream)*opIndexes + idx)
+}
+
+// expand lists the pages segs describe, in order.
+func expand(segs []workload.Segment) []kvcache.PageID {
+	var out []kvcache.PageID
+	for _, sg := range segs {
+		for i := sg.From; i < sg.To; i++ {
+			out = append(out, opPage(sg.Stream, i))
+		}
+	}
+	return out
+}
+
+// clip returns segments describing the first n pages of segs.
+func clip(segs []workload.Segment, n int) []workload.Segment {
+	var out []workload.Segment
+	for _, sg := range segs {
+		if n <= 0 {
+			break
+		}
+		sg.To = min(sg.To, sg.From+n)
+		n -= sg.Len()
+		out = append(out, sg)
+	}
+	return out
+}
 
 // opReader hands out a program's bytes; an exhausted program reads 0s.
 type opReader struct {
@@ -122,10 +157,29 @@ func (r *opReader) next(n int) int {
 
 func (r *opReader) done() bool { return r.pos >= len(r.data) }
 
+// segment reads a run of any stream: a start and a length, clamped to
+// the index space, so empty runs turn up.
+func (r *opReader) segment() workload.Segment {
+	stream := uint64(r.next(opStreams))
+	from := r.next(opIndexes)
+	return workload.Segment{Stream: stream, From: from, To: min(from+r.next(4), opIndexes)}
+}
+
+// segments appends k runs read from the program to a clipped head, so a
+// chain already handed to the index is never written again.
+func (r *opReader) segments(head []workload.Segment, k int) []workload.Segment {
+	out := slices.Clip(head)
+	for range k {
+		out = append(out, r.segment())
+	}
+	return out
+}
+
 // runAffinityOps decodes data into Picked / SessionMigrated / ReplicaDown
-// operations and applies each to an Affinity and to the reference,
-// comparing Match, Len and the session pins after every operation. The
-// first byte sets the index limit (1 to 16 pages).
+// operations and applies each to an Affinity and, with the chains
+// expanded to pages, to the reference, comparing Match at every
+// truncation, Len, every page's membership and the session pins after
+// every operation. The first byte sets the index limit (1 to 16 pages).
 func runAffinityOps(t *testing.T, data []byte) {
 	t.Helper()
 	rd := &opReader{data: data}
@@ -134,50 +188,54 @@ func runAffinityOps(t *testing.T, data []byte) {
 	aff.limit = limit
 	ref := newRefAffinity(limit)
 	eps := fleet(opEndpoints)
-	hist := make([][]kvcache.PageID, opSessions)
+	hist := make([][]workload.Segment, opSessions)
 
-	// fresh appends n new pages to a clipped head, so a chain already
-	// handed to the index is never written again.
-	fresh := func(head []kvcache.PageID, n int) []kvcache.PageID {
-		out := slices.Clip(head)
-		for range n {
-			out = append(out, kvcache.PageID(rd.next(opPageSpace)))
-		}
-		return out
-	}
 	for step := 0; !rd.done(); step++ {
 		s := rd.next(opSessions)
-		var chain []kvcache.PageID
-		switch op := rd.next(6); op {
-		case 0, 1, 2, 3:
+		own := uint64(1 + s)
+		var chain []workload.Segment
+		switch op := rd.next(7); op {
+		case 0, 1, 2, 3, 4:
 			switch op {
-			case 0: // the next turn: history plus new pages
-				chain = fresh(hist[s], rd.next(4))
+			case 0: // the next turn: the history's last run grows
+				chain = slices.Clone(hist[s])
+				if len(chain) == 0 {
+					chain = append(chain, workload.Segment{Stream: own})
+				}
+				last := &chain[len(chain)-1]
+				last.To = min(last.To+rd.next(4), opIndexes)
 			case 1: // a chain unrelated to the history
-				chain = fresh(nil, 1+rd.next(6))
-			case 2: // another session's head, then new pages
+				chain = rd.segments(nil, 1+rd.next(3))
+			case 2: // another session's head, then other runs
 				o := hist[rd.next(opSessions)]
-				chain = fresh(o[:min(len(o), rd.next(8))], rd.next(4))
-			case 3: // a proper prefix of the history: shorter than the memo
-				chain = hist[s][:rd.next(len(hist[s])+1)]
+				chain = rd.segments(clip(o, rd.next(8)), rd.next(3))
+			case 3: // a proper prefix of the history
+				chain = clip(hist[s], rd.next(len(expand(hist[s]))+1))
+			case 4: // the shared system run, then the session's own
+				chain = []workload.Segment{
+					{Stream: 0, To: 1 + rd.next(4)},
+					{Stream: own, To: rd.next(opIndexes)},
+				}
 			}
 			e := eps[rd.next(opEndpoints)]
 			r := req(step, s)
-			r.AllPages = chain
+			r.AllPages, r.Segments = expand(chain), chain
 			aff.Picked(r, e)
-			ref.Picked(s, e.id, chain)
+			ref.Picked(s, e.id, r.AllPages)
 			hist[s] = chain
-		case 4:
-			from, to := rd.next(opEndpoints), rd.next(opEndpoints)
-			switch rd.next(3) {
-			case 0:
-				chain = hist[s]
-			case 1:
-				chain = fresh(hist[s], rd.next(3))
-			}
-			aff.SessionMigrated(s, from, to, chain)
-			ref.SessionMigrated(s, from, to, chain)
 		case 5:
+			from, to := rd.next(opEndpoints), rd.next(opEndpoints)
+			chain = hist[s]
+			if rd.next(2) == 1 {
+				chain = rd.segments(chain, 1)
+			}
+			n := len(expand(chain))
+			if rd.next(2) == 1 { // a sweep clamped to what the pool holds
+				n = rd.next(n + 1)
+			}
+			aff.SessionMigrated(s, from, to, chain, n)
+			ref.SessionMigrated(s, from, to, expand(chain)[:n])
+		case 6:
 			id := rd.next(opEndpoints)
 			aff.ReplicaDown(id)
 			ref.ReplicaDown(id)
@@ -188,7 +246,7 @@ func runAffinityOps(t *testing.T, data []byte) {
 
 // compareAffinity checks every endpoint's index and every session's pin
 // against the reference.
-func compareAffinity(t *testing.T, step int, aff *Affinity[*ep], ref *refAffinity, probes [][]kvcache.PageID) {
+func compareAffinity(t *testing.T, step int, aff *Affinity[*ep], ref *refAffinity, probes [][]workload.Segment) {
 	t.Helper()
 	for id := range opEndpoints {
 		ix, rx := aff.index[id], ref.index[id]
@@ -199,14 +257,19 @@ func compareAffinity(t *testing.T, step int, aff *Affinity[*ep], ref *refAffinit
 			t.Fatalf("step %d: endpoint %d holds %d pages, reference %d", step, id, ix.Len(), len(rx.pages))
 		}
 		for _, p := range probes {
-			if got, want := aff.Match(id, p), ref.Match(id, p); got != want {
-				t.Fatalf("step %d: endpoint %d Match(%v) = %d, reference %d", step, id, p, got, want)
+			pages := expand(p)
+			for n := range len(pages) + 1 {
+				if got, want := aff.Match(id, p, n), ref.Match(id, pages[:n]); got != want {
+					t.Fatalf("step %d: endpoint %d Match(%v, %d) = %d, reference %d", step, id, p, n, got, want)
+				}
 			}
 		}
-		for pg := range kvcache.PageID(opPageSpace) {
-			one := []kvcache.PageID{pg}
-			if got, want := aff.Match(id, one), ref.Match(id, one); got != want {
-				t.Fatalf("step %d: endpoint %d holds page %d: %d, reference %d", step, id, pg, got, want)
+		for stream := range uint64(opStreams) {
+			for idx := range opIndexes {
+				one := []workload.Segment{{Stream: stream, From: idx, To: idx + 1}}
+				if got, want := aff.Match(id, one, 1), ref.Match(id, expand(one)); got != want {
+					t.Fatalf("step %d: endpoint %d holds page %d of stream %d: %d, reference %d", step, id, idx, stream, got, want)
+				}
 			}
 		}
 	}
@@ -219,12 +282,13 @@ func compareAffinity(t *testing.T, step int, aff *Affinity[*ep], ref *refAffinit
 	}
 }
 
-// TestAffinityMatchesReference runs random op programs — extending,
-// unrelated, shared-head and truncated chains, migrations to the pinned
-// endpoint and to others, endpoint losses — under limits small enough
-// that evictions fire, including in the middle of an Add. The memo's
-// suffix-only adds and the open-addressed page set must leave every
-// Match, Len and pin exactly where the map-and-ring reference has them.
+// TestAffinityMatchesReference runs random op programs — growing,
+// unrelated, shared-head, truncated and system-led chains with
+// overlapping, repeated and empty runs, migrations of whole and clamped
+// chains to the pinned endpoint and to others, endpoint losses — under
+// limits small enough that evictions fire, including in the middle of
+// an Add. The run index must leave every Match, Len and pin exactly
+// where the per-page map-and-ring reference has them.
 func TestAffinityMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 0))
 	for prog := range 400 {
@@ -246,39 +310,4 @@ func TestAffinityMatchesReference(t *testing.T) {
 // FuzzAffinityOps checks arbitrary op programs against the reference.
 func FuzzAffinityOps(f *testing.F) {
 	f.Fuzz(runAffinityOps)
-}
-
-// TestPageSetMatchesMap drives the open-addressed set with inserts and
-// removes over a key space dense enough to force long probe runs,
-// wrap-around at the table's end and backward shifts across them.
-func TestPageSetMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewPCG(15, 1))
-	for _, space := range []uint64{4, 40, 400, 1 << 62} {
-		var s pageSet
-		want := map[kvcache.PageID]bool{}
-		keys := make([]kvcache.PageID, 64)
-		for i := range keys {
-			keys[i] = kvcache.PageID(rng.Uint64N(space))
-		}
-		keys[0] = 0
-		for range 20000 {
-			k := keys[rng.IntN(len(keys))]
-			if rng.IntN(3) == 0 {
-				s.remove(k)
-				delete(want, k)
-			} else if added := s.insert(k); added == want[k] {
-				t.Fatalf("space %d: insert(%d) reported new=%v with the key present=%v", space, k, added, want[k])
-			} else {
-				want[k] = true
-			}
-			if s.len() != len(want) {
-				t.Fatalf("space %d: len %d, want %d", space, s.len(), len(want))
-			}
-		}
-		for _, k := range keys {
-			if s.has(k) != want[k] {
-				t.Fatalf("space %d: has(%d) = %v, want %v", space, k, s.has(k), want[k])
-			}
-		}
-	}
 }

@@ -33,7 +33,6 @@
 package epp
 
 import (
-	"muxwise/internal/kvcache"
 	"muxwise/internal/sim"
 	"muxwise/internal/workload"
 )
@@ -150,9 +149,10 @@ type TTFTObserver interface {
 
 // MigrationObserver is implemented by stages that track session →
 // endpoint affinity: SessionMigrated fires when a session's KV finished
-// streaming to a new holder, so the pin can follow the KV.
+// streaming to a new holder, so the pin can follow the KV. The first n
+// pages of segs are what landed there.
 type MigrationObserver interface {
-	SessionMigrated(session, from, to int, pages []kvcache.PageID)
+	SessionMigrated(session, from, to int, segs []workload.Segment, n int)
 }
 
 // PickObserver is implemented by state that records routing decisions —

@@ -1,7 +1,6 @@
 package epp
 
 import (
-	"muxwise/internal/kvcache"
 	"muxwise/internal/sim"
 	"muxwise/internal/workload"
 )
@@ -187,8 +186,8 @@ func (p *Pipeline[E]) ObserveTTFT(replica int, ttft sim.Time) {
 }
 
 // SessionMigrated fans the KV hand-off out to every affinity stage.
-func (p *Pipeline[E]) SessionMigrated(session, from, to int, pages []kvcache.PageID) {
+func (p *Pipeline[E]) SessionMigrated(session, from, to int, segs []workload.Segment, n int) {
 	for _, o := range p.mig {
-		o.SessionMigrated(session, from, to, pages)
+		o.SessionMigrated(session, from, to, segs, n)
 	}
 }

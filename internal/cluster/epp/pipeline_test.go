@@ -43,6 +43,13 @@ func pages(ids ...uint64) []kvcache.PageID {
 	return out
 }
 
+// withPages gives a request the pages ids, as AllPages and segments.
+func withPages(r *workload.Request, ids ...uint64) *workload.Request {
+	r.AllPages = pages(ids...)
+	r.Segments = workload.PageSegments(r.AllPages)
+	return r
+}
+
 func TestPipelineEmptyViewReturnsZero(t *testing.T) {
 	p := New("t", nil, []Profile[*ep]{{Name: "all"}})
 	if got := p.Pick(req(0, 0), vw(nil)); got != nil {
@@ -165,9 +172,7 @@ func TestAffinityRecordsPicksAndForgets(t *testing.T) {
 	reps[0].out = 50 // cold pick must go to 1 (least loaded tie → lowest)
 
 	turn := func(n int) *workload.Request {
-		r := req(n, 7)
-		r.AllPages = pages(1, 2, 3)
-		return r
+		return withPages(req(n, 7), 1, 2, 3)
 	}
 	home := p.Pick(turn(0), vw(reps))
 	if home.id != 1 {
@@ -189,7 +194,7 @@ func TestAffinityRecordsPicksAndForgets(t *testing.T) {
 	if id, ok := aff.Holder(7); ok && id == 2 {
 		t.Fatal("ReplicaDown left the session pinned to the dead endpoint")
 	}
-	if aff.Match(2, pages(1, 2, 3)) != 0 {
+	if aff.Match(2, workload.PageSegments(pages(1, 2, 3)), 3) != 0 {
 		t.Fatal("ReplicaDown left the dead endpoint's prefix index advertising pages")
 	}
 }
@@ -197,20 +202,19 @@ func TestAffinityRecordsPicksAndForgets(t *testing.T) {
 func TestAffinityMigrationRehomesPin(t *testing.T) {
 	aff := NewAffinity[*ep]()
 	reps := fleet(2)
-	r := req(0, 3)
-	r.AllPages = pages(10, 11)
+	r := withPages(req(0, 3), 10, 11)
 	aff.Picked(r, reps[0])
-	aff.SessionMigrated(3, 0, 1, pages(10, 11))
+	aff.SessionMigrated(3, 0, 1, r.Segments, 2)
 	if id, _ := aff.Holder(3); id != 1 {
 		t.Fatalf("pin did not follow the KV: holder %d, want 1", id)
 	}
-	if aff.Match(1, pages(10, 11)) != 2 {
+	if aff.Match(1, r.Segments, 2) != 2 {
 		t.Fatal("destination index must advertise the migrated pages")
 	}
 	// A newer pin wins over a stale migration completion.
 	aff.Picked(req(1, 3), reps[0])
-	aff.SessionMigrated(3, 1, 0, nil) // from matches? no: current pin is 0 already
-	aff.SessionMigrated(3, 1, 1, nil) // stale: pin is 0, from is 1 — must not move
+	aff.SessionMigrated(3, 1, 0, nil, 0) // from matches? no: current pin is 0 already
+	aff.SessionMigrated(3, 1, 1, nil, 0) // stale: pin is 0, from is 1 — must not move
 	if id, _ := aff.Holder(3); id != 0 {
 		t.Fatalf("stale migration moved the pin to %d, want 0", id)
 	}
@@ -246,12 +250,14 @@ func TestTTFTScorerLearnsAndForgets(t *testing.T) {
 // the historical FIFO (order = order[1:]) kept the backing array of
 // every page ever appended alive; the ring buffer's capacity must stay
 // at the limit through sustained eviction, while FIFO semantics
-// (oldest out first) hold.
+// (oldest out first) hold. Every page here is a one-page run of its own
+// stream, the ring's worst case: one run per held page.
 func TestPrefixIndexRingStaysBounded(t *testing.T) {
 	const limit = 64
 	ix := NewPrefixIndex(limit)
+	has := func(pg uint64) bool { return ix.Match(workload.PageSegments(pages(pg)), 1) == 1 }
 	for start := uint64(0); start < 100*limit; start += 8 {
-		ix.Add(pages(start, start+1, start+2, start+3, start+4, start+5, start+6, start+7))
+		ix.Add(workload.PageSegments(pages(start, start+1, start+2, start+3, start+4, start+5, start+6, start+7)), 8)
 	}
 	if ix.Len() != limit {
 		t.Fatalf("index holds %d pages, want the limit %d", ix.Len(), limit)
@@ -261,14 +267,14 @@ func TestPrefixIndexRingStaysBounded(t *testing.T) {
 	}
 	// FIFO: the newest `limit` pages are present, everything older gone.
 	last := uint64(100*limit - 1)
-	if got := ix.Match(pages(last)); got != 1 {
+	if !has(last) {
 		t.Fatal("newest page missing from the index")
 	}
-	if got := ix.Match(pages(0)); got != 0 {
+	if has(0) {
 		t.Fatal("oldest page should have been evicted")
 	}
 	for pg := last; pg > last-limit; pg-- {
-		if ix.Match(pages(pg)) != 1 {
+		if !has(pg) {
 			t.Fatalf("page %d inside the window was evicted", pg)
 		}
 	}

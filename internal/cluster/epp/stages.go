@@ -166,7 +166,7 @@ func (s *prefixScorer[E]) Name() string { return "prefix-match" }
 
 func (s *prefixScorer[E]) Score(r *workload.Request, view View[E], cands []E, out []float64) {
 	for i, e := range cands {
-		out[i] = float64(s.aff.Match(e.EndpointID(), r.Pages))
+		out[i] = float64(s.aff.Match(e.EndpointID(), r.Segments, len(r.Pages)))
 	}
 }
 

@@ -24,12 +24,12 @@ func longTrace(n int, gap sim.Time, output int) *workload.Trace {
 func burstTrace(n int, gap sim.Time, input, output int) *workload.Trace {
 	tr := &workload.Trace{Name: "burst"}
 	for i := 0; i < n; i++ {
-		tr.Requests = append(tr.Requests, &workload.Request{
+		tr.Requests = append(tr.Requests, withSegs(&workload.Request{
 			ID: i, Session: i, Arrival: sim.Time(i) * gap,
 			InputTokens: input, OutputTokens: output,
 			Pages:    pdPages(uint64(i), input),
 			AllPages: pdPages(uint64(i), input+output),
-		})
+		}))
 	}
 	return tr
 }
@@ -46,12 +46,12 @@ func sessionTrace(sessions, warmTurns, tailTurns int, gap sim.Time) *workload.Tr
 			const newTok, out = 600, 64
 			input := ctx + newTok
 			at := sim.Time(turn)*sim.Time(sessions)*gap + sim.Time(s)*gap
-			tr.Requests = append(tr.Requests, &workload.Request{
+			tr.Requests = append(tr.Requests, withSegs(&workload.Request{
 				ID: id, Session: s, Turn: turn, Arrival: at,
 				InputTokens: input, ReusedTokens: ctx, OutputTokens: out,
 				Pages:    pdPages(uint64(s), input),
 				AllPages: pdPages(uint64(s), input+out),
-			})
+			}))
 			id++
 			ctx = input + out
 		}
@@ -480,9 +480,9 @@ func TestParseRoleRoundTrips(t *testing.T) {
 // choice, and an all-overloaded fleet must still pick someone.
 func TestPickDegenerateFleets(t *testing.T) {
 	req := func(n int) *workload.Request {
-		return &workload.Request{ID: n, Session: 1, Turn: n,
+		return withSegs(&workload.Request{ID: n, Session: 1, Turn: n,
 			InputTokens: 9000, OutputTokens: 64,
-			Pages: pdPages(3, 9000), AllPages: pdPages(3, 9064)}
+			Pages: pdPages(3, 9000), AllPages: pdPages(3, 9064)})
 	}
 	for name, policy := range Policies() {
 		single := bareFleet(RoleGeneral)

@@ -60,14 +60,15 @@ type MigrationStats struct {
 }
 
 // sessionKV is one session's entry in the cluster's KV-holder map: the
-// replica whose pool holds the session's context KV, and the token span
-// and pages of the latest completed turn there — what a graceful
-// takedown of that replica streams out. A session has at most one
-// holder; a newer holder replaces the entry.
+// replica whose pool holds the session's context KV, and the token span,
+// pages and segments of the latest completed turn there — what a
+// graceful takedown of that replica streams out. A session has at most
+// one holder; a newer holder replaces the entry.
 type sessionKV struct {
 	holder int // replica ID
 	tokens int64
 	pages  []kvcache.PageID
+	segs   []workload.Segment
 }
 
 // trackKV records, at turn completion, that rep's pool now holds the
@@ -86,6 +87,7 @@ func (c *Cluster) trackKV(rep *Replica, req *workload.Request) {
 		holder: rep.ID,
 		tokens: int64(req.InputTokens + req.OutputTokens),
 		pages:  req.AllPages,
+		segs:   req.Segments,
 	}
 }
 
@@ -113,7 +115,8 @@ type migration struct {
 	session  int
 	src, dst int // replica IDs
 	tokens   int64
-	pages    []kvcache.PageID
+	pages    []kvcache.PageID   // the pages that stream
+	segs     []workload.Segment // the session's content; pages lead it
 	// req, when set, is a re-dispatched in-flight request held back
 	// until its KV lands (an immediate retire); nil for drain streams
 	// whose request finishes in place on the source.
@@ -143,11 +146,12 @@ func (c *Cluster) migrationTarget(src *Replica) *Replica {
 }
 
 // migrateKV starts one KV stream from src. tokens/pages cover the
-// session context being moved; req, when non-nil, is a re-dispatched
-// request held until the stream lands. Returns false when no stream
-// could start (no routable target): the caller falls back to the
-// re-prefill path. Every call adds to the conservation total.
-func (c *Cluster) migrateKV(src *Replica, session int, tokens int64, pages []kvcache.PageID, req *workload.Request) bool {
+// session context being moved, pages being the leading pages of segs;
+// req, when non-nil, is a re-dispatched request held until the stream
+// lands. Returns false when no stream could start (no routable target):
+// the caller falls back to the re-prefill path. Every call adds to the
+// conservation total.
+func (c *Cluster) migrateKV(src *Replica, session int, tokens int64, pages []kvcache.PageID, segs []workload.Segment, req *workload.Request) bool {
 	c.migStats.DrainKVTokens += tokens
 	dst := c.migrationTarget(src)
 	if dst == nil {
@@ -157,7 +161,7 @@ func (c *Cluster) migrateKV(src *Replica, session int, tokens int64, pages []kvc
 	}
 	link := gpu.LinkBetween(src.Inst.Env.Spec, dst.Inst.Env.Spec)
 	d := kvcache.TransferTime(tokens, c.kvBytesPerToken, link)
-	m := &migration{id: len(c.migs), session: session, src: src.ID, dst: dst.ID, tokens: tokens, pages: pages, req: req}
+	m := &migration{id: len(c.migs), session: session, src: src.ID, dst: dst.ID, tokens: tokens, pages: pages, segs: segs, req: req}
 	c.migs = append(c.migs, m)
 	c.migStats.Streams++
 	c.migStats.Stall += d
@@ -212,10 +216,10 @@ func (c *Cluster) finishMigration(m *migration) {
 	// that arrived mid-stream already re-homed it elsewhere, in which
 	// case the newer holder wins.
 	if _, ok := c.kv[m.session]; !ok && dst.State == StateReady {
-		c.kv[m.session] = sessionKV{holder: dst.ID, tokens: m.tokens, pages: m.pages}
+		c.kv[m.session] = sessionKV{holder: dst.ID, tokens: m.tokens, pages: m.pages, segs: m.segs}
 	}
 	if mo, ok := c.Router.(MigrationObserver); ok {
-		mo.SessionMigrated(m.session, m.src, m.dst, m.pages)
+		mo.SessionMigrated(m.session, m.src, m.dst, m.segs, len(m.pages))
 	}
 	c.logf("kv-arrived session %d at %s (%d tokens)", m.session, dst.Name, m.tokens)
 	if c.trace != nil {
@@ -290,7 +294,7 @@ func (c *Cluster) drainMigrations(rep *Replica) {
 		}
 		seen[req.Session] = true
 		c.releaseKV(rep, req.Session)
-		c.migrateKV(rep, req.Session, int64(req.InputTokens+req.OutputTokens), req.AllPages, nil)
+		c.migrateKV(rep, req.Session, int64(req.InputTokens+req.OutputTokens), req.AllPages, req.Segments, nil)
 	}
 	c.sweepSessionKV(rep)
 }
@@ -317,14 +321,13 @@ func (c *Cluster) sweepSessionKV(rep *Replica) {
 		if matched <= 0 {
 			continue
 		}
-		held := int64(matched * pageTokens)
-		pages := kv.pages
+		held, n := int64(matched*pageTokens), len(kv.pages)
 		if held < kv.tokens {
-			pages = pages[:matched]
+			n = matched
 		} else {
 			held = kv.tokens
 		}
-		c.migrateKV(rep, session, held, pages, nil)
+		c.migrateKV(rep, session, held, kv.pages[:n], kv.segs, nil)
 	}
 }
 

@@ -169,12 +169,12 @@ func TestFailDuringMigrationRePrefills(t *testing.T) {
 	for i := range pages {
 		pages[i] = kvcache.PageID(i + 1)
 	}
-	req := &workload.Request{
+	req := withSegs(&workload.Request{
 		ID: 1, Session: 9, Arrival: 0,
 		InputTokens: 8000, OutputTokens: 320,
 		Pages:    pages[:500],
 		AllPages: pages,
-	}
+	})
 	s.At(0, func() { c.Replicas[0].submit(req) })
 	// Drain while the request is in flight: the replica stays draining
 	// (not retired) and one stream is on the wire. The crash lands 2 ms
@@ -234,12 +234,12 @@ func TestFailedDestinationDropsInTransitKV(t *testing.T) {
 	for i := range pages {
 		pages[i] = kvcache.PageID(i + 1)
 	}
-	req := &workload.Request{
+	req := withSegs(&workload.Request{
 		ID: 1, Session: 9, Arrival: 0,
 		InputTokens: 8000, OutputTokens: 320,
 		Pages:    pages[:500],
 		AllPages: pages,
-	}
+	})
 	s.At(0, func() { c.Replicas[0].submit(req) })
 	var dst *Replica
 	s.At(sim.Second, func() {
@@ -284,12 +284,12 @@ func TestMigrationOccupancy(t *testing.T) {
 	for i := range pages {
 		pages[i] = kvcache.PageID(i + 1)
 	}
-	req := &workload.Request{
+	req := withSegs(&workload.Request{
 		ID: 1, Session: 9, Arrival: 0,
 		InputTokens: 4096, OutputTokens: 64,
 		Pages:    pages[:256],
 		AllPages: pages,
-	}
+	})
 	var before, during, after int64
 	s.At(0, func() { c.Replicas[0].submit(req) })
 	s.At(sim.Second, func() {

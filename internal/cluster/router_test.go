@@ -23,9 +23,9 @@ import (
 // Pipeline.Pick.
 func TestPoliciesSurviveEmptyView(t *testing.T) {
 	req := func(n int) *workload.Request {
-		return &workload.Request{ID: n, Session: 5, Turn: n,
+		return withSegs(&workload.Request{ID: n, Session: 5, Turn: n,
 			InputTokens: 6000, OutputTokens: 64,
-			Pages: pdPages(9, 6000), AllPages: pdPages(9, 6064)}
+			Pages: pdPages(9, 6000), AllPages: pdPages(9, 6064)})
 	}
 	for _, name := range PolicyNames() {
 		r := Policies()[name]()

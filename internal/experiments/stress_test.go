@@ -107,11 +107,13 @@ func TestDegenerateWorkloads(t *testing.T) {
 	mk := func(input, output, n int) *workload.Trace {
 		tr := &workload.Trace{Name: "degenerate"}
 		for i := 0; i < n; i++ {
+			all := pageSeq(uint64(i), input+output)
 			tr.Requests = append(tr.Requests, &workload.Request{
 				ID: i, Session: i, Arrival: sim.Time(i) * 10 * sim.Millisecond,
 				InputTokens: input, OutputTokens: output,
 				Pages:    pageSeq(uint64(i), input),
-				AllPages: pageSeq(uint64(i), input+output),
+				AllPages: all,
+				Segments: workload.PageSegments(all),
 			})
 		}
 		return tr

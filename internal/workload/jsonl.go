@@ -112,7 +112,7 @@ func ReadJSONL(r io.Reader, name string) (*Trace, error) {
 		if len(tr.Requests) >= maxJSONLRequests {
 			return nil, fmt.Errorf("workload: line %d: trace exceeds %d requests", line, maxJSONLRequests)
 		}
-		pages, allPages := requestPages(nil, 0xFEED<<40|uint64(rec.Session),
+		pages, allPages, segs := requestPages(nil, 0xFEED<<40|uint64(rec.Session),
 			kvcache.PageCount(rec.Input, PageTokens), kvcache.PageCount(rec.Input+rec.Output, PageTokens))
 		tr.Requests = append(tr.Requests, &Request{
 			ID: rec.ID, Session: rec.Session, Turn: rec.Turn,
@@ -122,6 +122,7 @@ func ReadJSONL(r io.Reader, name string) (*Trace, error) {
 			OutputTokens: rec.Output,
 			Pages:        pages,
 			AllPages:     allPages,
+			Segments:     segs,
 			Dataset:      rec.Dataset,
 		})
 	}

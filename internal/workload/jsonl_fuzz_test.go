@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ import (
 // allocate unboundedly — and every accepted trace must satisfy the
 // invariants the simulators rely on (positive token counts, reuse inside
 // the input, finite non-negative sorted arrivals, page sequences sized
-// to the tokens).
+// to the tokens and described exactly by the segments).
 func FuzzParseJSONL(f *testing.F) {
 	f.Add(`{"id":0,"session":0,"input_tokens":10,"output_tokens":5,"arrival_s":1.5}`)
 	f.Add(`{"id":1,"session":3,"turn":2,"input_tokens":64,"reused_tokens":32,"output_tokens":8,"arrival_s":0,"dataset":"x"}`)
@@ -71,6 +72,12 @@ func FuzzParseJSONL(f *testing.F) {
 			}
 			if len(r.Pages) == 0 || len(r.AllPages) < len(r.Pages) {
 				t.Fatalf("request %d: page sequences not reconstructed (%d input, %d total)", i, len(r.Pages), len(r.AllPages))
+			}
+			if err := r.CheckSegments(); err != nil {
+				t.Fatalf("request %d: %v", i, err)
+			}
+			if !slices.Equal(expandSegments(r), r.AllPages) {
+				t.Fatalf("request %d: segments %v do not expand to AllPages", i, r.Segments)
 			}
 			prev = r
 		}

@@ -27,6 +27,11 @@ type Request struct {
 	// output, i.e. what a finished request publishes into the KV cache.
 	Pages    []kvcache.PageID
 	AllPages []kvcache.PageID
+	// Segments describes AllPages as stream runs, in order: page k of
+	// the concatenated runs is AllPages[k]. Generated requests hold the
+	// shared system-prompt run, if any, then their own stream from index
+	// 0; the first len(Pages) pages of the runs cover the input.
+	Segments []Segment
 
 	Dataset string
 }
@@ -49,6 +54,55 @@ type Trace struct {
 // Len returns the number of requests.
 func (t *Trace) Len() int { return len(t.Requests) }
 
+// Segment is a run of one content stream's pages: indexes [From, To)
+// of Stream. Page identity is the (stream, index) pair, so two requests
+// share a page exactly when their runs overlap on the same stream.
+type Segment struct {
+	Stream   uint64
+	From, To int
+}
+
+// Len returns the number of pages in the run.
+func (s Segment) Len() int { return s.To - s.From }
+
+// CheckSegments reports an error unless every segment has
+// 0 ≤ From ≤ To and together they cover exactly len(AllPages) pages. A
+// request with pages but no segments fails: routing reads the segments
+// and would see no prefix.
+func (r *Request) CheckSegments() error {
+	n := 0
+	for _, s := range r.Segments {
+		if s.From < 0 || s.To < s.From {
+			return fmt.Errorf("segment [%d,%d) of stream %#x is malformed", s.From, s.To, s.Stream)
+		}
+		if s.Len() > len(r.AllPages)-n {
+			return fmt.Errorf("segments cover more than the %d pages of AllPages", len(r.AllPages))
+		}
+		n += s.Len()
+	}
+	if n != len(r.AllPages) {
+		return fmt.Errorf("segments cover %d of the %d pages of AllPages (hand-built pages take PageSegments)", n, len(r.AllPages))
+	}
+	return nil
+}
+
+// PageSegments describes a page list built by hand, not by a generator:
+// each page becomes a one-page run of a stream named by the page's own
+// ID, so such requests share runs exactly when they share pages. Do not
+// mix these requests with generated ones in a trace: a page ID may then
+// name the same stream as a generated run.
+func PageSegments(pages []kvcache.PageID) []Segment {
+	segs := make([]Segment, len(pages))
+	for i, pg := range pages {
+		segs[i] = Segment{Stream: uint64(pg), To: 1}
+	}
+	return segs
+}
+
+// systemStream is the content stream of OpenThoughts' shared system
+// prompt.
+const systemStream = 0xC0FFEE
+
 // pageID derives a stable unique page identity from a content stream and
 // a position within it.
 func pageID(stream uint64, idx int) kvcache.PageID {
@@ -62,20 +116,25 @@ func pageID(stream uint64, idx int) kvcache.PageID {
 	return kvcache.PageID(h.Sum64())
 }
 
-// requestPages builds a request's page lists, hashing each page once.
-// allPages holds all pages: prefix, then the stream's pages from index
-// 0. pages is a copy of its first in pages, not a subslice: sharing one
+// requestPages builds a request's page lists, hashing each page once,
+// and the segments describing them. allPages holds all pages: the
+// system-prompt pages sys, then the stream's pages from index 0. pages
+// is a copy of its first in pages, not a subslice: sharing one
 // array halves a trace's live heap, and on LooGLE that shrinks the heap
 // goal enough for a collection to land inside a few-millisecond run
 // (muxperf loogle-roofline, one P on a 2-core Xeon: probe_ms_p50 +26%).
-func requestPages(prefix []kvcache.PageID, stream uint64, in, all int) (pages, allPages []kvcache.PageID) {
-	allPages = append(make([]kvcache.PageID, 0, all), prefix...)
+func requestPages(sys []kvcache.PageID, stream uint64, in, all int) (pages, allPages []kvcache.PageID, segs []Segment) {
+	allPages = append(make([]kvcache.PageID, 0, all), sys...)
 	for i := 0; len(allPages) < all; i++ {
 		allPages = append(allPages, pageID(stream, i))
 	}
 	pages = make([]kvcache.PageID, in)
 	copy(pages, allPages)
-	return pages, allPages
+	own := Segment{Stream: stream, To: all - len(sys)}
+	if len(sys) == 0 {
+		return pages, allPages, []Segment{own}
+	}
+	return pages, allPages, []Segment{{Stream: systemStream, To: len(sys)}, own}
 }
 
 // PageTokens is the page granularity all traces are generated with.
@@ -86,7 +145,7 @@ const PageTokens = kvcache.DefaultPageTokens
 func singleTurn(name string, seed uint64, n int, in, out Dist, sysTokens int) *Trace {
 	rng := rand.New(rand.NewPCG(seed, 0x9E3779B97F4A7C15))
 	tr := &Trace{Name: name}
-	_, sysPages := requestPages(nil, 0xC0FFEE, 0, kvcache.PageCount(sysTokens, PageTokens))
+	_, sysPages, _ := requestPages(nil, systemStream, 0, kvcache.PageCount(sysTokens, PageTokens))
 	for i := 0; i < n; i++ {
 		input := in.SampleInt(rng)
 		if input <= sysTokens {
@@ -94,12 +153,12 @@ func singleTurn(name string, seed uint64, n int, in, out Dist, sysTokens int) *T
 		}
 		output := out.SampleInt(rng)
 		stream := seed<<20 | uint64(i)
-		pages, allPages := requestPages(sysPages, stream,
+		pages, allPages, segs := requestPages(sysPages, stream,
 			kvcache.PageCount(input, PageTokens), kvcache.PageCount(input+output, PageTokens))
 		tr.Requests = append(tr.Requests, &Request{
 			ID: i, Session: i, Turn: 0,
 			InputTokens: input, ReusedTokens: sysTokens, OutputTokens: output,
-			Pages: pages, AllPages: allPages, Dataset: name,
+			Pages: pages, AllPages: allPages, Segments: segs, Dataset: name,
 		})
 	}
 	return tr
@@ -158,12 +217,12 @@ func multiTurn(p multiTurnParams, seed uint64, sessions int) *Trace {
 				break
 			}
 			input := ctx + newTok
-			pages, allPages := requestPages(nil, stream,
+			pages, allPages, segs := requestPages(nil, stream,
 				kvcache.PageCount(input, PageTokens), kvcache.PageCount(input+output, PageTokens))
 			tr.Requests = append(tr.Requests, &Request{
 				ID: id, Session: s, Turn: turn,
 				InputTokens: input, ReusedTokens: ctx, OutputTokens: output,
-				Pages: pages, AllPages: allPages, Dataset: p.name,
+				Pages: pages, AllPages: allPages, Segments: segs, Dataset: p.name,
 			})
 			id++
 			ctx = input + output

@@ -103,6 +103,9 @@ type (
 	Trace = workload.Trace
 	// Request is a single trace entry.
 	Request = workload.Request
+	// Segment is a run of one content stream's pages; a Request's
+	// Segments describe its AllPages in order.
+	Segment = workload.Segment
 	// Result couples a run's summary with engine accounting.
 	Result = serve.Result
 	// RatePoint is one sample of a load sweep.
@@ -133,6 +136,8 @@ var (
 	ToolAgentProfile = workload.ToolAgentProfile
 	// ReadTraceJSONL loads a trace written by Trace.WriteJSONL.
 	ReadTraceJSONL = workload.ReadJSONL
+	// PageSegments gives a hand-built Request's pages their segments.
+	PageSegments = workload.PageSegments
 )
 
 // MixedBursty builds the Fig. 13 bursty Conversation + Tool&Agent mix
