@@ -108,8 +108,10 @@ func TestExperimentFleetChaosConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each goroutine generates its own trace: traces are mutable
-			// and must not be shared across concurrent runs.
+			// Each goroutine generates its own trace here; Run never
+			// writes its trace, so sharing one is also safe (see
+			// TestConcurrentRunsShareOneTrace). Only WithPoissonArrivals
+			// and WithProfileArrivals rewrite a trace, in place.
 			reports[i], errs[i] = exp.Run(MixedBursty(31, 40, 2))
 		}()
 	}
@@ -131,6 +133,83 @@ func TestExperimentFleetChaosConcurrentRuns(t *testing.T) {
 		if got.Fleet.Failures != ref.Fleet.Failures || len(got.Fleet.Replicas) != len(ref.Fleet.Replicas) {
 			t.Fatalf("run %d fleet shape diverged", i)
 		}
+	}
+}
+
+// TestConcurrentRunsShareOneTrace replays one Conversation trace from 4
+// goroutines at once on a MuxWise engine and 4 more on the chaos fleet.
+// Later turns hit the prefixes earlier turns published, so every run's
+// KV pools hold subslices of the same request page lists: the pools keep
+// published pages by reference. Under -race a write to the shared trace
+// fails the test, and each report must equal the serial run's.
+func TestConcurrentRunsShareOneTrace(t *testing.T) {
+	newTrace := func() *Trace {
+		return Conversation(31, 40).WithProfileArrivals(31, ConversationProfile(2))
+	}
+	dep := Deployment{Hardware: "A100", GPUs: 1, Model: "Llama-8B"}
+	fleet, _ := fleetChaosExperiment()
+	exps := []*Experiment{NewExperiment(WithDeployment(dep), WithEngine("MuxWise")), fleet}
+	type outcome struct {
+		Summary    Summary
+		Attainment float64
+		MissCauses MissBreakdown
+		CacheHit   []float64
+	}
+	run := func(exp *Experiment, trace *Trace) (outcome, error) {
+		rep, err := exp.Run(trace)
+		if err != nil {
+			return outcome{}, err
+		}
+		o := outcome{Summary: rep.Summary, Attainment: rep.Attainment, MissCauses: rep.MissCauses}
+		if rep.Engine != nil {
+			o.CacheHit = append(o.CacheHit, rep.Engine.CacheHit)
+		}
+		if rep.Fleet != nil {
+			for _, r := range rep.Fleet.Replicas {
+				o.CacheHit = append(o.CacheHit, r.Result.CacheHit)
+			}
+		}
+		return o, nil
+	}
+	trace := newTrace()
+	want := make([]outcome, len(exps))
+	for e, exp := range exps {
+		var err error
+		if want[e], err = run(exp, newTrace()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want[0].CacheHit[0] == 0 {
+		t.Fatal("the engine run had no prefix hits, so its pool referenced no shared pages")
+	}
+	const goroutines = 4
+	got := make([][]outcome, len(exps))
+	errs := make([][]error, len(exps))
+	var wg sync.WaitGroup
+	for e, exp := range exps {
+		got[e] = make([]outcome, goroutines)
+		errs[e] = make([]error, goroutines)
+		for g := range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[e][g], errs[e][g] = run(exp, trace)
+			}()
+		}
+	}
+	wg.Wait()
+	for e := range exps {
+		for g := range goroutines {
+			if errs[e][g] != nil {
+				t.Fatalf("experiment %d, goroutine %d: %v", e, g, errs[e][g])
+			}
+			if !reflect.DeepEqual(got[e][g], want[e]) {
+				t.Fatalf("experiment %d, goroutine %d on the shared trace:\n%+v\nserial run:\n%+v", e, g, got[e][g], want[e])
+			}
+		}
+	}
+	if !reflect.DeepEqual(trace.Requests, newTrace().Requests) {
+		t.Fatal("the runs changed the trace they shared")
 	}
 }
 

@@ -12,6 +12,11 @@
 // share a context prefix present the same leading page IDs (the workload
 // generator derives IDs from session identity and position), so prefix
 // matching behaves exactly like hash-based radix caching over real tokens.
+//
+// The pool keeps no page storage of its own: Insert keeps subslices of
+// the caller's page list as runs and never writes into them, so a page
+// list passed to Insert must not change afterwards. Callers publish
+// request page lists, which the trace owns and never rewrites.
 package kvcache
 
 // PageID identifies the content of one KV page (a hash over the tokens it
@@ -44,12 +49,12 @@ func PageCount(tokens, pageTokens int) int {
 // children). A run's last page is its only page that can be an LRU leaf,
 // so the node is listed for eviction under its tail tick, base+len-1.
 //
-// Each node owns the backing array of pages up to cap(pages), which no
-// other node shares: a split hands the prefix pages[:m:m], so appending
-// within capacity never writes into another run. Evicted nodes are
-// recycled through the pool's free list with their buffers. Ticks are
-// unique per page touch, so every heap entry left over from a recycled
-// node's previous life names a tick no cached page holds, and drops.
+// pages is a read-only subslice of a page list passed to Insert: the
+// pool reslices runs (a split, a trimmed tail) but never writes into
+// them. Evicted nodes drop their slice and are recycled through the
+// pool's free list. Ticks are unique per page touch, so every heap entry
+// left over from a recycled node's previous life names a tick no cached
+// page holds, and drops.
 type node struct {
 	pages    []PageID
 	parent   *node
@@ -127,9 +132,9 @@ func common(run, pages []PageID) int {
 
 // evEntry is a lazy LRU heap entry: node n, listed while it was a leaf
 // whose tail tick was access. It is live while n is evictable with that
-// same tail tick, and stale otherwise — n was touched, pinned, extended,
-// trimmed or evicted since. Stale entries are dropped when they reach
-// the top.
+// same tail tick, and stale otherwise — n was touched, pinned, given a
+// child, trimmed or evicted since. Stale entries are dropped when they
+// reach the top.
 type evEntry struct {
 	n      *node
 	access int64
@@ -233,19 +238,14 @@ type Pool struct {
 	lru       evHeap
 	clock     int64
 	stats     Stats
-	free      []*node  // recycled evicted nodes, buffers kept
-	slab      []node   // fresh nodes, carved out nodeSlab at a time
-	arena     []PageID // fresh page storage, carved out pageArena at a time
+	free      []*node // recycled evicted nodes
+	slab      []node  // fresh nodes, carved out nodeSlab at a time
 }
 
-// nodeSlab is how many nodes one allocation provides, and pageArena how
-// many pages: a pool publishes a run per finished request, and allocating
-// each node and buffer alone raised the allocations per request of
-// short-context replays.
-const (
-	nodeSlab  = 64
-	pageArena = 4096
-)
+// nodeSlab is how many nodes one allocation provides: a pool publishes a
+// run per finished request, and allocating each node alone raised the
+// allocations per request of short-context replays.
+const nodeSlab = 64
 
 // New creates a pool holding capacityTokens of KV, paged by pageTokens.
 func New(capacityTokens int64, pageTokens int) *Pool {
@@ -260,13 +260,13 @@ func New(capacityTokens int64, pageTokens int) *Pool {
 }
 
 // allocNode takes a node off the free list (or the current slab), with
-// an empty run and no links.
+// no run and no links.
 func (p *Pool) allocNode() *node {
 	if l := len(p.free); l > 0 {
 		n := p.free[l-1]
 		p.free[l-1] = nil
 		p.free = p.free[:l-1]
-		*n = node{pages: n.pages[:0], children: n.children} // keep the buffer and (empty) branch map
+		*n = node{children: n.children} // keep the (empty) branch map
 		return n
 	}
 	if len(p.slab) == 0 {
@@ -275,21 +275,6 @@ func (p *Pool) allocNode() *node {
 	n := &p.slab[0]
 	p.slab = p.slab[1:]
 	return n
-}
-
-// carve returns an empty page buffer of capacity k that no other run
-// shares. Runs longer than a quarter arena get their own allocation, so
-// one long run never strands most of an arena.
-func (p *Pool) carve(k int) []PageID {
-	if k > pageArena/4 {
-		return make([]PageID, 0, k)
-	}
-	if len(p.arena) < k {
-		p.arena = make([]PageID, pageArena)
-	}
-	buf := p.arena[:0:k]
-	p.arena = p.arena[k:]
-	return buf
 }
 
 // Capacity returns pool capacity in tokens.
@@ -453,7 +438,7 @@ func (p *Pool) freeTokens(want int64) bool {
 		par.removeChild(v)
 		p.usedPages -= int64(len(v.pages))
 		p.stats.Evictions += int64(len(v.pages))
-		v.pages = v.pages[:0]
+		v.pages = nil
 		v.dead = true
 		p.free = append(p.free, v)
 		// A parent left a leaf keeps its own recency; if it is older than
@@ -492,8 +477,10 @@ func (p *Pool) Release(tokens int64) {
 // Insert publishes a page sequence into the tree (typically a finished
 // request's full context). Pages already present are deduplicated. If
 // space runs out mid-insert, the remaining suffix is dropped — matching
-// radix caches that keep whatever prefix fits. Returns pages added. The
-// pool copies the pages it keeps; the caller may reuse the slice.
+// radix caches that keep whatever prefix fits. Returns pages added.
+//
+// The pool keeps the added pages by reference, as a subslice of pages,
+// and never writes into it: the caller must not change pages afterwards.
 func (p *Pool) Insert(pages []PageID) int {
 	n, matched := p.walk(pages)
 	add := pages[matched:]
@@ -513,25 +500,17 @@ func (p *Pool) Insert(pages []PageID) int {
 			return 0
 		}
 	}
-	if n != p.root && n.nchild == 0 && n.pins == 0 && cap(n.pages)-len(n.pages) >= len(add) {
-		// The walk touched n last, so its ticks run on into the new
-		// pages; unpinned, it shares its pin count with them too.
-		n.pages = append(n.pages, add...)
-	} else {
-		c := p.allocNode()
-		if cap(c.pages) < len(add) {
-			c.pages = p.carve(len(add))
-		}
-		c.pages = append(c.pages, add...)
-		c.base = p.clock + 1
-		c.parent = n
-		n.addChild(c)
-		n = c
-	}
+	// Capped, so no reslice or append of the run reaches the rest of
+	// the caller's array.
+	c := p.allocNode()
+	c.pages = add[:len(add):len(add)]
+	c.base = p.clock + 1
+	c.parent = n
+	n.addChild(c)
 	p.clock += int64(len(add))
 	p.usedPages += int64(len(add))
 	p.stats.Inserts += int64(len(add))
-	p.listIfEvictable(n)
+	p.listIfEvictable(c)
 	return len(add)
 }
 

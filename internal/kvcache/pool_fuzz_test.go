@@ -3,6 +3,7 @@ package kvcache
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -186,7 +187,9 @@ func checkTicks(n *node, r *refNode) error {
 // pairs, applies each operation to a Pool and to refPool, and fails on
 // the first divergence in return values, accounting, Stats, the Peek of
 // any sequence inserted so far, any cached page's recency, or the tree
-// invariants.
+// invariants. It also fails if any slice the program gave the pool
+// changed: the pool keeps inserted pages by reference and must never
+// write into them.
 func runPoolOps(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -202,7 +205,14 @@ func runPoolOps(t *testing.T, data []byte) {
 		inserted [][]PageID
 		reserved []int64
 		pins     []pin
+		given    [][]PageID // every slice passed to p, with its snapshot
+		snaps    [][]PageID
 	)
+	give := func(pages []PageID) []PageID {
+		given = append(given, pages)
+		snaps = append(snaps, slices.Clone(pages))
+		return pages
+	}
 	data = data[1:]
 	for step := 0; step < maxPoolOps && len(data) >= 2; step++ {
 		op, arg := data[0], data[1]
@@ -210,13 +220,13 @@ func runPoolOps(t *testing.T, data []byte) {
 		pages := opPages(op, arg)
 		switch op & 7 {
 		case 0, 1:
-			if got, want := p.Insert(pages), r.insert(pages); got != want {
+			if got, want := p.Insert(give(pages)), r.insert(pages); got != want {
 				t.Fatalf("step %d: Insert(%v) = %d, reference %d", step, pages, got, want)
 			}
 			inserted = append(inserted, pages)
 		case 2:
 			total := len(pages)*16 - int(arg>>5)
-			if got, want := p.MatchTokens(pages, total), r.matchTokens(pages, total); got != want {
+			if got, want := p.MatchTokens(give(pages), total), r.matchTokens(pages, total); got != want {
 				t.Fatalf("step %d: MatchTokens(%v) = %d, reference %d", step, pages, got, want)
 			}
 		case 3:
@@ -237,7 +247,7 @@ func runPoolOps(t *testing.T, data []byte) {
 			}
 		case 5:
 			count := int(arg>>5) + 1
-			p.Pin(pages, count)
+			p.Pin(give(pages), count)
 			r.adjustPins(pages, count, +1)
 			pins = append(pins, pin{pages, count})
 		case 6:
@@ -248,7 +258,7 @@ func runPoolOps(t *testing.T, data []byte) {
 				r.adjustPins(last.pages, last.count, -1)
 			}
 		case 7:
-			if got, want := p.Match(pages), r.match(pages); got != want {
+			if got, want := p.Match(give(pages)), r.match(pages); got != want {
 				t.Fatalf("step %d: Match(%v) = %d, reference %d", step, pages, got, want)
 			}
 		}
@@ -269,6 +279,11 @@ func runPoolOps(t *testing.T, data []byte) {
 		}
 		if err := checkTicks(p.root, r.root); err != nil {
 			t.Fatalf("step %d (op %d): %v", step, op&7, err)
+		}
+		for i, s := range given {
+			if !slices.Equal(s, snaps[i]) {
+				t.Fatalf("step %d (op %d): the pool wrote into a slice it was given: %v, was %v", step, op&7, s, snaps[i])
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -163,20 +164,69 @@ func TestInsertNeverEvictsItsOwnTail(t *testing.T) {
 	}
 }
 
-// The pool keeps its own copy of what Insert publishes: callers (and
-// BenchmarkEvictChurn) reuse their page buffers afterwards.
-func TestInsertCopiesPages(t *testing.T) {
-	p := New(1000, 16)
-	pages := seq(1, 2, 3, 4)
-	p.Insert(pages)
-	for i := range pages {
-		pages[i] = PageID(100 + i)
+// Insert keeps the caller's pages by reference and never writes into
+// them. Here the run of a is trimmed to 1..5 while a[5:8] stays behind
+// it in the same array, and the next insert extends that run: writing
+// the new pages into a's array in place would overwrite a[5] and a[6].
+func TestInsertLeavesCallerPagesIntact(t *testing.T) {
+	p := New(8*16, 16)
+	a := seq(1, 2, 3, 4, 5, 6, 7, 8)
+	p.Insert(a)
+	if !p.Reserve(3 * 16) {
+		t.Fatal("Reserve failed on an unpinned pool")
 	}
-	if got := p.Peek(seq(1, 2, 3, 4)); got != 4 {
-		t.Fatalf("Peek of the inserted sequence = %d after the caller reused its slice, want 4", got)
+	if got := p.Stats().Evictions; got != 3 {
+		t.Fatalf("Evictions = %d, want 3", got)
 	}
-	if got := p.Peek(pages); got != 0 {
-		t.Fatalf("Peek of the overwritten slice = %d, want 0", got)
+	p.Release(3 * 16)
+	b := seq(1, 2, 3, 4, 5, 100, 101)
+	if added := p.Insert(b); added != 2 {
+		t.Fatalf("Insert added %d, want 2", added)
+	}
+	if !slices.Equal(a, seq(1, 2, 3, 4, 5, 6, 7, 8)) {
+		t.Fatalf("caller's pages = %v after the pool extended their run, want 1..8", a)
+	}
+	if got := p.Peek(b); got != len(b) {
+		t.Fatalf("Peek of the extension = %d, want %d", got, len(b))
+	}
+	if got := p.Peek(a); got != 5 {
+		t.Fatalf("Peek of the trimmed sequence = %d, want 5", got)
+	}
+	if err := checkTree(p); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Publishing a long chain costs the pool no page storage. On a full
+// pool that has churned (so the node free list and the LRU heap are
+// warm), each Insert of a fresh chain of about 1,900 pages allocates
+// under 1 KB, against the 15 KB a copy of its pages takes. Each chain is
+// a page longer than the one before, as LooGLE contexts vary in length,
+// so no evicted run's buffer could hold a copy of the next.
+func TestInsertDoesNotCopyPages(t *testing.T) {
+	const chain, warm, inserts = 1900, 16, 8
+	chains := make([][]PageID, warm+inserts)
+	for c := range chains {
+		chains[c] = make([]PageID, chain+c)
+		for j := range chains[c] {
+			chains[c][j] = PageID(uint64(c)<<32 | uint64(j))
+		}
+	}
+	p := New(4*chain*16, 16)
+	for _, pages := range chains[:warm] {
+		p.Insert(pages)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, pages := range chains[warm:] {
+		p.Insert(pages)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / inserts; per >= 1024 {
+		t.Fatalf("Insert of a ~%d-page chain allocates %d B, want under 1 KB", chain, per)
+	}
+	if err := checkTree(p); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -472,6 +522,36 @@ func BenchmarkMatchInsert(b *testing.B) {
 	}
 }
 
+// chainSupply hands out page sequences of n pages that no earlier take
+// returned, building them in batches with the benchmark timer stopped:
+// the pool keeps published pages by reference, so a benchmark must not
+// rewrite a buffer it has published.
+type chainSupply struct {
+	b     *testing.B
+	n     int
+	next  uint64 // the next sequence's ID, the high half of its page IDs
+	batch [][]PageID
+}
+
+func (cs *chainSupply) take() []PageID {
+	if len(cs.batch) == 0 {
+		cs.b.StopTimer()
+		cs.batch = make([][]PageID, 64)
+		for i := range cs.batch {
+			pages := make([]PageID, cs.n)
+			for j := range pages {
+				pages[j] = PageID(cs.next<<32 | uint64(j))
+			}
+			cs.batch[i] = pages
+			cs.next++
+		}
+		cs.b.StartTimer()
+	}
+	pages := cs.batch[0]
+	cs.batch = cs.batch[1:]
+	return pages
+}
+
 // BenchmarkEvictChurn has the pool traffic of a long-context replay: on a
 // full pool a request reserves ~1900 pages of KV, evicting the oldest
 // cached chain tail first, releases them when it finishes, and publishes
@@ -479,12 +559,9 @@ func BenchmarkMatchInsert(b *testing.B) {
 func BenchmarkEvictChurn(b *testing.B) {
 	const chain = 1900
 	p := New(4*chain*16, 16)
-	pages := make([]PageID, chain)
+	chains := chainSupply{b: b, n: chain}
 	for c := 0; c < 4; c++ {
-		for j := range pages {
-			pages[j] = PageID(uint64(c)<<32 | uint64(j))
-		}
-		p.Insert(pages)
+		p.Insert(chains.take())
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -492,10 +569,7 @@ func BenchmarkEvictChurn(b *testing.B) {
 			b.Fatal("Reserve failed on an unpinned pool")
 		}
 		p.Release(chain * 16)
-		for j := range pages {
-			pages[j] = PageID(uint64(i+4)<<32 | uint64(j))
-		}
-		p.Insert(pages)
+		p.Insert(chains.take())
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/chain, "ns/page")
 }
@@ -515,20 +589,16 @@ func BenchmarkMultiTurn(b *testing.B) {
 	p := New(capacity*16, 16)
 	rng := rand.New(rand.NewPCG(3, 3))
 	type session struct {
-		pages []PageID // buffer of maxContext page IDs
+		pages []PageID // the conversation's maxContext page IDs
 		n     int      // pages published so far
 	}
 	ss := make([]session, sessions)
-	conv := uint64(0)
+	convs := chainSupply{b: b, n: maxContext}
 	restart := func(s *session) {
-		conv++
-		for j := range s.pages {
-			s.pages[j] = PageID(conv<<32 | uint64(j))
-		}
+		s.pages = convs.take()
 		s.n = 0
 	}
 	for i := range ss {
-		ss[i].pages = make([]PageID, maxContext)
 		restart(&ss[i])
 	}
 	var published int64

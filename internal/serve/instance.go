@@ -71,6 +71,8 @@ func (i *Instance) Abort(id int) bool { return i.Rec.Abort(id) }
 // migrated session's next turn admits as a cache hit instead of paying
 // a re-prefill. Returns pages actually inserted (capacity may evict or
 // truncate); a halted instance or a pool-less engine accepts nothing.
+// The pool keeps the pages by reference, so they must not change
+// afterwards (the migration path passes the session's trace pages).
 func (i *Instance) PreloadKV(pages []kvcache.PageID) int {
 	pools := i.Eng.CachePools()
 	if i.Rec.Halted() || len(pages) == 0 || len(pools) == 0 {

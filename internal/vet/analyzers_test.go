@@ -37,6 +37,13 @@ func TestPoolSafety(t *testing.T) {
 	)
 }
 
+func TestTraceWrite(t *testing.T) {
+	vettest.Run(t, "testdata/tracewrite", []*vet.Analyzer{vet.TraceWrite},
+		"muxwise/internal/workload",
+		"muxwise/internal/serve",
+	)
+}
+
 // TestDirectives proves the exemption semantics end to end: a
 // well-formed directive suppresses exactly one diagnostic on exactly
 // one line for exactly one analyzer, and a directive missing its
@@ -49,7 +56,7 @@ func TestDirectives(t *testing.T) {
 }
 
 func TestRoster(t *testing.T) {
-	want := []string{"wallclock", "maprange", "hotclosure", "poolsafety", "directive"}
+	want := []string{"wallclock", "maprange", "hotclosure", "poolsafety", "tracewrite", "directive"}
 	got := vet.Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() returned %d analyzers, want %d", len(got), len(want))

@@ -16,6 +16,9 @@
 //   - poolsafety: no retaining pooled records past their release
 //     point, and no touching a Handle's slot without the generation
 //     check.
+//   - tracewrite: no writes to a shared trace's requests or page lists
+//     outside internal/workload — runs share traces, and KV pools keep
+//     page lists by reference.
 //   - directive:  the exemption directives themselves are well-formed
 //     (a reason is mandatory).
 //
@@ -113,7 +116,7 @@ func (d Diagnostic) String() string {
 var allAnalyzers []*Analyzer
 
 func init() {
-	allAnalyzers = []*Analyzer{Wallclock, MapRange, HotClosure, PoolSafety, Directive}
+	allAnalyzers = []*Analyzer{Wallclock, MapRange, HotClosure, PoolSafety, TraceWrite, Directive}
 }
 
 // Analyzers returns the full roster in stable order.
