@@ -103,12 +103,14 @@ type Engine struct {
 	decodeIterStart sim.Time
 	decodeSolo      sim.Time
 
-	active  *prefillJob              // job whose layers are executing
-	layer   gpu.Kernel               // per-layer kernel of layerOf, priced once from its seqs
-	layerOf *prefillJob              // nil once enqueue appends to that job
-	queue   serve.Queue[*prefillJob] // admitted jobs waiting for the prefill stream
-	merging []*prefillJob            // prefill-complete jobs awaiting a decode boundary
-	pending serve.Queue[*workload.Request]
+	active   *prefillJob              // job whose layers are executing
+	layer    gpu.Kernel               // per-layer kernel of layerOf, priced once from its seqs
+	layerTP  sim.Time                 // T_P: PrefillPhase(layerOf.seqs, layerSMs)
+	layerSMs int                      // prefill partition size layerTP was priced at; 0 when unpriced
+	layerOf  *prefillJob              // nil once enqueue appends to that job
+	queue    serve.Queue[*prefillJob] // admitted jobs waiting for the prefill stream
+	merging  []*prefillJob            // prefill-complete jobs awaiting a decode boundary
+	pending  serve.Queue[*workload.Request]
 
 	configs   []int
 	curConfig int
@@ -260,7 +262,8 @@ func (e *Engine) maybePreempt(job *prefillJob) {
 	// Wait if not preempting: remaining layers of the active job plus
 	// everything queued ahead.
 	rem := e.est.PrefillPhase(a.seqs, prefSMs)
-	wait := sim.Time(float64(rem) * float64(e.env.Arch.Layers-a.layersDone) / float64(e.env.Arch.Layers))
+	aRem := sim.Time(float64(rem) * float64(e.env.Arch.Layers-a.layersDone) / float64(e.env.Arch.Layers))
+	wait := aRem
 	for i := 0; i < last; i++ {
 		wait += e.est.PrefillPhase(e.queue.At(i).seqs, prefSMs)
 	}
@@ -273,7 +276,6 @@ func (e *Engine) maybePreempt(job *prefillJob) {
 	// active job's remaining work (the "short preempts long" pattern of
 	// §3.4.2 — a long job is barely delayed by a short one, while the
 	// converse would wreck the short request's TTFT).
-	aRem := sim.Time(float64(rem) * float64(e.env.Arch.Layers-a.layersDone) / float64(e.env.Arch.Layers))
 	meetsOwn := now+own+aRem <= e.deadline(a)
 	short := own*2 <= aRem
 	if !meetsOwn && !short {
@@ -427,7 +429,10 @@ func (e *Engine) mergeJob(j *prefillJob) {
 	e.admitPending()
 }
 
-// pumpPrefill keeps the prefill stream fed with layer launches.
+// pumpPrefill keeps the prefill stream fed with layer launches. It runs
+// at every layer boundary, so it prices nothing that has not changed
+// since the last one: the layer kernel and T_P come from price, and T_d
+// from the running decode iteration.
 func (e *Engine) pumpPrefill() {
 	for e.active == nil && e.queue.Len() > 0 {
 		j := e.queue.Pop()
@@ -460,13 +465,18 @@ func (e *Engine) pumpPrefill() {
 		e.launchWholePhase(j)
 		return
 	}
+	e.price(j)
 	// Target in-flight layers: enough to cover one decode iteration
 	// (N_PL = ceil(T_d·N_T / T_P), §3.4.2), at least 2 for pipelining.
+	// While an iteration runs, neither the batch nor curConfig changes
+	// before its boundary, so its launch-time prediction is T_d.
 	nTarget := 2
 	if e.decode.Size() > 0 {
-		td := e.est.DecodeSolo(e.decode.TotalCtx(), e.decode.Size(), e.curConfig)
-		tp := e.est.PrefillPhase(j.seqs, e.prefillP.SMs())
-		if tp > 0 {
+		td := e.decodeSolo
+		if !e.decode.Running {
+			td = e.est.DecodeSolo(e.decode.TotalCtx(), e.decode.Size(), e.curConfig)
+		}
+		if tp := e.layerTP; tp > 0 {
 			n := int(float64(td)*float64(e.env.Arch.Layers)/float64(tp)) + 1
 			if n > nTarget {
 				nTarget = n
@@ -478,15 +488,26 @@ func (e *Engine) pumpPrefill() {
 	}
 }
 
-// launchLayer issues one prefill layer kernel. Every layer of a job costs
-// the same, so the kernel is priced once per job (again only after a
-// preemption switched jobs or an arrival joined it).
-func (e *Engine) launchLayer(j *prefillJob) {
+// price makes e.layer and e.layerTP current for j on the prefill
+// partition's present size, which must be positive. Every layer of a job
+// costs the same, so the kernel is priced once per job (again only after
+// a preemption switched jobs or an arrival joined it), and T_P once per
+// job and partition size.
+func (e *Engine) price(j *prefillJob) {
 	if e.layerOf != j {
 		cost := e.env.Arch.PrefillLayer(j.seqs, e.env.GPUs, true)
 		e.layer = gpu.NewKernel("prefill-layer", gpu.Prefill, cost, e.env.Spec.LayerLaunch)
 		e.layerOf = j
+		e.layerSMs = 0
 	}
+	if sms := e.prefillP.SMs(); sms != e.layerSMs {
+		e.layerTP = e.est.PrefillPhase(j.seqs, sms)
+		e.layerSMs = sms
+	}
+}
+
+// launchLayer issues one prefill layer kernel, priced by price.
+func (e *Engine) launchLayer(j *prefillJob) {
 	j.layersInAir++
 	e.prefillP.LaunchFn(e.layer, layerDone, j)
 }

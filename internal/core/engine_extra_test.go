@@ -5,6 +5,7 @@ import (
 
 	"muxwise/internal/estimator"
 	"muxwise/internal/gpu"
+	"muxwise/internal/kvcache"
 	"muxwise/internal/metrics"
 	"muxwise/internal/model"
 	"muxwise/internal/serve"
@@ -179,5 +180,72 @@ func TestGuardRuntimeRefinement(t *testing.T) {
 	// Cells can only grow (Observe adds unseen cells).
 	if fitted.Guard().Cells() < before {
 		t.Fatal("guard lost cells during serving")
+	}
+}
+
+// An arrival that joins a paused job which was already priced makes the
+// job's cached T_P stale; the join must drop the cache with the layer
+// kernel, so that whenever the cache names the job at the prefill
+// partition's present size, it equals a fresh PrefillPhase. The join of
+// a paused job is the existing, golden-pinned batching rule of enqueue.
+func TestPausedJobJoinRepricesTP(t *testing.T) {
+	s := sim.New()
+	rec := metrics.NewRecorder()
+	env := &serve.Env{Config: cfg70B(), Sim: s, Rec: rec}
+	e := NewWithOptions(env, DefaultOptions())
+	submit := func(id, input int) *workload.Request {
+		r := &workload.Request{
+			ID: id, Arrival: s.Now(), InputTokens: input, OutputTokens: 4,
+			Pages:    pages(uint64(id+1), kvcache.PageCount(input, kvcache.DefaultPageTokens)),
+			AllPages: pages(uint64(id+1), kvcache.PageCount(input+4, kvcache.DefaultPageTokens)),
+		}
+		rec.Arrive(r.ID, r.Arrival, r.InputTokens)
+		e.pending.Push(r)
+		return r
+	}
+	coherent := func(when string) {
+		t.Helper()
+		if e.layerOf == nil || e.layerSMs != e.prefillP.SMs() {
+			return
+		}
+		if fresh := e.est.PrefillPhase(e.layerOf.seqs, e.layerSMs); e.layerTP != fresh {
+			t.Fatalf("%s: cached T_P %v, fresh PrefillPhase %v", when, e.layerTP, fresh)
+		}
+	}
+
+	s.At(0, func() {
+		submit(0, 16000)
+		e.admitPending()
+		e.schedule()
+	})
+	s.RunUntil(200 * sim.Millisecond)
+	long := e.active
+	if long == nil || long.layersDone == 0 || e.layerOf != long || e.layerSMs == 0 {
+		t.Fatalf("the long job is not running priced layers at %v", s.Now())
+	}
+	coherent("before the join")
+
+	// A short arrival preempts the long job, and a second one, admitted
+	// in the same pass, joins the paused long job behind it.
+	submit(1, 100)
+	submit(2, 200)
+	e.admitPending()
+	if e.queue.Len() != 2 || !e.queue.At(0).isPreemptor || e.queue.At(1) != long || len(long.reqs) != 2 {
+		t.Fatalf("want the preemptor then the paused long job holding 2 requests; queue has %d jobs", e.queue.Len())
+	}
+	coherent("after the join")
+	e.schedule()
+
+	repriced := false
+	for step := sim.Time(1); s.Pending() > 0; step++ {
+		s.RunUntil(200*sim.Millisecond + step*sim.Millisecond)
+		coherent("after the resume")
+		repriced = repriced || (e.layerOf == long && e.layerSMs > 0)
+	}
+	if !repriced {
+		t.Fatal("the paused long job never resumed")
+	}
+	if sum := rec.Summarize("mux", s.Now()); sum.Finished != 3 {
+		t.Fatalf("finished %d/3", sum.Finished)
 	}
 }

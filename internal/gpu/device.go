@@ -79,6 +79,12 @@ func NewKernel(label string, kind Kind, c model.Cost, launch sim.Time) Kernel {
 // drain keys it too, because only then does a drain free bandwidth that
 // other kernels take up; any other drain changes no rate and fires no
 // event.
+//
+// One occupancy pass and bandwidth waterfill run per change to the
+// running set, and each keys the timer. A retirement whose queued
+// successor starts in the same event is one change, not two: the
+// successor's start runs the waterfill, so a layer-to-layer handoff
+// costs one pass and one timer key.
 type Device struct {
 	Spec Spec
 	TP   int
@@ -93,8 +99,8 @@ type Device struct {
 	saturated  bool // the last waterfill ran out of bandwidth
 
 	// Pool and scratch buffers: reallocate runs on every kernel start and
-	// every timer firing, so its working set is reused rather than
-	// reallocated.
+	// every timer firing that starts none, so its working set is reused
+	// rather than reallocated.
 	runFree  []*run
 	occ      []float64
 	caps     []float64
@@ -467,7 +473,9 @@ func deviceProgress(arg any) { arg.(*Device).onProgress() }
 // onProgress fires at a kernel retirement or a drain under a saturated
 // waterfill: it advances work, retires finished kernels, and re-runs the
 // waterfill. Both firings change its inputs: a retirement removes a
-// kernel's demand, and a drain zeroes one.
+// kernel's demand, and a drain zeroes one. When a retired kernel's queued
+// successor has passed its host launch, the successor's startRun, after
+// the callbacks, runs the one waterfill and keys the timer instead.
 func (d *Device) onProgress() {
 	d.next = sim.Handle{}
 	d.progress()
@@ -481,18 +489,26 @@ func (d *Device) onProgress() {
 		}
 	}
 	d.running = remaining
+	starts := false
 	for _, r := range finished {
 		p := r.part
 		p.current = nil
 		// The new head queued behind r, so its ready event was never
-		// pushed; push it now unless it has already passed.
+		// pushed; push it now unless it has already passed, in which
+		// case the tryStart below starts it in this event.
 		if p.qhead < len(p.queue) {
-			if h := p.queue[p.qhead]; !d.sim.Passed(h.ticket) {
+			if h := p.queue[p.qhead]; d.sim.Passed(h.ticket) {
+				starts = true
+			} else {
 				d.sim.AtTicket(h.ticket, runReady, h)
 			}
 		}
 	}
-	d.reallocate()
+	// Safe to leave to that start: callbacks never read rates, and time
+	// does not advance within an event.
+	if !starts {
+		d.reallocate()
+	}
 	for i, r := range finished {
 		if r.dfn != nil {
 			r.dfn(r.darg)

@@ -211,3 +211,59 @@ func TestZeroSMPartitionWorkPanics(t *testing.T) {
 	}()
 	s.RunUntil(10 * sim.Microsecond)
 }
+
+// A chain of kernels queued on one partition, beside a long kernel on a
+// second one, starts each successor inside its predecessor's retirement
+// event. There the waterfill runs once and the completion timer is keyed
+// once, so no retirement re-keys it, and every link completes when the
+// FIFO reference says: at max(its host launch ready, its predecessor's
+// retirement) plus its solo duration.
+func TestQueuedSuccessorKeysTimerOnce(t *testing.T) {
+	const links = 6
+	const launch = 5 * sim.Microsecond
+	link := Kernel{Kind: Decode, Bytes: 2.039e12 * 0.01, Launch: launch}
+
+	s0 := sim.New()
+	solo := link
+	solo.Launch = 0
+	var dur sim.Time
+	NewDevice(s0, A100(), 1, "solo").Partition(54, "chain").Launch(solo, func() { dur = s0.Now() })
+	s0.Run()
+
+	s := sim.New()
+	d := NewDevice(s, A100(), 1, "chain")
+	long := d.Partition(54, "long")
+	chain := d.Partition(54, "chain")
+	var longAt sim.Time
+	long.Launch(Kernel{Kind: Prefill, FLOPs: 1e14, Tokens: 4096, Launch: launch}, func() { longAt = s.Now() })
+	var at []sim.Time
+	for range links {
+		chain.Launch(link, func() { at = append(at, s.Now()) })
+	}
+	// Every launch is ready, and both partitions are running, well before
+	// the chain's head retires.
+	s.RunUntil((links + 1) * launch)
+	if chain.QueueLen() != links || long.QueueLen() != 1 {
+		t.Fatalf("queue lengths %d, %d before the first retirement, want %d, 1", chain.QueueLen(), long.QueueLen(), links)
+	}
+	canceled := s.Stats().Canceled
+	s.Run()
+	if got := s.Stats().Canceled; got != canceled {
+		t.Fatalf("%d timer re-keys at the chain's retirements, want 0", got-canceled)
+	}
+	if len(at) != links {
+		t.Fatalf("%d of %d links completed", len(at), links)
+	}
+	var prev sim.Time
+	for i, got := range at {
+		ready := sim.Time(i+2) * launch // behind the long kernel's launch
+		want := max(ready, prev) + dur
+		if got != want {
+			t.Fatalf("link %d completed at %v, want %v (FIFO reference)", i, got, want)
+		}
+		prev = want
+	}
+	if longAt <= prev {
+		t.Fatalf("long kernel retired at %v, before the chain's end at %v", longAt, prev)
+	}
+}

@@ -190,10 +190,7 @@ func (e *Engine) release(run *serve.Running) {
 // resizeDecodeGroup consolidates the decode group to the fewest GPUs
 // whose memory holds the active decode KV.
 func (e *Engine) resizeDecodeGroup() {
-	var kvTokens int64
-	for _, r := range e.decode.Reqs {
-		kvTokens += int64(r.CtxTokens())
-	}
+	kvTokens := int64(e.decode.TotalCtx())
 	need := e.baseTP
 	if e.capTokensPerGPU > 0 {
 		need = e.roundUpTP(int((kvTokens + e.capTokensPerGPU - 1) / e.capTokensPerGPU))

@@ -137,42 +137,47 @@ func (r *Running) Abort(pool *kvcache.Pool) {
 	pool.Release(r.ReservedTokens)
 }
 
-// Batch is a decode batch.
+// Batch is a decode batch. It keeps a running sum of its requests'
+// CtxTokens: Add adds the joining request's context, and StepInto adds
+// one per kept request and subtracts each finished one's. A member's
+// context changes only there, which is why the request list is
+// unexported.
 type Batch struct {
-	Reqs []*Running
+	reqs []*Running
+	ctx  int // Σ CtxTokens over reqs
 }
 
 // Size returns the batch size.
-func (b *Batch) Size() int { return len(b.Reqs) }
+func (b *Batch) Size() int { return len(b.reqs) }
 
-// TotalCtx returns the summed context length of the batch.
-func (b *Batch) TotalCtx() int {
-	t := 0
-	for _, r := range b.Reqs {
-		t += r.CtxTokens()
-	}
-	return t
-}
+// TotalCtx returns the summed context length of the batch, the running
+// sum, in O(1).
+func (b *Batch) TotalCtx() int { return b.ctx }
 
 // Add appends a request to the batch.
-func (b *Batch) Add(r *Running) { b.Reqs = append(b.Reqs, r) }
+func (b *Batch) Add(r *Running) {
+	b.reqs = append(b.reqs, r)
+	b.ctx += r.CtxTokens()
+}
 
 // StepInto credits one generated token to every request at time now and
 // removes the requests that finished, appending them to dst (reusing its
 // capacity, so per-iteration stepping does not allocate).
 func (b *Batch) StepInto(now sim.Time, rec *metrics.Recorder, dst []*Running) []*Running {
 	finished := dst[:0]
-	keep := b.Reqs[:0]
-	for _, r := range b.Reqs {
+	keep := b.reqs[:0]
+	for _, r := range b.reqs {
 		r.Generated++
 		rec.TokenSlot(&r.RecSlot, r.R.ID, now)
 		if r.DecodeDone() {
 			rec.Finish(r.R.ID, now)
 			finished = append(finished, r)
+			b.ctx -= r.CtxTokens() - 1
 		} else {
 			keep = append(keep, r)
 		}
 	}
-	b.Reqs = keep
+	b.ctx += len(keep)
+	b.reqs = keep
 	return finished
 }

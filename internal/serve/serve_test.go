@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"muxwise/internal/gpu"
@@ -111,6 +112,64 @@ func TestBatchStep(t *testing.T) {
 	}
 	if got := b.TotalCtx(); got != 12 {
 		t.Fatalf("TotalCtx = %d, want 12", got)
+	}
+}
+
+// TotalCtx is a running sum: after every Add, FirstToken-then-Add and
+// StepInto of a random program it equals the brute-force sum of the
+// members' CtxTokens, and the batch holds exactly the requests a
+// reference list says it should.
+func TestBatchTotalCtxMatchesSum(t *testing.T) {
+	for seed := range uint64(50) {
+		rng := rand.New(rand.NewPCG(seed, 0xba7c4))
+		rec := metrics.NewRecorder()
+		var b Batch
+		var ref []*Running
+		id := 0
+		for op := range 200 {
+			switch rng.IntN(3) {
+			case 0: // a migrated request joins with no token yet
+				rec.Arrive(id, 0, 1)
+				r := &Running{R: req(id, 1+rng.IntN(4000), 1+rng.IntN(8))}
+				b.Add(r)
+				ref = append(ref, r)
+			case 1: // a finished prefill emits its first token, then joins
+				rec.Arrive(id, 0, 1)
+				r := &Running{R: req(id, 1+rng.IntN(4000), 1+rng.IntN(8))}
+				if !FirstToken(rec, r, sim.Time(op)) {
+					b.Add(r)
+					ref = append(ref, r)
+				}
+			case 2:
+				fin := b.StepInto(sim.Time(op), rec, nil)
+				keep := ref[:0]
+				for _, r := range ref {
+					if !r.DecodeDone() {
+						keep = append(keep, r)
+					}
+				}
+				if len(fin)+len(keep) != len(ref) {
+					t.Fatalf("seed %d op %d: %d finished + %d kept != %d stepped", seed, op, len(fin), len(keep), len(ref))
+				}
+				ref = keep
+			}
+			id++
+			want := 0
+			for _, r := range ref {
+				want += r.CtxTokens()
+			}
+			if got := b.TotalCtx(); got != want {
+				t.Fatalf("seed %d op %d: TotalCtx = %d, brute-force sum = %d", seed, op, got, want)
+			}
+			if len(b.reqs) != len(ref) {
+				t.Fatalf("seed %d op %d: batch holds %d requests, reference %d", seed, op, len(b.reqs), len(ref))
+			}
+			for i := range ref {
+				if b.reqs[i] != ref[i] {
+					t.Fatalf("seed %d op %d: batch member %d differs from the reference", seed, op, i)
+				}
+			}
+		}
 	}
 }
 
