@@ -12,11 +12,6 @@
 //	muxbench -run frontier         # goodput-per-GPU frontier (Fig. 13 scales)
 //	muxbench -run frontier -frontier-report out.json
 //	                               # ...also write the canonical FrontierReport
-//	muxbench -simcore              # hot-path benchmarks, markdown digest
-//	muxbench -simcore -simcore-write BENCH_simcore.json
-//	                               # ...regenerate the committed baseline
-//	muxbench -simcore -simcore-check BENCH_simcore.json
-//	                               # ...fail on regression against the baseline
 //	muxbench -replay               # 100-replica / 1M-request stress replay
 //	muxbench -replay -replay-replicas 10 -replay-requests 100000
 //	                               # ...reduced scale
@@ -50,11 +45,6 @@ func main() {
 	asJSON := flag.Bool("json", false, "write results as JSON instead of tables")
 	frontierReport := flag.String("frontier-report", "",
 		"when the frontier experiment runs, also write its canonical FrontierReport JSON here")
-	simcore := flag.Bool("simcore", false,
-		"run the committed hot-path benchmarks (core engine, fleet tick, router pick) and print a markdown digest")
-	simcoreWrite := flag.String("simcore-write", "", "with -simcore: (re)write the BENCH_simcore.json baseline here")
-	simcoreCheck := flag.String("simcore-check", "",
-		"with -simcore: fail if allocs/request or ns/request regressed against this baseline")
 	replay := flag.Bool("replay", false,
 		"run the stress replay: many independent replicas shard-parallel over reused per-worker arenas")
 	replayReplicas := flag.Int("replay-replicas", 100, "with -replay: replica count")
@@ -64,14 +54,6 @@ func main() {
 
 	if *replay {
 		if err := runReplay(os.Stdout, *replayReplicas, *replayRequests, *replayRate); err != nil {
-			fmt.Fprintln(os.Stderr, "muxbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *simcore || *simcoreWrite != "" || *simcoreCheck != "" {
-		if err := runSimcore(*simcoreWrite, *simcoreCheck); err != nil {
 			fmt.Fprintln(os.Stderr, "muxbench:", err)
 			os.Exit(1)
 		}

@@ -11,9 +11,8 @@ import (
 )
 
 // replayDeployment is the fixed per-replica shape of the stress replay:
-// one A100 serving Llama-8B, the same point the committed simcore
-// benchmarks run on, so replay events/sec is directly comparable to the
-// BENCH_simcore.json trend.
+// one A100 serving Llama-8B on ShareGPT, the shape muxperf's
+// sharegpt-engine workload benchmarks one engine at.
 func replayDeployment() muxwise.Option {
 	return muxwise.WithDeployment(muxwise.Deployment{
 		Hardware: "A100", GPUs: 1, Model: "Llama-8B",

@@ -172,14 +172,8 @@ func prefillFeatures(seqs []model.Seq) []float64 {
 // memoryBound reports which roofline side binds a kernel of the given
 // cost on sms SMs — the label a real profiler reads from perf counters.
 func (e *Estimator) memoryBound(c model.Cost, kind gpu.Kind, sms int) bool {
-	frac := float64(sms) / float64(e.Spec.SMs)
-	mfu := e.Spec.MFUDecode
-	if kind == gpu.Prefill {
-		mfu = e.Spec.PrefillMFU(e.Spec.MFUPrefill, c.Tokens, frac, e.TP)
-	}
-	computeT := c.FLOPs / (frac * e.Spec.TensorFLOPS * float64(e.TP) * mfu)
-	memT := c.Bytes / e.Spec.BandwidthCap(frac, e.Spec.HBMBandwidth*float64(e.TP))
-	return memT >= computeT
+	compute, hbm := e.Spec.SoloRates(kind, c.Tokens, sms, e.TP)
+	return c.Bytes/hbm >= c.FLOPs/compute
 }
 
 // fitRegimes fits the memory/compute planes from labelled samples. A

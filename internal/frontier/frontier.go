@@ -279,6 +279,18 @@ func Run(m Matrix) (*Report, error) {
 	for _, c := range m.Compositions {
 		comps[c.Name] = c
 	}
+	// Every cell at a scale replays that scale's one trace. Runs never
+	// write the trace they replay (muxvet's tracewrite analyzer flags
+	// such writes), so concurrent cells can share it, and it is
+	// generated once per scale rather than once per cell.
+	offers := map[float64]offered{}
+	for _, s := range m.Scales {
+		o, err := m.offer(s)
+		if err != nil {
+			return nil, err
+		}
+		offers[s] = o
+	}
 
 	type outcome struct {
 		cell Cell
@@ -286,7 +298,7 @@ func Run(m Matrix) (*Report, error) {
 	}
 	results := par.RunIndexed(len(keys), func(i int) outcome {
 		k := keys[i]
-		cell, err := m.runCell(comps[k.comp], k.cond, k.router, k.scale)
+		cell, err := m.runCell(comps[k.comp], k.cond, k.router, offers[k.scale])
 		return outcome{cell: cell, err: err}
 	})
 	rep := &Report{
@@ -323,24 +335,30 @@ func compositionNames(comps []Composition) []string {
 	return out
 }
 
-// runCell replays one (composition, condition, router, scale) cell and
-// reduces it to the report row.
-func (m Matrix) runCell(comp Composition, cond, router string, scale float64) (Cell, error) {
-	// Each cell regenerates its trace: traces carry mutable per-request
-	// state (IDs, arrival bookkeeping), so concurrent cells must not
-	// share one. Generation is seeded, so every cell at a scale replays
-	// byte-identical arrivals over the identical offered window —
-	// compositions and routers compare on the same span.
-	trace := muxwise.MixedBursty(m.Seed, m.Sessions, scale)
-	var span sim.Time
-	for _, r := range trace.Requests {
-		if r.Arrival > span {
-			span = r.Arrival
-		}
+// offered is one burst scale's trace and its arrival span, the window
+// every cell at that scale is normalised over.
+type offered struct {
+	scale float64
+	trace *muxwise.Trace
+	span  sim.Time
+}
+
+// offer generates the Fig. 13 mixed trace at one burst scale.
+func (m Matrix) offer(scale float64) (offered, error) {
+	o := offered{scale: scale, trace: muxwise.MixedBursty(m.Seed, m.Sessions, scale)}
+	for _, r := range o.trace.Requests {
+		o.span = max(o.span, r.Arrival)
 	}
-	if span <= 0 {
-		return Cell{}, fmt.Errorf("frontier: scale %g trace has no arrival span (sessions %d)", scale, m.Sessions)
+	if o.span <= 0 {
+		return offered{}, fmt.Errorf("frontier: scale %g trace has no arrival span (sessions %d)", scale, m.Sessions)
 	}
+	return o, nil
+}
+
+// runCell replays one (composition, condition, router) cell on a scale's
+// offered trace and reduces it to the report row.
+func (m Matrix) runCell(comp Composition, cond, router string, off offered) (Cell, error) {
+	trace, span, scale := off.trace, off.span, off.scale
 	opts := []muxwise.Option{
 		muxwise.WithDeployment(m.Deployment),
 		muxwise.WithFleet(comp.Replicas...),

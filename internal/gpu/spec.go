@@ -199,6 +199,19 @@ func (s *Spec) BandwidthCap(frac, bw float64) float64 {
 	return min(bw, frac/s.BWSaturationFrac*bw)
 }
 
+// SoloRates returns the compute (FLOP/s) and HBM (bytes/s) rates a lone
+// kernel of the given kind and new-token count gets on sms SMs of each of
+// tp GPUs: the roofline cost model prices kernels with them, and the
+// fitted estimator labels its samples' regimes with them.
+func (s *Spec) SoloRates(kind Kind, tokens, sms, tp int) (compute, hbm float64) {
+	frac := float64(sms) / float64(s.SMs)
+	mfu := s.MFUDecode
+	if kind == Prefill {
+		mfu = s.PrefillMFU(s.MFUPrefill, tokens, frac, tp)
+	}
+	return frac * s.TensorFLOPS * float64(tp) * mfu, s.BandwidthCap(frac, s.HBMBandwidth*float64(tp))
+}
+
 // PartitionSizes returns the valid decode-partition SM counts for this
 // spec, stepping by PartitionGranularity and starting at the remainder
 // that keeps every configuration's complement a multiple of the step.

@@ -521,24 +521,6 @@ func (r *Recorder) WithinSLO(slo SLO) int {
 	return n
 }
 
-// TTFTAttainment returns the fraction of first tokens within the SLO.
-func (r *Recorder) TTFTAttainment(slo sim.Time) float64 {
-	total, ok := 0, 0
-	for _, rec := range r.recs {
-		if rec.dead || rec.firstToken < 0 {
-			continue
-		}
-		total++
-		if rec.firstToken-rec.arrival <= slo {
-			ok++
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(ok) / float64(total)
-}
-
 // Summarize builds the run summary. now is the simulation end time, used
 // for makespan and stability accounting. It sorts the TBT gaps only if
 // they moved since the last Summarize or Merge and keeps them sorted, so
@@ -610,17 +592,6 @@ func (r *Recorder) TBTSamples() []float64 {
 	return out
 }
 
-// TTFTPerTokenSamples returns TTFT/input-length for every started request.
-func (r *Recorder) TTFTPerTokenSamples() []float64 {
-	var out []float64
-	for _, rec := range r.recs {
-		if !rec.dead && rec.firstToken >= 0 && rec.inputTokens > 0 {
-			out = append(out, (rec.firstToken-rec.arrival).Seconds()/float64(rec.inputTokens))
-		}
-	}
-	return out
-}
-
 // Timeline records a step function of the compute partition over time
 // (Fig. 18: SM share of prefill vs decode).
 type Timeline struct {
@@ -652,38 +623,10 @@ func (tl *Timeline) DistinctConfigs() int {
 	return len(set)
 }
 
-// MeanShares returns the time-weighted mean SM share of decode and
-// prefill over [0, end].
-func (tl *Timeline) MeanShares(end sim.Time, totalSMs int) (decode, prefill float64) {
-	if len(tl.times) == 0 || totalSMs == 0 {
-		return 0, 0
-	}
-	var dInt, pInt float64
-	for i := range tl.times {
-		until := end
-		if i+1 < len(tl.times) {
-			until = tl.times[i+1]
-		}
-		if until > end {
-			until = end
-		}
-		dt := (until - tl.times[i]).Seconds()
-		if dt < 0 {
-			dt = 0
-		}
-		dInt += float64(tl.decodeSMs[i]) * dt
-		pInt += float64(tl.prefillSMs[i]) * dt
-	}
-	span := (end - tl.times[0]).Seconds()
-	if span <= 0 {
-		return 0, 0
-	}
-	return dInt / span / float64(totalSMs), pInt / span / float64(totalSMs)
-}
-
-// MeanSharesActive is MeanShares restricted to intervals where the
-// prefill partition holds SMs — the co-running periods Fig. 18 plots.
-// It returns zeros when the phases never multiplexed.
+// MeanSharesActive returns the time-weighted mean SM share of decode
+// and prefill up to end, over the intervals where the prefill partition
+// holds SMs — the co-running periods Fig. 18 plots. It returns zeros
+// when the phases never multiplexed.
 func (tl *Timeline) MeanSharesActive(end sim.Time, totalSMs int) (decode, prefill float64) {
 	if len(tl.times) == 0 || totalSMs == 0 {
 		return 0, 0

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -85,16 +84,6 @@ func TestAttainment(t *testing.T) {
 	if att < 0.5 || att > 1 {
 		t.Fatalf("attainment = %v out of range", att)
 	}
-
-	r2 := NewRecorder()
-	r2.Arrive(7, 0, 10)
-	r2.Token(7, ms(400))
-	if got := r2.TTFTAttainment(ms(500)); got != 1 {
-		t.Fatalf("TTFT attainment = %v, want 1", got)
-	}
-	if got := r2.TTFTAttainment(ms(300)); got != 0 {
-		t.Fatalf("TTFT attainment = %v, want 0", got)
-	}
 }
 
 func TestUnfinishedMarksUnstable(t *testing.T) {
@@ -153,22 +142,6 @@ func TestThroughput(t *testing.T) {
 	}
 }
 
-func TestTTFTPerToken(t *testing.T) {
-	r := NewRecorder()
-	r.Arrive(1, 0, 1000)
-	r.Token(1, ms(500))
-	r.Arrive(2, 0, 100)
-	r.Token(2, ms(200))
-	samples := r.TTFTPerTokenSamples()
-	sort.Float64s(samples)
-	if len(samples) != 2 {
-		t.Fatalf("samples = %d, want 2", len(samples))
-	}
-	if !near(samples[0], 0.0005) || !near(samples[1], 0.002) {
-		t.Fatalf("per-token = %v", samples)
-	}
-}
-
 func TestDuplicateAndUnknownIDs(t *testing.T) {
 	r := NewRecorder()
 	r.Arrive(1, 0, 10)
@@ -192,8 +165,9 @@ func TestTimeline(t *testing.T) {
 	if tl.DistinctConfigs() != 2 {
 		t.Fatalf("distinct = %d, want 2", tl.DistinctConfigs())
 	}
-	d, p := tl.MeanShares(4*sim.Second, 108)
-	// 2s at 44/108 + 2s at 92/108 → decode mean 68/108.
+	// Prefill holds SMs throughout: 2s at 44/108 + 2s at 92/108 → decode
+	// mean 68/108.
+	d, p := tl.MeanSharesActive(4*sim.Second, 108)
 	if !near(d, 68.0/108.0) {
 		t.Fatalf("decode mean share = %v", d)
 	}
@@ -207,7 +181,7 @@ func TestTimeline(t *testing.T) {
 
 func TestTimelineEmpty(t *testing.T) {
 	var tl Timeline
-	d, p := tl.MeanShares(sim.Second, 108)
+	d, p := tl.MeanSharesActive(sim.Second, 108)
 	if d != 0 || p != 0 {
 		t.Fatal("empty timeline shares should be zero")
 	}

@@ -77,23 +77,16 @@ func (m *Model) clampSMs(sms int) int {
 	return sms
 }
 
-// rates returns the solo compute (FLOP/s) and memory (bytes/s) service
-// rates of a kernel of the given kind and new-token count on sms SMs per
-// GPU — the exact rates the simulated device grants a lone kernel.
-func (m *Model) rates(kind gpu.Kind, tokens, sms int) (crate, brate float64) {
-	frac := float64(sms) / float64(m.Spec.SMs)
-	mfu := m.Spec.MFUDecode
-	if kind == gpu.Prefill {
-		mfu = m.Spec.PrefillMFU(m.Spec.MFUPrefill, tokens, frac, m.TP)
-	}
-	crate = frac * m.Spec.TensorFLOPS * float64(m.TP) * mfu
-	return crate, m.Spec.BandwidthCap(frac, m.Spec.HBMBandwidth*float64(m.TP))
+// execSeconds is the roofline time of one kernel running solo on sms
+// SMs, at the exact rates the simulated device grants a lone kernel.
+func (m *Model) execSeconds(c model.Cost, kind gpu.Kind, sms int) float64 {
+	crate, brate := m.Spec.SoloRates(kind, c.Tokens, m.clampSMs(sms), m.TP)
+	return m.seconds(c, crate, brate)
 }
 
-// execSeconds is the roofline max over the three sub-streams (compute,
-// HBM, interconnect) for one kernel running solo on sms SMs.
-func (m *Model) execSeconds(c model.Cost, kind gpu.Kind, sms int) float64 {
-	crate, brate := m.rates(kind, c.Tokens, m.clampSMs(sms))
+// seconds is the roofline max over the three sub-streams (compute at
+// crate FLOP/s, HBM at brate bytes/s, interconnect at NVLink bandwidth).
+func (m *Model) seconds(c model.Cost, crate, brate float64) float64 {
 	t := 0.0
 	if c.FLOPs > 0 {
 		t = c.FLOPs / crate
@@ -152,7 +145,7 @@ func (m *Model) PrefillPhase(seqs []model.Seq, sms int) sim.Time {
 func (m *Model) DecodeWorst(totalCtx, bs, sms, prefillNew, prefillReused int) sim.Time {
 	sms = m.clampSMs(sms)
 	c := m.Arch.DecodeIterTotals(totalCtx, bs, m.TP)
-	crate, brate := m.rates(gpu.Decode, c.Tokens, sms)
+	crate, brate := m.Spec.SoloRates(gpu.Decode, c.Tokens, sms, m.TP)
 	launch := m.Spec.GraphLaunch
 	preSM := m.Spec.SMs - sms
 	if preSM > 0 && prefillNew+prefillReused > 0 {
@@ -174,21 +167,7 @@ func (m *Model) DecodeWorst(totalCtx, bs, sms, prefillNew, prefillReused int) si
 			}
 		}
 	}
-	t := 0.0
-	if c.FLOPs > 0 {
-		t = c.FLOPs / crate
-	}
-	if c.Bytes > 0 {
-		if bt := c.Bytes / brate; bt > t {
-			t = bt
-		}
-	}
-	if c.CommBytes > 0 {
-		if ct := c.CommBytes / m.Spec.NVLinkBandwidth; ct > t {
-			t = ct
-		}
-	}
-	return launch + sim.FromSeconds(t)
+	return launch + sim.FromSeconds(m.seconds(c, crate, brate))
 }
 
 // FusedStep predicts one chunked-prefill iteration that fuses a prefill
@@ -238,7 +217,7 @@ func (r Regime) String() string {
 // kind on sms SMs — the label the fitted estimator derives to pick a
 // regression plane, computed here as the model's direct output.
 func (m *Model) RegimeOf(c model.Cost, kind gpu.Kind, sms int) Regime {
-	crate, brate := m.rates(kind, c.Tokens, m.clampSMs(sms))
+	crate, brate := m.Spec.SoloRates(kind, c.Tokens, m.clampSMs(sms), m.TP)
 	ct := c.FLOPs / crate
 	mt := c.Bytes / brate
 	xt := 0.0

@@ -12,14 +12,14 @@ var HotClosure = &Analyzer{
 		"In the pooled hot-path packages (sim, gpu, metrics, kvcache, par) a\n" +
 		"closure literal passed to a scheduling seam that also offers a\n" +
 		"closure-free form (At→AtFunc, After→AfterFunc, Launch→LaunchFn)\n" +
-		"allocates per event — exactly the regressions the BENCH_simcore\n" +
-		"alloc gate catches after the fact. Also flagged: fmt.Sprintf-family\n" +
+		"allocates per event — exactly the regressions muxperf's\n" +
+		"allocs_per_req gate catches after the fact. Also flagged: fmt.Sprintf-family\n" +
 		"calls outside String/Error/Format methods and panic messages,\n" +
 		"struct values boxed into interface parameters, and methods other than\n" +
 		"String/Error/Format whose value receiver is a struct of more than 80\n" +
 		"bytes, which every call copies. Every function in a\n" +
-		"hot package is presumed reachable from the EngineStep/FleetTick\n" +
-		"benchmark roots unless it is pure formatting or a terminal panic.",
+		"hot package is presumed reachable from the per-event paths of a\n" +
+		"run unless it is pure formatting or a terminal panic.",
 	Run: runHotClosure,
 }
 

@@ -36,15 +36,6 @@ type Request struct {
 	Dataset string
 }
 
-// NewTokens returns the non-reused part of the input.
-func (r *Request) NewTokens() int {
-	n := r.InputTokens - r.ReusedTokens
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // Trace is an ordered set of requests.
 type Trace struct {
 	Name     string

@@ -322,17 +322,6 @@ func TestMix(t *testing.T) {
 	}
 }
 
-func TestNewTokens(t *testing.T) {
-	r := Request{InputTokens: 100, ReusedTokens: 40}
-	if r.NewTokens() != 60 {
-		t.Fatalf("NewTokens = %d, want 60", r.NewTokens())
-	}
-	r2 := Request{InputTokens: 10, ReusedTokens: 10}
-	if r2.NewTokens() != 1 {
-		t.Fatalf("degenerate NewTokens = %d, want 1", r2.NewTokens())
-	}
-}
-
 // Property: censored-lognormal fit hits the requested mean for random
 // well-formed parameter triples.
 func TestPropertyDistMeanFit(t *testing.T) {
