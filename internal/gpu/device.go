@@ -71,14 +71,27 @@ func NewKernel(label string, kind Kind, c model.Cost, launch sim.Time) Kernel {
 // simulation. Its host-launch-ready event is a reserved sim.Ticket that
 // is pushed only if the kernel becomes the head of an idle partition's
 // queue before its launch completes; a kernel queued behind a running one
-// starts when that one retires, with no event of its own. The device
-// keeps one completion timer for all running kernels, re-keyed in place
-// whenever rates change. It is keyed at the earliest kernel retirement:
-// the latest of a kernel's compute, HBM and interconnect deadlines at its
-// current rates. While the last bandwidth waterfill was saturated, an HBM
-// drain keys it too, because only then does a drain free bandwidth that
-// other kernels take up; any other drain changes no rate and fires no
-// event.
+// starts when that one retires, with no event of its own.
+//
+// A kernel that heads an idle partition of more than 0 SMs while nothing
+// runs on the device needs no ready event either: its start changes no
+// other kernel's rate, so it is known at submit. Such a kernel starts at
+// submit, deferred to its ready instant. Its completion timer is keyed
+// from that instant with sim.AtFuncOnPass, which takes the sequence
+// number the ready event's timer key would have drawn, so it dispatches
+// exactly where the evented start's would. The next retirement, kernel
+// start, resize or Stats read settles the deferred start first. If the
+// ready key has passed, the kernel has been running since then.
+// Otherwise it goes back to waiting for its ready event, which is pushed
+// then.
+//
+// The device keeps one completion timer for all running kernels,
+// re-keyed in place whenever rates change. It is keyed at the earliest
+// kernel retirement: the latest of a kernel's compute, HBM and
+// interconnect deadlines at its current rates. While the last bandwidth
+// waterfill was saturated, an HBM drain keys it too, because only then
+// does a drain free bandwidth that other kernels take up; any other
+// drain changes no rate and fires no event.
 //
 // One occupancy pass and bandwidth waterfill run per change to the
 // running set, and each keys the timer. A retirement whose queued
@@ -94,6 +107,7 @@ type Device struct {
 	hostFreeAt sim.Time
 	partitions []*Partition
 	running    []*run
+	pend       *run // deferred start: in running, still its queue's head
 	next       sim.Handle
 	lastAt     sim.Time
 	saturated  bool // the last waterfill ran out of bandwidth
@@ -193,6 +207,7 @@ func (p *Partition) SetSMs(sms int) {
 	if sms < 0 || sms > p.dev.Spec.SMs {
 		panic(fmt.Sprintf("gpu: partition resize to %d SMs outside [0,%d]", sms, p.dev.Spec.SMs))
 	}
+	p.dev.settle()
 	p.sms = sms
 	p.reconfigs++
 	d := p.dev
@@ -242,7 +257,9 @@ func (p *Partition) LaunchFn(k Kernel, done func(any), arg any) {
 
 // submit queues a pooled run for k and reserves its host-launch-ready
 // event, pushing it only when k heads an idle partition's queue: behind
-// other work the event would start nothing.
+// other work the event would start nothing. On an idle device the start
+// is deferred instead, unless the partition has no SMs, so that starting
+// work there still panics at the ready instant.
 func (p *Partition) submit(k Kernel) *run {
 	d := p.dev
 	now := d.sim.Now()
@@ -263,9 +280,51 @@ func (p *Partition) submit(k Kernel) *run {
 	}
 	p.queue = append(p.queue, r)
 	if p.current == nil && len(p.queue)-p.qhead == 1 {
-		d.sim.AtTicket(r.ticket, runReady, r)
+		if d.pend == nil && len(d.running) == 0 && p.sms > 0 {
+			d.deferStart(r)
+		} else {
+			d.sim.AtTicket(r.ticket, runReady, r)
+		}
 	}
 	return r
+}
+
+// deferStart starts r, the head of an idle partition on an idle device,
+// at its ready instant: it sets r's rates and keys the completion timer
+// from that instant, as startRun would there. r stays at its queue's head
+// until settle commits it.
+func (d *Device) deferStart(r *run) {
+	d.pend = r
+	d.initRun(r)
+	d.running = append(d.running, r)
+	d.setRates()
+	if t := d.soonest(r.ticket.At()); t < sim.MaxTime {
+		d.next = d.sim.AtFuncOnPass(r.ticket, t, deviceProgress, d)
+	}
+}
+
+// settle resolves a deferred start before anything reads or changes the
+// running set. Once the ready key has passed, the kernel has been running
+// since its ready instant: it leaves its queue and counts as started
+// there. Before that, nothing has run yet, and the kernel waits for its
+// pushed ready event instead.
+func (d *Device) settle() {
+	r := d.pend
+	if r == nil {
+		return
+	}
+	d.pend = nil
+	if !d.sim.Passed(r.ticket) {
+		d.running = d.running[:0]
+		d.sim.Cancel(d.next)
+		d.next = sim.Handle{}
+		d.sim.AtTicket(r.ticket, runReady, r)
+		return
+	}
+	ready := r.ticket.At()
+	d.lastAt = ready
+	d.count(ready)
+	r.part.dequeue()
 }
 
 // runReady is the bound callback for a run's host-launch completion.
@@ -291,11 +350,19 @@ func (d *Device) releaseRun(r *run) {
 }
 
 // tryStart begins executing the queue head if the stream is idle and the
-// head's host launch has completed.
+// head's host launch has completed. It never starts a deferred head: it
+// meets one only in the event that deferred it, where its ticket has not
+// passed, and every later start or retirement on the device settles it
+// first.
 func (p *Partition) tryStart() {
 	if p.current != nil || p.qhead == len(p.queue) || !p.dev.sim.Passed(p.queue[p.qhead].ticket) {
 		return
 	}
+	p.dev.startRun(p.dequeue())
+}
+
+// dequeue makes the queue head the partition's current kernel.
+func (p *Partition) dequeue() *run {
 	r := p.queue[p.qhead]
 	p.queue[p.qhead] = nil
 	p.qhead++
@@ -304,25 +371,37 @@ func (p *Partition) tryStart() {
 		p.qhead = 0
 	}
 	p.current = r
-	p.dev.startRun(r)
+	return r
 }
 
 func (d *Device) startRun(r *run) {
 	if r.part.sms == 0 && (r.k.FLOPs > workEps || r.k.Bytes > workEps) {
 		panic(fmt.Sprintf("gpu: kernel with work started on partition %q of 0 SMs", r.part.label))
 	}
+	d.settle()
 	d.progress()
+	d.initRun(r)
+	d.running = append(d.running, r)
+	d.count(d.sim.Now())
+	d.reallocate()
+}
+
+// initRun fixes r's SM fraction and efficiency at its start and loads its
+// work.
+func (d *Device) initRun(r *run) {
 	r.frac = float64(r.part.sms) / float64(d.Spec.SMs)
 	r.eff = d.efficiency(r.k, r.frac)
 	r.remC = r.k.FLOPs
 	r.remB = r.k.Bytes
 	r.remComm = r.k.CommBytes
-	d.running = append(d.running, r)
+}
+
+// count books a kernel start at t.
+func (d *Device) count(t sim.Time) {
 	d.kernels++
 	if d.firstWork < 0 {
-		d.firstWork = d.sim.Now()
+		d.firstWork = t
 	}
-	d.reallocate()
 }
 
 // progress advances all running kernels' remaining work to the current
@@ -424,8 +503,24 @@ func (d *Device) setRates() {
 // the waterfill is saturated, re-keying a pending event in place. A
 // kernel with no work left retires 1 ns from now.
 func (d *Device) schedule() {
+	switch soonest := d.soonest(d.sim.Now()); {
+	case soonest == sim.MaxTime:
+		// Nothing is running, or every running kernel is starved until
+		// the running set changes.
+		d.sim.Cancel(d.next)
+		d.next = sim.Handle{}
+	case d.next.Pending():
+		d.next = d.sim.Reschedule(d.next, soonest)
+	default:
+		d.next = d.sim.AtFunc(soonest, deviceProgress, d)
+	}
+}
+
+// soonest returns the earliest kernel retirement, or HBM drain under a
+// saturated waterfill, at the current rates counted from now; MaxTime if
+// no running kernel can progress.
+func (d *Device) soonest(now sim.Time) sim.Time {
 	soonest := sim.MaxTime
-	now := d.sim.Now()
 	for _, r := range d.running {
 		drain := subStreamDeadline(now, r.remB, r.brate)
 		t := max(subStreamDeadline(now, r.remC, r.crate), drain, subStreamDeadline(now, r.remComm, r.commRate))
@@ -437,17 +532,7 @@ func (d *Device) schedule() {
 		}
 		soonest = min(soonest, t)
 	}
-	switch {
-	case soonest == sim.MaxTime:
-		// Nothing is running, or every running kernel is starved until
-		// the running set changes.
-		d.sim.Cancel(d.next)
-		d.next = sim.Handle{}
-	case d.next.Pending():
-		d.next = d.sim.Reschedule(d.next, soonest)
-	default:
-		d.next = d.sim.AtFunc(soonest, deviceProgress, d)
-	}
+	return soonest
 }
 
 // subStreamDeadline returns when rem units drain at rate units/second:
@@ -475,8 +560,10 @@ func deviceProgress(arg any) { arg.(*Device).onProgress() }
 // waterfill. Both firings change its inputs: a retirement removes a
 // kernel's demand, and a drain zeroes one. When a retired kernel's queued
 // successor has passed its host launch, the successor's startRun, after
-// the callbacks, runs the one waterfill and keys the timer instead.
+// the callbacks, runs the one waterfill and keys the timer instead. When
+// nothing is left running, there is nothing to rate and no timer to key.
 func (d *Device) onProgress() {
+	d.settle()
 	d.next = sim.Handle{}
 	d.progress()
 	finished := d.finished[:0]
@@ -506,7 +593,7 @@ func (d *Device) onProgress() {
 	}
 	// Safe to leave to that start: callbacks never read rates, and time
 	// does not advance within an event.
-	if !starts {
+	if !starts && len(d.running) > 0 {
 		d.reallocate()
 	}
 	for i, r := range finished {
@@ -540,6 +627,7 @@ type Stats struct {
 // Stats returns accounting over the device's active window (first kernel
 // start to last activity).
 func (d *Device) Stats() Stats {
+	d.settle()
 	d.progress()
 	var window float64
 	if d.firstWork >= 0 && d.lastWork > d.firstWork {

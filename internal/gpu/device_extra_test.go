@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,9 +102,10 @@ func TestZeroWorkKernel(t *testing.T) {
 }
 
 // A lone kernel whose compute, HBM and interconnect sub-streams drain at
-// three different times fires two events, its launch-ready and its
-// retirement, and retires at ready + ⌈slowest sub-stream time⌉. No rate
-// changes at the two earlier drains, so they fire nothing.
+// three different times fires one event, its retirement, and retires at
+// ready + ⌈slowest sub-stream time⌉. It heads an idle device, so its start
+// at the ready instant changes no other rate and needs no event; nor do
+// the two earlier drains.
 func TestSubStreamDrainsFireNoEvent(t *testing.T) {
 	s := sim.New()
 	d := NewDevice(s, A100(), 2, "lone")
@@ -121,8 +123,63 @@ func TestSubStreamDrainsFireNoEvent(t *testing.T) {
 	if want := k.Launch + sim.FromSeconds(max(compute, hbm, comm)); doneAt != want {
 		t.Fatalf("kernel retired at %v, want %v", doneAt, want)
 	}
-	if got := s.Fired(); got != 2 {
-		t.Fatalf("%d events fired, want 2 (launch-ready, retirement)", got)
+	if got := s.Fired(); got != 1 {
+		t.Fatalf("%d events fired, want 1 (retirement)", got)
+	}
+}
+
+// A kernel launched while another partition runs fires its launch-ready
+// event: its start changes the running kernel's rates.
+func TestLaunchBesideRunningKernelFiresReady(t *testing.T) {
+	s := sim.New()
+	d := NewDevice(s, A100(), 1, "busy")
+	long := d.Partition(54, "long")
+	other := d.Partition(54, "other")
+	long.Launch(Kernel{Kind: Prefill, FLOPs: 1e13, Tokens: 4096}, nil)
+	s.RunUntil(10 * sim.Microsecond)
+	const launch = 5 * sim.Microsecond
+	var doneAt sim.Time
+	other.Launch(Kernel{Kind: Decode, Bytes: 1e9, Launch: launch}, func() { doneAt = s.Now() })
+	fired := s.Fired()
+	s.RunUntil(s.Now() + launch)
+	if got := s.Fired() - fired; got != 1 {
+		t.Fatalf("%d events fired by the ready instant, want 1 (launch-ready)", got)
+	}
+	if other.QueueLen() != 1 || long.QueueLen() != 1 {
+		t.Fatalf("queue lengths %d, %d at the ready instant, want 1, 1", long.QueueLen(), other.QueueLen())
+	}
+	s.Run()
+	if doneAt == 0 {
+		t.Fatal("the second kernel never completed")
+	}
+}
+
+// An event keyed inside a kernel's launch window at the kernel's exact
+// completion instant dispatches before the completion callback, as if the
+// completion timer had been keyed at the ready instant; one keyed before
+// the launch dispatches first, and one keyed after the ready instant
+// last. Keying the timer at submit would put the kernel ahead of the
+// launch-window event.
+func TestDeferredStartKeepsTieOrder(t *testing.T) {
+	const launch = 10 * sim.Microsecond
+	k := Kernel{Kind: Decode, Bytes: 1e9, Launch: launch}
+	ref := sim.New()
+	var doneAt sim.Time
+	NewDevice(ref, A100(), 1, "ref").Partition(108, "p").Launch(k, func() { doneAt = ref.Now() })
+	ref.Run()
+
+	s := sim.New()
+	p := NewDevice(s, A100(), 1, "tie").Partition(108, "p")
+	var order []string
+	mark := func(label string) func() { return func() { order = append(order, label) } }
+	s.At(doneAt, mark("before launch"))
+	p.Launch(k, mark("kernel"))
+	s.At(launch/2, func() { s.At(doneAt, mark("launch window")) })
+	s.At(launch+1, func() { s.At(doneAt, mark("after ready")) })
+	s.Run()
+	want := []string{"before launch", "launch window", "kernel", "after ready"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("dispatch order at %v: %q, want %q", doneAt, order, want)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // launches, resizes, clock advances and mid-run Stats reads. Launches
 // vary kind, size, interconnect traffic and launch latency, include
 // zero-work kernels, and may launch a follow-up from their completion
-// callback. Every completion is recorded, so the same program can be
-// checked for invariants and hashed into a timeline digest.
+// callback. Every completion and resize is recorded, so the same program
+// can be checked for invariants and hashed into a timeline digest.
 type deviceProgram struct {
 	t    testing.TB
 	data []byte
@@ -32,6 +32,9 @@ type deviceProgram struct {
 	launched [][]int // kernel ids per partition, in launch order
 	done     [][]int // kernel ids per partition, in completion order
 	order    []int   // kernel ids in completion order
+	sms      []int   // each partition's size when the program started
+	resizes  []progResize
+	solo     int // kernels check found alone on the device
 	complete func(any)
 }
 
@@ -41,7 +44,13 @@ type progKernel struct {
 	at      sim.Time // completion time
 	count   int      // completions seen
 	follow  int      // follow-up launches still to make from the callback
+	resizes int      // resizes made before the launch
 	k       Kernel
+}
+
+type progResize struct {
+	part, sms int
+	at        sim.Time
 }
 
 // next returns the next program byte, or 0 once the program is spent.
@@ -71,6 +80,7 @@ func runDeviceProgram(t testing.TB, data []byte) *deviceProgram {
 			sms = spec.SMs/2 + p.next()%(spec.SMs-spec.SMs/2+1)
 		}
 		p.parts = append(p.parts, p.d.Partition(sms, string(rune('a'+i))))
+		p.sms = append(p.sms, sms)
 	}
 	p.launched = make([][]int, n)
 	p.done = make([][]int, n)
@@ -85,7 +95,9 @@ func runDeviceProgram(t testing.TB, data []byte) *deviceProgram {
 		case 3:
 			p.launch(part, p.kernel(b1, b2), 1+b2%2)
 		case 4:
-			p.parts[part].SetSMs(1 + (b1<<8|b2)%spec.SMs)
+			sms := 1 + (b1<<8|b2)%spec.SMs
+			p.parts[part].SetSMs(sms)
+			p.resizes = append(p.resizes, progResize{part: part, sms: sms, at: p.s.Now()})
 		case 5:
 			p.s.RunUntil(p.s.Now() + sim.Time(b1<<8|b2)*sim.Microsecond/16)
 		case 6:
@@ -127,7 +139,7 @@ func (p *deviceProgram) launch(part int, k Kernel, follow int) {
 	id := len(p.kernels)
 	p.parts[part].LaunchFn(k, p.complete, id)
 	p.kernels = append(p.kernels, progKernel{
-		part: part, readyAt: p.s.Now() + p.d.HostBacklog(), follow: follow, k: k,
+		part: part, readyAt: p.s.Now() + p.d.HostBacklog(), follow: follow, resizes: len(p.resizes), k: k,
 	})
 	p.launched[part] = append(p.launched[part], id)
 }
@@ -179,7 +191,8 @@ func (p *deviceProgram) checkBytes() {
 
 // check verifies the program's invariants after it ran to completion:
 // every kernel completes exactly once, in FIFO order on its partition,
-// and never before its host launch was ready.
+// never before its host launch was ready, and a kernel alone on the device
+// retires when its solo rates say.
 func (p *deviceProgram) check() {
 	p.t.Helper()
 	for id, pk := range p.kernels {
@@ -200,6 +213,78 @@ func (p *deviceProgram) check() {
 			}
 		}
 	}
+	p.checkSolo()
+}
+
+// checkSolo finds every kernel that had the device to itself from its
+// ready instant to its retirement and fails unless it retired at ready +
+// ⌈slowest sub-stream time⌉ at the solo rates of its partition's size at
+// the ready instant, or 1 ns after ready with no work. A kernel starts at
+// max(its ready instant, its predecessor's retirement), and it is alone
+// if every other kernel retired before it started or started after it
+// retired. A resize at exactly the ready instant made after the launch
+// may land on either side of the start, so such kernels are skipped.
+func (p *deviceProgram) checkSolo() {
+	p.t.Helper()
+	start := make([]sim.Time, len(p.kernels))
+	for _, ids := range p.launched {
+		var prev sim.Time
+		for _, id := range ids {
+			start[id] = max(p.kernels[id].readyAt, prev)
+			prev = p.kernels[id].at
+		}
+	}
+	for id, pk := range p.kernels {
+		if start[id] != pk.readyAt || !p.alone(id, start) {
+			continue
+		}
+		sms, ok := p.smsAt(pk)
+		if !ok {
+			continue
+		}
+		k := pk.k
+		frac := float64(sms) / float64(p.d.Spec.SMs)
+		var slowest float64
+		if k.FLOPs > 0 {
+			slowest = k.FLOPs / (frac * p.d.TotalFLOPS() * p.d.efficiency(k, frac))
+		}
+		if k.Bytes > 0 {
+			slowest = max(slowest, k.Bytes/p.d.Spec.BandwidthCap(frac, p.d.TotalBandwidth()))
+		}
+		if k.CommBytes > 0 {
+			slowest = max(slowest, k.CommBytes/p.d.Spec.NVLinkBandwidth)
+		}
+		if want := pk.readyAt + max(1, sim.FromSeconds(slowest)); pk.at != want {
+			p.t.Fatalf("kernel %d alone on %d SMs from %v retired at %v, want %v", id, sms, pk.readyAt, pk.at, want)
+		}
+		p.solo++
+	}
+}
+
+// alone reports whether no kernel but id ran at any instant of id's run.
+func (p *deviceProgram) alone(id int, start []sim.Time) bool {
+	for j, pk := range p.kernels {
+		if j != id && pk.at >= start[id] && start[j] <= p.kernels[id].at {
+			return false
+		}
+	}
+	return true
+}
+
+// smsAt returns pk's partition size at its ready instant, or false when a
+// resize made after the launch lands on that instant.
+func (p *deviceProgram) smsAt(pk progKernel) (int, bool) {
+	sms := p.sms[pk.part]
+	for i, rz := range p.resizes {
+		switch {
+		case rz.part != pk.part || rz.at > pk.readyAt:
+		case rz.at == pk.readyAt && i >= pk.resizes:
+			return 0, false
+		default:
+			sms = rz.sms
+		}
+	}
+	return sms, true
 }
 
 // hash writes the program's timeline: every completion in order with its
@@ -233,7 +318,7 @@ const deviceTimelineDigest = "216af042932fe68376a841a0bf3b1d6a0260a54796a8ef8cc8
 // committed digest, and every program satisfies the invariants.
 func TestDeviceTimelineDigest(t *testing.T) {
 	h := sha256.New()
-	completions := 0
+	completions, solo := 0, 0
 	for seed := range uint64(1000) {
 		rng := rand.New(rand.NewPCG(seed, 0xde71ce))
 		data := make([]byte, 1+4+3*(8+rng.IntN(56)))
@@ -244,9 +329,10 @@ func TestDeviceTimelineDigest(t *testing.T) {
 		p.check()
 		p.hash(h)
 		completions += len(p.order)
+		solo += p.solo
 	}
-	if completions < 10000 {
-		t.Fatalf("only %d completions over 1000 programs", completions)
+	if completions < 10000 || solo < 500 {
+		t.Fatalf("only %d completions over 1000 programs, %d of them alone on the device", completions, solo)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != deviceTimelineDigest {
 		t.Fatalf("device timeline digest = %s, want %s", got, deviceTimelineDigest)
@@ -256,9 +342,21 @@ func TestDeviceTimelineDigest(t *testing.T) {
 // FuzzDeviceOps checks the device invariants on arbitrary programs: every
 // kernel completes exactly once, in FIFO order per partition, never
 // before its host launch is ready, with utilizations in [0, 1] and every
-// launched HBM byte counted once.
+// launched HBM byte counted once, and a kernel alone on the device
+// retires at its solo time.
 func FuzzDeviceOps(f *testing.F) {
 	f.Add([]byte{0x00, 50, 0, 1, 2, 5, 0, 40})
+	// One 108-SM partition. A launch with a 15 µs launch window, resized
+	// inside it; run to its end; a second launch, resized after a clock
+	// advance that stays inside its window, with a third queued behind;
+	// run to their end; a fourth launch, resized just after its ready
+	// instant, then a Stats read.
+	f.Add([]byte{
+		0x00, 107,
+		0, 7, 2, 4, 0, 54, 5, 255, 255, 5, 255, 255,
+		0, 7, 2, 5, 0, 160, 4, 0, 80, 0, 7, 2, 5, 255, 255, 5, 255, 255, 5, 255, 255,
+		0, 7, 2, 5, 0, 255, 4, 0, 20, 7, 0, 0,
+	})
 	f.Add([]byte{0x89, 200, 200, 200, 3, 0x83, 11, 11, 0x83, 12, 4, 60, 1, 5, 0, 100, 6, 0, 1})
 	f.Add([]byte{0xcb, 1, 2, 3, 4, 0x0b, 0x81, 3, 0x13, 0x82, 8, 0x1c, 0, 9, 7, 0, 0, 5, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

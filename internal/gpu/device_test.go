@@ -413,6 +413,34 @@ func BenchmarkDeviceContention(b *testing.B) {
 	}
 }
 
+// BenchmarkDeviceSerialLaunch launches kernels back to back on one
+// partition, each from its predecessor's completion callback, the way the
+// Chunked and Temporal engines run their iterations, and reports how many
+// events the loop fires per kernel.
+func BenchmarkDeviceSerialLaunch(b *testing.B) {
+	const kernels = 200
+	iter := Kernel{Kind: Decode, FLOPs: 1e11, Bytes: 3e10, CommBytes: 1e7, Launch: 40 * sim.Microsecond}
+	var events, launched int64
+	for i := 0; i < b.N; i++ {
+		s := sim.New()
+		d := NewDevice(s, A100(), 2, "bench")
+		p := d.Partition(108, "all")
+		left := kernels
+		var step func()
+		step = func() {
+			if left > 0 {
+				left--
+				p.Launch(iter, step)
+			}
+		}
+		step()
+		s.Run()
+		events += s.Fired()
+		launched += d.Stats().Kernels
+	}
+	b.ReportMetric(float64(events)/float64(launched), "events/kernel")
+}
+
 // BenchmarkDeviceLayerPipeline runs a layer-wise prefill beside
 // back-to-back decode iterations at TP=2, the MuxWise engine's steady
 // state, and reports how many events the loop fires per kernel.

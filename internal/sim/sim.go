@@ -28,9 +28,18 @@
 // have had and returns it as a Ticket; AtTicket pushes an event at exactly
 // that key if the caller later finds the event has work to do, and Passed
 // answers whether the eager event would already have fired. A ticket that
-// is never pushed is not counted in Pending or LoopStats. Reschedule
-// re-keys a pending event in place, dispatching and counting exactly as a
-// Cancel followed by a fresh schedule would.
+// is never pushed is not counted in Pending or LoopStats.
+//
+// An event that the eager schedule would only create when a ticket's event
+// fires can skip that event too. AtFuncOnPass pushes it at once, but its
+// sequence number is drawn when the loop passes the ticket — before it
+// dispatches the first event keyed after the ticket, or at the RunUntil
+// return that makes the ticket Passed — so it takes the number an AtFunc
+// call made inside the ticket's event would have taken. Until then it
+// sorts after every event at its time.
+//
+// Reschedule re-keys a pending event in place, dispatching and counting
+// exactly as a Cancel followed by a fresh schedule would.
 package sim
 
 import (
@@ -161,6 +170,7 @@ type Sim struct {
 	free       []*Event // recycled slots
 	seq        int64    // next sequence number to hand out
 	cut        int64    // keys (now, seq) with seq < cut have passed
+	draws      []draw   // AtFuncOnPass events awaiting their ticket, in ticket order
 	reserved   int      // stream entries with reserved seqs, not yet in the heap
 	stopped    bool
 	scheduled  int64
@@ -174,9 +184,11 @@ type Sim struct {
 // counts as scheduled from its AtStream call, as if each entry had been
 // scheduled on its own, so the counters do not depend on how a caller
 // registers its events. A Ticket counts only once AtTicket pushes it; one
-// that is never pushed is not counted at all. Reschedule counts as one
-// cancel plus one schedule. Scheduled == Fired + Canceled + Pending holds
-// at every instant.
+// that is never pushed is not counted at all. An AtFuncOnPass event counts
+// as scheduled from the call, like AtFunc, whether or not its ticket has
+// passed, and as canceled if it is cancelled before the pass. Reschedule
+// counts as one cancel plus one schedule. Scheduled == Fired + Canceled +
+// Pending holds at every instant.
 type LoopStats struct {
 	// Fired counts events dispatched.
 	Fired int64 `json:"fired"`
@@ -358,6 +370,91 @@ func (s *Sim) AtTicket(tk Ticket, fn func(any), arg any) Handle {
 	return Handle{ev: e, gen: e.gen}
 }
 
+// At returns the time tk is keyed at.
+func (tk Ticket) At() Time { return tk.at }
+
+// before reports whether tk's key sorts before the key (at, seq).
+func (tk Ticket) before(at Time, seq int64) bool {
+	return tk.at < at || tk.at == at && tk.seq < seq
+}
+
+// undrawn is the sequence number of an AtFuncOnPass event whose ticket has
+// not passed. Every number drawn before the pass is smaller than the one
+// the event will take, so it sorts after all of them until then.
+const undrawn = math.MaxInt64
+
+// draw is an AtFuncOnPass event waiting for the loop to pass its ticket.
+type draw struct {
+	tk Ticket
+	e  *Event
+}
+
+// AtFuncOnPass schedules fn(arg) at t, keyed as if AtFunc(t, fn, arg) were
+// called inside an event pushed at tk: the event's sequence number is
+// drawn when the loop passes tk, before it dispatches the first event
+// keyed after tk or when a RunUntil return makes tk Passed. It stands in
+// for an event at tk whose only work would be that AtFunc call. It
+// returns a Handle at once; Cancel before the pass draws nothing.
+// Deferring behind a ticket that has passed, or to a time before the
+// ticket's, panics.
+func (s *Sim) AtFuncOnPass(tk Ticket, t Time, fn func(any), arg any) Handle {
+	if s.Passed(tk) {
+		panic(fmt.Sprintf("sim: ticket at %v has already passed (now %v)", tk.at, s.now))
+	}
+	if t < tk.at {
+		panic(fmt.Sprintf("sim: deferring to %v, before the ticket at %v", t, tk.at))
+	}
+	e := s.slot()
+	e.at = t
+	e.seq = undrawn
+	e.afn = fn
+	e.arg = arg
+	s.scheduled++
+	i := len(s.draws)
+	s.draws = append(s.draws, draw{})
+	for ; i > 0 && tk.before(s.draws[i-1].tk.at, s.draws[i-1].tk.seq); i-- {
+		s.draws[i] = s.draws[i-1]
+	}
+	s.draws[i] = draw{tk: tk, e: e}
+	s.push(e)
+	return Handle{ev: e, gen: e.gen}
+}
+
+// drawTo gives every waiting AtFuncOnPass event whose ticket sorts before
+// (at, seq) its sequence number, in ticket order. A drawn number only
+// lowers the event's key, so it moves up the heap. Entries left behind the
+// live window need no clearing: event slots are pooled for the Sim's life.
+func (s *Sim) drawTo(at Time, seq int64) {
+	n := 0
+	for _, d := range s.draws {
+		if !d.tk.before(at, seq) {
+			break
+		}
+		d.e.seq = s.seq
+		s.seq++
+		s.up(int(d.e.index))
+		n++
+	}
+	switch n {
+	case 0:
+	case len(s.draws):
+		s.draws = s.draws[:0]
+	default:
+		s.draws = s.draws[:copy(s.draws, s.draws[n:])]
+	}
+}
+
+// dropDraw forgets e's wait for its ticket, for a cancel or re-key before
+// the pass.
+func (s *Sim) dropDraw(e *Event) {
+	for i, d := range s.draws {
+		if d.e == e {
+			s.draws = slices.Delete(s.draws, i, i+1)
+			return
+		}
+	}
+}
+
 // Passed reports whether tk's key is at or before the key of the event
 // being dispatched — whether an event pushed at tk would already have
 // fired. Between RunUntil calls, every ticket keyed at or before Now that
@@ -393,6 +490,9 @@ func (s *Sim) Cancel(h Handle) {
 	if !h.Pending() {
 		return
 	}
+	if h.ev.seq == undrawn {
+		s.dropDraw(h.ev)
+	}
 	s.remove(int(h.ev.index))
 	s.release(h.ev)
 	s.canceled++
@@ -410,6 +510,9 @@ func (s *Sim) Reschedule(h Handle, t Time) Handle {
 	}
 	s.checkTime(t)
 	e := h.ev
+	if e.seq == undrawn {
+		s.dropDraw(e)
+	}
 	e.gen++
 	e.at = t
 	e.seq = s.seq
@@ -439,9 +542,15 @@ func (s *Sim) RunUntil(limit Time) {
 			if s.now <= limit {
 				// Everything keyed at or before limit has fired.
 				s.now = limit
+				s.drawTo(limit, undrawn)
 				s.cut = s.seq
 			}
 			return
+		}
+		if len(s.draws) > 0 && s.draws[0].tk.before(next.at, next.seq) {
+			// Two undrawn events at one time may swap at the head.
+			s.drawTo(next.at, next.seq)
+			next = s.events[0]
 		}
 		s.popMin()
 		s.now = next.at

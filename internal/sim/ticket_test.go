@@ -19,19 +19,25 @@ type ticketStep struct {
 
 // ticketProgram is a random program over lanes that run jobs one at a
 // time in FIFO order, the shape of the GPU's partitions: a job may start
-// once its "ready" event has fired and its lane is idle. In the eager
-// form every job's ready is an AtFunc that sets a flag, and most of those
-// find the job queued behind another and do nothing. In the lazy form it
-// is a Reserve, pushed with AtTicket only when the job heads an idle lane,
-// and readiness is Passed. Beside the lanes run plain events, cancels,
-// Stop and timers that move, either in place with Reschedule or with
-// Cancel plus AtFunc. What a work dispatch does is drawn from a generator
-// seeded by its label, so runs whose work dispatches agree make identical
+// once its "ready" event has fired and its lane is idle. A job's start is
+// a work dispatch unless the job is quiet, like a kernel start that does
+// nothing but key its completion. In the eager form every job's ready is
+// an AtFunc that sets a flag, and most of those find the job queued
+// behind another and do nothing. In the lazy form it is a Reserve, pushed
+// with AtTicket only when the job heads an idle lane, and readiness is
+// Passed. The deferred form is the lazy one, except that a quiet job that
+// heads an idle lane while no lane runs pushes no ready: its done goes in
+// at once with AtFuncOnPass, and the first start elsewhere or touch that
+// finds it unsettled commits it, if its ticket has passed, or puts it back
+// behind its ticket. Beside the lanes run plain events, cancels, Stop and
+// timers that move, either in place with Reschedule or with Cancel plus
+// AtFunc. What a work dispatch does is drawn from a generator seeded by
+// its label, so runs whose work dispatches agree make identical
 // decisions.
 type ticketProgram struct {
 	t       *testing.T
 	seed    uint64
-	lazy    bool // readies are Reserve + AtTicket, not AtFunc + flag
+	mode    ticketMode
 	inPlace bool // timers move with Reschedule, not Cancel + AtFunc
 
 	s       *Sim
@@ -41,9 +47,20 @@ type ticketProgram struct {
 	handles []Handle // plain cancellable events
 	timers  []Handle // movable events; the arg is the timer's label
 	log     []ticketStep
+	pend    int    // the job whose start is deferred, or −1
+	pendH   Handle // its done event
 
 	fire, ready, done func(any)
 }
+
+// ticketMode is how a ticket program waits for its jobs' readies.
+type ticketMode int
+
+const (
+	eager    ticketMode = iota // AtFunc + flag
+	lazy                       // Reserve, AtTicket when heading an idle lane
+	deferred                   // lazy, with AtFuncOnPass starts on an idle program
+)
 
 type ticketLane struct {
 	queue   []int // waiting job ids, FIFO
@@ -54,14 +71,15 @@ type ticketJob struct {
 	lane        int
 	start, stop int // labels of the job's start and done dispatches
 	dur         Time
+	quiet       bool // the start is no work dispatch
 	ticket      Ticket
 	flag        bool
 }
 
 const maxJobs = 64
 
-func runTicketProgram(t *testing.T, seed uint64, lazy, inPlace bool) []ticketStep {
-	p := &ticketProgram{t: t, seed: seed, lazy: lazy, inPlace: inPlace, s: New()}
+func runTicketProgram(t *testing.T, seed uint64, mode ticketMode, inPlace bool) []ticketStep {
+	p := &ticketProgram{t: t, seed: seed, mode: mode, inPlace: inPlace, s: New(), pend: -1}
 	for i := range p.lanes {
 		p.lanes[i].running = -1
 	}
@@ -96,7 +114,7 @@ func (p *ticketProgram) next() int {
 }
 
 func (p *ticketProgram) isReady(j int) bool {
-	if p.lazy {
+	if p.mode != eager {
 		return p.s.Passed(p.jobs[j].ticket)
 	}
 	return p.jobs[j].flag
@@ -124,13 +142,18 @@ func (p *ticketProgram) submit(r *rand.Rand) {
 	j := len(p.jobs)
 	l := r.IntN(len(p.lanes))
 	at := p.s.Now() + offset(r)
-	job := ticketJob{lane: l, start: p.next(), stop: p.next(), dur: 1 + offset(r)}
+	job := ticketJob{lane: l, start: p.next(), stop: p.next(), dur: 10 + offset(r), quiet: r.IntN(2) == 0}
 	lane := &p.lanes[l]
 	lane.queue = append(lane.queue, j)
-	if p.lazy {
+	if p.mode != eager {
 		job.ticket = p.s.Reserve(at)
 		p.jobs = append(p.jobs, job)
-		if lane.running < 0 && len(lane.queue) == 1 {
+		switch {
+		case lane.running >= 0 || len(lane.queue) > 1:
+		case p.mode == deferred && job.quiet && p.pend < 0 && p.idle():
+			p.pend = j
+			p.pendH = p.s.AtFuncOnPass(job.ticket, at+job.dur, p.done, j)
+		default:
 			p.s.AtTicket(job.ticket, p.ready, j)
 		}
 		return
@@ -172,9 +195,40 @@ func (p *ticketProgram) move(r *rand.Rand) {
 	}
 }
 
+// idle reports whether no lane runs a job.
+func (p *ticketProgram) idle() bool {
+	for _, lane := range p.lanes {
+		if lane.running >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// settle resolves the deferred start: once its ticket has passed the job
+// has been running since then; before that it waits for its ticket again.
+func (p *ticketProgram) settle() {
+	j := p.pend
+	if j < 0 {
+		return
+	}
+	p.pend = -1
+	lane := &p.lanes[p.jobs[j].lane]
+	if p.s.Passed(p.jobs[j].ticket) {
+		lane.queue = lane.queue[1:]
+		lane.running = j
+		return
+	}
+	p.s.Cancel(p.pendH)
+	if p.pendH.Pending() {
+		p.t.Fatalf("seed %d: job %d's cancelled done is still pending", p.seed, j)
+	}
+	p.s.AtTicket(p.jobs[j].ticket, p.ready, j)
+}
+
 func (p *ticketProgram) onReady(j int) {
 	p.jobs[j].flag = true
-	if !p.tryStart(p.jobs[j].lane) && p.lazy {
+	if !p.tryStart(p.jobs[j].lane) && p.mode != eager {
 		p.t.Fatalf("seed %d: job %d's pushed ticket fired with nothing to start", p.seed, j)
 	}
 }
@@ -187,18 +241,25 @@ func (p *ticketProgram) tryStart(l int) bool {
 		return false
 	}
 	j := lane.queue[0]
+	if j == p.pend {
+		p.t.Fatalf("seed %d: job %d's deferred start reached with its ticket passed", p.seed, j)
+	}
+	p.settle()
 	lane.queue = lane.queue[1:]
 	lane.running = j
 	p.s.AtFunc(p.s.Now()+p.jobs[j].dur, p.done, j)
-	p.dispatch(p.jobs[j].start)
+	if !p.jobs[j].quiet {
+		p.dispatch(p.jobs[j].start)
+	}
 	return true
 }
 
 func (p *ticketProgram) onDone(j int) {
+	p.settle()
 	lane := &p.lanes[p.jobs[j].lane]
 	lane.running = -1
 	// The new head queued behind j, so its ticket was never pushed.
-	if p.lazy && len(lane.queue) > 0 && !p.s.Passed(p.jobs[lane.queue[0]].ticket) {
+	if p.mode != eager && len(lane.queue) > 0 && !p.s.Passed(p.jobs[lane.queue[0]].ticket) {
 		h := lane.queue[0]
 		p.s.AtTicket(p.jobs[h].ticket, p.ready, h)
 	}
@@ -229,6 +290,9 @@ func (p *ticketProgram) dispatch(label int) {
 	if r.IntN(12) == 0 {
 		p.s.Stop()
 	}
+	if r.IntN(8) == 0 {
+		p.settle()
+	}
 	p.observe(label)
 }
 
@@ -254,28 +318,55 @@ func diffSteps(t *testing.T, seed uint64, what string, got, want []ticketStep) {
 	}
 }
 
+// checkTicketPrograms runs seed's program in every form and fails unless
+// the lazy and deferred forms do the eager form's work. It returns the
+// program's job count and the events the lazy and deferred forms fire
+// fewer than the eager one.
+func checkTicketPrograms(t *testing.T, seed uint64) (jobs, lazySaved, deferSaved int) {
+	ref := runTicketProgram(t, seed, eager, false)
+	diffSteps(t, seed, "eager Reschedule", runTicketProgram(t, seed, eager, true), ref)
+	lz := runTicketProgram(t, seed, lazy, false)
+	diffSteps(t, seed, "lazy tickets", ticketWork(lz), ticketWork(ref))
+	diffSteps(t, seed, "lazy Reschedule", runTicketProgram(t, seed, lazy, true), lz)
+	df := runTicketProgram(t, seed, deferred, false)
+	diffSteps(t, seed, "deferred starts", ticketWork(df), ticketWork(ref))
+	last := len(ref) - 1
+	return bitsSet(ref[last].ready), int(ref[last].stats.Fired - lz[last].stats.Fired),
+		int(lz[len(lz)-1].stats.Fired - df[len(df)-1].stats.Fired)
+}
+
+// ticketSeeds is how many seeded programs the property test runs.
+const ticketSeeds = 500
+
 // Property: lazily pushed tickets do the same work at the same times as
 // eager AtFunc readies, and Passed equals the eager flag at every work
-// dispatch and after every RunUntil return. Reschedule dispatches, counts
-// and invalidates handles exactly as Cancel followed by AtFunc.
-// Scheduled == Fired + Canceled + Pending holds at every step of every
-// form.
+// dispatch and after every RunUntil return. Deferred starts do that work
+// too: each done drawn on its ticket's pass dispatches where the eager
+// done, scheduled inside the ready event, does, ties included. Reschedule
+// dispatches, counts and invalidates handles exactly as Cancel followed by
+// AtFunc. Scheduled == Fired + Canceled + Pending holds at every step of
+// every form.
 func TestPropertyTicketsMatchAtFunc(t *testing.T) {
-	saved, jobs := 0, 0
-	for seed := range uint64(500) {
-		ref := runTicketProgram(t, seed, false, false)
-		diffSteps(t, seed, "eager Reschedule", runTicketProgram(t, seed, false, true), ref)
-		lazy := runTicketProgram(t, seed, true, false)
-		diffSteps(t, seed, "lazy tickets", ticketWork(lazy), ticketWork(ref))
-		diffSteps(t, seed, "lazy Reschedule", runTicketProgram(t, seed, true, true), lazy)
-		last := len(ref) - 1
-		saved += int(ref[last].stats.Fired - lazy[last].stats.Fired)
-		jobs += bitsSet(ref[last].ready)
+	jobs, lazySaved, deferSaved := 0, 0, 0
+	for seed := range uint64(ticketSeeds) {
+		j, l, d := checkTicketPrograms(t, seed)
+		jobs, lazySaved, deferSaved = jobs+j, lazySaved+l, deferSaved+d
 	}
-	// Most readies find their lane busy; the lazy form must skip them.
-	if jobs < 10000 || saved < jobs/4 {
-		t.Fatalf("%d jobs, %d ready events saved: programs too small", jobs, saved)
+	// Most readies find their lane busy; the lazy form must skip them. Of
+	// the rest, the deferred form must skip some.
+	if jobs < 10000 || lazySaved < jobs/4 || deferSaved < jobs/200 {
+		t.Fatalf("%d jobs, %d ready events saved lazily, %d more by deferred starts: programs too small", jobs, lazySaved, deferSaved)
 	}
+}
+
+// FuzzTicketPrograms runs the property test's check on arbitrary seeds.
+func FuzzTicketPrograms(f *testing.F) {
+	for seed := range uint64(ticketSeeds) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		checkTicketPrograms(t, seed)
+	})
 }
 
 func bitsSet(v uint64) int {
@@ -312,4 +403,52 @@ func TestAtTicketPassedPanics(t *testing.T) {
 		}
 	}()
 	s.AtTicket(tk, func(any) {}, nil)
+}
+
+// An AtFuncOnPass event takes its sequence number when the loop passes its
+// ticket: an event at the same time keyed before the pass dispatches
+// first and one keyed after it last. A RunUntil return passes the ticket
+// only once it is Passed, and a cancel before the pass draws nothing.
+func TestAtFuncOnPassDrawsAtThePass(t *testing.T) {
+	s := New()
+	var order []string
+	mark := func(arg any) { order = append(order, arg.(string)) }
+	tk := s.Reserve(10)
+	s.AtFuncOnPass(tk, 20, mark, "deferred")
+	dropped := s.AtFuncOnPass(s.Reserve(10), 20, mark, "cancelled")
+	s.RunUntil(9)
+	s.AtFunc(20, mark, "before pass")
+	s.Cancel(dropped)
+	s.RunUntil(10)
+	if !s.Passed(tk) {
+		t.Fatal("ticket at the RunUntil limit not passed")
+	}
+	s.AtFunc(20, mark, "after pass")
+	s.Run()
+	if want := []string{"before pass", "deferred", "after pass"}; !slices.Equal(order, want) {
+		t.Fatalf("dispatch order %q, want %q", order, want)
+	}
+	if st := s.Stats(); st.Scheduled != 4 || st.Fired != 3 || st.Canceled != 1 {
+		t.Fatalf("stats %+v, want 4 scheduled, 3 fired, 1 canceled", st)
+	}
+}
+
+func TestAtFuncOnPassPanics(t *testing.T) {
+	for name, run := range map[string]func(s *Sim){
+		"passed ticket": func(s *Sim) {
+			tk := s.Reserve(10)
+			s.RunUntil(10)
+			s.AtFuncOnPass(tk, 20, func(any) {}, nil)
+		},
+		"before the ticket": func(s *Sim) { s.AtFuncOnPass(s.Reserve(10), 9, func(any) {}, nil) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			run(New())
+		})
+	}
 }
