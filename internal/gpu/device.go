@@ -518,38 +518,43 @@ func (d *Device) schedule() {
 
 // soonest returns the earliest kernel retirement, or HBM drain under a
 // saturated waterfill, at the current rates counted from now; MaxTime if
-// no running kernel can progress.
+// no running kernel can progress. A kernel retires when its slowest
+// sub-stream drains, and the ceil in FromSeconds is monotone, so one
+// conversion of the slowest drain time gives the latest of the three
+// sub-stream deadlines.
 func (d *Device) soonest(now sim.Time) sim.Time {
 	soonest := sim.MaxTime
 	for _, r := range d.running {
-		drain := subStreamDeadline(now, r.remB, r.brate)
-		t := max(subStreamDeadline(now, r.remC, r.crate), drain, subStreamDeadline(now, r.remComm, r.commRate))
-		if t == now {
-			t = now + 1
-		}
+		slowest := max(drainSeconds(r.remC, r.crate), drainSeconds(r.remB, r.brate), drainSeconds(r.remComm, r.commRate))
+		t := deadline(now, slowest)
 		if d.saturated && r.remB > 0 {
-			t = min(t, drain)
+			t = min(t, deadline(now, drainSeconds(r.remB, r.brate)))
 		}
 		soonest = min(soonest, t)
 	}
 	return soonest
 }
 
-// subStreamDeadline returns when rem units drain at rate units/second:
-// now when the sub-stream has no pending work, MaxTime when it is
-// starved.
-func subStreamDeadline(now sim.Time, rem, rate float64) sim.Time {
-	if rem <= 0 {
-		return now
+// drainSeconds returns how long rem units take to drain at rate
+// units/second: 0 when the sub-stream has no pending work, +Inf when it
+// is starved.
+func drainSeconds(rem, rate float64) float64 {
+	switch {
+	case rem <= 0:
+		return 0
+	case rate <= 0:
+		return math.Inf(1)
 	}
-	if rate <= 0 {
-		return sim.MaxTime
+	return rem / rate
+}
+
+// deadline returns now plus secs, at least 1 ns after now and saturating
+// at MaxTime.
+func deadline(now sim.Time, secs float64) sim.Time {
+	if dt := sim.FromSeconds(secs); dt < sim.MaxTime-now {
+		return now + max(dt, 1)
 	}
-	t := now + sim.FromSeconds(rem/rate)
-	if t <= now {
-		t = now + 1
-	}
-	return t
+	return sim.MaxTime
 }
 
 // deviceProgress is the bound callback for the completion timer.

@@ -128,6 +128,26 @@ func TestSubStreamDrainsFireNoEvent(t *testing.T) {
 	}
 }
 
+// Regression: a kernel whose drain time saturates FromSeconds keys no
+// timer. The deadline used to be now + MaxTime, which wraps negative, so
+// the timer was re-keyed 1 ns ahead on every firing and the kernel never
+// retired.
+func TestUnboundedKernelKeysNoTimer(t *testing.T) {
+	s := sim.New()
+	p := NewDevice(s, A100(), 1, "huge").Partition(108, "p")
+	s.RunUntil(sim.Second)
+	p.Launch(Kernel{Kind: Decode, FLOPs: 1e30}, nil)
+	for _, until := range []sim.Time{sim.Second + sim.Millisecond, 2 * sim.Second} {
+		s.RunUntil(until)
+		if got := s.Fired(); got > 4 {
+			t.Fatalf("%d events fired by %v, want at most 4", got, until)
+		}
+	}
+	if p.Idle() {
+		t.Fatal("a kernel with 1e30 FLOPs retired within a second")
+	}
+}
+
 // A kernel launched while another partition runs fires its launch-ready
 // event: its start changes the running kernel's rates.
 func TestLaunchBesideRunningKernelFiresReady(t *testing.T) {

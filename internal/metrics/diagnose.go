@@ -108,6 +108,7 @@ type DiagnoseAux struct {
 // requests plus aux's never-recorded ones, so Misses always equals
 // offered minus WithinSLO(slo) for the same run.
 func (r *Recorder) Diagnose(slo SLO, aux DiagnoseAux) MissBreakdown {
+	r.settle()
 	var b MissBreakdown
 	target := slo.TBT.Seconds()
 	for _, rec := range r.recs {

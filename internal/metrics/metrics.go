@@ -36,40 +36,44 @@ type reqRec struct {
 	maxGap      sim.Time // worst inter-token gap so far
 	tokens      int
 	inputTokens int
-	idx         int // position in Recorder.recs, the record's Slot
 	tbtN        int // TBT samples this request contributed
 	done        bool
 	dead        bool // aborted; awaiting compaction out of recs
+
+	// lastRun is the log position of the request's newest own run, -1
+	// if it has none.
+	lastRun int32
+	// st is the stream the request decodes in, nil if none; slot is its
+	// index in st.members, -1 until its first step there. joined is the
+	// stream iteration of that first step, and settled the newest one
+	// the fields above count: every iteration after joined carried the
+	// request over, one sample in that iteration's shared run.
+	st              *Stream
+	slot            int32
+	joined, settled int
 }
 
 // tbtKey identifies a state of the live TBT gaps: every change to them
-// moves nTBT (a token) or mut (an abort or compaction).
+// moves nTBT (a token) or mut (an abort).
 type tbtKey struct{ n, mut int }
-
-// Slot caches where a request's record sits in a Recorder, so the
-// per-token path can skip the ID lookup. The zero Slot is valid.
-// TokenSlot checks the slot against the request ID and re-resolves a
-// stale one, after an abort or compaction or on another recorder.
-type Slot int32
 
 // Recorder collects latency samples during a simulation run.
 //
-// Records live in recs in arrival order; a record's index there is its
-// Slot. Abort marks a record dead instead of splicing it out, and readers
-// skip dead records and their samples. Once dead records and samples
-// outnumber live ones, compact drops them all in one pass, so aborts cost
-// O(1) amortized.
+// Records live in recs in arrival order. Abort marks a record dead
+// instead of splicing it out, and readers skip dead records. Once dead
+// records outnumber live ones, compact drops them all in one pass, so
+// aborts cost O(1) amortized.
 //
 // Every generated token after a request's first is one TBT sample. The
 // TBT log stores them run-length encoded: consecutive samples with the
-// same emission time and gap form one (at, gap, n) run, so a decode step
-// logs one run for its whole batch. A parallel slot log holds each
-// sample's record slot, 4 bytes in emission order, so an aborted
-// record's samples can be told apart inside a run. Gaps stay in integer
-// nanoseconds until a reader converts them with Seconds. Seconds is
-// monotone, so sorting the integers gives exactly the order
-// sort.Float64s gives the converted values, and Avg, summed in that
-// ascending order, is bitwise the same.
+// same emission time and gap form one (at, gap, n) run. A decode Stream
+// logs one shared run per iteration for every member it carried over,
+// and own runs hold one request's samples alone; Abort finds a request's
+// samples through its stream's iteration log and its chain of own runs,
+// and subtracts them in place. Gaps stay in integer nanoseconds until a
+// reader converts them with Seconds. Seconds is monotone, so sorting the
+// integers gives exactly the order sort.Float64s gives the converted
+// values, and Avg, summed in that ascending order, is bitwise the same.
 //
 // The recorder also keeps its live gaps sorted by gap, as (gap, n) runs
 // tied to the state they were sorted in. Summarize re-sorts only after
@@ -81,18 +85,18 @@ type Recorder struct {
 	reqs map[int]*reqRec // live records by request ID
 	recs []*reqRec       // every record in arrival order, dead ones included
 
-	runs  blockLog[tbtRun] // TBT samples as runs, in emission order
-	slots blockLog[int32]  // each sample's record slot, in emission order
-	nTBT  int              // samples in the log, dead ones included
-	open  int              // arrived-but-unfinished requests
-	nDead int              // dead records in recs
-	// deadTBT counts the log's samples from dead records. While it is
-	// zero, readers take each run's n as is and never read the slot log.
-	deadTBT int
-	// mut counts aborts and compactions. An abort changes the live gaps
-	// without moving nTBT, and mut only grows, so (nTBT, mut) never
-	// repeats: it keys the sorted gaps at no cost to the token path.
+	runs    blockLog[tbtRun] // TBT samples as runs, in emission order
+	streams []*Stream        // decode streams recording here
+	nTBT    int              // live samples in the log
+	open    int              // arrived-but-unfinished requests
+	nDead   int              // dead records in recs
+	// mut counts aborts. An abort takes samples out of the log, and mut
+	// only grows, so (nTBT, mut) never repeats: it keys the sorted gaps
+	// at no cost to the token path.
 	mut int
+	// merged marks a Merge result, whose runs are not linked to their
+	// requests: Abort on it panics.
+	merged bool
 
 	// sorted holds the live gaps as runs in ascending gap order, as they
 	// stood at state sortedAt; they are current while sortedAt equals
@@ -146,7 +150,7 @@ func (r *Recorder) Arrive(id int, at sim.Time, inputTokens int) {
 	if _, ok := r.reqs[id]; ok {
 		return
 	}
-	rec := &reqRec{id: id, arrival: at, admitted: -1, firstToken: -1, inputTokens: inputTokens, idx: len(r.recs)}
+	rec := &reqRec{id: id, arrival: at, admitted: -1, firstToken: -1, inputTokens: inputTokens, lastRun: -1}
 	r.reqs[id] = rec
 	r.recs = append(r.recs, rec)
 	r.open++
@@ -182,33 +186,17 @@ func (r *Recorder) PrefillDone(tokens int) {
 }
 
 // Token records one generated token for the request. The first token
-// defines TTFT; subsequent tokens contribute TBT samples.
+// defines TTFT; subsequent tokens contribute TBT samples. A request in a
+// decode Stream takes its tokens from the stream's steps: Token for it
+// panics.
 func (r *Recorder) Token(id int, at sim.Time) {
 	rec, ok := r.reqs[id]
 	if !ok || r.halted {
 		return
 	}
-	r.token(rec, at)
-}
-
-// TokenSlot is Token for callers that emit many tokens per request: slot
-// caches the request's record between calls. A stale or zero slot falls
-// back to the ID lookup and is refreshed.
-func (r *Recorder) TokenSlot(slot *Slot, id int, at sim.Time) {
-	if r.halted {
-		return
+	if rec.st != nil {
+		panic(fmt.Sprintf("metrics: Token for request %d, a stream member", id))
 	}
-	if i := uint(*slot); i < uint(len(r.recs)) {
-		if rec := r.recs[i]; rec.id == id && !rec.dead {
-			r.token(rec, at)
-			return
-		}
-	}
-	rec, ok := r.reqs[id]
-	if !ok {
-		return
-	}
-	*slot = Slot(rec.idx)
 	r.token(rec, at)
 }
 
@@ -228,7 +216,7 @@ func (r *Recorder) token(rec *reqRec, at sim.Time) {
 		gap := at - rec.lastToken
 		rec.maxGap = max(rec.maxGap, gap)
 		rec.tbtN++
-		r.appendTBT(at, gap, int32(rec.idx))
+		r.appendOwn(rec, at, gap)
 	}
 	rec.lastToken = at
 }
@@ -238,15 +226,15 @@ func (r *Recorder) key() tbtKey { return tbtKey{r.nTBT, r.mut} }
 
 // sortedTBT returns the live gaps as runs in ascending gap order. It
 // sorts, one entry per decode step rather than one per token, only when
-// a token, abort or compaction moved the gaps since the last sort, and
-// keeps the result.
+// a token or abort moved the gaps since the last sort, and keeps the
+// result.
 func (r *Recorder) sortedTBT() []gapRun {
 	if r.sortedAt == r.key() {
 		return r.sorted
 	}
-	runs := make([]gapRun, 0, r.runs.len())
-	for run := range r.liveRuns(nil) {
-		runs = append(runs, gapRun{gap: run.gap, n: run.n})
+	runs := make([]gapRun, 0, r.runs.n)
+	for run := range r.liveRuns() {
+		runs = append(runs, gapRun{gap: run.gap, n: int(run.n)})
 	}
 	sortRuns(runs)
 	r.sorted, r.sortedAt = runs, r.key()
@@ -255,29 +243,37 @@ func (r *Recorder) sortedTBT() []gapRun {
 
 // Finish marks the request complete.
 func (r *Recorder) Finish(id int, at sim.Time) {
-	if r.halted {
+	if rec, ok := r.reqs[id]; ok {
+		r.finish(rec, at)
+	}
+}
+
+func (r *Recorder) finish(rec *reqRec, at sim.Time) {
+	if r.halted || rec.done {
 		return
 	}
-	if rec, ok := r.reqs[id]; ok && !rec.done {
-		rec.finished = at
-		rec.done = true
-		r.open--
-		if r.OnFinish != nil {
-			r.OnFinish(id, at)
-		}
-		if r.trace != nil {
-			r.trace.AsyncEnd(at, r.track, "request", int64(id), "request",
-				obs.Arg{Key: "outcome", Val: "finish"},
-				obs.Arg{Key: "tokens", Val: rec.tokens})
-		}
+	if rec.st != nil {
+		rec.st.settle(rec)
+	}
+	rec.finished = at
+	rec.done = true
+	r.open--
+	if r.OnFinish != nil {
+		r.OnFinish(rec.id, at)
+	}
+	if r.trace != nil {
+		r.trace.AsyncEnd(at, r.track, "request", int64(rec.id), "request",
+			obs.Arg{Key: "outcome", Val: "finish"},
+			obs.Arg{Key: "tokens", Val: rec.tokens})
 	}
 }
 
 // Halt freezes the recorder at the current instant. Later Arrive, Token,
 // PrefillDone and Finish calls are ignored: a failed replica's engine
 // keeps dispatching its already-scheduled simulation events, and that
-// ghost work must not count. Abort still works on a halted recorder so
-// the fleet controller can surface in-flight requests for re-dispatch.
+// ghost work must not count; so are Stream joins, steps and finishes.
+// Abort still works on a halted recorder so the fleet controller can
+// surface in-flight requests for re-dispatch.
 func (r *Recorder) Halt() { r.halted = true }
 
 // Halted reports whether the recorder has been frozen.
@@ -289,10 +285,23 @@ func (r *Recorder) Halted() bool { return r.halted }
 // disjoint IDs). The re-prefill the request pays on its new replica is
 // charged through the cache-hit machinery, not here. Aborting a finished
 // or unknown request is a no-op; it reports whether a record was removed.
+// A stream member leaves its stream; the stream's later steps and its
+// Finish for the member pass it over. A Merge result cannot abort.
 func (r *Recorder) Abort(id int) bool {
 	rec, ok := r.reqs[id]
 	if !ok || rec.done {
 		return false
+	}
+	if r.merged {
+		panic("metrics: Abort on a merged recorder")
+	}
+	if rec.st != nil {
+		rec.st.drop(rec)
+	}
+	for p := rec.lastRun; p >= 0; {
+		run := r.runs.at(int(p))
+		r.nTBT -= int(run.n)
+		run.n, p = 0, run.prev
 	}
 	// Roll back the aborted request's decode tokens: its latency samples
 	// are withdrawn and the full output is re-credited wherever it
@@ -305,41 +314,18 @@ func (r *Recorder) Abort(id int) bool {
 	r.open--
 	rec.dead = true
 	r.nDead++
-	r.deadTBT += rec.tbtN
 	r.mut++
-	// A compaction costs one pass over records and samples, and runs only
-	// once the dead outnumber the live, so each dead item pays for its
-	// own removal: O(1) amortized per abort, not a rescan of the log.
-	if r.nDead+r.deadTBT > len(r.recs)-r.nDead+r.nTBT-r.deadTBT {
+	// A compaction costs one pass over records, and runs only once the
+	// dead outnumber the live, so each dead record pays for its own
+	// removal: O(1) amortized per abort.
+	if r.nDead > len(r.recs)-r.nDead {
 		r.compact()
 	}
 	return true
 }
 
-// compact drops dead records and their samples, preserving arrival and
-// emission order, and renumbers the surviving records' slots. Runs left
-// with no live sample are dropped.
+// compact drops dead records, preserving arrival order.
 func (r *Recorder) compact() {
-	n := 0
-	for _, rec := range r.recs {
-		if !rec.dead {
-			rec.idx = n
-			n++
-		}
-	}
-	// The slot log still holds old slots, which index the not yet
-	// compacted recs. Both logs are rewritten in place to the live runs
-	// and the survivors' new slots.
-	runs, slots := refill[tbtRun]{l: &r.runs}, refill[int32]{l: &r.slots}
-	for run := range r.liveRuns(func(s int32) { slots.put(int32(r.recs[s].idx)) }) {
-		runs.put(run)
-	}
-	runs.done()
-	slots.done()
-	r.nTBT -= r.deadTBT
-	r.deadTBT = 0
-	r.mut++
-
 	live := r.recs[:0]
 	for _, rec := range r.recs {
 		if !rec.dead {
@@ -476,18 +462,17 @@ type Summary struct {
 
 // TBTAttainment returns the fraction of TBT samples within the SLO.
 func (r *Recorder) TBTAttainment(slo sim.Time) float64 {
-	n := r.nTBT - r.deadTBT
-	if n == 0 {
+	if r.nTBT == 0 {
 		return 1
 	}
 	target := slo.Seconds()
 	ok := 0
-	for run := range r.liveRuns(nil) {
+	for run := range r.liveRuns() {
 		if run.gap.Seconds() <= target {
-			ok += run.n
+			ok += int(run.n)
 		}
 	}
-	return float64(ok) / float64(n)
+	return float64(ok) / float64(r.nTBT)
 }
 
 // tbtMiss reports whether some inter-token gap of the request exceeded
@@ -504,6 +489,7 @@ func (rec *reqRec) tbtMiss(target float64) bool {
 // span turns it into the frontier's goodput numerator. A zero TTFT or
 // TBT target disables that half of the check.
 func (r *Recorder) WithinSLO(slo SLO) int {
+	r.settle()
 	target := slo.TBT.Seconds()
 	n := 0
 	for _, rec := range r.recs {
@@ -526,6 +512,7 @@ func (r *Recorder) WithinSLO(slo SLO) int {
 // they moved since the last Summarize or Merge and keeps them sorted, so
 // a recorder summarized once after its run is only read by later calls.
 func (r *Recorder) Summarize(name string, now sim.Time) Summary {
+	r.settle()
 	s := Summary{Name: name, Makespan: now}
 	var ttft, e2e []sim.Time
 	var tpot, perTok []float64
@@ -582,8 +569,8 @@ func (r *Recorder) Unfinished() int { return r.open }
 // TBTSamples exposes raw TBT samples in seconds (CDF plotting), one per
 // token in emission order.
 func (r *Recorder) TBTSamples() []float64 {
-	out := make([]float64, 0, r.nTBT-r.deadTBT)
-	for run := range r.liveRuns(nil) {
+	out := make([]float64, 0, r.nTBT)
+	for run := range r.liveRuns() {
 		s := run.gap.Seconds()
 		for range run.n {
 			out = append(out, s)

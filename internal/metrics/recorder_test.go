@@ -25,22 +25,29 @@ func TestDiagnoseSkipsAborted(t *testing.T) {
 }
 
 // An aborted request's samples never count for a later record under the
-// same ID on the same recorder, whether its tokens arrive by ID or
-// through a slot cached before the abort.
+// same ID on the same recorder, whether they came by ID or from a stream,
+// and the stream member its batch still holds after the abort gives the
+// later record neither tokens nor its finish.
 func TestReArrivalAfterAbortStartsClean(t *testing.T) {
 	r := NewRecorder()
-	var slot Slot
+	s := r.NewStream()
 	r.Arrive(1, 0, 10)
 	r.Arrive(2, 0, 10)
-	r.TokenSlot(&slot, 1, ms(10))
-	r.TokenSlot(&slot, 1, ms(510)) // a 500ms gap: a TBT miss
+	old := s.Join(1)
+	s.Step(ms(10))
+	s.Step(ms(510)) // a 500ms gap: a TBT miss
 	r.Token(2, ms(10))
 	r.Token(2, ms(20))
 	r.Finish(2, ms(20))
 	r.Abort(1)
 	r.Arrive(1, ms(600), 10)
-	r.TokenSlot(&slot, 1, ms(610))
-	r.TokenSlot(&slot, 1, ms(620))
+	s.Step(ms(605))
+	r.Token(1, ms(610))
+	s.Finish(old, ms(615))
+	if r.Unfinished() != 1 {
+		t.Fatal("the aborted member's Finish finished the re-arrived request")
+	}
+	r.Token(1, ms(620))
 	r.Finish(1, ms(620))
 
 	slo := SLO{TBT: 50 * sim.Millisecond}
@@ -64,40 +71,37 @@ func TestReArrivalAfterAbortStartsClean(t *testing.T) {
 	}
 }
 
-// Aborts compact lazily: dead records and samples stay until they
-// outnumber the live ones, then go in one pass that renumbers the
-// survivors' slots. A slot cached before the compaction still reaches
-// its own request, and the renumbered samples stay attributed to theirs.
+// Aborts compact lazily: dead records stay until they outnumber the live
+// ones, then go in one pass; their samples leave the log at the abort. A
+// stream member that joined before the compaction still reaches its own
+// request.
 func TestAbortCompactsLazily(t *testing.T) {
 	r := NewRecorder()
-	slots := make([]Slot, 8)
 	for id := range 8 {
 		r.Arrive(id, 0, 10)
 		for k := range 3 {
-			r.TokenSlot(&slots[id], id, sim.Time(id)*sim.Second+sim.Time(k)*10*sim.Millisecond)
+			r.Token(id, sim.Time(id)*sim.Second+sim.Time(k)*10*sim.Millisecond)
 		}
 	}
+	s := r.NewStream()
+	m := s.Join(7)
 	for id := range 4 {
 		r.Abort(id)
 	}
-	if len(r.recs) != 8 || r.nTBT != 16 {
+	if len(r.recs) != 8 || r.nTBT != 8 {
 		t.Fatalf("compacted early: %d records, %d samples", len(r.recs), r.nTBT)
 	}
-	r.Abort(4) // 5 dead records + 10 dead samples now outnumber 3 + 6 live
-	if len(r.recs) != 3 || r.nTBT != 6 || r.deadTBT != 0 {
-		t.Fatalf("after compaction: %d records, %d samples, %d dead", len(r.recs), r.nTBT, r.deadTBT)
+	r.Abort(4) // 5 dead records now outnumber 3 live
+	if len(r.recs) != 3 || r.nTBT != 6 {
+		t.Fatalf("after compaction: %d records, %d samples", len(r.recs), r.nTBT)
 	}
 	if got := r.IDs(); !slices.Equal(got, []int{5, 6, 7}) {
 		t.Fatalf("IDs = %v, want [5 6 7]", got)
 	}
-	// Slot 7 is stale now; the token must still land on request 7.
-	r.TokenSlot(&slots[7], 7, 7*sim.Second+100*sim.Millisecond) // an 80ms gap
-	if slots[7] != 2 {
-		t.Fatalf("slot not refreshed: %d, want 2", slots[7])
-	}
+	s.Step(7*sim.Second + 100*sim.Millisecond) // an 80ms gap for request 7
 	r.Finish(6, 7*sim.Second)
-	r.Finish(7, 8*sim.Second)
-	r.Abort(5) // leaves a dead sample behind the renumbered ones
+	s.Finish(m, 8*sim.Second)
+	r.Abort(5)
 	if got := len(r.TBTSamples()); got != 5 {
 		t.Fatalf("TBT samples = %d, want 5", got)
 	}
@@ -179,39 +183,23 @@ func TestSummarizeRepeatable(t *testing.T) {
 	}
 }
 
-// BenchmarkRecorderToken is the per-token cost on the decode path: 64
-// requests in flight emit tokens 20 ms apart, through cached slots as
-// Batch.StepInto does ("slot") or by request ID ("id"). ns/op and B/op
-// are per token. A fresh recorder every 2^16 tokens bounds memory and
-// charges the log's growth to the tokens that caused it.
+// BenchmarkRecorderToken is the per-token cost of tokens by request ID:
+// 64 requests in flight emit tokens 20 ms apart. ns/op and B/op are per
+// token. A fresh recorder every 2^16 tokens bounds memory and charges
+// the log's growth to the tokens that caused it.
 func BenchmarkRecorderToken(b *testing.B) {
 	const inflight, perRecorder = 64, 1 << 16
-	for _, bySlot := range []bool{true, false} {
-		name := "id"
-		if bySlot {
-			name = "slot"
-		}
-		b.Run(name, func(b *testing.B) {
-			var r *Recorder
-			slots := make([]Slot, inflight)
-			b.ReportAllocs()
-			for i := 0; b.Loop(); i++ {
-				k := i % perRecorder
-				if k == 0 {
-					r = NewRecorder()
-					clear(slots)
-					for id := range inflight {
-						r.Arrive(id, 0, 100)
-					}
-				}
-				id, at := k%inflight, sim.Time(k/inflight)*20*sim.Millisecond
-				if bySlot {
-					r.TokenSlot(&slots[id], id, at)
-				} else {
-					r.Token(id, at)
-				}
+	var r *Recorder
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		k := i % perRecorder
+		if k == 0 {
+			r = NewRecorder()
+			for id := range inflight {
+				r.Arrive(id, 0, 100)
 			}
-		})
+		}
+		r.Token(k%inflight, sim.Time(k/inflight)*20*sim.Millisecond)
 	}
 }
 
@@ -237,36 +225,44 @@ func BenchmarkSummarize(b *testing.B) {
 	}
 }
 
-// BenchmarkRecorderStep is the per-token cost when decode steps batch
-// their tokens: 25 requests in flight, the mean batch of a ShareGPT
-// engine run, each take a token at every 20 ms step through cached
-// slots, as Batch.StepInto does. Requests finish staggered and are
-// replaced. ns/op and B/op are per token; a fresh recorder every 2^16
-// tokens bounds memory.
+// BenchmarkRecorderStep is the per-token cost of a decode stream:
+// batch requests in flight, 25 being the mean batch of a ShareGPT engine
+// run, take a token at every 20 ms step, as Batch.StepInto gives them.
+// Requests finish staggered and are replaced. ns/op and B/op are per
+// token; a fresh recorder every 2^16 tokens bounds memory.
 func BenchmarkRecorderStep(b *testing.B) {
-	const batch, perReq, perRecorder = 25, 200, 1 << 16
-	var r *Recorder
-	slots := make([]Slot, batch)
-	ids := make([]int, batch)
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		k := i % perRecorder
-		if k == 0 {
-			r = NewRecorder()
-			clear(slots)
-			for j := range ids {
-				ids[j] = j
-				r.Arrive(j, 0, 100)
+	const perReq, perRecorder = 200, 1 << 16
+	for _, batch := range []int{1, 25, 256} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			var r *Recorder
+			var s *Stream
+			ids := make([]int, batch)
+			members := make([]Member, batch)
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				k := i % perRecorder
+				if k == 0 {
+					r = NewRecorder()
+					s = r.NewStream()
+					for j := range ids {
+						ids[j] = j
+						r.Arrive(j, 0, 100)
+						members[j] = s.Join(j)
+					}
+				}
+				j, step := k%batch, k/batch
+				at := sim.Time(step) * 20 * sim.Millisecond
+				if j == 0 {
+					s.Step(at)
+				}
+				if (step+8*j)%perReq == perReq-1 {
+					s.Finish(members[j], at)
+					ids[j] += batch
+					r.Arrive(ids[j], at, 100)
+					members[j] = s.Join(ids[j])
+				}
 			}
-		}
-		j, step := k%batch, k/batch
-		at := sim.Time(step) * 20 * sim.Millisecond
-		r.TokenSlot(&slots[j], ids[j], at)
-		if (step+8*j)%perReq == perReq-1 {
-			r.Finish(ids[j], at)
-			ids[j] += batch
-			r.Arrive(ids[j], at, 100)
-		}
+		})
 	}
 }
 
@@ -340,12 +336,15 @@ func BenchmarkMerge(b *testing.B) {
 	}
 }
 
-// stepRecorder logs decode steps of batch requests until the recorder
-// holds samples TBT gaps. Each request takes 1-400 tokens and is
-// replaced when it finishes; request IDs count up from base.
+// stepRecorder logs decode steps of batch requests through a stream
+// until the recorder holds samples TBT gaps. Each request takes 1-400
+// tokens and is replaced when it finishes; request IDs count up from
+// base.
 func stepRecorder(rng *rand.Rand, batch, samples, base int) *Recorder {
 	r := NewRecorder()
+	s := r.NewStream()
 	ids, left := make([]int, batch), make([]int, batch)
+	members := make([]Member, batch)
 	next := base
 	var at sim.Time
 	for r.nTBT < samples {
@@ -355,10 +354,13 @@ func stepRecorder(rng *rand.Rand, batch, samples, base int) *Recorder {
 				ids[j], left[j] = next, 1+rng.IntN(400)
 				next++
 				r.Arrive(ids[j], at, 512)
+				members[j] = s.Join(ids[j])
 			}
-			r.Token(ids[j], at)
+		}
+		s.Step(at)
+		for j := range ids {
 			if left[j]--; left[j] == 0 {
-				r.Finish(ids[j], at)
+				s.Finish(members[j], at)
 			}
 		}
 	}

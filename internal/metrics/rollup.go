@@ -14,7 +14,8 @@ import (
 // request to exactly one replica, so per-replica recorders never share
 // an ID); a duplicate panics rather than producing a silently
 // half-merged summary. The merged recorder holds copies of its inputs'
-// live records and samples; the inputs are not modified.
+// live records and samples, and has no streams; it cannot Abort. Merge
+// fills in its inputs' stream members and changes nothing else in them.
 //
 // When every non-nil input's sorted gaps are current, the merged
 // recorder's sorted gaps are merged from them rather than sorted: the
@@ -28,9 +29,10 @@ func Merge(recs ...*Recorder) *Recorder {
 	current := true
 	for _, r := range recs {
 		if r != nil {
+			r.settle()
 			nRecs += len(r.recs) - r.nDead
-			nRuns += r.runs.len()
-			nTBT += r.nTBT - r.deadTBT
+			nRuns += r.runs.n
+			nTBT += r.nTBT
 			current = current && r.sortedAt == r.key()
 			lists = append(lists, r.sorted)
 			nSorted += len(r.sorted)
@@ -40,15 +42,12 @@ func Merge(recs ...*Recorder) *Recorder {
 	m.recs = make([]*reqRec, 0, nRecs)
 	if nTBT > 0 {
 		m.runs.open = make([]tbtRun, 0, nRuns)
-		m.slots.open = make([]int32, 0, nTBT)
 	}
 	for _, r := range recs {
 		if r == nil {
 			continue
 		}
-		// slot maps the input's record slots to the merged ones.
-		slot := make([]int32, len(r.recs))
-		for i, rec := range r.recs {
+		for _, rec := range r.recs {
 			if rec.dead {
 				continue
 			}
@@ -57,21 +56,23 @@ func Merge(recs ...*Recorder) *Recorder {
 			}
 			arena = append(arena, *rec)
 			c := &arena[len(arena)-1]
-			c.idx = len(m.recs)
-			slot[i] = int32(c.idx)
+			c.st, c.lastRun = nil, -1
 			m.reqs[c.id] = c
 			m.recs = append(m.recs, c)
 			if !c.done {
 				m.open++
 			}
 		}
-		for run := range r.liveRuns(func(s int32) { m.slots.open = append(m.slots.open, slot[s]) }) {
+		for run := range r.liveRuns() {
+			run.prev = -1
 			m.runs.open = append(m.runs.open, run)
 		}
 		m.prefillTokens += r.prefillTokens
 		m.decodeTokens += r.decodeTokens
 	}
+	m.runs.n = len(m.runs.open)
 	m.nTBT = nTBT
+	m.merged = true
 	if current {
 		m.sorted, m.sortedAt = mergeRuns(lists, nSorted), m.key()
 	}
@@ -210,7 +211,7 @@ func (r *Recorder) Rollup(bounds []sim.Time, tbtSLO sim.Time) []Window {
 	// counting pass sizes each window's share, a second pass fills it.
 	// next[i] starts as window i's first index and ends past its last.
 	next := make([]int, n+1)
-	for run := range r.liveRuns(nil) {
+	for run := range r.liveRuns() {
 		if i := locate(bounds, run.at); i >= 0 {
 			next[i+1]++
 		}
@@ -220,17 +221,17 @@ func (r *Recorder) Rollup(bounds []sim.Time, tbtSLO sim.Time) []Window {
 	}
 	runs := make([]gapRun, next[n])
 	target := tbtSLO.Seconds()
-	for run := range r.liveRuns(nil) {
+	for run := range r.liveRuns() {
 		i := locate(bounds, run.at)
 		if i < 0 {
 			continue
 		}
-		runs[next[i]] = gapRun{gap: run.gap, n: run.n}
+		runs[next[i]] = gapRun{gap: run.gap, n: int(run.n)}
 		next[i]++
 		if tbtSLO > 0 {
-			wins[i].tbtN += run.n
+			wins[i].tbtN += int(run.n)
 			if run.gap.Seconds() <= target {
-				wins[i].tbtOK += run.n
+				wins[i].tbtOK += int(run.n)
 			}
 		}
 	}

@@ -104,7 +104,7 @@ func TestPropertyRollupPartitionsSumToTrace(t *testing.T) {
 		// The final bound must cover every sample: tokens can land after
 		// arrivals stop, so close the last window at the last emission.
 		end := sim.Time(0)
-		for run := range rec.liveRuns(nil) {
+		for run := range rec.liveRuns() {
 			end = max(end, run.at)
 		}
 		for _, r := range rec.recs {
@@ -129,9 +129,9 @@ func TestPropertyRollupPartitionsSumToTrace(t *testing.T) {
 		}
 		wantTBT := rec.nTBT
 		wantOK := 0
-		for run := range rec.liveRuns(nil) {
+		for run := range rec.liveRuns() {
 			if run.gap.Seconds() <= slo.Seconds() {
-				wantOK += run.n
+				wantOK += int(run.n)
 			}
 		}
 

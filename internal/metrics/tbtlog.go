@@ -10,11 +10,16 @@ import (
 )
 
 // tbtRun is a run of consecutive TBT samples, in emission order, that
-// share an emission time and a gap: the tokens one decode step gave its
-// batch. n counts the run's samples, dead ones included.
+// share an emission time and a gap. A run is either one stream
+// iteration's shared run, the samples of every member it carried over
+// from the iteration before, or an own run, samples of one request alone
+// (its tokens by ID and its first step in a stream). prev links an own
+// run to its request's previous own run, so Abort finds them; it is -1
+// on shared runs and a request's first own run. n counts the run's live
+// samples: Abort subtracts a dead request's in place.
 type tbtRun struct {
 	at, gap sim.Time
-	n       int
+	n, prev int32
 }
 
 // gapRun is n samples of one gap: an entry of a recorder's sorted gaps,
@@ -24,26 +29,32 @@ type gapRun struct {
 	n   int
 }
 
-// The TBT logs grow in blocks that are never copied: the first holds
-// minBlock entries, and each next one doubles up to maxBlock.
+// The TBT log grows in blocks that are never copied: the first holds
+// minBlock entries, and each next one doubles up to maxBlock. The
+// doubling blocks hold grownEntries entries in all.
 const (
-	minBlock = 64
-	maxBlock = 8192
+	minBlock     = 64
+	maxBlock     = 8192
+	grownEntries = 2*maxBlock - minBlock
 )
 
 // blockLog is an append-only log of blocks. The open block, the one
 // being filled, is held apart so an append touches one slice header;
-// every filled block is full.
+// every filled block is full, so an entry's position fixes its block.
 type blockLog[T any] struct {
 	full [][]T // filled blocks, oldest first
 	open []T
+	n    int // entries in the log
 }
 
-func (l *blockLog[T]) push(v T) {
+// push appends v and returns its position.
+func (l *blockLog[T]) push(v T) int {
 	if len(l.open) == cap(l.open) {
 		l.grow()
 	}
 	l.open = append(l.open, v)
+	l.n++
+	return l.n - 1
 }
 
 // grow files the open block and opens the next.
@@ -67,91 +78,41 @@ func (l *blockLog[T]) block(i int) []T {
 	return l.full[i]
 }
 
-// len is the number of entries in the log.
-func (l *blockLog[T]) len() int {
-	n := len(l.open)
-	for _, b := range l.full {
-		n += len(b)
-	}
-	return n
-}
-
-// refill rewrites a block log in place, front to back, with the values
-// put. Each value must be put after the entry at its position was read:
-// the write cursor then never passes the read cursor, and every block
-// but the open one is full, so refilling the blocks in order stays in
-// bounds. done installs the result, dropping the blocks left unused.
-type refill[T any] struct {
-	l    *blockLog[T]
-	full [][]T
-	cur  []T
-}
-
-func (w *refill[T]) put(v T) {
-	if len(w.cur) == cap(w.cur) {
-		if cap(w.cur) > 0 {
-			w.full = append(w.full, w.cur)
-		}
-		w.cur = w.l.block(len(w.full))[:0]
-	}
-	w.cur = append(w.cur, v)
-}
-
-func (w *refill[T]) done() { w.l.full, w.l.open = w.full, w.cur }
-
-// appendTBT logs one gap emitted at at by the record in slot, joining
-// the log's last run when it has the same emission time and gap.
-func (r *Recorder) appendTBT(at, gap sim.Time, slot int32) {
-	if k := len(r.runs.open) - 1; k >= 0 && r.runs.open[k].at == at && r.runs.open[k].gap == gap {
-		r.runs.open[k].n++
+// at returns the entry at position pos of a log built by push. Doubling
+// block b starts at minBlock·(2^b − 1); every block after them holds
+// maxBlock entries.
+func (l *blockLog[T]) at(pos int) *T {
+	var b, off int
+	if pos < grownEntries {
+		b = bits.Len(uint(pos/minBlock+1)) - 1
+		off = pos - minBlock*(1<<b-1)
 	} else {
-		r.runs.push(tbtRun{at: at, gap: gap, n: 1})
+		b = bits.Len(maxBlock/minBlock) + (pos-grownEntries)/maxBlock
+		off = (pos - grownEntries) % maxBlock
 	}
-	r.slots.push(slot)
-	r.nTBT++
+	return &l.block(b)[off]
 }
 
-// liveRuns yields the log's runs in emission order, each with n set to
-// its live samples; runs left with none are skipped. keep, when set, is
-// called with every live sample's slot in emission order. With no dead
-// samples and no keep, the runs are read in place and the slot log is
-// not touched.
-func (r *Recorder) liveRuns(keep func(slot int32)) iter.Seq[tbtRun] {
-	return func(yield func(tbtRun) bool) {
-		if r.deadTBT == 0 && keep == nil {
-			for b := range r.runs.blocks() {
-				for _, run := range r.runs.block(b) {
-					if !yield(run) {
-						return
-					}
-				}
-			}
+// appendOwn logs one gap of rec emitted at at, joining rec's newest own
+// run when that is the log's last run and has the same time and gap.
+func (r *Recorder) appendOwn(rec *reqRec, at, gap sim.Time) {
+	r.nTBT++
+	if rec.lastRun >= 0 && int(rec.lastRun) == r.runs.n-1 {
+		if run := &r.runs.open[len(r.runs.open)-1]; run.at == at && run.gap == gap {
+			run.n++
 			return
 		}
-		sb, si := 0, 0
-		slots := r.slots.block(0)
+	}
+	rec.lastRun = int32(r.runs.push(tbtRun{at: at, gap: gap, n: 1, prev: rec.lastRun}))
+}
+
+// liveRuns yields the log's runs that hold live samples, in emission
+// order.
+func (r *Recorder) liveRuns() iter.Seq[tbtRun] {
+	return func(yield func(tbtRun) bool) {
 		for b := range r.runs.blocks() {
 			for _, run := range r.runs.block(b) {
-				live := 0
-				for range run.n {
-					for si == len(slots) {
-						sb, si = sb+1, 0
-						slots = r.slots.block(sb)
-					}
-					s := slots[si]
-					si++
-					if r.deadTBT == 0 || !r.recs[s].dead {
-						live++
-						if keep != nil {
-							keep(s)
-						}
-					}
-				}
-				if live == 0 {
-					continue
-				}
-				run.n = live
-				if !yield(run) {
+				if run.n > 0 && !yield(run) {
 					return
 				}
 			}

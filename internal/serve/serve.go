@@ -79,9 +79,8 @@ type Running struct {
 	// PrefilledTokens tracks chunked progress through the new context.
 	PrefilledTokens int
 
-	// RecSlot caches the request's record in the engine's recorder for
-	// the per-token calls of Batch.StepInto.
-	RecSlot metrics.Slot
+	// member is the request's place in its Batch's token stream.
+	member metrics.Member
 }
 
 // CtxTokens returns the current attended context length.
@@ -142,9 +141,17 @@ func (r *Running) Abort(pool *kvcache.Pool) {
 // one per kept request and subtracts each finished one's. A member's
 // context changes only there, which is why the request list is
 // unexported.
+//
+// The batch records its tokens through one metrics.Stream, opened on
+// the recorder of its first StepInto: a request added since the last
+// step joins the stream at the next one, each step is one Stream.Step
+// for the whole batch, and a finished request leaves with
+// Stream.Finish.
 type Batch struct {
-	reqs []*Running
-	ctx  int // Σ CtxTokens over reqs
+	reqs   []*Running
+	ctx    int // Σ CtxTokens over reqs
+	stream *metrics.Stream
+	joined int // reqs[:joined] have joined the stream
 }
 
 // Size returns the batch size.
@@ -162,22 +169,33 @@ func (b *Batch) Add(r *Running) {
 
 // StepInto credits one generated token to every request at time now and
 // removes the requests that finished, appending them to dst (reusing its
-// capacity, so per-iteration stepping does not allocate).
+// capacity, so per-iteration stepping does not allocate). rec must be the
+// same recorder at every call.
 func (b *Batch) StepInto(now sim.Time, rec *metrics.Recorder, dst []*Running) []*Running {
+	if b.stream == nil {
+		b.stream = rec.NewStream()
+	}
+	for _, r := range b.reqs[b.joined:] {
+		r.member = b.stream.Join(r.R.ID)
+	}
+	b.stream.Step(now)
 	finished := dst[:0]
-	keep := b.reqs[:0]
-	for _, r := range b.reqs {
+	n := 0 // kept requests, moved down in place; none moves until one finishes
+	for i, r := range b.reqs {
 		r.Generated++
-		rec.TokenSlot(&r.RecSlot, r.R.ID, now)
 		if r.DecodeDone() {
-			rec.Finish(r.R.ID, now)
+			b.stream.Finish(r.member, now)
 			finished = append(finished, r)
 			b.ctx -= r.CtxTokens() - 1
-		} else {
-			keep = append(keep, r)
+			continue
 		}
+		if n != i {
+			b.reqs[n] = r
+		}
+		n++
 	}
-	b.ctx += len(keep)
-	b.reqs = keep
+	b.ctx += n
+	b.reqs = b.reqs[:n]
+	b.joined = n
 	return finished
 }

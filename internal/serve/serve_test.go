@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -170,6 +171,82 @@ func TestBatchTotalCtxMatchesSum(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A steady-state decode step allocates nothing, requests joining and
+// finishing included: the batch, the stream's member lists and its
+// iteration log reuse their capacity. The TBT log adds a block every
+// 8,192 runs, which AllocsPerRun's per-call count rounds away.
+func TestBatchStepAllocatesNothing(t *testing.T) {
+	const batch, n = 32, 4096
+	rec := metrics.NewRecorder()
+	reqs := make([]*Running, n)
+	for id := range reqs {
+		rec.Arrive(id, 0, 100)
+		reqs[id] = &Running{R: req(id, 100, 50+id%50)}
+	}
+	var b Batch
+	var fin []*Running
+	next, now := 0, sim.Time(0)
+	step := func() {
+		now += sim.Millisecond
+		for ; b.Size() < batch && next < n; next++ {
+			FirstToken(rec, reqs[next], now)
+			b.Add(reqs[next])
+		}
+		fin = b.StepInto(now, rec, fin)
+	}
+	for range 500 {
+		step()
+	}
+	if got := testing.AllocsPerRun(1000, step); got != 0 {
+		t.Fatalf("a decode step allocates %v times", got)
+	}
+	if next == n {
+		t.Fatal("the request pool ran dry; the steps measured an idle batch")
+	}
+}
+
+// BenchmarkBatchStep is one decode step through Batch.StepInto, recorder
+// included, at batch 25 (the mean batch of a ShareGPT engine run) and
+// 256. Every finished request is replaced by a new arrival that emits
+// its first token and joins at the next step. ns/op is per step, ns/token
+// per member-step; a fresh recorder every 4,096 steps bounds memory.
+func BenchmarkBatchStep(b *testing.B) {
+	for _, batch := range []int{25, 256} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			const perRecorder = 1 << 12
+			var (
+				rec *metrics.Recorder
+				bt  Batch
+				fin []*Running
+				id  int
+			)
+			admit := func(r *Running, now sim.Time) {
+				id++
+				r.R.ID, r.R.OutputTokens = id, 50+id%150
+				rec.Arrive(id, now, r.R.InputTokens)
+				FirstToken(rec, r, now)
+				bt.Add(r)
+			}
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				k := i % perRecorder
+				now := sim.Time(k+1) * 20 * sim.Millisecond
+				if k == 0 {
+					rec, bt = metrics.NewRecorder(), Batch{}
+					for range batch {
+						admit(&Running{R: &workload.Request{InputTokens: 100}}, now)
+					}
+				}
+				fin = bt.StepInto(now, rec, fin)
+				for _, r := range fin {
+					admit(r, now)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/token")
+		})
 	}
 }
 

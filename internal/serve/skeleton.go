@@ -104,7 +104,9 @@ func FirstToken(rec *metrics.Recorder, r *Running, now sim.Time) bool {
 
 // DecodeStream is an engine's decode batch plus the iteration running on
 // it. At most one iteration is in flight; requests that become ready
-// meanwhile wait in a hold list until the iteration boundary.
+// meanwhile wait in a hold list until the iteration boundary. Each Step
+// records the whole batch's tokens with one metrics.Stream step (see
+// Batch).
 type DecodeStream struct {
 	Batch
 	// Running reports whether an iteration is on the device.
