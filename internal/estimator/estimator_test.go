@@ -91,9 +91,26 @@ func TestSolveSingular(t *testing.T) {
 	}
 }
 
+// floatTokenBucket and floatBSBucket are the logarithm formulas the
+// integer bucket thresholds replace.
+func floatTokenBucket(tok int) int {
+	if tok <= 0 {
+		return 0
+	}
+	return min(max(int(math.Round(math.Log(float64(tok)/2048)/math.Log(4))), 0), 3)
+}
+
+func floatBSBucket(bs int) int {
+	if bs <= 1 {
+		return 0
+	}
+	return min(int(math.Round(math.Log2(float64(bs)))), 8)
+}
+
 func TestTokenBuckets(t *testing.T) {
 	cases := []struct{ tok, want int }{
-		{0, 0}, {1000, 0}, {2048, 0}, {8192, 1}, {32768, 2}, {131072, 3}, {1 << 22, 3},
+		{0, 0}, {1000, 0}, {2048, 0}, {4095, 0}, {4096, 1}, {8192, 1}, {16383, 1}, {16384, 2},
+		{32768, 2}, {65535, 2}, {65536, 3}, {131072, 3}, {1 << 22, 3},
 	}
 	for _, c := range cases {
 		if got := tokenBucket(c.tok); got != c.want {
@@ -102,6 +119,31 @@ func TestTokenBuckets(t *testing.T) {
 	}
 	if bsBucket(1) != 0 || bsBucket(64) != 6 || bsBucket(100000) != 8 {
 		t.Error("bsBucket mapping wrong")
+	}
+
+	// The integer thresholds agree with the logarithm formulas on every
+	// count up to well past the largest bucket, and at the far end of int.
+	for tok := -2; tok <= 1<<22; tok++ {
+		if got, want := tokenBucket(tok), floatTokenBucket(tok); got != want {
+			t.Fatalf("tokenBucket(%d) = %d, formula gives %d", tok, got, want)
+		}
+	}
+	for bs := -2; bs <= 1<<16; bs++ {
+		if got, want := bsBucket(bs), floatBSBucket(bs); got != want {
+			t.Fatalf("bsBucket(%d) = %d, formula gives %d", bs, got, want)
+		}
+	}
+	var huge []int
+	for d := range 4 {
+		huge = append(huge, math.MaxInt-d, math.MaxInt/2-d, math.MaxInt/2+d)
+	}
+	for _, n := range huge {
+		if got, want := tokenBucket(n), floatTokenBucket(n); got != want {
+			t.Errorf("tokenBucket(%d) = %d, formula gives %d", n, got, want)
+		}
+		if got, want := bsBucket(n), floatBSBucket(n); got != want {
+			t.Errorf("bsBucket(%d) = %d, formula gives %d", n, got, want)
+		}
 	}
 }
 

@@ -68,29 +68,32 @@ func newGuard(configs []int, floor float64) *Guard {
 	return g
 }
 
-// tokenBucket maps a token count to its powers-of-4 bucket index.
+// tokenBucket maps a token count to its powers-of-4 bucket index: the
+// nearest of log₄(tok/2048) rounded into [0, 3]. It compares against the
+// bucket boundaries 2048·4^(b−½) as integers, since it runs on every
+// guard lookup.
 func tokenBucket(tok int) int {
-	if tok <= 0 {
-		return 0
+	switch {
+	case tok >= 65536:
+		return 3
+	case tok >= 16384:
+		return 2
+	case tok >= 4096:
+		return 1
 	}
-	b := int(math.Round(math.Log(float64(tok)/2048) / math.Log(4)))
-	if b < 0 {
-		b = 0
-	}
-	if b > 3 {
-		b = 3
-	}
-	return b
+	return 0
 }
 
-// bsBucket maps a batch size to its log₂ bucket.
+// bsBounds[b] is the smallest batch size in log₂ bucket b+1: the first
+// integer at or above 2^(b+½).
+var bsBounds = [guardBSBuckets - 1]int{2, 3, 6, 12, 23, 46, 91, 182}
+
+// bsBucket maps a batch size to its log₂ bucket: log₂(bs) rounded into
+// [0, 8].
 func bsBucket(bs int) int {
-	if bs <= 1 {
-		return 0
-	}
-	b := int(math.Round(math.Log2(float64(bs))))
-	if b > 8 {
-		b = 8
+	b := 0
+	for b < len(bsBounds) && bs >= bsBounds[b] {
+		b++
 	}
 	return b
 }
@@ -103,21 +106,28 @@ var bucketBS = []int{1, 4, 16, 64, 192}
 
 // profileGuard measures decode slowdown for every grid cell by co-running
 // a decode iteration with a stream of prefill layers on the complementary
-// partition of a fresh simulated device.
+// partition of a fresh simulated device. A cell's solo latency depends
+// only on its config, batch size and context, so each solo is measured
+// once and shared by the cell's 15 prefill shapes.
 func profileGuard(spec gpu.Spec, tp int, arch model.Arch, est *Estimator) *Guard {
 	g := newGuard(spec.PartitionSizes(), 1.0)
+	solo := make([]float64, len(bucketBS)*len(bucketTokens))
 	for ci, decSM := range g.configs {
 		preSM := spec.SMs - decSM
+		for bi, bs := range bucketBS {
+			for dj, dCtx := range bucketTokens {
+				solo[bi*len(bucketTokens)+dj] = MeasureDecodeSolo(spec, tp, arch, decSM, bs, dCtx)
+			}
+		}
 		for pi, pNew := range bucketTokens {
 			for pj, pReused := range bucketTokens {
 				if pi == 3 && pj == 3 {
 					continue // paper excludes the 128K new + 128K reused cell
 				}
-				for _, bs := range bucketBS {
+				for bi, bs := range bucketBS {
 					for dj, dCtx := range bucketTokens {
-						solo := MeasureDecodeSolo(spec, tp, arch, decSM, bs, dCtx)
-						co := measureDecodeCoRun(spec, tp, arch, decSM, preSM, bs, dCtx, pNew, pReused)
-						factor := co / solo
+						co, _ := measureDecodeCoRun(spec, tp, arch, decSM, preSM, bs, dCtx, pNew, pReused)
+						factor := co / solo[bi*len(bucketTokens)+dj]
 						if factor < 1 {
 							factor = 1
 						}
@@ -130,9 +140,37 @@ func profileGuard(spec gpu.Spec, tp int, arch model.Arch, est *Estimator) *Guard
 	return g
 }
 
-// measureDecodeCoRun measures one decode iteration's latency while a
-// prefill phase streams layers on the complementary partition.
-func measureDecodeCoRun(spec gpu.Spec, tp int, arch model.Arch, decSM, preSM, bs, ctxPerReq, pNew, pReused int) float64 {
+// measureDecodeCoRun measures one decode iteration's latency in seconds
+// while a prefill phase streams layers on the complementary partition,
+// and returns it with the number of layers the kept run launched.
+//
+// Each run stops at the decode's completion, the one instant it
+// measures. It launches only the first k layers, for k = 4, 16, 64, then
+// arch.Layers, and is kept only if layer k had not retired when the
+// decode completed (the prefill partition was not idle); otherwise the
+// next k runs. A kept run times the decode exactly as a run of the whole
+// phase would. The layers after k would sit queued behind layer k and
+// push no event before it retires. Their host-launch-ready keys would be
+// reserved at t = 0 after every other t = 0 draw, so dropping them shifts
+// every later sequence number by the same amount and leaves the dispatch
+// order as it was. The earlier layers' ready times do not change either,
+// since each launch only adds to the host queue behind them.
+func measureDecodeCoRun(spec gpu.Spec, tp int, arch model.Arch, decSM, preSM, bs, ctxPerReq, pNew, pReused int) (float64, int) {
+	k := min(4, arch.Layers)
+	for {
+		done, overlapped := coRunLayers(spec, tp, arch, decSM, preSM, bs, ctxPerReq, pNew, pReused, k)
+		if overlapped || k == arch.Layers {
+			return done, k
+		}
+		k = min(4*k, arch.Layers)
+	}
+}
+
+// coRunLayers co-runs one decode iteration with the first k layers of a
+// prefill phase and stops at the decode's completion. It returns the
+// decode's latency in seconds and whether the prefill partition was
+// still busy then.
+func coRunLayers(spec gpu.Spec, tp int, arch model.Arch, decSM, preSM, bs, ctxPerReq, pNew, pReused, k int) (done float64, overlapped bool) {
 	s := sim.New()
 	d := gpu.NewDevice(s, spec, tp, "co-profile")
 	dec := d.Partition(decSM, "decode")
@@ -142,15 +180,18 @@ func measureDecodeCoRun(spec gpu.Spec, tp int, arch model.Arch, decSM, preSM, bs
 	// then prefill layers stream on the complementary partition so the
 	// decode kernel executes under steady-state contention.
 	c := arch.DecodeIterTotals(bs*ctxPerReq, bs, tp)
-	var done sim.Time
-	dec.Launch(gpu.NewKernel("decode", gpu.Decode, c, spec.GraphLaunch), func() { done = s.Now() })
+	dec.Launch(gpu.NewKernel("decode", gpu.Decode, c, spec.GraphLaunch), func() {
+		done = s.Now().Seconds()
+		overlapped = !pre.Idle()
+		s.Stop()
+	})
 
-	layer := arch.PrefillLayer([]model.Seq{{New: pNew, Reused: pReused}}, tp, true)
-	for i := 0; i < arch.Layers; i++ {
-		pre.Launch(gpu.NewKernel("prefill-layer", gpu.Prefill, layer, spec.LayerLaunch), nil)
+	layer := gpu.NewKernel("prefill-layer", gpu.Prefill, arch.PrefillLayer([]model.Seq{{New: pNew, Reused: pReused}}, tp, true), spec.LayerLaunch)
+	for range k {
+		pre.Launch(layer, nil)
 	}
 	s.Run()
-	return done.Seconds()
+	return done, overlapped
 }
 
 // Factor returns the worst-case slowdown for the cell containing the
