@@ -71,18 +71,21 @@ func New(spec gpu.Spec, tp int, arch model.Arch) *Estimator {
 	key := fmt.Sprintf("%s/%d/%s", spec.Name, tp, arch.Name)
 	v, _ := profileCache.LoadOrStore(key, &cacheEntry{})
 	ce := v.(*cacheEntry)
-	ce.once.Do(func() {
-		e := &Estimator{Spec: spec, TP: tp, Arch: arch}
-		e.profileSolo()
-		e.guard = profileGuard(spec, tp, arch, e)
-		ce.est = e
-	})
+	ce.once.Do(func() { ce.est = profile(spec, tp, arch) })
 	if ce.est == nil {
 		// A prior profiling attempt panicked past a recover; fail here,
 		// at the source, instead of handing out a nil estimator.
 		panic("estimator: offline profiling previously failed for " + key)
 	}
 	return ce.est
+}
+
+// profile runs the offline profiling for one deployment.
+func profile(spec gpu.Spec, tp int, arch model.Arch) *Estimator {
+	e := &Estimator{Spec: spec, TP: tp, Arch: arch}
+	e.profileSolo()
+	e.guard = profileGuard(spec, tp, arch, e)
+	return e
 }
 
 // Fork returns a per-run view of the estimator: the fitted latency

@@ -68,10 +68,10 @@ func newGuard(configs []int, floor float64) *Guard {
 	return g
 }
 
-// tokenBucket maps a token count to its powers-of-4 bucket index: the
-// nearest of log₄(tok/2048) rounded into [0, 3]. It compares against the
-// bucket boundaries 2048·4^(b−½) as integers, since it runs on every
-// guard lookup.
+// tokenBucket maps a token count to its powers-of-4 bucket index:
+// log₄(tok/2048) rounded to the nearest integer and clamped to [0, 3].
+// Bucket b starts at 2048·4^(b−½) tokens; comparing against those
+// boundaries as integers keeps logarithms off every guard lookup.
 func tokenBucket(tok int) int {
 	switch {
 	case tok >= 65536:
@@ -88,8 +88,8 @@ func tokenBucket(tok int) int {
 // integer at or above 2^(b+½).
 var bsBounds = [guardBSBuckets - 1]int{2, 3, 6, 12, 23, 46, 91, 182}
 
-// bsBucket maps a batch size to its log₂ bucket: log₂(bs) rounded into
-// [0, 8].
+// bsBucket maps a batch size to its log₂ bucket: log₂(bs) rounded to the
+// nearest integer and clamped to [0, 8].
 func bsBucket(bs int) int {
 	b := 0
 	for b < len(bsBounds) && bs >= bsBounds[b] {

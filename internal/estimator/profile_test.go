@@ -36,15 +36,6 @@ var fittedProfileDigests = map[string]string{
 	"H100x2-Llama8B":  "aac6b16bb8429f5dbf120d5ec7dce6076d7cfc76fe537052714c777b069ceb48",
 }
 
-// freshProfile runs the offline profiling for one pair, bypassing
-// profileCache.
-func freshProfile(spec gpu.Spec, tp int, arch model.Arch) *Estimator {
-	e := &Estimator{Spec: spec, TP: tp, Arch: arch}
-	e.profileSolo()
-	e.guard = profileGuard(spec, tp, arch, e)
-	return e
-}
-
 // hashFloats writes a length-prefixed run of float bit patterns.
 func hashFloats(h hash.Hash, fs []float64) {
 	var b [8]byte
@@ -71,10 +62,12 @@ func profileDigest(e *Estimator) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// TestFittedProfileDigest profiles each pair fresh, past profileCache,
+// and compares the digest of everything it fitted.
 func TestFittedProfileDigest(t *testing.T) {
 	for _, c := range profileCases {
 		t.Run(c.name, func(t *testing.T) {
-			got := profileDigest(freshProfile(c.spec, c.tp, c.arch))
+			got := profileDigest(profile(c.spec, c.tp, c.arch))
 			if want := fittedProfileDigests[c.name]; got != want {
 				t.Errorf("fitted profile digest = %s, want %s", got, want)
 			}
@@ -170,13 +163,13 @@ func TestCoRunMatchesFullPhase(t *testing.T) {
 }
 
 // BenchmarkProfile measures one deployment's whole offline profiling
-// pass, fitted fresh per op.
+// pass, fitted fresh per op (profile bypasses profileCache).
 func BenchmarkProfile(b *testing.B) {
 	for _, c := range profileCases[:2] {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
-				freshProfile(c.spec, c.tp, c.arch)
+				profile(c.spec, c.tp, c.arch)
 			}
 		})
 	}
