@@ -72,16 +72,6 @@ func markers(comps []string) map[string]rune {
 	return out
 }
 
-// cellValue looks up one cell's goodput-per-GPU.
-func cellValue(rep *frontier.Report, cond, router, comp string, scale float64) (float64, bool) {
-	for _, c := range rep.Cells {
-		if c.Condition == cond && c.Router == router && c.Composition == comp && c.Scale == scale {
-			return c.GoodputPerGPU, true
-		}
-	}
-	return 0, false
-}
-
 // maxValue returns the highest goodput-per-GPU in one panel.
 func maxValue(rep *frontier.Report, cond, router string) float64 {
 	m := 0.0
@@ -120,11 +110,11 @@ func writeASCII(w io.Writer, rep *frontier.Report) {
 			}
 			for si, scale := range rep.Grid.Scales {
 				for _, comp := range rep.Grid.Compositions {
-					v, ok := cellValue(rep, cond, router, comp, scale)
+					c, ok := rep.Cell(cond, router, comp, scale)
 					if !ok {
 						continue
 					}
-					row := asciiRows - 1 - int(math.Round(v/top*float64(asciiRows-1)))
+					row := asciiRows - 1 - int(math.Round(c.GoodputPerGPU/top*float64(asciiRows-1)))
 					col := si*colWidth + colWidth/2
 					if grid[row][col] != ' ' {
 						grid[row][col] = '*'
@@ -148,21 +138,11 @@ func writeASCII(w io.Writer, rep *frontier.Report) {
 				fmt.Fprintf(w, "%-*g", colWidth, scale)
 			}
 			fmt.Fprintln(w)
-			if f, ok := findFrontier(rep, cond, router); ok && f.Crossover > 0 {
+			if f, ok := rep.Frontier(cond, router); ok && f.Crossover > 0 {
 				fmt.Fprintf(w, "        crossover at burst scale %g\n", f.Crossover)
 			}
 		}
 	}
-}
-
-// findFrontier looks up the per-(condition, router) reduction.
-func findFrontier(rep *frontier.Report, cond, router string) (frontier.Frontier, bool) {
-	for _, f := range rep.Frontiers {
-		if f.Condition == cond && f.Router == router {
-			return f, true
-		}
-	}
-	return frontier.Frontier{}, false
 }
 
 // writeMarkdown prints the $GITHUB_STEP_SUMMARY digest: per condition, a
@@ -186,7 +166,7 @@ func writeMarkdown(w io.Writer, rep *frontier.Report) {
 		}
 		fmt.Fprintln(w, "---|---|")
 		for _, router := range rep.Grid.Routers {
-			f, ok := findFrontier(rep, cond, router)
+			f, ok := rep.Frontier(cond, router)
 			if !ok {
 				continue
 			}
@@ -322,11 +302,11 @@ func writeSVG(w io.Writer, rep *frontier.Report) {
 				type point struct{ x, y float64 }
 				var pts []point
 				for si, scale := range rep.Grid.Scales {
-					v, ok := cellValue(rep, cond, router, comp, scale)
+					c, ok := rep.Cell(cond, router, comp, scale)
 					if !ok {
 						continue
 					}
-					pts = append(pts, point{px(si), py(v)})
+					pts = append(pts, point{px(si), py(c.GoodputPerGPU)})
 				}
 				if len(pts) > 1 {
 					coords := make([]string, len(pts))

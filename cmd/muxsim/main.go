@@ -20,7 +20,7 @@ import (
 func main() {
 	engine := flag.String("engine", "MuxWise", "engine: "+strings.Join(muxwise.Engines(), ", "))
 	mdl := flag.String("model", "Llama-8B", "model name")
-	hw := flag.String("hw", "A100", "hardware: A100, H100, H200")
+	hw := flag.String("hw", "A100", "hardware: A100, H100, H200, B200")
 	gpus := flag.Int("gpus", 8, "number of GPUs")
 	wl := flag.String("workload", "sharegpt", "workload: sharegpt, loogle, openthoughts, conversation, toolagent")
 	traceFile := flag.String("trace", "", "replay a JSONL trace file instead of generating a workload")

@@ -120,38 +120,25 @@ func CoRunSlowdown(spec gpu.Spec, tp int, arch model.Arch, decSM, bs, dCtx, pNew
 	return f
 }
 
-// MeasureDecodeSolo runs one decode iteration solo on a fresh simulated
-// device and returns its latency in seconds (including graph launch) —
+// MeasureDecodeSolo returns the latency in seconds of one decode
+// iteration run solo on the simulated device, graph launch included —
 // the probe the offline profiling and the motivation experiments share.
 func MeasureDecodeSolo(spec gpu.Spec, tp int, arch model.Arch, sms, bs, ctxPerReq int) float64 {
-	s := sim.New()
-	d := gpu.NewDevice(s, spec, tp, "profile")
-	p := d.Partition(sms, "decode")
 	c := arch.DecodeIterTotals(bs*ctxPerReq, bs, tp)
-	var done sim.Time
-	p.Launch(gpu.NewKernel("decode", gpu.Decode, c, spec.GraphLaunch), func() { done = s.Now() })
-	s.Run()
-	return done.Seconds()
+	return gpu.SoloTime(spec, tp, sms, gpu.NewKernel("decode", gpu.Decode, c, spec.GraphLaunch)).Seconds()
 }
 
-// MeasurePrefillSolo runs a full layer-wise prefill phase solo and
-// returns its latency in seconds.
+// MeasurePrefillSolo returns the latency in seconds of a full layer-wise
+// prefill phase run solo on the simulated device. Its identical layers
+// queue on one stream behind a serial launcher: layer i is ready at
+// (i+1)·L, starts then or when layer i−1 retires, whichever is later,
+// and runs for E, the solo time of a launch-free layer. So the last one
+// retires at L + E + (Layers−1)·max(E, L).
 func MeasurePrefillSolo(spec gpu.Spec, tp int, arch model.Arch, sms int, seqs []model.Seq) float64 {
-	s := sim.New()
-	d := gpu.NewDevice(s, spec, tp, "profile")
-	p := d.Partition(sms, "prefill")
 	layer := arch.PrefillLayer(seqs, tp, true)
-	var done sim.Time
-	for i := 0; i < arch.Layers; i++ {
-		last := i == arch.Layers-1
-		p.Launch(gpu.NewKernel("prefill-layer", gpu.Prefill, layer, spec.LayerLaunch), func() {
-			if last {
-				done = s.Now()
-			}
-		})
-	}
-	s.Run()
-	return done.Seconds()
+	e := gpu.SoloTime(spec, tp, sms, gpu.NewKernel("prefill-layer", gpu.Prefill, layer, 0))
+	l := spec.LayerLaunch
+	return (l + e + sim.Time(arch.Layers-1)*max(e, l)).Seconds()
 }
 
 // decodeFeatures builds the Eq. 2 feature row [Σr, bs, 1].
@@ -210,14 +197,19 @@ func fitRegimes(x [][]float64, y []float64, isMem []bool) planes {
 	return p
 }
 
+// The solo profiling grid: decode batch sizes and per-request contexts,
+// and prefill new and reused tokens (profileSolo skips pairs over 160K
+// tokens).
+var (
+	soloBS     = []int{1, 2, 4, 8, 16, 32, 64, 128, 192, 256}
+	soloCtx    = []int{512, 2048, 8192, 32768, 131072}
+	soloNew    = []int{256, 512, 2048, 8192, 32768}
+	soloReused = []int{0, 2048, 8192, 32768, 131072}
+)
+
 // profileSolo fits the Eq. 1/2 models per partition configuration and
 // builds the SM-indexed lookup tables from them.
 func (e *Estimator) profileSolo() {
-	bss := []int{1, 2, 4, 8, 16, 32, 64, 128, 192, 256}
-	ctxs := []int{512, 2048, 8192, 32768, 131072}
-	news := []int{256, 512, 2048, 8192, 32768}
-	reuses := []int{0, 2048, 8192, 32768, 131072}
-
 	configs := e.Configs()
 	decode := make([]planes, len(configs))
 	prefill := make([]planes, len(configs))
@@ -225,8 +217,8 @@ func (e *Estimator) profileSolo() {
 		var dx [][]float64
 		var dy []float64
 		var dm []bool
-		for _, bs := range bss {
-			for _, ctx := range ctxs {
+		for _, bs := range soloBS {
+			for _, ctx := range soloCtx {
 				lat := MeasureDecodeSolo(e.Spec, e.TP, e.Arch, sms, bs, ctx)
 				dx = append(dx, decodeFeatures(bs*ctx, bs))
 				dy = append(dy, lat)
@@ -238,8 +230,8 @@ func (e *Estimator) profileSolo() {
 		var px [][]float64
 		var py []float64
 		var pm []bool
-		for _, n := range news {
-			for _, r := range reuses {
+		for _, n := range soloNew {
+			for _, r := range soloReused {
 				if n+r > 160000 {
 					continue
 				}

@@ -162,6 +162,83 @@ func TestCoRunMatchesFullPhase(t *testing.T) {
 	})
 }
 
+// simDecodeSolo is the fresh-simulator reference MeasureDecodeSolo
+// prices without simulating: one decode iteration launched alone on a
+// new device, run until it drains.
+func simDecodeSolo(spec gpu.Spec, tp int, arch model.Arch, sms, bs, ctxPerReq int) sim.Time {
+	s := sim.New()
+	p := gpu.NewDevice(s, spec, tp, "profile").Partition(sms, "decode")
+	c := arch.DecodeIterTotals(bs*ctxPerReq, bs, tp)
+	var done sim.Time
+	p.Launch(gpu.NewKernel("decode", gpu.Decode, c, spec.GraphLaunch), func() { done = s.Now() })
+	s.Run()
+	return done
+}
+
+// simPrefillSolo is the fresh-simulator reference MeasurePrefillSolo
+// prices without simulating: every layer of a prefill phase launched on
+// one stream of a new device, run until it drains.
+func simPrefillSolo(spec gpu.Spec, tp int, arch model.Arch, sms int, seqs []model.Seq) sim.Time {
+	s := sim.New()
+	p := gpu.NewDevice(s, spec, tp, "profile").Partition(sms, "prefill")
+	layer := arch.PrefillLayer(seqs, tp, true)
+	var done sim.Time
+	for range arch.Layers {
+		p.Launch(gpu.NewKernel("prefill-layer", gpu.Prefill, layer, spec.LayerLaunch), func() { done = s.Now() })
+	}
+	s.Run()
+	return done
+}
+
+// The priced solo latencies equal the simulated ones bit for bit (the
+// seconds are those of the same sim.Time), on every shape profileSolo
+// measures on two deployments, and on launch-bound prefill layers
+// (E < L) of a third. Both sides of max(E, L) must be met.
+func TestSoloMatchesSimulation(t *testing.T) {
+	type prefillShape struct {
+		c    profileCase
+		news []int
+	}
+	shapes := []prefillShape{
+		{profileCases[0], soloNew},
+		{profileCases[1], soloNew},
+		{profileCases[2], []int{1, 16}},
+	}
+	launchBound, computeBound := 0, 0
+	for _, sh := range shapes {
+		c := sh.c
+		for _, sms := range (&Estimator{Spec: c.spec}).Configs() {
+			for _, bs := range soloBS {
+				for _, ctx := range soloCtx {
+					got := MeasureDecodeSolo(c.spec, c.tp, c.arch, sms, bs, ctx)
+					if want := simDecodeSolo(c.spec, c.tp, c.arch, sms, bs, ctx); got != want.Seconds() {
+						t.Fatalf("%s decode sms %d bs %d ctx %d: priced %v s, simulated %v", c.name, sms, bs, ctx, got, want)
+					}
+				}
+			}
+			for _, n := range sh.news {
+				for _, r := range soloReused {
+					seqs := []model.Seq{{New: n, Reused: r}}
+					got := MeasurePrefillSolo(c.spec, c.tp, c.arch, sms, seqs)
+					if want := simPrefillSolo(c.spec, c.tp, c.arch, sms, seqs); got != want.Seconds() {
+						t.Fatalf("%s prefill sms %d %+v: priced %v s, simulated %v", c.name, sms, seqs[0], got, want)
+					}
+					layer := gpu.NewKernel("prefill-layer", gpu.Prefill, c.arch.PrefillLayer(seqs, c.tp, true), 0)
+					if gpu.SoloTime(c.spec, c.tp, sms, layer) < c.spec.LayerLaunch {
+						launchBound++
+					} else {
+						computeBound++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("prefill layers: %d with E < L, %d with E ≥ L", launchBound, computeBound)
+	if launchBound == 0 || computeBound == 0 {
+		t.Errorf("need layers on both sides of the launch time: %d with E < L, %d with E ≥ L", launchBound, computeBound)
+	}
+}
+
 // BenchmarkProfile measures one deployment's whole offline profiling
 // pass, fitted fresh per op (profile bypasses profileCache).
 func BenchmarkProfile(b *testing.B) {

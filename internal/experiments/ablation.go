@@ -166,7 +166,10 @@ func Sec45(o Opts) []Table {
 	for _, a := range archs {
 		for _, seq := range []model.Seq{{New: 2048}, {New: 8192, Reused: 8192}} {
 			layered := estimator.MeasurePrefillSolo(gpu.A100(), 8, a, 108, []model.Seq{seq})
-			ideal := measurePhaseNoLaunch(gpu.A100(), 8, a, []model.Seq{seq})
+			// The launch-overhead-free reference: the whole phase as one
+			// kernel with zero launch cost.
+			phase := gpu.NewKernel("prefill-phase", gpu.Prefill, a.PrefillPhase([]model.Seq{seq}, 8), 0)
+			ideal := gpu.SoloTime(gpu.A100(), 8, 108, phase).Seconds()
 			over := (layered - ideal) / ideal * 100
 			run.Add(a.Name, fmt.Sprintf("n=%d r=%d", seq.New, seq.Reused),
 				ms(ideal), ms(layered), fmt.Sprintf("%.2f", over))
@@ -174,20 +177,6 @@ func Sec45(o Opts) []Table {
 	}
 	run.Notes = append(run.Notes, "paper: total layer-wise launch overhead within 1.5%")
 	return []Table{mem, run}
-}
-
-// measurePhaseNoLaunch measures a whole prefill phase as one kernel with
-// zero launch cost — the launch-overhead-free reference the layer-wise
-// overhead is judged against.
-func measurePhaseNoLaunch(spec gpu.Spec, tp int, arch model.Arch, seqs []model.Seq) float64 {
-	s := sim.New()
-	d := gpu.NewDevice(s, spec, tp, "ref")
-	p := d.Partition(spec.SMs, "phase")
-	phase := arch.PrefillPhase(seqs, tp)
-	var done float64
-	p.Launch(gpu.NewKernel("prefill-phase", gpu.Prefill, phase, 0), func() { done = s.Now().Seconds() })
-	s.Run()
-	return done
 }
 
 // Sec6 reproduces the §6 related-work comparisons: MuxWise vs the

@@ -7,7 +7,6 @@ import (
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
 	"muxwise/internal/model"
-	"muxwise/internal/sim"
 	"muxwise/internal/workload"
 )
 
@@ -103,21 +102,12 @@ func Fig5(o Opts) []Table {
 	return []Table{t}
 }
 
-// fusedIterLatency measures one chunked-prefill fused iteration on the
-// simulated device (full 8×A100, Llama-70B).
+// fusedIterLatency prices one chunked-prefill fused iteration run solo
+// on the simulated device (full 8×A100, Llama-70B).
 func fusedIterLatency(arch model.Arch, spec gpu.Spec, budget, bs, decCtx, chunkPrior, chunkReused int) float64 {
-	s := sim.New()
-	d := gpu.NewDevice(s, spec, 8, "fig6")
-	p := d.Partition(spec.SMs, "fused")
-	chunk := model.Seq{New: budget - bs, Prior: chunkPrior, Reused: chunkReused}
-	if chunk.New < 0 {
-		chunk.New = 0
-	}
+	chunk := model.Seq{New: max(budget-bs, 0), Prior: chunkPrior, Reused: chunkReused}
 	cost := arch.FusedChunkIter(chunk, bs*decCtx, bs, 8)
-	var done float64
-	p.Launch(gpu.NewKernel("fused-iter", gpu.Prefill, cost, spec.GraphLaunch), func() { done = s.Now().Seconds() })
-	s.Run()
-	return done
+	return gpu.SoloTime(spec, 8, spec.SMs, gpu.NewKernel("fused-iter", gpu.Prefill, cost, spec.GraphLaunch)).Seconds()
 }
 
 // Fig6 reproduces Figure 6: the chunked-prefill dilemma. (a) latency vs

@@ -2,9 +2,13 @@ package frontier
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -82,7 +86,29 @@ func TestRooflineGolden(t *testing.T) {
 			t.Errorf("%s: no requests offered", c.key())
 		}
 	}
-	path := goldenPath("roofline")
+	checkGolden(t, rep, goldenPath("roofline"))
+}
+
+// TestGolden pins every cell, frontier leader and crossover point of the
+// quick matrix byte for byte against the committed per-condition goldens.
+func TestGolden(t *testing.T) {
+	rep := quickReport(t)
+	if *reportOut != "" {
+		if err := rep.WriteFile(*reportOut); err != nil {
+			t.Fatalf("write -frontier-report: %v", err)
+		}
+	}
+	for _, cond := range rep.Grid.Conditions {
+		t.Run(cond, func(t *testing.T) {
+			checkGolden(t, rep.Filter(cond), goldenPath(cond))
+		})
+	}
+}
+
+// checkGolden compares rep's canonical encoding with the golden at path
+// byte for byte, or rewrites the golden under -update.
+func checkGolden(t *testing.T, rep *Report, path string) {
+	t.Helper()
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -93,61 +119,107 @@ func TestRooflineGolden(t *testing.T) {
 		t.Logf("wrote %s (%d cells)", path, len(rep.Cells))
 		return
 	}
-	want, err := ReadFile(path)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("load golden (run with -update to regenerate): %v", err)
 	}
-	diffs := Compare(rep, want, DefaultTolerance())
+	diffs := goldenDiffs(rep, want)
 	for _, d := range diffs {
 		t.Errorf("%s", d)
 	}
 	if len(diffs) > 0 {
-		t.Logf("%d mismatches against %s — if the shift is intentional, regenerate with -update", len(diffs), path)
+		t.Logf("%s moved; if the shift is intentional, regenerate with -update", path)
 	}
 }
 
-// TestGolden pins every cell, frontier leader and crossover point of the
-// quick matrix against the committed per-condition goldens, within the
-// default tolerance bands.
-func TestGolden(t *testing.T) {
-	rep := quickReport(t)
-	if *reportOut != "" {
-		if err := rep.WriteFile(*reportOut); err != nil {
-			t.Fatalf("write -frontier-report: %v", err)
+// goldenDiffs returns nothing when rep's canonical encoding equals the
+// golden bytes want. Otherwise it names each cell that moved, by key,
+// and says whether the frontiers moved, so a failure points somewhere.
+func goldenDiffs(rep *Report, want []byte) []string {
+	var got bytes.Buffer
+	if err := rep.WriteJSON(&got); err != nil {
+		return []string{err.Error()}
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return nil
+	}
+	var old Report
+	if err := json.Unmarshal(want, &old); err != nil {
+		return []string{fmt.Sprintf("golden does not parse: %v", err)}
+	}
+	var diffs []string
+	if rep.Schema != old.Schema || rep.Name != old.Name || !reflect.DeepEqual(rep.Grid, old.Grid) {
+		diffs = append(diffs, fmt.Sprintf("header moved: got %s %s %+v, golden %s %s %+v",
+			rep.Schema, rep.Name, rep.Grid, old.Schema, old.Name, old.Grid))
+	}
+	for _, c := range rep.Cells {
+		o, ok := old.Cell(c.Condition, c.Router, c.Composition, c.Scale)
+		switch {
+		case !ok:
+			diffs = append(diffs, fmt.Sprintf("cell %s: not in golden", c.key()))
+		case !reflect.DeepEqual(c, *o):
+			diffs = append(diffs, fmt.Sprintf("cell %s moved:\n got    %+v\n golden %+v", c.key(), c, *o))
 		}
 	}
-	for _, cond := range rep.Grid.Conditions {
-		t.Run(cond, func(t *testing.T) {
-			got := rep.Filter(cond)
-			path := goldenPath(cond)
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := got.WriteFile(path); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s (%d cells)", path, len(got.Cells))
-				return
-			}
-			want, err := ReadFile(path)
+	for _, c := range old.Cells {
+		if _, ok := rep.Cell(c.Condition, c.Router, c.Composition, c.Scale); !ok {
+			diffs = append(diffs, fmt.Sprintf("cell %s: in golden but not produced", c.key()))
+		}
+	}
+	switch {
+	case !reflect.DeepEqual(rep.Frontiers, old.Frontiers):
+		diffs = append(diffs, fmt.Sprintf("frontiers moved:\n got    %+v\n golden %+v", rep.Frontiers, old.Frontiers))
+	case len(diffs) == 0:
+		diffs = append(diffs, "bytes differ from the golden, though every cell and frontier decodes equal")
+	default:
+		diffs = append(diffs, "frontiers unchanged (leaders and crossovers)")
+	}
+	return diffs
+}
+
+// TestGoldenCatchesDrift moves one cell of each committed golden by the
+// smallest step a report can show (1e-6 on a float, 1 on a count) and
+// requires the golden check to name that cell each time.
+func TestGoldenCatchesDrift(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "frontier", "*.golden.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no goldens found: %v", err)
+	}
+	for _, path := range paths {
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, move := range []struct {
+			field string
+			apply func(*Cell)
+		}{
+			{"goodput", func(c *Cell) { c.Goodput = round(c.Goodput + 1e-6) }},
+			{"attainment", func(c *Cell) { c.Attainment = round(c.Attainment + 1e-6) }},
+			{"within_slo", func(c *Cell) { c.WithinSLO++ }},
+		} {
+			rep, err := ReadFile(path)
 			if err != nil {
-				t.Fatalf("load golden (run with -update to regenerate): %v", err)
+				t.Fatal(err)
 			}
-			diffs := Compare(got, want, DefaultTolerance())
-			for _, d := range diffs {
-				t.Errorf("%s", d)
+			if diffs := goldenDiffs(rep, want); len(diffs) > 0 {
+				t.Fatalf("%s read back unmoved: %v", path, diffs)
 			}
-			if len(diffs) > 0 {
-				t.Logf("%d mismatches against %s — if the shift is intentional, regenerate with -update", len(diffs), path)
+			c := &rep.Cells[len(rep.Cells)/2]
+			move.apply(c)
+			named := false
+			for _, d := range goldenDiffs(rep, want) {
+				named = named || strings.HasPrefix(d, "cell "+c.key()+" moved")
 			}
-		})
+			if !named {
+				t.Errorf("%s: %s of cell %s moved and the golden check did not name it", path, move.field, c.key())
+			}
+		}
 	}
 }
 
 // TestGoldenRoundTrip checks the canonical encoding is stable: a report
-// written and re-read compares clean against itself with zero tolerance
-// slack in play.
+// written, re-read and written again gives the same bytes.
 func TestGoldenRoundTrip(t *testing.T) {
 	rep := quickReport(t)
 	var buf bytes.Buffer
@@ -162,9 +234,6 @@ func TestGoldenRoundTrip(t *testing.T) {
 	back, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if diffs := Compare(rep, back, Tolerance{Rel: 1e-12, CountRel: 1e-12, AttainmentAbs: 1e-12}); len(diffs) > 0 {
-		t.Fatalf("round-trip drifted: %v", diffs)
 	}
 	var buf2 bytes.Buffer
 	if err := back.WriteJSON(&buf2); err != nil {
@@ -186,7 +255,7 @@ func TestPaperShape(t *testing.T) {
 	base := rep.Grid.Baseline
 	for _, router := range rep.Grid.Routers {
 		t.Run(router, func(t *testing.T) {
-			f, ok := rep.frontier(Steady, router)
+			f, ok := rep.Frontier(Steady, router)
 			if !ok {
 				t.Fatalf("no steady frontier for router %s", router)
 			}
@@ -244,7 +313,7 @@ func TestMigrationFrontier(t *testing.T) {
 		if c.Condition != Drain {
 			continue
 		}
-		m, ok := rep.cell(DrainMigrate, c.Router, c.Composition, c.Scale)
+		m, ok := rep.Cell(DrainMigrate, c.Router, c.Composition, c.Scale)
 		if !ok {
 			t.Fatalf("no drain-migrate twin for %s", c.key())
 		}
@@ -285,83 +354,6 @@ func TestMatrixValidate(t *testing.T) {
 				t.Fatalf("Run accepted an invalid matrix (%s)", tc.name)
 			}
 		})
-	}
-}
-
-// TestCompareTolerance exercises the comparator's bands on synthetic
-// reports, so golden failures are trustworthy in both directions.
-func TestCompareTolerance(t *testing.T) {
-	mk := func() *Report {
-		return &Report{
-			Schema: Schema,
-			Name:   "t",
-			Grid: Grid{
-				Compositions: []string{"a", "b"},
-				Baseline:     "a",
-				Conditions:   []string{Steady},
-				Routers:      []string{"least-tokens"},
-				Scales:       []float64{1, 2},
-				Sessions:     10,
-				Seed:         1,
-			},
-			Cells: []Cell{
-				{Condition: Steady, Router: "least-tokens", Composition: "a", Scale: 1,
-					GPUs: 2, GPUSeconds: 200, Offered: 100, OfferedRate: 1, WithinSLO: 90,
-					Goodput: 0.9, GoodputPerGPU: 0.45, Attainment: 0.99, CacheHit: 0.5},
-				{Condition: Steady, Router: "least-tokens", Composition: "b", Scale: 2,
-					GPUs: 4, GPUSeconds: 100, Offered: 100, OfferedRate: 4, WithinSLO: 80,
-					Goodput: 3.2, GoodputPerGPU: 0.8, Attainment: 0.97, CacheHit: 0.4},
-			},
-			Frontiers: []Frontier{{
-				Condition: Steady, Router: "least-tokens",
-				Leaders: []Leader{
-					{Scale: 1, Composition: "a", GoodputPerGPU: 0.45},
-					{Scale: 2, Composition: "b", GoodputPerGPU: 0.8},
-				},
-				Crossover: 2,
-			}},
-		}
-	}
-	if diffs := Compare(mk(), mk(), DefaultTolerance()); len(diffs) > 0 {
-		t.Fatalf("identical reports diff: %v", diffs)
-	}
-
-	within := mk()
-	within.Cells[0].Goodput *= 1.01     // inside the 2% band
-	within.Cells[0].WithinSLO += 2      // inside the count slack
-	within.Cells[1].Attainment -= 0.015 // inside the attainment band
-	if diffs := Compare(within, mk(), DefaultTolerance()); len(diffs) > 0 {
-		t.Fatalf("within-tolerance drift flagged: %v", diffs)
-	}
-
-	for name, mut := range map[string]func(*Report){
-		"goodput shift":      func(r *Report) { r.Cells[0].Goodput *= 1.10 },
-		"goodput/gpu shift":  func(r *Report) { r.Cells[1].GoodputPerGPU *= 0.5 },
-		"count shift":        func(r *Report) { r.Cells[0].WithinSLO -= 20 },
-		"attainment shift":   func(r *Report) { r.Cells[1].Attainment -= 0.1 },
-		"stability flip":     func(r *Report) { r.Cells[0].Unstable = true },
-		"crossover shift":    func(r *Report) { r.Frontiers[0].Crossover = 1 },
-		"leader change":      func(r *Report) { r.Frontiers[0].Leaders[1].Composition = "a" },
-		"missing cell":       func(r *Report) { r.Cells = r.Cells[:1] },
-		"offered change":     func(r *Report) { r.Cells[0].Offered = 99 },
-		"gpu budget change":  func(r *Report) { r.Cells[0].GPUs = 3 },
-		"failure count":      func(r *Report) { r.Cells[0].Failures = 1 },
-		"schema bump":        func(r *Report) { r.Schema = "muxwise/frontier/v0" },
-		"grid scale change":  func(r *Report) { r.Grid.Scales = []float64{1, 3} },
-		"extra cell":         func(r *Report) { c := r.Cells[0]; c.Scale = 7; r.Cells = append(r.Cells, c) },
-		"frontier dropped":   func(r *Report) { r.Frontiers = nil },
-		"cache regression":   func(r *Report) { r.Cells[0].CacheHit = 0.1 },
-		"gpu-seconds change": func(r *Report) { r.Cells[0].GPUSeconds *= 2 },
-		"miss-cause shift": func(r *Report) {
-			r.Cells[0].MissCauses.Misses += 10
-			r.Cells[0].MissCauses.QueuedTooLong += 10
-		},
-	} {
-		got := mk()
-		mut(got)
-		if diffs := Compare(got, mk(), DefaultTolerance()); len(diffs) == 0 {
-			t.Errorf("%s: comparator saw no difference", name)
-		}
 	}
 }
 
@@ -427,7 +419,7 @@ func TestCrossoverZeroTie(t *testing.T) {
 		},
 	}
 	rep.extractFrontiers("agg")
-	f, ok := rep.frontier(Steady, "least-tokens")
+	f, ok := rep.Frontier(Steady, "least-tokens")
 	if !ok {
 		t.Fatal("no frontier extracted")
 	}

@@ -155,7 +155,7 @@ func (r *Report) extractFrontiers(baseline string) {
 		for _, router := range r.Grid.Routers {
 			f := Frontier{Condition: cond, Router: router}
 			for _, scale := range r.Grid.Scales {
-				base, baseOK := r.cell(cond, router, baseline, scale)
+				base, baseOK := r.Cell(cond, router, baseline, scale)
 				var lead *Cell
 				var challenger *Cell
 				for i := range r.Cells {
@@ -193,8 +193,8 @@ func (r *Report) extractFrontiers(baseline string) {
 	}
 }
 
-// cell looks up one cell by identity.
-func (r *Report) cell(cond, router, comp string, scale float64) (*Cell, bool) {
+// Cell looks up one cell by identity.
+func (r *Report) Cell(cond, router, comp string, scale float64) (*Cell, bool) {
 	for i := range r.Cells {
 		c := &r.Cells[i]
 		if c.Condition == cond && c.Router == router &&
@@ -205,8 +205,8 @@ func (r *Report) cell(cond, router, comp string, scale float64) (*Cell, bool) {
 	return nil, false
 }
 
-// frontier looks up one frontier by identity.
-func (r *Report) frontier(cond, router string) (*Frontier, bool) {
+// Frontier looks up one (condition, router) frontier.
+func (r *Report) Frontier(cond, router string) (*Frontier, bool) {
 	for i := range r.Frontiers {
 		f := &r.Frontiers[i]
 		if f.Condition == cond && f.Router == router {
@@ -265,203 +265,4 @@ func ReadFile(path string) (*Report, error) {
 		return nil, fmt.Errorf("frontier: %s: %w", path, err)
 	}
 	return &r, nil
-}
-
-// Tolerance bounds how far a report may drift from a golden before the
-// comparison fails. Runs are deterministic, so the bands exist to absorb
-// floating-point divergence across platforms and Go releases — not to
-// hide regressions: identity fields (grid, leaders, crossover, stability)
-// always compare exactly.
-type Tolerance struct {
-	// Rel bounds the relative error of rate/goodput floats (default 2%).
-	Rel float64
-	// CountRel bounds the relative error of sample counts such as
-	// WithinSLO (default 3%, with an absolute slack of 2 requests).
-	CountRel float64
-	// AttainmentAbs bounds absolute drift of attainment and cache-hit
-	// fractions (default 0.02).
-	AttainmentAbs float64
-}
-
-// DefaultTolerance is the band the golden tests compare under.
-func DefaultTolerance() Tolerance {
-	return Tolerance{Rel: 0.02, CountRel: 0.03, AttainmentAbs: 0.02}
-}
-
-// withDefaults resolves zero-valued bands.
-func (t Tolerance) withDefaults() Tolerance {
-	d := DefaultTolerance()
-	if t.Rel <= 0 {
-		t.Rel = d.Rel
-	}
-	if t.CountRel <= 0 {
-		t.CountRel = d.CountRel
-	}
-	if t.AttainmentAbs <= 0 {
-		t.AttainmentAbs = d.AttainmentAbs
-	}
-	return t
-}
-
-// relOK reports whether got is within rel of want.
-func relOK(got, want, rel float64) bool {
-	diff := math.Abs(got - want)
-	if diff == 0 {
-		return true
-	}
-	scale := math.Max(math.Abs(got), math.Abs(want))
-	return diff <= rel*scale
-}
-
-// countOK reports whether an integer count is within the band.
-func countOK(got, want int, rel float64) bool {
-	diff := got - want
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff <= 2 {
-		return true
-	}
-	lim := int(math.Ceil(rel * math.Max(float64(got), float64(want))))
-	return diff <= lim
-}
-
-// Compare diffs a report against a golden under the tolerance bands and
-// returns human-readable mismatches (empty means the reports agree).
-func Compare(got, want *Report, tol Tolerance) []string {
-	tol = tol.withDefaults()
-	var diffs []string
-	addf := func(format string, args ...any) {
-		diffs = append(diffs, fmt.Sprintf(format, args...))
-	}
-	if got.Schema != want.Schema {
-		addf("schema: got %q, golden %q", got.Schema, want.Schema)
-		return diffs
-	}
-	if got.Name != want.Name {
-		addf("name: got %q, golden %q", got.Name, want.Name)
-	}
-	if gg, wg := fmt.Sprintf("%+v", got.Grid), fmt.Sprintf("%+v", want.Grid); gg != wg {
-		addf("grid: got %s, golden %s", gg, wg)
-		return diffs
-	}
-
-	wantCells := map[string]Cell{}
-	for _, c := range want.Cells {
-		wantCells[c.key()] = c
-	}
-	seen := map[string]bool{}
-	for _, g := range got.Cells {
-		k := g.key()
-		seen[k] = true
-		w, ok := wantCells[k]
-		if !ok {
-			addf("cell %s: not in golden", k)
-			continue
-		}
-		if g.GPUs != w.GPUs {
-			addf("cell %s: gpus got %d, golden %d", k, g.GPUs, w.GPUs)
-		}
-		if g.Offered != w.Offered {
-			addf("cell %s: offered got %d, golden %d", k, g.Offered, w.Offered)
-		}
-		if !countOK(g.WithinSLO, w.WithinSLO, tol.CountRel) {
-			addf("cell %s: within_slo got %d, golden %d (count tolerance %.0f%%)",
-				k, g.WithinSLO, w.WithinSLO, tol.CountRel*100)
-		}
-		for _, f := range []struct {
-			name      string
-			got, want float64
-		}{
-			{"offered_rate", g.OfferedRate, w.OfferedRate},
-			{"goodput", g.Goodput, w.Goodput},
-			{"goodput_per_gpu", g.GoodputPerGPU, w.GoodputPerGPU},
-			{"gpu_seconds", g.GPUSeconds, w.GPUSeconds},
-		} {
-			if !relOK(f.got, f.want, tol.Rel) {
-				addf("cell %s: %s got %.6f, golden %.6f (tolerance %.0f%%)",
-					k, f.name, f.got, f.want, tol.Rel*100)
-			}
-		}
-		for _, f := range []struct {
-			name      string
-			got, want float64
-		}{
-			{"attainment", g.Attainment, w.Attainment},
-			{"cache_hit", g.CacheHit, w.CacheHit},
-		} {
-			if math.Abs(f.got-f.want) > tol.AttainmentAbs {
-				addf("cell %s: %s got %.4f, golden %.4f (tolerance ±%.2f)",
-					k, f.name, f.got, f.want, tol.AttainmentAbs)
-			}
-		}
-		if g.Unstable != w.Unstable {
-			addf("cell %s: unstable got %v, golden %v", k, g.Unstable, w.Unstable)
-		}
-		if g.Failures != w.Failures {
-			addf("cell %s: failures got %d, golden %d", k, g.Failures, w.Failures)
-		}
-		for _, f := range []struct {
-			name      string
-			got, want int
-		}{
-			{"miss_causes.misses", g.MissCauses.Misses, w.MissCauses.Misses},
-			{"miss_causes.queued_too_long", g.MissCauses.QueuedTooLong, w.MissCauses.QueuedTooLong},
-			{"miss_causes.slow_prefill", g.MissCauses.SlowPrefill, w.MissCauses.SlowPrefill},
-			{"miss_causes.tbt_violation", g.MissCauses.TBTViolation, w.MissCauses.TBTViolation},
-			{"miss_causes.migration_stall", g.MissCauses.MigrationStall, w.MissCauses.MigrationStall},
-			{"miss_causes.crash", g.MissCauses.Crash, w.MissCauses.Crash},
-			{"miss_causes.unfinished", g.MissCauses.Unfinished, w.MissCauses.Unfinished},
-			{"miss_causes.other", g.MissCauses.Other, w.MissCauses.Other},
-		} {
-			if !countOK(f.got, f.want, tol.CountRel) {
-				addf("cell %s: %s got %d, golden %d (count tolerance %.0f%%)",
-					k, f.name, f.got, f.want, tol.CountRel*100)
-			}
-		}
-	}
-	missing := make([]string, 0, len(wantCells))
-	for k := range wantCells {
-		if !seen[k] {
-			missing = append(missing, k)
-		}
-	}
-	sort.Strings(missing)
-	for _, k := range missing {
-		addf("cell %s: in golden but not produced", k)
-	}
-
-	for _, wf := range want.Frontiers {
-		gf, ok := got.frontier(wf.Condition, wf.Router)
-		if !ok {
-			addf("frontier %s/%s: not produced", wf.Condition, wf.Router)
-			continue
-		}
-		if gf.Crossover != wf.Crossover {
-			addf("frontier %s/%s: crossover scale got %g, golden %g",
-				wf.Condition, wf.Router, gf.Crossover, wf.Crossover)
-		}
-		if len(gf.Leaders) != len(wf.Leaders) {
-			addf("frontier %s/%s: %d leaders, golden %d",
-				wf.Condition, wf.Router, len(gf.Leaders), len(wf.Leaders))
-			continue
-		}
-		for i, wl := range wf.Leaders {
-			gl := gf.Leaders[i]
-			if gl.Scale != wl.Scale || gl.Composition != wl.Composition {
-				addf("frontier %s/%s@%g: leader got %s, golden %s",
-					wf.Condition, wf.Router, wl.Scale, gl.Composition, wl.Composition)
-			}
-			if !relOK(gl.GoodputPerGPU, wl.GoodputPerGPU, tol.Rel) {
-				addf("frontier %s/%s@%g: leader goodput/GPU got %.6f, golden %.6f",
-					wf.Condition, wf.Router, wl.Scale, gl.GoodputPerGPU, wl.GoodputPerGPU)
-			}
-		}
-	}
-	for _, gf := range got.Frontiers {
-		if _, ok := want.frontier(gf.Condition, gf.Router); !ok {
-			addf("frontier %s/%s: not in golden", gf.Condition, gf.Router)
-		}
-	}
-	return diffs
 }

@@ -26,7 +26,7 @@ func Tables(r *Report) []experiments.Table {
 			for _, scale := range r.Grid.Scales {
 				row := []string{fmt.Sprintf("%g", scale)}
 				for _, comp := range r.Grid.Compositions {
-					c, ok := r.cell(cond, router, comp, scale)
+					c, ok := r.Cell(cond, router, comp, scale)
 					if !ok {
 						row = append(row, "n/a")
 						continue
@@ -38,7 +38,7 @@ func Tables(r *Report) []experiments.Table {
 					row = append(row, fmt.Sprintf("%.4f%s", c.GoodputPerGPU, mark))
 				}
 				leader := "n/a"
-				if f, ok := r.frontier(cond, router); ok {
+				if f, ok := r.Frontier(cond, router); ok {
 					for _, l := range f.Leaders {
 						if l.Scale == scale {
 							leader = l.Composition
@@ -48,7 +48,7 @@ func Tables(r *Report) []experiments.Table {
 				row = append(row, leader)
 				t.Add(row...)
 			}
-			if f, ok := r.frontier(cond, router); ok {
+			if f, ok := r.Frontier(cond, router); ok {
 				if f.Crossover > 0 {
 					t.Notes = append(t.Notes, fmt.Sprintf(
 						"crossover at burst scale %g: %s overtaken on goodput/GPU", f.Crossover, r.Grid.Baseline))

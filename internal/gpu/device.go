@@ -396,6 +396,21 @@ func (d *Device) initRun(r *run) {
 	r.remComm = r.k.CommBytes
 }
 
+// SoloTime returns when k retires if it is launched at time 0 on a fresh
+// device of tp spec GPUs, alone on a partition of sms SMs per GPU: its
+// host launch plus its run at solo rates, at least 1 ns. It prices the
+// kernel with the device's own start, rate and deadline code on a
+// running set of one, without simulating it. A kernel with work on 0
+// SMs, which a device refuses to start, gets sim.MaxTime.
+func SoloTime(spec Spec, tp, sms int, k Kernel) sim.Time {
+	d := NewDevice(nil, spec, tp, "solo")
+	r := &run{part: d.Partition(sms, "solo"), k: k}
+	d.initRun(r)
+	d.running = append(d.running, r)
+	d.setRates()
+	return d.soonest(k.Launch)
+}
+
 // count books a kernel start at t.
 func (d *Device) count(t sim.Time) {
 	d.kernels++

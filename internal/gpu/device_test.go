@@ -164,6 +164,44 @@ func TestComputeCoRunnerLowInterference(t *testing.T) {
 	}
 }
 
+// SoloTime prices a kernel at the instant a fresh simulated device
+// retires it, bit for bit: compute-, HBM- and interconnect-bound kernels,
+// prefill and decode efficiency, with and without launch time, on every
+// partition size, and a kernel with no work (1 ns after its launch, even
+// on 0 SMs).
+func TestSoloTimeMatchesDevice(t *testing.T) {
+	kernels := []Kernel{
+		{Kind: Prefill, FLOPs: 4e13, Bytes: 2e9, Tokens: 2048, Launch: 130 * sim.Microsecond},
+		{Kind: Prefill, FLOPs: 3e11, Bytes: 8e9, Tokens: 16},
+		{Kind: Decode, FLOPs: 1e11, Bytes: 3e10, CommBytes: 1e8, Launch: 500 * sim.Microsecond},
+		{Kind: Decode, FLOPs: 1e9, Bytes: 1e8, CommBytes: 5e9},
+		{Kind: Aux, Bytes: 7e6, MFU: 0.3},
+		{Kind: Prefill, Launch: 20 * sim.Microsecond},
+		{Kind: Decode},
+	}
+	for _, spec := range []Spec{A100(), H100()} {
+		for _, tp := range []int{1, 8} {
+			for _, sms := range append(spec.PartitionSizes(), 0, spec.SMs) {
+				for i, k := range kernels {
+					if sms == 0 && (k.FLOPs > 0 || k.Bytes > 0) {
+						continue
+					}
+					s := sim.New()
+					var want sim.Time
+					NewDevice(s, spec, tp, "solo").Partition(sms, "p").Launch(k, func() { want = s.Now() })
+					s.Run()
+					if got := SoloTime(spec, tp, sms, k); got != want {
+						t.Fatalf("%s×%d on %d SMs, kernel %d: SoloTime %v, device retired it at %v", spec.Name, tp, sms, i, got, want)
+					}
+					if k.FLOPs == 0 && k.Bytes == 0 && k.CommBytes == 0 && want != k.Launch+1 {
+						t.Fatalf("%s×%d on %d SMs: kernel %d with no work retired at %v, want launch + 1 ns", spec.Name, tp, sms, i, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FIFO order within one partition's stream.
 func TestStreamFIFO(t *testing.T) {
 	s, d := newTestDevice(t, 1)
