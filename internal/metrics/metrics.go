@@ -12,6 +12,8 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/big"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -378,26 +380,60 @@ func quantiles(samples []float64) Quantiles {
 }
 
 // timeQuantiles is quantiles over nanosecond samples, reported in
-// seconds. It sorts ts in place. Seconds is monotone, so
-// the result is bitwise what quantiles returns on the converted samples:
-// the same order statistics, and Avg summed in the same ascending order.
+// seconds. It sorts ts in place. Seconds is monotone, so the order
+// statistics are bitwise what quantiles returns on the converted
+// samples; Avg is the exact mean, correctly rounded.
 func timeQuantiles(ts []sim.Time) Quantiles {
 	q := Quantiles{N: len(ts)}
 	if len(ts) == 0 {
 		return q
 	}
 	slices.Sort(ts)
-	var sum float64
+	var sum nsSum
 	for _, t := range ts {
-		sum += t.Seconds()
+		sum.add(t, 1)
 	}
 	n := len(ts)
-	q.Avg = sum / float64(n)
+	q.Avg = sum.mean(n)
 	q.P50 = ts[rank(n, 0.50)].Seconds()
 	q.P90 = ts[rank(n, 0.90)].Seconds()
 	q.P99 = ts[rank(n, 0.99)].Seconds()
 	q.Max = ts[n-1].Seconds()
 	return q
+}
+
+// nsSum is an exact sum of nanosecond counts, a two's-complement 128-bit
+// integer: no sum of fewer than 2^63 terms of MaxTime or less overflows
+// it, where an int64 sum overflows at two saturated gaps.
+type nsSum struct{ hi, lo uint64 }
+
+// add adds n·t, n ≥ 0.
+func (s *nsSum) add(t sim.Time, n int) {
+	hi, lo := bits.Mul64(uint64(t), uint64(n))
+	if t < 0 {
+		hi -= uint64(n) // uint64(t) is t + 2^64
+	}
+	var carry uint64
+	s.lo, carry = bits.Add64(s.lo, lo, 0)
+	s.hi += hi + carry
+}
+
+// mean returns the sum over n, n > 0, in seconds, correctly rounded.
+func (s nsSum) mean(n int) float64 {
+	// Integers below 2^53 convert to float64 exactly, and one IEEE
+	// division of exact operands rounds correctly.
+	const exact = 1 << 53
+	if s.hi == 0 && s.lo < exact && n < exact/int(sim.Second) {
+		return float64(s.lo) / float64(n*int(sim.Second))
+	}
+	sum := new(big.Int).SetUint64(s.hi)
+	sum.Lsh(sum, 64).Or(sum, new(big.Int).SetUint64(s.lo))
+	if s.hi>>63 == 1 {
+		sum.Sub(sum, new(big.Int).Lsh(big.NewInt(1), 128))
+	}
+	den := new(big.Int).Mul(big.NewInt(int64(n)), big.NewInt(int64(sim.Second)))
+	f, _ := new(big.Rat).SetFrac(sum, den).Float64()
+	return f
 }
 
 // percentile returns the p-quantile of a sorted sample via the

@@ -157,13 +157,13 @@ func mergedFlat(fs []*flatRecorder) *flatRecorder {
 	return m
 }
 
-// flatQuantiles sorts the gaps of samples one by one, as the flat log did.
+// flatQuantiles is the reference summary of samples' gaps.
 func flatQuantiles(samples []flatSample) Quantiles {
 	gaps := make([]sim.Time, len(samples))
 	for i, s := range samples {
 		gaps[i] = s.gap
 	}
-	return timeQuantiles(gaps)
+	return refQuantiles(gaps)
 }
 
 // checkFlat compares every reader of r with the flat reference f: the
@@ -257,6 +257,21 @@ func checkFlat(t *testing.T, what string, r *Recorder, f *flatRecorder, end sim.
 	if want := flatQuantiles(live); fmt.Sprintf("%#v", sum.TBT) != fmt.Sprintf("%#v", want) {
 		t.Fatalf("%s: summary TBT %#v, reference %#v", what, sum.TBT, want)
 	}
+	var ttft, e2e []sim.Time
+	for _, rec := range recs {
+		if rec.started {
+			ttft = append(ttft, rec.first-rec.arrival)
+		}
+		if rec.done {
+			e2e = append(e2e, rec.finished-rec.arrival)
+		}
+	}
+	if want := refQuantiles(ttft); fmt.Sprintf("%#v", sum.TTFT) != fmt.Sprintf("%#v", want) {
+		t.Fatalf("%s: summary TTFT %#v, reference %#v", what, sum.TTFT, want)
+	}
+	if want := refQuantiles(e2e); fmt.Sprintf("%#v", sum.E2E) != fmt.Sprintf("%#v", want) {
+		t.Fatalf("%s: summary E2E %#v, reference %#v", what, sum.E2E, want)
+	}
 	if again := resorted(r, "x", end); fmt.Sprintf("%#v", again) != fmt.Sprintf("%#v", sum) {
 		t.Fatalf("%s: re-sorted summary TBT %#v, from kept gaps %#v", what, again.TBT, sum.TBT)
 	}
@@ -302,6 +317,13 @@ func checkFlat(t *testing.T, what string, r *Recorder, f *flatRecorder, end sim.
 			}
 		}
 		want.TBT = flatQuantiles(in)
+		ttft = ttft[:0]
+		for _, rec := range recs {
+			if rec.started && locate(bounds, rec.first) == i {
+				ttft = append(ttft, rec.first-rec.arrival)
+			}
+		}
+		want.TTFT = refQuantiles(ttft)
 		if fmt.Sprintf("%#v", w) != fmt.Sprintf("%#v", want) {
 			t.Fatalf("%s: window %d %+v, reference %+v", what, i, w, want)
 		}

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -122,9 +123,33 @@ func sameBits(a, b Quantiles) bool {
 		math.Float64bits(a.Max) == math.Float64bits(b.Max)
 }
 
-// Property: sorting nanosecond gaps returns Quantiles bitwise equal to
-// converting to seconds first and sorting with sort.Float64s, for every
-// input shape a recorder can hold.
+// refQuantiles is the reference summary of nanosecond samples: order
+// statistics by nearest rank over a sorted copy, and the mean summed in
+// math/big and rounded once.
+func refQuantiles(ts []sim.Time) Quantiles {
+	n := len(ts)
+	q := Quantiles{N: n}
+	if n == 0 {
+		return q
+	}
+	s := slices.Clone(ts)
+	slices.Sort(s)
+	at := func(p float64) float64 {
+		return s[min(max(int(math.Ceil(p*float64(n)))-1, 0), n-1)].Seconds()
+	}
+	sum := new(big.Int)
+	for _, t := range s {
+		sum.Add(sum, big.NewInt(int64(t)))
+	}
+	q.Avg, _ = new(big.Rat).SetFrac(sum, new(big.Int).Mul(big.NewInt(int64(n)), big.NewInt(int64(sim.Second)))).Float64()
+	q.P50, q.P90, q.P99 = at(0.50), at(0.90), at(0.99)
+	q.Max = s[n-1].Seconds()
+	return q
+}
+
+// Property: the order statistics of nanosecond samples are bitwise those
+// of the samples converted to seconds and sorted with sort.Float64s, and
+// Avg is the exact mean, for every input shape a recorder can hold.
 func TestTimeQuantilesMatchFloatSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	shapes := []struct {
@@ -134,24 +159,69 @@ func TestTimeQuantilesMatchFloatSort(t *testing.T) {
 		{"ms gaps", func() sim.Time { return sim.Time(rng.Int64N(int64(200 * sim.Millisecond))) }},
 		{"zeros", func() sim.Time { return sim.Time(rng.IntN(2) * rng.IntN(1000)) }},
 		{"duplicates", func() sim.Time { return sim.Time(rng.IntN(4)) * 20 * sim.Millisecond }},
+		{"all equal", func() sim.Time { return 7 * sim.Millisecond }},
 		{"above 2^33", func() sim.Time { return 1<<33 + sim.Time(rng.Int64N(1<<40)) }},
 		{"full range", func() sim.Time { return sim.Time(rng.Int64N(math.MaxInt64)) }},
+		{"saturated", func() sim.Time { return sim.MaxTime - sim.Time(rng.IntN(2)) }},
 		{"negative", func() sim.Time { return sim.Time(rng.Int64N(2000)) - 1000 }},
 	}
 	for _, sh := range shapes {
-		for _, n := range []int{0, 1, 2, 255, 256, 257, 1000, 5000} {
+		for _, n := range []int{0, 1, 2, 100, 255, 256, 257, 1000, 5000} {
 			ts := make([]sim.Time, n)
 			secs := make([]float64, n)
 			for i := range ts {
 				ts[i] = sh.gen()
 				secs[i] = ts[i].Seconds()
 			}
-			if got, want := timeQuantiles(ts), quantiles(secs); !sameBits(got, want) {
-				t.Fatalf("%s n=%d: int sort %+v, float sort %+v", sh.name, n, got, want)
+			want := refQuantiles(ts)
+			got, float := timeQuantiles(ts), quantiles(secs)
+			float.Avg = want.Avg
+			if !sameBits(got, want) || !sameBits(got, float) {
+				t.Fatalf("%s n=%d: %+v, reference %+v, float sort %+v", sh.name, n, got, want, float)
 			}
 			if !slices.IsSorted(ts) {
 				t.Fatalf("%s n=%d: not sorted", sh.name, n)
 			}
+		}
+	}
+}
+
+// The TBT summary and its rollup window equal the reference at the
+// extremes of the exact mean: a saturated MaxTime gap, two of them
+// (a sum past 2^63 ns), all-equal gaps, and 1, 2 and 100 random gaps.
+func TestTBTSummaryExactAtExtremes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 9))
+	random := func(n int) []sim.Time {
+		gaps := make([]sim.Time, n)
+		for i := range gaps {
+			gaps[i] = 1 + sim.Time(rng.Int64N(int64(sim.Second)))
+		}
+		return gaps
+	}
+	cases := map[string][]sim.Time{
+		"MaxTime":     {sim.MaxTime},
+		"past 2^63":   {sim.MaxTime, sim.MaxTime, 1},
+		"all equal":   slices.Repeat([]sim.Time{13 * sim.Millisecond}, 1000),
+		"n=1":         random(1),
+		"n=2":         random(2),
+		"n=100":       random(100),
+		"mixed ranks": append(random(100), sim.MaxTime),
+	}
+	for name, gaps := range cases {
+		// Each gap is its own request's only gap, from 0 to the gap.
+		r := NewRecorder()
+		for id, g := range gaps {
+			r.Arrive(id, 0, 1)
+			r.Token(id, 0)
+			r.Token(id, g)
+			r.Finish(id, g)
+		}
+		want := refQuantiles(gaps)
+		if got := r.Summarize("x", sim.MaxTime).TBT; !sameBits(got, want) {
+			t.Fatalf("%s: summary TBT %+v, reference %+v", name, got, want)
+		}
+		if got := r.Rollup([]sim.Time{0, sim.MaxTime}, 0)[0].TBT; !sameBits(got, want) {
+			t.Fatalf("%s: window TBT %+v, reference %+v", name, got, want)
 		}
 	}
 }

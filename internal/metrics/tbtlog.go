@@ -195,10 +195,8 @@ func insertionSortRuns(runs []gapRun) {
 }
 
 // runQuantiles is timeQuantiles over the samples of runs sorted by
-// ascending gap. Quantiles are read at cumulative ranks, and Avg adds
-// each run's gap once per sample in ascending order: a multiply would
-// round differently, so the result is bitwise timeQuantiles' over the
-// expanded samples.
+// ascending gap: quantiles are read at cumulative ranks, and Avg is the
+// exact mean.
 func runQuantiles(runs []gapRun) Quantiles {
 	n := 0
 	for _, run := range runs {
@@ -210,19 +208,16 @@ func runQuantiles(runs []gapRun) Quantiles {
 	}
 	ranks := [...]int{rank(n, 0.50), rank(n, 0.90), rank(n, 0.99)}
 	var at [len(ranks)]float64
-	var sum float64
+	var sum nsSum
 	k, seen := 0, 0
 	for _, run := range runs {
-		s := run.gap.Seconds()
-		for range run.n {
-			sum += s
-		}
+		sum.add(run.gap, run.n)
 		seen += run.n
 		for ; k < len(ranks) && ranks[k] < seen; k++ {
-			at[k] = s
+			at[k] = run.gap.Seconds()
 		}
 	}
-	q.Avg = sum / float64(n)
+	q.Avg = sum.mean(n)
 	q.P50, q.P90, q.P99 = at[0], at[1], at[2]
 	q.Max = runs[len(runs)-1].gap.Seconds()
 	return q
