@@ -15,6 +15,8 @@
 //	muxbench -replay               # 100-replica / 1M-request stress replay
 //	muxbench -replay -replay-replicas 10 -replay-requests 100000
 //	                               # ...reduced scale
+//	muxbench -run all -quick -cpuprofile cpu.out
+//	                               # ...and profile it: go tool pprof cpu.out
 package main
 
 import (
@@ -22,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"time"
 
 	"muxwise/internal/experiments"
@@ -38,7 +41,11 @@ type jsonResult struct {
 	Tables  []experiments.Table
 }
 
-func main() {
+func main() { os.Exit(bench()) }
+
+// bench is main with an exit code, so the CPU profile stops and is
+// written before the process exits.
+func bench() (code int) {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	run := flag.String("run", "", "experiment ID to run, or 'all'")
 	quick := flag.Bool("quick", false, "reduced scale (CI-sized traces and sweeps)")
@@ -50,14 +57,35 @@ func main() {
 	replayReplicas := flag.Int("replay-replicas", 100, "with -replay: replica count")
 	replayRequests := flag.Int("replay-requests", 1_000_000, "with -replay: total requests across all replicas")
 	replayRate := flag.Float64("replay-rate", 8, "with -replay: per-replica arrival rate (req/s)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	flag.Parse()
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "muxbench:", err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintln(os.Stderr, "muxbench:", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "muxbench:", err)
+				code = 1
+			}
+		}()
+	}
 
 	if *replay {
 		if err := runReplay(os.Stdout, *replayReplicas, *replayRequests, *replayRate); err != nil {
 			fmt.Fprintln(os.Stderr, "muxbench:", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	// The frontier sweep lives in internal/frontier, which builds on
@@ -75,7 +103,7 @@ func main() {
 		if *run == "" && !*list {
 			fmt.Println("\nuse -run <id> or -run all")
 		}
-		return
+		return 0
 	}
 
 	opts := experiments.Opts{Quick: *quick}
@@ -86,7 +114,7 @@ func main() {
 		e, ok := experiments.Find(registry, *run)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *run)
-			os.Exit(1)
+			return 1
 		}
 		todo = []experiments.Experiment{e}
 	}
@@ -113,7 +141,8 @@ func main() {
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }

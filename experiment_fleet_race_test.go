@@ -217,9 +217,10 @@ func TestConcurrentRunsShareOneTrace(t *testing.T) {
 // chaos fleet's (one replica recorder frozen at its crash) and one
 // engine's, from 8 goroutines at once: Summarize on the fleet recorder
 // and on every replica recorder, TBTAttainment and Rollup. Each read
-// must equal the single-goroutine one, taken after them. Recorders keep
-// their sorted TBT gaps, so a read that re-sorted would write them; the
-// CI race job fails this test if one does.
+// must equal the single-goroutine one, taken after them. Summaries
+// select the TBT quantiles from the log in place, so a read that wrote
+// to the recorder would race here; the CI race job fails this test if
+// one does.
 func TestFinishedReportsReadConcurrently(t *testing.T) {
 	exp, trace := fleetChaosExperiment()
 	fleetRep, err := exp.Run(trace)

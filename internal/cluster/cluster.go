@@ -943,9 +943,6 @@ func Run(cfg Config, trace *workload.Trace) (Result, error) {
 		})
 		recs = append(recs, rep.Inst.Rec)
 	}
-	// Every replica's gaps were sorted by its result above, or, for a
-	// replica frozen at down-time, by the result taken then; the merge
-	// merges them rather than sorting the fleet's.
 	res.Rec = metrics.Merge(recs...)
 	res.Summary = res.Rec.Summarize("cluster/"+c.Router.Name(), s.Now())
 	serve.ApplyBacklog(&res.Summary, backlog)

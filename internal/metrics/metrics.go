@@ -55,10 +55,6 @@ type reqRec struct {
 	joined, settled int
 }
 
-// tbtKey identifies a state of the live TBT gaps: every change to them
-// moves nTBT (a token) or mut (an abort).
-type tbtKey struct{ n, mut int }
-
 // Recorder collects latency samples during a simulation run.
 //
 // Records live in recs in arrival order. Abort marks a record dead
@@ -73,16 +69,14 @@ type tbtKey struct{ n, mut int }
 // and own runs hold one request's samples alone; Abort finds a request's
 // samples through its stream's iteration log and its chain of own runs,
 // and subtracts them in place. Gaps stay in integer nanoseconds until a
-// reader converts them with Seconds. Seconds is monotone, so sorting the
-// integers gives exactly the order sort.Float64s gives the converted
-// values, and Avg, summed in that ascending order, is bitwise the same.
+// reader converts them with Seconds. Seconds is monotone, so an order
+// statistic of the integers converts to the same order statistic of the
+// converted values; Avg is the exact integer mean, rounded once.
 //
-// The recorder also keeps its live gaps sorted by gap, as (gap, n) runs
-// tied to the state they were sorted in. Summarize re-sorts only after
-// the gaps moved, and Merge merges its inputs' sorted runs instead of
-// sorting the fleet's. Only Summarize and Merge write the sorted runs,
-// and only while they are stale: once a run is over and its recorders
-// summarized, every reader, Summarize included, only reads them.
+// No reader sorts the log. Summarize finds the TBT quantiles by radix
+// selection over the runs in place (runQuantiles), so it writes nothing
+// to the recorder and costs the same on every call; Rollup copies each
+// window's runs out once and selects in them the same way.
 type Recorder struct {
 	reqs map[int]*reqRec // live records by request ID
 	recs []*reqRec       // every record in arrival order, dead ones included
@@ -92,21 +86,9 @@ type Recorder struct {
 	nTBT    int              // live samples in the log
 	open    int              // arrived-but-unfinished requests
 	nDead   int              // dead records in recs
-	// mut counts aborts. An abort takes samples out of the log, and mut
-	// only grows, so (nTBT, mut) never repeats: it keys the sorted gaps
-	// at no cost to the token path.
-	mut int
 	// merged marks a Merge result, whose runs are not linked to their
 	// requests: Abort on it panics.
 	merged bool
-
-	// sorted holds the live gaps as runs in ascending gap order, as they
-	// stood at state sortedAt; they are current while sortedAt equals
-	// key(). Their slice is replaced, never written in place, so a fleet
-	// merge may share it. The zero sortedAt is the state of a recorder
-	// that never logged a gap, whose sorted gaps are rightly none.
-	sorted   []gapRun
-	sortedAt tbtKey
 
 	prefillTokens int64
 	decodeTokens  int64
@@ -223,26 +205,6 @@ func (r *Recorder) token(rec *reqRec, at sim.Time) {
 	rec.lastToken = at
 }
 
-// key is the current state of the live TBT gaps.
-func (r *Recorder) key() tbtKey { return tbtKey{r.nTBT, r.mut} }
-
-// sortedTBT returns the live gaps as runs in ascending gap order. It
-// sorts, one entry per decode step rather than one per token, only when
-// a token or abort moved the gaps since the last sort, and keeps the
-// result.
-func (r *Recorder) sortedTBT() []gapRun {
-	if r.sortedAt == r.key() {
-		return r.sorted
-	}
-	runs := make([]gapRun, 0, r.runs.n)
-	for run := range r.liveRuns() {
-		runs = append(runs, gapRun{gap: run.gap, n: int(run.n)})
-	}
-	sortRuns(runs)
-	r.sorted, r.sortedAt = runs, r.key()
-	return runs
-}
-
 // Finish marks the request complete.
 func (r *Recorder) Finish(id int, at sim.Time) {
 	if rec, ok := r.reqs[id]; ok {
@@ -316,7 +278,6 @@ func (r *Recorder) Abort(id int) bool {
 	r.open--
 	rec.dead = true
 	r.nDead++
-	r.mut++
 	// A compaction costs one pass over records, and runs only once the
 	// dead outnumber the live, so each dead record pays for its own
 	// removal: O(1) amortized per abort.
@@ -352,7 +313,11 @@ func (r *Recorder) OpenIDs() []int {
 	return out
 }
 
-// Quantiles summarises a latency sample set in seconds.
+// Quantiles summarises a latency sample set in seconds. P50, P90 and
+// P99 are nearest-rank order statistics and Max the largest sample. For
+// TTFT, TBT and E2E, which the recorder keeps in integer nanoseconds, Avg
+// is their exact mean rounded once; TPOT and TTFTPerToken average
+// float64 seconds.
 type Quantiles struct {
 	Avg, P50, P90, P99, Max float64
 	N                       int
@@ -544,14 +509,13 @@ func (r *Recorder) WithinSLO(slo SLO) int {
 }
 
 // Summarize builds the run summary. now is the simulation end time, used
-// for makespan and stability accounting. It sorts the TBT gaps only if
-// they moved since the last Summarize or Merge and keeps them sorted, so
-// a recorder summarized once after its run is only read by later calls.
+// for makespan and stability accounting.
 func (r *Recorder) Summarize(name string, now sim.Time) Summary {
 	r.settle()
 	s := Summary{Name: name, Makespan: now}
-	var ttft, e2e []sim.Time
-	var tpot, perTok []float64
+	live := len(r.recs) - r.nDead
+	ttft, e2e := make([]sim.Time, 0, live), make([]sim.Time, 0, live)
+	tpot, perTok := make([]float64, 0, live), make([]float64, 0, live)
 	for _, rec := range r.recs {
 		if rec.dead {
 			continue
@@ -574,7 +538,7 @@ func (r *Recorder) Summarize(name string, now sim.Time) Summary {
 		}
 	}
 	s.TTFT = timeQuantiles(ttft)
-	s.TBT = runQuantiles(r.sortedTBT())
+	s.TBT = runQuantiles(&r.runs)
 	s.TPOT = quantiles(tpot)
 	s.E2E = timeQuantiles(e2e)
 	s.TTFTPerToken = quantiles(perTok)

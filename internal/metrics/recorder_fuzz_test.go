@@ -169,8 +169,8 @@ func flatQuantiles(samples []flatSample) Quantiles {
 // checkFlat compares every reader of r with the flat reference f: the
 // per-request readers WithinSLO, Diagnose and Summarize, first is the
 // one that runs first, so each must fill in stream members by itself;
-// then every request's fields, the summary's TBT from kept gaps and
-// after a forced re-sort, TBTAttainment, the TBTSamples sequence, the
+// then every request's fields, the summary's TBT, TTFT and E2E,
+// TBTAttainment, the TBTSamples sequence, the
 // Rollup windows and the run log's own counts.
 func checkFlat(t *testing.T, what string, r *Recorder, f *flatRecorder, end sim.Time, first int) {
 	t.Helper()
@@ -272,9 +272,6 @@ func checkFlat(t *testing.T, what string, r *Recorder, f *flatRecorder, end sim.
 	if want := refQuantiles(e2e); fmt.Sprintf("%#v", sum.E2E) != fmt.Sprintf("%#v", want) {
 		t.Fatalf("%s: summary E2E %#v, reference %#v", what, sum.E2E, want)
 	}
-	if again := resorted(r, "x", end); fmt.Sprintf("%#v", again) != fmt.Sprintf("%#v", sum) {
-		t.Fatalf("%s: re-sorted summary TBT %#v, from kept gaps %#v", what, again.TBT, sum.TBT)
-	}
 
 	ok := 0
 	secs := make([]float64, 0, len(live))
@@ -346,9 +343,8 @@ type batchEntry struct {
 
 // runRecorderOps interprets data as a program of two-byte (op, arg)
 // instructions over up to five recorders, each with two decode streams,
-// and their flat references, then checks every recorder and their Merge,
-// taken before and after the inputs' gaps were sorted, against the
-// references. Ops below 0x80 drive requests by ID; ops from 0x80 drive
+// and their flat references, then checks every recorder and their Merge
+// against the references. Ops below 0x80 drive requests by ID; ops from 0x80 drive
 // the streams and check the recorders mid-stream.
 func runRecorderOps(t *testing.T, data []byte) {
 	var (
@@ -505,7 +501,7 @@ func runRecorderOps(t *testing.T, data []byte) {
 				flats[cur].finish(open[cur][i], clock)
 				open[cur] = slices.Delete(open[cur], i, i+1)
 			}
-		case 12: // switch recorders, sorting the one left so later ops stale its kept gaps
+		case 12: // switch recorders, summarizing the one left mid-run
 			recs[cur].Summarize("x", clock)
 			use(arg % maxRecorders)
 		default: // one token, or rarely a halt
@@ -518,25 +514,14 @@ func runRecorderOps(t *testing.T, data []byte) {
 		}
 	}
 	end := clock + sim.Millisecond
-	// Merged first, while some inputs' kept gaps may be stale or missing;
-	// checkFlat then sorts every input's, so the second merge merges them.
-	early := Merge(recs[:]...)
+	// Merged first, before any reader of the inputs has run.
+	m := Merge(recs[:]...)
 	for i, r := range recs {
 		if r != nil {
 			checkFlat(t, fmt.Sprintf("recorder %d", i), r, flats[i], end, i)
 		}
 	}
-	late := Merge(recs[:]...)
-	if late.sortedAt != late.key() {
-		t.Fatal("Merge of current inputs fell back to a sort")
-	}
-	got := late.Summarize("x", end)
-	m := mergedFlat(flats[:])
-	if want := flatQuantiles(m.live()); fmt.Sprintf("%#v", got.TBT) != fmt.Sprintf("%#v", want) {
-		t.Fatalf("merged summary TBT %#v, reference %#v", got.TBT, want)
-	}
-	checkFlat(t, "merge", early, m, end, 0)
-	checkFlat(t, "merge of sorted inputs", late, m, end, 1)
+	checkFlat(t, "merge", m, mergedFlat(flats[:]), end, 0)
 }
 
 // The run log answers every reader bitwise as the flat per-sample log

@@ -226,7 +226,7 @@ func TestTBTSummaryExactAtExtremes(t *testing.T) {
 	}
 }
 
-// Summaries sort copies: repeated Summarize and Rollup calls on one
+// Summaries write nothing: repeated Summarize and Rollup calls on one
 // recorder return identical results and leave the TBT log in emission
 // order.
 func TestSummarizeRepeatable(t *testing.T) {
@@ -273,10 +273,9 @@ func BenchmarkRecorderToken(b *testing.B) {
 	}
 }
 
-// BenchmarkSummarize is the end-of-run summary over 200k TBT gaps: 1000
-// requests of 200 gaps each, 5-55 ms apart. Every iteration drops the
-// kept gaps, so it sorts them as a run's first summary does.
-func BenchmarkSummarize(b *testing.B) {
+// summaryRecorder holds 200k TBT gaps by request ID: 1000 requests of
+// 200 gaps each, arriving over 60 s, their tokens 5-55 ms apart.
+func summaryRecorder() *Recorder {
 	rng := rand.New(rand.NewPCG(5, 6))
 	r := NewRecorder()
 	for id := range 1000 {
@@ -288,10 +287,30 @@ func BenchmarkSummarize(b *testing.B) {
 		}
 		r.Finish(id, at)
 	}
+	return r
+}
+
+// BenchmarkSummarize is the end-of-run summary over summaryRecorder's
+// 200k gaps.
+func BenchmarkSummarize(b *testing.B) {
+	r := summaryRecorder()
 	b.ReportAllocs()
 	for b.Loop() {
-		unsort(r)
 		r.Summarize("bench", 120*sim.Second)
+	}
+}
+
+// BenchmarkRollup is a fleet's epoch rollup over summaryRecorder's 200k
+// gaps: 8 windows of 10 s each, with TBT attainment.
+func BenchmarkRollup(b *testing.B) {
+	r := summaryRecorder()
+	bounds := make([]sim.Time, 9)
+	for i := range bounds {
+		bounds[i] = sim.Time(i) * 10 * sim.Second
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		r.Rollup(bounds, 30*sim.Millisecond)
 	}
 }
 
@@ -362,27 +381,10 @@ func BenchmarkRecorderRunFree(b *testing.B) {
 	}
 }
 
-// BenchmarkSortedTBT sorts 200k TBT gaps logged by decode steps of one
-// request (no runs form) and of 25 requests (one run per step), each
-// step 5-55 ms long. Every iteration drops the kept gaps first.
-func BenchmarkSortedTBT(b *testing.B) {
-	for _, batch := range []int{1, 25} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			r := stepRecorder(rand.New(rand.NewPCG(7, 8)), batch, 200_000, 0)
-			b.ReportAllocs()
-			for b.Loop() {
-				unsort(r)
-				r.sortedTBT()
-			}
-		})
-	}
-}
-
 // BenchmarkMerge is the fleet summary, Merge then Summarize of the
 // merged recorder, over 200k gaps of 25-request decode steps split
 // across 3 and 64 recorders (64 is the autoscaler's default maximum
-// fleet). Current inputs were summarized, so the merge merges their
-// sorted runs; stale inputs were not, so the merged recorder sorts.
+// fleet).
 func BenchmarkMerge(b *testing.B) {
 	for _, k := range []int{3, 64} {
 		rng := rand.New(rand.NewPCG(7, 9))
@@ -390,19 +392,12 @@ func BenchmarkMerge(b *testing.B) {
 		for i := range recs {
 			recs[i] = stepRecorder(rng, 25, 200_000/k, 1_000_000*i)
 		}
-		for _, current := range []bool{true, false} {
-			b.Run(fmt.Sprintf("recorders=%d/current=%v", k, current), func(b *testing.B) {
-				for _, r := range recs {
-					if unsort(r); current {
-						r.Summarize("r", 0)
-					}
-				}
-				b.ReportAllocs()
-				for b.Loop() {
-					Merge(recs...).Summarize("fleet", 0)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("recorders=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				Merge(recs...).Summarize("fleet", 0)
+			}
+		})
 	}
 }
 

@@ -14,28 +14,17 @@ import (
 // request to exactly one replica, so per-replica recorders never share
 // an ID); a duplicate panics rather than producing a silently
 // half-merged summary. The merged recorder holds copies of its inputs'
-// live records and samples, and has no streams; it cannot Abort. Merge
+// live records and runs, and has no streams; it cannot Abort. Merge
 // fills in its inputs' stream members and changes nothing else in them.
-//
-// When every non-nil input's sorted gaps are current, the merged
-// recorder's sorted gaps are merged from them rather than sorted: the
-// same multiset in the same ascending order, so its quantiles and
-// ascending-order Avg are bitwise a fresh sort's. Otherwise its first
-// Summarize sorts them.
 func Merge(recs ...*Recorder) *Recorder {
 	m := NewRecorder()
-	nRecs, nRuns, nTBT, nSorted := 0, 0, 0, 0
-	lists := make([][]gapRun, 0, len(recs))
-	current := true
+	nRecs, nRuns, nTBT := 0, 0, 0
 	for _, r := range recs {
 		if r != nil {
 			r.settle()
 			nRecs += len(r.recs) - r.nDead
 			nRuns += r.runs.n
 			nTBT += r.nTBT
-			current = current && r.sortedAt == r.key()
-			lists = append(lists, r.sorted)
-			nSorted += len(r.sorted)
 		}
 	}
 	arena := make([]reqRec, 0, nRecs)
@@ -73,71 +62,7 @@ func Merge(recs ...*Recorder) *Recorder {
 	m.runs.n = len(m.runs.open)
 	m.nTBT = nTBT
 	m.merged = true
-	if current {
-		m.sorted, m.sortedAt = mergeRuns(lists, nSorted), m.key()
-	}
 	return m
-}
-
-// mergeRuns merges lists of weighted runs, each ascending by gap, into
-// one ascending list of n runs. Lists merge pairwise in rounds, so a run
-// moves once per round: O(n log k) for k lists, never more than a sort.
-// Each round writes into the buffer the previous round did not, so no
-// merge reads what it overwrites. A lone list is returned as is
-// (sorted runs are never written once built). The lists slice itself
-// is overwritten.
-func mergeRuns(lists [][]gapRun, n int) []gapRun {
-	var bufs [2][]gapRun
-	for round := 0; len(lists) > 1; round++ {
-		buf := bufs[round%2]
-		if buf == nil {
-			buf = make([]gapRun, n)
-			bufs[round%2] = buf
-		}
-		// Merged list i/2 is stored once lists i and i+1 are read, so the
-		// next round's lists can reuse the slice in place.
-		next, w := lists[:0], 0
-		for i := 0; i < len(lists); i += 2 {
-			var out []gapRun
-			if i+1 < len(lists) {
-				out = buf[w : w+len(lists[i])+len(lists[i+1])]
-				merge2(out, lists[i], lists[i+1])
-			} else {
-				out = buf[w : w+len(lists[i])]
-				copy(out, lists[i])
-			}
-			w += len(out)
-			next = append(next, out)
-		}
-		lists = next
-	}
-	if len(lists) == 0 {
-		return nil
-	}
-	return lists[0]
-}
-
-// merge2 merges a and b, ascending by gap, into out, which holds
-// len(a)+len(b).
-func merge2(out, a, b []gapRun) {
-	i, j, w := 0, 0, 0
-	for ; i < len(a) && j < len(b); w++ {
-		// A branch-free select: which side is smaller is data
-		// dependent, and a branch on it mispredicts half the time.
-		x, y := a[i], b[j]
-		c := 0
-		if y.gap < x.gap {
-			c = 1
-		}
-		if c == 1 {
-			x = y
-		}
-		out[w] = x
-		i += 1 - c
-		j += c
-	}
-	w += copy(out[w:], a[i:])
-	copy(out[w:], b[j:])
 }
 
 // Window is a time-bounded rollup of recorder samples — one fleet epoch
@@ -176,8 +101,10 @@ func (w *Window) Attainment() float64 {
 // tbtSLO (a zero SLO leaves attainment at its no-samples convention).
 // Bounds must be ascending; the last window is closed at
 // bounds[len-1]. The result is independent of the order requests were
-// recorded (samples are pooled and quantiles sorted), so merged fleet
-// recorders roll up identically regardless of replica merge order.
+// recorded (samples are pooled, and every statistic is an order
+// statistic or an exact sum), so merged fleet recorders roll up
+// identically regardless of replica merge order. A window's TBT
+// quantiles come from the same selection as Summarize's.
 func (r *Recorder) Rollup(bounds []sim.Time, tbtSLO sim.Time) []Window {
 	if len(bounds) < 2 {
 		return nil
@@ -219,14 +146,14 @@ func (r *Recorder) Rollup(bounds []sim.Time, tbtSLO sim.Time) []Window {
 	for i := range n {
 		next[i+1] += next[i]
 	}
-	runs := make([]gapRun, next[n])
+	runs := make([]tbtRun, next[n])
 	target := tbtSLO.Seconds()
 	for run := range r.liveRuns() {
 		i := locate(bounds, run.at)
 		if i < 0 {
 			continue
 		}
-		runs[next[i]] = gapRun{gap: run.gap, n: int(run.n)}
+		runs[next[i]] = run
 		next[i]++
 		if tbtSLO > 0 {
 			wins[i].tbtN += int(run.n)
@@ -238,8 +165,7 @@ func (r *Recorder) Rollup(bounds []sim.Time, tbtSLO sim.Time) []Window {
 	start := 0
 	for i := range wins {
 		wins[i].TTFT = timeQuantiles(ttft[i])
-		sortRuns(runs[start:next[i]])
-		wins[i].TBT = runQuantiles(runs[start:next[i]])
+		wins[i].TBT = runQuantiles(&blockLog[tbtRun]{open: runs[start:next[i]]})
 		start = next[i]
 	}
 	return wins

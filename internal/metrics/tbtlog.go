@@ -1,8 +1,8 @@
 package metrics
 
 import (
-	"cmp"
 	"iter"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -20,13 +20,6 @@ import (
 type tbtRun struct {
 	at, gap sim.Time
 	n, prev int32
-}
-
-// gapRun is n samples of one gap: an entry of a recorder's sorted gaps,
-// or of a window's gaps in Rollup.
-type gapRun struct {
-	gap sim.Time
-	n   int
 }
 
 // The TBT log grows in blocks that are never copied: the first holds
@@ -120,105 +113,106 @@ func (r *Recorder) liveRuns() iter.Seq[tbtRun] {
 	}
 }
 
-// sortRuns orders runs by ascending gap, in place and without
-// allocating: an MSD radix sort on the gaps' bytes. A negative gap, which
-// a recorder never logs, falls back to a comparison sort.
-func sortRuns(runs []gapRun) {
-	if slices.ContainsFunc(runs, func(run gapRun) bool { return run.gap < 0 }) {
-		slices.SortFunc(runs, func(a, b gapRun) int { return cmp.Compare(a.gap, b.gap) })
-		return
-	}
-	radixSortRuns(runs)
-}
-
-// insertionCutoff is the bucket size at and below which radixSortRuns
-// insertion-sorts rather than distributing over 256 buckets.
-const insertionCutoff = 32
-
-// radixSortRuns sorts runs with non-negative gaps by ascending gap. The
-// bytes above the highest bit in which two gaps differ are shared by all
-// of them and skipped: the runs are distributed in place over the 256
-// values of the highest byte that differs (American flag sort), and each
-// bucket is sorted the same way.
-func radixSortRuns(runs []gapRun) {
-	if len(runs) <= insertionCutoff {
-		insertionSortRuns(runs)
-		return
-	}
-	var diff uint64
-	for _, run := range runs {
-		diff |= uint64(run.gap ^ runs[0].gap)
-	}
-	if diff == 0 {
-		return // all gaps equal
-	}
-	shift := uint(bits.Len64(diff)-1) &^ 7
-	digit := func(r gapRun) int { return int(uint64(r.gap) >> shift & 0xff) }
-	// next[b] is bucket b's first unplaced slot, end[b] its end.
-	var next, end [256]int
-	for _, run := range runs {
-		end[digit(run)]++
-	}
-	at := 0
-	for b := range end {
-		next[b] = at
-		at += end[b]
-		end[b] = at
-	}
-	// Cycle each unplaced run to its bucket, taking the run it displaces.
-	for b := range next {
-		for next[b] < end[b] {
-			run := runs[next[b]]
-			for d := digit(run); d != b; d = digit(run) {
-				run, runs[next[d]] = runs[next[d]], run
-				next[d]++
+// runQuantiles summarises the samples of the runs in log, read in place
+// and in any order; Rollup passes a log whose open block holds one
+// window's runs. Avg is the exact mean and Max a scan. P50, P90 and P99
+// are found by radix selection, with no sort and no copy: the first pass
+// also counts samples by the bit length of their gap, which places each
+// rank among the gaps of one length; each later pass counts the samples
+// of a rank's remaining gaps by their next 8 bits, until the rank's gap
+// is fixed to the nanosecond. A gap of 2^24 to 2^32 ns takes 3 or 4
+// such passes, and a pass skips at one comparison the gaps no rank can
+// still be.
+func runQuantiles(log *blockLog[tbtRun]) Quantiles {
+	var q Quantiles
+	var sum nsSum
+	top := sim.Time(math.MinInt64)
+	var byLen [65]int
+	for b := range log.blocks() {
+		for _, run := range log.block(b) {
+			if run.n > 0 {
+				q.N += int(run.n)
+				sum.add(run.gap, int(run.n))
+				top = max(top, run.gap)
+				byLen[lenBucket(run.gap)] += int(run.n)
 			}
-			runs[next[b]] = run
-			next[b]++
 		}
 	}
-	start := 0
-	for _, stop := range end {
-		radixSortRuns(runs[start:stop])
-		start = stop
-	}
-}
-
-func insertionSortRuns(runs []gapRun) {
-	for i := 1; i < len(runs); i++ {
-		run, j := runs[i], i
-		for ; j > 0 && runs[j-1].gap > run.gap; j-- {
-			runs[j] = runs[j-1]
-		}
-		runs[j] = run
-	}
-}
-
-// runQuantiles is timeQuantiles over the samples of runs sorted by
-// ascending gap: quantiles are read at cumulative ranks, and Avg is the
-// exact mean.
-func runQuantiles(runs []gapRun) Quantiles {
-	n := 0
-	for _, run := range runs {
-		n += run.n
-	}
-	q := Quantiles{N: n}
-	if n == 0 {
+	if q.N == 0 {
 		return q
 	}
-	ranks := [...]int{rank(n, 0.50), rank(n, 0.90), rank(n, 0.99)}
-	var at [len(ranks)]float64
-	var sum nsSum
-	k, seen := 0, 0
-	for _, run := range runs {
-		sum.add(run.gap, run.n)
-		seen += run.n
-		for ; k < len(ranks) && ranks[k] < seen; k++ {
-			at[k] = run.gap.Seconds()
+	q.Avg, q.Max = sum.mean(q.N), top.Seconds()
+
+	// Rank k's gap, as a uint64, is among those in [lo[k], lo[k]+2^low[k]),
+	// and ranks[k] is its place among their samples.
+	ranks := [...]int{rank(q.N, 0.50), rank(q.N, 0.90), rank(q.N, 0.99)}
+	var lo [len(ranks)]uint64
+	var low [len(ranks)]uint
+	for k := range ranks {
+		var b int
+		b, ranks[k] = bucketOf(byLen[:], ranks[k])
+		switch b {
+		case 0: // negative
+			lo[k], low[k] = 1<<63, 63
+		case 1: // zero
+		default:
+			lo[k], low[k] = 1<<(b-2), uint(b-2)
 		}
 	}
-	q.Avg = sum.mean(n)
-	q.P50, q.P90, q.P99 = at[0], at[1], at[2]
-	q.Max = runs[len(runs)-1].gap.Seconds()
+	// Each pass counts the samples of each rank's gaps by their next
+	// (up to) 8 bits, and narrows the rank to the gaps of one count.
+	for slices.Max(low[:]) > 0 {
+		var count [len(ranks)][256]int
+		var span [len(ranks)]uint64 // 0 once a rank's gap is found
+		var shift [len(ranks)]uint
+		// [from, to] covers every open rank's gaps.
+		from, to := uint64(math.MaxUint64), uint64(0)
+		for k := range ranks {
+			if low[k] > 0 {
+				span[k], shift[k] = 1<<low[k], low[k]-min(low[k], 8)
+				from, to = min(from, lo[k]), max(to, lo[k]+(span[k]-1))
+			}
+		}
+		for b := range log.blocks() {
+			for _, run := range log.block(b) {
+				g := uint64(run.gap)
+				if g-from > to-from {
+					continue
+				}
+				for k := range ranks {
+					if g-lo[k] < span[k] {
+						count[k][uint8((g-lo[k])>>shift[k])] += int(run.n)
+					}
+				}
+			}
+		}
+		for k := range ranks {
+			if low[k] > 0 {
+				var d int
+				d, ranks[k] = bucketOf(count[k][:1<<(low[k]-shift[k])], ranks[k])
+				lo[k] += uint64(d) << shift[k]
+				low[k] = shift[k]
+			}
+		}
+	}
+	q.P50 = sim.Time(lo[0]).Seconds()
+	q.P90 = sim.Time(lo[1]).Seconds()
+	q.P99 = sim.Time(lo[2]).Seconds()
 	return q
+}
+
+// lenBucket orders gaps by bit length: every negative gap is in bucket
+// 0, a zero gap in bucket 1, and a gap of bit length l in bucket l+1.
+func lenBucket(gap sim.Time) int { return (bits.Len64(uint64(gap)) + 1) % 65 }
+
+// bucketOf returns the bucket of counts that holds the sample at 0-based
+// rank r, buckets in ascending order, and r's place among its samples.
+func bucketOf(counts []int, r int) (int, int) {
+	for b, c := range counts {
+		if r < c {
+			return b, r
+		}
+		r -= c
+	}
+	panic("metrics: a rank past the samples")
 }

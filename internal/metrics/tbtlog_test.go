@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -11,80 +10,70 @@ import (
 	"muxwise/internal/sim"
 )
 
-// TestSortRunsMatchesSortFunc checks sortRuns against a comparison sort:
-// the same gap sequence, and for every gap the same multiset of n.
-func TestSortRunsMatchesSortFunc(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	runsOf := func(gaps ...sim.Time) []gapRun {
-		runs := make([]gapRun, len(gaps))
-		for i, g := range gaps {
-			runs[i] = gapRun{gap: g, n: 1 + rng.IntN(9)}
-		}
-		return runs
+// lenBucket is monotone in the gap, at every bit length's edges and at
+// random gaps.
+func TestLenBucketMonotone(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	gaps := []sim.Time{math.MinInt64, -1 << 40, -1, 0, 1, sim.MaxTime - 1, sim.MaxTime}
+	for e := 1; e < 63; e++ {
+		gaps = append(gaps, 1<<e-1, 1<<e, 1<<e+1)
 	}
-	random := func(n int, gap func() sim.Time) []gapRun {
-		gaps := make([]sim.Time, n)
-		for i := range gaps {
-			gaps[i] = gap()
-		}
-		return runsOf(gaps...)
+	for range 10_000 {
+		gaps = append(gaps, sim.Time(rng.Uint64()))
 	}
-	repeat := func(n int, g sim.Time) []sim.Time {
-		gaps := make([]sim.Time, n)
-		for i := range gaps {
-			gaps[i] = g
-		}
-		return gaps
-	}
-	ms := func() sim.Time { return 5*sim.Millisecond + sim.Time(rng.Int64N(int64(50*sim.Millisecond))) }
-	cases := map[string][]gapRun{
-		"empty":        runsOf(),
-		"one":          runsOf(7),
-		"cutoff-1":     random(insertionCutoff-1, ms),
-		"cutoff":       random(insertionCutoff, ms),
-		"cutoff+1":     random(insertionCutoff+1, ms),
-		"all-equal":    runsOf(repeat(1000, 3*sim.Millisecond)...),
-		"two-distinct": random(1000, func() sim.Time { return sim.Time(1+rng.IntN(2)) * sim.Millisecond }),
-		"extremes": random(1000, func() sim.Time {
-			return []sim.Time{0, 1 << 62, math.MaxInt64, 1}[rng.IntN(4)]
-		}),
-		"negative": append(random(200, ms), runsOf(-1, math.MinInt64)...),
-		"wide":     random(1+rng.IntN(100_000), func() sim.Time { return sim.Time(rng.Int64()) }),
-		"ms":       random(1+rng.IntN(100_000), ms),
-		"few":      random(1+rng.IntN(100_000), func() sim.Time { return sim.Time(rng.IntN(40)) << 20 }),
-	}
-	for i := range 8 {
-		cases[fmt.Sprintf("random-%d", i)] = random(rng.IntN(100_001), ms)
-	}
-	for name, runs := range cases {
-		want := slices.Clone(runs)
-		slices.SortFunc(want, func(a, b gapRun) int { return cmp.Compare(a.gap, b.gap) })
-		sortRuns(runs)
-		for i := range runs {
-			if runs[i].gap != want[i].gap {
-				t.Fatalf("%s: gap %d is %d, want %d", name, i, runs[i].gap, want[i].gap)
-			}
-		}
-		for i := 0; i < len(runs); {
-			j := i + 1
-			for j < len(runs) && runs[j].gap == runs[i].gap {
-				j++
-			}
-			got, exp := ns(runs[i:j]), ns(want[i:j])
-			if !slices.Equal(got, exp) {
-				t.Fatalf("%s: gap %d has n %v, want %v", name, runs[i].gap, got, exp)
-			}
-			i = j
+	slices.Sort(gaps)
+	for i, g := range gaps {
+		if b := lenBucket(g); b < 0 || b > 64 || i > 0 && b < lenBucket(gaps[i-1]) {
+			t.Fatalf("gap %d in bucket %d, gap %d in %d", g, b, gaps[max(i-1, 0)], lenBucket(gaps[max(i-1, 0)]))
 		}
 	}
 }
 
-// ns returns the sorted n of runs.
-func ns(runs []gapRun) []int {
-	out := make([]int, len(runs))
-	for i, run := range runs {
-		out[i] = run.n
+// runQuantiles over a log of weighted runs, emptied runs among them, equals the reference over the expanded
+// samples, for every shape of gaps: all equal, two values, extremes,
+// negative, the full int64 range, and millisecond gaps.
+func TestRunQuantilesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	random := func(n int, gap func() sim.Time) []sim.Time {
+		gaps := make([]sim.Time, n)
+		for i := range gaps {
+			gaps[i] = gap()
+		}
+		return gaps
 	}
-	slices.Sort(out)
-	return out
+	ms := func() sim.Time { return 5*sim.Millisecond + sim.Time(rng.Int64N(int64(50*sim.Millisecond))) }
+	cases := map[string][]sim.Time{
+		"empty":        nil,
+		"one":          {7},
+		"two":          random(2, ms),
+		"all-equal":    slices.Repeat([]sim.Time{3 * sim.Millisecond}, 1000),
+		"two-distinct": random(1000, func() sim.Time { return sim.Time(1+rng.IntN(2)) * sim.Millisecond }),
+		"extremes": random(1000, func() sim.Time {
+			return []sim.Time{0, 1 << 62, math.MaxInt64, 1}[rng.IntN(4)]
+		}),
+		"negative": append(random(200, ms), -1, math.MinInt64),
+		"wide":     random(1+rng.IntN(20_000), func() sim.Time { return sim.Time(rng.Int64()) }),
+		"few":      random(1+rng.IntN(20_000), func() sim.Time { return sim.Time(rng.IntN(40)) << 20 }),
+	}
+	for i := range 8 {
+		cases[fmt.Sprintf("ms-%d", i)] = random(rng.IntN(20_001), ms)
+	}
+	for name, gaps := range cases {
+		var log blockLog[tbtRun]
+		var samples []sim.Time
+		for _, g := range gaps {
+			n := int32(rng.IntN(5))
+			log.push(tbtRun{gap: g, n: n})
+			for range n {
+				samples = append(samples, g)
+			}
+		}
+		before := fmt.Sprint(log)
+		if got, want := runQuantiles(&log), refQuantiles(samples); !sameBits(got, want) {
+			t.Fatalf("%s: %+v, reference %+v", name, got, want)
+		}
+		if fmt.Sprint(log) != before {
+			t.Fatalf("%s: runQuantiles wrote to its runs", name)
+		}
+	}
 }
