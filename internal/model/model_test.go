@@ -1,6 +1,9 @@
 package model
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -293,6 +296,43 @@ func TestDecodeIterMatchesTotals(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// decodeCostDigest is the sha256 of TestDecodeCostDigest's grid.
+const decodeCostDigest = "bb80fe879141c1dc9ca9cbf1b017845c005ae3d8e6482e7933dbe7fb7d1632e6"
+
+// TestDecodeCostDigest hashes the float bits of DecodeIterTotals and
+// FusedChunkIter (without a chunk, with a one-token one and with a long
+// one) for every catalog arch, MoE included, over TP ∈ {1, 2, 4, 8},
+// bs ∈ {0, 1, 2, 7, 256} and ctx ∈ {0, 1, 4096, 123000}. Any change to
+// the decode cost formulas' arithmetic, down to the association of one
+// product, moves it.
+func TestDecodeCostDigest(t *testing.T) {
+	h := sha256.New()
+	put := func(c Cost) {
+		var b [32]byte
+		binary.LittleEndian.PutUint64(b[0:], math.Float64bits(c.FLOPs))
+		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(c.Bytes))
+		binary.LittleEndian.PutUint64(b[16:], math.Float64bits(c.CommBytes))
+		binary.LittleEndian.PutUint64(b[24:], uint64(c.Tokens))
+		h.Write(b[:])
+	}
+	chunks := []Seq{{}, {New: 1}, {New: 512, Prior: 1024, Reused: 4096}}
+	for _, a := range Catalog() {
+		for _, tp := range []int{1, 2, 4, 8} {
+			for _, bs := range []int{0, 1, 2, 7, 256} {
+				for _, ctx := range []int{0, 1, 4096, 123000} {
+					put(a.DecodeIterTotals(ctx, bs, tp))
+					for _, ch := range chunks {
+						put(a.FusedChunkIter(ch, ctx, bs, tp))
+					}
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != decodeCostDigest {
+		t.Errorf("decode cost digest = %s, want %s", got, decodeCostDigest)
 	}
 }
 
