@@ -30,6 +30,7 @@ type Engine struct {
 
 	part *gpu.Partition
 	pool *kvcache.Pool
+	cost model.DecodeTable // env.Arch's iteration costs at env.GPUs
 
 	// decode.Running guards the single fused stream: every iteration
 	// carries the decode step, chunk or not.
@@ -72,6 +73,7 @@ func NewWithBudget(env *serve.Env, budget int) *Engine {
 		budget: budget,
 		part:   dev.Partition(env.Spec.SMs, "fused"),
 		pool:   kvcache.New(env.PoolTokens(env.GPUs), kvcache.DefaultPageTokens),
+		cost:   env.Arch.DecodeTable(env.GPUs),
 	}
 	e.Base = serve.NewBase("Chunked", []*gpu.Device{dev}, e.pool)
 	return e
@@ -127,11 +129,11 @@ func (e *Engine) step() {
 	totalCtx, bs := e.decode.TotalCtx(), e.decode.Size()
 	var cost model.Cost
 	if len(chunkSeqs) == 1 {
-		cost = e.env.Arch.FusedChunkIter(chunkSeqs[0], totalCtx, bs, e.env.GPUs)
+		cost = e.cost.Fused(chunkSeqs[0], totalCtx, bs)
 	} else {
 		// Multiple chunk slices: accumulate each without re-paying
 		// weights (the iteration streams them once).
-		cost = e.env.Arch.FusedChunkIter(model.Seq{}, totalCtx, bs, e.env.GPUs)
+		cost = e.cost.Iter(totalCtx, bs)
 		for _, sq := range chunkSeqs {
 			layer := e.env.Arch.PrefillLayer([]model.Seq{sq}, e.env.GPUs, false)
 			part := layer.Scale(float64(e.env.Arch.Layers))

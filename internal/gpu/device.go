@@ -93,11 +93,17 @@ func NewKernel(label string, kind Kind, c model.Cost, launch sim.Time) Kernel {
 // does a drain free bandwidth that other kernels take up; any other
 // drain changes no rate and fires no event.
 //
-// One occupancy pass and bandwidth waterfill run per change to the
-// running set, and each keys the timer. A retirement whose queued
-// successor starts in the same event is one change, not two: the
-// successor's start runs the waterfill, so a layer-to-layer handoff
-// costs one pass and one timer key.
+// Rates are recomputed once per change to the running set, and each
+// recomputation keys the timer. A retirement whose queued successor
+// starts in the same event is one change, not two: the successor's start
+// sets the rates, so a layer-to-layer handoff costs one pass and one
+// timer key. Two or more running kernels take an occupancy pass and a
+// bandwidth waterfill. A kernel alone on the device, the common case of a
+// decode iteration at low load, takes its solo rates in closed form: its
+// occupancy is its own SM fraction, and its one demand never exceeds the
+// group's bandwidth, so the waterfill would grant it whole and never
+// saturate. Its deadline and its progress skip the loops over the running
+// set too, with the same floats.
 type Device struct {
 	Spec Spec
 	TP   int
@@ -130,6 +136,12 @@ type Device struct {
 	lastWork   sim.Time
 	kernels    int64
 	launchInt  float64 // total host launch seconds
+
+	// The last distinct launch latency submitted and its seconds: engines
+	// launch one kind of kernel after another, so submit converts each
+	// latency once per change rather than once per kernel.
+	lastLaunch    sim.Time
+	lastLaunchSec float64
 }
 
 // NewDevice creates a logical device over a TP-wide group of spec GPUs.
@@ -268,7 +280,10 @@ func (p *Partition) submit(k Kernel) *run {
 	}
 	start := d.hostFreeAt
 	d.hostFreeAt = start + k.Launch
-	d.launchInt += sim.Time(k.Launch).Seconds()
+	if k.Launch != d.lastLaunch {
+		d.lastLaunch, d.lastLaunchSec = k.Launch, k.Launch.Seconds()
+	}
+	d.launchInt += d.lastLaunchSec
 
 	r := d.allocRun()
 	r.part = p
@@ -295,7 +310,7 @@ func (p *Partition) submit(k Kernel) *run {
 // until settle commits it.
 func (d *Device) deferStart(r *run) {
 	d.pend = r
-	d.initRun(r)
+	r.load(&d.Spec, d.TP, r.part.sms)
 	d.running = append(d.running, r)
 	d.setRates()
 	if t := d.soonest(r.ticket.At()); t < sim.MaxTime {
@@ -380,35 +395,51 @@ func (d *Device) startRun(r *run) {
 	}
 	d.settle()
 	d.progress()
-	d.initRun(r)
+	r.load(&d.Spec, d.TP, r.part.sms)
 	d.running = append(d.running, r)
 	d.count(d.sim.Now())
 	d.reallocate()
 }
 
-// initRun fixes r's SM fraction and efficiency at its start and loads its
-// work.
-func (d *Device) initRun(r *run) {
-	r.frac = float64(r.part.sms) / float64(d.Spec.SMs)
-	r.eff = d.efficiency(r.k, r.frac)
+// load fixes r's SM fraction and efficiency for a start on sms SMs of
+// each of tp spec GPUs and loads its work.
+func (r *run) load(s *Spec, tp, sms int) {
+	r.frac = float64(sms) / float64(s.SMs)
+	r.eff = s.efficiency(r.k, r.frac, tp)
 	r.remC = r.k.FLOPs
 	r.remB = r.k.Bytes
 	r.remComm = r.k.CommBytes
 }
 
+// setLoneRates sets r's rates as the only kernel running on tp spec GPUs:
+// the closed form of setRatesN's occupancy pass and waterfill on a
+// running set of one. Its occupancy is its fraction, which the floor
+// leaves alone for every fraction in [0, 1], and its demand, capped at
+// the group's bandwidth, is granted whole.
+func (r *run) setLoneRates(s *Spec, tp int) {
+	var bcap float64
+	r.crate, bcap = s.loneRates(r.frac, r.eff, tp)
+	r.brate = 0
+	if r.remB > 0 && bcap > 0 {
+		r.brate = bcap
+	}
+	r.commRate = s.NVLinkBandwidth
+}
+
 // SoloTime returns when k retires if it is launched at time 0 on a fresh
 // device of tp spec GPUs, alone on a partition of sms SMs per GPU: its
 // host launch plus its run at solo rates, at least 1 ns. It prices the
-// kernel with the device's own start, rate and deadline code on a
-// running set of one, without simulating it. A kernel with work on 0
+// kernel with the start, lone-kernel rate and deadline code a device runs
+// for a kernel alone on it, and builds no device. A kernel with work on 0
 // SMs, which a device refuses to start, gets sim.MaxTime.
 func SoloTime(spec Spec, tp, sms int, k Kernel) sim.Time {
-	d := NewDevice(nil, spec, tp, "solo")
-	r := &run{part: d.Partition(sms, "solo"), k: k}
-	d.initRun(r)
-	d.running = append(d.running, r)
-	d.setRates()
-	return d.soonest(k.Launch)
+	if tp < 1 || sms < 0 || sms > spec.SMs {
+		panic(fmt.Sprintf("gpu: solo kernel on %d SMs of %d GPUs, want [0,%d] SMs of ≥ 1 GPU", sms, tp, spec.SMs))
+	}
+	r := run{k: k}
+	r.load(&spec, tp, sms)
+	r.setLoneRates(&spec, tp)
+	return r.retireAt(k.Launch)
 }
 
 // count books a kernel start at t.
@@ -431,15 +462,12 @@ func (d *Device) progress() {
 		return
 	}
 	var smSum, flopsUsed, moved float64
-	for _, r := range d.running {
-		b := min(r.remB, r.brate*dt)
-		r.remC = max(0, r.remC-r.crate*dt)
-		r.remB -= b
-		r.remComm = max(0, r.remComm-r.commRate*dt)
-		r.part.busy += dt
-		smSum += r.frac
-		flopsUsed += r.crate
-		moved += b
+	if len(d.running) == 1 {
+		// A lone kernel's sums are its own terms, since 0 + x == x.
+		r := d.running[0]
+		smSum, flopsUsed, moved = r.frac, r.crate, r.advance(dt)
+	} else {
+		smSum, flopsUsed, moved = d.advanceN(dt)
 	}
 	d.smInt += min(1, smSum) * dt
 	d.computeInt += flopsUsed / d.TotalFLOPS() * dt
@@ -447,21 +475,27 @@ func (d *Device) progress() {
 	d.lastWork = now
 }
 
-// efficiency returns the fraction of peak FLOPS a kernel achieves given
-// its kind, token count, and SM allocation.
-func (d *Device) efficiency(k Kernel, frac float64) float64 {
-	mfu := k.MFU
-	if mfu == 0 {
-		if k.Kind == Prefill {
-			mfu = d.Spec.MFUPrefill
-		} else {
-			mfu = d.Spec.MFUDecode
-		}
+// advanceN drains dt seconds of work from every running kernel and
+// returns the sums of their SM fractions, compute rates and HBM bytes
+// moved.
+func (d *Device) advanceN(dt float64) (smSum, flopsUsed, moved float64) {
+	for _, r := range d.running {
+		moved += r.advance(dt)
+		smSum += r.frac
+		flopsUsed += r.crate
 	}
-	if k.Kind != Prefill {
-		return mfu
-	}
-	return d.Spec.PrefillMFU(mfu, k.Tokens, frac, d.TP)
+	return smSum, flopsUsed, moved
+}
+
+// advance drains dt seconds of r's work at its current rates and returns
+// the HBM bytes it moved.
+func (r *run) advance(dt float64) float64 {
+	b := min(r.remB, r.brate*dt)
+	r.remC = max(0, r.remC-r.crate*dt)
+	r.remB -= b
+	r.remComm = max(0, r.remComm-r.commRate*dt)
+	r.part.busy += dt
+	return b
 }
 
 // reallocate recomputes every running kernel's rates and re-keys the
@@ -472,8 +506,21 @@ func (d *Device) reallocate() {
 }
 
 // setRates sets every running kernel's rates: SM occupancy, then the
-// bandwidth water-filled across the kernels' SM-limited demands.
+// bandwidth water-filled across the kernels' SM-limited demands. A lone
+// kernel takes its solo rates in closed form, and its demand never
+// saturates the waterfill.
 func (d *Device) setRates() {
+	if len(d.running) != 1 {
+		d.setRatesN()
+		return
+	}
+	d.running[0].setLoneRates(&d.Spec, d.TP)
+	d.saturated = false
+}
+
+// setRatesN is setRates' occupancy pass and waterfill over any running
+// set.
+func (d *Device) setRatesN() {
 	// SM occupancy: green-context partitions are disjoint, so each
 	// kernel keeps its fraction. When streams oversubscribe the SMs
 	// (plain CUDA streams, or a reconfiguration racing an in-flight
@@ -533,21 +580,37 @@ func (d *Device) schedule() {
 
 // soonest returns the earliest kernel retirement, or HBM drain under a
 // saturated waterfill, at the current rates counted from now; MaxTime if
-// no running kernel can progress. A kernel retires when its slowest
-// sub-stream drains, and the ceil in FromSeconds is monotone, so one
-// conversion of the slowest drain time gives the latest of the three
-// sub-stream deadlines.
+// no running kernel can progress. A lone kernel's waterfill never
+// saturates, so its retirement is the deadline.
 func (d *Device) soonest(now sim.Time) sim.Time {
+	if len(d.running) != 1 {
+		return d.soonestN(now)
+	}
+	return d.running[0].retireAt(now)
+}
+
+// soonestN is soonest's loop over any running set. It spells out
+// retireAt, which the compiler does not inline: a call per running kernel
+// slowed co-running workloads measurably.
+func (d *Device) soonestN(now sim.Time) sim.Time {
 	soonest := sim.MaxTime
 	for _, r := range d.running {
-		slowest := max(drainSeconds(r.remC, r.crate), drainSeconds(r.remB, r.brate), drainSeconds(r.remComm, r.commRate))
-		t := deadline(now, slowest)
+		t := deadline(now, max(drainSeconds(r.remC, r.crate), drainSeconds(r.remB, r.brate), drainSeconds(r.remComm, r.commRate)))
 		if d.saturated && r.remB > 0 {
 			t = min(t, deadline(now, drainSeconds(r.remB, r.brate)))
 		}
 		soonest = min(soonest, t)
 	}
 	return soonest
+}
+
+// retireAt returns when r retires at its current rates counted from now:
+// MaxTime if it is starved. A kernel retires when its slowest sub-stream
+// drains, and the ceil in FromSeconds is monotone, so one conversion of
+// the slowest drain time gives the latest of the three sub-stream
+// deadlines.
+func (r *run) retireAt(now sim.Time) sim.Time {
+	return deadline(now, max(drainSeconds(r.remC, r.crate), drainSeconds(r.remB, r.brate), drainSeconds(r.remComm, r.commRate)))
 }
 
 // drainSeconds returns how long rem units take to drain at rate

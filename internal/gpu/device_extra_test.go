@@ -111,7 +111,7 @@ func TestSubStreamDrainsFireNoEvent(t *testing.T) {
 	d := NewDevice(s, A100(), 2, "lone")
 	p := d.Partition(108, "full")
 	k := Kernel{Kind: Decode, FLOPs: 1e11, Bytes: 4e9, CommBytes: 1e9, Launch: 10 * sim.Microsecond}
-	compute := k.FLOPs / (d.TotalFLOPS() * d.efficiency(k, 1))
+	compute := k.FLOPs / (d.TotalFLOPS() * d.Spec.efficiency(k, 1, d.TP))
 	hbm := k.Bytes / d.Spec.BandwidthCap(1, d.TotalBandwidth())
 	comm := k.CommBytes / d.Spec.NVLinkBandwidth
 	if compute == hbm || hbm == comm || compute == comm {

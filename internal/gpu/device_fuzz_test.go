@@ -246,7 +246,7 @@ func (p *deviceProgram) checkSolo() {
 		frac := float64(sms) / float64(p.d.Spec.SMs)
 		var slowest float64
 		if k.FLOPs > 0 {
-			slowest = k.FLOPs / (frac * p.d.TotalFLOPS() * p.d.efficiency(k, frac))
+			slowest = k.FLOPs / (frac * p.d.TotalFLOPS() * p.d.Spec.efficiency(k, frac, p.d.TP))
 		}
 		if k.Bytes > 0 {
 			slowest = max(slowest, k.Bytes/p.d.Spec.BandwidthCap(frac, p.d.TotalBandwidth()))

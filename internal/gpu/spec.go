@@ -202,14 +202,36 @@ func (s *Spec) BandwidthCap(frac, bw float64) float64 {
 // SoloRates returns the compute (FLOP/s) and HBM (bytes/s) rates a lone
 // kernel of the given kind and new-token count gets on sms SMs of each of
 // tp GPUs: the roofline cost model prices kernels with them, and the
-// fitted estimator labels its samples' regimes with them.
+// fitted estimator labels its samples' regimes with them. They are the
+// rates the simulated device grants a kernel alone on it (see loneRates).
 func (s *Spec) SoloRates(kind Kind, tokens, sms, tp int) (compute, hbm float64) {
 	frac := float64(sms) / float64(s.SMs)
-	mfu := s.MFUDecode
-	if kind == Prefill {
-		mfu = s.PrefillMFU(s.MFUPrefill, tokens, frac, tp)
+	return s.loneRates(frac, s.efficiency(Kernel{Kind: kind, Tokens: tokens}, frac, tp), tp)
+}
+
+// loneRates returns the compute rate and the HBM bandwidth cap of a
+// kernel alone on tp GPUs, on SM fraction frac of each, at efficiency eff
+// (a fraction of peak FLOPS).
+func (s *Spec) loneRates(frac, eff float64, tp int) (compute, hbm float64) {
+	return frac * (s.TensorFLOPS * float64(tp)) * eff, s.BandwidthCap(frac, s.HBMBandwidth*float64(tp))
+}
+
+// efficiency returns the fraction of peak FLOPS kernel k achieves on SM
+// fraction frac of each of tp GPUs, given its kind, token count and MFU
+// override.
+func (s *Spec) efficiency(k Kernel, frac float64, tp int) float64 {
+	mfu := k.MFU
+	if mfu == 0 {
+		if k.Kind == Prefill {
+			mfu = s.MFUPrefill
+		} else {
+			mfu = s.MFUDecode
+		}
 	}
-	return frac * s.TensorFLOPS * float64(tp) * mfu, s.BandwidthCap(frac, s.HBMBandwidth*float64(tp))
+	if k.Kind != Prefill {
+		return mfu
+	}
+	return s.PrefillMFU(mfu, k.Tokens, frac, tp)
 }
 
 // PartitionSizes returns the valid decode-partition SM counts for this

@@ -146,36 +146,88 @@ func (a *Arch) DecodeIter(ctxs []int, tp int) Cost {
 // DecodeIterTotals returns the cost of one decode iteration (all layers,
 // one token per request) over a batch of bs requests whose attended
 // context lengths sum to totalCtx. The cost depends on the batch only
-// through those two totals.
+// through those two totals. It is DecodeTable(tp).Iter; callers that
+// price many iterations keep the table.
 func (a *Arch) DecodeIterTotals(totalCtx, bs, tp int) Cost {
+	t := a.DecodeTable(tp)
+	return t.Iter(totalCtx, bs)
+}
+
+// DecodeTable holds the constants of one architecture's decode-iteration
+// cost at one tensor-parallel degree, so that pricing an iteration takes
+// a few multiply-adds. Build it with Arch.DecodeTable.
+type DecodeTable struct {
+	arch     *Arch
+	tp       int
+	layers   float64
+	params   float64 // qkvo + active FFN parameters per layer
+	attn     float64 // 4·heads·headDim: attention FLOPs per attended token
+	kvTok    float64 // KV bytes per token per layer
+	act      float64 // activation bytes per token per layer
+	weights  float64 // dense layer weight bytes
+	ring2    float64 // 2·ringFactor(tp)
+	hidden   float64
+	bpp      float64 // bytes per parameter
+	vocab    float64
+	headRead float64 // LM-head weight bytes
+}
+
+// DecodeTable returns the decode-cost table of a at tensor-parallel
+// degree tp. The table keeps a, for the MoE expert weights, which depend
+// on the batch, and for fused chunks, so a must not change while the
+// table is in use.
+func (a *Arch) DecodeTable(tp int) DecodeTable {
+	t := DecodeTable{
+		arch:     a,
+		tp:       tp,
+		layers:   float64(a.Layers),
+		params:   a.qkvoParams() + a.ffnParamsActive(),
+		attn:     4 * float64(a.Heads*a.HeadDim),
+		kvTok:    a.KVBytesPerTokenLayer(),
+		act:      a.activationBytesPerToken(),
+		ring2:    ringFactor(tp) * 2,
+		hidden:   float64(a.Hidden),
+		bpp:      float64(a.BytesPerParam),
+		vocab:    float64(a.Vocab),
+		headRead: float64(a.Vocab) * float64(a.Hidden) * float64(a.BytesPerParam),
+	}
+	if !a.MoE() {
+		t.weights = a.LayerWeightBytes()
+	}
+	return t
+}
+
+// For reports whether t is the table of a (the same *Arch) at tp.
+func (t *DecodeTable) For(a *Arch, tp int) bool { return t.arch == a && t.tp == tp }
+
+// Iter returns the cost of one decode iteration (all layers, one token
+// per request) over a batch of bs requests whose attended context lengths
+// sum to totalCtx.
+func (t *DecodeTable) Iter(totalCtx, bs int) Cost {
 	var c Cost
 	if bs <= 0 {
 		return c
 	}
 	bsf := float64(bs)
 	ctxf := float64(totalCtx)
-	kvTok := a.KVBytesPerTokenLayer()
-	perLayerFLOPs := 2*bsf*(a.qkvoParams()+a.ffnParamsActive()) +
-		4*float64(a.Heads*a.HeadDim)*(ctxf+bsf)
-	var weights float64
-	if a.MoE() {
-		weights = a.moeWeightBytes(bs)
-	} else {
-		weights = a.LayerWeightBytes()
+	perLayerFLOPs := 2*bsf*t.params + t.attn*(ctxf+bsf)
+	weights := t.weights
+	if t.arch.MoE() {
+		weights = t.arch.moeWeightBytes(bs)
 	}
 	perLayerBytes := weights +
-		(ctxf+bsf)*kvTok + // stream cached KV + the new token's
-		bsf*kvTok + // write new KV
-		bsf*a.activationBytesPerToken()
-	perLayerComm := ringFactor(tp) * 2 * bsf * float64(a.Hidden) * float64(a.BytesPerParam)
+		(ctxf+bsf)*t.kvTok + // stream cached KV + the new token's
+		bsf*t.kvTok + // write new KV
+		bsf*t.act
+	perLayerComm := t.ring2 * bsf * t.hidden * t.bpp
 
-	c.FLOPs = float64(a.Layers) * perLayerFLOPs
-	c.Bytes = float64(a.Layers) * perLayerBytes
-	c.CommBytes = float64(a.Layers) * perLayerComm
+	c.FLOPs = t.layers * perLayerFLOPs
+	c.Bytes = t.layers * perLayerBytes
+	c.CommBytes = t.layers * perLayerComm
 	c.Tokens = bs
 	// LM head for every request in the batch.
-	c.FLOPs += 2 * bsf * float64(a.Hidden) * float64(a.Vocab)
-	c.Bytes += float64(a.Vocab) * float64(a.Hidden) * float64(a.BytesPerParam)
+	c.FLOPs += 2 * bsf * t.hidden * t.vocab
+	c.Bytes += t.headRead
 	return c
 }
 
@@ -185,10 +237,17 @@ func (a *Arch) DecodeIterTotals(totalCtx, bs, tp int) Cost {
 // chunk re-reads the KV of all previously processed tokens, which is the
 // quadratic overhead the paper highlights.
 func (a *Arch) FusedChunkIter(chunk Seq, totalCtx, bs, tp int) Cost {
-	c := a.DecodeIterTotals(totalCtx, bs, tp)
+	t := a.DecodeTable(tp)
+	return t.Fused(chunk, totalCtx, bs)
+}
+
+// Fused is FusedChunkIter at the table's architecture and TP degree.
+func (t *DecodeTable) Fused(chunk Seq, totalCtx, bs int) Cost {
+	c := t.Iter(totalCtx, bs)
 	if chunk.New > 0 {
+		a := t.arch
 		// Chunk layers without double-counting weights.
-		cl := a.PrefillLayer([]Seq{chunk}, tp, false)
+		cl := a.PrefillLayer([]Seq{chunk}, t.tp, false)
 		pc := cl.Scale(float64(a.Layers))
 		pc.Tokens = cl.Tokens
 		if bs == 0 {

@@ -40,12 +40,14 @@ import (
 )
 
 // Model is the analytical roofline estimator for one (LLM, machine) pair.
-// It is stateless and read-only after construction: the same instance may
-// be shared across engines and goroutines.
+// It is stateless and read-only after construction by New: the same
+// instance may be shared across engines and goroutines.
 type Model struct {
 	Spec gpu.Spec
 	TP   int
 	Arch model.Arch
+
+	decode model.DecodeTable // Arch's decode costs at TP
 }
 
 // New returns the roofline model for the given deployment. Unlike
@@ -55,7 +57,9 @@ func New(spec gpu.Spec, tp int, arch model.Arch) *Model {
 	if tp < 1 {
 		tp = 1
 	}
-	return &Model{Spec: spec, TP: tp, Arch: arch}
+	m := &Model{Spec: spec, TP: tp, Arch: arch}
+	m.decode = m.Arch.DecodeTable(tp)
+	return m
 }
 
 // Configs returns the candidate decode partition sizes plus the full
@@ -114,7 +118,7 @@ func (m *Model) KernelTime(c model.Cost, kind gpu.Kind, sms int) sim.Time {
 // the given total attended context, batch size and decode partition size,
 // including the CUDA-graph launch.
 func (m *Model) DecodeSolo(totalCtx, bs, sms int) sim.Time {
-	c := m.Arch.DecodeIterTotals(totalCtx, bs, m.TP)
+	c := m.decode.Iter(totalCtx, bs)
 	return m.Spec.GraphLaunch + sim.FromSeconds(m.execSeconds(c, gpu.Decode, sms))
 }
 
@@ -144,7 +148,7 @@ func (m *Model) PrefillPhase(seqs []model.Seq, sms int) sim.Time {
 // in-flight prefill layer launch on the serialized host thread.
 func (m *Model) DecodeWorst(totalCtx, bs, sms, prefillNew, prefillReused int) sim.Time {
 	sms = m.clampSMs(sms)
-	c := m.Arch.DecodeIterTotals(totalCtx, bs, m.TP)
+	c := m.decode.Iter(totalCtx, bs)
 	crate, brate := m.Spec.SoloRates(gpu.Decode, c.Tokens, sms, m.TP)
 	launch := m.Spec.GraphLaunch
 	preSM := m.Spec.SMs - sms
@@ -176,7 +180,7 @@ func (m *Model) DecodeWorst(totalCtx, bs, sms, prefillNew, prefillReused int) si
 // drain concurrently, so the mixed batch costs the max of its rooflines
 // rather than their sum — the chunked-prefill overlap the paper measures.
 func (m *Model) FusedStep(chunk model.Seq, totalCtx, bs, sms int) sim.Time {
-	c := m.Arch.FusedChunkIter(chunk, totalCtx, bs, m.TP)
+	c := m.decode.Fused(chunk, totalCtx, bs)
 	kind := gpu.Decode
 	if chunk.New > 0 {
 		kind = gpu.Prefill

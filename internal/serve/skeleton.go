@@ -114,13 +114,20 @@ type DecodeStream struct {
 
 	held []*Running
 	fin  []*Running
+
+	// cost prices an iteration; Launch rebuilds it when the arch or the
+	// TP degree changes.
+	cost model.DecodeTable
 }
 
 // Launch starts one decode iteration of the whole batch on part, costed
 // for tp-way tensor parallelism plus surcharge extra HBM bytes; done(arg)
 // runs at completion.
 func (d *DecodeStream) Launch(env *Env, part *gpu.Partition, tp int, surcharge float64, done func(any), arg any) {
-	cost := env.Arch.DecodeIterTotals(d.TotalCtx(), d.Size(), tp)
+	if !d.cost.For(&env.Arch, tp) {
+		d.cost = env.Arch.DecodeTable(tp)
+	}
+	cost := d.cost.Iter(d.TotalCtx(), d.Size())
 	cost.Bytes += surcharge
 	d.Running = true
 	part.LaunchFn(gpu.NewKernel("decode", gpu.Decode, cost, env.Spec.GraphLaunch), done, arg)
