@@ -54,6 +54,7 @@ import (
 
 	"muxwise"
 	"muxwise/internal/gpu"
+	"muxwise/internal/workload"
 )
 
 // replicasGrammar documents the accepted -replicas syntax; it is printed
@@ -135,23 +136,17 @@ func parseReplicas(spec string) ([]muxwise.ReplicaSpec, error) {
 }
 
 func buildTrace(wl string, seed uint64, n int, scale, rate float64) (*muxwise.Trace, error) {
-	switch strings.ToLower(wl) {
-	case "mixed":
+	if strings.EqualFold(wl, "mixed") {
 		return muxwise.MixedBursty(seed, n, scale), nil
-	case "conversation":
-		return muxwise.Conversation(seed, n).
-			WithProfileArrivals(seed, muxwise.ConversationProfile(scale)), nil
-	case "toolagent":
-		return muxwise.ToolAgent(seed, n).
-			WithProfileArrivals(seed, muxwise.ToolAgentProfile(scale)), nil
-	case "sharegpt":
-		return muxwise.ShareGPT(seed, n).WithPoissonArrivals(seed, rate), nil
-	case "loogle":
-		return muxwise.LooGLE(seed, n).WithPoissonArrivals(seed, rate), nil
-	case "openthoughts":
-		return muxwise.OpenThoughts(seed, n).WithPoissonArrivals(seed, rate), nil
 	}
-	return nil, fmt.Errorf("unknown workload %q", wl)
+	w, ok := workload.Lookup(wl)
+	if !ok {
+		return nil, fmt.Errorf("unknown workload %q (have mixed, %s)", wl, workload.Names())
+	}
+	if w.Profile != nil {
+		return w.Generate(seed, n).WithProfileArrivals(seed, w.Profile(scale)), nil
+	}
+	return w.Generate(seed, n).WithPoissonArrivals(seed, rate), nil
 }
 
 // scenarioOpts carries the scenario flags.
@@ -436,7 +431,7 @@ func main() {
 		"step-time estimator: "+strings.Join(muxwise.CostModels(), " or ")+
 			" (default fitted; roofline covers any model on any GPU, e.g. -hw B200)")
 	gpus := flag.Int("gpus", 1, "GPUs per replica (overridable per shape with @N)")
-	wl := flag.String("workload", "mixed", "workload: mixed, conversation, toolagent, sharegpt, loogle, openthoughts")
+	wl := flag.String("workload", "mixed", "workload: mixed, "+workload.Names())
 	n := flag.Int("n", 120, "sessions (multi-turn) or requests (single-turn) per trace")
 	scale := flag.Float64("scale", 0.2, "Fig. 13 profile scale (profile workloads)")
 	rate := flag.Float64("rate", 2, "Poisson rate, req/s (single-turn workloads)")

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"muxwise"
+	"muxwise/internal/workload"
 )
 
 func main() {
@@ -22,7 +23,7 @@ func main() {
 	mdl := flag.String("model", "Llama-8B", "model name")
 	hw := flag.String("hw", "A100", "hardware: A100, H100, H200, B200")
 	gpus := flag.Int("gpus", 8, "number of GPUs")
-	wl := flag.String("workload", "sharegpt", "workload: sharegpt, loogle, openthoughts, conversation, toolagent")
+	wl := flag.String("workload", "sharegpt", "workload: "+workload.Names())
 	traceFile := flag.String("trace", "", "replay a JSONL trace file instead of generating a workload")
 	n := flag.Int("n", 500, "requests (single-turn) or sessions (multi-turn)")
 	rate := flag.Float64("rate", 2, "Poisson arrival rate, req/s")
@@ -50,22 +51,12 @@ func main() {
 		}
 		*wl = *traceFile
 	} else {
-		switch strings.ToLower(*wl) {
-		case "sharegpt":
-			trace = muxwise.ShareGPT(*seed, *n)
-		case "loogle":
-			trace = muxwise.LooGLE(*seed, *n)
-		case "openthoughts":
-			trace = muxwise.OpenThoughts(*seed, *n)
-		case "conversation":
-			trace = muxwise.Conversation(*seed, *n)
-		case "toolagent":
-			trace = muxwise.ToolAgent(*seed, *n)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
+		w, ok := workload.Lookup(*wl)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown workload %q (have %s)\n", *wl, workload.Names())
 			os.Exit(1)
 		}
-		trace = trace.WithPoissonArrivals(*seed, *rate)
+		trace = w.Generate(*seed, *n).WithPoissonArrivals(*seed, *rate)
 	}
 
 	dep := muxwise.Deployment{

@@ -14,10 +14,11 @@ import (
 	"strings"
 
 	"muxwise"
+	"muxwise/internal/workload"
 )
 
 func main() {
-	wl := flag.String("workload", "sharegpt", "sharegpt, loogle, openthoughts, conversation, toolagent, mixed")
+	wl := flag.String("workload", "sharegpt", workload.Names()+", mixed")
 	n := flag.Int("n", 100, "requests (single-turn) or sessions (multi-turn)")
 	rate := flag.Float64("rate", 1, "Poisson arrival rate, req/s (0 = bursty Fig.13 profile)")
 	scale := flag.Float64("scale", 1, "profile scale when -rate 0")
@@ -32,30 +33,21 @@ func main() {
 		return
 	}
 
-	var trace *muxwise.Trace
-	switch strings.ToLower(*wl) {
-	case "sharegpt":
-		trace = muxwise.ShareGPT(*seed, *n)
-	case "loogle":
-		trace = muxwise.LooGLE(*seed, *n)
-	case "openthoughts":
-		trace = muxwise.OpenThoughts(*seed, *n)
-	case "conversation":
-		trace = muxwise.Conversation(*seed, *n)
-	case "toolagent":
-		trace = muxwise.ToolAgent(*seed, *n)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
+	w, ok := workload.Lookup(*wl)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown workload %q (have %s, mixed)\n", *wl, workload.Names())
 		os.Exit(1)
 	}
+	trace := w.Generate(*seed, *n)
 	if *rate > 0 {
 		trace = trace.WithPoissonArrivals(*seed, *rate)
 	} else {
-		profile := muxwise.ConversationProfile(*scale)
-		if strings.ToLower(*wl) == "toolagent" {
-			profile = muxwise.ToolAgentProfile(*scale)
+		// Single-turn workloads take the Conversation shape.
+		profile := muxwise.ConversationProfile
+		if w.Profile != nil {
+			profile = w.Profile
 		}
-		trace = trace.WithProfileArrivals(*seed, profile)
+		trace = trace.WithProfileArrivals(*seed, profile(*scale))
 	}
 	emit(trace, *stats)
 }

@@ -95,7 +95,7 @@ func TestPrefixCacheAcrossTurns(t *testing.T) {
 	for _, r := range tr.Requests {
 		r := r
 		rec.Arrive(r.ID, r.Arrival, r.InputTokens)
-		s.At(r.Arrival, func() { e.Submit(r) })
+		s.AtFunc(r.Arrival, func(any) { e.Submit(r) }, nil)
 	}
 	s.Run()
 	if hr := e.CachePools()[0].Stats().HitRate(); hr < 0.2 {

@@ -567,7 +567,7 @@ func (c *Cluster) Spawn(spec ReplicaSpec, coldStart sim.Time) *Replica {
 	}
 	c.note("spawn", rep, fmt.Sprintf(" (cold start %v)", coldStart),
 		obs.Arg{Key: "cold_start_ms", Val: coldStart.Milliseconds()})
-	c.Sim.After(coldStart, func() { c.makeReady(rep) })
+	c.Sim.AfterFunc(coldStart, func(any) { c.makeReady(rep) }, nil)
 	return rep
 }
 
@@ -919,7 +919,7 @@ func Run(cfg Config, trace *workload.Trace) (Result, error) {
 	serve.ScheduleArrivals(s, trace.Requests, func(r *workload.Request) { c.Submit(r) })
 	// Fleet-level stability probe, mirroring serve.Run.
 	backlog := 0
-	s.At(lastArrival+30*sim.Second, func() { backlog = c.Unfinished() })
+	s.AtFunc(lastArrival+30*sim.Second, func(any) { backlog = c.Unfinished() }, nil)
 	s.RunUntil(lastArrival + serve.Horizon)
 
 	res := Result{Router: c.Router.Name(), Failures: c.countState(StateFailed), Events: c.log, Unrouted: len(c.pending)}

@@ -271,8 +271,7 @@ type FleetController struct {
 func attachFleet(c *Cluster, cfg FleetConfig, lastArrival sim.Time) *FleetController {
 	fc := &FleetController{c: c, cfg: cfg.withDefaults(), lastArrival: lastArrival}
 	for _, ev := range fc.cfg.Events {
-		ev := ev
-		c.Sim.At(ev.At, func() { fc.apply(ev) })
+		c.Sim.AtFunc(ev.At, func(any) { fc.apply(ev) }, nil)
 	}
 	if fc.cfg.Scaler != nil {
 		c.Sim.AtFunc(Cadence, fleetTick, fc)

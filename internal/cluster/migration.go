@@ -192,7 +192,7 @@ func (c *Cluster) migrateKV(src *Replica, session int, tokens int64, pages []kvc
 	}
 	c.logf("kv-migrate session %d %s -> %s (%d tokens over %v, %v)",
 		session, src.Name, dst.Name, tokens, link.Class, d)
-	c.Sim.After(d, func() { c.finishMigration(m) })
+	c.Sim.AfterFunc(d, func(any) { c.finishMigration(m) }, nil)
 	return true
 }
 

@@ -175,11 +175,11 @@ func TestFailDuringMigrationRePrefills(t *testing.T) {
 		Pages:    pages[:500],
 		AllPages: pages,
 	})
-	s.At(0, func() { c.Replicas[0].submit(req) })
+	s.AtFunc(0, func(any) { c.Replicas[0].submit(req) }, nil)
 	// Drain while the request is in flight: the replica stays draining
 	// (not retired) and one stream is on the wire. The crash lands 2 ms
 	// later, inside the 8 ms handoff window.
-	s.At(sim.Second, func() {
+	s.AtFunc(sim.Second, func(any) {
 		c.Drain(c.Replicas[0])
 		if got := c.migStats.Streams; got != 1 {
 			t.Fatalf("drain started %d streams, want 1", got)
@@ -187,8 +187,8 @@ func TestFailDuringMigrationRePrefills(t *testing.T) {
 		if c.Replicas[0].State != StateDraining {
 			t.Fatalf("source state %v, want draining", c.Replicas[0].State)
 		}
-	})
-	s.At(sim.Second+2*sim.Millisecond, func() { c.Fail(c.Replicas[0]) })
+	}, nil)
+	s.AtFunc(sim.Second+2*sim.Millisecond, func(any) { c.Fail(c.Replicas[0]) }, nil)
 	s.RunUntil(600 * sim.Second)
 
 	m := c.migStats
@@ -240,9 +240,9 @@ func TestFailedDestinationDropsInTransitKV(t *testing.T) {
 		Pages:    pages[:500],
 		AllPages: pages,
 	})
-	s.At(0, func() { c.Replicas[0].submit(req) })
+	s.AtFunc(0, func(any) { c.Replicas[0].submit(req) }, nil)
 	var dst *Replica
-	s.At(sim.Second, func() {
+	s.AtFunc(sim.Second, func(any) {
 		c.Drain(c.Replicas[0])
 		if len(c.migs) != 1 {
 			t.Fatalf("drain started %d streams, want 1", len(c.migs))
@@ -251,8 +251,8 @@ func TestFailedDestinationDropsInTransitKV(t *testing.T) {
 		if dst.MigratingTokens() == 0 {
 			t.Fatal("stream destination carries no in-transit KV")
 		}
-	})
-	s.At(sim.Second+2*sim.Millisecond, func() { c.Fail(dst) })
+	}, nil)
+	s.AtFunc(sim.Second+2*sim.Millisecond, func(any) { c.Fail(dst) }, nil)
 	s.RunUntil(600 * sim.Second)
 
 	if dst.State != StateFailed {
@@ -291,15 +291,15 @@ func TestMigrationOccupancy(t *testing.T) {
 		AllPages: pages,
 	})
 	var before, during, after int64
-	s.At(0, func() { c.Replicas[0].submit(req) })
-	s.At(sim.Second, func() {
+	s.AtFunc(0, func(any) { c.Replicas[0].submit(req) }, nil)
+	s.AtFunc(sim.Second, func(any) {
 		before = c.Replicas[1].OutstandingTokens() + c.Replicas[2].OutstandingTokens() + c.Replicas[3].OutstandingTokens()
 		c.Drain(c.Replicas[0])
 		during = c.Replicas[1].MigratingTokens() + c.Replicas[2].MigratingTokens() + c.Replicas[3].MigratingTokens()
-	})
-	s.At(sim.Second+sim.Millisecond, func() {
+	}, nil)
+	s.AtFunc(sim.Second+sim.Millisecond, func(any) {
 		after = c.Replicas[1].MigratingTokens() + c.Replicas[2].MigratingTokens() + c.Replicas[3].MigratingTokens()
-	})
+	}, nil)
 	s.RunUntil(600 * sim.Second)
 	if before != 0 {
 		t.Fatalf("idle destinations carried %d outstanding tokens before the drain", before)

@@ -61,14 +61,14 @@ func TestMaxBatchHonored(t *testing.T) {
 	for _, r := range tr.Requests {
 		r := r
 		rec.Arrive(r.ID, r.Arrival, r.InputTokens)
-		s.At(r.Arrival, func() {
+		s.AtFunc(r.Arrival, func(any) {
 			e.Submit(r)
 			got := e.inflight()
 			if got > serve.MaxBatch {
 				t.Fatalf("inflight %d exceeds MaxBatch %d", got, serve.MaxBatch)
 			}
 			peak = max(peak, got)
-		})
+		}, nil)
 	}
 	s.Run()
 	if peak != serve.MaxBatch {
@@ -101,7 +101,7 @@ func TestFullCacheHitTurn(t *testing.T) {
 	for _, r := range []*workload.Request{first, second} {
 		r := r
 		rec.Arrive(r.ID, r.Arrival, r.InputTokens)
-		s.At(r.Arrival, func() { e.Submit(r) })
+		s.AtFunc(r.Arrival, func(any) { e.Submit(r) }, nil)
 	}
 	s.Run()
 	sum := rec.Summarize("mux", s.Now())
@@ -174,7 +174,7 @@ func TestGuardRuntimeRefinement(t *testing.T) {
 	for _, r := range tr.Requests {
 		r := r
 		rec.Arrive(r.ID, r.Arrival, r.InputTokens)
-		s.At(r.Arrival, func() { e.Submit(r) })
+		s.AtFunc(r.Arrival, func(any) { e.Submit(r) }, nil)
 	}
 	s.Run()
 	// Cells can only grow (Observe adds unseen cells).
@@ -213,11 +213,11 @@ func TestPausedJobJoinRepricesTP(t *testing.T) {
 		}
 	}
 
-	s.At(0, func() {
+	s.AtFunc(0, func(any) {
 		submit(0, 16000)
 		e.admitPending()
 		e.schedule()
-	})
+	}, nil)
 	s.RunUntil(200 * sim.Millisecond)
 	long := e.active
 	if long == nil || long.layersDone == 0 || e.layerOf != long || e.layerSMs == 0 {

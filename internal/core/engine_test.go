@@ -99,7 +99,7 @@ func TestMultiTurnCacheReuse(t *testing.T) {
 	for _, r := range tr.Requests {
 		r := r
 		rec.Arrive(r.ID, r.Arrival, r.InputTokens)
-		s.At(r.Arrival, func() { eng.Submit(r) })
+		s.AtFunc(r.Arrival, func(any) { eng.Submit(r) }, nil)
 	}
 	s.Run()
 	hr := eng.CachePools()[0].Stats().HitRate()

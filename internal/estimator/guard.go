@@ -180,15 +180,15 @@ func coRunLayers(spec gpu.Spec, tp int, arch model.Arch, decSM, preSM, bs, ctxPe
 	// then prefill layers stream on the complementary partition so the
 	// decode kernel executes under steady-state contention.
 	c := arch.DecodeIterTotals(bs*ctxPerReq, bs, tp)
-	dec.Launch(gpu.NewKernel("decode", gpu.Decode, c, spec.GraphLaunch), func() {
+	dec.LaunchFn(gpu.NewKernel("decode", gpu.Decode, c, spec.GraphLaunch), func(any) {
 		done = s.Now().Seconds()
 		overlapped = !pre.Idle()
 		s.Stop()
-	})
+	}, nil)
 
 	layer := gpu.NewKernel("prefill-layer", gpu.Prefill, arch.PrefillLayer([]model.Seq{{New: pNew, Reused: pReused}}, tp, true), spec.LayerLaunch)
 	for range k {
-		pre.Launch(layer, nil)
+		pre.LaunchFn(layer, nil, nil)
 	}
 	s.Run()
 	return done, overlapped

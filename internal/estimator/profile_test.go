@@ -84,10 +84,10 @@ func fullPhaseCoRun(spec gpu.Spec, tp int, arch model.Arch, decSM, preSM, bs, ct
 	pre := d.Partition(preSM, "prefill")
 	c := arch.DecodeIterTotals(bs*ctxPerReq, bs, tp)
 	var done sim.Time
-	dec.Launch(gpu.NewKernel("decode", gpu.Decode, c, spec.GraphLaunch), func() { done = s.Now() })
+	dec.LaunchFn(gpu.NewKernel("decode", gpu.Decode, c, spec.GraphLaunch), func(any) { done = s.Now() }, nil)
 	layer := arch.PrefillLayer([]model.Seq{{New: pNew, Reused: pReused}}, tp, true)
 	for i := 0; i < arch.Layers; i++ {
-		pre.Launch(gpu.NewKernel("prefill-layer", gpu.Prefill, layer, spec.LayerLaunch), nil)
+		pre.LaunchFn(gpu.NewKernel("prefill-layer", gpu.Prefill, layer, spec.LayerLaunch), nil, nil)
 	}
 	s.Run()
 	return done.Seconds()
@@ -170,7 +170,7 @@ func simDecodeSolo(spec gpu.Spec, tp int, arch model.Arch, sms, bs, ctxPerReq in
 	p := gpu.NewDevice(s, spec, tp, "profile").Partition(sms, "decode")
 	c := arch.DecodeIterTotals(bs*ctxPerReq, bs, tp)
 	var done sim.Time
-	p.Launch(gpu.NewKernel("decode", gpu.Decode, c, spec.GraphLaunch), func() { done = s.Now() })
+	p.LaunchFn(gpu.NewKernel("decode", gpu.Decode, c, spec.GraphLaunch), func(any) { done = s.Now() }, nil)
 	s.Run()
 	return done
 }
@@ -184,7 +184,7 @@ func simPrefillSolo(spec gpu.Spec, tp int, arch model.Arch, sms int, seqs []mode
 	layer := arch.PrefillLayer(seqs, tp, true)
 	var done sim.Time
 	for range arch.Layers {
-		p.Launch(gpu.NewKernel("prefill-layer", gpu.Prefill, layer, spec.LayerLaunch), func() { done = s.Now() })
+		p.LaunchFn(gpu.NewKernel("prefill-layer", gpu.Prefill, layer, spec.LayerLaunch), func(any) { done = s.Now() }, nil)
 	}
 	s.Run()
 	return done

@@ -234,9 +234,8 @@ func (p *Partition) SetSMs(sms int) {
 type run struct {
 	part *Partition
 	k    Kernel
-	done func()    // closure completion callback
-	dfn  func(any) // closure-free completion callback: dfn(darg)
-	darg any
+	done func(any) // completion callback: done(arg)
+	arg  any
 
 	ticket sim.Ticket // key of the host-launch-ready event
 
@@ -249,22 +248,16 @@ type run struct {
 	crate, brate, commRate float64 // current rates (per second)
 }
 
-// Launch submits a kernel to the partition. done, if non-nil, runs at the
-// simulated completion time. The host launch overhead serializes with all
-// other launches on the device.
-func (p *Partition) Launch(k Kernel, done func()) {
-	r := p.submit(k)
-	r.done = done
-}
-
-// LaunchFn is the closure-free Launch: done(arg) runs at the simulated
-// completion time. Engines bind done once (a package function or a field
-// set at construction) and pass per-kernel state through arg, so a launch
-// allocates nothing on the steady-state path.
+// LaunchFn submits a kernel to the partition. done(arg), if done is
+// non-nil, runs at the simulated completion time. The host launch overhead
+// serializes with all other launches on the device. Engines bind done once
+// (a package function or a field set at construction) and pass per-kernel
+// state through arg, so a launch allocates nothing on the steady-state
+// path.
 func (p *Partition) LaunchFn(k Kernel, done func(any), arg any) {
 	r := p.submit(k)
-	r.dfn = done
-	r.darg = arg
+	r.done = done
+	r.arg = arg
 }
 
 // submit queues a pooled run for k and reserves its host-launch-ready
@@ -680,10 +673,8 @@ func (d *Device) onProgress() {
 		d.reallocate()
 	}
 	for i, r := range finished {
-		if r.dfn != nil {
-			r.dfn(r.darg)
-		} else if r.done != nil {
-			r.done()
+		if r.done != nil {
+			r.done(r.arg)
 		}
 		r.part.tryStart()
 		finished[i] = nil

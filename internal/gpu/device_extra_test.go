@@ -19,7 +19,7 @@ func TestEfficiencySaturation(t *testing.T) {
 		p := d.Partition(108, "x")
 		flops := float64(tokens) * 1e10
 		var done sim.Time
-		p.Launch(Kernel{Kind: Prefill, FLOPs: flops, Tokens: tokens}, func() { done = s.Now() })
+		p.LaunchFn(Kernel{Kind: Prefill, FLOPs: flops, Tokens: tokens}, func(any) { done = s.Now() }, nil)
 		s.Run()
 		return flops / done.Seconds()
 	}
@@ -46,7 +46,7 @@ func TestHostBacklog(t *testing.T) {
 		t.Fatal("fresh device has backlog")
 	}
 	for i := 0; i < 5; i++ {
-		p.Launch(Kernel{Kind: Decode, Bytes: 1e9, Launch: 2 * sim.Millisecond}, nil)
+		p.LaunchFn(Kernel{Kind: Decode, Bytes: 1e9, Launch: 2 * sim.Millisecond}, nil, nil)
 	}
 	if got := d.HostBacklog(); got != 10*sim.Millisecond {
 		t.Fatalf("backlog = %v, want 10ms", got)
@@ -61,8 +61,8 @@ func TestLaunchSecondsAccounting(t *testing.T) {
 	s := sim.New()
 	d := NewDevice(s, A100(), 1, "acct")
 	p := d.Partition(108, "x")
-	p.Launch(Kernel{Kind: Decode, Bytes: 1e9, Launch: 3 * sim.Millisecond}, nil)
-	p.Launch(Kernel{Kind: Decode, Bytes: 1e9, Launch: 2 * sim.Millisecond}, nil)
+	p.LaunchFn(Kernel{Kind: Decode, Bytes: 1e9, Launch: 3 * sim.Millisecond}, nil, nil)
+	p.LaunchFn(Kernel{Kind: Decode, Bytes: 1e9, Launch: 2 * sim.Millisecond}, nil, nil)
 	s.Run()
 	st := d.Stats()
 	if math.Abs(st.LaunchSeconds-0.005) > 1e-9 {
@@ -77,7 +77,7 @@ func TestPartitionBusyAccounting(t *testing.T) {
 	s := sim.New()
 	d := NewDevice(s, A100(), 1, "busy")
 	p := d.Partition(108, "x")
-	p.Launch(Kernel{Kind: Decode, Bytes: 2.039e12 * 0.1}, nil) // 100ms
+	p.LaunchFn(Kernel{Kind: Decode, Bytes: 2.039e12 * 0.1}, nil, nil) // 100ms
 	s.Run()
 	if got := p.Busy(); math.Abs(got-0.1) > 0.002 {
 		t.Fatalf("Busy = %v, want ≈0.1s", got)
@@ -90,8 +90,8 @@ func TestZeroWorkKernel(t *testing.T) {
 	d := NewDevice(s, A100(), 1, "zero")
 	p := d.Partition(108, "x")
 	done := false
-	p.Launch(Kernel{Kind: Aux}, func() { done = true })
-	p.Launch(Kernel{Kind: Decode, Bytes: 1e9}, nil)
+	p.LaunchFn(Kernel{Kind: Aux}, func(any) { done = true }, nil)
+	p.LaunchFn(Kernel{Kind: Decode, Bytes: 1e9}, nil, nil)
 	s.Run()
 	if !done {
 		t.Fatal("zero-work kernel never completed")
@@ -118,12 +118,12 @@ func TestSubStreamDrainsFireNoEvent(t *testing.T) {
 		t.Fatalf("sub-stream times %v, %v, %v must differ", compute, hbm, comm)
 	}
 	var doneAt sim.Time
-	p.Launch(k, func() { doneAt = s.Now() })
+	p.LaunchFn(k, func(any) { doneAt = s.Now() }, nil)
 	s.Run()
 	if want := k.Launch + sim.FromSeconds(max(compute, hbm, comm)); doneAt != want {
 		t.Fatalf("kernel retired at %v, want %v", doneAt, want)
 	}
-	if got := s.Fired(); got != 1 {
+	if got := s.Stats().Fired; got != 1 {
 		t.Fatalf("%d events fired, want 1 (retirement)", got)
 	}
 }
@@ -136,10 +136,10 @@ func TestUnboundedKernelKeysNoTimer(t *testing.T) {
 	s := sim.New()
 	p := NewDevice(s, A100(), 1, "huge").Partition(108, "p")
 	s.RunUntil(sim.Second)
-	p.Launch(Kernel{Kind: Decode, FLOPs: 1e30}, nil)
+	p.LaunchFn(Kernel{Kind: Decode, FLOPs: 1e30}, nil, nil)
 	for _, until := range []sim.Time{sim.Second + sim.Millisecond, 2 * sim.Second} {
 		s.RunUntil(until)
-		if got := s.Fired(); got > 4 {
+		if got := s.Stats().Fired; got > 4 {
 			t.Fatalf("%d events fired by %v, want at most 4", got, until)
 		}
 	}
@@ -155,14 +155,14 @@ func TestLaunchBesideRunningKernelFiresReady(t *testing.T) {
 	d := NewDevice(s, A100(), 1, "busy")
 	long := d.Partition(54, "long")
 	other := d.Partition(54, "other")
-	long.Launch(Kernel{Kind: Prefill, FLOPs: 1e13, Tokens: 4096}, nil)
+	long.LaunchFn(Kernel{Kind: Prefill, FLOPs: 1e13, Tokens: 4096}, nil, nil)
 	s.RunUntil(10 * sim.Microsecond)
 	const launch = 5 * sim.Microsecond
 	var doneAt sim.Time
-	other.Launch(Kernel{Kind: Decode, Bytes: 1e9, Launch: launch}, func() { doneAt = s.Now() })
-	fired := s.Fired()
+	other.LaunchFn(Kernel{Kind: Decode, Bytes: 1e9, Launch: launch}, func(any) { doneAt = s.Now() }, nil)
+	fired := s.Stats().Fired
 	s.RunUntil(s.Now() + launch)
-	if got := s.Fired() - fired; got != 1 {
+	if got := s.Stats().Fired - fired; got != 1 {
 		t.Fatalf("%d events fired by the ready instant, want 1 (launch-ready)", got)
 	}
 	if other.QueueLen() != 1 || long.QueueLen() != 1 {
@@ -185,17 +185,17 @@ func TestDeferredStartKeepsTieOrder(t *testing.T) {
 	k := Kernel{Kind: Decode, Bytes: 1e9, Launch: launch}
 	ref := sim.New()
 	var doneAt sim.Time
-	NewDevice(ref, A100(), 1, "ref").Partition(108, "p").Launch(k, func() { doneAt = ref.Now() })
+	NewDevice(ref, A100(), 1, "ref").Partition(108, "p").LaunchFn(k, func(any) { doneAt = ref.Now() }, nil)
 	ref.Run()
 
 	s := sim.New()
 	p := NewDevice(s, A100(), 1, "tie").Partition(108, "p")
 	var order []string
-	mark := func(label string) func() { return func() { order = append(order, label) } }
-	s.At(doneAt, mark("before launch"))
-	p.Launch(k, mark("kernel"))
-	s.At(launch/2, func() { s.At(doneAt, mark("launch window")) })
-	s.At(launch+1, func() { s.At(doneAt, mark("after ready")) })
+	mark := func(label any) { order = append(order, label.(string)) }
+	s.AtFunc(doneAt, mark, "before launch")
+	p.LaunchFn(k, mark, "kernel")
+	s.AtFunc(launch/2, func(any) { s.AtFunc(doneAt, mark, "launch window") }, nil)
+	s.AtFunc(launch+1, func(any) { s.AtFunc(doneAt, mark, "after ready") }, nil)
 	s.Run()
 	want := []string{"before launch", "launch window", "kernel", "after ready"}
 	if !slices.Equal(order, want) {
@@ -211,8 +211,8 @@ func TestZeroWorkKernelBesideLongKernel(t *testing.T) {
 	long := d.Partition(54, "long")
 	zero := d.Partition(54, "zero")
 	var longAt, zeroAt sim.Time
-	long.Launch(Kernel{Kind: Prefill, FLOPs: 1e13, Tokens: 4096}, func() { longAt = s.Now() })
-	zero.Launch(Kernel{Kind: Aux, Launch: 5 * sim.Microsecond}, func() { zeroAt = s.Now() })
+	long.LaunchFn(Kernel{Kind: Prefill, FLOPs: 1e13, Tokens: 4096}, func(any) { longAt = s.Now() }, nil)
+	zero.LaunchFn(Kernel{Kind: Aux, Launch: 5 * sim.Microsecond}, func(any) { zeroAt = s.Now() }, nil)
 	s.Run()
 	if want := 5*sim.Microsecond + 1; zeroAt != want {
 		t.Fatalf("zero-work kernel retired at %v, want %v (the long kernel retired at %v)", zeroAt, want, longAt)
@@ -229,7 +229,7 @@ func TestThreeWayContention(t *testing.T) {
 	for i, sm := range sizes {
 		i := i
 		p := d.Partition(sm, "p")
-		p.Launch(Kernel{Kind: Decode, Bytes: 2.039e12 * 0.05}, func() { finish[i] = s.Now() })
+		p.LaunchFn(Kernel{Kind: Decode, Bytes: 2.039e12 * 0.05}, func(any) { finish[i] = s.Now() }, nil)
 	}
 	s.Run()
 	// The smallest partition has the lowest bandwidth cap → finishes last.
@@ -273,17 +273,17 @@ func TestZeroSMPartitionWorkPanics(t *testing.T) {
 	d := NewDevice(s, A100(), 1, "zero-sm")
 	p := d.Partition(0, "p")
 	zeroDone := false
-	p.Launch(Kernel{Kind: Aux}, func() { zeroDone = true })
+	p.LaunchFn(Kernel{Kind: Aux}, func(any) { zeroDone = true }, nil)
 	s.Run()
 	if !zeroDone {
 		t.Fatal("zero-work kernel on 0 SMs never completed")
 	}
 	done := false
-	p.Launch(Kernel{Kind: Prefill, FLOPs: 1e12, Bytes: 1e9, Tokens: 100}, func() { done = true })
+	p.LaunchFn(Kernel{Kind: Prefill, FLOPs: 1e12, Bytes: 1e9, Tokens: 100}, func(any) { done = true }, nil)
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, `"p"`) {
-			t.Fatalf("want a panic naming partition \"p\", got %q (done %v, %d events fired)", msg, done, s.Fired())
+			t.Fatalf("want a panic naming partition \"p\", got %q (done %v, %d events fired)", msg, done, s.Stats().Fired)
 		}
 	}()
 	s.RunUntil(10 * sim.Microsecond)
@@ -304,7 +304,7 @@ func TestQueuedSuccessorKeysTimerOnce(t *testing.T) {
 	solo := link
 	solo.Launch = 0
 	var dur sim.Time
-	NewDevice(s0, A100(), 1, "solo").Partition(54, "chain").Launch(solo, func() { dur = s0.Now() })
+	NewDevice(s0, A100(), 1, "solo").Partition(54, "chain").LaunchFn(solo, func(any) { dur = s0.Now() }, nil)
 	s0.Run()
 
 	s := sim.New()
@@ -312,10 +312,10 @@ func TestQueuedSuccessorKeysTimerOnce(t *testing.T) {
 	long := d.Partition(54, "long")
 	chain := d.Partition(54, "chain")
 	var longAt sim.Time
-	long.Launch(Kernel{Kind: Prefill, FLOPs: 1e14, Tokens: 4096, Launch: launch}, func() { longAt = s.Now() })
+	long.LaunchFn(Kernel{Kind: Prefill, FLOPs: 1e14, Tokens: 4096, Launch: launch}, func(any) { longAt = s.Now() }, nil)
 	var at []sim.Time
 	for range links {
-		chain.Launch(link, func() { at = append(at, s.Now()) })
+		chain.LaunchFn(link, func(any) { at = append(at, s.Now()) }, nil)
 	}
 	// Every launch is ready, and both partitions are running, well before
 	// the chain's head retires.

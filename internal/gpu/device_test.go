@@ -59,7 +59,7 @@ func TestComputeBoundDuration(t *testing.T) {
 	// Large token count so the efficiency saturation factor ≈ 1.
 	k := Kernel{Kind: Prefill, FLOPs: 312e12 * 0.5, Tokens: 1 << 20}
 	var doneAt sim.Time
-	p.Launch(k, func() { doneAt = s.Now() })
+	p.LaunchFn(k, func(any) { doneAt = s.Now() }, nil)
 	s.Run()
 	eff := 0.5 * float64(1<<20) / (float64(1<<20) + 0.6*108)
 	want := (312e12 * 0.5) / (312e12 * eff)
@@ -75,7 +75,7 @@ func TestMemoryBoundDuration(t *testing.T) {
 	p := d.Partition(108, "full")
 	k := Kernel{Kind: Decode, Bytes: 2.039e12 / 2} // half a second of traffic
 	var doneAt sim.Time
-	p.Launch(k, func() { doneAt = s.Now() })
+	p.LaunchFn(k, func(any) { doneAt = s.Now() }, nil)
 	s.Run()
 	if got := doneAt.Seconds(); math.Abs(got-0.5) > 0.01 {
 		t.Fatalf("memory-bound duration = %.4fs, want 0.5s", got)
@@ -90,7 +90,7 @@ func TestSMLimitedBandwidth(t *testing.T) {
 	p := d.Partition(12, "small")
 	bytes := 2.039e12 * 0.1 // 100ms at full bandwidth
 	var doneAt sim.Time
-	p.Launch(Kernel{Kind: Decode, Bytes: bytes}, func() { doneAt = s.Now() })
+	p.LaunchFn(Kernel{Kind: Decode, Bytes: bytes}, func(any) { doneAt = s.Now() }, nil)
 	s.Run()
 	frac := (12.0 / 108.0) / 0.45
 	want := 0.1 / frac
@@ -110,7 +110,7 @@ func TestComputeMemoryOverlap(t *testing.T) {
 		Tokens: 1 << 20,
 	}
 	var doneAt sim.Time
-	p.Launch(k, func() { doneAt = s.Now() })
+	p.LaunchFn(k, func(any) { doneAt = s.Now() }, nil)
 	s.Run()
 	if got := doneAt.Seconds(); math.Abs(got-0.2)/0.2 > 0.02 {
 		t.Fatalf("overlapped duration = %.4fs, want ≈0.2s (max, not 0.25 sum)", got)
@@ -125,8 +125,8 @@ func TestBandwidthContention(t *testing.T) {
 	b := d.Partition(54, "b")
 	bytes := 2.039e12 * 0.1
 	var aAt, bAt sim.Time
-	a.Launch(Kernel{Kind: Decode, Bytes: bytes}, func() { aAt = s.Now() })
-	b.Launch(Kernel{Kind: Decode, Bytes: bytes}, func() { bAt = s.Now() })
+	a.LaunchFn(Kernel{Kind: Decode, Bytes: bytes}, func(any) { aAt = s.Now() }, nil)
+	b.LaunchFn(Kernel{Kind: Decode, Bytes: bytes}, func(any) { bAt = s.Now() }, nil)
 	s.Run()
 	// Each can absorb min(1, (0.5/0.45)) = full BW; contended share = half.
 	// So each takes ≈0.2s instead of 0.1s.
@@ -144,7 +144,7 @@ func TestComputeCoRunnerLowInterference(t *testing.T) {
 	p1 := d1.Partition(54, "dec")
 	bytes := 2.039e12 * 0.05
 	var solo sim.Time
-	p1.Launch(Kernel{Kind: Decode, Bytes: bytes}, func() { solo = s1.Now() })
+	p1.LaunchFn(Kernel{Kind: Decode, Bytes: bytes}, func(any) { solo = s1.Now() }, nil)
 	s1.Run()
 
 	// Co-run with a pure-compute kernel.
@@ -152,8 +152,8 @@ func TestComputeCoRunnerLowInterference(t *testing.T) {
 	dec := d2.Partition(54, "dec")
 	pre := d2.Partition(54, "pre")
 	var co sim.Time
-	dec.Launch(Kernel{Kind: Decode, Bytes: bytes}, func() { co = s2.Now() })
-	pre.Launch(Kernel{Kind: Prefill, FLOPs: 1e12, Tokens: 4096}, nil)
+	dec.LaunchFn(Kernel{Kind: Decode, Bytes: bytes}, func(any) { co = s2.Now() }, nil)
+	pre.LaunchFn(Kernel{Kind: Prefill, FLOPs: 1e12, Tokens: 4096}, nil, nil)
 	s2.Run()
 
 	if co < solo {
@@ -188,7 +188,7 @@ func TestSoloTimeMatchesDevice(t *testing.T) {
 					}
 					s := sim.New()
 					var want sim.Time
-					NewDevice(s, spec, tp, "solo").Partition(sms, "p").Launch(k, func() { want = s.Now() })
+					NewDevice(s, spec, tp, "solo").Partition(sms, "p").LaunchFn(k, func(any) { want = s.Now() }, nil)
 					s.Run()
 					if got := SoloTime(spec, tp, sms, k); got != want {
 						t.Fatalf("%s×%d on %d SMs, kernel %d: SoloTime %v, device retired it at %v", spec.Name, tp, sms, i, got, want)
@@ -209,7 +209,7 @@ func TestStreamFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		p.Launch(Kernel{Kind: Decode, Bytes: 1e9}, func() { order = append(order, i) })
+		p.LaunchFn(Kernel{Kind: Decode, Bytes: 1e9}, func(any) { order = append(order, i) }, nil)
 	}
 	s.Run()
 	for i, v := range order {
@@ -227,8 +227,8 @@ func TestHostLaunchSerialization(t *testing.T) {
 	var bStart sim.Time
 	// Kernel on a with a 10ms launch; kernel on b launched right after
 	// with 0.5ms launch must wait for the host thread.
-	a.Launch(Kernel{Kind: Prefill, FLOPs: 1e9, Tokens: 100, Launch: 10 * sim.Millisecond}, nil)
-	b.Launch(Kernel{Kind: Decode, Bytes: 1e6, Launch: 500 * sim.Microsecond}, func() { bStart = s.Now() })
+	a.LaunchFn(Kernel{Kind: Prefill, FLOPs: 1e9, Tokens: 100, Launch: 10 * sim.Millisecond}, nil, nil)
+	b.LaunchFn(Kernel{Kind: Decode, Bytes: 1e6, Launch: 500 * sim.Microsecond}, func(any) { bStart = s.Now() }, nil)
 	s.Run()
 	if bStart < 10500*sim.Microsecond {
 		t.Fatalf("kernel b done at %v, want ≥ 10.5ms (serialized launches)", bStart)
@@ -246,8 +246,8 @@ func TestOversubscriptionSerializes(t *testing.T) {
 	b := d.Partition(108, "b")
 	flops := 312e12 * 0.5 * 0.1 // ~0.1s solo at eff≈0.5
 	var aAt, bAt sim.Time
-	a.Launch(Kernel{Kind: Prefill, FLOPs: flops, Tokens: 1 << 20}, func() { aAt = s.Now() })
-	b.Launch(Kernel{Kind: Prefill, FLOPs: flops, Tokens: 1 << 20}, func() { bAt = s.Now() })
+	a.LaunchFn(Kernel{Kind: Prefill, FLOPs: flops, Tokens: 1 << 20}, func(any) { aAt = s.Now() }, nil)
+	b.LaunchFn(Kernel{Kind: Prefill, FLOPs: flops, Tokens: 1 << 20}, func(any) { bAt = s.Now() }, nil)
 	s.Run()
 	if got := aAt.Seconds(); math.Abs(got-0.1)/0.1 > 0.05 {
 		t.Fatalf("resident kernel took %.4fs, want ≈ solo 0.1s", got)
@@ -264,7 +264,7 @@ func TestTensorParallelAggregation(t *testing.T) {
 	p := d.Partition(108, "full")
 	k := Kernel{Kind: Decode, Bytes: 8 * 2.039e12 * 0.01} // 10ms at aggregate BW
 	var at sim.Time
-	p.Launch(k, func() { at = s.Now() })
+	p.LaunchFn(k, func(any) { at = s.Now() }, nil)
 	s.Run()
 	if got := at.Seconds(); math.Abs(got-0.01)/0.01 > 0.02 {
 		t.Fatalf("TP8 memory duration = %.4fs, want 0.01s", got)
@@ -275,7 +275,7 @@ func TestTensorParallelAggregation(t *testing.T) {
 	d2 := NewDevice(s2, A100(), 8, "tp8")
 	p2 := d2.Partition(108, "full")
 	var at2 sim.Time
-	p2.Launch(Kernel{Kind: Decode, CommBytes: 600e9 * 0.02}, func() { at2 = s2.Now() })
+	p2.LaunchFn(Kernel{Kind: Decode, CommBytes: 600e9 * 0.02}, func(any) { at2 = s2.Now() }, nil)
 	s2.Run()
 	if got := at2.Seconds(); math.Abs(got-0.02)/0.02 > 0.02 {
 		t.Fatalf("comm duration = %.4fs, want 0.02s", got)
@@ -287,11 +287,11 @@ func TestSetSMsAffectsNextKernel(t *testing.T) {
 	p := d.Partition(108, "p")
 	bytes := 2.039e12 * 0.05
 	var first, second sim.Time
-	p.Launch(Kernel{Kind: Decode, Bytes: bytes}, func() {
+	p.LaunchFn(Kernel{Kind: Decode, Bytes: bytes}, func(any) {
 		first = s.Now()
 		p.SetSMs(12)
-		p.Launch(Kernel{Kind: Decode, Bytes: bytes}, func() { second = s.Now() })
-	})
+		p.LaunchFn(Kernel{Kind: Decode, Bytes: bytes}, func(any) { second = s.Now() }, nil)
+	}, nil)
 	s.Run()
 	d1 := first.Seconds()
 	d2 := (second - first).Seconds()
@@ -306,7 +306,7 @@ func TestSetSMsAffectsNextKernel(t *testing.T) {
 func TestDeviceStats(t *testing.T) {
 	s, d := newTestDevice(t, 1)
 	p := d.Partition(108, "full")
-	p.Launch(Kernel{Kind: Decode, Bytes: 2.039e12 * 0.1}, nil)
+	p.LaunchFn(Kernel{Kind: Decode, Bytes: 2.039e12 * 0.1}, nil, nil)
 	s.Run()
 	st := d.Stats()
 	if st.Kernels != 1 {
@@ -329,8 +329,8 @@ func TestPartitionQueueAccounting(t *testing.T) {
 	if !p.Idle() {
 		t.Fatal("fresh partition not idle")
 	}
-	p.Launch(Kernel{Kind: Decode, Bytes: 1e9}, nil)
-	p.Launch(Kernel{Kind: Decode, Bytes: 1e9}, nil)
+	p.LaunchFn(Kernel{Kind: Decode, Bytes: 1e9}, nil, nil)
+	p.LaunchFn(Kernel{Kind: Decode, Bytes: 1e9}, nil, nil)
 	if p.QueueLen() != 2 {
 		t.Fatalf("QueueLen = %d, want 2", p.QueueLen())
 	}
@@ -427,11 +427,11 @@ func runDecode(decSM int, bytes float64, withPrefill bool) float64 {
 	d := NewDevice(s, A100(), 1, "d")
 	dec := d.Partition(decSM, "dec")
 	var doneAt sim.Time
-	dec.Launch(Kernel{Kind: Decode, Bytes: bytes}, func() { doneAt = s.Now() })
+	dec.LaunchFn(Kernel{Kind: Decode, Bytes: bytes}, func(any) { doneAt = s.Now() }, nil)
 	if withPrefill {
 		pre := d.Partition(108-decSM, "pre")
 		// A long prefill with both compute and memory traffic.
-		pre.Launch(Kernel{Kind: Prefill, FLOPs: 1e13, Bytes: 5e10, Tokens: 8192}, nil)
+		pre.LaunchFn(Kernel{Kind: Prefill, FLOPs: 1e13, Bytes: 5e10, Tokens: 8192}, nil, nil)
 	}
 	s.Run()
 	return doneAt.Seconds()
@@ -444,8 +444,8 @@ func BenchmarkDeviceContention(b *testing.B) {
 		dec := d.Partition(44, "dec")
 		pre := d.Partition(64, "pre")
 		for j := 0; j < 100; j++ {
-			dec.Launch(Kernel{Kind: Decode, Bytes: 1e11, Launch: 500 * sim.Microsecond}, nil)
-			pre.Launch(Kernel{Kind: Prefill, FLOPs: 1e13, Bytes: 1e10, Tokens: 4096, Launch: 130 * sim.Microsecond}, nil)
+			dec.LaunchFn(Kernel{Kind: Decode, Bytes: 1e11, Launch: 500 * sim.Microsecond}, nil, nil)
+			pre.LaunchFn(Kernel{Kind: Prefill, FLOPs: 1e13, Bytes: 1e10, Tokens: 4096, Launch: 130 * sim.Microsecond}, nil, nil)
 		}
 		s.Run()
 	}
@@ -464,16 +464,16 @@ func BenchmarkDeviceSerialLaunch(b *testing.B) {
 		d := NewDevice(s, A100(), 2, "bench")
 		p := d.Partition(108, "all")
 		left := kernels
-		var step func()
-		step = func() {
+		var step func(any)
+		step = func(any) {
 			if left > 0 {
 				left--
-				p.Launch(iter, step)
+				p.LaunchFn(iter, step, nil)
 			}
 		}
-		step()
+		step(nil)
 		s.Run()
-		events += s.Fired()
+		events += s.Stats().Fired
 		launched += d.Stats().Kernels
 	}
 	b.ReportMetric(float64(events)/float64(launched), "events/kernel")
@@ -493,17 +493,17 @@ func BenchmarkDeviceLayerPipeline(b *testing.B) {
 		dec := d.Partition(44, "dec")
 		pre := d.Partition(64, "pre")
 		for range layers {
-			pre.Launch(layer, nil)
+			pre.LaunchFn(layer, nil, nil)
 		}
-		var step func()
-		step = func() {
+		var step func(any)
+		step = func(any) {
 			if !pre.Idle() {
-				dec.Launch(iter, step)
+				dec.LaunchFn(iter, step, nil)
 			}
 		}
-		step()
+		step(nil)
 		s.Run()
-		events += s.Fired()
+		events += s.Stats().Fired
 		kernels += d.Stats().Kernels
 	}
 	b.ReportMetric(float64(events)/float64(kernels), "events/kernel")

@@ -69,7 +69,7 @@ func TestElasticPrefillGroups(t *testing.T) {
 	e := New(env).(*Engine)
 	r := &workload.Request{ID: 0, InputTokens: 60000, OutputTokens: 4}
 	env.Rec.Arrive(0, 0, r.InputTokens)
-	env.Sim.At(0, func() { e.Submit(r) })
+	env.Sim.AtFunc(0, func(any) { e.Submit(r) }, nil)
 	env.Sim.Run()
 	maxTP := 0
 	for _, d := range e.Devices() {
@@ -99,12 +99,12 @@ func TestGPUAccountingInvariant(t *testing.T) {
 	for _, r := range tr.Requests {
 		r := r
 		env.Rec.Arrive(r.ID, r.Arrival, r.InputTokens)
-		env.Sim.At(r.Arrival, func() {
+		env.Sim.AtFunc(r.Arrival, func(any) {
 			e.Submit(r)
 			if e.free < 0 || e.free+e.decodeGs > e.total {
 				t.Fatalf("GPU accounting broken: free=%d decode=%d total=%d", e.free, e.decodeGs, e.total)
 			}
-		})
+		}, nil)
 	}
 	env.Sim.Run()
 	sum := env.Rec.Summarize("loong", env.Sim.Now())

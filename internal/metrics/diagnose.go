@@ -115,10 +115,9 @@ func (r *Recorder) Diagnose(slo SLO, aux DiagnoseAux) MissBreakdown {
 		if rec.dead {
 			continue
 		}
-		tbtMiss := slo.TBT > 0 && rec.tbtMiss(target)
-		ttftMiss := slo.TTFT > 0 && rec.firstToken >= 0 && rec.firstToken-rec.arrival > slo.TTFT
-		if rec.done && rec.firstToken >= 0 && !tbtMiss && !ttftMiss {
-			continue // within SLO, mirroring WithinSLO exactly
+		v := rec.verdict(slo, target)
+		if v == sloMet {
+			continue // within SLO, as WithinSLO counts it
 		}
 		b.Misses++
 		switch {
@@ -126,11 +125,11 @@ func (r *Recorder) Diagnose(slo SLO, aux DiagnoseAux) MissBreakdown {
 			b.Crash++
 		case aux.Held[rec.id]:
 			b.MigrationStall++
-		case !rec.done || rec.firstToken < 0:
+		case v == sloUnfinished:
 			b.Unfinished++
-		case tbtMiss:
+		case v == sloTBTMiss:
 			b.TBTViolation++
-		case ttftMiss:
+		case v == sloTTFTMiss:
 			// Split the blown TTFT budget at the admission instant. A
 			// request the engine never admitted (admitted < 0) spent its
 			// whole life queued.

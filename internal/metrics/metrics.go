@@ -476,11 +476,31 @@ func (r *Recorder) TBTAttainment(slo sim.Time) float64 {
 	return float64(ok) / float64(r.nTBT)
 }
 
-// tbtMiss reports whether some inter-token gap of the request exceeded
-// target seconds. Comparing the worst gap is exact: Seconds is monotone,
-// so the worst gap converts to the worst converted gap.
-func (rec *reqRec) tbtMiss(target float64) bool {
-	return rec.maxGap.Seconds() > target
+// sloVerdict is whether a request met the SLO and, if not, the first
+// check it failed.
+type sloVerdict uint8
+
+const (
+	sloMet        sloVerdict = iota
+	sloUnfinished            // not finished, or no first token
+	sloTBTMiss               // some inter-token gap over the TBT target
+	sloTTFTMiss              // first token after the TTFT target
+)
+
+// verdict checks the request against slo, whose TBT target is tbt
+// seconds. A zero TTFT or TBT target disables that half of the check.
+// Comparing the worst gap is exact: Seconds is monotone, so the worst gap
+// converts to the worst converted gap.
+func (rec *reqRec) verdict(slo SLO, tbt float64) sloVerdict {
+	switch {
+	case !rec.done || rec.firstToken < 0:
+		return sloUnfinished
+	case slo.TBT > 0 && rec.maxGap.Seconds() > tbt:
+		return sloTBTMiss
+	case slo.TTFT > 0 && rec.firstToken-rec.arrival > slo.TTFT:
+		return sloTTFTMiss
+	}
+	return sloMet
 }
 
 // WithinSLO returns how many requests met the SLO end to end: finished,
@@ -494,16 +514,9 @@ func (r *Recorder) WithinSLO(slo SLO) int {
 	target := slo.TBT.Seconds()
 	n := 0
 	for _, rec := range r.recs {
-		if rec.dead || !rec.done || rec.firstToken < 0 {
-			continue
+		if !rec.dead && rec.verdict(slo, target) == sloMet {
+			n++
 		}
-		if slo.TBT > 0 && rec.tbtMiss(target) {
-			continue
-		}
-		if slo.TTFT > 0 && rec.firstToken-rec.arrival > slo.TTFT {
-			continue
-		}
-		n++
 	}
 	return n
 }

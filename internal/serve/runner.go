@@ -70,7 +70,7 @@ func Run(factory Factory, cfg Config, trace *workload.Trace) Result {
 	// Stability probe: a keeping-up system holds only its in-flight
 	// requests shortly after arrivals stop; a saturated one has a queue.
 	backlog := 0
-	s.At(lastArrival+30*sim.Second, func() { backlog = inst.Rec.Unfinished() })
+	s.AtFunc(lastArrival+30*sim.Second, func(any) { backlog = inst.Rec.Unfinished() }, nil)
 	s.RunUntil(lastArrival + Horizon)
 
 	res := inst.Result(s.Now())

@@ -79,7 +79,7 @@ type Running struct {
 	// PrefilledTokens tracks chunked progress through the new context.
 	PrefilledTokens int
 
-	// member is the request's place in its Batch's token stream.
+	// member is the request's place in its DecodeStream's token stream.
 	member metrics.Member
 }
 
@@ -127,75 +127,4 @@ func (r *Running) Complete(pool *kvcache.Pool) {
 	pool.Unpin(r.R.Pages, r.PinnedPages)
 	pool.Release(r.ReservedTokens)
 	pool.Insert(r.R.AllPages)
-}
-
-// Abort releases admission state without publishing KV (used by engines
-// that drop work on reconfiguration, e.g. LoongServe scale-down).
-func (r *Running) Abort(pool *kvcache.Pool) {
-	pool.Unpin(r.R.Pages, r.PinnedPages)
-	pool.Release(r.ReservedTokens)
-}
-
-// Batch is a decode batch. It keeps a running sum of its requests'
-// CtxTokens: Add adds the joining request's context, and StepInto adds
-// one per kept request and subtracts each finished one's. A member's
-// context changes only there, which is why the request list is
-// unexported.
-//
-// The batch records its tokens through one metrics.Stream, opened on
-// the recorder of its first StepInto: a request added since the last
-// step joins the stream at the next one, each step is one Stream.Step
-// for the whole batch, and a finished request leaves with
-// Stream.Finish.
-type Batch struct {
-	reqs   []*Running
-	ctx    int // Σ CtxTokens over reqs
-	stream *metrics.Stream
-	joined int // reqs[:joined] have joined the stream
-}
-
-// Size returns the batch size.
-func (b *Batch) Size() int { return len(b.reqs) }
-
-// TotalCtx returns the summed context length of the batch, the running
-// sum, in O(1).
-func (b *Batch) TotalCtx() int { return b.ctx }
-
-// Add appends a request to the batch.
-func (b *Batch) Add(r *Running) {
-	b.reqs = append(b.reqs, r)
-	b.ctx += r.CtxTokens()
-}
-
-// StepInto credits one generated token to every request at time now and
-// removes the requests that finished, appending them to dst (reusing its
-// capacity, so per-iteration stepping does not allocate). rec must be the
-// same recorder at every call.
-func (b *Batch) StepInto(now sim.Time, rec *metrics.Recorder, dst []*Running) []*Running {
-	if b.stream == nil {
-		b.stream = rec.NewStream()
-	}
-	for _, r := range b.reqs[b.joined:] {
-		r.member = b.stream.Join(r.R.ID)
-	}
-	b.stream.Step(now)
-	finished := dst[:0]
-	n := 0 // kept requests, moved down in place; none moves until one finishes
-	for i, r := range b.reqs {
-		r.Generated++
-		if r.DecodeDone() {
-			b.stream.Finish(r.member, now)
-			finished = append(finished, r)
-			b.ctx -= r.CtxTokens() - 1
-			continue
-		}
-		if n != i {
-			b.reqs[n] = r
-		}
-		n++
-	}
-	b.ctx += n
-	b.reqs = b.reqs[:n]
-	b.joined = n
-	return finished
 }

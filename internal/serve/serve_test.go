@@ -64,19 +64,6 @@ func TestAdmitFailsWhenFull(t *testing.T) {
 	}
 }
 
-func TestAbortReleasesWithoutPublishing(t *testing.T) {
-	pool := kvcache.New(10000, 16)
-	r := req(2, 800, 50)
-	run := Admit(pool, r, r.OutputTokens)
-	run.Abort(pool)
-	if pool.Reserved() != 0 {
-		t.Fatalf("reserved after abort = %d", pool.Reserved())
-	}
-	if got := Admit(pool, r, r.OutputTokens); got.CachedTokens != 0 {
-		t.Fatalf("abort must not publish KV; cached = %d", got.CachedTokens)
-	}
-}
-
 func TestRunningProgress(t *testing.T) {
 	run := &Running{R: req(3, 100, 10), CachedTokens: 40}
 	if got := run.PrefillRemaining(); got != 60 {
@@ -97,14 +84,14 @@ func TestRunningProgress(t *testing.T) {
 
 func TestBatchStep(t *testing.T) {
 	rec := metrics.NewRecorder()
-	var b Batch
+	var b DecodeStream
 	a := &Running{R: req(1, 10, 2), Generated: 1}
 	c := &Running{R: req(2, 10, 5), Generated: 1}
 	rec.Arrive(1, 0, 10)
 	rec.Arrive(2, 0, 10)
 	b.Add(a)
 	b.Add(c)
-	fin := b.StepInto(sim.Second, rec, nil)
+	fin := b.Step(sim.Second, rec)
 	if len(fin) != 1 || fin[0] != a {
 		t.Fatalf("finished = %v, want request 1", fin)
 	}
@@ -117,14 +104,14 @@ func TestBatchStep(t *testing.T) {
 }
 
 // TotalCtx is a running sum: after every Add, FirstToken-then-Add and
-// StepInto of a random program it equals the brute-force sum of the
+// Step of a random program it equals the brute-force sum of the
 // members' CtxTokens, and the batch holds exactly the requests a
 // reference list says it should.
 func TestBatchTotalCtxMatchesSum(t *testing.T) {
 	for seed := range uint64(50) {
 		rng := rand.New(rand.NewPCG(seed, 0xba7c4))
 		rec := metrics.NewRecorder()
-		var b Batch
+		var b DecodeStream
 		var ref []*Running
 		id := 0
 		for op := range 200 {
@@ -142,7 +129,7 @@ func TestBatchTotalCtxMatchesSum(t *testing.T) {
 					ref = append(ref, r)
 				}
 			case 2:
-				fin := b.StepInto(sim.Time(op), rec, nil)
+				fin := b.Step(sim.Time(op), rec)
 				keep := ref[:0]
 				for _, r := range ref {
 					if !r.DecodeDone() {
@@ -186,8 +173,7 @@ func TestBatchStepAllocatesNothing(t *testing.T) {
 		rec.Arrive(id, 0, 100)
 		reqs[id] = &Running{R: req(id, 100, 50+id%50)}
 	}
-	var b Batch
-	var fin []*Running
+	var b DecodeStream
 	next, now := 0, sim.Time(0)
 	step := func() {
 		now += sim.Millisecond
@@ -195,7 +181,7 @@ func TestBatchStepAllocatesNothing(t *testing.T) {
 			FirstToken(rec, reqs[next], now)
 			b.Add(reqs[next])
 		}
-		fin = b.StepInto(now, rec, fin)
+		b.Step(now, rec)
 	}
 	for range 500 {
 		step()
@@ -208,7 +194,7 @@ func TestBatchStepAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchStep is one decode step through Batch.StepInto, recorder
+// BenchmarkBatchStep is one decode step through DecodeStream.Step, recorder
 // included, at batch 25 (the mean batch of a ShareGPT engine run) and
 // 256. Every finished request is replaced by a new arrival that emits
 // its first token and joins at the next step. ns/op is per step, ns/token
@@ -219,8 +205,7 @@ func BenchmarkBatchStep(b *testing.B) {
 			const perRecorder = 1 << 12
 			var (
 				rec *metrics.Recorder
-				bt  Batch
-				fin []*Running
+				bt  DecodeStream
 				id  int
 			)
 			admit := func(r *Running, now sim.Time) {
@@ -235,13 +220,12 @@ func BenchmarkBatchStep(b *testing.B) {
 				k := i % perRecorder
 				now := sim.Time(k+1) * 20 * sim.Millisecond
 				if k == 0 {
-					rec, bt = metrics.NewRecorder(), Batch{}
+					rec, bt = metrics.NewRecorder(), DecodeStream{}
 					for range batch {
 						admit(&Running{R: &workload.Request{InputTokens: 100}}, now)
 					}
 				}
-				fin = bt.StepInto(now, rec, fin)
-				for _, r := range fin {
+				for _, r := range bt.Step(now, rec) {
 					admit(r, now)
 				}
 			}
@@ -263,12 +247,12 @@ func (f *fakeEngine) Submit(r *workload.Request) {
 	at := f.env.Sim.Now() + f.delay
 	for i := 0; i < r.OutputTokens; i++ {
 		i := i
-		f.env.Sim.At(at+sim.Time(i)*f.gap, func() {
+		f.env.Sim.AtFunc(at+sim.Time(i)*f.gap, func(any) {
 			f.env.Rec.Token(r.ID, f.env.Sim.Now())
 			if i == r.OutputTokens-1 {
 				f.env.Rec.Finish(r.ID, f.env.Sim.Now())
 			}
-		})
+		}, nil)
 	}
 }
 

@@ -104,13 +104,25 @@ func FirstToken(rec *metrics.Recorder, r *Running, now sim.Time) bool {
 
 // DecodeStream is an engine's decode batch plus the iteration running on
 // it. At most one iteration is in flight; requests that become ready
-// meanwhile wait in a hold list until the iteration boundary. Each Step
-// records the whole batch's tokens with one metrics.Stream step (see
-// Batch).
+// meanwhile wait in a hold list until the iteration boundary.
+//
+// The stream keeps a running sum of its requests' CtxTokens: Add adds the
+// joining request's context, and Step adds one per kept request and
+// subtracts each finished one's. A member's context changes only there,
+// which is why the request list is unexported.
+//
+// The batch records its tokens through one metrics.Stream, opened on the
+// recorder of its first Step: a request added since the last step joins
+// the stream at the next one, each step is one Stream.Step for the whole
+// batch, and a finished request leaves with Stream.Finish.
 type DecodeStream struct {
-	Batch
 	// Running reports whether an iteration is on the device.
 	Running bool
+
+	reqs   []*Running
+	ctx    int // Σ CtxTokens over reqs
+	stream *metrics.Stream
+	joined int // reqs[:joined] have joined the stream
 
 	held []*Running
 	fin  []*Running
@@ -133,13 +145,52 @@ func (d *DecodeStream) Launch(env *Env, part *gpu.Partition, tp int, surcharge f
 	part.LaunchFn(gpu.NewKernel("decode", gpu.Decode, cost, env.Spec.GraphLaunch), done, arg)
 }
 
+// Size returns the batch size.
+func (d *DecodeStream) Size() int { return len(d.reqs) }
+
+// TotalCtx returns the summed context length of the batch, the running
+// sum, in O(1).
+func (d *DecodeStream) TotalCtx() int { return d.ctx }
+
+// Add appends a request to the batch.
+func (d *DecodeStream) Add(r *Running) {
+	d.reqs = append(d.reqs, r)
+	d.ctx += r.CtxTokens()
+}
+
 // Step ends the running iteration at now: every request in the batch
 // gains a token, and the finished ones leave the batch. It returns them
-// in a buffer the next Step reuses.
+// in a buffer the next Step reuses, so per-iteration stepping does not
+// allocate. rec must be the same recorder at every call.
 func (d *DecodeStream) Step(now sim.Time, rec *metrics.Recorder) []*Running {
 	d.Running = false
-	d.fin = d.StepInto(now, rec, d.fin)
-	return d.fin
+	if d.stream == nil {
+		d.stream = rec.NewStream()
+	}
+	for _, r := range d.reqs[d.joined:] {
+		r.member = d.stream.Join(r.R.ID)
+	}
+	d.stream.Step(now)
+	finished := d.fin[:0]
+	n := 0 // kept requests, moved down in place; none moves until one finishes
+	for i, r := range d.reqs {
+		r.Generated++
+		if r.DecodeDone() {
+			d.stream.Finish(r.member, now)
+			finished = append(finished, r)
+			d.ctx -= r.CtxTokens() - 1
+			continue
+		}
+		if n != i {
+			d.reqs[n] = r
+		}
+		n++
+	}
+	d.ctx += n
+	d.reqs = d.reqs[:n]
+	d.joined = n
+	d.fin = finished
+	return finished
 }
 
 // Hold parks r until the running iteration ends.

@@ -10,16 +10,19 @@
 // allocating per operation: fired and cancelled events return to a free
 // list and are recycled by later schedules (callers hold generation-
 // checked Handles, so a recycled slot cannot be cancelled by a stale
-// holder), the priority queue is a hand-rolled 4-ary heap over *Event
-// (no container/heap interface boxing), and the AtFunc/AfterFunc
-// variants let callers schedule a pre-bound func(arg) without allocating
-// a fresh closure per event.
+// holder), and the priority queue is a hand-rolled 4-ary heap over *Event
+// (no container/heap interface boxing). Every event is one pre-bound
+// func(any) and its argument: callers bind the function once (a package
+// function or a field set at construction) and pass per-event state
+// through the argument, so scheduling allocates no closure, and the loop
+// dispatches every event with one call.
 //
 // The heap holds live work only. A batch of future events known up front
 // — a trace's arrivals — registers as one stream with AtStream: the call
 // reserves one sequence number per entry, exactly as that many AtFunc
-// calls would, but only the stream's earliest entry sits in the heap; the
-// next is pushed, with its reserved sequence number, when that one fires.
+// calls would, but only the stream's earliest entry sits in the heap. It
+// is an ordinary event whose callback pushes the next entry, with its
+// reserved sequence number, before it fires the current one.
 // Dispatch order, Pending and LoopStats are those of the per-entry
 // schedule, while heap operations stay proportional to the live events.
 //
@@ -110,16 +113,15 @@ type Event struct {
 	index int32  // heap index, -1 while pooled
 	gen   uint32 // bumped every time the slot is released
 
-	fn  func()    // closure form
-	afn func(any) // closure-free form: afn(arg)
+	fn  func(any) // dispatched as fn(arg)
 	arg any
-	st  *stream // stream form: the event is st's next entry
 }
 
 // stream is one AtStream registration: n entries holding the reserved
 // sequence numbers base..base+n-1, dispatched in (time, seq) order with
 // only the next one in the heap.
 type stream struct {
+	sim   *Sim
 	at    func(i int) Time
 	fire  func(i int)
 	base  int64
@@ -134,13 +136,6 @@ func (st *stream) entry(k int) int {
 		return k
 	}
 	return st.order[k]
-}
-
-// key sets e's key to the entry at position st.pos.
-func (st *stream) key(e *Event) {
-	i := st.entry(st.pos)
-	e.at = st.at(i)
-	e.seq = st.base + int64(i)
 }
 
 // Handle identifies one scheduled event. The zero Handle is valid and
@@ -211,9 +206,6 @@ func New() *Sim { return &Sim{} }
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
 
-// Fired returns the number of events dispatched so far.
-func (s *Sim) Fired() int64 { return s.fired }
-
 // Pending returns the number of scheduled, not-yet-fired events,
 // counting every stream entry that has not fired.
 func (s *Sim) Pending() int { return len(s.events) + s.reserved }
@@ -263,29 +255,15 @@ func (s *Sim) release(e *Event) {
 	e.gen++
 	e.index = -1
 	e.fn = nil
-	e.afn = nil
 	e.arg = nil
-	e.st = nil
 	s.free = append(s.free, e)
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past (t <
-// Now) panics: it always indicates a logic error in the caller.
-func (s *Sim) At(t Time, fn func()) Handle {
-	e := s.alloc(t)
-	e.fn = fn
-	s.push(e)
-	return Handle{ev: e, gen: e.gen}
-}
-
-// AtFunc schedules fn(arg) to run at absolute time t. It is the
-// closure-free variant of At: callers bind fn once (a package function
-// or a field initialised at construction) and pass per-event state
-// through arg, so scheduling allocates nothing. Engines use it for
-// per-token and per-chunk events.
+// AtFunc schedules fn(arg) to run at absolute time t. Scheduling in the
+// past (t < Now) panics: it always indicates a logic error in the caller.
 func (s *Sim) AtFunc(t Time, fn func(any), arg any) Handle {
 	e := s.alloc(t)
-	e.afn = fn
+	e.fn = fn
 	e.arg = arg
 	s.push(e)
 	return Handle{ev: e, gen: e.gen}
@@ -317,7 +295,7 @@ func (s *Sim) AtStream(n int, at func(i int) Time, fire func(i int)) {
 		}
 		prev = t
 	}
-	st := &stream{at: at, fire: fire, base: s.seq, n: n}
+	st := &stream{sim: s, at: at, fire: fire, base: s.seq, n: n}
 	if !sorted {
 		st.order = make([]int, n)
 		for i := range st.order {
@@ -328,10 +306,30 @@ func (s *Sim) AtStream(n int, at func(i int) Time, fire func(i int)) {
 	s.seq += int64(n)
 	s.scheduled += int64(n)
 	s.reserved += n - 1
-	e := s.slot()
-	e.st = st
-	st.key(e)
-	s.push(e)
+	st.push()
+}
+
+// push puts the entry at st.pos into the heap under its reserved key.
+func (st *stream) push() {
+	i := st.entry(st.pos)
+	e := st.sim.slot()
+	e.at = st.at(i)
+	e.seq = st.base + int64(i)
+	e.fn = fireStream
+	e.arg = st
+	st.sim.push(e)
+}
+
+// fireStream is a stream entry's callback: it pushes the stream's next
+// entry, if any, then fires the current one.
+func fireStream(arg any) {
+	st := arg.(*stream)
+	i := st.entry(st.pos)
+	if st.pos++; st.pos < st.n {
+		st.sim.reserved--
+		st.push()
+	}
+	st.fire(i)
 }
 
 // Ticket is a reserved event key: the (time, sequence) position an
@@ -363,7 +361,7 @@ func (s *Sim) AtTicket(tk Ticket, fn func(any), arg any) Handle {
 	e := s.slot()
 	e.at = tk.at
 	e.seq = tk.seq
-	e.afn = fn
+	e.fn = fn
 	e.arg = arg
 	s.scheduled++
 	s.push(e)
@@ -407,7 +405,7 @@ func (s *Sim) AtFuncOnPass(tk Ticket, t Time, fn func(any), arg any) Handle {
 	e := s.slot()
 	e.at = t
 	e.seq = undrawn
-	e.afn = fn
+	e.fn = fn
 	e.arg = arg
 	s.scheduled++
 	i := len(s.draws)
@@ -464,17 +462,8 @@ func (s *Sim) Passed(tk Ticket) bool {
 	return tk.at < s.now || tk.at == s.now && tk.seq < s.cut
 }
 
-// After schedules fn to run d after the current time. Negative delays are
-// clamped to zero.
-func (s *Sim) After(d Time, fn func()) Handle {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
-}
-
 // AfterFunc schedules fn(arg) to run d after the current time, clamping
-// negative delays to zero — the closure-free After.
+// negative delays to zero.
 func (s *Sim) AfterFunc(d Time, fn func(any), arg any) Handle {
 	if d < 0 {
 		d = 0
@@ -556,19 +545,11 @@ func (s *Sim) RunUntil(limit Time) {
 		s.now = next.at
 		s.cut = next.seq + 1
 		s.fired++
-		if st := next.st; st != nil {
-			st.fire(s.advance(st, next))
-			continue
-		}
 		// Copy the callback out and recycle the slot before dispatching,
 		// so events the callback schedules can reuse it immediately.
-		fn, afn, arg := next.fn, next.afn, next.arg
+		fn, arg := next.fn, next.arg
 		s.release(next)
-		if afn != nil {
-			afn(arg)
-		} else {
-			fn()
-		}
+		fn(arg)
 	}
 	if len(s.events) == 0 {
 		if s.now < limit && limit < MaxTime {
@@ -576,21 +557,6 @@ func (s *Sim) RunUntil(limit Time) {
 		}
 		s.cut = s.seq
 	}
-}
-
-// advance hands e, the slot of st's firing entry, to st's next entry,
-// keyed with its reserved seq, or releases it once st is exhausted. It
-// returns the index of the firing entry.
-func (s *Sim) advance(st *stream, e *Event) int {
-	i := st.entry(st.pos)
-	if st.pos++; st.pos < st.n {
-		s.reserved--
-		st.key(e)
-		s.push(e)
-	} else {
-		s.release(e)
-	}
-	return i
 }
 
 // The priority queue is a 4-ary indexed min-heap on (at, seq): same

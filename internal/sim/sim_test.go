@@ -11,7 +11,7 @@ import (
 func TestZeroValueUsable(t *testing.T) {
 	var s Sim
 	ran := false
-	s.At(5*Millisecond, func() { ran = true })
+	s.AtFunc(5*Millisecond, func(any) { ran = true }, nil)
 	s.Run()
 	if !ran {
 		t.Fatal("event did not fire")
@@ -24,9 +24,9 @@ func TestZeroValueUsable(t *testing.T) {
 func TestOrderingByTime(t *testing.T) {
 	s := New()
 	var order []int
-	s.At(30, func() { order = append(order, 3) })
-	s.At(10, func() { order = append(order, 1) })
-	s.At(20, func() { order = append(order, 2) })
+	s.AtFunc(30, func(any) { order = append(order, 3) }, nil)
+	s.AtFunc(10, func(any) { order = append(order, 1) }, nil)
+	s.AtFunc(20, func(any) { order = append(order, 2) }, nil)
 	s.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -41,7 +41,7 @@ func TestOrderingTieBreakBySequence(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(100, func() { order = append(order, i) })
+		s.AtFunc(100, func(any) { order = append(order, i) }, nil)
 	}
 	s.Run()
 	for i := range order {
@@ -54,9 +54,9 @@ func TestOrderingTieBreakBySequence(t *testing.T) {
 func TestAfterRelative(t *testing.T) {
 	s := New()
 	var at Time
-	s.At(1*Second, func() {
-		s.After(500*Millisecond, func() { at = s.Now() })
-	})
+	s.AtFunc(1*Second, func(any) {
+		s.AfterFunc(500*Millisecond, func(any) { at = s.Now() }, nil)
+	}, nil)
 	s.Run()
 	if at != 1*Second+500*Millisecond {
 		t.Fatalf("fired at %v, want 1.5s", at)
@@ -66,9 +66,9 @@ func TestAfterRelative(t *testing.T) {
 func TestAfterNegativeClamped(t *testing.T) {
 	s := New()
 	fired := false
-	s.At(10, func() {
-		s.After(-5, func() { fired = true })
-	})
+	s.AtFunc(10, func(any) {
+		s.AfterFunc(-5, func(any) { fired = true }, nil)
+	}, nil)
 	s.Run()
 	if !fired {
 		t.Fatal("negative-delay event did not fire")
@@ -77,21 +77,21 @@ func TestAfterNegativeClamped(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := New()
-	s.At(100, func() {
+	s.AtFunc(100, func(any) {
 		defer func() {
 			if recover() == nil {
 				t.Error("want panic when scheduling in the past")
 			}
 		}()
-		s.At(50, func() {})
-	})
+		s.AtFunc(50, func(any) {}, nil)
+	}, nil)
 	s.Run()
 }
 
 func TestCancel(t *testing.T) {
 	s := New()
 	fired := false
-	e := s.At(10, func() { fired = true })
+	e := s.AtFunc(10, func(any) { fired = true }, nil)
 	s.Cancel(e)
 	s.Run()
 	if fired {
@@ -111,7 +111,7 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	var evs []Handle
 	for i := 0; i < 20; i++ {
 		i := i
-		evs = append(evs, s.At(Time(i*10), func() { got = append(got, i) }))
+		evs = append(evs, s.AtFunc(Time(i*10), func(any) { got = append(got, i) }, nil))
 	}
 	// Cancel every third event.
 	for i := 0; i < 20; i += 3 {
@@ -133,7 +133,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		s.At(at, func() { fired = append(fired, at) })
+		s.AtFunc(at, func(any) { fired = append(fired, at) }, nil)
 	}
 	s.RunUntil(25)
 	if len(fired) != 2 {
@@ -152,12 +152,12 @@ func TestStop(t *testing.T) {
 	s := New()
 	count := 0
 	for i := 1; i <= 5; i++ {
-		s.At(Time(i), func() {
+		s.AtFunc(Time(i), func(any) {
 			count++
 			if count == 2 {
 				s.Stop()
 			}
-		})
+		}, nil)
 	}
 	s.Run()
 	if count != 2 {
@@ -171,14 +171,14 @@ func TestStop(t *testing.T) {
 
 func TestFiredAndPending(t *testing.T) {
 	s := New()
-	s.At(1, func() {})
-	s.At(2, func() {})
+	s.AtFunc(1, func(any) {}, nil)
+	s.AtFunc(2, func(any) {}, nil)
 	if s.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", s.Pending())
 	}
 	s.Run()
-	if s.Fired() != 2 || s.Pending() != 0 {
-		t.Fatalf("Fired = %d Pending = %d, want 2, 0", s.Fired(), s.Pending())
+	if s.Stats().Fired != 2 || s.Pending() != 0 {
+		t.Fatalf("Fired = %d Pending = %d, want 2, 0", s.Stats().Fired, s.Pending())
 	}
 }
 
@@ -230,7 +230,7 @@ func TestPropertyDispatchSorted(t *testing.T) {
 		var fired []Time
 		for _, r := range raw {
 			at := Time(r)
-			s.At(at, func() { fired = append(fired, at) })
+			s.AtFunc(at, func(any) { fired = append(fired, at) }, nil)
 		}
 		s.Run()
 		if len(fired) != len(raw) {
@@ -261,12 +261,12 @@ func TestPropertyMonotonicClock(t *testing.T) {
 		n := rng.IntN(3)
 		for i := 0; i < n; i++ {
 			d := Time(rng.Int64N(int64(Second)))
-			s.After(d, func() { schedule(depth - 1) })
+			s.AfterFunc(d, func(any) { schedule(depth - 1) }, nil)
 		}
 	}
 	for i := 0; i < 50; i++ {
 		d := Time(rng.Int64N(int64(Second)))
-		s.After(d, func() { schedule(4) })
+		s.AfterFunc(d, func(any) { schedule(4) }, nil)
 	}
 	s.Run()
 }
@@ -281,7 +281,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := New()
 		for _, at := range times {
-			s.At(at, func() {})
+			s.AtFunc(at, func(any) {}, nil)
 		}
 		s.Run()
 	}
@@ -292,9 +292,9 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 func TestLoopStats(t *testing.T) {
 	s := New()
 	var fired int
-	e1 := s.At(10, func() { fired++ })
-	s.At(20, func() { fired++ })
-	s.At(30, func() { fired++ })
+	e1 := s.AtFunc(10, func(any) { fired++ }, nil)
+	s.AtFunc(20, func(any) { fired++ }, nil)
+	s.AtFunc(30, func(any) { fired++ }, nil)
 	if st := s.Stats(); st.Scheduled != 3 || st.MaxPending != 3 || st.Fired != 0 {
 		t.Fatalf("pre-run stats %+v", st)
 	}
@@ -319,7 +319,7 @@ func TestLoopStats(t *testing.T) {
 // not bump the cancel counter.
 func TestCancelRecycledSlotNoOp(t *testing.T) {
 	s := New()
-	stale := s.At(10, func() {})
+	stale := s.AtFunc(10, func(any) {}, nil)
 	s.Run() // fires; the slot returns to the free list
 	if stale.Pending() {
 		t.Fatal("fired event still pending")
@@ -327,7 +327,7 @@ func TestCancelRecycledSlotNoOp(t *testing.T) {
 
 	// The next schedule reuses the slot stale points at.
 	fired := false
-	fresh := s.At(20, func() { fired = true })
+	fresh := s.AtFunc(20, func(any) { fired = true }, nil)
 	if fresh.ev != stale.ev {
 		t.Fatalf("expected slot reuse: fresh=%p stale=%p", fresh.ev, stale.ev)
 	}
@@ -351,9 +351,9 @@ func TestCancelRecycledSlotNoOp(t *testing.T) {
 // A cancelled slot that gets recycled is equally immune to its old handle.
 func TestCancelTwiceAfterRecycle(t *testing.T) {
 	s := New()
-	h1 := s.At(10, func() {})
+	h1 := s.AtFunc(10, func(any) {}, nil)
 	s.Cancel(h1)
-	h2 := s.At(10, func() {})
+	h2 := s.AtFunc(10, func(any) {}, nil)
 	if h2.ev != h1.ev {
 		t.Fatalf("expected cancelled slot to be recycled")
 	}
@@ -385,7 +385,7 @@ func TestPropertyLoopStatsConservation(t *testing.T) {
 			case 0, 1: // schedule (closure and closure-free forms)
 				d := Time(rng.Int64N(int64(Millisecond)))
 				if op%2 == 0 {
-					live = append(live, s.After(d, func() {}))
+					live = append(live, s.AfterFunc(d, func(any) {}, nil))
 				} else {
 					live = append(live, s.AfterFunc(d, func(any) {}, nil))
 				}
@@ -412,7 +412,7 @@ func TestAtFuncOrderingAndArg(t *testing.T) {
 	var order []int
 	record := func(arg any) { order = append(order, arg.(int)) }
 	s.AtFunc(30, record, 3)
-	s.At(10, func() { order = append(order, 1) })
+	s.AtFunc(10, func(any) { order = append(order, 1) }, nil)
 	s.AtFunc(20, record, 2)
 	s.AtFunc(20, record, 4) // same time: insertion order breaks the tie
 	s.Run()

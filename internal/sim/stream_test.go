@@ -18,24 +18,55 @@ type step struct {
 // streamProgram is a random event program. Every scheduled event gets a
 // label in scheduling order, and what a firing event does is drawn from
 // a generator seeded by its label, so two runs whose dispatch orders
-// agree make identical decisions. Streams register either with AtStream
-// or, in the reference run, as one AtFunc per entry in index order.
+// agree make identical decisions. The mixed run uses every kind of
+// event; the reference run schedules each one with AtFunc:
+//   - a stream registers with AtStream, or as one AtFunc per entry in
+//     index order;
+//   - a ticketed event is a Reserve pushed with AtTicket later in the same
+//     dispatch, after other schedules have drawn sequence numbers, or an
+//     AtFunc at the Reserve;
+//   - a drawn event is an AtFuncOnPass behind a ticket reserved at Now, or
+//     a relay AtFunc at Now whose only work is the AtFunc of the event.
+//
+// The relay events fire without an observation, and each adds one to the
+// reference's Scheduled and Fired; observe takes them out.
 type streamProgram struct {
-	seed      uint64
-	useStream bool
+	seed  uint64
+	mixed bool
 
 	s       *Sim
 	labels  int
 	handles []Handle // every cancellable schedule, in scheduling order
+	tickets []ticketed
+	relays  int64 // relay events fired
 	log     []step
 	fire    func(any)
+	relay   func(any)
+}
+
+// ticketed is a reserved event not yet pushed, and where its handle goes.
+type ticketed struct {
+	tk     Ticket
+	label  int
+	handle int
+}
+
+// relayed is a drawn event of the reference run, still to be scheduled.
+type relayed struct {
+	at    Time
+	label int
 }
 
 const maxLabels = 400
 
-func runStreamProgram(seed uint64, useStream bool) []step {
-	p := &streamProgram{seed: seed, useStream: useStream, s: New()}
+func runStreamProgram(seed uint64, mixed bool) []step {
+	p := &streamProgram{seed: seed, mixed: mixed, s: New()}
 	p.fire = func(arg any) { p.dispatch(arg.(int)) }
+	p.relay = func(arg any) {
+		rl := arg.(relayed)
+		p.relays++
+		p.s.AtFunc(rl.at, p.fire, rl.label)
+	}
 	setup := rand.New(rand.NewPCG(seed, 1<<40))
 	for range 1 + setup.IntN(4) {
 		if setup.IntN(2) == 0 {
@@ -44,6 +75,7 @@ func runStreamProgram(seed uint64, useStream bool) []step {
 			p.schedule(setup)
 		}
 	}
+	p.push()
 	// Drive the loop in slices: RunUntil cuts streams mid-way and
 	// resumes them, and Stop from a callback returns early.
 	for p.s.Pending() > 0 {
@@ -58,7 +90,10 @@ func runStreamProgram(seed uint64, useStream bool) []step {
 }
 
 func (p *streamProgram) observe(label int) {
-	p.log = append(p.log, step{p.s.Now(), label, p.s.Pending(), p.s.Stats()})
+	st := p.s.Stats()
+	st.Scheduled -= p.relays
+	st.Fired -= p.relays
+	p.log = append(p.log, step{p.s.Now(), label, p.s.Pending(), st})
 }
 
 func (p *streamProgram) next() int {
@@ -69,15 +104,30 @@ func (p *streamProgram) next() int {
 // offset draws a small delay, often zero, so timestamps collide.
 func offset(r *rand.Rand) Time { return Time(10 * r.IntN(4)) }
 
-// schedule adds one cancellable event through At or AtFunc.
+// schedule adds one event: a cancellable plain or ticketed one, or a
+// drawn one.
 func (p *streamProgram) schedule(r *rand.Rand) {
 	label := p.next()
 	at := p.s.Now() + offset(r)
-	if r.IntN(2) == 0 {
-		p.handles = append(p.handles, p.s.At(at, func() { p.dispatch(label) }))
-	} else {
+	switch kind := r.IntN(3); {
+	case kind == 2 && p.mixed:
+		p.s.AtFuncOnPass(p.s.Reserve(p.s.Now()), at, p.fire, label)
+	case kind == 2:
+		p.s.AtFunc(p.s.Now(), p.relay, relayed{at, label})
+	case kind == 1 && p.mixed:
+		p.tickets = append(p.tickets, ticketed{p.s.Reserve(at), label, len(p.handles)})
+		p.handles = append(p.handles, Handle{})
+	default:
 		p.handles = append(p.handles, p.s.AtFunc(at, p.fire, label))
 	}
+}
+
+// push pushes the reserved events at their tickets.
+func (p *streamProgram) push() {
+	for _, t := range p.tickets {
+		p.handles[t.handle] = p.s.AtTicket(t.tk, p.fire, t.label)
+	}
+	p.tickets = p.tickets[:0]
 }
 
 // stream registers a stream of up to six entries: sorted, unsorted or
@@ -93,7 +143,7 @@ func (p *streamProgram) stream(r *rand.Rand) {
 	if r.IntN(2) == 0 {
 		slices.Sort(ts)
 	}
-	if !p.useStream {
+	if !p.mixed {
 		for i := range ts {
 			p.s.AtFunc(ts[i], p.fire, labels[i])
 		}
@@ -113,6 +163,7 @@ func (p *streamProgram) dispatch(label int) {
 	if r.IntN(8) == 0 && p.labels < maxLabels {
 		p.stream(r)
 	}
+	p.push()
 	if r.IntN(3) == 0 && len(p.handles) > 0 {
 		p.s.Cancel(p.handles[r.IntN(len(p.handles))])
 	}
@@ -122,10 +173,11 @@ func (p *streamProgram) dispatch(label int) {
 	p.observe(label)
 }
 
-// Property: a program that registers streams dispatches the same events
-// in the same order, at the same times, as the program that schedules
-// every entry with AtFunc, and Pending and LoopStats agree after every
-// event and every RunUntil return.
+// Property: a program that mixes streams, tickets and on-pass draws with
+// plain events at colliding instants dispatches the same events in the
+// same order, at the same times, as the program that schedules every
+// event with AtFunc, and Pending and LoopStats agree after every event
+// and every RunUntil return.
 func TestPropertyStreamMatchesAtFunc(t *testing.T) {
 	streamed := 0
 	for seed := range uint64(500) {
@@ -134,10 +186,10 @@ func TestPropertyStreamMatchesAtFunc(t *testing.T) {
 		if !slices.Equal(got, want) {
 			for i := range min(len(got), len(want)) {
 				if got[i] != want[i] {
-					t.Fatalf("seed %d: step %d: stream %+v, AtFunc %+v", seed, i, got[i], want[i])
+					t.Fatalf("seed %d: step %d: mixed %+v, AtFunc %+v", seed, i, got[i], want[i])
 				}
 			}
-			t.Fatalf("seed %d: stream run has %d steps, AtFunc run %d", seed, len(got), len(want))
+			t.Fatalf("seed %d: mixed run has %d steps, AtFunc run %d", seed, len(got), len(want))
 		}
 		if len(want) > 20 {
 			streamed++
@@ -167,7 +219,7 @@ func TestAtStreamUnsortedStable(t *testing.T) {
 
 func TestAtStreamInPastPanics(t *testing.T) {
 	s := New()
-	s.At(10, func() {})
+	s.AtFunc(10, func(any) {}, nil)
 	s.Run()
 	defer func() {
 		if recover() == nil {

@@ -379,7 +379,7 @@ func bitsSet(v uint64) int {
 
 func TestRescheduleNotPendingPanics(t *testing.T) {
 	s := New()
-	h := s.At(10, func() {})
+	h := s.AtFunc(10, func(any) {}, nil)
 	s.Run()
 	defer func() {
 		if recover() == nil {
@@ -392,7 +392,7 @@ func TestRescheduleNotPendingPanics(t *testing.T) {
 func TestAtTicketPassedPanics(t *testing.T) {
 	s := New()
 	tk := s.Reserve(10)
-	s.At(10, func() {})
+	s.AtFunc(10, func(any) {}, nil)
 	s.Run()
 	if !s.Passed(tk) {
 		t.Fatal("ticket before the last dispatch not passed")

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"strings"
 
 	"muxwise/internal/kvcache"
 	"muxwise/internal/sim"
@@ -248,6 +249,45 @@ func ToolAgent(seed uint64, sessions int) *Trace {
 		output:     NewDist(1, 182, 2000),
 		maxContext: 123000,
 	}, seed, sessions)
+}
+
+// Builtin is a built-in workload as command lines name it.
+type Builtin struct {
+	Name string
+	// Generate builds n requests of a single-turn workload or n sessions
+	// of a multi-turn one.
+	Generate func(seed uint64, n int) *Trace
+	// Profile is a multi-turn workload's bursty Fig. 13 rate shape; nil
+	// for a single-turn one.
+	Profile func(scale float64) RateProfile
+}
+
+// builtins are the built-in workloads in the order help texts list them.
+var builtins = []Builtin{
+	{Name: "sharegpt", Generate: ShareGPT},
+	{Name: "loogle", Generate: LooGLE},
+	{Name: "openthoughts", Generate: OpenThoughts},
+	{Name: "conversation", Generate: Conversation, Profile: ConversationProfile},
+	{Name: "toolagent", Generate: ToolAgent, Profile: ToolAgentProfile},
+}
+
+// Lookup returns the built-in workload called name, ignoring case.
+func Lookup(name string) (Builtin, bool) {
+	for _, b := range builtins {
+		if strings.EqualFold(b.Name, name) {
+			return b, true
+		}
+	}
+	return Builtin{}, false
+}
+
+// Names lists the built-in workloads' names, comma-separated.
+func Names() string {
+	names := make([]string, len(builtins))
+	for i, b := range builtins {
+		names[i] = b.Name
+	}
+	return strings.Join(names, ", ")
 }
 
 // Mix interleaves traces by arrival order and renumbers request IDs;

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -122,6 +123,24 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 	if same && a.Len() == c.Len() {
 		t.Fatal("different seeds produced identical traces")
+	}
+}
+
+// Lookup finds every built-in workload in any case, a multi-turn one with
+// its own Fig. 13 shape, and nothing else.
+func TestLookupBuiltins(t *testing.T) {
+	for _, name := range strings.Split(Names(), ", ") {
+		w, ok := Lookup(strings.ToUpper(name))
+		if !ok || w.Name != name {
+			t.Fatalf("Lookup(%q) = %q, %v", strings.ToUpper(name), w.Name, ok)
+		}
+		tr := w.Generate(1, 4)
+		if tr.Len() == 0 || w.Profile != nil && w.Profile(1).Name != tr.Name {
+			t.Fatalf("%s: %d requests of %q", name, tr.Len(), tr.Name)
+		}
+	}
+	if _, ok := Lookup("mixed"); ok {
+		t.Fatal("Lookup resolved a workload that is not built in")
 	}
 }
 
