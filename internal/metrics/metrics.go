@@ -576,6 +576,33 @@ func (r *Recorder) IDs() []int {
 	return out
 }
 
+// Record is one request's lifecycle as the recorder holds it.
+type Record struct {
+	ID         int
+	Arrival    sim.Time
+	FirstToken sim.Time
+	Finished   sim.Time
+	Tokens     int
+	MaxGap     sim.Time // worst inter-token gap
+	Done       bool
+}
+
+// Records returns every live request's record in arrival-insertion
+// order.
+func (r *Recorder) Records() []Record {
+	r.settle()
+	out := make([]Record, 0, len(r.recs)-r.nDead)
+	for _, rec := range r.recs {
+		if !rec.dead {
+			out = append(out, Record{
+				ID: rec.id, Arrival: rec.arrival, FirstToken: rec.firstToken, Finished: rec.finished,
+				Tokens: rec.tokens, MaxGap: rec.maxGap, Done: rec.done,
+			})
+		}
+	}
+	return out
+}
+
 // Unfinished returns how many arrived requests have not completed.
 func (r *Recorder) Unfinished() int { return r.open }
 
@@ -613,6 +640,12 @@ func (tl *Timeline) Record(at sim.Time, decodeSMs, prefillSMs int) {
 
 // Changes returns the number of distinct partition configurations seen.
 func (tl *Timeline) Changes() int { return len(tl.times) }
+
+// Point returns change i, for i < Changes(): when it happened and the
+// decode and prefill partition sizes from then on.
+func (tl *Timeline) Point(i int) (at sim.Time, decodeSMs, prefillSMs int) {
+	return tl.times[i], tl.decodeSMs[i], tl.prefillSMs[i]
+}
 
 // DistinctConfigs returns how many distinct (decode, prefill) pairs occur.
 func (tl *Timeline) DistinctConfigs() int {
