@@ -136,17 +136,33 @@ func parseReplicas(spec string) ([]muxwise.ReplicaSpec, error) {
 }
 
 func buildTrace(wl string, seed uint64, n int, scale, rate float64) (*muxwise.Trace, error) {
+	build, err := traceBuilder(wl)
+	if err != nil {
+		return nil, err
+	}
+	return build(seed, n, scale, rate), nil
+}
+
+// traceBuilder resolves the workload name once and returns what builds
+// its traces: scale paces profile workloads, rate Poisson ones.
+func traceBuilder(wl string) (func(seed uint64, n int, scale, rate float64) *muxwise.Trace, error) {
 	if strings.EqualFold(wl, "mixed") {
-		return muxwise.MixedBursty(seed, n, scale), nil
+		return func(seed uint64, n int, scale, _ float64) *muxwise.Trace {
+			return muxwise.MixedBursty(seed, n, scale)
+		}, nil
 	}
 	w, ok := workload.Lookup(wl)
 	if !ok {
 		return nil, fmt.Errorf("unknown workload %q (have mixed, %s)", wl, workload.Names())
 	}
 	if w.Profile != nil {
-		return w.Generate(seed, n).WithProfileArrivals(seed, w.Profile(scale)), nil
+		return func(seed uint64, n int, scale, _ float64) *muxwise.Trace {
+			return w.Generate(seed, n).WithProfileArrivals(seed, w.Profile(scale))
+		}, nil
 	}
-	return w.Generate(seed, n).WithPoissonArrivals(seed, rate), nil
+	return func(seed uint64, n int, _, rate float64) *muxwise.Trace {
+		return w.Generate(seed, n).WithPoissonArrivals(seed, rate)
+	}, nil
 }
 
 // scenarioOpts carries the scenario flags.
@@ -369,6 +385,10 @@ func runGoodput(rng string, routers []string, base *muxwise.Experiment,
 	if err1 != nil || err2 != nil {
 		return fmt.Errorf("bad -goodput range %q (want LO:HI)", rng)
 	}
+	build, err := traceBuilder(wl)
+	if err != nil {
+		return err
+	}
 	var rows []goodputRow
 	if !asJSON {
 		fmt.Printf("searching goodput in [%g, %g] on %s…\n", lo, hi, wl)
@@ -379,13 +399,7 @@ func runGoodput(rng string, routers []string, base *muxwise.Experiment,
 			muxwise.WithRouter(name),
 			// The parameter doubles as Poisson rate and profile scale:
 			// buildTrace reads whichever slot the workload uses.
-			muxwise.WithWorkload(func(x float64) *muxwise.Trace {
-				t, err := buildTrace(wl, seed, n, x, x)
-				if err != nil {
-					panic(err)
-				}
-				return t
-			}),
+			muxwise.WithWorkload(func(x float64) *muxwise.Trace { return build(seed, n, x, x) }),
 		).Goodput(lo, hi)
 		switch {
 		case errors.Is(err, muxwise.ErrNoFeasibleRate):

@@ -98,3 +98,14 @@ func FuzzParseReplicas(f *testing.F) {
 		}
 	})
 }
+
+// TestGoodputRejectsUnknownWorkload: -goodput with an unknown -workload
+// panicked inside the search's trace builder; it must be an error, named
+// before any probe runs.
+func TestGoodputRejectsUnknownWorkload(t *testing.T) {
+	base := muxwise.NewExperiment(muxwise.WithFleet(muxwise.ReplicaSpec{Engine: "MuxWise", Count: 2}))
+	err := runGoodput("1:2", []string{"round-robin"}, base, "bogus", 1, 4, true)
+	if err == nil || !strings.Contains(err.Error(), `unknown workload "bogus"`) {
+		t.Fatalf("runGoodput with workload bogus = %v, want an unknown-workload error", err)
+	}
+}

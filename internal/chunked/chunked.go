@@ -22,18 +22,13 @@ type Engine struct {
 	env    *serve.Env
 	budget int
 
-	// Transform rewrites an iteration's kernel cost before launch and may
-	// override its MFU; NanoFlow uses it to model nano-batch weight
-	// reloads and its compute/memory overlap bonus. chunkTokens is the
-	// chunk's share of the iteration (0 for pure decode).
-	Transform func(cost model.Cost, chunkTokens int) (model.Cost, float64)
-
 	part *gpu.Partition
 	pool *kvcache.Pool
 	cost model.DecodeTable // env.Arch's iteration costs at env.GPUs
 
 	// decode.Running guards the single fused stream: every iteration
-	// carries the decode step, chunk or not.
+	// carries the decode step, chunk or not. Its Transform, when set,
+	// rewrites every iteration's cost.
 	decode  serve.DecodeStream
 	queue   serve.Queue[*serve.Running] // prefill in FIFO order, head is chunking
 	pending serve.Queue[*workload.Request]
@@ -76,7 +71,16 @@ func NewWithBudget(env *serve.Env, budget int) *Engine {
 		cost:   env.Arch.DecodeTable(env.GPUs),
 	}
 	e.Base = serve.NewBase("Chunked", []*gpu.Device{dev}, e.pool)
+	e.decode.Bind(env, iterDone, iterQuiet, e)
 	return e
+}
+
+// SetTransform makes fn rewrite every iteration's kernel cost before
+// launch, possibly overriding its MFU; NanoFlow uses it to model
+// nano-batch weight reloads and its compute/memory overlap bonus.
+// chunkTokens is the chunk's share of the iteration (0 for pure decode).
+func (e *Engine) SetTransform(fn func(cost model.Cost, chunkTokens int) (model.Cost, float64)) {
+	e.decode.Transform = fn
 }
 
 // Partition exposes the single fused compute stream (bubble accounting).
@@ -125,6 +129,13 @@ func (e *Engine) step() {
 		chunkBudget -= take
 	}
 	e.seqScratch, e.inFlight = chunkSeqs, progressed
+	if len(chunkSeqs) == 0 {
+		// Pure decode: the stream prices it, and may coast into the next.
+		if e.decode.Size() > 0 {
+			e.decode.Launch(e.part, e.env.GPUs, 0)
+		}
+		return
+	}
 
 	totalCtx, bs := e.decode.TotalCtx(), e.decode.Size()
 	var cost model.Cost
@@ -140,40 +151,40 @@ func (e *Engine) step() {
 			cost.Add(part)
 			cost.Tokens += sq.New
 		}
-		if e.decode.Size() == 0 && len(chunkSeqs) > 0 {
+		if e.decode.Size() == 0 {
 			cost.Bytes += float64(e.env.Arch.Layers) * e.env.Arch.LayerWeightBytes()
 		}
 	}
-	if cost.Tokens == 0 && e.decode.Size() == 0 {
-		return
-	}
 
-	// Pure-decode iterations behave like decode graphs; iterations with
-	// a chunk take the prefill efficiency curve over the fused tokens.
-	kind := gpu.Prefill
-	if len(chunkSeqs) == 0 {
-		kind = gpu.Decode
-	}
+	// An iteration with a chunk takes the prefill efficiency curve over
+	// the fused tokens.
 	chunkTokens := 0
 	for _, sq := range chunkSeqs {
 		chunkTokens += sq.New
 	}
 	mfu := 0.0
-	if e.Transform != nil {
-		cost, mfu = e.Transform(cost, chunkTokens)
+	if tf := e.decode.Transform; tf != nil {
+		cost, mfu = tf(cost, chunkTokens)
 	}
-	e.decode.Running = true
-	k := gpu.NewKernel("fused-iter", kind, cost, e.env.Spec.GraphLaunch)
+	k := gpu.NewKernel("fused-iter", gpu.Prefill, cost, e.env.Spec.GraphLaunch)
 	k.MFU = mfu
-	e.part.LaunchFn(k, iterDone, e)
+	e.decode.LaunchKernel(e.part, k)
 }
 
-// iterDone is the engine's bound completion callback: the engine rides
-// as the event argument and reads the in-flight chunk progress from its
-// own scratch, so steady-state iterations allocate no closures.
-func iterDone(arg any) {
+// iterDone is the engine's bound boundary handler: the engine rides as
+// the argument and reads the in-flight chunk progress from its own
+// scratch, so steady-state iterations allocate no closures.
+func iterDone(arg any, finished []*serve.Running) {
 	e := arg.(*Engine)
-	e.onIterDone(e.inFlight)
+	e.onIterDone(finished, e.inFlight)
+}
+
+// iterQuiet is the stream's quiet predicate: with no request waiting to
+// be admitted or prefilled, the next iteration is pure decode again.
+// (An empty queue also means the iteration carried no chunk.)
+func iterQuiet(arg any) bool {
+	e := arg.(*Engine)
+	return e.pending.Len() == 0 && e.queue.Len() == 0
 }
 
 // progress records how many chunk tokens an iteration advanced a request.
@@ -182,12 +193,13 @@ type progress struct {
 	take int
 }
 
-// onIterDone finishes one fused iteration: decode tokens for the batch,
-// chunk progress for the head requests, and promotion of completed
-// prefills into the decode batch.
-func (e *Engine) onIterDone(chunks []progress) {
+// onIterDone finishes one fused iteration whose decode step the stream
+// has taken: release of the finished requests, chunk progress for the
+// head requests, and promotion of completed prefills into the decode
+// batch.
+func (e *Engine) onIterDone(finished []*serve.Running, chunks []progress) {
 	now := e.env.Sim.Now()
-	for _, r := range e.decode.Step(now, e.env.Rec) {
+	for _, r := range finished {
 		r.Complete(e.pool)
 	}
 

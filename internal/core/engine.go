@@ -99,9 +99,11 @@ type Engine struct {
 	pool     *kvcache.Pool
 	est      serve.CostModel
 
-	decode          serve.DecodeStream
-	decodeIterStart sim.Time
-	decodeSolo      sim.Time
+	decode serve.DecodeStream
+	// solo memoizes DecodeSolo for one (ctx, bs, sms): pumpPrefill asks
+	// for the running iteration's at every layer boundary.
+	solo    sim.Time
+	soloFor [3]int
 
 	active   *prefillJob              // job whose layers are executing
 	layer    gpu.Kernel               // per-layer kernel of layerOf, priced once from its seqs
@@ -144,6 +146,9 @@ func NewWithOptions(env *serve.Env, opts Options) *Engine {
 	e.decodeP = dev.Partition(env.Spec.SMs, "decode")
 	e.prefillP = dev.Partition(0, "prefill")
 	e.Timeline().Record(0, env.Spec.SMs, 0)
+	e.soloFor = [3]int{-1}
+	e.decode.Bind(env, decodeDone, decodeQuiet, e)
+	e.decode.TraceSpans("decode")
 	return e
 }
 
@@ -367,38 +372,49 @@ func (e *Engine) startDecode() {
 		return // resumed by prefill completion
 	}
 	e.reconfigure(e.chooseConfig())
-
-	e.decodeIterStart = e.env.Sim.Now()
-	if e.env.Trace != nil {
-		e.env.Trace.Begin(e.decodeIterStart, e.track("decode"), "decode-iter",
-			traceArg("bs", e.decode.Size()), traceArg("ctx", e.decode.TotalCtx()),
-			traceArg("sms", e.curConfig))
-	}
-	e.decodeSolo = e.est.DecodeSolo(e.decode.TotalCtx(), e.decode.Size(), e.curConfig)
-	e.decode.Launch(e.env, e.decodeP, e.env.GPUs, 0, decodeDone, e)
+	e.decode.Launch(e.decodeP, e.env.GPUs, 0)
 }
 
-// decodeDone is the bound completion callback for decode iterations.
-func decodeDone(arg any) { arg.(*Engine).onDecodeDone() }
+// decodeSolo predicts a decode iteration of bs requests over ctx context
+// tokens on the current decode partition, running alone.
+func (e *Engine) decodeSolo(ctx, bs int) sim.Time {
+	if key := [3]int{ctx, bs, e.curConfig}; key != e.soloFor {
+		e.solo, e.soloFor = e.est.DecodeSolo(ctx, bs, e.curConfig), key
+	}
+	return e.solo
+}
 
-// onDecodeDone ends one decode iteration: emit tokens, refine the guard,
-// merge finished prefills (query sync), and continue.
-func (e *Engine) onDecodeDone() {
+// decodeDone is the bound boundary handler of decode iterations.
+func decodeDone(arg any, finished []*serve.Running) { arg.(*Engine).onDecodeDone(finished) }
+
+// decodeQuiet is the decode stream's quiet predicate: the boundary only
+// launches the next iteration on the whole device when no prefill is
+// active, queued or awaiting a merge and decode already owns every SM.
+// It is false while tracing, so every boundary's handler runs then.
+func decodeQuiet(arg any) bool {
+	e := arg.(*Engine)
+	return e.env.Trace == nil && e.active == nil && e.queue.Len() == 0 &&
+		len(e.merging) == 0 && e.curConfig == e.env.Spec.SMs
+}
+
+// onDecodeDone ends one decode iteration whose batch the stream has
+// stepped: refine the guard, release the finished requests, merge
+// finished prefills (query sync), and continue.
+func (e *Engine) onDecodeDone(finished []*serve.Running) {
 	now := e.env.Sim.Now()
-	if e.env.Trace != nil {
-		e.env.Trace.End(now, e.track("decode"), "decode-iter")
-	}
-
 	// Runtime refinement of the contention guard (§3.3.2): observed
-	// iteration latency over predicted solo.
-	if e.active != nil && e.decodeSolo > 0 {
-		actual := now - e.decodeIterStart - e.env.Spec.GraphLaunch
-		slow := float64(actual) / float64(e.decodeSolo)
-		e.est.ObserveSlowdown(e.active.newTokens(), e.active.reusedTokens(),
-			e.decode.Size(), e.decode.TotalCtx(), e.curConfig, slow)
+	// iteration latency over predicted solo, both of the iteration as
+	// it launched. The partition has not changed since.
+	if e.active != nil {
+		start, bs, ctx := e.decode.InFlight()
+		if solo := e.decodeSolo(ctx, bs); solo > 0 {
+			actual := now - start - e.env.Spec.GraphLaunch
+			slow := float64(actual) / float64(solo)
+			e.est.ObserveSlowdown(e.active.newTokens(), e.active.reusedTokens(),
+				bs, ctx, e.curConfig, slow)
+		}
 	}
 
-	finished := e.decode.Step(now, e.env.Rec)
 	for _, r := range finished {
 		r.Complete(e.pool)
 	}
@@ -472,10 +488,11 @@ func (e *Engine) pumpPrefill() {
 	// before its boundary, so its launch-time prediction is T_d.
 	nTarget := 2
 	if e.decode.Size() > 0 {
-		td := e.decodeSolo
-		if !e.decode.Running {
-			td = e.est.DecodeSolo(e.decode.TotalCtx(), e.decode.Size(), e.curConfig)
+		bs, ctx := e.decode.Size(), e.decode.TotalCtx()
+		if e.decode.Running {
+			_, bs, ctx = e.decode.InFlight()
 		}
+		td := e.decodeSolo(ctx, bs)
 		if tp := e.layerTP; tp > 0 {
 			n := int(float64(td)*float64(e.env.Arch.Layers)/float64(tp)) + 1
 			if n > nTarget {

@@ -104,6 +104,16 @@ func NewKernel(label string, kind Kind, c model.Cost, launch sim.Time) Kernel {
 // group's bandwidth, so the waterfill would grant it whole and never
 // saturate. Its deadline and its progress skip the loops over the running
 // set too, with the same floats.
+//
+// A kernel relaunched from its own completion callback with
+// Partition.Relaunch — a decode stream coasting into its next iteration —
+// keeps its run: nothing goes back to the free list or comes off it. It
+// is submitted as LaunchFn submits, with the same Reserve of its ready
+// key at the boundary and the same AtFuncOnPass (deferred start) or
+// AtTicket on that key, and the same host-launch and float accounting.
+// So event keys, tie order and LoopStats do not depend on which of the
+// two launched a kernel, and a launch, resize or Stats read that lands
+// during a relaunched kernel meets an ordinary run.
 type Device struct {
 	Spec Spec
 	TP   int
@@ -114,6 +124,7 @@ type Device struct {
 	partitions []*Partition
 	running    []*run
 	pend       *run // deferred start: in running, still its queue's head
+	retiring   *run // retired run whose callback is running; nil once relaunched
 	next       sim.Handle
 	lastAt     sim.Time
 	saturated  bool // the last waterfill ran out of bandwidth
@@ -255,32 +266,52 @@ type run struct {
 // state through arg, so a launch allocates nothing on the steady-state
 // path.
 func (p *Partition) LaunchFn(k Kernel, done func(any), arg any) {
-	r := p.submit(k)
+	r := p.dev.allocRun()
+	r.part = p
+	r.k = k
 	r.done = done
 	r.arg = arg
+	p.enqueue(r)
 }
 
-// submit queues a pooled run for k and reserves its host-launch-ready
-// event, pushing it only when k heads an idle partition's queue: behind
-// other work the event would start nothing. On an idle device the start
-// is deferred instead, unless the partition has no SMs, so that starting
-// work there still panics at the ready instant.
-func (p *Partition) submit(k Kernel) *run {
+// Relaunch submits again, on p, the kernel whose completion callback is
+// running, which must be p's: the same label, kind, launch latency and
+// completion pair, with cost c and MFU override mfu. It reuses that
+// kernel's run in place rather than recycling it and taking another off
+// the free list, and otherwise submits exactly as LaunchFn does: the same
+// host-launch accounting, ready ticket, queueing and deferred or evented
+// start. So a relaunched kernel is an ordinary run, and whatever meets it
+// later (another launch, a resize, a Stats read) sees nothing different.
+func (p *Partition) Relaunch(c model.Cost, mfu float64) {
+	d := p.dev
+	r := d.retiring
+	if r == nil || r.part != p {
+		panic(fmt.Sprintf("gpu: Relaunch on partition %q outside its kernel's completion callback", p.label))
+	}
+	d.retiring = nil
+	k := &r.k
+	k.FLOPs, k.Bytes, k.CommBytes, k.Tokens, k.MFU = c.FLOPs, c.Bytes, c.CommBytes, c.Tokens, mfu
+	p.enqueue(r)
+}
+
+// enqueue submits r, a run of p with its kernel set. It reserves r's
+// host-launch-ready event and pushes it only when r heads an idle
+// partition's queue: behind other work the event would start nothing. On
+// an idle device the start is deferred instead, unless the partition has
+// no SMs, so that starting work there still panics at the ready instant.
+func (p *Partition) enqueue(r *run) {
 	d := p.dev
 	now := d.sim.Now()
 	if d.hostFreeAt < now {
 		d.hostFreeAt = now
 	}
-	start := d.hostFreeAt
-	d.hostFreeAt = start + k.Launch
-	if k.Launch != d.lastLaunch {
-		d.lastLaunch, d.lastLaunchSec = k.Launch, k.Launch.Seconds()
+	launch := r.k.Launch
+	d.hostFreeAt += launch
+	if launch != d.lastLaunch {
+		d.lastLaunch, d.lastLaunchSec = launch, launch.Seconds()
 	}
 	d.launchInt += d.lastLaunchSec
 
-	r := d.allocRun()
-	r.part = p
-	r.k = k
 	r.ticket = d.sim.Reserve(d.hostFreeAt)
 	if p.qhead > 0 && p.qhead == len(p.queue) {
 		p.queue = p.queue[:0]
@@ -294,7 +325,6 @@ func (p *Partition) submit(k Kernel) *run {
 			d.sim.AtTicket(r.ticket, runReady, r)
 		}
 	}
-	return r
 }
 
 // deferStart starts r, the head of an idle partition on an idle device,
@@ -673,12 +703,16 @@ func (d *Device) onProgress() {
 		d.reallocate()
 	}
 	for i, r := range finished {
+		d.retiring = r
 		if r.done != nil {
 			r.done(r.arg)
 		}
 		r.part.tryStart()
 		finished[i] = nil
-		d.releaseRun(r)
+		if d.retiring == r {
+			d.releaseRun(r) // not relaunched
+		}
+		d.retiring = nil
 	}
 	d.finished = finished[:0]
 }

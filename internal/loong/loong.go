@@ -56,7 +56,7 @@ func New(env *serve.Env) serve.Engine {
 	}
 	baseTP = min(baseTP, env.GPUs)
 	perGPU := float64(env.Spec.HBMCapacity)*(1-serve.ReserveFrac) - env.Arch.WeightBytes()/float64(baseTP)
-	return &Engine{
+	e := &Engine{
 		Base:            serve.NewBase("LoongServe", nil),
 		env:             env,
 		baseTP:          baseTP,
@@ -65,6 +65,8 @@ func New(env *serve.Env) serve.Engine {
 		decodePart:      map[int]*gpu.Partition{},
 		capTokensPerGPU: max(0, int64(perGPU/env.Arch.KVBytesPerToken())),
 	}
+	e.decode.Bind(env, decodeDone, decodeQuiet, e)
+	return e
 }
 
 // Submit implements serve.Engine.
@@ -148,14 +150,22 @@ func (e *Engine) launchPrefill(job *pjob) {
 	dev.Partition(e.env.Spec.SMs, "prefill").LaunchFn(k, prefillDone, job)
 }
 
-// prefillDone / mergeAfterMigrate / decodeDone are the engine's bound
-// callbacks: the pjob or engine rides as the event argument, so steady-state
-// scheduling allocates no closures.
+// prefillDone / mergeAfterMigrate / decodeDone / decodeQuiet are the
+// engine's bound callbacks: the pjob or engine rides as the argument, so
+// steady-state scheduling allocates no closures.
 func prefillDone(arg any) { j := arg.(*pjob); j.eng.onPrefillDone(j) }
 
 func mergeAfterMigrate(arg any) { j := arg.(*pjob); j.eng.onMigrated(j.run) }
 
-func decodeDone(arg any) { arg.(*Engine).onDecodeDone() }
+func decodeDone(arg any, finished []*serve.Running) { arg.(*Engine).onDecodeDone(finished) }
+
+// decodeQuiet is the decode stream's quiet predicate: nothing waits to
+// join the batch or to start a prefill, and the decode group keeps its
+// size, so the next iteration runs on the same group.
+func decodeQuiet(arg any) bool {
+	e := arg.(*Engine)
+	return e.decode.Held() == 0 && e.queue.Len() == 0 && e.groupSize() == e.decodeGs
+}
 
 // onPrefillDone releases the elastic group and migrates the KV into the
 // decode group.
@@ -187,9 +197,17 @@ func (e *Engine) release(run *serve.Running) {
 	e.admit()
 }
 
-// resizeDecodeGroup consolidates the decode group to the fewest GPUs
-// whose memory holds the active decode KV.
+// resizeDecodeGroup consolidates the decode group to groupSize GPUs.
 func (e *Engine) resizeDecodeGroup() {
+	gs := e.groupSize()
+	e.free -= gs - e.decodeGs
+	e.decodeGs = gs
+}
+
+// groupSize returns the decode group size that holds the active decode
+// KV on the fewest GPUs: it grows by at most the free GPUs, in whole TP
+// slices, and shrinks to fit.
+func (e *Engine) groupSize() int {
 	kvTokens := int64(e.decode.TotalCtx())
 	need := e.baseTP
 	if e.capTokensPerGPU > 0 {
@@ -198,17 +216,10 @@ func (e *Engine) resizeDecodeGroup() {
 	if need < e.baseTP {
 		need = e.baseTP
 	}
-	if need > e.decodeGs {
-		grow := need - e.decodeGs
-		if grow > e.free {
-			grow = (e.free / e.baseTP) * e.baseTP
-		}
-		e.decodeGs += grow
-		e.free -= grow
-	} else if need < e.decodeGs {
-		e.free += e.decodeGs - need
-		e.decodeGs = need
+	if grow := need - e.decodeGs; grow > e.free {
+		return e.decodeGs + (e.free/e.baseTP)*e.baseTP
 	}
+	return need
 }
 
 // decodePartition returns the persistent full-SM stream of the decode
@@ -236,11 +247,11 @@ func (e *Engine) startDecode() {
 	// Sequence parallelism replicates weights across slices: each SP
 	// slice beyond the first streams the full (TP-sharded) weights again.
 	replicas := float64(e.decodeGs/e.baseTP-1) * e.env.Arch.WeightBytes()
-	e.decode.Launch(e.env, e.decodePartition(), e.decodeGs, replicas, decodeDone, e)
+	e.decode.Launch(e.decodePartition(), e.decodeGs, replicas)
 }
 
-func (e *Engine) onDecodeDone() {
-	for _, r := range e.decode.Step(e.env.Sim.Now(), e.env.Rec) {
+func (e *Engine) onDecodeDone(finished []*serve.Running) {
+	for _, r := range finished {
 		e.release(r)
 	}
 	e.decode.FoldHeld()

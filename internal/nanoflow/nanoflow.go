@@ -33,7 +33,7 @@ func New(env *serve.Env) serve.Engine {
 	if env.Arch.MoE() {
 		weights = env.Arch.ActiveLayerWeightBytes() * float64(env.Arch.Layers)
 	}
-	e.Transform = func(cost model.Cost, chunkTokens int) (model.Cost, float64) {
+	e.SetTransform(func(cost model.Cost, chunkTokens int) (model.Cost, float64) {
 		// Each extra nano-batch re-streams the weights.
 		cost.Bytes += float64(nanoBatches-1) * weights
 		// Overlap raises effective MFU for the compute stream.
@@ -42,6 +42,6 @@ func New(env *serve.Env) serve.Engine {
 			mfu = env.Spec.MFUDecode * overlapBonus
 		}
 		return cost, mfu
-	}
+	})
 	return e
 }

@@ -62,6 +62,7 @@ func New(env *serve.Env) serve.Engine {
 	// Prefix lookups happen on the prefill side only; the decode pool
 	// holds per-request KV, so it adds no hit/miss samples.
 	e.Base = serve.NewBase("SGLang-PD", []*gpu.Device{pDev, dDev}, e.pPool, e.dPool)
+	e.decode.Bind(env, decodeDone, decodeQuiet, e)
 	return e
 }
 
@@ -89,7 +90,7 @@ func (e *Engine) schedule() {
 	e.startPrefill()
 	e.tryHandoff()
 	if !e.decode.Running && e.decode.Size() > 0 {
-		e.decode.Launch(e.env, e.dPart, e.tp, 0, decodeDone, e)
+		e.decode.Launch(e.dPart, e.tp, 0)
 	}
 }
 
@@ -118,9 +119,9 @@ func (e *Engine) startPrefill() {
 	e.pPart.LaunchFn(e.env.PrefillPhaseKernel(seqs, e.tp), prefillBatchDone, e)
 }
 
-// prefillBatchDone / migrated / decodeDone are the engine's bound
-// callbacks: the engine or handoff record rides as the event argument,
-// so steady-state scheduling allocates no closures.
+// prefillBatchDone / migrated / decodeDone / decodeQuiet are the
+// engine's bound callbacks: the engine or handoff record rides as the
+// argument, so steady-state scheduling allocates no closures.
 func prefillBatchDone(arg any) {
 	e := arg.(*Engine)
 	for i, run := range e.inFlight {
@@ -133,7 +134,15 @@ func prefillBatchDone(arg any) {
 
 func migrated(arg any) { h := arg.(*handoffReq); h.eng.onMigrated(h.run) }
 
-func decodeDone(arg any) { arg.(*Engine).onDecodeDone() }
+func decodeDone(arg any, finished []*serve.Running) { arg.(*Engine).onDecodeDone(finished) }
+
+// decodeQuiet is the decode stream's quiet predicate: no migrated request
+// waits to join, no finished prefill waits for decode pool space, and the
+// prefill instance is busy or has nothing to start.
+func decodeQuiet(arg any) bool {
+	e := arg.(*Engine)
+	return e.decode.Held() == 0 && e.handoff.Len() == 0 && (len(e.inFlight) > 0 || e.queue.Len() == 0)
+}
 
 // onPrefillDone publishes the input KV into the prefill radix cache and
 // queues the request for migration to the decode instance.
@@ -174,8 +183,7 @@ func (e *Engine) onMigrated(run *serve.Running) {
 	e.schedule()
 }
 
-func (e *Engine) onDecodeDone() {
-	finished := e.decode.Step(e.env.Sim.Now(), e.env.Rec)
+func (e *Engine) onDecodeDone(finished []*serve.Running) {
 	for _, r := range finished {
 		e.dPool.Release(r.ReservedTokens)
 	}

@@ -5,6 +5,7 @@ import (
 	"muxwise/internal/kvcache"
 	"muxwise/internal/metrics"
 	"muxwise/internal/model"
+	"muxwise/internal/obs"
 	"muxwise/internal/sim"
 	"muxwise/internal/workload"
 )
@@ -115,9 +116,28 @@ func FirstToken(rec *metrics.Recorder, r *Running, now sim.Time) bool {
 // recorder of its first Step: a request added since the last step joins
 // the stream at the next one, each step is one Stream.Step for the whole
 // batch, and a finished request leaves with Stream.Finish.
+//
+// The stream owns the iteration boundary. Bind registers the engine's
+// boundary handler and quiet predicate once, and every iteration the
+// stream launches completes in the stream's own callback, which steps
+// the batch. When no member finished and quiet(arg) holds, the stream
+// coasts: it relaunches the next iteration itself, on the same partition
+// with the same TP, surcharge and Transform, and the handler is not
+// called. Every other boundary calls handler(arg, finished) with the
+// already-stepped finished list. quiet promises that the handler would
+// do nothing but launch that same iteration: nothing pending, queued,
+// held or merging, and no resize due. The relaunch prices the kernel as
+// Launch does and submits it with gpu.Partition.Relaunch, which makes
+// the simulator calls a fresh launch makes, so results, event keys and
+// loop counters are the same whether a boundary coasts or not.
 type DecodeStream struct {
 	// Running reports whether an iteration is on the device.
 	Running bool
+
+	// Transform, when set, rewrites each iteration's cost before launch
+	// and may override its MFU (0 keeps the spec's). Launch calls it with
+	// chunkTokens 0.
+	Transform func(cost model.Cost, chunkTokens int) (model.Cost, float64)
 
 	reqs   []*Running
 	ctx    int // Σ CtxTokens over reqs
@@ -127,22 +147,109 @@ type DecodeStream struct {
 	held []*Running
 	fin  []*Running
 
-	// cost prices an iteration; Launch rebuilds it when the arch or the
+	env     *Env
+	handler func(arg any, finished []*Running)
+	quiet   func(arg any) bool
+	arg     any
+	span    string // names the track of decode-iter spans; "" emits none
+
+	// The iteration on the device, or the last one: where it runs, how
+	// Launch priced it (tp is 0 for a LaunchKernel iteration, which the
+	// stream cannot reprice), and when it launched with which batch.
+	part      *gpu.Partition
+	tp        int
+	surcharge float64
+	start     sim.Time
+	size      int
+	startCtx  int
+
+	// cost prices an iteration; price rebuilds it when the arch or the
 	// TP degree changes.
 	cost model.DecodeTable
 }
 
+// Bind registers the environment the stream launches in and records
+// to, the engine's boundary handler and its quiet predicate, both called
+// with arg. An engine binds its stream once, at construction.
+func (d *DecodeStream) Bind(env *Env, handler func(arg any, finished []*Running), quiet func(arg any) bool, arg any) {
+	d.env, d.handler, d.quiet, d.arg = env, handler, quiet, arg
+}
+
+// TraceSpans makes every iteration a decode-iter span on the track
+// "Label/stream" while the environment traces: it begins at launch with
+// the batch size, context and partition SMs and ends at the boundary,
+// before the step.
+func (d *DecodeStream) TraceSpans(stream string) { d.span = stream }
+
 // Launch starts one decode iteration of the whole batch on part, costed
-// for tp-way tensor parallelism plus surcharge extra HBM bytes; done(arg)
-// runs at completion.
-func (d *DecodeStream) Launch(env *Env, part *gpu.Partition, tp int, surcharge float64, done func(any), arg any) {
-	if !d.cost.For(&env.Arch, tp) {
-		d.cost = env.Arch.DecodeTable(tp)
-	}
-	cost := d.cost.Iter(d.TotalCtx(), d.Size())
-	cost.Bytes += surcharge
+// for tp-way tensor parallelism plus surcharge extra HBM bytes.
+func (d *DecodeStream) Launch(part *gpu.Partition, tp int, surcharge float64) {
+	d.part, d.tp, d.surcharge = part, tp, surcharge
+	d.begin()
+	cost, mfu := d.price()
+	k := gpu.NewKernel("decode", gpu.Decode, cost, d.env.Spec.GraphLaunch)
+	k.MFU = mfu
+	part.LaunchFn(k, streamDone, d)
+}
+
+// LaunchKernel starts k, an iteration the engine priced itself (a fused
+// prefill chunk), as the stream's next iteration on part. The stream
+// cannot reprice it, so its boundary always goes to the handler.
+func (d *DecodeStream) LaunchKernel(part *gpu.Partition, k gpu.Kernel) {
+	d.part, d.tp = part, 0
+	d.begin()
+	part.LaunchFn(k, streamDone, d)
+}
+
+// InFlight returns the launch time and batch shape (size, summed
+// context) of the iteration on the device, or of the last one.
+func (d *DecodeStream) InFlight() (start sim.Time, size, ctx int) {
+	return d.start, d.size, d.startCtx
+}
+
+// begin marks an iteration launched now on the current batch.
+func (d *DecodeStream) begin() {
 	d.Running = true
-	part.LaunchFn(gpu.NewKernel("decode", gpu.Decode, cost, env.Spec.GraphLaunch), done, arg)
+	d.start, d.size, d.startCtx = d.env.Sim.Now(), len(d.reqs), d.ctx
+	if tr := d.env.Trace; tr != nil && d.span != "" {
+		tr.Begin(d.start, d.env.Label+"/"+d.span, "decode-iter",
+			obs.Arg{Key: "bs", Val: d.size}, obs.Arg{Key: "ctx", Val: d.startCtx},
+			obs.Arg{Key: "sms", Val: d.part.SMs()})
+	}
+}
+
+// price returns the cost and MFU override of one iteration of the batch
+// as Launch was last asked to price it.
+func (d *DecodeStream) price() (cost model.Cost, mfu float64) {
+	arch := &d.env.Arch
+	if !d.cost.For(arch, d.tp) {
+		d.cost = arch.DecodeTable(d.tp)
+	}
+	cost = d.cost.Iter(d.ctx, len(d.reqs))
+	cost.Bytes += d.surcharge
+	if d.Transform != nil {
+		cost, mfu = d.Transform(cost, 0)
+	}
+	return cost, mfu
+}
+
+// streamDone is the bound completion callback of every iteration.
+func streamDone(arg any) { arg.(*DecodeStream).boundary() }
+
+// boundary ends the iteration on the device: it steps the batch, then
+// coasts into the next iteration or hands the boundary to the engine.
+func (d *DecodeStream) boundary() {
+	now := d.env.Sim.Now()
+	if tr := d.env.Trace; tr != nil && d.span != "" {
+		tr.End(now, d.env.Label+"/"+d.span, "decode-iter")
+	}
+	finished := d.Step(now, d.env.Rec)
+	if len(finished) == 0 && d.tp > 0 && len(d.reqs) > 0 && d.quiet(d.arg) {
+		d.begin()
+		d.part.Relaunch(d.price())
+		return
+	}
+	d.handler(d.arg, finished)
 }
 
 // Size returns the batch size.

@@ -53,6 +53,7 @@ func New(env *serve.Env) serve.Engine {
 		est:  env.Cost(),
 	}
 	e.Base = serve.NewBase("Temporal", []*gpu.Device{dev}, e.pool)
+	e.decode.Bind(env, decodeDone, decodeQuiet, e)
 	return e
 }
 
@@ -84,7 +85,7 @@ func (e *Engine) step() {
 	}
 	if e.decode.Size() > 0 {
 		e.busy = true
-		e.decode.Launch(e.env, e.part, e.env.GPUs, 0, decodeDone, e)
+		e.decode.Launch(e.part, e.env.GPUs, 0)
 		return
 	}
 	if e.active != nil {
@@ -93,16 +94,24 @@ func (e *Engine) step() {
 	}
 }
 
-// decodeDone / burstDone are the engine's bound completion callbacks:
-// the engine rides as the event argument, so steady-state iterations
-// allocate no closures.
-func decodeDone(arg any) { arg.(*Engine).onDecodeDone() }
+// decodeDone / decodeQuiet / burstDone are the engine's bound
+// callbacks: the engine rides as the argument, so steady-state
+// iterations allocate no closures.
+func decodeDone(arg any, finished []*serve.Running) { arg.(*Engine).onDecodeDone(finished) }
+
+// decodeQuiet is the decode stream's quiet predicate: with no prefill
+// active, queued or awaiting admission there is no slack to fill, and
+// the next decode iteration follows at once.
+func decodeQuiet(arg any) bool {
+	e := arg.(*Engine)
+	return e.active == nil && e.queue.Len() == 0 && e.pending.Len() == 0
+}
 
 func burstDone(arg any) { arg.(*Engine).onBurstDone() }
 
-func (e *Engine) onDecodeDone() {
+func (e *Engine) onDecodeDone(finished []*serve.Running) {
 	e.busy = false
-	for _, r := range e.decode.Step(e.env.Sim.Now(), e.env.Rec) {
+	for _, r := range finished {
 		r.Complete(e.pool)
 	}
 	e.admit()

@@ -26,7 +26,6 @@ func TestHotClosure(t *testing.T) {
 	vettest.Run(t, "testdata/hotclosure", []*vet.Analyzer{vet.HotClosure},
 		"muxwise/internal/gpu",
 		"muxwise/internal/model",
-		"muxwise/internal/cluster",
 	)
 }
 

@@ -8,14 +8,12 @@ import (
 // HotClosure flags per-call allocation patterns on pooled hot paths.
 var HotClosure = &Analyzer{
 	Name: "hotclosure",
-	Doc: "flag closures, fmt formatting, interface boxing and large value receivers on pooled hot paths\n\n" +
-		"In the pooled hot-path packages (sim, gpu, metrics, kvcache, par) a\n" +
-		"closure literal passed to a scheduling seam that also offers a\n" +
-		"closure-free form (At→AtFunc, After→AfterFunc, Launch→LaunchFn)\n" +
-		"allocates per event — exactly the regressions muxperf's\n" +
-		"allocs_per_req gate catches after the fact. Also flagged: fmt.Sprintf-family\n" +
-		"calls outside String/Error/Format methods and panic messages,\n" +
-		"struct values boxed into interface parameters, and methods other than\n" +
+	Doc: "flag fmt formatting, interface boxing and large value receivers on pooled hot paths\n\n" +
+		"In the pooled hot-path packages (sim, gpu, metrics, kvcache, par) it\n" +
+		"flags the per-call allocations and copies muxperf's allocs_per_req\n" +
+		"gate would otherwise catch after the fact: fmt.Sprintf-family calls\n" +
+		"outside String/Error/Format methods and panic messages, struct values\n" +
+		"boxed into interface parameters, and methods other than\n" +
 		"String/Error/Format whose value receiver is a struct of more than 80\n" +
 		"bytes, which every call copies. Every function in a\n" +
 		"hot package is presumed reachable from the per-event paths of a\n" +
@@ -61,7 +59,6 @@ func runHotClosure(p *Pass) error {
 				if !ok {
 					return true
 				}
-				p.checkClosureSeam(call)
 				if !isFormatting {
 					p.checkFmtAlloc(call, stack)
 				}
@@ -99,54 +96,6 @@ func (p *Pass) checkValueReceiver(fd *ast.FuncDecl) {
 		p.Reportf(fd.Recv.Pos(), "method %s copies its %d-byte %s receiver on every call on a pooled hot path; use a pointer receiver",
 			fd.Name.Name, size, types.TypeString(t, types.RelativeTo(p.Pkg)))
 	}
-}
-
-// checkClosureSeam flags a func literal passed to a method when the
-// receiver also offers the closure-free M+"Func" or M+"Fn" form.
-func (p *Pass) checkClosureSeam(call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	s := p.Info.Selections[sel]
-	if s == nil {
-		return
-	}
-	alt := closureFreeAlt(s.Recv(), sel.Sel.Name)
-	if alt == "" {
-		return
-	}
-	for _, arg := range call.Args {
-		if _, isLit := arg.(*ast.FuncLit); isLit {
-			p.Reportf(arg.Pos(), "closure literal passed to (%s).%s allocates per call on a pooled hot path; use the closure-free %s with a pre-bound func and arg",
-				s.Recv().String(), sel.Sel.Name, alt)
-		}
-	}
-}
-
-// closureFreeAlt returns the name of a closure-free sibling of method
-// name in recv's method set (name+"Func" or name+"Fn"), if any.
-func closureFreeAlt(recv types.Type, name string) string {
-	for _, suffix := range []string{"Func", "Fn"} {
-		altName := name + suffix
-		if hasMethod(recv, altName) {
-			return altName
-		}
-	}
-	return ""
-}
-
-func hasMethod(t types.Type, name string) bool {
-	if types.NewMethodSet(t).Lookup(nil, name) != nil {
-		return true
-	}
-	// Methods with pointer receivers when t is a value type.
-	if _, isPtr := t.Underlying().(*types.Pointer); !isPtr {
-		if types.NewMethodSet(types.NewPointer(t)).Lookup(nil, name) != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // checkFmtAlloc flags fmt allocation calls unless the result feeds a

@@ -1,5 +1,5 @@
-// Stub of the event loop's scheduling seams: At/After take closures,
-// AtFunc/AfterFunc take a pre-bound func and arg.
+// Stub of the event loop's scheduling seams, which take a pre-bound func
+// and arg.
 package sim
 
 type Time int64
@@ -8,7 +8,5 @@ type Handle struct{}
 
 type Sim struct{}
 
-func (s *Sim) At(t Time, fn func()) Handle                    { return Handle{} }
 func (s *Sim) AtFunc(t Time, fn func(any), arg any) Handle    { return Handle{} }
-func (s *Sim) After(d Time, fn func()) Handle                 { return Handle{} }
 func (s *Sim) AfterFunc(d Time, fn func(any), arg any) Handle { return Handle{} }

@@ -45,6 +45,7 @@ func New(env *serve.Env) serve.Engine {
 		pool:     kvcache.New(env.PoolTokens(env.GPUs), kvcache.DefaultPageTokens),
 	}
 	e.Base = serve.NewBase("WindServe", []*gpu.Device{dev}, e.pool)
+	e.decode.Bind(env, decodeDone, decodeQuiet, e)
 	return e
 }
 
@@ -67,15 +68,23 @@ func (e *Engine) admit() {
 
 func (e *Engine) schedule() {
 	if !e.decode.Running && e.decode.Size() > 0 {
-		e.decode.Launch(e.env, e.decodeS, e.env.GPUs, 0, decodeDone, e)
+		e.decode.Launch(e.decodeS, e.env.GPUs, 0)
 	}
 	e.startPrefill()
 }
 
-// decodeDone / prefillDone are the engine's bound completion callbacks:
-// the engine rides as the event argument, so steady-state iterations
-// allocate no closures.
-func decodeDone(arg any) { arg.(*Engine).onDecodeDone() }
+// decodeDone / decodeQuiet / prefillDone are the engine's bound
+// callbacks: the engine rides as the argument, so steady-state
+// iterations allocate no closures.
+func decodeDone(arg any, finished []*serve.Running) { arg.(*Engine).onDecodeDone(finished) }
+
+// decodeQuiet is the decode stream's quiet predicate: no prefilled
+// request waits for the boundary, none waits for admission, and the
+// prefill stream is busy or has nothing to start.
+func decodeQuiet(arg any) bool {
+	e := arg.(*Engine)
+	return e.decode.Held() == 0 && e.pending.Len() == 0 && (e.pInFlight != nil || e.queue.Len() == 0)
+}
 
 func prefillDone(arg any) {
 	e := arg.(*Engine)
@@ -89,8 +98,8 @@ func prefillDone(arg any) {
 	e.schedule()
 }
 
-func (e *Engine) onDecodeDone() {
-	for _, r := range e.decode.Step(e.env.Sim.Now(), e.env.Rec) {
+func (e *Engine) onDecodeDone(finished []*serve.Running) {
+	for _, r := range finished {
 		r.Complete(e.pool)
 	}
 	for _, r := range e.decode.TakeHeld() {
