@@ -136,33 +136,17 @@ func parseReplicas(spec string) ([]muxwise.ReplicaSpec, error) {
 }
 
 func buildTrace(wl string, seed uint64, n int, scale, rate float64) (*muxwise.Trace, error) {
-	build, err := traceBuilder(wl)
-	if err != nil {
-		return nil, err
-	}
-	return build(seed, n, scale, rate), nil
-}
-
-// traceBuilder resolves the workload name once and returns what builds
-// its traces: scale paces profile workloads, rate Poisson ones.
-func traceBuilder(wl string) (func(seed uint64, n int, scale, rate float64) *muxwise.Trace, error) {
 	if strings.EqualFold(wl, "mixed") {
-		return func(seed uint64, n int, scale, _ float64) *muxwise.Trace {
-			return muxwise.MixedBursty(seed, n, scale)
-		}, nil
+		return muxwise.MixedBursty(seed, n, scale), nil
 	}
 	w, ok := workload.Lookup(wl)
 	if !ok {
 		return nil, fmt.Errorf("unknown workload %q (have mixed, %s)", wl, workload.Names())
 	}
 	if w.Profile != nil {
-		return func(seed uint64, n int, scale, _ float64) *muxwise.Trace {
-			return w.Generate(seed, n).WithProfileArrivals(seed, w.Profile(scale))
-		}, nil
+		return w.Generate(seed, n).WithProfileArrivals(seed, w.Profile(scale)), nil
 	}
-	return func(seed uint64, n int, _, rate float64) *muxwise.Trace {
-		return w.Generate(seed, n).WithPoissonArrivals(seed, rate)
-	}, nil
+	return w.Generate(seed, n).WithPoissonArrivals(seed, rate), nil
 }
 
 // scenarioOpts carries the scenario flags.
@@ -385,9 +369,8 @@ func runGoodput(rng string, routers []string, base *muxwise.Experiment,
 	if err1 != nil || err2 != nil {
 		return fmt.Errorf("bad -goodput range %q (want LO:HI)", rng)
 	}
-	build, err := traceBuilder(wl)
-	if err != nil {
-		return err
+	if _, ok := workload.Lookup(wl); !ok && !strings.EqualFold(wl, "mixed") {
+		return fmt.Errorf("unknown workload %q (have mixed, %s)", wl, workload.Names())
 	}
 	var rows []goodputRow
 	if !asJSON {
@@ -399,7 +382,13 @@ func runGoodput(rng string, routers []string, base *muxwise.Experiment,
 			muxwise.WithRouter(name),
 			// The parameter doubles as Poisson rate and profile scale:
 			// buildTrace reads whichever slot the workload uses.
-			muxwise.WithWorkload(func(x float64) *muxwise.Trace { return build(seed, n, x, x) }),
+			muxwise.WithWorkload(func(x float64) *muxwise.Trace {
+				t, err := buildTrace(wl, seed, n, x, x)
+				if err != nil {
+					panic(err)
+				}
+				return t
+			}),
 		).Goodput(lo, hi)
 		switch {
 		case errors.Is(err, muxwise.ErrNoFeasibleRate):

@@ -105,15 +105,10 @@ func NewKernel(label string, kind Kind, c model.Cost, launch sim.Time) Kernel {
 // saturate. Its deadline and its progress skip the loops over the running
 // set too, with the same floats.
 //
-// A kernel relaunched from its own completion callback with
-// Partition.Relaunch — a decode stream coasting into its next iteration —
-// keeps its run: nothing goes back to the free list or comes off it. It
-// is submitted as LaunchFn submits, with the same Reserve of its ready
-// key at the boundary and the same AtFuncOnPass (deferred start) or
-// AtTicket on that key, and the same host-launch and float accounting.
-// So event keys, tie order and LoopStats do not depend on which of the
-// two launched a kernel, and a launch, resize or Stats read that lands
-// during a relaunched kernel meets an ordinary run.
+// A decode stream coasting into its next iteration relaunches its kernel
+// from the kernel's own completion callback with Partition.Relaunch,
+// which keeps the run and submits it exactly as LaunchFn would, so event
+// keys, tie order and LoopStats are the same either way.
 type Device struct {
 	Spec Spec
 	TP   int
@@ -275,13 +270,9 @@ func (p *Partition) LaunchFn(k Kernel, done func(any), arg any) {
 }
 
 // Relaunch submits again, on p, the kernel whose completion callback is
-// running, which must be p's: the same label, kind, launch latency and
-// completion pair, with cost c and MFU override mfu. It reuses that
-// kernel's run in place rather than recycling it and taking another off
-// the free list, and otherwise submits exactly as LaunchFn does: the same
-// host-launch accounting, ready ticket, queueing and deferred or evented
-// start. So a relaunched kernel is an ordinary run, and whatever meets it
-// later (another launch, a resize, a Stats read) sees nothing different.
+// running, with cost c and MFU override mfu, and otherwise the same
+// label, kind, launch latency and completion pair. It reuses the kernel's
+// run in place instead of recycling it, and submits it as LaunchFn does.
 func (p *Partition) Relaunch(c model.Cost, mfu float64) {
 	d := p.dev
 	r := d.retiring

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"muxwise/internal/model"
 	"muxwise/internal/sim"
 )
 
@@ -342,5 +343,27 @@ func TestQueuedSuccessorKeysTimerOnce(t *testing.T) {
 	}
 	if longAt <= prev {
 		t.Fatalf("long kernel retired at %v, before the chain's end at %v", longAt, prev)
+	}
+}
+
+// Relaunch resubmits only the kernel whose completion callback is running,
+// and only on its own partition; anywhere else it panics, naming p.
+func TestRelaunchOutsideItsCallbackPanics(t *testing.T) {
+	s := sim.New()
+	d := NewDevice(s, A100(), 1, "relaunch")
+	p, q := d.Partition(54, "p"), d.Partition(54, "q")
+	relaunchPanics := func(part *Partition) (msg string) {
+		defer func() { msg, _ = recover().(string) }()
+		part.Relaunch(model.Cost{Bytes: 1e6}, 0)
+		return ""
+	}
+	if msg := relaunchPanics(p); !strings.Contains(msg, `"p"`) {
+		t.Fatalf("Relaunch outside a callback: panic %q, want one naming \"p\"", msg)
+	}
+	var msg string
+	p.LaunchFn(Kernel{Kind: Decode, Bytes: 1e6}, func(any) { msg = relaunchPanics(q) }, nil)
+	s.Run()
+	if !strings.Contains(msg, `"q"`) {
+		t.Fatalf("Relaunch on another partition: panic %q, want one naming \"q\"", msg)
 	}
 }
