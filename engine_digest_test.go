@@ -16,7 +16,7 @@ import (
 
 // engineRunDigest is the sha256 of everything TestEngineRunDigest's runs
 // leave behind.
-const engineRunDigest = "3a04f4edaa67f07865756a71db877f7c43cd092042aee249ddf44163c850c897"
+const engineRunDigest = "d3e76fdac0ce3813970074cae816c8b880cfb11c3d23308c5ff19ea448535973"
 
 // digestWriter feeds a run's results into a hash in a fixed binary or
 // JSON form.
@@ -97,7 +97,9 @@ func (w digestWriter) report(rep *Report) {
 // miss causes, every device's Stats, the partition timeline and the event
 // loop's counters of every engine under both cost models, on ShareGPT
 // (one A100, Llama-8B) and Conversation (eight A100s, Llama-70B), each at
-// a light and a loaded rate, plus the bursty drain-and-migrate fleet.
+// a light and a loaded rate, plus the bursty drain-and-migrate fleet and
+// a LoongServe run on OpenThoughts whose decode group grows past one TP
+// slice, so that its coasted iterations carry a weight-replica surcharge.
 // Changes to how the simulator reaches its results, rather than to the
 // results, must leave it alone. With -v it logs each run's own digest,
 // so two trees' logs name the runs that moved.
@@ -155,6 +157,11 @@ func TestEngineRunDigest(t *testing.T) {
 				WithMigration(),
 			)
 		},
+	})
+	runs = append(runs, run{
+		label: "openthoughts/rate=20/LoongServe",
+		trace: func() *Trace { return OpenThoughts(7, 300).WithPoissonArrivals(7, 20) },
+		exp:   func() *Experiment { return NewExperiment(WithDeployment(a100x8), WithEngine("LoongServe")) },
 	})
 
 	all := sha256.New()
