@@ -390,11 +390,9 @@ func decodeDone(arg any, finished []*serve.Running) { arg.(*Engine).onDecodeDone
 // decodeQuiet is the decode stream's quiet predicate: the boundary only
 // launches the next iteration on the whole device when no prefill is
 // active, queued or awaiting a merge and decode already owns every SM.
-// It is false while tracing, so every boundary's handler runs then.
 func decodeQuiet(arg any) bool {
 	e := arg.(*Engine)
-	return e.env.Trace == nil && e.active == nil && e.queue.Len() == 0 &&
-		len(e.merging) == 0 && e.curConfig == e.env.Spec.SMs
+	return e.active == nil && e.queue.Len() == 0 && len(e.merging) == 0 && e.curConfig == e.env.Spec.SMs
 }
 
 // onDecodeDone ends one decode iteration whose batch the stream has

@@ -36,7 +36,7 @@ type Engine struct {
 	capTokensPerGPU int64
 	reservedTokens  int64
 
-	decode  serve.DecodeStream // holds migrated requests until a boundary
+	decode  serve.DecodeStream
 	queue   serve.Queue[*pjob]
 	pending serve.Queue[*workload.Request]
 }
@@ -80,7 +80,7 @@ func (e *Engine) Submit(r *workload.Request) {
 // so admission just reserves memory for the request's full context.
 func (e *Engine) admit() {
 	for e.pending.Len() > 0 {
-		if e.decode.Size()+e.queue.Len()+e.decode.Held() >= serve.MaxBatch {
+		if e.decode.Size()+e.queue.Len() >= serve.MaxBatch {
 			return
 		}
 		r := e.pending.Front()
@@ -100,7 +100,7 @@ func (e *Engine) admit() {
 func (e *Engine) schedule() {
 	// An idle decode group returns its GPUs to the elastic pool — the
 	// scale-to-zero flexibility Fig. 4b illustrates.
-	if e.decode.Size() == 0 && !e.decode.Running && e.decode.Held() == 0 && e.decodeGs > 0 {
+	if e.decode.Size() == 0 && !e.decode.Running && e.decodeGs > 0 {
 		e.free += e.decodeGs
 		e.decodeGs = 0
 	}
@@ -119,18 +119,25 @@ func (e *Engine) roundUpTP(g int) int {
 	return g
 }
 
+// prefillGPUs returns the elastic group a queued job would get now: the
+// TP slices its input warrants, cut to the whole slices free. Below
+// baseTP the job cannot start.
+func (e *Engine) prefillGPUs(job *pjob) int {
+	g := e.roundUpTP((job.run.R.InputTokens + prefillTokensPerGPU - 1) / prefillTokensPerGPU)
+	if g > e.free {
+		g = e.roundUpTP(e.free) // roundUp may exceed free; check below
+		if g > e.free {
+			g -= e.baseTP
+		}
+	}
+	return g
+}
+
 // startPrefills elastically assigns free GPUs to queued prefill jobs.
 func (e *Engine) startPrefills() {
 	for e.queue.Len() > 0 {
 		job := e.queue.Front()
-		want := e.roundUpTP((job.run.R.InputTokens + prefillTokensPerGPU - 1) / prefillTokensPerGPU)
-		g := want
-		if g > e.free {
-			g = e.roundUpTP(e.free) // roundUp may exceed free; check below
-			if g > e.free {
-				g -= e.baseTP
-			}
-		}
+		g := e.prefillGPUs(job)
 		if g < e.baseTP {
 			return // no capacity; wait for a release
 		}
@@ -159,12 +166,12 @@ func mergeAfterMigrate(arg any) { j := arg.(*pjob); j.eng.onMigrated(j.run) }
 
 func decodeDone(arg any, finished []*serve.Running) { arg.(*Engine).onDecodeDone(finished) }
 
-// decodeQuiet is the decode stream's quiet predicate: nothing waits to
-// join the batch or to start a prefill, and the decode group keeps its
-// size, so the next iteration runs on the same group.
+// decodeQuiet is the decode stream's quiet predicate: no queued prefill
+// can start, and the decode group keeps its size, so the next iteration
+// runs on the same group.
 func decodeQuiet(arg any) bool {
 	e := arg.(*Engine)
-	return e.decode.Held() == 0 && e.queue.Len() == 0 && e.groupSize() == e.decodeGs
+	return (e.queue.Len() == 0 || e.prefillGPUs(e.queue.Front()) < e.baseTP) && e.groupSize() == e.decodeGs
 }
 
 // onPrefillDone releases the elastic group and migrates the KV into the
@@ -185,7 +192,7 @@ func (e *Engine) onMigrated(run *serve.Running) {
 	if serve.FirstToken(e.env.Rec, run, e.env.Sim.Now()) {
 		e.release(run)
 	} else {
-		e.decode.Join(run)
+		e.decode.Add(run)
 	}
 	e.schedule()
 }
@@ -254,6 +261,5 @@ func (e *Engine) onDecodeDone(finished []*serve.Running) {
 	for _, r := range finished {
 		e.release(r)
 	}
-	e.decode.FoldHeld()
 	e.schedule()
 }

@@ -29,7 +29,7 @@ type Engine struct {
 
 	// A request's ReservedTokens holds its prefill-pool reservation until
 	// the prefill publishes its KV, then its decode-pool reservation.
-	decode serve.DecodeStream // holds migrated requests until a boundary
+	decode serve.DecodeStream
 
 	queue   serve.Queue[*serve.Running] // waiting for the prefill instance
 	handoff serve.Queue[*handoffReq]    // prefill done, waiting for decode pool space
@@ -77,7 +77,7 @@ func (e *Engine) Submit(r *workload.Request) {
 // the decode instance.
 func (e *Engine) admit() {
 	for {
-		inflight := e.decode.Size() + e.queue.Len() + e.handoff.Len() + e.decode.Held()
+		inflight := e.decode.Size() + e.queue.Len() + e.handoff.Len()
 		run := e.env.AdmitNext(&e.pending, inflight, e.pPool, false)
 		if run == nil {
 			return
@@ -136,12 +136,12 @@ func migrated(arg any) { h := arg.(*handoffReq); h.eng.onMigrated(h.run) }
 
 func decodeDone(arg any, finished []*serve.Running) { arg.(*Engine).onDecodeDone(finished) }
 
-// decodeQuiet is the decode stream's quiet predicate: no migrated request
-// waits to join, no finished prefill waits for decode pool space, and the
-// prefill instance is busy or has nothing to start.
+// decodeQuiet is the decode stream's quiet predicate: no finished
+// prefill waits for decode pool space, and the prefill instance is busy
+// or has nothing to start.
 func decodeQuiet(arg any) bool {
 	e := arg.(*Engine)
-	return e.decode.Held() == 0 && e.handoff.Len() == 0 && (len(e.inFlight) > 0 || e.queue.Len() == 0)
+	return e.handoff.Len() == 0 && (len(e.inFlight) > 0 || e.queue.Len() == 0)
 }
 
 // onPrefillDone publishes the input KV into the prefill radix cache and
@@ -157,7 +157,7 @@ func (e *Engine) onPrefillDone(run *serve.Running) {
 
 // tryHandoff migrates completed prefills into the decode instance when
 // its pool has room: KV crosses NVLink, then the request joins the batch
-// at the next decode boundary.
+// and decodes from the next iteration on.
 func (e *Engine) tryHandoff() {
 	for e.handoff.Len() > 0 {
 		h := e.handoff.Front()
@@ -178,7 +178,7 @@ func (e *Engine) onMigrated(run *serve.Running) {
 		e.dPool.Release(run.ReservedTokens)
 		e.admit()
 	} else {
-		e.decode.Join(run)
+		e.decode.Add(run)
 	}
 	e.schedule()
 }
@@ -187,7 +187,6 @@ func (e *Engine) onDecodeDone(finished []*serve.Running) {
 	for _, r := range finished {
 		e.dPool.Release(r.ReservedTokens)
 	}
-	e.decode.FoldHeld()
 	if len(finished) > 0 {
 		e.admit()
 	}

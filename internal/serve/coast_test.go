@@ -111,7 +111,7 @@ type coastProgram struct {
 	coast  bool
 	quiet  []byte // drawn one bit per predicate call
 	draws  int
-	spares []*Running // join, one per finished request, at handler boundaries
+	spares []*Running // join, one per finished request at handler boundaries or one per foreign join
 	bounds []sim.Time // handler boundaries seen
 }
 
@@ -149,7 +149,7 @@ type foreign struct {
 func fireForeign(arg any) {
 	f := arg.(*foreign)
 	p := f.p
-	switch f.action % 5 {
+	switch f.action % 6 {
 	case 0: // a co-running kernel on the other partition
 		p.side.LaunchFn(gpu.Kernel{Label: "side", Kind: gpu.Prefill, FLOPs: float64(f.param+1) * 1e12,
 			Bytes: float64(f.param%7+1) * 1e9, Tokens: f.param * 64, Launch: sim.Time(f.param%3) * sim.Microsecond}, nil, nil)
@@ -161,6 +161,14 @@ func fireForeign(arg any) {
 	case 4: // a kernel queued on the decode partition itself
 		p.part.LaunchFn(gpu.Kernel{Label: "aux", Kind: gpu.Aux, Bytes: float64(f.param+1) * 1e8,
 			Launch: sim.Time(f.param%2) * sim.Microsecond}, nil, nil)
+	case 5: // a request joins the batch, mid-iteration or into an idle stream
+		if len(p.spares) > 0 {
+			p.decode.Add(p.spares[0])
+			p.spares = p.spares[1:]
+			if !p.decode.Running {
+				p.decode.Launch(p.part, p.tp, p.surcharge)
+			}
+		}
 	}
 }
 
@@ -240,9 +248,9 @@ func runCoast(data []byte, coast bool, at []sim.Time, limit sim.Time) (res [2]co
 // when every boundary goes to the handler, which relaunches the same
 // iteration. Foreign events (a co-running kernel, a resize of the decode
 // partition, a Stats read, a bare tie, a kernel queued on the decode
-// partition) land at boundaries of a plain run, inside a launch gap, at
-// ready instants and at end instants, and the first RunUntil stops inside
-// an iteration.
+// partition, a request joining the batch) land at boundaries of a plain
+// run, inside a launch gap, at ready instants and at end instants, and
+// the first RunUntil stops inside an iteration.
 func FuzzDecodeCoast(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{0xff, 0x03, 0x10, 0x00, 0x07, 0x20, 0x05, 0x01, 0x30, 0x02, 0x11, 0xaa, 0x55, 0x0f})

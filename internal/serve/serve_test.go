@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"muxwise/internal/gpu"
@@ -91,7 +92,8 @@ func TestBatchStep(t *testing.T) {
 	rec.Arrive(2, 0, 10)
 	b.Add(a)
 	b.Add(c)
-	fin := b.Step(sim.Second, rec)
+	launched(&b)
+	fin := b.step(sim.Second, rec)
 	if len(fin) != 1 || fin[0] != a {
 		t.Fatalf("finished = %v, want request 1", fin)
 	}
@@ -103,19 +105,26 @@ func TestBatchStep(t *testing.T) {
 	}
 }
 
-// TotalCtx is a running sum: after every Add, FirstToken-then-Add and
-// Step of a random program it equals the brute-force sum of the
+// launched marks an iteration launched on the whole batch, as begin does,
+// so that the next step steps every member.
+func launched(d *DecodeStream) { d.size = len(d.reqs) }
+
+// TotalCtx is a running sum: after every Add, FirstToken-then-Add, launch
+// and step of a random program it equals the brute-force sum of the
 // members' CtxTokens, and the batch holds exactly the requests a
-// reference list says it should.
+// reference list says it should: the launched members that did not
+// finish, then the requests added since the launch, in order. A step
+// finishes exactly the launched members that are done and leaves every
+// late joiner's token count alone.
 func TestBatchTotalCtxMatchesSum(t *testing.T) {
 	for seed := range uint64(50) {
 		rng := rand.New(rand.NewPCG(seed, 0xba7c4))
 		rec := metrics.NewRecorder()
 		var b DecodeStream
 		var ref []*Running
-		id := 0
+		id, inFlight := 0, -1 // inFlight: ref[:inFlight] launched; -1 while idle
 		for op := range 200 {
-			switch rng.IntN(3) {
+			switch rng.IntN(4) {
 			case 0: // a migrated request joins with no token yet
 				rec.Arrive(id, 0, 1)
 				r := &Running{R: req(id, 1+rng.IntN(4000), 1+rng.IntN(8))}
@@ -128,18 +137,36 @@ func TestBatchTotalCtxMatchesSum(t *testing.T) {
 					b.Add(r)
 					ref = append(ref, r)
 				}
-			case 2:
-				fin := b.Step(sim.Time(op), rec)
+			case 2: // an iteration launches on the batch
+				if inFlight < 0 {
+					launched(&b)
+					inFlight = len(ref)
+				}
+			case 3: // its boundary
+				if inFlight < 0 {
+					break
+				}
+				late := make([]int, len(ref)-inFlight)
+				for i, r := range ref[inFlight:] {
+					late[i] = r.Generated
+				}
+				fin := b.step(sim.Time(op), rec)
+				var wantFin []*Running
 				keep := ref[:0]
-				for _, r := range ref {
-					if !r.DecodeDone() {
+				for i, r := range ref {
+					switch {
+					case i >= inFlight && r.Generated != late[i-inFlight]:
+						t.Fatalf("seed %d op %d: a late joiner took a token from the iteration it missed", seed, op)
+					case i < inFlight && r.DecodeDone():
+						wantFin = append(wantFin, r)
+					default:
 						keep = append(keep, r)
 					}
 				}
-				if len(fin)+len(keep) != len(ref) {
-					t.Fatalf("seed %d op %d: %d finished + %d kept != %d stepped", seed, op, len(fin), len(keep), len(ref))
+				if !slices.Equal(fin, wantFin) {
+					t.Fatalf("seed %d op %d: %d finished, want the %d launched members that are done", seed, op, len(fin), len(wantFin))
 				}
-				ref = keep
+				ref, inFlight = keep, -1
 			}
 			id++
 			want := 0
@@ -149,13 +176,8 @@ func TestBatchTotalCtxMatchesSum(t *testing.T) {
 			if got := b.TotalCtx(); got != want {
 				t.Fatalf("seed %d op %d: TotalCtx = %d, brute-force sum = %d", seed, op, got, want)
 			}
-			if len(b.reqs) != len(ref) {
-				t.Fatalf("seed %d op %d: batch holds %d requests, reference %d", seed, op, len(b.reqs), len(ref))
-			}
-			for i := range ref {
-				if b.reqs[i] != ref[i] {
-					t.Fatalf("seed %d op %d: batch member %d differs from the reference", seed, op, i)
-				}
+			if !slices.Equal(b.reqs, ref) {
+				t.Fatalf("seed %d op %d: batch holds %d requests, reference %d, or in another order", seed, op, len(b.reqs), len(ref))
 			}
 		}
 	}
@@ -181,7 +203,8 @@ func TestBatchStepAllocatesNothing(t *testing.T) {
 			FirstToken(rec, reqs[next], now)
 			b.Add(reqs[next])
 		}
-		b.Step(now, rec)
+		launched(&b)
+		b.step(now, rec)
 	}
 	for range 500 {
 		step()
@@ -194,7 +217,7 @@ func TestBatchStepAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchStep is one decode step through DecodeStream.Step, recorder
+// BenchmarkBatchStep is one decode step through DecodeStream.step, recorder
 // included, at batch 25 (the mean batch of a ShareGPT engine run) and
 // 256. Every finished request is replaced by a new arrival that emits
 // its first token and joins at the next step. ns/op is per step, ns/token
@@ -225,7 +248,8 @@ func BenchmarkBatchStep(b *testing.B) {
 						admit(&Running{R: &workload.Request{InputTokens: 100}}, now)
 					}
 				}
-				for _, r := range bt.Step(now, rec) {
+				launched(&bt)
+				for _, r := range bt.step(now, rec) {
 					admit(r, now)
 				}
 			}
@@ -388,29 +412,54 @@ func TestAdmitNext(t *testing.T) {
 	}
 }
 
-// TestDecodeStreamHoldsUntilBoundary checks that requests joining while
-// an iteration runs wait for the boundary, and join at once otherwise.
-func TestDecodeStreamHoldsUntilBoundary(t *testing.T) {
-	rec := metrics.NewRecorder()
+// TestDecodeStreamLateJoiner checks that a request added while an
+// iteration runs counts in Size and TotalCtx at once, takes no token from
+// that iteration and decodes from the next, after the kept members.
+func TestDecodeStreamLateJoiner(t *testing.T) {
+	s := sim.New()
+	env := &Env{Config: Config{Spec: gpu.A100(), GPUs: 1, Arch: model.Llama8B()}, Sim: s, Rec: metrics.NewRecorder()}
+	part := gpu.NewDevice(s, env.Spec, 1, "decode").Partition(env.Spec.SMs, "decode")
 	var d DecodeStream
+	var bounds []sim.Time
+	d.Bind(env, func(_ any, _ []*Running) {
+		bounds = append(bounds, s.Now())
+		if d.Size() > 0 {
+			d.Launch(part, 1, 0)
+		}
+	}, func(any) bool { return false }, nil)
 	a := &Running{R: req(1, 10, 3), Generated: 1}
 	b := &Running{R: req(2, 10, 3), Generated: 1}
-	rec.Arrive(1, 0, 10)
-	rec.Arrive(2, 0, 10)
-	d.Join(a)
-	if d.Size() != 1 || d.Held() != 0 {
-		t.Fatal("an idle stream takes a joining request at once")
+	env.Rec.Arrive(1, 0, 10)
+	env.Rec.Arrive(2, 0, 10)
+	env.Rec.Token(1, 0)
+	env.Rec.Token(2, 0)
+	d.Add(a)
+	d.Launch(part, 1, 0)
+	s.AtFunc(1, func(any) {
+		d.Add(b)
+		if !d.Running || d.Size() != 2 || d.TotalCtx() != 22 {
+			t.Errorf("mid-iteration: running %v, size %d, ctx %d; want a late joiner counted at once", d.Running, d.Size(), d.TotalCtx())
+		}
+	}, nil)
+	s.RunUntil(1)
+	if _, size, _ := d.InFlight(); size != 1 {
+		t.Fatalf("the iteration launched with %d members, want 1", size)
 	}
-	d.Running = true
-	d.Join(b)
-	if d.Size() != 1 || d.Held() != 1 {
-		t.Fatal("a running stream must park a joining request")
+	s.Run()
+	if len(bounds) != 3 {
+		t.Fatalf("%d boundaries, want 3 (a decodes twice, b from the second iteration)", len(bounds))
 	}
-	if fin := d.Step(sim.Second, rec); len(fin) != 0 || d.Running || a.Generated != 2 || b.Generated != 1 {
-		t.Fatal("Step must credit only the batch and end the iteration")
+	got := func(id int) metrics.Record {
+		for _, r := range env.Rec.Records() {
+			if r.ID == id {
+				return r
+			}
+		}
+		t.Fatalf("no record of request %d", id)
+		return metrics.Record{}
 	}
-	d.FoldHeld()
-	if d.Size() != 2 || d.Held() != 0 {
-		t.Fatalf("FoldHeld left batch %d, held %d", d.Size(), d.Held())
+	if ra, rb := got(1), got(2); ra.Finished != bounds[1] || rb.Finished != bounds[2] || rb.Tokens != 3 {
+		t.Fatalf("a finished at %v, b at %v with %d tokens; want %v and %v with 3 (boundaries %v)",
+			ra.Finished, rb.Finished, rb.Tokens, bounds[1], bounds[2], bounds)
 	}
 }

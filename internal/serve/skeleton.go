@@ -104,32 +104,36 @@ func FirstToken(rec *metrics.Recorder, r *Running, now sim.Time) bool {
 }
 
 // DecodeStream is an engine's decode batch plus the iteration running on
-// it. At most one iteration is in flight; requests that become ready
-// meanwhile wait in a hold list until the iteration boundary.
+// it. At most one iteration is in flight. Add is the only way into the
+// batch and is valid at any time: a request added while an iteration runs
+// counts in Size and TotalCtx at once, but the boundary steps only the
+// batch the iteration launched with, so the late joiner takes its first
+// decode token from the next iteration.
 //
 // The stream keeps a running sum of its requests' CtxTokens: Add adds the
-// joining request's context, and Step adds one per kept request and
+// joining request's context, and each step adds one per kept request and
 // subtracts each finished one's. A member's context changes only there,
 // which is why the request list is unexported.
 //
 // The batch records its tokens through one metrics.Stream, opened on the
-// recorder of its first Step: a request added since the last step joins
-// the stream at the next one, each step is one Stream.Step for the whole
-// batch, and a finished request leaves with Stream.Finish.
+// recorder of its first step: a request joins the stream at the first
+// step that steps it, each step is one Stream.Step for the stepped batch,
+// and a finished request leaves with Stream.Finish.
 //
 // The stream owns the iteration boundary. Bind registers the engine's
 // boundary handler and quiet predicate once, and every iteration the
 // stream launches completes in the stream's own callback, which steps
 // the batch. When no member finished and quiet(arg) holds, the stream
-// coasts: it relaunches the next iteration itself, on the same partition
-// with the same TP, surcharge and Transform, and the handler is not
-// called. Every other boundary calls handler(arg, finished) with the
-// already-stepped finished list. quiet promises that the handler would
-// do nothing but launch that same iteration: nothing pending, queued,
-// held or merging, and no resize due. The relaunch prices the kernel as
-// Launch does and submits it with gpu.Partition.Relaunch, which makes
-// the simulator calls a fresh launch makes, so results, event keys and
-// loop counters are the same whether a boundary coasts or not.
+// coasts: it relaunches the next iteration itself, late joiners included,
+// on the same partition with the same TP, surcharge and Transform, and
+// the handler is not called. Every other boundary calls
+// handler(arg, finished) with the already-stepped finished list. quiet
+// promises that the handler would do nothing but launch that same
+// iteration: nothing pending, queued or merging, and no resize due. The
+// relaunch prices the kernel as Launch does and submits it with
+// gpu.Partition.Relaunch, which makes the simulator calls a fresh launch
+// makes, so results, event keys and loop counters are the same whether a
+// boundary coasts or not.
 type DecodeStream struct {
 	// Running reports whether an iteration is on the device.
 	Running bool
@@ -143,9 +147,7 @@ type DecodeStream struct {
 	ctx    int // Σ CtxTokens over reqs
 	stream *metrics.Stream
 	joined int // reqs[:joined] have joined the stream
-
-	held []*Running
-	fin  []*Running
+	fin    []*Running
 
 	env     *Env
 	handler func(arg any, finished []*Running)
@@ -155,7 +157,8 @@ type DecodeStream struct {
 
 	// The iteration on the device, or the last one: where it runs, how
 	// Launch priced it (tp is 0 for a LaunchKernel iteration, which the
-	// stream cannot reprice), and when it launched with which batch.
+	// stream cannot reprice), and when it launched with which batch
+	// (reqs[:size], the members its boundary steps).
 	part      *gpu.Partition
 	tp        int
 	surcharge float64
@@ -243,7 +246,7 @@ func (d *DecodeStream) boundary() {
 	if tr := d.env.Trace; tr != nil && d.span != "" {
 		tr.End(now, d.env.Label+"/"+d.span, "decode-iter")
 	}
-	finished := d.Step(now, d.env.Rec)
+	finished := d.step(now, d.env.Rec)
 	if len(finished) == 0 && d.tp > 0 && len(d.reqs) > 0 && d.quiet(d.arg) {
 		d.begin()
 		d.part.Relaunch(d.price())
@@ -259,28 +262,29 @@ func (d *DecodeStream) Size() int { return len(d.reqs) }
 // sum, in O(1).
 func (d *DecodeStream) TotalCtx() int { return d.ctx }
 
-// Add appends a request to the batch.
+// Add appends a request to the batch, at any time (see DecodeStream).
 func (d *DecodeStream) Add(r *Running) {
 	d.reqs = append(d.reqs, r)
 	d.ctx += r.CtxTokens()
 }
 
-// Step ends the running iteration at now: every request in the batch
-// gains a token, and the finished ones leave the batch. It returns them
-// in a buffer the next Step reuses, so per-iteration stepping does not
-// allocate. rec must be the same recorder at every call.
-func (d *DecodeStream) Step(now sim.Time, rec *metrics.Recorder) []*Running {
+// step ends the running iteration at now: every request it launched with
+// gains a token, and the finished ones leave the batch; requests added
+// since keep their order after the kept ones. It returns the finished
+// requests in a buffer the next step reuses, so per-iteration stepping
+// does not allocate. rec must be the same recorder at every call.
+func (d *DecodeStream) step(now sim.Time, rec *metrics.Recorder) []*Running {
 	d.Running = false
 	if d.stream == nil {
 		d.stream = rec.NewStream()
 	}
-	for _, r := range d.reqs[d.joined:] {
+	for _, r := range d.reqs[d.joined:d.size] {
 		r.member = d.stream.Join(r.R.ID)
 	}
 	d.stream.Step(now)
 	finished := d.fin[:0]
 	n := 0 // kept requests, moved down in place; none moves until one finishes
-	for i, r := range d.reqs {
+	for i, r := range d.reqs[:d.size] {
 		r.Generated++
 		if r.DecodeDone() {
 			d.stream.Finish(r.member, now)
@@ -294,40 +298,10 @@ func (d *DecodeStream) Step(now sim.Time, rec *metrics.Recorder) []*Running {
 		n++
 	}
 	d.ctx += n
-	d.reqs = d.reqs[:n]
+	if n != d.size { // only a finished member leaves a gap to close
+		d.reqs = append(d.reqs[:n], d.reqs[d.size:]...)
+	}
 	d.joined = n
 	d.fin = finished
 	return finished
-}
-
-// Hold parks r until the running iteration ends.
-func (d *DecodeStream) Hold(r *Running) { d.held = append(d.held, r) }
-
-// Held returns the number of parked requests.
-func (d *DecodeStream) Held() int { return len(d.held) }
-
-// Join adds r to the batch now when the stream is idle, or parks it for
-// the next iteration boundary otherwise.
-func (d *DecodeStream) Join(r *Running) {
-	if d.Running {
-		d.Hold(r)
-		return
-	}
-	d.Add(r)
-}
-
-// TakeHeld empties the hold list and returns what it held, in order. The
-// slice is valid until the next Hold.
-func (d *DecodeStream) TakeHeld() []*Running {
-	held := d.held
-	d.held = d.held[:0]
-	return held
-}
-
-// FoldHeld moves every parked request into the batch.
-func (d *DecodeStream) FoldHeld() {
-	for _, r := range d.held {
-		d.Add(r)
-	}
-	d.held = d.held[:0]
 }

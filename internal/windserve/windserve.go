@@ -24,11 +24,13 @@ type Engine struct {
 	prefillS *gpu.Partition // "stream", full SMs
 	pool     *kvcache.Pool
 
-	// decode's hold list parks prefilled requests whose first token
-	// waits for the iteration boundary.
 	decode  serve.DecodeStream
 	queue   serve.Queue[*serve.Running]
 	pending serve.Queue[*workload.Request]
+
+	// merging holds prefilled requests whose first token waits for the
+	// decode iteration boundary.
+	merging []*serve.Running
 
 	// pInFlight is the prefill on the device, nil when the prefill
 	// stream is idle.
@@ -58,7 +60,7 @@ func (e *Engine) Submit(r *workload.Request) {
 
 func (e *Engine) admit() {
 	for {
-		run := e.env.AdmitNext(&e.pending, e.decode.Size()+e.queue.Len()+e.decode.Held(), e.pool, true)
+		run := e.env.AdmitNext(&e.pending, e.decode.Size()+e.queue.Len()+len(e.merging), e.pool, true)
 		if run == nil {
 			return
 		}
@@ -83,7 +85,7 @@ func decodeDone(arg any, finished []*serve.Running) { arg.(*Engine).onDecodeDone
 // prefill stream is busy or has nothing to start.
 func decodeQuiet(arg any) bool {
 	e := arg.(*Engine)
-	return e.decode.Held() == 0 && e.pending.Len() == 0 && (e.pInFlight != nil || e.queue.Len() == 0)
+	return len(e.merging) == 0 && e.pending.Len() == 0 && (e.pInFlight != nil || e.queue.Len() == 0)
 }
 
 func prefillDone(arg any) {
@@ -91,7 +93,7 @@ func prefillDone(arg any) {
 	run := e.pInFlight
 	e.pInFlight = nil
 	if e.decode.Running {
-		e.decode.Hold(run)
+		e.merging = append(e.merging, run)
 	} else {
 		e.mergeOne(run)
 	}
@@ -102,9 +104,10 @@ func (e *Engine) onDecodeDone(finished []*serve.Running) {
 	for _, r := range finished {
 		r.Complete(e.pool)
 	}
-	for _, r := range e.decode.TakeHeld() {
+	for _, r := range e.merging {
 		e.mergeOne(r)
 	}
+	e.merging = e.merging[:0]
 	e.admit()
 	e.schedule()
 }
