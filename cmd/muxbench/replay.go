@@ -93,6 +93,7 @@ func runReplay(w io.Writer, replicas, requests int, rate float64) error {
 		agg.Fired += r.loop.Fired
 		agg.Scheduled += r.loop.Scheduled
 		agg.Canceled += r.loop.Canceled
+		agg.Folded += r.loop.Folded
 		if r.loop.MaxPending > agg.MaxPending {
 			agg.MaxPending = r.loop.MaxPending
 		}
@@ -111,6 +112,7 @@ func runReplay(w io.Writer, replicas, requests int, rate float64) error {
 	fmt.Fprintf(w, "| events fired | %d |\n", agg.Fired)
 	fmt.Fprintf(w, "| events scheduled | %d |\n", agg.Scheduled)
 	fmt.Fprintf(w, "| events canceled | %d |\n", agg.Canceled)
+	fmt.Fprintf(w, "| iterations folded | %d |\n", agg.Folded)
 	fmt.Fprintf(w, "| max pending (any replica) | %d |\n", agg.MaxPending)
 	fmt.Fprintf(w, "| unstable replicas | %d |\n", unstable)
 	fmt.Fprintln(w)

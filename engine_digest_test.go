@@ -12,6 +12,7 @@ import (
 
 	"muxwise/internal/gpu"
 	"muxwise/internal/serve"
+	"muxwise/internal/sim"
 )
 
 // engineRunDigest is the sha256 of everything TestEngineRunDigest's runs
@@ -76,20 +77,36 @@ func (w digestWriter) devices(d gpu.Stats) {
 }
 
 // report hashes a run's report: its engine or every fleet replica, the
-// miss causes and the event loop's counters.
+// miss causes and the event loop's counters in their evented form.
 func (w digestWriter) report(rep *Report) {
 	w.json(rep.Summary)
 	w.json(rep.MissCauses)
 	switch {
 	case rep.Engine != nil:
 		w.result(rep.Engine)
-		w.json(rep.Engine.Loop)
 	case rep.Fleet != nil:
 		for i := range rep.Fleet.Replicas {
 			w.result(&rep.Fleet.Replicas[i].Result)
 		}
-		w.json(rep.Fleet.Loop)
 	}
+	w.json(evented(loopOf(rep)))
+}
+
+// loopOf returns the event loop's counters of a run.
+func loopOf(rep *Report) sim.LoopStats {
+	if rep.Fleet != nil {
+		return rep.Fleet.Loop
+	}
+	return rep.Engine.Loop
+}
+
+// evented returns ls as the run would have counted it with every folded
+// event dispatched: each fold is one more scheduled and fired event.
+func evented(ls sim.LoopStats) sim.LoopStats {
+	ls.Fired += ls.Folded
+	ls.Scheduled += ls.Folded
+	ls.Folded = 0
+	return ls
 }
 
 // TestEngineRunDigest pins, by one sha256, every request's record
@@ -101,8 +118,9 @@ func (w digestWriter) report(rep *Report) {
 // a LoongServe run on OpenThoughts whose decode group grows past one TP
 // slice, so that its coasted iterations carry a weight-replica surcharge.
 // Changes to how the simulator reaches its results, rather than to the
-// results, must leave it alone. With -v it logs each run's own digest,
-// so two trees' logs name the runs that moved.
+// results, must leave it alone; folded events count as the scheduled and
+// fired events they stand for. With -v it logs each run's own digest and
+// folded event count, so two trees' logs name the runs that moved.
 func TestEngineRunDigest(t *testing.T) {
 	type run struct {
 		label string
@@ -173,7 +191,7 @@ func TestEngineRunDigest(t *testing.T) {
 		one := sha256.New()
 		digestWriter{t, one}.report(rep)
 		sum := one.Sum(nil)
-		t.Logf("%s %s", r.label, hex.EncodeToString(sum))
+		t.Logf("%s %s folded=%d", r.label, hex.EncodeToString(sum), loopOf(rep).Folded)
 		all.Write(sum)
 	}
 	if got := hex.EncodeToString(all.Sum(nil)); got != engineRunDigest {

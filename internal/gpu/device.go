@@ -108,7 +108,14 @@ func NewKernel(label string, kind Kind, c model.Cost, launch sim.Time) Kernel {
 // A decode stream coasting into its next iteration relaunches its kernel
 // from the kernel's own completion callback with Partition.Relaunch,
 // which keeps the run and submits it exactly as LaunchFn would, so event
-// keys, tie order and LoopStats are the same either way.
+// keys and tie order are the same either way. When that callback is the
+// last of its event and the kernel will run alone on the device, with
+// nothing queued, Relaunch folds it instead if it retires before any
+// other event (sim.Fold): the device books its launch, start, progress
+// and retirement with the same floats an evented start and completion
+// would, and the clock moves to the retirement with no event. Results
+// and later event keys are the same; LoopStats counts the fold as
+// Folded, not as one more Scheduled and Fired event.
 type Device struct {
 	Spec Spec
 	TP   int
@@ -123,6 +130,7 @@ type Device struct {
 	next       sim.Handle
 	lastAt     sim.Time
 	saturated  bool // the last waterfill ran out of bandwidth
+	lastDone   bool // the retiring run's callback is the last of its event
 
 	// Pool and scratch buffers: reallocate runs on every kernel start and
 	// every timer firing that starts none, so its working set is reused
@@ -272,8 +280,11 @@ func (p *Partition) LaunchFn(k Kernel, done func(any), arg any) {
 // Relaunch submits again, on p, the kernel whose completion callback is
 // running, with cost c and MFU override mfu, and otherwise the same
 // label, kind, launch latency and completion pair. It reuses the kernel's
-// run in place instead of recycling it, and submits it as LaunchFn does.
-func (p *Partition) Relaunch(c model.Cost, mfu float64) {
+// run in place instead of recycling it, and submits it as LaunchFn does,
+// or folds it (see Device). It reports whether it folded: then the
+// kernel has retired at the new Now and the caller is in its completion
+// callback again, free to Relaunch once more.
+func (p *Partition) Relaunch(c model.Cost, mfu float64) bool {
 	d := p.dev
 	r := d.retiring
 	if r == nil || r.part != p {
@@ -282,7 +293,32 @@ func (p *Partition) Relaunch(c model.Cost, mfu float64) {
 	d.retiring = nil
 	k := &r.k
 	k.FLOPs, k.Bytes, k.CommBytes, k.Tokens, k.MFU = c.FLOPs, c.Bytes, c.CommBytes, c.Tokens, mfu
-	p.enqueue(r)
+	if !d.lastDone || d.pend != nil || len(d.running) > 0 || !p.Idle() || p.sms == 0 {
+		p.enqueue(r)
+		return false
+	}
+	// The start would be deferred: price it once, for the fold or for
+	// deferStart. Most relaunches that cannot fold retire at or past the
+	// horizon, which rules a fold out at once.
+	ready := d.hostLaunch(k.Launch)
+	r.load(&d.Spec, d.TP, p.sms)
+	r.setLoneRates(&d.Spec, d.TP)
+	t := r.retireAt(ready)
+	if t >= d.sim.Horizon() || !r.drains((t - ready).Seconds()) || !d.sim.Fold(ready, t) {
+		r.ticket = d.sim.Reserve(ready)
+		p.push(r)
+		d.deferStart(r, t)
+		return false
+	}
+	// The evented start at ready, as settle commits it, and the
+	// completion at t, as onProgress retires a lone kernel.
+	d.lastAt = ready
+	d.count(ready)
+	d.running = append(d.running, r)
+	d.progress()
+	d.running = d.running[:0]
+	d.retiring = r
+	return true
 }
 
 // enqueue submits r, a run of p with its kernel set. It reserves r's
@@ -292,42 +328,51 @@ func (p *Partition) Relaunch(c model.Cost, mfu float64) {
 // no SMs, so that starting work there still panics at the ready instant.
 func (p *Partition) enqueue(r *run) {
 	d := p.dev
-	now := d.sim.Now()
-	if d.hostFreeAt < now {
-		d.hostFreeAt = now
-	}
-	launch := r.k.Launch
-	d.hostFreeAt += launch
-	if launch != d.lastLaunch {
-		d.lastLaunch, d.lastLaunchSec = launch, launch.Seconds()
-	}
-	d.launchInt += d.lastLaunchSec
-
-	r.ticket = d.sim.Reserve(d.hostFreeAt)
-	if p.qhead > 0 && p.qhead == len(p.queue) {
-		p.queue = p.queue[:0]
-		p.qhead = 0
-	}
-	p.queue = append(p.queue, r)
+	r.ticket = d.sim.Reserve(d.hostLaunch(r.k.Launch))
+	p.push(r)
 	if p.current == nil && len(p.queue)-p.qhead == 1 {
 		if d.pend == nil && len(d.running) == 0 && p.sms > 0 {
-			d.deferStart(r)
+			r.load(&d.Spec, d.TP, p.sms)
+			r.setLoneRates(&d.Spec, d.TP)
+			d.deferStart(r, r.retireAt(r.ticket.At()))
 		} else {
 			d.sim.AtTicket(r.ticket, runReady, r)
 		}
 	}
 }
 
+// hostLaunch books a launch of the given latency on the device's launcher
+// thread and returns when it completes.
+func (d *Device) hostLaunch(launch sim.Time) sim.Time {
+	if now := d.sim.Now(); d.hostFreeAt < now {
+		d.hostFreeAt = now
+	}
+	d.hostFreeAt += launch
+	if launch != d.lastLaunch {
+		d.lastLaunch, d.lastLaunchSec = launch, launch.Seconds()
+	}
+	d.launchInt += d.lastLaunchSec
+	return d.hostFreeAt
+}
+
+// push appends r to p's queue.
+func (p *Partition) push(r *run) {
+	if p.qhead > 0 && p.qhead == len(p.queue) {
+		p.queue = p.queue[:0]
+		p.qhead = 0
+	}
+	p.queue = append(p.queue, r)
+}
+
 // deferStart starts r, the head of an idle partition on an idle device,
-// at its ready instant: it sets r's rates and keys the completion timer
-// from that instant, as startRun would there. r stays at its queue's head
-// until settle commits it.
-func (d *Device) deferStart(r *run) {
+// at its ready instant, where it retires at t: r's work is loaded and its
+// lone rates set, as startRun would set them there, and the completion
+// timer is keyed at t. r stays at its queue's head until settle commits
+// it.
+func (d *Device) deferStart(r *run, t sim.Time) {
 	d.pend = r
-	r.load(&d.Spec, d.TP, r.part.sms)
 	d.running = append(d.running, r)
-	d.setRates()
-	if t := d.soonest(r.ticket.At()); t < sim.MaxTime {
+	if t < sim.MaxTime {
 		d.next = d.sim.AtFuncOnPass(r.ticket, t, deviceProgress, d)
 	}
 }
@@ -499,6 +544,13 @@ func (d *Device) advanceN(dt float64) (smSum, flopsUsed, moved float64) {
 		flopsUsed += r.crate
 	}
 	return smSum, flopsUsed, moved
+}
+
+// drains reports whether advancing r by dt seconds leaves it finished,
+// computing the remainders as advance would.
+func (r *run) drains(dt float64) bool {
+	return max(0, r.remC-r.crate*dt) <= workEps && r.remB-min(r.remB, r.brate*dt) <= workEps &&
+		max(0, r.remComm-r.commRate*dt) <= workEps
 }
 
 // advance drains dt seconds of r's work at its current rates and returns
@@ -694,7 +746,7 @@ func (d *Device) onProgress() {
 		d.reallocate()
 	}
 	for i, r := range finished {
-		d.retiring = r
+		d.retiring, d.lastDone = r, i == len(finished)-1
 		if r.done != nil {
 			r.done(r.arg)
 		}
@@ -703,7 +755,7 @@ func (d *Device) onProgress() {
 		if d.retiring == r {
 			d.releaseRun(r) // not relaunched
 		}
-		d.retiring = nil
+		d.retiring, d.lastDone = nil, false
 	}
 	d.finished = finished[:0]
 }

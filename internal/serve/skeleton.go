@@ -132,8 +132,12 @@ func FirstToken(rec *metrics.Recorder, r *Running, now sim.Time) bool {
 // iteration: nothing pending, queued or merging, and no resize due. The
 // relaunch prices the kernel as Launch does and submits it with
 // gpu.Partition.Relaunch, which makes the simulator calls a fresh launch
-// makes, so results, event keys and loop counters are the same whether a
-// boundary coasts or not.
+// makes, so results and event keys are the same whether a boundary coasts
+// or not. When the kernel runs alone on its device and retires before any
+// other event, Relaunch folds it (see gpu.Device): the iteration runs and
+// retires inline, and the stream loops to its boundary with no event.
+// sim.LoopStats counts each folded iteration in Folded instead of in
+// Scheduled and Fired; everything else is the same.
 type DecodeStream struct {
 	// Running reports whether an iteration is on the device.
 	Running bool
@@ -239,20 +243,30 @@ func (d *DecodeStream) price() (cost model.Cost, mfu float64) {
 // streamDone is the bound completion callback of every iteration.
 func streamDone(arg any) { arg.(*DecodeStream).boundary() }
 
+// noCoast sends every boundary to the handler, for tests that check
+// coasting and folding against the handler's own relaunches.
+var noCoast bool
+
 // boundary ends the iteration on the device: it steps the batch, then
 // coasts into the next iteration or hands the boundary to the engine.
+// While the relaunch folds, the next iteration has already retired, and
+// its boundary follows at once.
 func (d *DecodeStream) boundary() {
-	now := d.env.Sim.Now()
-	if tr := d.env.Trace; tr != nil && d.span != "" {
-		tr.End(now, d.env.Label+"/"+d.span, "decode-iter")
-	}
-	finished := d.step(now, d.env.Rec)
-	if len(finished) == 0 && d.tp > 0 && len(d.reqs) > 0 && d.quiet(d.arg) {
+	for {
+		now := d.env.Sim.Now()
+		if tr := d.env.Trace; tr != nil && d.span != "" {
+			tr.End(now, d.env.Label+"/"+d.span, "decode-iter")
+		}
+		finished := d.step(now, d.env.Rec)
+		if len(finished) > 0 || d.tp == 0 || len(d.reqs) == 0 || noCoast || !d.quiet(d.arg) {
+			d.handler(d.arg, finished)
+			return
+		}
 		d.begin()
-		d.part.Relaunch(d.price())
-		return
+		if !d.part.Relaunch(d.price()) {
+			return
+		}
 	}
-	d.handler(d.arg, finished)
 }
 
 // Size returns the batch size.

@@ -41,6 +41,16 @@
 // call made inside the ticket's event would have taken. Until then it
 // sorts after every event at its time.
 //
+// An event that would be the very next one dispatched need not be pushed
+// either. Fold stands in for a Reserve at a ready instant plus an
+// AtFuncOnPass at t behind it, made as the last act of an event, when
+// nothing else is keyed at or before t and t is within the RunUntil
+// limit: it takes the two sequence numbers those calls would have drawn
+// and moves the clock to t as the dispatch would, and the caller runs the
+// event's work inline. Later event keys, and every tie between them, are
+// those of the evented schedule. LoopStats counts the fold apart, so
+// Scheduled == Fired + Canceled + Pending still holds.
+//
 // Reschedule re-keys a pending event in place, dispatching and counting
 // exactly as a Cancel followed by a fresh schedule would.
 package sim
@@ -168,9 +178,11 @@ type Sim struct {
 	draws      []draw   // AtFuncOnPass events awaiting their ticket, in ticket order
 	reserved   int      // stream entries with reserved seqs, not yet in the heap
 	stopped    bool
+	limit      Time // the running RunUntil's limit; 0 outside RunUntil, which leaves no room to fold
 	scheduled  int64
 	fired      int64
 	canceled   int64
+	folded     int64
 	maxPending int
 }
 
@@ -182,8 +194,11 @@ type Sim struct {
 // that is never pushed is not counted at all. An AtFuncOnPass event counts
 // as scheduled from the call, like AtFunc, whether or not its ticket has
 // passed, and as canceled if it is cancelled before the pass. Reschedule
-// counts as one cancel plus one schedule. Scheduled == Fired + Canceled +
-// Pending holds at every instant.
+// counts as one cancel plus one schedule. A Fold counts in Folded alone:
+// the evented schedule it stands for would have counted it once in
+// Scheduled and once in Fired, and MaxPending already counts it as that
+// schedule's push would have. Scheduled == Fired + Canceled + Pending
+// holds at every instant.
 type LoopStats struct {
 	// Fired counts events dispatched.
 	Fired int64 `json:"fired"`
@@ -193,11 +208,13 @@ type LoopStats struct {
 	Canceled int64 `json:"canceled"`
 	// MaxPending is the high-water mark of Pending.
 	MaxPending int `json:"max_pending"`
+	// Folded counts events run inline by Fold instead of dispatched.
+	Folded int64 `json:"folded,omitempty"`
 }
 
 // Stats returns the loop's counters so far.
 func (s *Sim) Stats() LoopStats {
-	return LoopStats{Fired: s.fired, Scheduled: s.scheduled, Canceled: s.canceled, MaxPending: s.maxPending}
+	return LoopStats{Fired: s.fired, Scheduled: s.scheduled, Canceled: s.canceled, MaxPending: s.maxPending, Folded: s.folded}
 }
 
 // New returns a fresh simulator positioned at time zero.
@@ -453,6 +470,53 @@ func (s *Sim) dropDraw(e *Event) {
 	}
 }
 
+// Horizon returns the earliest instant a Fold cannot reach: the key time
+// of the heap's earliest event, capped just past the RunUntil limit (1
+// outside RunUntil), or 0 once Stop has been called. A fold needs
+// t < Horizon().
+func (s *Sim) Horizon() Time {
+	if s.stopped {
+		return 0
+	}
+	h := MaxTime
+	if len(s.events) > 0 {
+		h = s.events[0].at
+	}
+	if s.limit < h {
+		h = s.limit + 1
+	}
+	return h
+}
+
+// Fold stands in for Reserve(ready) followed by AtFuncOnPass(ticket, t,
+// …), called as the last act of the event being dispatched, when the
+// deferred event would be the next one dispatched. It reports false,
+// having changed nothing, unless now ≤ ready < t < Horizon(). Otherwise
+// it draws the ticket's sequence number, then the deferred event's where
+// the loop would pass the ticket, in ticket order with every other
+// waiting AtFuncOnPass event whose ticket is keyed by t; raises
+// MaxPending as that event's push would have; moves Now to t with t's key
+// passed, as its dispatch would; and counts one Folded. The caller then
+// does the event's work itself.
+func (s *Sim) Fold(ready, t Time) bool {
+	if ready < s.now || t <= ready || t >= s.Horizon() {
+		return false
+	}
+	tk := s.seq
+	s.seq++
+	if p := s.Pending() + 1; p > s.maxPending {
+		s.maxPending = p
+	}
+	s.drawTo(ready, tk)
+	seq := s.seq
+	s.seq++
+	s.drawTo(t, undrawn)
+	s.now = t
+	s.cut = seq + 1
+	s.folded++
+	return true
+}
+
 // Passed reports whether tk's key is at or before the key of the event
 // being dispatched — whether an event pushed at tk would already have
 // fired. Between RunUntil calls, every ticket keyed at or before Now that
@@ -525,6 +589,7 @@ func (s *Sim) Run() { s.RunUntil(MaxTime) }
 // beyond it), and the simulator can be resumed by calling RunUntil again.
 func (s *Sim) RunUntil(limit Time) {
 	s.stopped = false
+	s.limit = limit
 	for len(s.events) > 0 && !s.stopped {
 		next := s.events[0]
 		if next.at > limit {
@@ -534,6 +599,7 @@ func (s *Sim) RunUntil(limit Time) {
 				s.drawTo(limit, undrawn)
 				s.cut = s.seq
 			}
+			s.limit = 0
 			return
 		}
 		if len(s.draws) > 0 && s.draws[0].tk.before(next.at, next.seq) {
@@ -551,6 +617,7 @@ func (s *Sim) RunUntil(limit Time) {
 		s.release(next)
 		fn(arg)
 	}
+	s.limit = 0
 	if len(s.events) == 0 {
 		if s.now < limit && limit < MaxTime {
 			s.now = limit

@@ -31,8 +31,12 @@ type ticketStep struct {
 // finds it unsettled commits it, if its ticket has passed, or puts it back
 // behind its ticket. Beside the lanes run plain events, cancels, Stop and
 // timers that move, either in place with Reschedule or with Cancel plus
-// AtFunc. What a work dispatch does is drawn from a generator seeded by
-// its label, so runs whose work dispatches agree make identical
+// AtFunc. Late in a program, plain events and chained jobs' dones end by
+// submitting one more chained job, as a decode stream's completion
+// relaunches its kernel; the folded form is the deferred one, except that
+// a chained job that would be deferred, and whose done would be the next
+// event dispatched, runs at once with Fold. What a work dispatch does is drawn from a generator seeded
+// by its label, so runs whose work dispatches agree make identical
 // decisions.
 type ticketProgram struct {
 	t       *testing.T
@@ -49,6 +53,7 @@ type ticketProgram struct {
 	log     []ticketStep
 	pend    int    // the job whose start is deferred, or −1
 	pendH   Handle // its done event
+	chained int    // the chained job in flight, or −1
 
 	fire, ready, done func(any)
 }
@@ -60,6 +65,7 @@ const (
 	eager    ticketMode = iota // AtFunc + flag
 	lazy                       // Reserve, AtTicket when heading an idle lane
 	deferred                   // lazy, with AtFuncOnPass starts on an idle program
+	folded                     // deferred, with Fold for a deferred start that ends its event
 )
 
 type ticketLane struct {
@@ -76,19 +82,32 @@ type ticketJob struct {
 	flag        bool
 }
 
-const maxJobs = 64
+const (
+	maxJobs   = 64 // plain jobs, one bit each in ticketStep.ready
+	chainJobs = 48 // chained jobs after them, which ready leaves out
+)
 
 func runTicketProgram(t *testing.T, seed uint64, mode ticketMode, inPlace bool) []ticketStep {
-	p := &ticketProgram{t: t, seed: seed, mode: mode, inPlace: inPlace, s: New(), pend: -1}
+	p := &ticketProgram{t: t, seed: seed, mode: mode, inPlace: inPlace, s: New(), pend: -1, chained: -1}
 	for i := range p.lanes {
 		p.lanes[i].running = -1
 	}
-	p.fire = func(arg any) { p.dispatch(arg.(int)) }
+	p.fire = func(arg any) {
+		p.dispatch(arg.(int))
+		p.chain(arg.(int))
+	}
 	p.ready = func(arg any) { p.onReady(arg.(int)) }
-	p.done = func(arg any) { p.onDone(arg.(int)) }
+	p.done = func(arg any) {
+		j := arg.(int)
+		p.onDone(j)
+		if j == p.chained {
+			p.chained = -1
+			p.chain(p.jobs[j].stop)
+		}
+	}
 	setup := rand.New(rand.NewPCG(seed, 1<<41))
 	for range 1 + setup.IntN(4) {
-		p.submit(setup)
+		p.submit(setup, false)
 	}
 	p.schedule(setup)
 	p.timer(setup)
@@ -123,7 +142,7 @@ func (p *ticketProgram) isReady(j int) bool {
 func (p *ticketProgram) observe(label int) {
 	var ready uint64
 	for j := range p.jobs {
-		if p.isReady(j) {
+		if j < maxJobs && p.isReady(j) {
 			ready |= 1 << j
 		}
 	}
@@ -134,23 +153,38 @@ func (p *ticketProgram) observe(label int) {
 	p.log = append(p.log, ticketStep{p.s.Now(), label, ready, p.s.Pending(), st})
 }
 
-// submit queues a job on a random lane, ready after a small delay.
-func (p *ticketProgram) submit(r *rand.Rand) {
-	if len(p.jobs) == maxJobs {
+// submit queues a job on a random lane, ready after a small delay. last
+// submits a chained job, as the last act of the event being dispatched.
+func (p *ticketProgram) submit(r *rand.Rand, last bool) {
+	if len(p.jobs) == maxJobs+chainJobs || !last && len(p.jobs) >= maxJobs {
 		return
 	}
 	j := len(p.jobs)
 	l := r.IntN(len(p.lanes))
 	at := p.s.Now() + offset(r)
-	job := ticketJob{lane: l, start: p.next(), stop: p.next(), dur: 10 + offset(r), quiet: r.IntN(2) == 0}
+	job := ticketJob{lane: l, start: p.next(), stop: p.next(), dur: 10 + offset(r), quiet: last || r.IntN(2) == 0}
+	if last {
+		p.chained = j
+	}
 	lane := &p.lanes[l]
 	lane.queue = append(lane.queue, j)
 	if p.mode != eager {
+		defers := p.mode >= deferred && job.quiet && p.pend < 0 && p.idle() && lane.running < 0 && len(lane.queue) == 1
+		if defers && p.mode == folded && last && p.s.Fold(at, at+job.dur) {
+			// The job's ready and done have passed: run the done event
+			// as settle commits the start there.
+			job.ticket = Ticket{at: at}
+			p.jobs = append(p.jobs, job)
+			lane.queue = lane.queue[1:]
+			lane.running = j
+			p.done(j)
+			return
+		}
 		job.ticket = p.s.Reserve(at)
 		p.jobs = append(p.jobs, job)
 		switch {
 		case lane.running >= 0 || len(lane.queue) > 1:
-		case p.mode == deferred && job.quiet && p.pend < 0 && p.idle():
+		case defers:
 			p.pend = j
 			p.pendH = p.s.AtFuncOnPass(job.ticket, at+job.dur, p.done, j)
 		default:
@@ -272,7 +306,7 @@ func (p *ticketProgram) dispatch(label int) {
 	r := rand.New(rand.NewPCG(p.seed, uint64(label)))
 	if p.labels < maxLabels {
 		for range r.IntN(3) {
-			p.submit(r)
+			p.submit(r, false)
 		}
 		if r.IntN(2) == 0 {
 			p.schedule(r)
@@ -294,6 +328,27 @@ func (p *ticketProgram) dispatch(label int) {
 		p.settle()
 	}
 	p.observe(label)
+}
+
+// chain ends a plain event or a chained job's done. Once every plain job
+// is submitted, and while no chained job is in flight, it submits, seven
+// times in eight, one more quiet job as the event's last act, the way a
+// decode kernel's completion relaunches it.
+func (p *ticketProgram) chain(label int) {
+	r := rand.New(rand.NewPCG(^p.seed, uint64(label)))
+	if p.chained < 0 && len(p.jobs) >= maxJobs && r.IntN(8) > 0 {
+		p.submit(r, true)
+	}
+}
+
+// evented returns log with each step's counters in their evented form: a
+// fold counts as the scheduled and fired event it stands for.
+func evented(log []ticketStep) []ticketStep {
+	out := slices.Clone(log)
+	for i := range out {
+		out[i].stats = out[i].stats.evented()
+	}
+	return out
 }
 
 // ticketWork keeps what the eager and lazy forms must agree on: which
@@ -319,10 +374,11 @@ func diffSteps(t *testing.T, seed uint64, what string, got, want []ticketStep) {
 }
 
 // checkTicketPrograms runs seed's program in every form and fails unless
-// the lazy and deferred forms do the eager form's work. It returns the
-// program's job count and the events the lazy and deferred forms fire
-// fewer than the eager one.
-func checkTicketPrograms(t *testing.T, seed uint64) (jobs, lazySaved, deferSaved int) {
+// the lazy and deferred forms do the eager form's work and the folded form
+// steps exactly as the deferred one, counters in their evented form. It
+// returns the program's job count, the events the lazy and deferred forms
+// fire fewer than the eager one, and the folded form's folds.
+func checkTicketPrograms(t *testing.T, seed uint64) (jobs, lazySaved, deferSaved, folds int) {
 	ref := runTicketProgram(t, seed, eager, false)
 	diffSteps(t, seed, "eager Reschedule", runTicketProgram(t, seed, eager, true), ref)
 	lz := runTicketProgram(t, seed, lazy, false)
@@ -330,9 +386,11 @@ func checkTicketPrograms(t *testing.T, seed uint64) (jobs, lazySaved, deferSaved
 	diffSteps(t, seed, "lazy Reschedule", runTicketProgram(t, seed, lazy, true), lz)
 	df := runTicketProgram(t, seed, deferred, false)
 	diffSteps(t, seed, "deferred starts", ticketWork(df), ticketWork(ref))
+	fd := runTicketProgram(t, seed, folded, false)
+	diffSteps(t, seed, "folds", evented(fd), df)
 	last := len(ref) - 1
 	return bitsSet(ref[last].ready), int(ref[last].stats.Fired - lz[last].stats.Fired),
-		int(lz[len(lz)-1].stats.Fired - df[len(df)-1].stats.Fired)
+		int(lz[len(lz)-1].stats.Fired - df[len(df)-1].stats.Fired), int(fd[len(fd)-1].stats.Folded)
 }
 
 // ticketSeeds is how many seeded programs the property test runs.
@@ -342,21 +400,27 @@ const ticketSeeds = 500
 // eager AtFunc readies, and Passed equals the eager flag at every work
 // dispatch and after every RunUntil return. Deferred starts do that work
 // too: each done drawn on its ticket's pass dispatches where the eager
-// done, scheduled inside the ready event, does, ties included. Reschedule
-// dispatches, counts and invalidates handles exactly as Cancel followed by
-// AtFunc. Scheduled == Fired + Canceled + Pending holds at every step of
-// every form.
+// done, scheduled inside the ready event, does, ties included. A fold
+// steps exactly as the deferred start it stands for: same work, same
+// times, same Pending and the same sequence numbers after it, with the
+// fold counted as one scheduled and fired event. Reschedule dispatches,
+// counts and invalidates handles exactly as Cancel followed by AtFunc.
+// Scheduled == Fired + Canceled + Pending holds at every step of every
+// form.
 func TestPropertyTicketsMatchAtFunc(t *testing.T) {
-	jobs, lazySaved, deferSaved := 0, 0, 0
+	jobs, lazySaved, deferSaved, folds := 0, 0, 0, 0
 	for seed := range uint64(ticketSeeds) {
-		j, l, d := checkTicketPrograms(t, seed)
-		jobs, lazySaved, deferSaved = jobs+j, lazySaved+l, deferSaved+d
+		j, l, d, f := checkTicketPrograms(t, seed)
+		jobs, lazySaved, deferSaved, folds = jobs+j, lazySaved+l, deferSaved+d, folds+f
 	}
 	// Most readies find their lane busy; the lazy form must skip them. Of
-	// the rest, the deferred form must skip some.
-	if jobs < 10000 || lazySaved < jobs/4 || deferSaved < jobs/200 {
-		t.Fatalf("%d jobs, %d ready events saved lazily, %d more by deferred starts: programs too small", jobs, lazySaved, deferSaved)
+	// the rest, the deferred form must skip some, and the folded form must
+	// fold some of those.
+	if jobs < 10000 || lazySaved < jobs/4 || deferSaved < jobs/200 || folds < jobs/400 {
+		t.Fatalf("%d jobs, %d ready events saved lazily, %d more by deferred starts, %d folds: programs too small",
+			jobs, lazySaved, deferSaved, folds)
 	}
+	t.Logf("%d jobs, %d ready events saved lazily, %d more by deferred starts, %d folds", jobs, lazySaved, deferSaved, folds)
 }
 
 // FuzzTicketPrograms runs the property test's check on arbitrary seeds.
