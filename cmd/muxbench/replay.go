@@ -43,6 +43,7 @@ func newReplayArena(perReplica int) *replayArena {
 // replicaResult is the per-replica slice of the aggregate report.
 type replicaResult struct {
 	loop     sim.LoopStats
+	passes   int64 // occupancy passes
 	requests int
 	unstable bool
 	err      error
@@ -61,6 +62,7 @@ func (a *replayArena) runReplica(seed uint64, rate float64) replicaResult {
 	}
 	return replicaResult{
 		loop:     rep.Engine.Loop,
+		passes:   rep.Engine.RatePasses,
 		requests: rep.Summary.Requests,
 		unstable: rep.Summary.Unstable,
 	}
@@ -86,6 +88,7 @@ func runReplay(w io.Writer, replicas, requests int, rate float64) error {
 
 	var agg sim.LoopStats
 	var reqs, unstable int
+	var passes int64
 	for _, r := range results {
 		if r.err != nil {
 			return r.err
@@ -94,6 +97,7 @@ func runReplay(w io.Writer, replicas, requests int, rate float64) error {
 		agg.Scheduled += r.loop.Scheduled
 		agg.Canceled += r.loop.Canceled
 		agg.Folded += r.loop.Folded
+		passes += r.passes
 		if r.loop.MaxPending > agg.MaxPending {
 			agg.MaxPending = r.loop.MaxPending
 		}
@@ -113,6 +117,7 @@ func runReplay(w io.Writer, replicas, requests int, rate float64) error {
 	fmt.Fprintf(w, "| events scheduled | %d |\n", agg.Scheduled)
 	fmt.Fprintf(w, "| events canceled | %d |\n", agg.Canceled)
 	fmt.Fprintf(w, "| iterations folded | %d |\n", agg.Folded)
+	fmt.Fprintf(w, "| rate passes | %d |\n", passes)
 	fmt.Fprintf(w, "| max pending (any replica) | %d |\n", agg.MaxPending)
 	fmt.Fprintf(w, "| unstable replicas | %d |\n", unstable)
 	fmt.Fprintln(w)

@@ -302,6 +302,9 @@ func (e *Experiment) resolve() (resolved, error) {
 		if err != nil {
 			return resolved{}, err
 		}
+		if err := fits(cfg, e.engine); err != nil {
+			return resolved{}, err
+		}
 		cfg.CostModel = e.cost
 		return resolved{factory: f, cfg: cfg, slo: cfg.SLO}, nil
 	}
@@ -314,7 +317,7 @@ func (e *Experiment) resolve() (resolved, error) {
 			return resolved{}, err
 		}
 		for _, ev := range cfg.Fleet.Events {
-			if err := fits(ev.Spec.Config(cfg.Base)); err != nil {
+			if err := fits(ev.Spec.Config(cfg.Base), ev.Spec.Engine); err != nil {
 				return resolved{}, err
 			}
 		}

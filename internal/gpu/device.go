@@ -96,14 +96,23 @@ func NewKernel(label string, kind Kind, c model.Cost, launch sim.Time) Kernel {
 // Rates are recomputed once per change to the running set, and each
 // recomputation keys the timer. A retirement whose queued successor
 // starts in the same event is one change, not two: the successor's start
-// sets the rates, so a layer-to-layer handoff costs one pass and one
-// timer key. Two or more running kernels take an occupancy pass and a
-// bandwidth waterfill. A kernel alone on the device, the common case of a
-// decode iteration at low load, takes its solo rates in closed form: its
-// occupancy is its own SM fraction, and its one demand never exceeds the
-// group's bandwidth, so the waterfill would grant it whole and never
-// saturate. Its deadline and its progress skip the loops over the running
-// set too, with the same floats.
+// sets the rates, so a layer-to-layer handoff sets them once and keys the
+// timer once. Two or more running kernels take an occupancy pass and a
+// bandwidth waterfill only for a running set the device's rate memo does
+// not hold. The memo keeps the rates of the last four sets of up to four
+// kernels, keyed by each kernel's SM fraction and efficiency, on their
+// bits, and whether it has HBM bytes left, in start order. Besides the
+// fixed Spec and TP, those are all the pass reads, so a set the memo
+// holds takes its rates from there, bit for bit. A multiplexed device
+// mostly repeats its sets: a prefill layer handed off to the next
+// identical layer beside the same decode iteration repeats the set of
+// the layer before, and so does its drain under a saturated waterfill,
+// which frees the bandwidth the other kernels take up. A kernel alone on the device, the common case of a decode iteration at
+// low load, takes its solo rates in closed form: its occupancy is its own
+// SM fraction, and its one demand never exceeds the group's bandwidth, so
+// the waterfill would grant it whole and never saturate. Its deadline and
+// its progress skip the loops over the running set too, with the same
+// floats.
 //
 // A decode stream coasting into its next iteration relaunches its kernel
 // from the kernel's own completion callback with Partition.Relaunch,
@@ -136,11 +145,8 @@ type Device struct {
 	// every timer firing that starts none, so its working set is reused
 	// rather than reallocated.
 	runFree  []*run
-	occ      []float64
-	caps     []float64
-	alloc    []float64
-	unsat    []int
 	finished []*run
+	rates    *rateMemo // setRatesN's memo and scratch; nil until kernels co-run
 
 	// Accounting integrals (seconds-weighted).
 	smInt      float64 // ∫ Σ smFraction dt
@@ -585,8 +591,34 @@ func (d *Device) setRates() {
 }
 
 // setRatesN is setRates' occupancy pass and waterfill over any running
-// set.
+// set. A running set the device's rate memo holds takes its rates from
+// there instead, bit for bit the pass's.
 func (d *Device) setRatesN() {
+	m := d.rates
+	if m == nil {
+		m = new(rateMemo)
+		d.rates = m
+	}
+	memo := !noRateMemo && len(d.running) <= rateMemoWidth
+	if memo {
+		if set := m.lookup(d.running); set != nil {
+			for j, r := range d.running {
+				r.crate, r.brate, r.commRate = set.k[j].crate, set.k[j].brate, d.Spec.NVLinkBandwidth
+			}
+			d.saturated = set.saturated
+			return
+		}
+	}
+	m.passes++
+	d.ratePass(m)
+	if memo {
+		m.store(d.running, d.saturated)
+	}
+}
+
+// ratePass runs the occupancy pass and the waterfill over the running
+// set, with m's scratch.
+func (d *Device) ratePass(m *rateMemo) {
 	// SM occupancy: green-context partitions are disjoint, so each
 	// kernel keeps its fraction. When streams oversubscribe the SMs
 	// (plain CUDA streams, or a reconfiguration racing an in-flight
@@ -594,36 +626,148 @@ func (d *Device) setRatesN() {
 	// keep their SMs and later arrivals squeeze into what remains, with
 	// a small floor for the blocks that do sneak in. d.running is in
 	// start order: startRun appends and retirement filters in place.
+	// Each kernel's occupancy sets its compute rate and caps its
+	// bandwidth demand.
 	const occupancyFloor = 0.02
 	n := len(d.running)
-	occ := growFloats(&d.occ, n)
+	flops, bw := d.TotalFLOPS(), d.TotalBandwidth()
+	buf := growFloats(&m.buf, 2*n)
+	caps, alloc := buf[:n], buf[n:]
 	remaining := 1.0
 	for i, r := range d.running {
 		g := min(r.frac, remaining)
 		if g < occupancyFloor {
 			g = min(occupancyFloor, r.frac)
 		}
-		occ[i] = g
 		remaining = max(0, remaining-g)
-	}
-
-	// Bandwidth demands, capped by each kernel's SM-limited absorption.
-	bw := d.TotalBandwidth()
-	caps := growFloats(&d.caps, n)
-	for i, r := range d.running {
-		if r.remB <= 0 {
-			caps[i] = 0
-			continue
+		r.crate = g * flops * r.eff
+		caps[i] = 0
+		if !r.bytesDone() {
+			caps[i] = d.Spec.BandwidthCap(g, bw)
 		}
-		caps[i] = d.Spec.BandwidthCap(occ[i], bw)
 	}
-	alloc := growFloats(&d.alloc, n)
-	d.unsat, d.saturated = waterfillInto(alloc, caps, bw, d.unsat)
+	m.unsat, d.saturated = waterfillInto(alloc, caps, bw, m.unsat)
 	for i, r := range d.running {
-		r.crate = occ[i] * d.TotalFLOPS() * r.eff
 		r.brate = alloc[i]
 		r.commRate = d.Spec.NVLinkBandwidth
 	}
+}
+
+// bytesDone reports whether r has no HBM bytes left, so that the waterfill
+// grants it no bandwidth.
+func (r *run) bytesDone() bool { return r.remB <= 0 }
+
+// rateMemoSets is how many running sets a device's rate memo holds, a
+// power of two. A co-running device mostly repeats its last few sets: a
+// prefill layer handed off to the next identical layer restarts the set
+// of the layer before, and an HBM drain under a saturated waterfill turns
+// one kernel's bytes flag. rateMemoWidth is the most kernels a set the
+// memo holds may have; wider sets always take the pass.
+const (
+	rateMemoSets  = 4
+	rateMemoWidth = 4
+)
+
+// noRateMemo sends every setRatesN call through the occupancy pass, for
+// tests that check the memo against the pass.
+var noRateMemo bool
+
+// rateMemo remembers the rates setRatesN gave a device's last
+// rateMemoSets running sets. A set's key is what the pass reads of each
+// kernel, in start order: its SM fraction and efficiency, compared on
+// their bits, and whether it has HBM bytes left. With the device's fixed
+// Spec and TP those are all the pass's inputs, so a hit sets exactly the
+// rates and saturation flag the pass would.
+type rateMemo struct {
+	sets   [rateMemoSets]memoSet
+	hot    int    // the set hit or stored last
+	tick   uint64 // counts hits and stores
+	passes int64  // occupancy passes run
+
+	// The pass's scratch: bandwidth caps and grants share buf.
+	buf   []float64
+	unsat []int
+}
+
+type memoSet struct {
+	n         int    // kernels in the set; 0 while the slot is empty
+	used      uint64 // when the set was last hit or stored
+	next      int    // the set that followed this one last time
+	saturated bool
+	k         [rateMemoWidth]memoKernel
+}
+
+type memoKernel struct {
+	frac, eff    uint64 // float bits
+	bytesDone    bool
+	crate, brate float64
+}
+
+// lookup returns the set holding running, of at most rateMemoWidth
+// kernels, or nil. It tries first the set that followed the hot one last
+// time: a device cycles through its sets in order, a layer's start, its
+// drain, the next layer's start. Each set's kernels are compared last to
+// first, since the kernel started last is the one a handoff or a drain
+// changes.
+func (m *rateMemo) lookup(running []*run) *memoSet {
+	i := m.sets[m.hot].next
+	for range rateMemoSets {
+		set := &m.sets[i]
+		if set.n == len(running) {
+			k := len(running) - 1
+			for ; k >= 0; k-- {
+				e, r := &set.k[k], running[k]
+				if e.bytesDone != r.bytesDone() || e.frac != math.Float64bits(r.frac) || e.eff != math.Float64bits(r.eff) {
+					break
+				}
+			}
+			if k < 0 {
+				m.use(i)
+				return set
+			}
+		}
+		i = (i + 1) & (rateMemoSets - 1)
+	}
+	return nil
+}
+
+// use makes set i the hot one and the hot one's successor.
+func (m *rateMemo) use(i int) {
+	m.sets[m.hot].next = i
+	m.hot = i
+	m.tick++
+	m.sets[i].used = m.tick
+}
+
+// store keeps running's rates, as the pass just set them, in the least
+// recently used slot.
+func (m *rateMemo) store(running []*run, saturated bool) {
+	i := 0
+	for j := 1; j < rateMemoSets; j++ {
+		if m.sets[j].used < m.sets[i].used {
+			i = j
+		}
+	}
+	set := &m.sets[i]
+	set.n, set.saturated = len(running), saturated
+	for j, r := range running {
+		set.k[j] = memoKernel{
+			frac: math.Float64bits(r.frac), eff: math.Float64bits(r.eff), bytesDone: r.bytesDone(),
+			crate: r.crate, brate: r.brate,
+		}
+	}
+	m.use(i)
+}
+
+// RatePasses returns how many occupancy passes and waterfills the device
+// has run: the running sets of two or more kernels its rate memo did not
+// hold. It counts simulator work, not simulated time, and changes no
+// result.
+func (d *Device) RatePasses() int64 {
+	if d.rates == nil {
+		return 0
+	}
+	return d.rates.passes
 }
 
 // schedule keys the device's completion timer at the earliest kernel
@@ -657,17 +801,19 @@ func (d *Device) soonest(now sim.Time) sim.Time {
 
 // soonestN is soonest's loop over any running set. It spells out
 // retireAt, which the compiler does not inline: a call per running kernel
-// slowed co-running workloads measurably.
+// slowed co-running workloads measurably. deadline is monotone in its
+// seconds, so the deadline of the fewest seconds is the earliest of the
+// deadlines, and one conversion serves the whole set.
 func (d *Device) soonestN(now sim.Time) sim.Time {
-	soonest := sim.MaxTime
+	secs := math.Inf(1)
 	for _, r := range d.running {
-		t := deadline(now, max(drainSeconds(r.remC, r.crate), drainSeconds(r.remB, r.brate), drainSeconds(r.remComm, r.commRate)))
+		s := max(drainSeconds(r.remC, r.crate), drainSeconds(r.remB, r.brate), drainSeconds(r.remComm, r.commRate))
 		if d.saturated && r.remB > 0 {
-			t = min(t, deadline(now, drainSeconds(r.remB, r.brate)))
+			s = min(s, drainSeconds(r.remB, r.brate))
 		}
-		soonest = min(soonest, t)
+		secs = min(secs, s)
 	}
-	return soonest
+	return deadline(now, secs)
 }
 
 // retireAt returns when r retires at its current rates counted from now:

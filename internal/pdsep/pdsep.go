@@ -46,9 +46,13 @@ type handoffReq struct {
 	run *serve.Running
 }
 
+// InstanceGPUs returns the GPUs of each of the prefill and decode
+// instances New splits a group of gpus GPUs into.
+func InstanceGPUs(gpus int) int { return max(1, gpus/2) }
+
 // New builds an SGLang-PD engine with P:D = 1:1.
 func New(env *serve.Env) serve.Engine {
-	half := max(1, env.GPUs/2)
+	half := InstanceGPUs(env.GPUs)
 	pDev := gpu.NewDevice(env.Sim, env.Spec, half, "prefill-instance")
 	dDev := gpu.NewDevice(env.Sim, env.Spec, half, "decode-instance")
 	e := &Engine{

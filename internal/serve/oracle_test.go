@@ -9,19 +9,23 @@ import (
 	"muxwise/internal/sim"
 )
 
-// oracleRun is one run of TestCoastMatchesHandler.
+// oracleRun is one run of TestCoastMatchesHandler. A run with wantErr
+// set must fail to resolve instead.
 type oracleRun struct {
-	label string
-	trace func() *muxwise.Trace
-	exp   func() *muxwise.Experiment
+	label   string
+	trace   func() *muxwise.Trace
+	exp     func() *muxwise.Experiment
+	wantErr bool
 }
 
 // oracleRuns returns the seven engines under both cost models on the
 // traces TestEngineRunDigest pins and on two inputs under pressure:
-// Llama-70B on two A100s, whose 41k-token pool turns admissions away, and
-// ShareGPT at 400 req/s, where LoongServe's and SGLang-PD's decode batches
-// reach MaxBatch. Then SGLang-PD on four A100s, whose decode pool makes
-// finished prefills wait to hand off, and the bursty fleet.
+// Llama-70B on two A100s, whose 41k-token pool turns admissions away (and
+// which SGLang-PD, splitting it into one-A100 instances with no pool each,
+// must reject), and ShareGPT at 400 req/s, where LoongServe's and
+// SGLang-PD's decode batches reach MaxBatch. Then SGLang-PD on four A100s,
+// whose decode pool makes finished prefills wait to hand off, and the
+// bursty fleet.
 func oracleRuns() []oracleRun {
 	a100x1 := muxwise.Deployment{Hardware: "A100", GPUs: 1, Model: "Llama-8B"}
 	a100x8 := muxwise.Deployment{Hardware: "A100", GPUs: 8, Model: "Llama-70B"}
@@ -52,6 +56,7 @@ func oracleRuns() []oracleRun {
 					exp: func() *muxwise.Experiment {
 						return muxwise.NewExperiment(muxwise.WithDeployment(tr.dep), muxwise.WithEngine(eng), muxwise.WithCostModel(cost))
 					},
+					wantErr: tr.name == "small-pool" && eng == "SGLang-PD",
 				})
 			}
 		}
@@ -114,6 +119,39 @@ func result(res *muxwise.Result) string {
 	return out
 }
 
+// coastMatches runs r with coasting on and off and fails unless both
+// end alike and count the same events, each folded iteration once in
+// Folded instead of once in Scheduled and in Fired. It returns the folds.
+func coastMatches(t *testing.T, r oracleRun) (folded int64) {
+	t.Helper()
+	var got [2]string
+	var loop [2]sim.LoopStats
+	for i, off := range []bool{false, true} {
+		restore := serve.SetNoCoast(off)
+		rep, err := r.exp().Run(r.trace())
+		restore()
+		if r.wantErr {
+			if err == nil {
+				t.Fatalf("%s: ran, want a deployment error", r.label)
+			}
+			return 0
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", r.label, err)
+		}
+		got[i], loop[i] = outcome(rep)
+	}
+	on, off := loop[0], loop[1]
+	if got[0] != got[1] {
+		t.Errorf("%s: coasting moved the run's results", r.label)
+	}
+	if off.Folded != 0 || on.Fired+on.Folded != off.Fired || on.Scheduled+on.Folded != off.Scheduled ||
+		on.Canceled != off.Canceled || on.MaxPending != off.MaxPending {
+		t.Errorf("%s: loop counters %+v coasting, %+v through the handler", r.label, on, off)
+	}
+	return on.Folded
+}
+
 // TestCoastMatchesHandler is coasting's oracle: every run ends exactly as
 // it does with every decode boundary sent to the engine's handler, and the
 // event loop counts the same events, each coasted iteration that folded
@@ -121,29 +159,64 @@ func result(res *muxwise.Result) string {
 func TestCoastMatchesHandler(t *testing.T) {
 	var folded int64
 	for _, r := range oracleRuns() {
-		var got [2]string
-		var loop [2]sim.LoopStats
-		for i, off := range []bool{false, true} {
-			restore := serve.SetNoCoast(off)
-			rep, err := r.exp().Run(r.trace())
-			restore()
-			if err != nil {
-				t.Fatalf("%s: %v", r.label, err)
-			}
-			got[i], loop[i] = outcome(rep)
+		n := coastMatches(t, r)
+		if !r.wantErr {
+			t.Logf("%s: %d events folded", r.label, n)
 		}
-		on, off := loop[0], loop[1]
-		if got[0] != got[1] {
-			t.Errorf("%s: coasting moved the run's results", r.label)
-		}
-		if off.Folded != 0 || on.Fired+on.Folded != off.Fired || on.Scheduled+on.Folded != off.Scheduled ||
-			on.Canceled != off.Canceled || on.MaxPending != off.MaxPending {
-			t.Errorf("%s: loop counters %+v coasting, %+v through the handler", r.label, on, off)
-		}
-		t.Logf("%s: %d of %d events folded", r.label, on.Folded, off.Fired)
-		folded += on.Folded
+		folded += n
 	}
 	if folded == 0 {
 		t.Fatal("no run folded an iteration")
 	}
+}
+
+// fuzzDeployments span KV pools from none per SGLang-PD instance (Llama-70B
+// on two A100s, which resolution rejects for SGLang-PD) through a 41k-token
+// pool to roomy ones.
+var fuzzDeployments = []muxwise.Deployment{
+	{Hardware: "A100", GPUs: 1, Model: "Llama-8B"},
+	{Hardware: "A100", GPUs: 2, Model: "Llama-70B"},
+	{Hardware: "H100", GPUs: 2, Model: "Llama-70B"},
+	{Hardware: "A100", GPUs: 4, Model: "Llama-70B"},
+	{Hardware: "H100", GPUs: 1, Model: "Llama-8B"},
+	{Hardware: "A100", GPUs: 8, Model: "Llama-70B"},
+}
+
+// FuzzCoastMatchesHandler is TestCoastMatchesHandler over drawn inputs:
+// the trace shape (ShareGPT, LooGLE, Conversation or Tool&Agent), its
+// seed and arrival rate, the deployment and so the KV pool size, the
+// engine and the cost model. A deployment that resolution rejects must be
+// rejected with coasting on and off alike.
+func FuzzCoastMatchesHandler(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint16(120), uint64(1))
+	f.Add(uint8(2), uint8(1), uint8(3), uint8(1), uint16(40), uint64(7))
+	f.Add(uint8(1), uint8(5), uint8(4), uint8(0), uint16(10), uint64(3))
+	f.Fuzz(func(t *testing.T, shape, pool, engine, cost uint8, rate uint16, seed uint64) {
+		dep := fuzzDeployments[int(pool)%len(fuzzDeployments)]
+		eng := muxwise.Engines()[int(engine)%len(muxwise.Engines())]
+		cm := muxwise.CostModels()[int(cost)%len(muxwise.CostModels())]
+		perSec := 0.5 + float64(rate%400)/10
+		r := oracleRun{
+			label: fmt.Sprintf("shape %d, %s on %d %s, %s, %s, %.1f req/s, seed %d",
+				shape%4, dep.Model, dep.GPUs, dep.Hardware, eng, cm, perSec, seed),
+			trace: func() *muxwise.Trace {
+				switch shape % 4 {
+				case 0:
+					return muxwise.ShareGPT(seed, 40).WithPoissonArrivals(seed, perSec)
+				case 1:
+					return muxwise.LooGLE(seed, 6).WithPoissonArrivals(seed, perSec/10)
+				case 2:
+					return muxwise.Conversation(seed, 8).WithPoissonArrivals(seed, perSec)
+				}
+				return muxwise.ToolAgent(seed, 8).WithPoissonArrivals(seed, perSec)
+			},
+			exp: func() *muxwise.Experiment {
+				return muxwise.NewExperiment(muxwise.WithDeployment(dep), muxwise.WithEngine(eng), muxwise.WithCostModel(cm))
+			},
+		}
+		if _, err := r.exp().Run(muxwise.ShareGPT(1, 1)); err != nil {
+			r.wantErr = true
+		}
+		coastMatches(t, r)
+	})
 }

@@ -200,32 +200,45 @@ func (d Deployment) config() (serve.Config, error) {
 		slo.TTFT = sim.Second
 	}
 	cfg := serve.Config{Spec: spec, GPUs: gpus, Arch: arch, SLO: slo}
-	return cfg, fits(cfg)
+	return cfg, fits(cfg, "")
 }
 
 // fits rejects a serving shape whose model weights leave no room for a
-// KV pool: every engine on it would finish no request.
-func fits(cfg serve.Config) error {
+// KV pool, on the whole group or, when engine splits the group into
+// instances with a pool each, on one instance: every engine on it would
+// finish no request. An empty engine checks the whole group only.
+func fits(cfg serve.Config, engine string) error {
 	if cfg.PoolTokens(cfg.GPUs) <= 0 {
 		return fmt.Errorf("muxwise: %s does not fit %d %s GPUs: its weights leave no room for a KV cache",
 			cfg.Arch.Name, cfg.GPUs, cfg.Spec.Name)
+	}
+	for _, e := range engines {
+		if e.name != engine || e.instanceGPUs == nil {
+			continue
+		}
+		if gpus := e.instanceGPUs(cfg.GPUs); cfg.PoolTokens(gpus) <= 0 {
+			return fmt.Errorf("muxwise: %s does not fit the %d-GPU instances %s splits %d %s GPUs into: its weights leave no room for a KV cache",
+				cfg.Arch.Name, gpus, engine, cfg.GPUs, cfg.Spec.Name)
+		}
 	}
 	return nil
 }
 
 // engines is the engine table: every servable engine by name, in
-// Engines() order.
+// Engines() order. An engine that splits its GPUs into instances, each
+// with its own KV pool, gives the GPUs of one instance in instanceGPUs.
 var engines = []struct {
-	name    string
-	factory serve.Factory
+	name         string
+	factory      serve.Factory
+	instanceGPUs func(gpus int) int
 }{
-	{"MuxWise", core.New},
-	{"Chunked", chunked.New},
-	{"NanoFlow", nanoflow.New},
-	{"LoongServe", loong.New},
-	{"SGLang-PD", pdsep.New},
-	{"WindServe", windserve.New},
-	{"Temporal", temporal.New},
+	{"MuxWise", core.New, nil},
+	{"Chunked", chunked.New, nil},
+	{"NanoFlow", nanoflow.New, nil},
+	{"LoongServe", loong.New, nil},
+	{"SGLang-PD", pdsep.New, pdsep.InstanceGPUs},
+	{"WindServe", windserve.New, nil},
+	{"Temporal", temporal.New, nil},
 }
 
 // Engines lists the available engine names.
@@ -388,7 +401,7 @@ func clusterConfig(dep Deployment, replicas []ReplicaSpec, router string) (clust
 		if err != nil {
 			return cluster.Config{}, err
 		}
-		if err := fits(spec.Config(base)); err != nil {
+		if err := fits(spec.Config(base), spec.Engine); err != nil {
 			return cluster.Config{}, err
 		}
 		cfg.Replicas = append(cfg.Replicas, spec)

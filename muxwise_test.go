@@ -98,6 +98,32 @@ func TestModelThatDoesNotFitIsRejected(t *testing.T) {
 	}
 }
 
+// SGLang-PD splits its GPUs into a prefill and a decode instance, each
+// with its own KV pool. Llama-70B fits two A100s as one group, but not
+// the one-A100 halves SGLang-PD makes of them: resolving SGLang-PD there,
+// alone or as a fleet replica, is an error, while an engine that runs the
+// group whole still runs.
+func TestSplitInstancesMustFit(t *testing.T) {
+	trace := muxwise.ShareGPT(3, 10).WithPoissonArrivals(3, 2)
+	two := muxwise.Deployment{Hardware: "A100", GPUs: 2, Model: "Llama-70B"}
+	for name, opts := range map[string][]muxwise.Option{
+		"engine":  {muxwise.WithDeployment(two), muxwise.WithEngine("SGLang-PD")},
+		"replica": {muxwise.WithDeployment(two), muxwise.WithFleet(muxwise.ReplicaSpec{Engine: "SGLang-PD"})},
+	} {
+		_, err := muxwise.NewExperiment(opts...).Run(trace)
+		if err == nil || !strings.Contains(err.Error(), "1-GPU instances SGLang-PD splits 2 A100") {
+			t.Errorf("%s: Run error = %v, want Llama-70B rejected on SGLang-PD's 1-A100 instances", name, err)
+		}
+	}
+	rep, err := muxwise.NewExperiment(muxwise.WithDeployment(two), muxwise.WithEngine("MuxWise")).Run(trace)
+	if err != nil {
+		t.Fatalf("MuxWise on 2 A100s: %v", err)
+	}
+	if rep.Summary.Requests == 0 {
+		t.Fatal("MuxWise on 2 A100s recorded no requests")
+	}
+}
+
 func TestDefaultSLOs(t *testing.T) {
 	// Zero SLO fields resolve to the paper's per-model defaults; the run
 	// should proceed without error.
