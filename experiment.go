@@ -294,7 +294,7 @@ func (e *Experiment) resolve() (resolved, error) {
 		if e.fleetActive() {
 			return resolved{}, fmt.Errorf("muxwise: fleet lifecycle options require a fleet (WithFleet)")
 		}
-		f, err := factory(e.engine)
+		eng, err := engineByName(e.engine)
 		if err != nil {
 			return resolved{}, err
 		}
@@ -302,24 +302,19 @@ func (e *Experiment) resolve() (resolved, error) {
 		if err != nil {
 			return resolved{}, err
 		}
-		if err := fits(cfg, e.engine); err != nil {
+		if err := eng.fitsInstances(cfg); err != nil {
 			return resolved{}, err
 		}
 		cfg.CostModel = e.cost
-		return resolved{factory: f, cfg: cfg, slo: cfg.SLO}, nil
+		return resolved{factory: eng.factory, cfg: cfg, slo: cfg.SLO}, nil
 	}
 	cfg, err := clusterConfig(e.dep, e.replicas, e.router)
 	if err != nil {
 		return resolved{}, err
 	}
 	if e.fleetActive() {
-		if cfg.Fleet, err = e.fleetConfig(); err != nil {
+		if cfg.Fleet, err = e.fleetConfig(cfg.Base); err != nil {
 			return resolved{}, err
-		}
-		for _, ev := range cfg.Fleet.Events {
-			if err := fits(ev.Spec.Config(cfg.Base), ev.Spec.Engine); err != nil {
-				return resolved{}, err
-			}
 		}
 		cfg.Migration = e.migration
 	}

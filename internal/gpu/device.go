@@ -97,22 +97,14 @@ func NewKernel(label string, kind Kind, c model.Cost, launch sim.Time) Kernel {
 // recomputation keys the timer. A retirement whose queued successor
 // starts in the same event is one change, not two: the successor's start
 // sets the rates, so a layer-to-layer handoff sets them once and keys the
-// timer once. Two or more running kernels take an occupancy pass and a
-// bandwidth waterfill only for a running set the device's rate memo does
-// not hold. The memo keeps the rates of the last four sets of up to four
-// kernels, keyed by each kernel's SM fraction and efficiency, on their
-// bits, and whether it has HBM bytes left, in start order. Besides the
-// fixed Spec and TP, those are all the pass reads, so a set the memo
-// holds takes its rates from there, bit for bit. A multiplexed device
-// mostly repeats its sets: a prefill layer handed off to the next
-// identical layer beside the same decode iteration repeats the set of
-// the layer before, and so does its drain under a saturated waterfill,
-// which frees the bandwidth the other kernels take up. A kernel alone on the device, the common case of a decode iteration at
-// low load, takes its solo rates in closed form: its occupancy is its own
-// SM fraction, and its one demand never exceeds the group's bandwidth, so
-// the waterfill would grant it whole and never saturate. Its deadline and
-// its progress skip the loops over the running set too, with the same
-// floats.
+// timer once. Two running kernels take an occupancy pass and a bandwidth
+// waterfill only for a pair the device's rate memo (rateMemo) does not
+// hold, and three or more take them always. A kernel alone on the device,
+// the common case of a decode iteration at low load, takes its solo rates
+// in closed form: its occupancy is its own SM fraction, and its one
+// demand never exceeds the group's bandwidth, so the waterfill would
+// grant it whole and never saturate. Its deadline and its progress skip
+// the loops over the running set too, with the same floats.
 //
 // A decode stream coasting into its next iteration relaunches its kernel
 // from the kernel's own completion callback with Partition.Relaunch,
@@ -591,29 +583,39 @@ func (d *Device) setRates() {
 }
 
 // setRatesN is setRates' occupancy pass and waterfill over any running
-// set. A running set the device's rate memo holds takes its rates from
-// there instead, bit for bit the pass's.
+// set. A pair of running kernels the device's rate memo holds takes its
+// rates from there instead, bit for bit the pass's.
 func (d *Device) setRatesN() {
 	m := d.rates
 	if m == nil {
 		m = new(rateMemo)
 		d.rates = m
 	}
-	memo := !noRateMemo && len(d.running) <= rateMemoWidth
-	if memo {
-		if set := m.lookup(d.running); set != nil {
-			for j, r := range d.running {
-				r.crate, r.brate, r.commRate = set.k[j].crate, set.k[j].brate, d.Spec.NVLinkBandwidth
-			}
-			d.saturated = set.saturated
-			return
-		}
+	if noRateMemo || len(d.running) != 2 {
+		m.passes++
+		d.ratePass(m)
+		return
+	}
+	a, b := d.running[0], d.running[1]
+	key := memoKey{
+		frac:      [2]uint64{math.Float64bits(a.frac), math.Float64bits(b.frac)},
+		eff:       [2]uint64{math.Float64bits(a.eff), math.Float64bits(b.eff)},
+		bytesDone: [2]bool{a.bytesDone(), b.bytesDone()},
+	}
+	if set := m.lookup(key); set != nil {
+		a.crate, a.brate, a.commRate = set.crate[0], set.brate[0], d.Spec.NVLinkBandwidth
+		b.crate, b.brate, b.commRate = set.crate[1], set.brate[1], d.Spec.NVLinkBandwidth
+		d.saturated = set.saturated
+		return
 	}
 	m.passes++
 	d.ratePass(m)
-	if memo {
-		m.store(d.running, d.saturated)
-	}
+	m.store(memoSet{
+		key:       key,
+		crate:     [2]float64{a.crate, b.crate},
+		brate:     [2]float64{a.brate, b.brate},
+		saturated: d.saturated,
+	})
 }
 
 // ratePass runs the occupancy pass and the waterfill over the running
@@ -658,31 +660,32 @@ func (d *Device) ratePass(m *rateMemo) {
 func (r *run) bytesDone() bool { return r.remB <= 0 }
 
 // rateMemoSets is how many running sets a device's rate memo holds, a
-// power of two. A co-running device mostly repeats its last few sets: a
-// prefill layer handed off to the next identical layer restarts the set
-// of the layer before, and an HBM drain under a saturated waterfill turns
-// one kernel's bytes flag. rateMemoWidth is the most kernels a set the
-// memo holds may have; wider sets always take the pass.
-const (
-	rateMemoSets  = 4
-	rateMemoWidth = 4
-)
+// power of two. Four, not two: on long LooGLE prompts and on a bursty
+// fleet a device cycles through three pairs.
+const rateMemoSets = 4
 
 // noRateMemo sends every setRatesN call through the occupancy pass, for
 // tests that check the memo against the pass.
 var noRateMemo bool
 
 // rateMemo remembers the rates setRatesN gave a device's last
-// rateMemoSets running sets. A set's key is what the pass reads of each
-// kernel, in start order: its SM fraction and efficiency, compared on
-// their bits, and whether it has HBM bytes left. With the device's fixed
-// Spec and TP those are all the pass's inputs, so a hit sets exactly the
-// rates and saturation flag the pass would.
+// rateMemoSets running sets of two kernels. A set's key is what the pass
+// reads of each kernel, in start order: its SM fraction and efficiency,
+// compared on their bits so that NaN and ±0 cannot alias, and whether it
+// has HBM bytes left. With the device's fixed Spec and TP those are all
+// the pass's inputs, so a hit sets exactly the rates and saturation flag
+// the pass would.
+//
+// A co-running device cycles through a few sets: MuxWise's prefill layer
+// beside a decode iteration starts one set, its HBM drain under a
+// saturated waterfill turns one kernel's bytes flag, and the next
+// identical layer starts the first set again. Running sets of three or
+// more kernels, which none of muxperf's workloads runs, always take the
+// pass.
 type rateMemo struct {
 	sets   [rateMemoSets]memoSet
-	hot    int    // the set hit or stored last
-	tick   uint64 // counts hits and stores
-	passes int64  // occupancy passes run
+	stored int   // sets stored; the next overwrites the oldest
+	passes int64 // occupancy passes run
 
 	// The pass's scratch: bandwidth caps and grants share buf.
 	buf   []float64
@@ -690,73 +693,31 @@ type rateMemo struct {
 }
 
 type memoSet struct {
-	n         int    // kernels in the set; 0 while the slot is empty
-	used      uint64 // when the set was last hit or stored
-	next      int    // the set that followed this one last time
-	saturated bool
-	k         [rateMemoWidth]memoKernel
+	key          memoKey
+	crate, brate [2]float64
+	saturated    bool
 }
 
-type memoKernel struct {
-	frac, eff    uint64 // float bits
-	bytesDone    bool
-	crate, brate float64
+type memoKey struct {
+	frac, eff [2]uint64 // float bits
+	bytesDone [2]bool
 }
 
-// lookup returns the set holding running, of at most rateMemoWidth
-// kernels, or nil. It tries first the set that followed the hot one last
-// time: a device cycles through its sets in order, a layer's start, its
-// drain, the next layer's start. Each set's kernels are compared last to
-// first, since the kernel started last is the one a handoff or a drain
-// changes.
-func (m *rateMemo) lookup(running []*run) *memoSet {
-	i := m.sets[m.hot].next
-	for range rateMemoSets {
-		set := &m.sets[i]
-		if set.n == len(running) {
-			k := len(running) - 1
-			for ; k >= 0; k-- {
-				e, r := &set.k[k], running[k]
-				if e.bytesDone != r.bytesDone() || e.frac != math.Float64bits(r.frac) || e.eff != math.Float64bits(r.eff) {
-					break
-				}
-			}
-			if k < 0 {
-				m.use(i)
-				return set
-			}
+// lookup returns the stored set with key, or nil.
+func (m *rateMemo) lookup(key memoKey) *memoSet {
+	for i := range min(m.stored, rateMemoSets) {
+		// Field by field: == on the struct calls its generated equality.
+		if k := &m.sets[i].key; k.frac == key.frac && k.eff == key.eff && k.bytesDone == key.bytesDone {
+			return &m.sets[i]
 		}
-		i = (i + 1) & (rateMemoSets - 1)
 	}
 	return nil
 }
 
-// use makes set i the hot one and the hot one's successor.
-func (m *rateMemo) use(i int) {
-	m.sets[m.hot].next = i
-	m.hot = i
-	m.tick++
-	m.sets[i].used = m.tick
-}
-
-// store keeps running's rates, as the pass just set them, in the least
-// recently used slot.
-func (m *rateMemo) store(running []*run, saturated bool) {
-	i := 0
-	for j := 1; j < rateMemoSets; j++ {
-		if m.sets[j].used < m.sets[i].used {
-			i = j
-		}
-	}
-	set := &m.sets[i]
-	set.n, set.saturated = len(running), saturated
-	for j, r := range running {
-		set.k[j] = memoKernel{
-			frac: math.Float64bits(r.frac), eff: math.Float64bits(r.eff), bytesDone: r.bytesDone(),
-			crate: r.crate, brate: r.brate,
-		}
-	}
-	m.use(i)
+// store keeps set in place of the oldest stored set.
+func (m *rateMemo) store(set memoSet) {
+	m.sets[m.stored&(rateMemoSets-1)] = set
+	m.stored++
 }
 
 // RatePasses returns how many occupancy passes and waterfills the device
@@ -801,19 +762,17 @@ func (d *Device) soonest(now sim.Time) sim.Time {
 
 // soonestN is soonest's loop over any running set. It spells out
 // retireAt, which the compiler does not inline: a call per running kernel
-// slowed co-running workloads measurably. deadline is monotone in its
-// seconds, so the deadline of the fewest seconds is the earliest of the
-// deadlines, and one conversion serves the whole set.
+// slowed co-running workloads measurably.
 func (d *Device) soonestN(now sim.Time) sim.Time {
-	secs := math.Inf(1)
+	soonest := sim.MaxTime
 	for _, r := range d.running {
-		s := max(drainSeconds(r.remC, r.crate), drainSeconds(r.remB, r.brate), drainSeconds(r.remComm, r.commRate))
+		t := deadline(now, max(drainSeconds(r.remC, r.crate), drainSeconds(r.remB, r.brate), drainSeconds(r.remComm, r.commRate)))
 		if d.saturated && r.remB > 0 {
-			s = min(s, drainSeconds(r.remB, r.brate))
+			t = min(t, deadline(now, drainSeconds(r.remB, r.brate)))
 		}
-		secs = min(secs, s)
+		soonest = min(soonest, t)
 	}
-	return deadline(now, secs)
+	return soonest
 }
 
 // retireAt returns when r retires at its current rates counted from now:

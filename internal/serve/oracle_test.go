@@ -121,7 +121,8 @@ func result(res *muxwise.Result) string {
 
 // coastMatches runs r with coasting on and off and fails unless both
 // end alike and count the same events, each folded iteration once in
-// Folded instead of once in Scheduled and in Fired. It returns the folds.
+// Folded instead of once in Scheduled and in Fired, or, for a run with
+// wantErr set, unless both fail. It returns the folds.
 func coastMatches(t *testing.T, r oracleRun) (folded int64) {
 	t.Helper()
 	var got [2]string
@@ -130,16 +131,18 @@ func coastMatches(t *testing.T, r oracleRun) (folded int64) {
 		restore := serve.SetNoCoast(off)
 		rep, err := r.exp().Run(r.trace())
 		restore()
-		if r.wantErr {
-			if err == nil {
-				t.Fatalf("%s: ran, want a deployment error", r.label)
-			}
-			return 0
-		}
-		if err != nil {
+		switch {
+		case r.wantErr && err == nil:
+			t.Fatalf("%s: ran with coasting off=%v, want a deployment error", r.label, off)
+		case r.wantErr:
+			continue
+		case err != nil:
 			t.Fatalf("%s: %v", r.label, err)
 		}
 		got[i], loop[i] = outcome(rep)
+	}
+	if r.wantErr {
+		return 0
 	}
 	on, off := loop[0], loop[1]
 	if got[0] != got[1] {
@@ -170,16 +173,20 @@ func TestCoastMatchesHandler(t *testing.T) {
 	}
 }
 
-// fuzzDeployments span KV pools from none per SGLang-PD instance (Llama-70B
-// on two A100s, which resolution rejects for SGLang-PD) through a 41k-token
+// fuzzDeployments span KV pools from none per SGLang-PD instance
+// (Llama-70B on two GPUs, whose 140 GB of weights fill one GPU's memory,
+// so resolution rejects SGLang-PD there: noHalfPool) through a 41k-token
 // pool to roomy ones.
-var fuzzDeployments = []muxwise.Deployment{
-	{Hardware: "A100", GPUs: 1, Model: "Llama-8B"},
-	{Hardware: "A100", GPUs: 2, Model: "Llama-70B"},
-	{Hardware: "H100", GPUs: 2, Model: "Llama-70B"},
-	{Hardware: "A100", GPUs: 4, Model: "Llama-70B"},
-	{Hardware: "H100", GPUs: 1, Model: "Llama-8B"},
-	{Hardware: "A100", GPUs: 8, Model: "Llama-70B"},
+var fuzzDeployments = []struct {
+	dep        muxwise.Deployment
+	noHalfPool bool
+}{
+	{muxwise.Deployment{Hardware: "A100", GPUs: 1, Model: "Llama-8B"}, false},
+	{muxwise.Deployment{Hardware: "A100", GPUs: 2, Model: "Llama-70B"}, true},
+	{muxwise.Deployment{Hardware: "H100", GPUs: 2, Model: "Llama-70B"}, true},
+	{muxwise.Deployment{Hardware: "A100", GPUs: 4, Model: "Llama-70B"}, false},
+	{muxwise.Deployment{Hardware: "H100", GPUs: 1, Model: "Llama-8B"}, false},
+	{muxwise.Deployment{Hardware: "A100", GPUs: 8, Model: "Llama-70B"}, false},
 }
 
 // FuzzCoastMatchesHandler is TestCoastMatchesHandler over drawn inputs:
@@ -192,7 +199,8 @@ func FuzzCoastMatchesHandler(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint8(3), uint8(1), uint16(40), uint64(7))
 	f.Add(uint8(1), uint8(5), uint8(4), uint8(0), uint16(10), uint64(3))
 	f.Fuzz(func(t *testing.T, shape, pool, engine, cost uint8, rate uint16, seed uint64) {
-		dep := fuzzDeployments[int(pool)%len(fuzzDeployments)]
+		d := fuzzDeployments[int(pool)%len(fuzzDeployments)]
+		dep := d.dep
 		eng := muxwise.Engines()[int(engine)%len(muxwise.Engines())]
 		cm := muxwise.CostModels()[int(cost)%len(muxwise.CostModels())]
 		perSec := 0.5 + float64(rate%400)/10
@@ -213,9 +221,7 @@ func FuzzCoastMatchesHandler(f *testing.F) {
 			exp: func() *muxwise.Experiment {
 				return muxwise.NewExperiment(muxwise.WithDeployment(dep), muxwise.WithEngine(eng), muxwise.WithCostModel(cm))
 			},
-		}
-		if _, err := r.exp().Run(muxwise.ShareGPT(1, 1)); err != nil {
-			r.wantErr = true
+			wantErr: d.noHalfPool && eng == "SGLang-PD",
 		}
 		coastMatches(t, r)
 	})

@@ -200,45 +200,52 @@ func (d Deployment) config() (serve.Config, error) {
 		slo.TTFT = sim.Second
 	}
 	cfg := serve.Config{Spec: spec, GPUs: gpus, Arch: arch, SLO: slo}
-	return cfg, fits(cfg, "")
+	return cfg, fits(cfg)
 }
 
 // fits rejects a serving shape whose model weights leave no room for a
-// KV pool, on the whole group or, when engine splits the group into
-// instances with a pool each, on one instance: every engine on it would
-// finish no request. An empty engine checks the whole group only.
-func fits(cfg serve.Config, engine string) error {
+// KV pool: every engine on it would finish no request.
+func fits(cfg serve.Config) error {
 	if cfg.PoolTokens(cfg.GPUs) <= 0 {
 		return fmt.Errorf("muxwise: %s does not fit %d %s GPUs: its weights leave no room for a KV cache",
 			cfg.Arch.Name, cfg.GPUs, cfg.Spec.Name)
 	}
-	for _, e := range engines {
-		if e.name != engine || e.instanceGPUs == nil {
-			continue
-		}
-		if gpus := e.instanceGPUs(cfg.GPUs); cfg.PoolTokens(gpus) <= 0 {
-			return fmt.Errorf("muxwise: %s does not fit the %d-GPU instances %s splits %d %s GPUs into: its weights leave no room for a KV cache",
-				cfg.Arch.Name, gpus, engine, cfg.GPUs, cfg.Spec.Name)
-		}
+	return nil
+}
+
+// engineEntry is one row of the engine table.
+type engineEntry struct {
+	name    string
+	factory serve.Factory
+	// instanceGPUs, for an engine that splits its GPUs into instances
+	// with a KV pool each, gives the GPUs of one instance.
+	instanceGPUs func(gpus int) int
+}
+
+// fitsInstances rejects a serving shape that fits passed whole but
+// whose model weights leave no room for a KV pool on one of e's
+// instances.
+func (e engineEntry) fitsInstances(cfg serve.Config) error {
+	if e.instanceGPUs == nil {
+		return nil
+	}
+	if gpus := e.instanceGPUs(cfg.GPUs); cfg.PoolTokens(gpus) <= 0 {
+		return fmt.Errorf("muxwise: %s does not fit the %d-GPU instances %s splits %d %s GPUs into: its weights leave no room for a KV cache",
+			cfg.Arch.Name, gpus, e.name, cfg.GPUs, cfg.Spec.Name)
 	}
 	return nil
 }
 
 // engines is the engine table: every servable engine by name, in
-// Engines() order. An engine that splits its GPUs into instances, each
-// with its own KV pool, gives the GPUs of one instance in instanceGPUs.
-var engines = []struct {
-	name         string
-	factory      serve.Factory
-	instanceGPUs func(gpus int) int
-}{
-	{"MuxWise", core.New, nil},
-	{"Chunked", chunked.New, nil},
-	{"NanoFlow", nanoflow.New, nil},
-	{"LoongServe", loong.New, nil},
-	{"SGLang-PD", pdsep.New, pdsep.InstanceGPUs},
-	{"WindServe", windserve.New, nil},
-	{"Temporal", temporal.New, nil},
+// Engines() order.
+var engines = []engineEntry{
+	{name: "MuxWise", factory: core.New},
+	{name: "Chunked", factory: chunked.New},
+	{name: "NanoFlow", factory: nanoflow.New},
+	{name: "LoongServe", factory: loong.New},
+	{name: "SGLang-PD", factory: pdsep.New, instanceGPUs: pdsep.InstanceGPUs},
+	{name: "WindServe", factory: windserve.New},
+	{name: "Temporal", factory: temporal.New},
 }
 
 // Engines lists the available engine names.
@@ -250,14 +257,14 @@ func Engines() []string {
 	return names
 }
 
-// factory resolves an engine name.
-func factory(engine string) (serve.Factory, error) {
+// engineByName resolves an engine name.
+func engineByName(name string) (engineEntry, error) {
 	for _, e := range engines {
-		if e.name == engine {
-			return e.factory, nil
+		if e.name == name {
+			return e, nil
 		}
 	}
-	return nil, fmt.Errorf("muxwise: unknown engine %q (have %v)", engine, Engines())
+	return engineEntry{}, fmt.Errorf("muxwise: unknown engine %q (have %v)", name, Engines())
 }
 
 // Cluster types re-exported from internal/cluster.
@@ -295,15 +302,16 @@ type ReplicaSpec struct {
 }
 
 // spec resolves the public replica spec against the engine and hardware
-// registries.
-func (rs ReplicaSpec) spec() (cluster.ReplicaSpec, error) {
+// registries and checks that the model fits the replica it gives on
+// base's deployment.
+func (rs ReplicaSpec) spec(base serve.Config) (cluster.ReplicaSpec, error) {
 	if rs.Count < 0 {
 		return cluster.ReplicaSpec{}, fmt.Errorf("muxwise: %s replica count %d is negative", rs.Engine, rs.Count)
 	}
 	if rs.GPUs < 0 || rs.GPUs > MaxGPUs {
 		return cluster.ReplicaSpec{}, fmt.Errorf("muxwise: %d GPUs per %s replica is outside [0, %d]", rs.GPUs, rs.Engine, MaxGPUs)
 	}
-	f, err := factory(rs.Engine)
+	eng, err := engineByName(rs.Engine)
 	if err != nil {
 		return cluster.ReplicaSpec{}, err
 	}
@@ -312,7 +320,7 @@ func (rs ReplicaSpec) spec() (cluster.ReplicaSpec, error) {
 		return cluster.ReplicaSpec{}, err
 	}
 	out := cluster.ReplicaSpec{
-		Engine: rs.Engine, Factory: f, Count: rs.Count, GPUs: rs.GPUs, Role: role,
+		Engine: rs.Engine, Factory: eng.factory, Count: rs.Count, GPUs: rs.GPUs, Role: role,
 	}
 	if rs.Hardware != "" {
 		spec, ok := gpu.SpecByName(rs.Hardware)
@@ -321,7 +329,11 @@ func (rs ReplicaSpec) spec() (cluster.ReplicaSpec, error) {
 		}
 		out.Hardware = spec
 	}
-	return out, nil
+	cfg := out.Config(base)
+	if err := fits(cfg); err != nil {
+		return cluster.ReplicaSpec{}, err
+	}
+	return out, eng.fitsInstances(cfg)
 }
 
 // FleetEvent schedules one fleet lifecycle transition inside a cluster
@@ -341,8 +353,9 @@ type FleetEvent struct {
 }
 
 // fleetConfig resolves the experiment's fleet lifecycle options
-// (WithEvents, WithAutoscaler, WithColdStart, WithScaleBounds).
-func (e *Experiment) fleetConfig() (*cluster.FleetConfig, error) {
+// (WithEvents, WithAutoscaler, WithColdStart, WithScaleBounds); spawned
+// replicas run on base's deployment.
+func (e *Experiment) fleetConfig(base serve.Config) (*cluster.FleetConfig, error) {
 	fc := &cluster.FleetConfig{ColdStart: e.coldStart, Min: e.minReps, Max: e.maxReps}
 	if e.autoscaler != "" {
 		mk, ok := cluster.Scalers()[e.autoscaler]
@@ -368,7 +381,7 @@ func (e *Experiment) fleetConfig() (*cluster.FleetConfig, error) {
 			return nil, fmt.Errorf("muxwise: unknown fleet event kind %q (want spawn, drain, fail, retire, mark)", ev.Kind)
 		}
 		if ev.Spec != nil {
-			spec, err := ev.Spec.spec()
+			spec, err := ev.Spec.spec(base)
 			if err != nil {
 				return nil, err
 			}
@@ -397,11 +410,8 @@ func clusterConfig(dep Deployment, replicas []ReplicaSpec, router string) (clust
 	}
 	cfg := cluster.Config{Base: base, Policy: policy}
 	for _, rs := range replicas {
-		spec, err := rs.spec()
+		spec, err := rs.spec(base)
 		if err != nil {
-			return cluster.Config{}, err
-		}
-		if err := fits(spec.Config(base), spec.Engine); err != nil {
 			return cluster.Config{}, err
 		}
 		cfg.Replicas = append(cfg.Replicas, spec)
