@@ -43,7 +43,6 @@ func newReplayArena(perReplica int) *replayArena {
 // replicaResult is the per-replica slice of the aggregate report.
 type replicaResult struct {
 	loop     sim.LoopStats
-	passes   int64 // occupancy passes
 	requests int
 	unstable bool
 	err      error
@@ -62,7 +61,6 @@ func (a *replayArena) runReplica(seed uint64, rate float64) replicaResult {
 	}
 	return replicaResult{
 		loop:     rep.Engine.Loop,
-		passes:   rep.Engine.RatePasses,
 		requests: rep.Summary.Requests,
 		unstable: rep.Summary.Unstable,
 	}
@@ -88,7 +86,6 @@ func runReplay(w io.Writer, replicas, requests int, rate float64) error {
 
 	var agg sim.LoopStats
 	var reqs, unstable int
-	var passes int64
 	for _, r := range results {
 		if r.err != nil {
 			return r.err
@@ -97,7 +94,6 @@ func runReplay(w io.Writer, replicas, requests int, rate float64) error {
 		agg.Scheduled += r.loop.Scheduled
 		agg.Canceled += r.loop.Canceled
 		agg.Folded += r.loop.Folded
-		passes += r.passes
 		if r.loop.MaxPending > agg.MaxPending {
 			agg.MaxPending = r.loop.MaxPending
 		}
@@ -117,7 +113,6 @@ func runReplay(w io.Writer, replicas, requests int, rate float64) error {
 	fmt.Fprintf(w, "| events scheduled | %d |\n", agg.Scheduled)
 	fmt.Fprintf(w, "| events canceled | %d |\n", agg.Canceled)
 	fmt.Fprintf(w, "| iterations folded | %d |\n", agg.Folded)
-	fmt.Fprintf(w, "| rate passes | %d |\n", passes)
 	fmt.Fprintf(w, "| max pending (any replica) | %d |\n", agg.MaxPending)
 	fmt.Fprintf(w, "| unstable replicas | %d |\n", unstable)
 	fmt.Fprintln(w)

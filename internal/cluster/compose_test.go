@@ -184,6 +184,34 @@ func TestComposedStickyFilterPinsSessions(t *testing.T) {
 	}
 }
 
+// The session scorer alone scores a session's KV holder above the rest,
+// so a later turn follows the holder where a cold request takes the
+// lowest-ID tie.
+func TestComposedSessionScorerFollowsHolder(t *testing.T) {
+	p, err := ParseComposition("epp:scorers=session:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := p()
+	fleet := bareFleet(RoleGeneral, RoleGeneral, RoleGeneral)
+	turn := func(n int) *workload.Request {
+		return withSegs(&workload.Request{ID: n, Session: 5, Turn: n,
+			InputTokens: 600, OutputTokens: 60,
+			Pages: pdPages(17, 600), AllPages: pdPages(17, 660)})
+	}
+	// Only replica 2 is routable for the first turn, which makes it the
+	// session's holder.
+	if got := r.Pick(turn(0), view(fleet[2:])); got != fleet[2] {
+		t.Fatalf("first turn routed to %s, want the only candidate rep-2", got.Name)
+	}
+	if got := r.Pick(coldReq(9), view(fleet)); got != fleet[0] {
+		t.Fatalf("a cold request routed to %s, want the lowest-ID tie rep-0", got.Name)
+	}
+	if got := r.Pick(turn(1), view(fleet)); got != fleet[2] {
+		t.Fatalf("the later turn routed to %s, want its KV holder rep-2", got.Name)
+	}
+}
+
 func TestComposedPolicyBuildsFreshStatePerRouter(t *testing.T) {
 	p, err := ParseComposition("epp:filters=sticky;scorers=least-tokens")
 	if err != nil {

@@ -97,14 +97,22 @@ func NewKernel(label string, kind Kind, c model.Cost, launch sim.Time) Kernel {
 // recomputation keys the timer. A retirement whose queued successor
 // starts in the same event is one change, not two: the successor's start
 // sets the rates, so a layer-to-layer handoff sets them once and keys the
-// timer once. Two running kernels take an occupancy pass and a bandwidth
-// waterfill only for a pair the device's rate memo (rateMemo) does not
-// hold, and three or more take them always. A kernel alone on the device,
-// the common case of a decode iteration at low load, takes its solo rates
-// in closed form: its occupancy is its own SM fraction, and its one
-// demand never exceeds the group's bandwidth, so the waterfill would
-// grant it whole and never saturate. Its deadline and its progress skip
-// the loops over the running set too, with the same floats.
+// timer once. A kernel alone on the device, the common case of a decode
+// iteration at low load, takes its solo rates in closed form: its
+// occupancy is its own SM fraction, and its one demand never exceeds the
+// group's bandwidth, so the waterfill would grant it whole and never
+// saturate. Its deadline and its progress skip the loops over the running
+// set too, with the same floats. Two running kernels, MuxWise's prefill
+// layer beside a decode iteration, take theirs in closed form too: the
+// first started keeps its SM fraction and the second takes what remains,
+// at least the occupancy floor. Each bandwidth demand is a BandwidthCap,
+// at most the group's bandwidth, so one demand alone never saturates the
+// waterfill, and when the two together exceed it at most one is under
+// half of it: that one is granted whole and the other the rest, or, with
+// neither under half, each gets half. Both closed forms run the float
+// operations of the general occupancy pass and waterfill (ratePass) in
+// its order, so they set the same bits; only a running set of three or
+// more, which no engine makes, takes ratePass itself.
 //
 // A decode stream coasting into its next iteration relaunches its kernel
 // from the kernel's own completion callback with Partition.Relaunch,
@@ -138,7 +146,6 @@ type Device struct {
 	// rather than reallocated.
 	runFree  []*run
 	finished []*run
-	rates    *rateMemo // setRatesN's memo and scratch; nil until kernels co-run
 
 	// Accounting integrals (seconds-weighted).
 	smInt      float64 // ∫ Σ smFraction dt
@@ -199,9 +206,6 @@ type Partition struct {
 
 // SMs returns the partition's current size in SMs per GPU.
 func (p *Partition) SMs() int { return p.sms }
-
-// Label returns the partition's diagnostic name.
-func (p *Partition) Label() string { return p.label }
 
 // Busy returns total seconds this partition spent executing kernels.
 func (p *Partition) Busy() float64 { return p.busy }
@@ -469,10 +473,10 @@ func (r *run) load(s *Spec, tp, sms int) {
 }
 
 // setLoneRates sets r's rates as the only kernel running on tp spec GPUs:
-// the closed form of setRatesN's occupancy pass and waterfill on a
-// running set of one. Its occupancy is its fraction, which the floor
-// leaves alone for every fraction in [0, 1], and its demand, capped at
-// the group's bandwidth, is granted whole.
+// the closed form of ratePass on a running set of one. Its occupancy is
+// its fraction, which the floor leaves alone for every fraction in
+// [0, 1], and its demand, capped at the group's bandwidth, is granted
+// whole.
 func (r *run) setLoneRates(s *Spec, tp int) {
 	var bcap float64
 	r.crate, bcap = s.loneRates(r.frac, r.eff, tp)
@@ -572,69 +576,68 @@ func (d *Device) reallocate() {
 // setRates sets every running kernel's rates: SM occupancy, then the
 // bandwidth water-filled across the kernels' SM-limited demands. A lone
 // kernel takes its solo rates in closed form, and its demand never
-// saturates the waterfill.
+// saturates the waterfill; a pair takes setPairRates.
 func (d *Device) setRates() {
-	if len(d.running) != 1 {
-		d.setRatesN()
-		return
+	switch len(d.running) {
+	case 1:
+		d.running[0].setLoneRates(&d.Spec, d.TP)
+		d.saturated = false
+	case 2:
+		d.setPairRates(d.running[0], d.running[1])
+	default:
+		d.ratePass()
 	}
-	d.running[0].setLoneRates(&d.Spec, d.TP)
-	d.saturated = false
 }
 
-// setRatesN is setRates' occupancy pass and waterfill over any running
-// set. A pair of running kernels the device's rate memo holds takes its
-// rates from there instead, bit for bit the pass's.
-func (d *Device) setRatesN() {
-	m := d.rates
-	if m == nil {
-		m = new(rateMemo)
-		d.rates = m
+// occupancyFloor is the SM fraction a kernel squeezed out by earlier ones
+// still occupies: the blocks that do sneak in.
+const occupancyFloor = 0.02
+
+// setPairRates sets the rates of a and b, in start order, as the only two
+// kernels running: the closed form of ratePass on a running set of two
+// (see Device).
+func (d *Device) setPairRates(a, b *run) {
+	flops, bw := d.TotalFLOPS(), d.TotalBandwidth()
+	ga := a.frac
+	gb := min(b.frac, 1-ga)
+	if gb < occupancyFloor {
+		gb = min(occupancyFloor, b.frac)
 	}
-	if noRateMemo || len(d.running) != 2 {
-		m.passes++
-		d.ratePass(m)
-		return
+	a.crate, b.crate = ga*flops*a.eff, gb*flops*b.eff
+	a.commRate, b.commRate = d.Spec.NVLinkBandwidth, d.Spec.NVLinkBandwidth
+	var ca, cb float64
+	if !a.bytesDone() {
+		ca = d.Spec.BandwidthCap(ga, bw)
 	}
-	a, b := d.running[0], d.running[1]
-	key := memoKey{
-		frac:      [2]uint64{math.Float64bits(a.frac), math.Float64bits(b.frac)},
-		eff:       [2]uint64{math.Float64bits(a.eff), math.Float64bits(b.eff)},
-		bytesDone: [2]bool{a.bytesDone(), b.bytesDone()},
+	if !b.bytesDone() {
+		cb = d.Spec.BandwidthCap(gb, bw)
 	}
-	if set := m.lookup(key); set != nil {
-		a.crate, a.brate, a.commRate = set.crate[0], set.brate[0], d.Spec.NVLinkBandwidth
-		b.crate, b.brate, b.commRate = set.crate[1], set.brate[1], d.Spec.NVLinkBandwidth
-		d.saturated = set.saturated
-		return
+	switch half := bw / 2; {
+	case ca+cb <= bw:
+		a.brate, b.brate, d.saturated = ca, cb, false
+	case ca <= half:
+		a.brate, b.brate, d.saturated = ca, min(cb, bw-ca), true
+	case cb <= half:
+		a.brate, b.brate, d.saturated = min(ca, bw-cb), cb, true
+	default:
+		a.brate, b.brate, d.saturated = half, half, true
 	}
-	m.passes++
-	d.ratePass(m)
-	m.store(memoSet{
-		key:       key,
-		crate:     [2]float64{a.crate, b.crate},
-		brate:     [2]float64{a.brate, b.brate},
-		saturated: d.saturated,
-	})
 }
 
-// ratePass runs the occupancy pass and the waterfill over the running
-// set, with m's scratch.
-func (d *Device) ratePass(m *rateMemo) {
+// ratePass runs the occupancy pass and the waterfill over any running
+// set.
+func (d *Device) ratePass() {
 	// SM occupancy: green-context partitions are disjoint, so each
 	// kernel keeps its fraction. When streams oversubscribe the SMs
 	// (plain CUDA streams, or a reconfiguration racing an in-flight
 	// kernel), occupancy is non-preemptive: kernels resident earlier
-	// keep their SMs and later arrivals squeeze into what remains, with
-	// a small floor for the blocks that do sneak in. d.running is in
-	// start order: startRun appends and retirement filters in place.
-	// Each kernel's occupancy sets its compute rate and caps its
-	// bandwidth demand.
-	const occupancyFloor = 0.02
+	// keep their SMs and later arrivals squeeze into what remains, down
+	// to the floor. d.running is in start order: startRun appends and
+	// retirement filters in place. Each kernel's occupancy sets its
+	// compute rate and caps its bandwidth demand.
 	n := len(d.running)
 	flops, bw := d.TotalFLOPS(), d.TotalBandwidth()
-	buf := growFloats(&m.buf, 2*n)
-	caps, alloc := buf[:n], buf[n:]
+	caps, alloc := make([]float64, n), make([]float64, n)
 	remaining := 1.0
 	for i, r := range d.running {
 		g := min(r.frac, remaining)
@@ -643,12 +646,11 @@ func (d *Device) ratePass(m *rateMemo) {
 		}
 		remaining = max(0, remaining-g)
 		r.crate = g * flops * r.eff
-		caps[i] = 0
 		if !r.bytesDone() {
 			caps[i] = d.Spec.BandwidthCap(g, bw)
 		}
 	}
-	m.unsat, d.saturated = waterfillInto(alloc, caps, bw, m.unsat)
+	_, d.saturated = waterfillInto(alloc, caps, bw, nil)
 	for i, r := range d.running {
 		r.brate = alloc[i]
 		r.commRate = d.Spec.NVLinkBandwidth
@@ -658,78 +660,6 @@ func (d *Device) ratePass(m *rateMemo) {
 // bytesDone reports whether r has no HBM bytes left, so that the waterfill
 // grants it no bandwidth.
 func (r *run) bytesDone() bool { return r.remB <= 0 }
-
-// rateMemoSets is how many running sets a device's rate memo holds, a
-// power of two. Four, not two: on long LooGLE prompts and on a bursty
-// fleet a device cycles through three pairs.
-const rateMemoSets = 4
-
-// noRateMemo sends every setRatesN call through the occupancy pass, for
-// tests that check the memo against the pass.
-var noRateMemo bool
-
-// rateMemo remembers the rates setRatesN gave a device's last
-// rateMemoSets running sets of two kernels. A set's key is what the pass
-// reads of each kernel, in start order: its SM fraction and efficiency,
-// compared on their bits so that NaN and ±0 cannot alias, and whether it
-// has HBM bytes left. With the device's fixed Spec and TP those are all
-// the pass's inputs, so a hit sets exactly the rates and saturation flag
-// the pass would.
-//
-// A co-running device cycles through a few sets: MuxWise's prefill layer
-// beside a decode iteration starts one set, its HBM drain under a
-// saturated waterfill turns one kernel's bytes flag, and the next
-// identical layer starts the first set again. Running sets of three or
-// more kernels, which none of muxperf's workloads runs, always take the
-// pass.
-type rateMemo struct {
-	sets   [rateMemoSets]memoSet
-	stored int   // sets stored; the next overwrites the oldest
-	passes int64 // occupancy passes run
-
-	// The pass's scratch: bandwidth caps and grants share buf.
-	buf   []float64
-	unsat []int
-}
-
-type memoSet struct {
-	key          memoKey
-	crate, brate [2]float64
-	saturated    bool
-}
-
-type memoKey struct {
-	frac, eff [2]uint64 // float bits
-	bytesDone [2]bool
-}
-
-// lookup returns the stored set with key, or nil.
-func (m *rateMemo) lookup(key memoKey) *memoSet {
-	for i := range min(m.stored, rateMemoSets) {
-		// Field by field: == on the struct calls its generated equality.
-		if k := &m.sets[i].key; k.frac == key.frac && k.eff == key.eff && k.bytesDone == key.bytesDone {
-			return &m.sets[i]
-		}
-	}
-	return nil
-}
-
-// store keeps set in place of the oldest stored set.
-func (m *rateMemo) store(set memoSet) {
-	m.sets[m.stored&(rateMemoSets-1)] = set
-	m.stored++
-}
-
-// RatePasses returns how many occupancy passes and waterfills the device
-// has run: the running sets of two or more kernels its rate memo did not
-// hold. It counts simulator work, not simulated time, and changes no
-// result.
-func (d *Device) RatePasses() int64 {
-	if d.rates == nil {
-		return 0
-	}
-	return d.rates.passes
-}
 
 // schedule keys the device's completion timer at the earliest kernel
 // retirement under the current rates, or at an earlier HBM drain while
@@ -973,14 +903,4 @@ func waterfillInto(alloc, demands []float64, capacity float64, unsat []int) (_ [
 		}
 	}
 	return scratch, true
-}
-
-// growFloats resizes *s to n elements, reusing capacity. Contents are
-// unspecified; callers overwrite every element.
-func growFloats(s *[]float64, n int) []float64 {
-	if cap(*s) < n {
-		*s = make([]float64, n)
-	}
-	*s = (*s)[:n]
-	return *s
 }

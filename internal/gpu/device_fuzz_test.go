@@ -315,55 +315,35 @@ func (p *deviceProgram) hash(h hash.Hash) {
 const deviceTimelineDigest = "216af042932fe68376a841a0bf3b1d6a0260a54796a8ef8cc8c28a8563fc4112"
 
 // The device timeline over 1000 seeded random programs matches the
-// committed digest, with the rate memo on and off, and every program
-// satisfies the invariants.
+// committed digest, and every program satisfies the invariants.
 func TestDeviceTimelineDigest(t *testing.T) {
-	for _, off := range []bool{false, true} {
-		restore := SetNoRateMemo(off)
-		h := sha256.New()
-		completions, solo := 0, 0
-		var passes int64
-		for seed := range uint64(1000) {
-			rng := rand.New(rand.NewPCG(seed, 0xde71ce))
-			data := make([]byte, 1+4+3*(8+rng.IntN(56)))
-			for i := range data {
-				data[i] = byte(rng.Uint32())
-			}
-			p := runDeviceProgram(t, data)
-			p.check()
-			p.hash(h)
-			completions += len(p.order)
-			solo += p.solo
-			passes += p.d.RatePasses()
-		}
-		restore()
-		if completions < 10000 || solo < 500 {
-			t.Fatalf("only %d completions over 1000 programs, %d of them alone on the device", completions, solo)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != deviceTimelineDigest {
-			t.Fatalf("memo off %v: device timeline digest = %s, want %s", off, got, deviceTimelineDigest)
-		}
-		t.Logf("memo off %v: %d occupancy passes", off, passes)
-	}
-}
-
-// timeline returns the digest of data's program run with the rate memo
-// off or on, after checking its invariants.
-func timeline(t *testing.T, data []byte, memoOff bool) string {
-	defer SetNoRateMemo(memoOff)()
-	p := runDeviceProgram(t, data)
-	p.check()
 	h := sha256.New()
-	p.hash(h)
-	return hex.EncodeToString(h.Sum(nil))
+	completions, solo := 0, 0
+	for seed := range uint64(1000) {
+		rng := rand.New(rand.NewPCG(seed, 0xde71ce))
+		data := make([]byte, 1+4+3*(8+rng.IntN(56)))
+		for i := range data {
+			data[i] = byte(rng.Uint32())
+		}
+		p := runDeviceProgram(t, data)
+		p.check()
+		p.hash(h)
+		completions += len(p.order)
+		solo += p.solo
+	}
+	if completions < 10000 || solo < 500 {
+		t.Fatalf("only %d completions over 1000 programs, %d of them alone on the device", completions, solo)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != deviceTimelineDigest {
+		t.Fatalf("device timeline digest = %s, want %s", got, deviceTimelineDigest)
+	}
 }
 
 // FuzzDeviceOps checks the device invariants on arbitrary programs: every
 // kernel completes exactly once, in FIFO order per partition, never
 // before its host launch is ready, with utilizations in [0, 1] and every
 // launched HBM byte counted once, and a kernel alone on the device
-// retires at its solo time. The program's timeline and Stats are the same
-// bit for bit with the rate memo on and off.
+// retires at its solo time.
 func FuzzDeviceOps(f *testing.F) {
 	f.Add([]byte{0x00, 50, 0, 1, 2, 5, 0, 40})
 	// One 108-SM partition. A launch with a 15 µs launch window, resized
@@ -380,8 +360,6 @@ func FuzzDeviceOps(f *testing.F) {
 	f.Add([]byte{0x89, 200, 200, 200, 3, 0x83, 11, 11, 0x83, 12, 4, 60, 1, 5, 0, 100, 6, 0, 1})
 	f.Add([]byte{0xcb, 1, 2, 3, 4, 0x0b, 0x81, 3, 0x13, 0x82, 8, 0x1c, 0, 9, 7, 0, 0, 5, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if on, off := timeline(t, data, false), timeline(t, data, true); on != off {
-			t.Fatalf("timeline %s with the rate memo, %s through the occupancy pass", on, off)
-		}
+		runDeviceProgram(t, data).check()
 	})
 }

@@ -118,7 +118,6 @@ func (i *Instance) Result(now sim.Time) Result {
 	}
 	for _, d := range i.Eng.Devices() {
 		res.Devices = append(res.Devices, d.Stats())
-		res.RatePasses += d.RatePasses()
 	}
 	return res
 }

@@ -57,9 +57,6 @@ type Result struct {
 	Diagnostics metrics.MissBreakdown
 	// Loop snapshots the event loop's perf counters for the run.
 	Loop sim.LoopStats
-	// RatePasses counts the occupancy passes the engine's devices ran
-	// (gpu.Device.RatePasses), a perf counter like Loop.
-	RatePasses int64
 }
 
 // Run replays the trace against a fresh engine built by factory and

@@ -159,15 +159,6 @@ type Handle struct {
 // fired nor been cancelled. The zero Handle is never pending.
 func (h Handle) Pending() bool { return h.ev != nil && h.ev.gen == h.gen }
 
-// At returns the virtual time at which the event fires, or 0 when the
-// handle is no longer pending.
-func (h Handle) At() Time {
-	if !h.Pending() {
-		return 0
-	}
-	return h.ev.at
-}
-
 // Sim is a discrete-event simulator. The zero value is ready to use.
 type Sim struct {
 	now        Time
