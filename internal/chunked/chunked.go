@@ -220,18 +220,15 @@ func (e *Engine) onIterDone(finished []*serve.Running, chunks []progress) {
 	e.step()
 }
 
-// fusedLatency estimates a fused iteration's latency analytically for
-// budget tuning (the offline step SARATHI-Serve performs before
-// deployment): closed-form kernel time on the full device.
+// fusedLatency prices a fused iteration for budget tuning (the offline
+// step SARATHI-Serve performs before deployment): its kernel run solo on
+// the full device, with its TP collectives budgeted after the kernel
+// rather than overlapped with it as the device runs them.
 func fusedLatency(env *serve.Env, budget, bs, ctx int) float64 {
 	chunk := model.Seq{New: max(0, budget-bs), Reused: 1024}
 	cost := env.Arch.FusedChunkIter(chunk, bs*ctx, bs, env.GPUs)
-
-	spec := env.Spec
-	tp := float64(env.GPUs)
-	eff := spec.PrefillMFU(spec.MFUPrefill, cost.Tokens, 1, env.GPUs)
-	compute := cost.FLOPs / (spec.TensorFLOPS * tp * eff)
-	mem := cost.Bytes / (spec.HBMBandwidth * tp)
-	comm := cost.CommBytes / spec.NVLinkBandwidth
-	return max(compute, mem) + comm + spec.GraphLaunch.Seconds()
+	comm := cost.CommBytes / env.Spec.NVLinkBandwidth
+	cost.CommBytes = 0
+	k := gpu.NewKernel("fused-iter", gpu.Prefill, cost, env.Spec.GraphLaunch)
+	return gpu.SoloTime(env.Spec, env.GPUs, env.Spec.SMs, k).Seconds() + comm
 }

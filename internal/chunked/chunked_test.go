@@ -37,6 +37,52 @@ func TestBudgetTuning(t *testing.T) {
 	}
 }
 
+// budgetTable is BudgetFor's budget per catalog GPU and catalog model,
+// at TP 1, 2, 4 and 8, each at TBT targets of 45, 50 and 100 ms.
+var budgetTable = map[string][4][3]int{
+	"A100-80G/Llama-8B":         {{256, 256, 512}, {512, 512, 1024}, {1024, 1024, 2048}, {2048, 2048, 4096}},
+	"A100-80G/CodeLlama-34B":    {{64, 64, 128}, {64, 64, 256}, {128, 128, 512}, {256, 256, 1024}},
+	"A100-80G/Llama-70B":        {{64, 64, 64}, {64, 64, 64}, {64, 64, 128}, {64, 64, 256}},
+	"A100-80G/Qwen3-235B-A22B":  {{64, 64, 64}, {64, 64, 64}, {64, 64, 512}, {512, 512, 1024}},
+	"H100-80G/Llama-8B":         {{1024, 1024, 2048}, {2048, 2048, 4096}, {4096, 4096, 8192}, {4096, 8192, 8192}},
+	"H100-80G/CodeLlama-34B":    {{128, 128, 512}, {256, 256, 1024}, {512, 512, 2048}, {1024, 1024, 2048}},
+	"H100-80G/Llama-70B":        {{64, 64, 128}, {64, 64, 256}, {128, 128, 512}, {256, 256, 1024}},
+	"H100-80G/Qwen3-235B-A22B":  {{64, 64, 64}, {64, 64, 1024}, {1024, 1024, 2048}, {2048, 2048, 4096}},
+	"H200-141G/Llama-8B":        {{1024, 1024, 2048}, {2048, 2048, 4096}, {4096, 4096, 8192}, {4096, 8192, 8192}},
+	"H200-141G/CodeLlama-34B":   {{128, 128, 512}, {256, 256, 1024}, {512, 512, 2048}, {1024, 1024, 2048}},
+	"H200-141G/Llama-70B":       {{64, 64, 128}, {64, 64, 256}, {128, 128, 512}, {256, 256, 1024}},
+	"H200-141G/Qwen3-235B-A22B": {{64, 64, 512}, {512, 512, 1024}, {1024, 1024, 2048}, {2048, 2048, 4096}},
+	"B200-180G/Llama-8B":        {{2048, 2048, 4096}, {4096, 4096, 8192}, {8192, 8192, 8192}, {8192, 8192, 8192}},
+	"B200-180G/CodeLlama-34B":   {{256, 512, 1024}, {512, 1024, 2048}, {1024, 2048, 4096}, {2048, 2048, 4096}},
+	"B200-180G/Llama-70B":       {{128, 128, 512}, {256, 256, 1024}, {512, 512, 2048}, {1024, 1024, 2048}},
+	"B200-180G/Qwen3-235B-A22B": {{64, 64, 1024}, {1024, 1024, 2048}, {2048, 2048, 4096}, {4096, 4096, 8192}},
+}
+
+// TestBudgetTable pins the tuned budget of every catalog deployment, so a
+// change to how BudgetFor prices its representative fused iteration
+// shows as a moved budget.
+func TestBudgetTable(t *testing.T) {
+	tbts := [3]sim.Time{45 * sim.Millisecond, 50 * sim.Millisecond, 100 * sim.Millisecond}
+	for _, spec := range gpu.Catalog() {
+		for _, arch := range model.Catalog() {
+			key := spec.Name + "/" + arch.Name
+			want, ok := budgetTable[key]
+			if !ok {
+				t.Errorf("%s: no pinned budgets", key)
+				continue
+			}
+			for i, tp := range []int{1, 2, 4, 8} {
+				for j, tbt := range tbts {
+					env := &serve.Env{Config: serve.Config{Spec: spec, GPUs: tp, Arch: arch, SLO: metrics.SLO{TBT: tbt}}}
+					if got := BudgetFor(env); got != want[i][j] {
+						t.Errorf("%s tp=%d TBT %v: budget %d, want %d", key, tp, tbt, got, want[i][j])
+					}
+				}
+			}
+		}
+	}
+}
+
 func cfg70B() serve.Config {
 	return serve.Config{
 		Spec: gpu.A100(), GPUs: 8, Arch: model.Llama70B(),

@@ -129,16 +129,12 @@ func MeasureDecodeSolo(spec gpu.Spec, tp int, arch model.Arch, sms, bs, ctxPerRe
 }
 
 // MeasurePrefillSolo returns the latency in seconds of a full layer-wise
-// prefill phase run solo on the simulated device. Its identical layers
-// queue on one stream behind a serial launcher: layer i is ready at
-// (i+1)·L, starts then or when layer i−1 retires, whichever is later,
-// and runs for E, the solo time of a launch-free layer. So the last one
-// retires at L + E + (Layers−1)·max(E, L).
+// prefill phase run solo on the simulated device: its identical layers
+// queue on one stream behind the serial launcher (gpu.LayerPipeline).
 func MeasurePrefillSolo(spec gpu.Spec, tp int, arch model.Arch, sms int, seqs []model.Seq) float64 {
 	layer := arch.PrefillLayer(seqs, tp, true)
 	e := gpu.SoloTime(spec, tp, sms, gpu.NewKernel("prefill-layer", gpu.Prefill, layer, 0))
-	l := spec.LayerLaunch
-	return (l + e + sim.Time(arch.Layers-1)*max(e, l)).Seconds()
+	return gpu.LayerPipeline(arch.Layers, spec.LayerLaunch, e).Seconds()
 }
 
 // decodeFeatures builds the Eq. 2 feature row [Σr, bs, 1].

@@ -503,6 +503,16 @@ func SoloTime(spec Spec, tp, sms int, k Kernel) sim.Time {
 	return r.retireAt(k.Launch)
 }
 
+// LayerPipeline returns when a solo layer-wise prefill phase retires:
+// layers identical kernels launched at time 0 onto one idle stream
+// behind the serial host launcher, l the launch latency of each and e
+// the SoloTime of one without it. Layer i is ready at (i+1)·l and starts
+// then or when layer i−1 retires, whichever is later, so the last
+// retires at l + e + (layers−1)·max(e, l).
+func LayerPipeline(layers int, l, e sim.Time) sim.Time {
+	return l + e + sim.Time(layers-1)*max(e, l)
+}
+
 // count books a kernel start at t.
 func (d *Device) count(t sim.Time) {
 	d.kernels++
@@ -612,15 +622,27 @@ func (d *Device) setPairRates(a, b *run) {
 	if !b.bytesDone() {
 		cb = d.Spec.BandwidthCap(gb, bw)
 	}
+	a.brate, b.brate, d.saturated = SplitBandwidth(ca, cb, bw)
+}
+
+// SplitBandwidth is the max-min fair split of bandwidth bw between two
+// demands ca and cb, each at most bw: the waterfill of two demands in
+// closed form, with its float operations. Demands that fit are granted
+// whole. Otherwise at most one is under half of bw; that one is granted
+// whole and the other the rest, or, with neither under half, each gets
+// half. saturated reports whether the demands exceeded bw. The device
+// splits a running pair's bandwidth with it, and the roofline cost model
+// a decode partition's against its prefill partner's.
+func SplitBandwidth(ca, cb, bw float64) (a, b float64, saturated bool) {
 	switch half := bw / 2; {
 	case ca+cb <= bw:
-		a.brate, b.brate, d.saturated = ca, cb, false
+		return ca, cb, false
 	case ca <= half:
-		a.brate, b.brate, d.saturated = ca, min(cb, bw-ca), true
+		return ca, min(cb, bw-ca), true
 	case cb <= half:
-		a.brate, b.brate, d.saturated = min(ca, bw-cb), cb, true
+		return min(ca, bw-cb), cb, true
 	default:
-		a.brate, b.brate, d.saturated = half, half, true
+		return half, half, true
 	}
 }
 
@@ -650,7 +672,7 @@ func (d *Device) ratePass() {
 			caps[i] = d.Spec.BandwidthCap(g, bw)
 		}
 	}
-	_, d.saturated = waterfillInto(alloc, caps, bw, nil)
+	d.saturated = waterfill(alloc, caps, bw)
 	for i, r := range d.running {
 		r.brate = alloc[i]
 		r.commRate = d.Spec.NVLinkBandwidth
@@ -840,67 +862,50 @@ func (d *Device) HostBacklog() sim.Time {
 	return d.hostFreeAt - d.sim.Now()
 }
 
-// waterfill distributes capacity across demands with max-min fairness:
-// every demand gets min(demand, fair share), and leftover capacity is
-// redistributed among unsatisfied demands.
-func waterfill(demands []float64, capacity float64) []float64 {
-	alloc := make([]float64, len(demands))
-	waterfillInto(alloc, demands, capacity, nil)
-	return alloc
-}
-
-// waterfillInto is the allocation-free waterfill: it fills alloc (which
-// must have len(demands)) in place, using and returning the unsat scratch
-// slice so callers can reuse its capacity. saturated reports whether the
-// demands exceeded capacity; when they did not, alloc equals demands.
-func waterfillInto(alloc, demands []float64, capacity float64, unsat []int) (_ []int, saturated bool) {
-	for i := range alloc {
-		alloc[i] = 0
-	}
+// waterfill distributes capacity across demands with max-min fairness,
+// filling alloc (which must have len(demands)) in place: every demand
+// gets min(demand, fair share), and leftover capacity is redistributed
+// among unsatisfied demands, in rounds. A positive demand is unsatisfied
+// while its alloc is 0. saturated reports whether the demands exceeded
+// capacity; when they did not, alloc equals demands.
+func waterfill(alloc, demands []float64, capacity float64) (saturated bool) {
+	clear(alloc)
 	var total float64
-	active := 0
+	unsat := 0
 	for _, v := range demands {
 		if v > 0 {
 			total += v
-			active++
+			unsat++
 		}
 	}
-	if active == 0 {
-		return unsat, false
+	if unsat == 0 {
+		return false
 	}
 	if total <= capacity {
 		copy(alloc, demands)
-		return unsat, false
+		return false
 	}
 	remaining := capacity
-	unsat = unsat[:0]
-	for i, v := range demands {
-		if v > 0 {
-			unsat = append(unsat, i)
-		}
-	}
-	scratch := unsat
-	for len(unsat) > 0 {
-		fair := remaining / float64(len(unsat))
-		progressed := false
-		next := unsat[:0]
-		for _, i := range unsat {
-			if demands[i] <= fair {
-				alloc[i] = demands[i]
-				remaining -= demands[i]
-				progressed = true
-			} else {
-				next = append(next, i)
+	for unsat > 0 {
+		fair := remaining / float64(unsat)
+		left := unsat
+		for i, v := range demands {
+			if v > 0 && alloc[i] == 0 && v <= fair {
+				alloc[i] = v
+				remaining -= v
+				left--
 			}
 		}
-		unsat = next
-		if !progressed {
-			fair = remaining / float64(len(unsat))
-			for _, i := range unsat {
-				alloc[i] = fair
+		if left == unsat {
+			// No unsatisfied demand fits its fair share: each takes it.
+			for i, v := range demands {
+				if v > 0 && alloc[i] == 0 {
+					alloc[i] = fair
+				}
 			}
 			break
 		}
+		unsat = left
 	}
-	return scratch, true
+	return true
 }

@@ -342,25 +342,34 @@ func TestPartitionQueueAccounting(t *testing.T) {
 
 func TestWaterfill(t *testing.T) {
 	cases := []struct {
-		demands []float64
-		cap     float64
-		want    []float64
+		demands   []float64
+		cap       float64
+		want      []float64
+		saturated bool
 	}{
-		{[]float64{10, 10}, 30, []float64{10, 10}},         // under capacity
-		{[]float64{30, 30}, 30, []float64{15, 15}},         // equal split
-		{[]float64{5, 100}, 30, []float64{5, 25}},          // small demand satisfied first
-		{[]float64{0, 50}, 30, []float64{0, 30}},           // zero demand ignored
-		{[]float64{}, 30, []float64{}},                     // empty
-		{[]float64{10, 20, 70}, 60, []float64{10, 20, 30}}, // cascade
+		{[]float64{10, 10}, 30, []float64{10, 10}, false},        // under capacity
+		{[]float64{30, 30}, 30, []float64{15, 15}, true},         // equal split
+		{[]float64{5, 100}, 30, []float64{5, 25}, true},          // small demand satisfied first
+		{[]float64{0, 50}, 30, []float64{0, 30}, true},           // zero demand ignored
+		{[]float64{}, 30, []float64{}, false},                    // empty
+		{[]float64{10, 20, 70}, 60, []float64{10, 20, 30}, true}, // cascade
 	}
 	for i, c := range cases {
-		got := waterfill(c.demands, c.cap)
+		got := []float64{-1, -1, -1}[:len(c.demands)] // stale values to overwrite
+		saturated := waterfill(got, c.demands, c.cap)
+		if saturated != c.saturated {
+			t.Errorf("case %d: saturated = %v, want %v", i, saturated, c.saturated)
+		}
 		for j := range c.want {
 			if math.Abs(got[j]-c.want[j]) > 1e-9 {
 				t.Errorf("case %d: waterfill = %v, want %v", i, got, c.want)
 				break
 			}
 		}
+	}
+	demands, alloc := []float64{10, 20, 70}, make([]float64, 3)
+	if n := testing.AllocsPerRun(100, func() { waterfill(alloc, demands, 60) }); n != 0 {
+		t.Errorf("waterfill allocates %v times per call, want 0", n)
 	}
 }
 
@@ -375,7 +384,10 @@ func TestPropertyWaterfill(t *testing.T) {
 			total += float64(v)
 		}
 		capacity := float64(capRaw%1000) + 1
-		alloc := waterfill(demands, capacity)
+		alloc := make([]float64, len(demands))
+		if saturated := waterfill(alloc, demands, capacity); saturated != (total > capacity) {
+			return false
+		}
 		var sum float64
 		for i := range alloc {
 			if alloc[i] < -1e-9 || alloc[i] > demands[i]+1e-9 {

@@ -1,6 +1,9 @@
 package roofline_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -15,32 +18,25 @@ func relErr(got, want float64) float64 {
 	return math.Abs(got-want) / want
 }
 
-// The roofline closed forms are derived from the simulated device's fluid
-// model, so against a solo run on a fresh device they should be exact up
-// to event-time quantization. This band is the tentpole's ground-truth
-// check: the analytical model reproduces the simulator it replaces the
-// profiler of.
-const simBand = 1e-3
-
 // TestDecodeSoloMatchesSimulator compares the analytical decode iteration
 // time against a measured solo run on the simulated device, across
 // hardware, tensor parallelism, partition sizes, batch sizes and context
-// lengths — the same axes the fitted estimator profiles.
+// lengths — the same axes the fitted estimator profiles. The roofline
+// prices kernels with the device's own rates and formulas, so it is
+// exact: the seconds compared are those of the same sim.Time.
 func TestDecodeSoloMatchesSimulator(t *testing.T) {
 	specs := []gpu.Spec{gpu.A100(), gpu.H100(), gpu.B200()}
 	arch := model.Llama8B()
 	for _, spec := range specs {
 		for _, tp := range []int{1, 2} {
 			m := roofline.New(spec, tp, arch)
-			cfgs := m.Configs()
-			for _, sms := range []int{cfgs[0], spec.SMs} {
+			for _, sms := range []int{spec.PartitionSizes()[0], spec.SMs} {
 				for _, bs := range []int{1, 12, 160} {
 					for _, ctx := range []int{1024, 65536} {
 						got := m.DecodeSolo(bs*ctx, bs, sms).Seconds()
-						want := estimator.MeasureDecodeSolo(spec, tp, arch, sms, bs, ctx)
-						if e := relErr(got, want); e > simBand {
-							t.Errorf("%s tp=%d sms=%d bs=%d ctx=%d: roofline %.6gs vs simulator %.6gs (rel %.2e)",
-								spec.Name, tp, sms, bs, ctx, got, want, e)
+						if want := estimator.MeasureDecodeSolo(spec, tp, arch, sms, bs, ctx); got != want {
+							t.Errorf("%s tp=%d sms=%d bs=%d ctx=%d: roofline %vs vs simulator %vs",
+								spec.Name, tp, sms, bs, ctx, got, want)
 						}
 					}
 				}
@@ -57,42 +53,19 @@ func TestPrefillPhaseMatchesSimulator(t *testing.T) {
 	for _, spec := range specs {
 		for _, tp := range []int{1, 2} {
 			m := roofline.New(spec, tp, arch)
-			cfgs := m.Configs()
-			for _, sms := range []int{spec.SMs - cfgs[0], spec.SMs} {
+			for _, sms := range []int{spec.SMs - spec.PartitionSizes()[0], spec.SMs} {
 				for _, n := range []int{384, 3000, 12000} {
 					for _, r := range []int{0, 60000} {
 						seqs := []model.Seq{{New: n, Reused: r}}
 						got := m.PrefillPhase(seqs, sms).Seconds()
-						want := estimator.MeasurePrefillSolo(spec, tp, arch, sms, seqs)
-						if e := relErr(got, want); e > simBand {
-							t.Errorf("%s tp=%d sms=%d n=%d r=%d: roofline %.6gs vs simulator %.6gs (rel %.2e)",
-								spec.Name, tp, sms, n, r, got, want, e)
+						if want := estimator.MeasurePrefillSolo(spec, tp, arch, sms, seqs); got != want {
+							t.Errorf("%s tp=%d sms=%d n=%d r=%d: roofline %vs vs simulator %vs",
+								spec.Name, tp, sms, n, r, got, want)
 						}
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestFusedStepMatchesDirectCost pins the chunked-prefill fusion: one
-// kernel carrying both phases' work, timed by the max of its streams.
-func TestFusedStepMatchesDirectCost(t *testing.T) {
-	spec := gpu.A100()
-	arch := model.Llama8B()
-	m := roofline.New(spec, 1, arch)
-	chunk := model.Seq{New: 512, Prior: 1024, Reused: 2048}
-	const totalCtx, bs = 1000 + 4000 + 9000, 3
-	c := arch.FusedChunkIter(chunk, totalCtx, bs, 1)
-	want := spec.GraphLaunch + m.KernelTime(c, gpu.Prefill, spec.SMs)
-	if got := m.FusedStep(chunk, totalCtx, bs, spec.SMs); got != want {
-		t.Fatalf("FusedStep %v != GraphLaunch + KernelTime %v", got, want)
-	}
-	// A pure-decode "chunk" (New=0) must time with the flat decode MFU.
-	cd := arch.FusedChunkIter(model.Seq{}, totalCtx, bs, 1)
-	wantD := spec.GraphLaunch + m.KernelTime(cd, gpu.Decode, spec.SMs)
-	if got := m.FusedStep(model.Seq{}, totalCtx, bs, spec.SMs); got != wantD {
-		t.Fatalf("decode-only FusedStep %v != %v", got, wantD)
 	}
 }
 
@@ -112,7 +85,7 @@ func TestFittedAgreementDecode(t *testing.T) {
 		fitted := estimator.New(spec, 1, arch)
 		m := roofline.New(spec, 1, arch)
 		worst := 0.0
-		for _, sms := range []int{m.Configs()[0], spec.SMs} {
+		for _, sms := range []int{spec.PartitionSizes()[0], spec.SMs} {
 			for _, bs := range []int{3, 12, 48, 160} {
 				for _, ctx := range []int{1024, 12288, 65536} {
 					got := m.DecodeSolo(bs*ctx, bs, sms).Seconds()
@@ -139,7 +112,7 @@ func TestFittedAgreementPrefill(t *testing.T) {
 		fitted := estimator.New(spec, 1, arch)
 		m := roofline.New(spec, 1, arch)
 		worst := 0.0
-		for _, sms := range []int{spec.SMs - m.Configs()[0], spec.SMs} {
+		for _, sms := range []int{spec.SMs - spec.PartitionSizes()[0], spec.SMs} {
 			for _, n := range []int{384, 3000, 12000} {
 				for _, r := range []int{0, 5000, 60000} {
 					seqs := []model.Seq{{New: n, Reused: r}}
@@ -167,7 +140,7 @@ func TestFittedAgreementPrefill(t *testing.T) {
 func TestDecodeWorstBounds(t *testing.T) {
 	spec := gpu.A100()
 	m := roofline.New(spec, 1, model.Llama8B())
-	for _, sms := range m.Configs() {
+	for _, sms := range append(spec.PartitionSizes(), spec.SMs) {
 		for _, bs := range []int{4, 64} {
 			solo := m.DecodeSolo(bs*4096, bs, sms)
 			worst := m.DecodeWorst(bs*4096, bs, sms, 8000, 0)
@@ -190,49 +163,45 @@ func TestDecodeWorstBounds(t *testing.T) {
 	}
 }
 
-// TestRegimeOf pins the regime labels on canonical shapes: small-batch
-// decode streams weights (memory-bound), a large prefill chunk on a full
-// device is compute-bound, and a synthetic all-comm kernel labels Comm.
-func TestRegimeOf(t *testing.T) {
-	spec := gpu.A100()
-	arch := model.Llama8B()
-	m := roofline.New(spec, 1, arch)
-	dec := arch.DecodeIterTotals(4*2048, 4, 1)
-	if r := m.RegimeOf(dec, gpu.Decode, spec.SMs); r != roofline.Memory {
-		t.Errorf("small-batch decode regime = %v, want memory", r)
-	}
-	pre := arch.PrefillLayer([]model.Seq{{New: 8192}}, 1, true)
-	if r := m.RegimeOf(pre, gpu.Prefill, spec.SMs); r != roofline.Compute {
-		t.Errorf("8k prefill chunk regime = %v, want compute", r)
-	}
-	comm := model.Cost{FLOPs: 1, Bytes: 1, CommBytes: 1e12, Tokens: 1}
-	if r := m.RegimeOf(comm, gpu.Decode, spec.SMs); r != roofline.Comm {
-		t.Errorf("all-comm kernel regime = %v, want comm", r)
-	}
-	for i, want := range map[roofline.Regime]string{
-		roofline.Compute: "compute", roofline.Memory: "memory", roofline.Comm: "comm",
-	} {
-		if got := i.String(); got != want {
-			t.Errorf("Regime(%d).String() = %q, want %q", int(i), got, want)
-		}
-	}
-}
+// predictionDigest is the sha256 of TestPredictionDigest's grid.
+const predictionDigest = "7dfbeec50e1c536f1eede18e5263c6df5f93bce31f480bc9ca0870f25c8a440b"
 
-// TestConfigsMirrorsEstimator: both cost models must offer the engine the
-// same partition menu, or a cost-model switch would change scheduling
-// decisions for reasons other than predicted time.
-func TestConfigsMirrorsEstimator(t *testing.T) {
-	spec := gpu.H100()
-	arch := model.Llama8B()
-	rl := roofline.New(spec, 1, arch).Configs()
-	fit := estimator.New(spec, 1, arch).Configs()
-	if len(rl) != len(fit) {
-		t.Fatalf("config menus differ: roofline %v vs fitted %v", rl, fit)
-	}
-	for i := range rl {
-		if rl[i] != fit[i] {
-			t.Fatalf("config menus differ: roofline %v vs fitted %v", rl, fit)
+// TestPredictionDigest hashes DecodeSolo and DecodeWorst for every
+// catalog GPU × catalog model × TP ∈ {1, 2, 4, 8}, at every SM count from
+// 0 to the whole device (partition sizes and the rest alike), over
+// decode batch × per-request context shapes and prefill shapes from none
+// to a 30k-token phase. Any change to the roofline's decode arithmetic or
+// to the bandwidth split it shares with the device, down to one rounding,
+// moves it.
+func TestPredictionDigest(t *testing.T) {
+	type prefill struct{ new, reused int }
+	prefills := []prefill{{0, 0}, {0, 4096}, {1, 0}, {512, 0}, {8192, 2048}, {30000, 0}}
+	h := sha256.New()
+	var buf []byte
+	put := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
+	n := 0
+	for _, spec := range gpu.Catalog() {
+		for _, arch := range model.Catalog() {
+			for _, tp := range []int{1, 2, 4, 8} {
+				m := roofline.New(spec, tp, arch)
+				for sms := 0; sms <= spec.SMs; sms++ {
+					buf = buf[:0]
+					for _, bs := range []int{1, 8, 64, 256} {
+						for _, ctx := range []int{256, 4096, 32768} {
+							put(int64(m.DecodeSolo(bs*ctx, bs, sms)))
+							for _, p := range prefills {
+								put(int64(m.DecodeWorst(bs*ctx, bs, sms, p.new, p.reused)))
+							}
+							n += 1 + len(prefills)
+						}
+					}
+					h.Write(buf)
+				}
+			}
 		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != predictionDigest {
+		t.Errorf("prediction digest over %d predictions = %s, want %s", n, got, predictionDigest)
 	}
 }
 
@@ -242,7 +211,7 @@ func TestConfigsMirrorsEstimator(t *testing.T) {
 func BenchmarkPredict(b *testing.B) {
 	m := roofline.New(gpu.H100(), 2, model.Llama70B())
 	seqs := []model.Seq{{New: 30000, Reused: 2048}}
-	sms := m.Configs()[2]
+	sms := m.Spec.PartitionSizes()[2]
 	b.Run("PrefillPhase", func(b *testing.B) {
 		for b.Loop() {
 			m.PrefillPhase(seqs, sms)

@@ -56,14 +56,6 @@ type Analyzer struct {
 	Run  func(*Pass) error
 }
 
-// oneLine returns the first line of the analyzer's doc.
-func (a *Analyzer) oneLine() string {
-	if i := strings.IndexByte(a.Doc, '\n'); i >= 0 {
-		return a.Doc[:i]
-	}
-	return a.Doc
-}
-
 // A Pass hands one typechecked package to one analyzer.
 type Pass struct {
 	Analyzer *Analyzer
