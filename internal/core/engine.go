@@ -18,6 +18,7 @@
 package core
 
 import (
+	"muxwise/internal/arena"
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
 	"muxwise/internal/model"
@@ -56,9 +57,15 @@ func DefaultOptions() Options {
 // batch, mirroring SGLang's max prefill budget.
 const maxPrefillBatchTokens = 16384
 
+// jobCap is a new prefill job's room for requests. Few batches outgrow
+// it, so the engine's recycled jobs seldom grow their slices.
+const jobCap = 8
+
 // prefillJob is one prefill batch progressing layer by layer. It carries
 // its engine so per-layer completion callbacks can be scheduled through
 // the closure-free gpu.LaunchFn with the job itself as the argument.
+// Jobs are recycled through the engine's pool (see releaseJob), so a job
+// keeps the capacity of its reqs and seqs from one batch to the next.
 type prefillJob struct {
 	eng  *Engine
 	reqs []*serve.Running
@@ -112,6 +119,7 @@ type Engine struct {
 	layerOf  *prefillJob              // nil once enqueue appends to that job
 	queue    serve.Queue[*prefillJob] // admitted jobs waiting for the prefill stream
 	merging  []*prefillJob            // prefill-complete jobs awaiting a decode boundary
+	jobs     arena.Pool[prefillJob]   // merged jobs, for enqueue to reuse
 	pending  serve.Queue[*workload.Request]
 
 	configs   []int
@@ -131,6 +139,9 @@ func New(env *serve.Env) serve.Engine { return NewWithOptions(env, DefaultOption
 // NewWithOptions builds a MuxWise engine with explicit ablation options.
 func NewWithOptions(env *serve.Env, opts Options) *Engine {
 	dev := gpu.NewDevice(env.Sim, env.Spec, env.GPUs, "muxwise")
+	// A prefill job keeps up to a phase of layers in flight beside the
+	// decode iteration.
+	dev.ReserveRuns(env.Arch.Layers + 1)
 	e := &Engine{
 		env:  env,
 		opts: opts,
@@ -225,12 +236,13 @@ func (e *Engine) enqueue(run *serve.Running) {
 			return
 		}
 	}
-	job := &prefillJob{
-		eng:     e,
-		reqs:    []*serve.Running{run},
-		seqs:    []model.Seq{seq},
-		arrival: e.env.Sim.Now(),
+	job := e.jobs.Get()
+	if job.eng == nil { // the pool had no job to recycle
+		*job = prefillJob{eng: e, reqs: make([]*serve.Running, 0, jobCap), seqs: make([]model.Seq, 0, jobCap)}
 	}
+	job.reqs = append(job.reqs, run)
+	job.seqs = append(job.seqs, seq)
+	job.arrival = e.env.Sim.Now()
 	e.queue.Push(job)
 	e.maybePreempt(job)
 }
@@ -421,6 +433,10 @@ func (e *Engine) onDecodeDone(finished []*serve.Running) {
 	for _, j := range e.merging {
 		e.mergeJob(j)
 	}
+	for _, j := range e.merging {
+		e.releaseJob(j)
+	}
+	clear(e.merging)
 	e.merging = e.merging[:0]
 	if len(finished) > 0 {
 		e.admitPending()
@@ -429,7 +445,9 @@ func (e *Engine) onDecodeDone(finished []*serve.Running) {
 }
 
 // mergeJob emits first tokens for the job's requests and moves the
-// still-generating ones into the decode batch.
+// still-generating ones into the decode batch. The caller releases the
+// job once nothing counts it any more: a boundary's merge list is counted
+// by inflight until its last job has merged.
 func (e *Engine) mergeJob(j *prefillJob) {
 	now := e.env.Sim.Now()
 	for i, r := range j.reqs {
@@ -441,6 +459,20 @@ func (e *Engine) mergeJob(j *prefillJob) {
 		e.decode.Add(r)
 	}
 	e.admitPending()
+}
+
+// releaseJob returns a merged job to the pool. Every layer of a merged job
+// has retired, so no kernel holds it as its callback argument, and it has
+// left the active slot and the queue. Its reqs and seqs keep their
+// capacity, and the layer price cached for it is dropped: the next job
+// that reuses the pointer must be priced afresh.
+func (e *Engine) releaseJob(j *prefillJob) {
+	if e.layerOf == j {
+		e.layerOf = nil
+	}
+	clear(j.reqs)
+	*j = prefillJob{eng: e, reqs: j.reqs[:0], seqs: j.seqs[:0]}
+	e.jobs.Release(j)
 }
 
 // pumpPrefill keeps the prefill stream fed with layer launches. It runs
@@ -585,5 +617,6 @@ func (e *Engine) finishPrefill(j *prefillJob) {
 		return
 	}
 	e.mergeJob(j)
+	e.releaseJob(j)
 	e.schedule()
 }

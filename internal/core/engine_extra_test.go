@@ -249,3 +249,33 @@ func TestPausedJobJoinRepricesTP(t *testing.T) {
 		t.Fatalf("finished %d/3", sum.Finished)
 	}
 }
+
+// A job recycled through the pool with a different batch is priced
+// afresh. The layer kernel and T_P are cached by job pointer, so a
+// release that left layerOf naming the recycled job would hand the new
+// batch the old batch's price.
+func TestRecycledJobRepriced(t *testing.T) {
+	env := &serve.Env{Config: cfg8B(), Sim: sim.New(), Rec: metrics.NewRecorder()}
+	e := NewWithOptions(env, DefaultOptions())
+	e.reconfigure(0) // prefill owns the device
+	take := func(seqs ...model.Seq) *prefillJob {
+		j := e.jobs.Get()
+		j.eng = e
+		j.seqs = append(j.seqs, seqs...)
+		e.price(j)
+		return j
+	}
+	long := take(model.Seq{New: 8000}, model.Seq{New: 4000, Reused: 2000})
+	e.releaseJob(long)
+	short := take(model.Seq{New: 100})
+	if short != long {
+		t.Fatal("the pool did not hand out the released job again")
+	}
+	cost := env.Arch.PrefillLayer(short.seqs, env.GPUs, true)
+	if want := gpu.NewKernel("prefill-layer", gpu.Prefill, cost, env.Spec.LayerLaunch); e.layer != want {
+		t.Fatalf("the recycled job runs layer kernel %+v, want %+v", e.layer, want)
+	}
+	if want := e.est.PrefillPhase(short.seqs, e.prefillP.SMs()); e.layerTP != want {
+		t.Fatalf("the recycled job's T_P is %v, want %v", e.layerTP, want)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"muxwise/internal/arena"
 	"muxwise/internal/model"
 	"muxwise/internal/sim"
 )
@@ -144,7 +145,7 @@ type Device struct {
 	// Pool and scratch buffers: reallocate runs on every kernel start and
 	// every timer firing that starts none, so its working set is reused
 	// rather than reallocated.
-	runFree  []*run
+	runs     arena.Pool[run]
 	finished []*run
 
 	// Accounting integrals (seconds-weighted).
@@ -271,7 +272,7 @@ type run struct {
 // state through arg, so a launch allocates nothing on the steady-state
 // path.
 func (p *Partition) LaunchFn(k Kernel, done func(any), arg any) {
-	r := p.dev.allocRun()
+	r := p.dev.runs.Get()
 	r.part = p
 	r.k = k
 	r.done = done
@@ -357,11 +358,17 @@ func (d *Device) hostLaunch(launch sim.Time) sim.Time {
 	return d.hostFreeAt
 }
 
-// push appends r to p's queue.
+// push appends r to p's queue. When the backing array is full and at
+// least half of it lies before the live window, the window moves to the
+// front instead, so a stream that never idles (a launch from every
+// completion callback) reuses its array rather than growing it by one
+// slot per launch; each move copies at most as many runs as have left
+// the queue since the array last grew or moved.
 func (p *Partition) push(r *run) {
-	if p.qhead > 0 && p.qhead == len(p.queue) {
-		p.queue = p.queue[:0]
-		p.qhead = 0
+	if n := len(p.queue); n == cap(p.queue) && p.qhead > 0 && 2*p.qhead >= n {
+		live := copy(p.queue, p.queue[p.qhead:])
+		clear(p.queue[live:])
+		p.queue, p.qhead = p.queue[:live], 0
 	}
 	p.queue = append(p.queue, r)
 }
@@ -406,23 +413,17 @@ func (d *Device) settle() {
 // runReady is the bound callback for a run's host-launch completion.
 func runReady(arg any) { arg.(*run).part.tryStart() }
 
-// allocRun takes a run off the device's free list, or makes one.
-func (d *Device) allocRun() *run {
-	if n := len(d.runFree); n > 0 {
-		r := d.runFree[n-1]
-		d.runFree[n-1] = nil
-		d.runFree = d.runFree[:n-1]
-		return r
-	}
-	return &run{}
-}
+// ReserveRuns makes room for n kernels launched and not yet retired at
+// once: their records come from one block rather than one allocation
+// each.
+func (d *Device) ReserveRuns(n int) { d.runs.Reserve(n) }
 
 // releaseRun recycles a retired run. Callers must ensure nothing still
 // references it: it has left the queue and d.running, and its ready event,
 // if pushed, has fired.
 func (d *Device) releaseRun(r *run) {
 	*r = run{}
-	d.runFree = append(d.runFree, r)
+	d.runs.Release(r)
 }
 
 // tryStart begins executing the queue head if the stream is idle and the

@@ -7,46 +7,79 @@ import (
 	"muxwise/internal/sim"
 )
 
-// handoff is MuxWise's layer-by-layer prefill beside a decode iteration
-// on one A100: a decode kernel on 60 SMs that outlasts every layer, and
-// layers identical prefill layers of Llama-8B queued on the other 48 SMs.
-// Both kernels' bandwidth caps together exceed the device's bandwidth, so
-// the waterfill saturates and each layer's weights drain before its
-// compute: a layer costs a drain event and a retirement that starts the
-// next layer.
-type handoff struct {
-	s        *sim.Sim
-	at       []sim.Time // each layer's retirement
-	decodeAt sim.Time   // the decode kernel's retirement
+// chain is MuxWise's layer-by-layer prefill beside a decode iteration
+// on one A100, in steady state: a decode kernel on 60 SMs, relaunched
+// whenever it retires, and identical prefill layers of Llama-8B on the
+// other 48 SMs, where each retiring layer launches the next from its
+// completion callback, as the MuxWise engine does, so two layers are
+// always in the air. Both kernels' bandwidth caps together exceed the
+// device's bandwidth, so the waterfill saturates and each layer's
+// weights drain before its compute: a layer costs a drain event and a
+// retirement that starts the next layer. Every layer retirement stops
+// the simulator, so one Run advances the chain by one layer.
+type chain struct {
+	s             *sim.Sim
+	dec, pre      *Partition
+	decode, layer Kernel
+	layers        int // layers retired
 }
 
-func runHandoff(layers int) *handoff {
+func newChain() *chain {
 	spec, arch := A100(), model.Llama8B()
-	h := &handoff{s: sim.New()}
-	d := NewDevice(h.s, spec, 1, "handoff")
-	dec := NewKernel("decode", Decode, arch.DecodeIterTotals(64*1024, 64, 1), spec.GraphLaunch)
-	dec.Bytes *= 1e4
-	d.Partition(60, "decode").LaunchFn(dec, func(any) { h.decodeAt = h.s.Now() }, nil)
-	layer := NewKernel("layer", Prefill, arch.PrefillLayer([]model.Seq{{New: 2048}}, 1, true), spec.LayerLaunch)
-	pre := d.Partition(48, "prefill")
-	done := func(any) { h.at = append(h.at, h.s.Now()) }
-	for range layers {
-		pre.LaunchFn(layer, done, nil)
+	c := &chain{s: sim.New()}
+	d := NewDevice(c.s, spec, 1, "handoff")
+	c.dec, c.pre = d.Partition(60, "decode"), d.Partition(48, "prefill")
+	c.decode = NewKernel("decode", Decode, arch.DecodeIterTotals(64*1024, 64, 1), spec.GraphLaunch)
+	c.decode.Bytes *= 1e4
+	c.layer = NewKernel("layer", Prefill, arch.PrefillLayer([]model.Seq{{New: 2048}}, 1, true), spec.LayerLaunch)
+	c.dec.LaunchFn(c.decode, chainDecodeDone, c)
+	for range 2 {
+		c.pre.LaunchFn(c.layer, chainLayerDone, c)
 	}
-	h.s.Run()
-	return h
+	return c
 }
 
-// BenchmarkCoRunHandoff times a decode kernel beside a queue of
-// identical prefill layers under a saturated waterfill, per layer: each
-// layer is one drain and one retirement that starts the next layer, and
-// each of the two prices the running pair.
+func chainDecodeDone(arg any) {
+	c := arg.(*chain)
+	c.dec.LaunchFn(c.decode, chainDecodeDone, c)
+}
+
+func chainLayerDone(arg any) {
+	c := arg.(*chain)
+	c.layers++
+	c.pre.LaunchFn(c.layer, chainLayerDone, c)
+	c.s.Stop()
+}
+
+// BenchmarkCoRunHandoff times one prefill layer of a steady-state chain
+// beside a decode kernel under a saturated waterfill: a drain and a
+// retirement that launches the next layer, each pricing the running
+// pair. Set-up stays outside the timer, and a layer allocates nothing.
 func BenchmarkCoRunHandoff(b *testing.B) {
-	const layers = 256
+	c := newChain()
+	b.ReportAllocs()
 	for b.Loop() {
-		if h := runHandoff(layers); h.decodeAt <= h.at[layers-1] {
-			b.Fatalf("the decode kernel retired at %v, before the last layer at %v", h.decodeAt, h.at[layers-1])
+		c.s.Run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.layers), "ns/layer")
+}
+
+// A partition that never idles keeps its queue's backing array bounded:
+// each launch lands behind a live window that the retirements advance,
+// and the window moves back to the front of the array rather than the
+// array growing by one slot per launch.
+func TestLaunchChainQueueBounded(t *testing.T) {
+	c := newChain()
+	for c.layers < 10_000 {
+		c.s.Run()
+		if n := c.pre.QueueLen(); n > 2 {
+			t.Fatalf("after %d layers the prefill partition holds %d kernels, want at most 2", c.layers, n)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*layers), "ns/layer")
+	if got := cap(c.pre.queue); got > 4 {
+		t.Fatalf("after %d layers the prefill queue's capacity is %d, want at most 4", c.layers, got)
+	}
+	if c.dec.QueueLen() != 1 {
+		t.Fatalf("the decode partition holds %d kernels, want 1", c.dec.QueueLen())
+	}
 }

@@ -10,6 +10,7 @@
 package loong
 
 import (
+	"muxwise/internal/arena"
 	"muxwise/internal/gpu"
 	"muxwise/internal/model"
 	"muxwise/internal/serve"
@@ -39,8 +40,11 @@ type Engine struct {
 	decode  serve.DecodeStream
 	queue   serve.Queue[*pjob]
 	pending serve.Queue[*workload.Request]
+	jobs    arena.Pool[pjob] // migrated jobs, for admit to reuse
 }
 
+// pjob is one request's prefill, from admission until its KV lands in
+// the decode group, where mergeAfterMigrate recycles it.
 type pjob struct {
 	eng  *Engine
 	run  *serve.Running
@@ -92,8 +96,11 @@ func (e *Engine) admit() {
 		e.pending.Pop()
 		e.reservedTokens += need
 		// CachedTokens stays 0: no reuse.
-		run := &serve.Running{R: r, ReservedTokens: need}
-		e.queue.Push(&pjob{eng: e, run: run})
+		run := e.env.NewRunning(r)
+		run.ReservedTokens = need
+		job := e.jobs.Get()
+		*job = pjob{eng: e, run: run}
+		e.queue.Push(job)
 	}
 }
 
@@ -162,7 +169,12 @@ func (e *Engine) launchPrefill(job *pjob) {
 // steady-state scheduling allocates no closures.
 func prefillDone(arg any) { j := arg.(*pjob); j.eng.onPrefillDone(j) }
 
-func mergeAfterMigrate(arg any) { j := arg.(*pjob); j.eng.onMigrated(j.run) }
+func mergeAfterMigrate(arg any) {
+	j := arg.(*pjob)
+	e, run := j.eng, j.run
+	e.jobs.Release(j) // its KV has landed: no event holds the job any more
+	e.onMigrated(run)
+}
 
 func decodeDone(arg any, finished []*serve.Running) { arg.(*Engine).onDecodeDone(finished) }
 

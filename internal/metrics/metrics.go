@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sort"
 
+	"muxwise/internal/arena"
 	"muxwise/internal/obs"
 	"muxwise/internal/sim"
 )
@@ -78,8 +79,9 @@ type reqRec struct {
 // to the recorder and costs the same on every call; Rollup copies each
 // window's runs out once and selects in them the same way.
 type Recorder struct {
-	reqs map[int]*reqRec // live records by request ID
-	recs []*reqRec       // every record in arrival order, dead ones included
+	reqs  map[int]*reqRec     // live records by request ID
+	recs  []*reqRec           // every record in arrival order, dead ones included
+	arena arena.Arena[reqRec] // where every record lives
 
 	runs    blockLog[tbtRun] // TBT samples as runs, in emission order
 	streams []*Stream        // decode streams recording here
@@ -119,6 +121,17 @@ func NewRecorder() *Recorder {
 	return &Recorder{reqs: map[int]*reqRec{}}
 }
 
+// Reserve makes room for n more arrivals: their records come from one
+// block, and the arrival list, and on a recorder with no arrivals yet the
+// ID table, are sized for them.
+func (r *Recorder) Reserve(n int) {
+	if len(r.reqs) == 0 {
+		r.reqs = make(map[int]*reqRec, n)
+	}
+	r.recs = slices.Grow(r.recs, n)
+	r.arena.Reserve(n)
+}
+
 // SetTrace attaches a flight recorder; lifecycle events are emitted on
 // track (the owning instance's label). A nil tracer detaches.
 func (r *Recorder) SetTrace(tr *obs.Tracer, track string) {
@@ -134,7 +147,8 @@ func (r *Recorder) Arrive(id int, at sim.Time, inputTokens int) {
 	if _, ok := r.reqs[id]; ok {
 		return
 	}
-	rec := &reqRec{id: id, arrival: at, admitted: -1, firstToken: -1, inputTokens: inputTokens, lastRun: -1}
+	rec := r.arena.New()
+	*rec = reqRec{id: id, arrival: at, admitted: -1, firstToken: -1, inputTokens: inputTokens, lastRun: -1}
 	r.reqs[id] = rec
 	r.recs = append(r.recs, rec)
 	r.open++
@@ -622,36 +636,39 @@ func (r *Recorder) TBTSamples() []float64 {
 // Timeline records a step function of the compute partition over time
 // (Fig. 18: SM share of prefill vs decode).
 type Timeline struct {
-	times      []sim.Time
-	decodeSMs  []int
-	prefillSMs []int
+	points []tlPoint
+}
+
+// tlPoint is one partition change: from at on, decode and prefill hold
+// these many SMs.
+type tlPoint struct {
+	at              sim.Time
+	decode, prefill int
 }
 
 // Record appends a partition change.
 func (tl *Timeline) Record(at sim.Time, decodeSMs, prefillSMs int) {
-	n := len(tl.times)
-	if n > 0 && tl.decodeSMs[n-1] == decodeSMs && tl.prefillSMs[n-1] == prefillSMs {
+	if n := len(tl.points); n > 0 && tl.points[n-1].decode == decodeSMs && tl.points[n-1].prefill == prefillSMs {
 		return
 	}
-	tl.times = append(tl.times, at)
-	tl.decodeSMs = append(tl.decodeSMs, decodeSMs)
-	tl.prefillSMs = append(tl.prefillSMs, prefillSMs)
+	tl.points = append(tl.points, tlPoint{at, decodeSMs, prefillSMs})
 }
 
 // Changes returns the number of distinct partition configurations seen.
-func (tl *Timeline) Changes() int { return len(tl.times) }
+func (tl *Timeline) Changes() int { return len(tl.points) }
 
 // Point returns change i, for i < Changes(): when it happened and the
 // decode and prefill partition sizes from then on.
 func (tl *Timeline) Point(i int) (at sim.Time, decodeSMs, prefillSMs int) {
-	return tl.times[i], tl.decodeSMs[i], tl.prefillSMs[i]
+	p := tl.points[i]
+	return p.at, p.decode, p.prefill
 }
 
 // DistinctConfigs returns how many distinct (decode, prefill) pairs occur.
 func (tl *Timeline) DistinctConfigs() int {
 	set := map[[2]int]bool{}
-	for i := range tl.times {
-		set[[2]int{tl.decodeSMs[i], tl.prefillSMs[i]}] = true
+	for _, p := range tl.points {
+		set[[2]int{p.decode, p.prefill}] = true
 	}
 	return len(set)
 }
@@ -661,27 +678,27 @@ func (tl *Timeline) DistinctConfigs() int {
 // holds SMs — the co-running periods Fig. 18 plots. It returns zeros
 // when the phases never multiplexed.
 func (tl *Timeline) MeanSharesActive(end sim.Time, totalSMs int) (decode, prefill float64) {
-	if len(tl.times) == 0 || totalSMs == 0 {
+	if len(tl.points) == 0 || totalSMs == 0 {
 		return 0, 0
 	}
 	var dInt, pInt, span float64
-	for i := range tl.times {
-		if tl.prefillSMs[i] == 0 {
+	for i, p := range tl.points {
+		if p.prefill == 0 {
 			continue
 		}
 		until := end
-		if i+1 < len(tl.times) {
-			until = tl.times[i+1]
+		if i+1 < len(tl.points) {
+			until = tl.points[i+1].at
 		}
 		if until > end {
 			until = end
 		}
-		dt := (until - tl.times[i]).Seconds()
+		dt := (until - p.at).Seconds()
 		if dt < 0 {
 			dt = 0
 		}
-		dInt += float64(tl.decodeSMs[i]) * dt
-		pInt += float64(tl.prefillSMs[i]) * dt
+		dInt += float64(p.decode) * dt
+		pInt += float64(p.prefill) * dt
 		span += dt
 	}
 	if span <= 0 {
@@ -695,9 +712,9 @@ func (tl *Timeline) MeanSharesActive(end sim.Time, totalSMs int) (decode, prefil
 // partition configurations within 30 s).
 func (tl *Timeline) ConfigsWithin(from, to sim.Time) int {
 	set := map[[2]int]bool{}
-	for i := range tl.times {
-		if tl.times[i] >= from && tl.times[i] <= to {
-			set[[2]int{tl.decodeSMs[i], tl.prefillSMs[i]}] = true
+	for _, p := range tl.points {
+		if p.at >= from && p.at <= to {
+			set[[2]int{p.decode, p.prefill}] = true
 		}
 	}
 	return len(set)

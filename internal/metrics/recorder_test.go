@@ -431,3 +431,21 @@ func stepRecorder(rng *rand.Rand, batch, samples, base int) *Recorder {
 	}
 	return r
 }
+
+// After Reserve(n), n arrivals allocate nothing.
+func TestReservedArrivalsAllocateNothing(t *testing.T) {
+	const n = 500
+	r := NewRecorder()
+	r.Reserve(n)
+	id := 0
+	arrive := func() {
+		r.Arrive(id, sim.Time(id), 10)
+		id++
+	}
+	if allocs := testing.AllocsPerRun(n-1, arrive); allocs != 0 {
+		t.Fatalf("reserved arrivals allocate %v each, want 0", allocs)
+	}
+	if id != n || r.Unfinished() != n {
+		t.Fatalf("%d arrivals recorded %d open requests, want %d", id, r.Unfinished(), n)
+	}
+}

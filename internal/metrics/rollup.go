@@ -27,8 +27,7 @@ func Merge(recs ...*Recorder) *Recorder {
 			nTBT += r.nTBT
 		}
 	}
-	arena := make([]reqRec, 0, nRecs)
-	m.recs = make([]*reqRec, 0, nRecs)
+	m.Reserve(nRecs)
 	if nTBT > 0 {
 		m.runs.open = make([]tbtRun, 0, nRuns)
 	}
@@ -43,8 +42,8 @@ func Merge(recs ...*Recorder) *Recorder {
 			if _, dup := m.reqs[rec.id]; dup {
 				panic(fmt.Sprintf("metrics: Merge saw request ID %d twice; inputs must be disjoint", rec.id))
 			}
-			arena = append(arena, *rec)
-			c := &arena[len(arena)-1]
+			c := m.arena.New()
+			*c = *rec
 			c.st, c.lastRun = nil, -1
 			m.reqs[c.id] = c
 			m.recs = append(m.recs, c)

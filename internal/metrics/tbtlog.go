@@ -24,10 +24,12 @@ type tbtRun struct {
 
 // The TBT log grows in blocks that are never copied: the first holds
 // minBlock entries, and each next one doubles up to maxBlock. The
-// doubling blocks hold grownEntries entries in all.
+// doubling blocks hold grownEntries entries in all. The cap bounds the
+// open block's unfilled tail, which every recorder allocates and never
+// uses, at 24 KiB of runs.
 const (
 	minBlock     = 64
-	maxBlock     = 8192
+	maxBlock     = 1024
 	grownEntries = 2*maxBlock - minBlock
 )
 

@@ -11,6 +11,7 @@
 package pdsep
 
 import (
+	"muxwise/internal/arena"
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
 	"muxwise/internal/model"
@@ -31,9 +32,10 @@ type Engine struct {
 	// the prefill publishes its KV, then its decode-pool reservation.
 	decode serve.DecodeStream
 
-	queue   serve.Queue[*serve.Running] // waiting for the prefill instance
-	handoff serve.Queue[*handoffReq]    // prefill done, waiting for decode pool space
-	pending serve.Queue[*workload.Request]
+	queue    serve.Queue[*serve.Running] // waiting for the prefill instance
+	handoff  serve.Queue[*handoffReq]    // prefill done, waiting for decode pool space
+	pending  serve.Queue[*workload.Request]
+	handoffs arena.Pool[handoffReq] // landed hand-offs, for onPrefillDone to reuse
 
 	// inFlight is the prefill batch on the device, empty when the
 	// prefill instance is idle; seqScratch is reused per batch.
@@ -136,7 +138,12 @@ func prefillBatchDone(arg any) {
 	e.schedule()
 }
 
-func migrated(arg any) { h := arg.(*handoffReq); h.eng.onMigrated(h.run) }
+func migrated(arg any) {
+	h := arg.(*handoffReq)
+	e, run := h.eng, h.run
+	e.handoffs.Release(h) // its KV has landed: no event holds it any more
+	e.onMigrated(run)
+}
 
 func decodeDone(arg any, finished []*serve.Running) { arg.(*Engine).onDecodeDone(finished) }
 
@@ -156,7 +163,9 @@ func (e *Engine) onPrefillDone(run *serve.Running) {
 	e.pPool.Unpin(run.R.Pages, run.PinnedPages)
 	e.pPool.Release(run.ReservedTokens)
 	e.pPool.Insert(run.R.Pages)
-	e.handoff.Push(&handoffReq{eng: e, run: run})
+	h := e.handoffs.Get()
+	*h = handoffReq{eng: e, run: run}
+	e.handoff.Push(h)
 }
 
 // tryHandoff migrates completed prefills into the decode instance when

@@ -64,6 +64,10 @@ type Result struct {
 func Run(factory Factory, cfg Config, trace *workload.Trace) Result {
 	s := sim.New()
 	inst := NewInstance(s, factory, cfg, "")
+	// Every request arrives here once: its recorder and in-flight records
+	// each come from one block.
+	inst.Rec.Reserve(len(trace.Requests))
+	inst.runs.Reserve(len(trace.Requests))
 
 	ScheduleArrivals(s, trace.Requests, inst.Submit)
 	lastArrival := LastArrival(trace.Requests)
@@ -113,7 +117,7 @@ func ApplyBacklog(s *metrics.Summary, backlog int) {
 }
 
 // MeanUtil averages the blended utilization across the engine's devices.
-func (r Result) MeanUtil() float64 {
+func (r *Result) MeanUtil() float64 {
 	if len(r.Devices) == 0 {
 		return 0
 	}

@@ -10,6 +10,7 @@
 package serve
 
 import (
+	"muxwise/internal/arena"
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
 	"muxwise/internal/metrics"
@@ -27,11 +28,23 @@ type Env struct {
 
 	// Label names the instance's trace track (set by NewInstance).
 	Label string
+
+	// runs holds the engine's in-flight records (see NewRunning).
+	runs arena.Arena[Running]
+}
+
+// NewRunning returns a fresh in-flight record for r, otherwise zero. The
+// record comes from the environment's arena: it is never copied or
+// recycled, so the engine may hold it for as long as it likes.
+func (e *Env) NewRunning(r *workload.Request) *Running {
+	run := e.runs.New()
+	run.R = r
+	return run
 }
 
 // Admitted records on the metrics recorder that the engine just
 // accepted request id out of its arrival queue — every engine calls
-// this at its serve.Admit (or equivalent) success path so SLO misses
+// this at its Admit (or equivalent) success path so SLO misses
 // can be split into queue-wait vs prefill time.
 func (e *Env) Admitted(id int) { e.Rec.Admitted(id, e.Sim.Now()) }
 
@@ -102,8 +115,9 @@ func (r *Running) PrefillRemaining() int {
 // request, reserving the prompt tokens the prefix cache missed plus extra
 // (the output tokens, for engines that decode in the same pool). It
 // returns nil when the pool cannot hold the reservation (the caller
-// should queue and retry after a completion frees space).
-func Admit(pool *kvcache.Pool, r *workload.Request, extra int) *Running {
+// should queue and retry after a completion frees space), and otherwise
+// a record from NewRunning.
+func (e *Env) Admit(pool *kvcache.Pool, r *workload.Request, extra int) *Running {
 	hit := pool.MatchTokens(r.Pages, r.InputTokens)
 	hitPages := hit / pool.PageTokens()
 	need := int64(r.InputTokens - hit + extra)
@@ -113,12 +127,9 @@ func Admit(pool *kvcache.Pool, r *workload.Request, extra int) *Running {
 		return nil
 	}
 	pool.Pin(r.Pages, hitPages)
-	return &Running{
-		R:              r,
-		CachedTokens:   hit,
-		PinnedPages:    hitPages,
-		ReservedTokens: need,
-	}
+	run := e.NewRunning(r)
+	run.CachedTokens, run.PinnedPages, run.ReservedTokens = hit, hitPages, need
+	return run
 }
 
 // Complete publishes the finished request's KV into the pool and releases

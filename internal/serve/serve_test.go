@@ -34,7 +34,7 @@ func req(id int, input, output int) *workload.Request {
 func TestAdmitReservesAndPins(t *testing.T) {
 	pool := kvcache.New(10000, 16)
 	r := req(1, 1000, 100)
-	run := Admit(pool, r, r.OutputTokens)
+	run := new(Env).Admit(pool, r, r.OutputTokens)
 	if run == nil {
 		t.Fatal("admission failed with ample pool")
 	}
@@ -49,7 +49,7 @@ func TestAdmitReservesAndPins(t *testing.T) {
 		t.Fatalf("reserved after complete = %d", pool.Reserved())
 	}
 	// Second identical request hits the published KV.
-	run2 := Admit(pool, r, r.OutputTokens)
+	run2 := new(Env).Admit(pool, r, r.OutputTokens)
 	if run2 == nil {
 		t.Fatal("second admission failed")
 	}
@@ -60,7 +60,7 @@ func TestAdmitReservesAndPins(t *testing.T) {
 
 func TestAdmitFailsWhenFull(t *testing.T) {
 	pool := kvcache.New(500, 16)
-	if run := Admit(pool, req(1, 1000, 100), 100); run != nil {
+	if run := new(Env).Admit(pool, req(1, 1000, 100), 100); run != nil {
 		t.Fatal("admission should fail when KV cannot fit")
 	}
 }

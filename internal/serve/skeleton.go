@@ -60,7 +60,7 @@ func (e *Env) AdmitNext(pending *Queue[*workload.Request], inflight int, pool *k
 	if reserveOutput {
 		extra = r.OutputTokens
 	}
-	run := Admit(pool, r, extra)
+	run := e.Admit(pool, r, extra)
 	if run == nil {
 		return nil
 	}

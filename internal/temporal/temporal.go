@@ -8,6 +8,7 @@
 package temporal
 
 import (
+	"muxwise/internal/arena"
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
 	"muxwise/internal/model"
@@ -35,6 +36,12 @@ type Engine struct {
 	// burstN is the layer count of the prefill burst on the device (one
 	// launch at a time, guarded by busy).
 	burstN int
+
+	jobs arena.Pool[job] // finished prefills, for admit to reuse
+	// seq is a one-element scratch batch for the cost model, which takes
+	// the active job's shape through an interface and so would make a
+	// literal batch escape at every decode boundary.
+	seq [1]model.Seq
 }
 
 type job struct {
@@ -70,7 +77,9 @@ func (e *Engine) admit() {
 		if run == nil {
 			return
 		}
-		e.queue.Push(&job{run: run, seq: run.PrefillSeq()})
+		j := e.jobs.Get()
+		*j = job{run: run, seq: run.PrefillSeq()}
+		e.queue.Push(j)
 	}
 }
 
@@ -120,7 +129,8 @@ func (e *Engine) onDecodeDone(finished []*serve.Running) {
 		sms := e.env.Spec.SMs
 		dLat := e.est.DecodeSolo(e.decode.TotalCtx(), e.decode.Size(), sms)
 		slack := e.env.SLO.TBT - dLat - e.env.Spec.GraphLaunch
-		layer := e.est.PrefillPhase([]model.Seq{e.active.seq}, sms) / sim.Time(e.env.Arch.Layers)
+		e.seq[0] = e.active.seq
+		layer := e.est.PrefillPhase(e.seq[:], sms) / sim.Time(e.env.Arch.Layers)
 		n := 0
 		if layer > 0 && slack > 0 {
 			n = int(slack / layer)
@@ -165,9 +175,11 @@ func (e *Engine) onBurstDone() {
 func (e *Engine) finishPrefill(j *job) {
 	e.active = nil
 	e.env.Rec.PrefillDone(j.seq.New)
-	if serve.FirstToken(e.env.Rec, j.run, e.env.Sim.Now()) {
-		j.run.Complete(e.pool)
+	run := j.run
+	e.jobs.Release(j)
+	if serve.FirstToken(e.env.Rec, run, e.env.Sim.Now()) {
+		run.Complete(e.pool)
 		return
 	}
-	e.decode.Add(j.run)
+	e.decode.Add(run)
 }

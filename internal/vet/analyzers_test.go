@@ -33,6 +33,7 @@ func TestPoolSafety(t *testing.T) {
 	vettest.Run(t, "testdata/poolsafety", []*vet.Analyzer{vet.PoolSafety},
 		"muxwise/internal/sim",
 		"muxwise/internal/cluster",
+		"muxwise/internal/core",
 	)
 }
 
@@ -89,6 +90,9 @@ func TestClassification(t *testing.T) {
 		{"muxwise/internal/model", true, true},
 		{"muxwise/internal/cluster", true, false},
 		{"muxwise/internal/cluster/epp", true, true},
+		{"muxwise/internal/serve", true, true},
+		{"muxwise/internal/core", true, true},
+		{"muxwise/internal/arena", true, true},
 		{"muxwise/cmd/muxtool", false, false},
 		{"muxwise/internal/vet", false, false},
 		{"fmt", false, false},

@@ -6,18 +6,19 @@ import (
 	"strings"
 )
 
-// PoolSafety guards the pooled-record lifecycle introduced in PR 7:
-// fired/cancelled events, retired GPU runs, and evicted radix nodes go
-// back on free lists and are recycled, so holding one past its release
-// point corrupts an unrelated later schedule.
+// PoolSafety guards the pooled-record lifecycle: fired/cancelled events,
+// retired GPU runs, evicted radix nodes and the engines' finished prefill
+// and hand-off jobs go back on free lists and are recycled, so holding
+// one past its release point corrupts an unrelated later schedule.
 var PoolSafety = &Analyzer{
 	Name: "poolsafety",
 	Doc: "flag pooled records retained past release and Handle slot access without a generation check\n\n" +
 		"Three rules: (1) a pooled record type (sim.Event, gpu.run,\n" +
-		"kvcache.node) must not be named outside its home package — callers\n" +
-		"hold generation-checked Handles; (2) after a release call (release,\n" +
-		"releaseRun, or a free-list append) the released variable must not\n" +
-		"be read again in the same block; (3) inside the home package, a\n" +
+		"kvcache.node, the engines' prefill and hand-off jobs) must not be\n" +
+		"named outside its home package — callers hold generation-checked\n" +
+		"Handles; (2) after a release call (a call whose name starts with\n" +
+		"release or Release, or a free-list append) the released variable\n" +
+		"must not be read again in the same block; (3) inside the home package, a\n" +
 		"Handle's slot field must only be dereferenced under a Pending()\n" +
 		"generation check, so Cancel on a recycled slot stays a no-op.",
 	Run: runPoolSafety,
@@ -33,6 +34,11 @@ var pooledRecordTypes = []pooledType{
 	{modulePath + "/internal/sim", "Event"},
 	{modulePath + "/internal/gpu", "run"},
 	{modulePath + "/internal/kvcache", "node"},
+	// Engines' per-request queue records, recycled through arena.Pool.
+	{modulePath + "/internal/core", "prefillJob"},
+	{modulePath + "/internal/temporal", "job"},
+	{modulePath + "/internal/loong", "pjob"},
+	{modulePath + "/internal/pdsep", "handoffReq"},
 }
 
 // handleSpec describes a generation-checked handle: accessing slotField

@@ -214,6 +214,7 @@ var simCriticalPkgs = map[string]bool{
 	modulePath + "/internal/windserve":   true,
 	modulePath + "/internal/nanoflow":    true,
 	modulePath + "/internal/experiments": true,
+	modulePath + "/internal/arena":       true,
 }
 
 // hotPathPkgs are the pooled hot-path packages from PR 7, plus the
@@ -232,6 +233,12 @@ var hotPathPkgs = map[string]bool{
 	// and so are the per-kernel cost formulas under it.
 	modulePath + "/internal/roofline": true,
 	modulePath + "/internal/model":    true,
+	// The engine skeleton and MuxWise's engine run at every arrival,
+	// layer and decode boundary, and take their per-request records from
+	// the arena package's arenas and pools.
+	modulePath + "/internal/serve": true,
+	modulePath + "/internal/core":  true,
+	modulePath + "/internal/arena": true,
 }
 
 // IsSimCritical reports whether the package at path must stay
