@@ -309,7 +309,7 @@ func rowOf(name string, res muxwise.ClusterResult, tbtSLO muxwise.Time) routerRo
 		})
 	}
 	for _, ev := range res.Events {
-		row.Events = append(row.Events, fmt.Sprintf("%v %s", ev.At, ev.Msg))
+		row.Events = append(row.Events, ev.String())
 	}
 	return row
 }

@@ -95,7 +95,7 @@ func main() {
 
 	fmt.Printf("\nfailure injection: MuxWise-0 crashes at %v (prefix-affinity router)\n", mid)
 	for _, ev := range failed.Events {
-		fmt.Printf("  %v %s\n", ev.At, ev.Msg)
+		fmt.Printf("  %v\n", ev)
 	}
 
 	// afterEpoch returns the rollup of the window opened at mid.

@@ -31,6 +31,7 @@ package cluster
 import (
 	"fmt"
 
+	"muxwise/internal/arena"
 	"muxwise/internal/cluster/epp"
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
@@ -242,11 +243,99 @@ func (r *Replica) cacheStats() kvcache.Stats {
 	return r.Inst.CacheStats()
 }
 
-// LogEntry is one timestamped fleet lifecycle message.
-type LogEntry struct {
-	At  sim.Time
-	Msg string
+// LogKind names what a fleet log entry records.
+type LogKind uint8
+
+const (
+	// LogSpawn: a replica was added and is cold-starting.
+	LogSpawn LogKind = iota
+	// LogReady: a replica joined the routable set.
+	LogReady
+	// LogDrain: a replica stopped taking new work.
+	LogDrain
+	// LogDrained, LogFail and LogRetire: a replica left the fleet once
+	// its drain emptied, by a crash, or by an immediate retire.
+	LogDrained
+	LogFail
+	LogRetire
+	// LogMigrate: a KV stream started.
+	LogMigrate
+	// LogArrived: a KV stream landed at its destination.
+	LogArrived
+	// LogCanceled: a takedown killed a KV stream on the wire.
+	LogCanceled
+)
+
+// String renders the kind as the word its log line starts with.
+func (k LogKind) String() string {
+	switch k {
+	case LogSpawn:
+		return "spawn"
+	case LogReady:
+		return "ready"
+	case LogDrain:
+		return "drain"
+	case LogDrained:
+		return "drained"
+	case LogFail:
+		return "fail"
+	case LogRetire:
+		return "retire"
+	case LogMigrate:
+		return "kv-migrate"
+	case LogArrived:
+		return "kv-arrived"
+	case LogCanceled:
+		return "kv-migration canceled"
+	}
+	return fmt.Sprintf("log(%d)", int(k))
 }
+
+// LogEntry is one timestamped fleet lifecycle event. It keeps the
+// event's fields as they are; Msg renders the text only when the log is
+// read, so a run that never reads its log formats nothing.
+type LogEntry struct {
+	At   sim.Time
+	Kind LogKind
+	// Link is a stream's interconnect class.
+	Link gpu.LinkClass
+	// Replica names the replica the event happened to, or a KV stream's
+	// source; Dst names a stream's destination.
+	Replica, Dst string
+	// Session is a stream's session.
+	Session int
+	// Count is a stream's KV tokens, or the requests in flight at a
+	// drain or re-dispatched at a takedown.
+	Count int64
+	// Dur is a spawn's cold start, or a stream's transfer time.
+	Dur sim.Time
+}
+
+// Msg renders the entry's message.
+func (e LogEntry) Msg() string {
+	switch e.Kind {
+	case LogSpawn:
+		return fmt.Sprintf("spawn %s (cold start %v)", e.Replica, e.Dur)
+	case LogReady:
+		return "ready " + e.Replica
+	case LogDrain:
+		return fmt.Sprintf("drain %s (%d in flight)", e.Replica, e.Count)
+	case LogDrained, LogFail, LogRetire:
+		return fmt.Sprintf("%v %s (%d in-flight re-dispatched)", e.Kind, e.Replica, e.Count)
+	case LogMigrate:
+		return fmt.Sprintf("kv-migrate session %d %s -> %s (%d tokens over %v, %v)",
+			e.Session, e.Replica, e.Dst, e.Count, e.Link, e.Dur)
+	case LogArrived:
+		return fmt.Sprintf("kv-arrived session %d at %s (%d tokens)", e.Session, e.Dst, e.Count)
+	case LogCanceled:
+		return fmt.Sprintf("kv-migration canceled session %d %s -> %s (%d tokens re-prefill)",
+			e.Session, e.Replica, e.Dst, e.Count)
+	}
+	return e.Kind.String()
+}
+
+// String renders the entry as "<time> <message>".
+func (e LogEntry) String() string { return e.At.String() + " " + e.Msg() }
 
 // epochMark opens a fleet epoch: the instant, what changed, and
 // snapshots of the fleet state needed for per-epoch deltas.
@@ -283,16 +372,25 @@ type Cluster struct {
 	marks []epochMark
 
 	// KV migration state: whether it is enabled, the model's per-token
-	// wire size, every stream started, running totals, how many
-	// re-dispatched requests are held on the wire right now, and the
-	// context KV each live session's holder keeps for it (maintained
-	// only when migration is enabled).
+	// wire size, the streams on the wire in start order, running
+	// totals, how many re-dispatched requests are held on the wire
+	// right now, and the context KV each live session's holder keeps
+	// for it (maintained only when migration is enabled).
 	migrate         bool
 	kvBytesPerToken float64
 	migs            []*migration
 	migStats        MigrationStats
 	migHeld         int
 	kv              map[int]sessionKV
+
+	// migPool recycles stream records, and finishFn is the one bound
+	// callback that lands them. drainSeen and sweepIDs are
+	// drainMigrations' and sweepSessionKV's scratch, reused across
+	// takedowns.
+	migPool   arena.Pool[migration]
+	finishFn  func(any)
+	drainSeen map[int]bool
+	sweepIDs  []int
 
 	// trace is the flight recorder (nil when tracing is off); fleet
 	// lifecycle, router picks and migration streams are emitted here.
@@ -368,7 +466,9 @@ func New(s *sim.Sim, cfg Config) (*Cluster, error) {
 		migrate: cfg.Migration, kvBytesPerToken: cfg.Base.Arch.KVBytesPerToken(),
 		trace:       cfg.Base.Trace,
 		crashedReqs: map[int]bool{}, heldReqs: map[int]bool{},
+		drainSeen: map[int]bool{},
 	}
+	c.finishFn = func(arg any) { c.finishMigration(arg.(*migration)) }
 	for _, spec := range cfg.Replicas {
 		count := spec.Count
 		if count <= 0 {
@@ -465,22 +565,23 @@ func (c *Cluster) countState(s State) int {
 	return n
 }
 
-// logf appends a timestamped entry to the fleet log.
-func (c *Cluster) logf(format string, args ...any) {
-	c.log = append(c.log, LogEntry{At: c.Sim.Now(), Msg: fmt.Sprintf(format, args...)})
+// record stamps e with the current instant and appends it to the fleet
+// log.
+func (c *Cluster) record(e LogEntry) {
+	e.At = c.Sim.Now()
+	c.log = append(c.log, e)
 }
 
-// note records one fleet transition of rep: the log line
-// "<event> <replica><detail>" and, when tracing, a fleet-track instant
-// named event (the replica, then args) plus a fresh sample of the
-// ready-replica counter.
-func (c *Cluster) note(event string, rep *Replica, detail string, args ...obs.Arg) {
-	now := c.Sim.Now()
-	c.log = append(c.log, LogEntry{At: now, Msg: event + " " + rep.Name + detail})
+// note records one fleet transition of a replica and, when tracing,
+// emits a fleet-track instant named by e's kind (the replica, then
+// args) plus a fresh sample of the ready-replica counter.
+func (c *Cluster) note(e LogEntry, args ...obs.Arg) {
+	c.record(e)
 	if c.trace == nil {
 		return
 	}
-	c.trace.Instant(now, "fleet", event, append([]obs.Arg{{Key: "replica", Val: rep.Name}}, args...)...)
+	now := c.Sim.Now()
+	c.trace.Instant(now, "fleet", e.Kind.String(), append([]obs.Arg{{Key: "replica", Val: e.Replica}}, args...)...)
 	c.trace.Counter(now, "fleet", "replicas", obs.Arg{Key: "ready", Val: c.countState(StateReady)})
 }
 
@@ -565,7 +666,7 @@ func (c *Cluster) Spawn(spec ReplicaSpec, coldStart sim.Time) *Replica {
 		c.makeReady(rep)
 		return rep
 	}
-	c.note("spawn", rep, fmt.Sprintf(" (cold start %v)", coldStart),
+	c.note(LogEntry{Kind: LogSpawn, Replica: rep.Name, Dur: coldStart},
 		obs.Arg{Key: "cold_start_ms", Val: coldStart.Milliseconds()})
 	c.Sim.AfterFunc(coldStart, func(any) { c.makeReady(rep) }, nil)
 	return rep
@@ -579,7 +680,7 @@ func (c *Cluster) makeReady(rep *Replica) {
 	rep.State = StateReady
 	rep.ReadyAt = c.Sim.Now()
 	c.mark("ready " + rep.Name)
-	c.note("ready", rep, "")
+	c.note(LogEntry{Kind: LogReady, Replica: rep.Name})
 	c.flushPending()
 }
 
@@ -591,12 +692,12 @@ func (c *Cluster) Drain(rep *Replica) {
 	}
 	if rep.State == StateStarting {
 		// Never served: retire on the spot.
-		c.takeDown(rep, StateRetired, "retire")
+		c.takeDown(rep, StateRetired, LogRetire)
 		return
 	}
 	rep.State = StateDraining
 	c.mark("drain " + rep.Name)
-	c.note("drain", rep, fmt.Sprintf(" (%d in flight)", rep.InFlight()),
+	c.note(LogEntry{Kind: LogDrain, Replica: rep.Name, Count: int64(rep.InFlight())},
 		obs.Arg{Key: "in_flight", Val: rep.InFlight()})
 	// The draining replica left the routable set, so its sessions
 	// re-route from this instant on; stream their KV after it.
@@ -608,7 +709,7 @@ func (c *Cluster) Drain(rep *Replica) {
 
 // retireDrained completes a drain once the replica empties.
 func (c *Cluster) retireDrained(rep *Replica) {
-	c.takeDown(rep, StateRetired, "drained")
+	c.takeDown(rep, StateRetired, LogDrained)
 }
 
 // Fail crashes the replica: its in-flight requests are re-dispatched to
@@ -619,7 +720,7 @@ func (c *Cluster) Fail(rep *Replica) {
 	if rep == nil || rep.down() {
 		return
 	}
-	c.takeDown(rep, StateFailed, "fail")
+	c.takeDown(rep, StateFailed, LogFail)
 }
 
 // Retire decommissions the replica immediately, re-dispatching any
@@ -629,14 +730,14 @@ func (c *Cluster) Retire(rep *Replica) {
 	if rep == nil || rep.down() {
 		return
 	}
-	c.takeDown(rep, StateRetired, "retire")
+	c.takeDown(rep, StateRetired, LogRetire)
 }
 
 // takeDown removes a replica from the fleet: halt its instance, abort
 // and collect its in-flight requests, notify the router, and re-dispatch
 // the survivors. Everything happens at one simulation instant, so a run
 // with the same seed replays byte-identically.
-func (c *Cluster) takeDown(rep *Replica, state State, label string) {
+func (c *Cluster) takeDown(rep *Replica, state State, kind LogKind) {
 	now := c.Sim.Now()
 	rep.Inst.Halt()
 
@@ -686,8 +787,8 @@ func (c *Cluster) takeDown(rep *Replica, state State, label string) {
 	// destination cannot accept, and a crashed source loses even the
 	// KV it was mid-stream on — those sessions repay the re-prefill.
 	c.cancelMigrations(rep, state == StateFailed)
-	c.mark(label + " " + rep.Name)
-	c.note(label, rep, fmt.Sprintf(" (%d in-flight re-dispatched)", len(redispatch)),
+	c.mark(kind.String() + " " + rep.Name)
+	c.note(LogEntry{Kind: kind, Replica: rep.Name, Count: int64(len(redispatch))},
 		obs.Arg{Key: "redispatched", Val: len(redispatch)})
 	graceful := c.migrate && state != StateFailed
 	for _, req := range redispatch {

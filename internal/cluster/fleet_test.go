@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,7 +113,7 @@ func TestFailureRedispatchesInFlight(t *testing.T) {
 	found := false
 	for _, ev := range res.Events {
 		if ev.At == failAt &&
-			strings.Contains(ev.Msg, fmt.Sprintf("fail %s (%d in-flight re-dispatched)", failed.Name, moved)) {
+			strings.Contains(ev.Msg(), fmt.Sprintf("fail %s (%d in-flight re-dispatched)", failed.Name, moved)) {
 			found = true
 		}
 	}
@@ -204,8 +205,8 @@ func TestFailureRunIsDeterministic(t *testing.T) {
 	if as, bs := fmt.Sprintf("%+v", a.Epochs), fmt.Sprintf("%+v", b.Epochs); as != bs {
 		t.Fatalf("epochs differ:\n%s\n%s", as, bs)
 	}
-	if as, bs := fmt.Sprintf("%+v", a.Events), fmt.Sprintf("%+v", b.Events); as != bs {
-		t.Fatalf("fleet logs differ:\n%s\n%s", as, bs)
+	if as, bs := logLines(a.Events), logLines(b.Events); !slices.Equal(as, bs) {
+		t.Fatalf("fleet logs differ:\n%s\n%s", strings.Join(as, "\n"), strings.Join(bs, "\n"))
 	}
 	for i := range a.Replicas {
 		if a.Replicas[i].Requests != b.Replicas[i].Requests {

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
 
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
@@ -109,7 +109,10 @@ func (c *Cluster) forgetKV(rep *Replica) {
 	}
 }
 
-// migration is one in-flight KV stream.
+// migration is one KV stream. Its record comes from the cluster's pool
+// and returns there when the stream's landing event fires, whether the
+// stream landed or a takedown canceled it first: only then is no event
+// left that holds it.
 type migration struct {
 	id       int // stream index, correlates the flight-recorder span
 	session  int
@@ -122,7 +125,7 @@ type migration struct {
 	// whose request finishes in place on the source.
 	req *workload.Request
 
-	done, canceled bool
+	canceled bool
 }
 
 // migrationTarget picks where a leaving replica's session KV streams:
@@ -133,14 +136,14 @@ type migration struct {
 // when the role has no other member.
 func (c *Cluster) migrationTarget(src *Replica) *Replica {
 	cands := c.Routable()
-	var sameRole []*Replica
+	var best *Replica
 	for _, rep := range cands {
-		if rep.Role == src.Role {
-			sameRole = append(sameRole, rep)
+		if rep.Role == src.Role && (best == nil || lighter(rep, best)) {
+			best = rep
 		}
 	}
-	if len(sameRole) > 0 {
-		return leastLoaded(sameRole)
+	if best != nil {
+		return best
 	}
 	return leastLoaded(cands)
 }
@@ -161,7 +164,8 @@ func (c *Cluster) migrateKV(src *Replica, session int, tokens int64, pages []kvc
 	}
 	link := gpu.LinkBetween(src.Inst.Env.Spec, dst.Inst.Env.Spec)
 	d := kvcache.TransferTime(tokens, c.kvBytesPerToken, link)
-	m := &migration{id: len(c.migs), session: session, src: src.ID, dst: dst.ID, tokens: tokens, pages: pages, segs: segs, req: req}
+	m := c.migPool.Get()
+	*m = migration{id: c.migStats.Streams, session: session, src: src.ID, dst: dst.ID, tokens: tokens, pages: pages, segs: segs, req: req}
 	c.migs = append(c.migs, m)
 	c.migStats.Streams++
 	c.migStats.Stall += d
@@ -190,9 +194,9 @@ func (c *Cluster) migrateKV(src *Replica, session int, tokens int64, pages []kvc
 	if req != nil {
 		c.migHeld++
 	}
-	c.logf("kv-migrate session %d %s -> %s (%d tokens over %v, %v)",
-		session, src.Name, dst.Name, tokens, link.Class, d)
-	c.Sim.AfterFunc(d, func(any) { c.finishMigration(m) }, nil)
+	c.record(LogEntry{Kind: LogMigrate, Replica: src.Name, Dst: dst.Name,
+		Session: session, Count: tokens, Link: link.Class, Dur: d})
+	c.Sim.AfterFunc(d, c.finishFn, m)
 	return true
 }
 
@@ -202,9 +206,12 @@ func (c *Cluster) migrateKV(src *Replica, session int, tokens int64, pages []kvc
 // still routable, through the router otherwise.
 func (c *Cluster) finishMigration(m *migration) {
 	if m.canceled {
+		// cancelMigrations settled the stream already.
+		c.migPool.Release(m)
 		return
 	}
-	m.done = true
+	i := slices.Index(c.migs, m)
+	c.migs = slices.Delete(c.migs, i, i+1)
 	dst := c.Replicas[m.dst]
 	dst.outTokens -= m.tokens
 	dst.migTokens -= m.tokens
@@ -221,7 +228,8 @@ func (c *Cluster) finishMigration(m *migration) {
 	if mo, ok := c.Router.(MigrationObserver); ok {
 		mo.SessionMigrated(m.session, m.src, m.dst, m.segs, len(m.pages))
 	}
-	c.logf("kv-arrived session %d at %s (%d tokens)", m.session, dst.Name, m.tokens)
+	c.record(LogEntry{Kind: LogArrived, Replica: c.Replicas[m.src].Name, Dst: dst.Name,
+		Session: m.session, Count: m.tokens})
 	if c.trace != nil {
 		c.trace.AsyncEnd(c.Sim.Now(), "migration", "kv-migration", int64(m.id), "kv-stream",
 			obs.Arg{Key: "outcome", Val: "delivered"})
@@ -234,6 +242,7 @@ func (c *Cluster) finishMigration(m *migration) {
 			c.Submit(m.req)
 		}
 	}
+	c.migPool.Release(m)
 }
 
 // cancelMigrations kills the streams a takedown invalidates: every
@@ -244,9 +253,6 @@ func (c *Cluster) finishMigration(m *migration) {
 // holds the instance up until its data has left.
 func (c *Cluster) cancelMigrations(rep *Replica, srcCrashed bool) {
 	for _, m := range c.migs {
-		if m.done || m.canceled {
-			continue
-		}
 		if m.dst != rep.ID && !(srcCrashed && m.src == rep.ID) {
 			continue
 		}
@@ -260,8 +266,8 @@ func (c *Cluster) cancelMigrations(rep *Replica, srcCrashed bool) {
 		}
 		c.migStats.Canceled++
 		c.migStats.CanceledTokens += m.tokens
-		c.logf("kv-migration canceled session %d %s -> %s (%d tokens re-prefill)",
-			m.session, c.Replicas[m.src].Name, dst.Name, m.tokens)
+		c.record(LogEntry{Kind: LogCanceled, Replica: c.Replicas[m.src].Name, Dst: dst.Name,
+			Session: m.session, Count: m.tokens})
 		if c.trace != nil {
 			c.trace.AsyncEnd(c.Sim.Now(), "migration", "kv-migration", int64(m.id), "kv-stream",
 				obs.Arg{Key: "outcome", Val: "canceled"})
@@ -273,6 +279,7 @@ func (c *Cluster) cancelMigrations(rep *Replica, srcCrashed bool) {
 			c.Submit(m.req)
 		}
 	}
+	c.migs = slices.DeleteFunc(c.migs, func(m *migration) bool { return m.canceled })
 }
 
 // drainMigrations streams the session KV of a replica entering drain:
@@ -286,7 +293,8 @@ func (c *Cluster) drainMigrations(rep *Replica) {
 	if !c.migrate {
 		return
 	}
-	seen := map[int]bool{}
+	seen := c.drainSeen
+	clear(seen)
 	for _, id := range rep.Inst.Open() {
 		req, ok := rep.reqs[id]
 		if !ok || seen[req.Session] {
@@ -307,13 +315,14 @@ func (c *Cluster) drainMigrations(rep *Replica) {
 // stream for want of a routable target are charged as re-prefill
 // fallbacks.
 func (c *Cluster) sweepSessionKV(rep *Replica) {
-	var ids []int
+	ids := c.sweepIDs[:0]
 	for session, kv := range c.kv {
 		if kv.holder == rep.ID {
 			ids = append(ids, session)
 		}
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
+	c.sweepIDs = ids
 	for _, session := range ids {
 		kv := c.kv[session]
 		delete(c.kv, session)
@@ -336,9 +345,7 @@ func (c *Cluster) sweepSessionKV(rep *Replica) {
 func (c *Cluster) undeliveredTokens() int64 {
 	var n int64
 	for _, m := range c.migs {
-		if !m.done && !m.canceled {
-			n += m.tokens
-		}
+		n += m.tokens
 	}
 	return n
 }

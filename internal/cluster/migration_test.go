@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"muxwise/internal/core"
@@ -320,5 +322,73 @@ func TestMigrationOccupancy(t *testing.T) {
 	}
 	if landed != 0 {
 		t.Errorf("in-transit counter %d after arrival, want 0", landed)
+	}
+}
+
+// logLines renders a fleet log one "<time> <message>" line per entry.
+func logLines(events []LogEntry) []string {
+	out := make([]string, len(events))
+	for i, ev := range events {
+		out[i] = ev.String()
+	}
+	return out
+}
+
+// TestFleetLogText pins the rendered fleet log of a hand-built run that
+// writes every kind of entry: a drain streams an in-flight and an idle
+// session, the in-flight stream's destination crashes mid-stream, a
+// replica spawns and turns ready, the drain completes, and a retire
+// streams a held request and an idle session. The lines are the text
+// the log printed when it was still formatted at write time.
+func TestFleetLogText(t *testing.T) {
+	s := sim.New()
+	cfg := drainHeavyCfg(PrefixAffinity, true)
+	cfg.Fleet = nil
+	cfg.Replicas[0].Count = 3
+	c, err := New(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(id, session, in, out int) *workload.Request {
+		return withSegs(&workload.Request{
+			ID: id, Session: session,
+			InputTokens: in, OutputTokens: out,
+			Pages:    pdPages(uint64(session), in),
+			AllPages: pdPages(uint64(session), in+out),
+		})
+	}
+	s.AtFunc(0, func(any) {
+		c.Replicas[0].submit(mk(1, 9, 8000, 320))
+		c.Replicas[0].submit(mk(2, 5, 256, 8))
+	}, nil)
+	var dst *Replica
+	s.AtFunc(sim.Second, func(any) {
+		c.Drain(c.Replicas[0])
+		dst = c.Replicas[c.migs[0].dst]
+	}, nil)
+	s.AtFunc(sim.Second+2*sim.Millisecond, func(any) { c.Fail(dst) }, nil)
+	s.AtFunc(2*sim.Second, func(any) { c.Spawn(c.Replicas[0].Spec, 5*sim.Second) }, nil)
+	s.AtFunc(50*sim.Second, func(any) { c.Replicas[2].submit(mk(3, 11, 2048, 4000)) }, nil)
+	s.AtFunc(60*sim.Second, func(any) { c.Retire(c.Replicas[2]) }, nil)
+	s.RunUntil(600 * sim.Second)
+
+	want := []string{
+		"1.000s drain MuxWise-0 (1 in flight)",
+		"1.000s kv-migrate session 9 MuxWise-0 -> MuxWise-1 (8320 tokens over nvlink, 9.818ms)",
+		"1.000s kv-migrate session 5 MuxWise-0 -> MuxWise-2 (264 tokens over nvlink, 8.058ms)",
+		"1.002s kv-migration canceled session 9 MuxWise-0 -> MuxWise-1 (8320 tokens re-prefill)",
+		"1.002s fail MuxWise-1 (0 in-flight re-dispatched)",
+		"1.008s kv-arrived session 5 at MuxWise-2 (264 tokens)",
+		"2.000s spawn MuxWise-3 (cold start 5.000s)",
+		"3.530s drained MuxWise-0 (0 in-flight re-dispatched)",
+		"7.000s ready MuxWise-3",
+		"60.000s retire MuxWise-2 (1 in-flight re-dispatched)",
+		"60.000s kv-migrate session 11 MuxWise-2 -> MuxWise-3 (2048 tokens over nvlink, 8.447ms)",
+		"60.000s kv-migrate session 5 MuxWise-2 -> MuxWise-3 (264 tokens over nvlink, 8.058ms)",
+		"60.008s kv-arrived session 5 at MuxWise-3 (264 tokens)",
+		"60.008s kv-arrived session 11 at MuxWise-3 (2048 tokens)",
+	}
+	if got := logLines(c.log); !slices.Equal(got, want) {
+		t.Fatalf("fleet log:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

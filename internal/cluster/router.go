@@ -98,11 +98,16 @@ func PolicyNames() []string { return policyRegistry.names() }
 func leastLoaded(cands []*Replica) *Replica {
 	var best *Replica
 	for _, rep := range cands {
-		if best == nil ||
-			rep.outTokens < best.outTokens ||
-			(rep.outTokens == best.outTokens && rep.InFlight() < best.InFlight()) {
+		if best == nil || lighter(rep, best) {
 			best = rep
 		}
 	}
 	return best
+}
+
+// lighter reports whether a carries strictly less load than b: fewer
+// outstanding tokens, then fewer requests in flight.
+func lighter(a, b *Replica) bool {
+	return a.outTokens < b.outTokens ||
+		(a.outTokens == b.outTokens && a.InFlight() < b.InFlight())
 }

@@ -56,7 +56,15 @@ func (p planes) predict(features []float64) float64 {
 // which is most of a short run's set-up. Entries hold a sync.Once so
 // concurrent first users (parallel sweep probes) profile exactly once
 // instead of racing through the grid side by side.
-var profileCache sync.Map // key string → *cacheEntry
+var profileCache sync.Map // cacheKey → *cacheEntry
+
+// cacheKey names one deployment in profileCache. It is comparable, so a
+// lookup builds no string and a warm hit allocates nothing.
+type cacheKey struct {
+	spec string
+	tp   int
+	arch string
+}
 
 type cacheEntry struct {
 	once sync.Once
@@ -68,14 +76,18 @@ type cacheEntry struct {
 // must be treated as read-only; engines that refine the contention
 // guard online must work on a Fork.
 func New(spec gpu.Spec, tp int, arch model.Arch) *Estimator {
-	key := fmt.Sprintf("%s/%d/%s", spec.Name, tp, arch.Name)
-	v, _ := profileCache.LoadOrStore(key, &cacheEntry{})
+	key := cacheKey{spec.Name, tp, arch.Name}
+	// Load first: LoadOrStore would allocate a new entry even on a hit.
+	v, ok := profileCache.Load(key)
+	if !ok {
+		v, _ = profileCache.LoadOrStore(key, &cacheEntry{})
+	}
 	ce := v.(*cacheEntry)
 	ce.once.Do(func() { ce.est = profile(spec, tp, arch) })
 	if ce.est == nil {
 		// A prior profiling attempt panicked past a recover; fail here,
 		// at the source, instead of handing out a nil estimator.
-		panic("estimator: offline profiling previously failed for " + key)
+		panic(fmt.Sprintf("estimator: offline profiling previously failed for %s/%d/%s", spec.Name, tp, arch.Name))
 	}
 	return ce.est
 }

@@ -169,6 +169,16 @@ func TestEstimatorCached(t *testing.T) {
 	}
 }
 
+// A warm cache hit allocates nothing: every fleet replica and every
+// rate probe's engine looks its estimator up once.
+func TestEstimatorCacheHitAllocsNothing(t *testing.T) {
+	spec, arch := gpu.A100(), model.Llama8B()
+	New(spec, 8, arch)
+	if n := testing.AllocsPerRun(100, func() { New(spec, 8, arch) }); n != 0 {
+		t.Fatalf("a warm estimator lookup allocated %v objects, want 0", n)
+	}
+}
+
 func TestDecodePredictionMonotone(t *testing.T) {
 	e := New(gpu.A100(), 8, model.Llama8B())
 	small := e.DecodeSolo(32*1024, 32, 92)

@@ -6,7 +6,7 @@ package gpu
 // A100 replica handing KV to an H100 replica — falls back to the PCIe /
 // host path, the way DistServe's placement model distinguishes
 // intra-node NVLink transfers from cross-node ones.
-type LinkClass int
+type LinkClass uint8
 
 const (
 	// LinkNVLink is the intra-domain fast path (NVLink/NVSwitch).

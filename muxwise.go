@@ -278,7 +278,9 @@ type (
 	// ClusterEpoch is one fleet epoch's rollup (the interval between
 	// consecutive fleet mutations).
 	ClusterEpoch = cluster.Epoch
-	// FleetLogEntry is one timestamped fleet lifecycle message.
+	// FleetLogEntry is one timestamped fleet lifecycle event, kept as
+	// typed fields: its Msg method renders the message, and String the
+	// time followed by the message.
 	FleetLogEntry = cluster.LogEntry
 )
 
