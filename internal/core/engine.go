@@ -119,6 +119,7 @@ type Engine struct {
 	layerOf  *prefillJob              // nil once enqueue appends to that job
 	queue    serve.Queue[*prefillJob] // admitted jobs waiting for the prefill stream
 	merging  []*prefillJob            // prefill-complete jobs awaiting a decode boundary
+	merged   int                      // merging[:merged] have merged at this boundary
 	jobs     arena.Pool[prefillJob]   // merged jobs, for enqueue to reuse
 	pending  serve.Queue[*workload.Request]
 
@@ -205,7 +206,8 @@ func (e *Engine) admitPending() {
 	}
 }
 
-// inflight counts requests holding batch slots.
+// inflight counts requests holding batch slots. A merged job's requests
+// are in the decode batch, so only the merge list's unmerged tail counts.
 func (e *Engine) inflight() int {
 	n := e.decode.Size()
 	if e.active != nil {
@@ -214,7 +216,7 @@ func (e *Engine) inflight() int {
 	for i := 0; i < e.queue.Len(); i++ {
 		n += len(e.queue.At(i).reqs)
 	}
-	for _, j := range e.merging {
+	for _, j := range e.merging[e.merged:] {
 		n += len(j.reqs)
 	}
 	return n
@@ -401,10 +403,14 @@ func decodeDone(arg any, finished []*serve.Running) { arg.(*Engine).onDecodeDone
 
 // decodeQuiet is the decode stream's quiet predicate: the boundary only
 // launches the next iteration on the whole device when no prefill is
-// active, queued or awaiting a merge and decode already owns every SM.
+// active or queued and decode already owns every SM. Then none awaits a
+// merge either: finishPrefill queues a merge only while an iteration runs
+// beside a prefill partition with SMs, and the iteration's split holds
+// until its boundary, so a merge list is non-empty only while decode holds
+// fewer than all SMs.
 func decodeQuiet(arg any) bool {
 	e := arg.(*Engine)
-	return e.active == nil && e.queue.Len() == 0 && len(e.merging) == 0 && e.curConfig == e.env.Spec.SMs
+	return e.active == nil && e.queue.Len() == 0 && e.curConfig == e.env.Spec.SMs
 }
 
 // onDecodeDone ends one decode iteration whose batch the stream has
@@ -430,14 +436,15 @@ func (e *Engine) onDecodeDone(finished []*serve.Running) {
 	}
 	// Query-based synchronization: fold in prefills that completed while
 	// the iteration ran.
-	for _, j := range e.merging {
+	for i, j := range e.merging {
+		e.merged = i + 1
 		e.mergeJob(j)
 	}
 	for _, j := range e.merging {
 		e.releaseJob(j)
 	}
 	clear(e.merging)
-	e.merging = e.merging[:0]
+	e.merging, e.merged = e.merging[:0], 0
 	if len(finished) > 0 {
 		e.admitPending()
 	}
@@ -445,9 +452,10 @@ func (e *Engine) onDecodeDone(finished []*serve.Running) {
 }
 
 // mergeJob emits first tokens for the job's requests and moves the
-// still-generating ones into the decode batch. The caller releases the
-// job once nothing counts it any more: a boundary's merge list is counted
-// by inflight until its last job has merged.
+// still-generating ones into the decode batch, then admits arrivals into
+// the slots its finished requests left. A job on the merge list must be
+// outside inflight's count first (merged). The caller releases the job
+// once nothing refers to it.
 func (e *Engine) mergeJob(j *prefillJob) {
 	now := e.env.Sim.Now()
 	for i, r := range j.reqs {

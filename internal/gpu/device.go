@@ -110,10 +110,10 @@ func NewKernel(label string, kind Kind, c model.Cost, launch sim.Time) Kernel {
 // at most the group's bandwidth, so one demand alone never saturates the
 // waterfill, and when the two together exceed it at most one is under
 // half of it: that one is granted whole and the other the rest, or, with
-// neither under half, each gets half. Both closed forms run the float
-// operations of the general occupancy pass and waterfill (ratePass) in
-// its order, so they set the same bits; only a running set of three or
-// more, which no engine makes, takes ratePass itself.
+// neither under half, each gets half. A device holds at most two
+// partitions, so these are its only two running sets. Both closed forms
+// run the float operations of the general occupancy pass and max-min
+// waterfill in their order, so they set the bits the general pass would.
 //
 // A decode stream coasting into its next iteration relaunches its kernel
 // from the kernel's own completion callback with Partition.Relaunch,
@@ -133,20 +133,17 @@ type Device struct {
 
 	sim        *sim.Sim
 	hostFreeAt sim.Time
-	partitions []*Partition
-	running    []*run
-	pend       *run // deferred start: in running, still its queue's head
-	retiring   *run // retired run whose callback is running; nil once relaunched
+	parts      int    // partitions made, at most two
+	running    []*run // in start order, at most two
+	pend       *run   // deferred start: in running, still its queue's head
+	retiring   *run   // retired run whose callback is running; nil once relaunched
 	next       sim.Handle
 	lastAt     sim.Time
 	saturated  bool // the last waterfill ran out of bandwidth
 	lastDone   bool // the retiring run's callback is the last of its event
 
-	// Pool and scratch buffers: reallocate runs on every kernel start and
-	// every timer firing that starts none, so its working set is reused
-	// rather than reallocated.
-	runs     arena.Pool[run]
-	finished []*run
+	// Retired runs, for later launches to reuse.
+	runs arena.Pool[run]
 
 	// Accounting integrals (seconds-weighted).
 	smInt      float64 // ∫ Σ smFraction dt
@@ -178,16 +175,20 @@ func (d *Device) TotalFLOPS() float64 { return d.Spec.TensorFLOPS * float64(d.TP
 // TotalBandwidth is aggregate HBM bandwidth of the group.
 func (d *Device) TotalBandwidth() float64 { return d.Spec.HBMBandwidth * float64(d.TP) }
 
-// Partition binds a new stream to sms SMs per GPU. Partitions may coexist;
-// the caller decides whether their SM counts are disjoint (green contexts)
-// or oversubscribed (plain CUDA streams, as in WindServe).
+// Partition binds a new stream to sms SMs per GPU. A device holds at most
+// two partitions, the prefill and decode streams of §3, so a third call
+// panics. The caller decides whether the two SM counts are disjoint
+// (green contexts) or oversubscribed (plain CUDA streams, as in
+// WindServe).
 func (d *Device) Partition(sms int, label string) *Partition {
 	if sms < 0 || sms > d.Spec.SMs {
 		panic(fmt.Sprintf("gpu: partition of %d SMs outside [0,%d]", sms, d.Spec.SMs))
 	}
-	p := &Partition{dev: d, sms: sms, label: label}
-	d.partitions = append(d.partitions, p)
-	return p
+	if d.parts == 2 {
+		panic(fmt.Sprintf("gpu: third partition %q on device %q, which holds at most two", label, d.Name))
+	}
+	d.parts++
+	return &Partition{dev: d, sms: sms, label: label}
 }
 
 // Partition is a stream bound to an SM subset — the Green Context analog.
@@ -474,10 +475,10 @@ func (r *run) load(s *Spec, tp, sms int) {
 }
 
 // setLoneRates sets r's rates as the only kernel running on tp spec GPUs:
-// the closed form of ratePass on a running set of one. Its occupancy is
-// its fraction, which the floor leaves alone for every fraction in
-// [0, 1], and its demand, capped at the group's bandwidth, is granted
-// whole.
+// the closed form of the occupancy pass and waterfill on a running set of
+// one. Its occupancy is its fraction, which the floor leaves alone for
+// every fraction in [0, 1], and its demand, capped at the group's
+// bandwidth, is granted whole.
 func (r *run) setLoneRates(s *Spec, tp int) {
 	var bcap float64
 	r.crate, bcap = s.loneRates(r.frac, r.eff, tp)
@@ -525,7 +526,9 @@ func (d *Device) count(t sim.Time) {
 // progress advances all running kernels' remaining work to the current
 // time at their last-computed rates and accumulates accounting integrals.
 // A kernel's HBM demand may drain mid-interval with no event, so the
-// bandwidth integral counts the bytes actually moved.
+// bandwidth integral counts the bytes actually moved. Each sum over the
+// running set starts from its first kernel's term, which equals the sum
+// from zero, since 0 + x == x.
 func (d *Device) progress() {
 	now := d.sim.Now()
 	dt := (now - d.lastAt).Seconds()
@@ -533,30 +536,18 @@ func (d *Device) progress() {
 	if dt <= 0 || len(d.running) == 0 {
 		return
 	}
-	var smSum, flopsUsed, moved float64
-	if len(d.running) == 1 {
-		// A lone kernel's sums are its own terms, since 0 + x == x.
-		r := d.running[0]
-		smSum, flopsUsed, moved = r.frac, r.crate, r.advance(dt)
-	} else {
-		smSum, flopsUsed, moved = d.advanceN(dt)
+	a := d.running[0]
+	moved, smSum, flopsUsed := a.advance(dt), a.frac, a.crate
+	if len(d.running) == 2 {
+		b := d.running[1]
+		moved += b.advance(dt)
+		smSum += b.frac
+		flopsUsed += b.crate
 	}
 	d.smInt += min(1, smSum) * dt
 	d.computeInt += flopsUsed / d.TotalFLOPS() * dt
 	d.bwInt += moved / d.TotalBandwidth()
 	d.lastWork = now
-}
-
-// advanceN drains dt seconds of work from every running kernel and
-// returns the sums of their SM fractions, compute rates and HBM bytes
-// moved.
-func (d *Device) advanceN(dt float64) (smSum, flopsUsed, moved float64) {
-	for _, r := range d.running {
-		moved += r.advance(dt)
-		smSum += r.frac
-		flopsUsed += r.crate
-	}
-	return smSum, flopsUsed, moved
 }
 
 // drains reports whether advancing r by dt seconds leaves it finished,
@@ -589,15 +580,12 @@ func (d *Device) reallocate() {
 // kernel takes its solo rates in closed form, and its demand never
 // saturates the waterfill; a pair takes setPairRates.
 func (d *Device) setRates() {
-	switch len(d.running) {
-	case 1:
+	if len(d.running) == 1 {
 		d.running[0].setLoneRates(&d.Spec, d.TP)
 		d.saturated = false
-	case 2:
-		d.setPairRates(d.running[0], d.running[1])
-	default:
-		d.ratePass()
+		return
 	}
+	d.setPairRates(d.running[0], d.running[1])
 }
 
 // occupancyFloor is the SM fraction a kernel squeezed out by earlier ones
@@ -605,8 +593,12 @@ func (d *Device) setRates() {
 const occupancyFloor = 0.02
 
 // setPairRates sets the rates of a and b, in start order, as the only two
-// kernels running: the closed form of ratePass on a running set of two
-// (see Device).
+// kernels running: the closed form of the occupancy pass and waterfill on
+// a running set of two (see Device). Occupancy is non-preemptive: a, the
+// kernel resident first (startRun appends and retirement filters in
+// place), keeps its SM fraction, and b squeezes into what remains, down
+// to the floor, when the partitions oversubscribe the SMs (plain CUDA
+// streams, or a resize racing an in-flight kernel).
 func (d *Device) setPairRates(a, b *run) {
 	flops, bw := d.TotalFLOPS(), d.TotalBandwidth()
 	ga := a.frac
@@ -647,39 +639,6 @@ func SplitBandwidth(ca, cb, bw float64) (a, b float64, saturated bool) {
 	}
 }
 
-// ratePass runs the occupancy pass and the waterfill over any running
-// set.
-func (d *Device) ratePass() {
-	// SM occupancy: green-context partitions are disjoint, so each
-	// kernel keeps its fraction. When streams oversubscribe the SMs
-	// (plain CUDA streams, or a reconfiguration racing an in-flight
-	// kernel), occupancy is non-preemptive: kernels resident earlier
-	// keep their SMs and later arrivals squeeze into what remains, down
-	// to the floor. d.running is in start order: startRun appends and
-	// retirement filters in place. Each kernel's occupancy sets its
-	// compute rate and caps its bandwidth demand.
-	n := len(d.running)
-	flops, bw := d.TotalFLOPS(), d.TotalBandwidth()
-	caps, alloc := make([]float64, n), make([]float64, n)
-	remaining := 1.0
-	for i, r := range d.running {
-		g := min(r.frac, remaining)
-		if g < occupancyFloor {
-			g = min(occupancyFloor, r.frac)
-		}
-		remaining = max(0, remaining-g)
-		r.crate = g * flops * r.eff
-		if !r.bytesDone() {
-			caps[i] = d.Spec.BandwidthCap(g, bw)
-		}
-	}
-	d.saturated = waterfill(alloc, caps, bw)
-	for i, r := range d.running {
-		r.brate = alloc[i]
-		r.commRate = d.Spec.NVLinkBandwidth
-	}
-}
-
 // bytesDone reports whether r has no HBM bytes left, so that the waterfill
 // grants it no bandwidth.
 func (r *run) bytesDone() bool { return r.remB <= 0 }
@@ -708,24 +667,27 @@ func (d *Device) schedule() {
 // saturates, so its retirement is the deadline.
 func (d *Device) soonest(now sim.Time) sim.Time {
 	if len(d.running) != 1 {
-		return d.soonestN(now)
+		return d.soonestPair(now)
 	}
 	return d.running[0].retireAt(now)
 }
 
-// soonestN is soonest's loop over any running set. It spells out
-// retireAt, which the compiler does not inline: a call per running kernel
-// slowed co-running workloads measurably.
-func (d *Device) soonestN(now sim.Time) sim.Time {
-	soonest := sim.MaxTime
-	for _, r := range d.running {
-		t := deadline(now, max(drainSeconds(r.remC, r.crate), drainSeconds(r.remB, r.brate), drainSeconds(r.remComm, r.commRate)))
-		if d.saturated && r.remB > 0 {
-			t = min(t, deadline(now, drainSeconds(r.remB, r.brate)))
+// soonestPair is soonest for a running pair. It spells out retireAt, which
+// the compiler does not inline: a call per running kernel slowed
+// co-running workloads measurably.
+func (d *Device) soonestPair(now sim.Time) sim.Time {
+	a, b := d.running[0], d.running[1]
+	ta := deadline(now, max(drainSeconds(a.remC, a.crate), drainSeconds(a.remB, a.brate), drainSeconds(a.remComm, a.commRate)))
+	tb := deadline(now, max(drainSeconds(b.remC, b.crate), drainSeconds(b.remB, b.brate), drainSeconds(b.remComm, b.commRate)))
+	if d.saturated {
+		if a.remB > 0 {
+			ta = min(ta, deadline(now, drainSeconds(a.remB, a.brate)))
 		}
-		soonest = min(soonest, t)
+		if b.remB > 0 {
+			tb = min(tb, deadline(now, drainSeconds(b.remB, b.brate)))
+		}
 	}
-	return soonest
+	return min(ta, tb)
 }
 
 // retireAt returns when r retires at its current rates counted from now:
@@ -773,16 +735,19 @@ func (d *Device) onProgress() {
 	d.settle()
 	d.next = sim.Handle{}
 	d.progress()
-	finished := d.finished[:0]
+	var done [2]*run
+	n := 0
 	remaining := d.running[:0]
 	for _, r := range d.running {
 		if r.remC <= workEps && r.remB <= workEps && r.remComm <= workEps {
-			finished = append(finished, r)
+			done[n] = r
+			n++
 		} else {
 			remaining = append(remaining, r)
 		}
 	}
 	d.running = remaining
+	finished := done[:n]
 	starts := false
 	for _, r := range finished {
 		p := r.part
@@ -809,13 +774,11 @@ func (d *Device) onProgress() {
 			r.done(r.arg)
 		}
 		r.part.tryStart()
-		finished[i] = nil
 		if d.retiring == r {
 			d.releaseRun(r) // not relaunched
 		}
 		d.retiring, d.lastDone = nil, false
 	}
-	d.finished = finished[:0]
 }
 
 // workEps tolerates float residue when deciding a sub-stream is done: one
@@ -861,52 +824,4 @@ func (d *Device) HostBacklog() sim.Time {
 		return 0
 	}
 	return d.hostFreeAt - d.sim.Now()
-}
-
-// waterfill distributes capacity across demands with max-min fairness,
-// filling alloc (which must have len(demands)) in place: every demand
-// gets min(demand, fair share), and leftover capacity is redistributed
-// among unsatisfied demands, in rounds. A positive demand is unsatisfied
-// while its alloc is 0. saturated reports whether the demands exceeded
-// capacity; when they did not, alloc equals demands.
-func waterfill(alloc, demands []float64, capacity float64) (saturated bool) {
-	clear(alloc)
-	var total float64
-	unsat := 0
-	for _, v := range demands {
-		if v > 0 {
-			total += v
-			unsat++
-		}
-	}
-	if unsat == 0 {
-		return false
-	}
-	if total <= capacity {
-		copy(alloc, demands)
-		return false
-	}
-	remaining := capacity
-	for unsat > 0 {
-		fair := remaining / float64(unsat)
-		left := unsat
-		for i, v := range demands {
-			if v > 0 && alloc[i] == 0 && v <= fair {
-				alloc[i] = v
-				remaining -= v
-				left--
-			}
-		}
-		if left == unsat {
-			// No unsatisfied demand fits its fair share: each takes it.
-			for i, v := range demands {
-				if v > 0 && alloc[i] == 0 {
-					alloc[i] = fair
-				}
-			}
-			break
-		}
-		unsat = left
-	}
-	return true
 }

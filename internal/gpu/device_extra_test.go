@@ -220,22 +220,28 @@ func TestZeroWorkKernelBesideLongKernel(t *testing.T) {
 	}
 }
 
-// A three-way co-run: bandwidth allocation respects every kernel's SM cap
-// and the total never exceeds device bandwidth.
-func TestThreeWayContention(t *testing.T) {
+// A device holds at most two partitions: a third call panics, naming the
+// partition and the device, and leaves the first two working.
+func TestThirdPartitionPanics(t *testing.T) {
 	s := sim.New()
-	d := NewDevice(s, A100(), 1, "three")
-	sizes := []int{12, 44, 52}
-	var finish [3]sim.Time
-	for i, sm := range sizes {
-		i := i
-		p := d.Partition(sm, "p")
-		p.LaunchFn(Kernel{Kind: Decode, Bytes: 2.039e12 * 0.05}, func(any) { finish[i] = s.Now() }, nil)
+	d := NewDevice(s, A100(), 1, "pair")
+	p, q := d.Partition(54, "p"), d.Partition(54, "q")
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, `"third"`) || !strings.Contains(msg, `"pair"`) {
+				t.Fatalf("want a panic naming partition \"third\" and device \"pair\", got %q", msg)
+			}
+		}()
+		d.Partition(0, "third")
+	}()
+	done := 0
+	for _, part := range []*Partition{p, q} {
+		part.LaunchFn(Kernel{Kind: Decode, Bytes: 1e9}, func(any) { done++ }, nil)
 	}
 	s.Run()
-	// The smallest partition has the lowest bandwidth cap → finishes last.
-	if !(finish[0] > finish[1] && finish[0] > finish[2]) {
-		t.Fatalf("SM-starved kernel should finish last: %v", finish)
+	if done != 2 {
+		t.Fatalf("%d of 2 kernels completed after the refused partition", done)
 	}
 }
 

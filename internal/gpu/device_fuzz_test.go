@@ -13,7 +13,7 @@ import (
 )
 
 // deviceProgram interprets a byte string as a device program: a TP
-// degree, one to four partitions (disjoint or oversubscribed), then
+// degree, one or two partitions (disjoint or oversubscribed), then
 // launches, resizes, clock advances and mid-run Stats reads. Launches
 // vary kind, size, interconnect traffic and launch latency, include
 // zero-work kernels, and may launch a follow-up from their completion
@@ -71,7 +71,7 @@ func runDeviceProgram(t testing.TB, data []byte) *deviceProgram {
 		spec = H100()
 	}
 	tp := []int{1, 2, 8}[cfg%3]
-	n := 1 + (cfg/3)%4
+	n := 1 + (cfg/3)%2
 	oversub := cfg&0x80 != 0
 	p.d = NewDevice(p.s, spec, tp, "fuzz")
 	for i := range n {
@@ -312,7 +312,7 @@ func (p *deviceProgram) hash(h hash.Hash) {
 // deviceTimelineDigest pins the simulated device byte for byte: any
 // change to when a kernel starts or completes, to the fluid rates or to
 // the accounting integrals moves it.
-const deviceTimelineDigest = "216af042932fe68376a841a0bf3b1d6a0260a54796a8ef8cc8c28a8563fc4112"
+const deviceTimelineDigest = "0d17e9311ed3075f05e051b5340f2ce371c203c95b09c7fe5aa95526b48ada45"
 
 // The device timeline over 1000 seeded random programs matches the
 // committed digest, and every program satisfies the invariants.
@@ -334,6 +334,7 @@ func TestDeviceTimelineDigest(t *testing.T) {
 	if completions < 10000 || solo < 500 {
 		t.Fatalf("only %d completions over 1000 programs, %d of them alone on the device", completions, solo)
 	}
+	t.Logf("%d completions, %d alone on the device", completions, solo)
 	if got := hex.EncodeToString(h.Sum(nil)); got != deviceTimelineDigest {
 		t.Fatalf("device timeline digest = %s, want %s", got, deviceTimelineDigest)
 	}

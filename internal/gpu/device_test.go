@@ -340,77 +340,6 @@ func TestPartitionQueueAccounting(t *testing.T) {
 	}
 }
 
-func TestWaterfill(t *testing.T) {
-	cases := []struct {
-		demands   []float64
-		cap       float64
-		want      []float64
-		saturated bool
-	}{
-		{[]float64{10, 10}, 30, []float64{10, 10}, false},        // under capacity
-		{[]float64{30, 30}, 30, []float64{15, 15}, true},         // equal split
-		{[]float64{5, 100}, 30, []float64{5, 25}, true},          // small demand satisfied first
-		{[]float64{0, 50}, 30, []float64{0, 30}, true},           // zero demand ignored
-		{[]float64{}, 30, []float64{}, false},                    // empty
-		{[]float64{10, 20, 70}, 60, []float64{10, 20, 30}, true}, // cascade
-	}
-	for i, c := range cases {
-		got := []float64{-1, -1, -1}[:len(c.demands)] // stale values to overwrite
-		saturated := waterfill(got, c.demands, c.cap)
-		if saturated != c.saturated {
-			t.Errorf("case %d: saturated = %v, want %v", i, saturated, c.saturated)
-		}
-		for j := range c.want {
-			if math.Abs(got[j]-c.want[j]) > 1e-9 {
-				t.Errorf("case %d: waterfill = %v, want %v", i, got, c.want)
-				break
-			}
-		}
-	}
-	demands, alloc := []float64{10, 20, 70}, make([]float64, 3)
-	if n := testing.AllocsPerRun(100, func() { waterfill(alloc, demands, 60) }); n != 0 {
-		t.Errorf("waterfill allocates %v times per call, want 0", n)
-	}
-}
-
-// Property: water-filling never exceeds capacity, never exceeds demand,
-// and fully uses capacity when total demand ≥ capacity.
-func TestPropertyWaterfill(t *testing.T) {
-	f := func(raw []uint8, capRaw uint16) bool {
-		demands := make([]float64, len(raw))
-		var total float64
-		for i, v := range raw {
-			demands[i] = float64(v)
-			total += float64(v)
-		}
-		capacity := float64(capRaw%1000) + 1
-		alloc := make([]float64, len(demands))
-		if saturated := waterfill(alloc, demands, capacity); saturated != (total > capacity) {
-			return false
-		}
-		var sum float64
-		for i := range alloc {
-			if alloc[i] < -1e-9 || alloc[i] > demands[i]+1e-9 {
-				return false
-			}
-			sum += alloc[i]
-		}
-		if sum > capacity+1e-6 {
-			return false
-		}
-		if total >= capacity && sum < capacity-1e-6 {
-			return false
-		}
-		if total < capacity && math.Abs(sum-total) > 1e-6 {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: co-running never speeds a kernel up, and contention slowdown
 // stays bounded (the Fig. 11 premise: bounded worst case).
 func TestPropertyContentionBounded(t *testing.T) {

@@ -32,6 +32,7 @@ type foldProg struct {
 	evented bool
 	left    int
 	folds   int
+	notLast bool // a decode callback was not the last of its event
 	log     []foldObs
 }
 
@@ -68,6 +69,9 @@ func foldDone(arg any) {
 		if f.rng.IntN(4) == 0 {
 			mfu = f.rng.Float64()
 		}
+		if !f.d.lastDone {
+			f.notLast = true
+		}
 		if f.evented {
 			f.d.lastDone = false
 		}
@@ -94,21 +98,28 @@ func fireSide(arg any) {
 	s.f.q.LaunchFn(s.k, foldSide, s.f)
 }
 
-// runFoldProg runs seed's program and returns its observations and folds.
-func runFoldProg(t *testing.T, seed uint64, evented bool) ([]foldObs, int) {
+// runFoldProg runs seed's program and returns its observations, its
+// folds, and whether a decode callback was not the last of its event.
+func runFoldProg(t *testing.T, seed uint64, evented bool) ([]foldObs, int, bool) {
 	f := &foldProg{t: t, s: sim.New(), rng: rand.New(rand.NewPCG(seed, 11)), evented: evented, left: 200}
 	setup := rand.New(rand.NewPCG(seed, 12))
 	spec := []Spec{A100(), H100()}[setup.IntN(2)]
 	f.d = NewDevice(f.s, spec, 1+setup.IntN(4), "fold")
 	f.p = f.d.Partition(1+setup.IntN(spec.SMs), "decode")
-	f.q = f.d.Partition(1+setup.IntN(spec.SMs), "side")
+	qSMs := 1 + setup.IntN(spec.SMs)
 	launch := sim.Time(setup.IntN(3)) * 10 * sim.Microsecond
+	twin := setup.IntN(2) == 0
+	if twin {
+		qSMs = f.p.SMs()
+	}
+	f.q = f.d.Partition(qSMs, "side")
 	first := Kernel{Label: "decode", Kind: Decode, FLOPs: 2e12, Bytes: 4e10, Launch: launch}
 	f.p.LaunchFn(first, foldDone, f)
-	if setup.IntN(2) == 0 {
-		// A twin on a partition of the same size, started behind it in
-		// the same event, retires with it: its callback comes last.
-		f.d.Partition(f.p.SMs(), "twin").LaunchFn(Kernel{Label: "twin", Kind: Decode, FLOPs: 2e12, Bytes: 4e10}, foldSide, f)
+	if twin {
+		// A twin on the side partition, sized like the decode's and
+		// started behind it in the same event, retires with it when the
+		// two fit the SMs: its callback comes last.
+		f.q.LaunchFn(Kernel{Label: "twin", Kind: Decode, FLOPs: 2e12, Bytes: 4e10}, foldSide, f)
 	}
 	for range setup.IntN(40) {
 		k := Kernel{Label: "side", Kind: Kind(setup.IntN(3)), FLOPs: setup.Float64() * 1e14, Bytes: setup.Float64() * 1e11,
@@ -121,7 +132,7 @@ func runFoldProg(t *testing.T, seed uint64, evented bool) ([]foldObs, int) {
 	}
 	f.s.Run()
 	f.observe("end")
-	return f.log, f.folds
+	return f.log, f.folds, f.notLast
 }
 
 // A relaunch that folds leaves every callback's time, the device's Stats
@@ -131,10 +142,10 @@ func runFoldProg(t *testing.T, seed uint64, evented bool) ([]foldObs, int) {
 // the same event after the decode, zero-work kernels and ones whose drain
 // time reaches the limits of the float deadline.
 func TestRelaunchFoldMatchesEvented(t *testing.T) {
-	folds := 0
+	folds, notLast := 0, 0
 	for seed := range uint64(200) {
-		want, _ := runFoldProg(t, seed, true)
-		got, n := runFoldProg(t, seed, false)
+		want, _, _ := runFoldProg(t, seed, true)
+		got, n, shared := runFoldProg(t, seed, false)
 		for i := range min(len(got), len(want)) {
 			if got[i] != want[i] {
 				t.Fatalf("seed %d: step %d folded %+v, evented %+v", seed, i, got[i], want[i])
@@ -144,8 +155,15 @@ func TestRelaunchFoldMatchesEvented(t *testing.T) {
 			t.Fatalf("seed %d: %d steps folded, %d evented", seed, len(got), len(want))
 		}
 		folds += n
+		if shared {
+			notLast++
+		}
 	}
 	if folds < 10000 {
 		t.Fatalf("%d relaunches folded in 200 programs of 200, want most", folds)
 	}
+	if notLast < 20 {
+		t.Fatalf("%d of 200 programs had a decode callback that was not the last of its event, want ≥ 20", notLast)
+	}
+	t.Logf("%d folds; %d programs with a decode callback not last of its event", folds, notLast)
 }

@@ -103,10 +103,13 @@ func pairDevice(spec Spec, tp int, sms [2]int, k [2]Kernel) *Device {
 	return d
 }
 
-// The closed form a pair of running kernels takes (setRates on a running
-// set of two) equals ratePass bit for bit: both kernels' rates and the
-// saturation flag, before and after progress steps that drain one
-// kernel's bytes or part of them. Kernels are random (randKernel) on 0 to
+// The closed forms a pair of running kernels takes (setRates, soonest and
+// progress on a running set of two) equal the general bodies (ratePass,
+// soonestN and advanceN) bit for bit: both kernels' rates, the saturation
+// flag and the deadline, before and after progress steps that drain one
+// kernel's bytes or part of them, and the work left, both partitions'
+// busy time and the accounting integrals after each step. Kernels are
+// random (randKernel) on 0 to
 // SMs SMs each of 1 to 8 GPUs, so the two often oversubscribe the SMs.
 // The draws must reach the occupancy floor, both saturated grants (one
 // demand whole and the other the rest, or half each), and a drain of one
@@ -115,14 +118,18 @@ func pairDevice(spec Spec, tp int, sms [2]int, k [2]Kernel) *Device {
 func TestPairMatchesGeneral(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 11))
 	specs := Catalog()
-	bits := func(d *Device) [7]uint64 {
+	bits := func(d *Device) [18]uint64 {
 		a, b := d.running[0], d.running[1]
 		sat := uint64(0)
 		if d.saturated {
 			sat = 1
 		}
-		return [7]uint64{math.Float64bits(a.crate), math.Float64bits(a.brate), math.Float64bits(a.commRate),
-			math.Float64bits(b.crate), math.Float64bits(b.brate), math.Float64bits(b.commRate), sat}
+		return [18]uint64{math.Float64bits(a.crate), math.Float64bits(a.brate), math.Float64bits(a.commRate),
+			math.Float64bits(b.crate), math.Float64bits(b.brate), math.Float64bits(b.commRate), sat,
+			math.Float64bits(a.remC), math.Float64bits(a.remB), math.Float64bits(a.remComm),
+			math.Float64bits(b.remC), math.Float64bits(b.remB), math.Float64bits(b.remComm),
+			math.Float64bits(a.part.busy), math.Float64bits(b.part.busy),
+			math.Float64bits(d.smInt), math.Float64bits(d.computeInt), math.Float64bits(d.bwInt)}
 	}
 	var floor, whole, halves, drained int
 	for i := range 20000 {
@@ -142,6 +149,10 @@ func TestPairMatchesGeneral(t *testing.T) {
 				t.Fatalf("case %d step %d (%s×%d, SMs %v, %+v): pair rates %v, general %v",
 					i, step, spec.Name, tp, sms, k, bits(pair), bits(general))
 			}
+			if at, want := pair.soonest(0), general.soonestN(0); at != want {
+				t.Fatalf("case %d step %d (%s×%d, SMs %v, %+v): pair deadline %v, general %v",
+					i, step, spec.Name, tp, sms, k, at, want)
+			}
 			a, b := pair.running[0], pair.running[1]
 			switch {
 			case !pair.saturated:
@@ -155,14 +166,28 @@ func TestPairMatchesGeneral(t *testing.T) {
 			}
 			wasSaturated = pair.saturated
 			// Progress both devices alike, mostly by 0.5 to 1.5 times
-			// one kernel's byte drain time, so that about half the
-			// steps drain its bytes exactly to zero.
+			// one kernel's byte drain time, up to a second, so that about
+			// half the steps drain its bytes to zero. The pair progresses
+			// from a start elapsed before its clock; the general device
+			// takes the same step through advanceN.
 			dt := rng.Float64() * 1e-3
 			if r := pair.running[rng.IntN(2)]; r.remB > 0 && r.brate > 0 && rng.IntN(4) > 0 {
 				dt = r.remB / r.brate * (0.5 + rng.Float64())
 			}
-			pair.advanceN(dt)
-			general.advanceN(dt)
+			elapsed := sim.FromSeconds(min(dt, 1))
+			dt = elapsed.Seconds()
+			pair.lastAt = -elapsed
+			pair.progress()
+			if dt > 0 {
+				smSum, flopsUsed, moved := general.advanceN(dt)
+				general.smInt += min(1, smSum) * dt
+				general.computeInt += flopsUsed / general.TotalFLOPS() * dt
+				general.bwInt += moved / general.TotalBandwidth()
+			}
+			if bits(pair) != bits(general) {
+				t.Fatalf("case %d step %d (%s×%d, SMs %v, %+v), dt %v: pair progress %v, general %v",
+					i, step, spec.Name, tp, sms, k, dt, bits(pair), bits(general))
+			}
 		}
 	}
 	if floor < 100 || whole < 100 || halves < 100 || drained < 100 {
