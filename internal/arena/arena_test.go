@@ -1,6 +1,10 @@
 package arena
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+)
 
 type rec struct {
 	id   int
@@ -35,9 +39,9 @@ func TestArenaPointersStayValid(t *testing.T) {
 	}
 }
 
-// Blocks double from minBlock to maxBlock, so 1,000 records take three
-// growing blocks and then one per maxBlock records; Reserve puts the next
-// n records in one block.
+// Blocks grow fourfold from minBlock to maxBlock, so 1,000 records take
+// the growing blocks and then one per maxBlock records; Reserve puts the
+// next n records in one block.
 func TestArenaBlocks(t *testing.T) {
 	const n = 1000
 	var a Arena[rec]
@@ -47,8 +51,7 @@ func TestArenaBlocks(t *testing.T) {
 			a.New()
 		}
 	})
-	grown := minBlock + 2*minBlock + 4*minBlock
-	if want := 3 + (n-grown+maxBlock-1)/maxBlock; allocs != float64(want) {
+	if want := blocksFor(n); allocs != float64(want) {
 		t.Fatalf("%d records took %v allocations, want %d", n, allocs, want)
 	}
 
@@ -64,9 +67,9 @@ func TestArenaBlocks(t *testing.T) {
 	}
 }
 
-// A pool hands back the record released last, allocates only when it
-// has none free, and so cycles through a steady working set without
-// allocating.
+// A pool hands back the record released last, takes a fresh zeroed
+// record only when it has none free, and so cycles through a steady
+// working set without allocating.
 func TestPoolRecycles(t *testing.T) {
 	var p Pool[rec]
 	a, b := p.Get(), p.Get()
@@ -81,6 +84,12 @@ func TestPoolRecycles(t *testing.T) {
 	if got := p.Get(); got != a {
 		t.Fatal("Get did not return the remaining free record")
 	}
+	a.id, b.id = 1, 2
+	c := p.Get()
+	if c == a || c == b || *c != (rec{}) {
+		t.Fatalf("with none free, Get returned %+v, want a fresh zeroed record", *c)
+	}
+	p.Release(c)
 	p.Release(a)
 	p.Release(b)
 	cycle := func() {
@@ -111,5 +120,68 @@ func TestPoolReserve(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("%d reserved records took %v allocations, want 0", n, allocs)
+	}
+}
+
+// blocksFor returns how many blocks hold n records carved one at a time:
+// four growing ones (1, 4, 16 and 64 records) for the first 85, then one
+// per maxBlock.
+func blocksFor(n int) int {
+	blocks, size := 0, minBlock
+	for ; n > 0 && size <= maxBlock; size *= 4 {
+		n -= size
+		blocks++
+	}
+	return blocks + (max(n, 0)+maxBlock-1)/maxBlock
+}
+
+// bytesPerRun returns the bytes f allocates in one call, as
+// testing.AllocsPerRun counts its allocations.
+func bytesPerRun(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A pool that only ever holds one record, as a device that runs one
+// kernel holds one run, allocates that record alone: its first block is
+// one record, not a block sized for many.
+func TestPoolOfOneAllocatesOnce(t *testing.T) {
+	var p Pool[rec]
+	get := func() {
+		p = Pool[rec]{}
+		p.Get()
+	}
+	if allocs := testing.AllocsPerRun(1, get); allocs != 1 {
+		t.Fatalf("a pool's first record took %v allocations, want 1", allocs)
+	}
+	if b := bytesPerRun(get); b != uint64(unsafe.Sizeof(rec{})) {
+		t.Fatalf("a pool's first record took %d bytes, want one %d-byte record", b, unsafe.Sizeof(rec{}))
+	}
+}
+
+// Fresh records come from the pool's blocks, as an arena's do, not from
+// one allocation each, and each is zeroed and distinct.
+func TestPoolFreshRecordsShareBlocks(t *testing.T) {
+	const n = 1000
+	var p Pool[rec]
+	seen := make(map[*rec]bool, n)
+	allocs := testing.AllocsPerRun(1, func() {
+		p = Pool[rec]{}
+		clear(seen)
+		for range n {
+			r := p.Get()
+			if *r != (rec{}) || seen[r] {
+				t.Fatalf("fresh record %p is reused or not zeroed", r)
+			}
+			seen[r] = true
+			r.id = 1
+		}
+	})
+	if want := blocksFor(n); allocs != float64(want) {
+		t.Fatalf("%d fresh records took %v allocations, want %d", n, allocs, want)
 	}
 }

@@ -1,9 +1,11 @@
-package serve
+package arena
 
-// Queue is a FIFO on a ring buffer. Popping clears the vacated slot, so
-// a drained queue pins nothing, and the backing array stops growing once
-// it reaches the queue's high-water mark — unlike a slice popped with
-// q = q[1:], which strands its head and reallocates every cycle.
+// Queue is a FIFO on a ring buffer: every engine's pending, prefill and
+// hand-off queue and every device stream's kernel queue. Popping clears
+// the vacated slot, so a drained queue pins nothing, and the backing
+// array stops growing once it reaches the queue's high-water mark —
+// unlike a slice popped with q = q[1:], which strands its head and
+// reallocates every cycle.
 //
 // Besides Push and Pop it supports the two out-of-order edits engines
 // make: PushFront (a preempting prefill jumps the line) and Remove (a
@@ -23,19 +25,27 @@ func (q *Queue[T]) At(i int) T { return q.buf[q.slot(i)] }
 // Front returns the head element; the queue must be non-empty.
 func (q *Queue[T]) Front() T { return q.buf[q.head] }
 
-// Push appends v at the back.
+// Push appends v at the back. A full ring doubles first, unrolled to
+// start at 0; the growth is written out here so that Push stays small
+// enough to inline.
 func (q *Queue[T]) Push(v T) {
-	q.grow()
+	if q.n == len(q.buf) {
+		buf := make([]T, max(8, 2*len(q.buf)))
+		copy(buf[copy(buf, q.buf[q.head:]):], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
 	q.buf[q.slot(q.n)] = v
 	q.n++
 }
 
-// PushFront inserts v at the front.
+// PushFront inserts v at the front: Push makes room, and v moves from the
+// back to the slot before the head, which the room left free.
 func (q *Queue[T]) PushFront(v T) {
-	q.grow()
+	q.Push(v)
+	var zero T
+	q.buf[q.slot(q.n-1)] = zero
 	q.head = q.slot(len(q.buf) - 1)
 	q.buf[q.head] = v
-	q.n++
 }
 
 // Pop removes and returns the head element; the queue must be non-empty.
@@ -73,16 +83,4 @@ func (q *Queue[T]) slot(i int) int {
 		i -= len(q.buf)
 	}
 	return i
-}
-
-// grow doubles the ring when it is full, unrolling it to start at 0.
-func (q *Queue[T]) grow() {
-	if q.n < len(q.buf) {
-		return
-	}
-	buf := make([]T, max(8, 2*len(q.buf)))
-	for i := 0; i < q.n; i++ {
-		buf[i] = q.buf[q.slot(i)]
-	}
-	q.buf, q.head = buf, 0
 }

@@ -1,4 +1,4 @@
-package serve
+package arena
 
 import (
 	"math/rand/v2"

@@ -9,6 +9,7 @@
 package chunked
 
 import (
+	"muxwise/internal/arena"
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
 	"muxwise/internal/model"
@@ -30,8 +31,8 @@ type Engine struct {
 	// carries the decode step, chunk or not. Its Transform, when set,
 	// rewrites every iteration's cost.
 	decode  serve.DecodeStream
-	queue   serve.Queue[*serve.Running] // prefill in FIFO order, head is chunking
-	pending serve.Queue[*workload.Request]
+	queue   arena.Queue[*serve.Running] // prefill in FIFO order, head is chunking
+	pending arena.Queue[*workload.Request]
 
 	// inFlight is the chunk progress of the iteration on the device (one
 	// at a time, guarded by decode.Running); the rest is reused scratch.
@@ -181,7 +182,13 @@ func iterDone(arg any, finished []*serve.Running) {
 
 // iterQuiet is the stream's quiet predicate: with no request waiting to
 // be admitted or prefilled, the next iteration is pure decode again.
-// (An empty queue also means the iteration carried no chunk.)
+// (An empty queue also means the iteration carried no chunk.) The
+// pending term is needed even when the pool has refused the head: the
+// handler's admit runs at every boundary, and a refused Env.Admit still
+// matches the head's prefix, which counts a lookup and refreshes the
+// matched pages' recency, and its Reserve may evict. Coasting past it
+// would change cache statistics and later evictions (the committed
+// FuzzCoastMatchesHandler input_14 fails without the term).
 func iterQuiet(arg any) bool {
 	e := arg.(*Engine)
 	return e.pending.Len() == 0 && e.queue.Len() == 0
@@ -226,7 +233,8 @@ func (e *Engine) onIterDone(finished []*serve.Running, chunks []progress) {
 // rather than overlapped with it as the device runs them.
 func fusedLatency(env *serve.Env, budget, bs, ctx int) float64 {
 	chunk := model.Seq{New: max(0, budget-bs), Reused: 1024}
-	cost := env.Arch.FusedChunkIter(chunk, bs*ctx, bs, env.GPUs)
+	table := env.Arch.DecodeTable(env.GPUs)
+	cost := table.Fused(chunk, bs*ctx, bs)
 	comm := cost.CommBytes / env.Spec.NVLinkBandwidth
 	cost.CommBytes = 0
 	k := gpu.NewKernel("fused-iter", gpu.Prefill, cost, env.Spec.GraphLaunch)

@@ -117,11 +117,11 @@ type Engine struct {
 	layerTP  sim.Time                 // T_P: PrefillPhase(layerOf.seqs, layerSMs)
 	layerSMs int                      // prefill partition size layerTP was priced at; 0 when unpriced
 	layerOf  *prefillJob              // nil once enqueue appends to that job
-	queue    serve.Queue[*prefillJob] // admitted jobs waiting for the prefill stream
+	queue    arena.Queue[*prefillJob] // admitted jobs waiting for the prefill stream
 	merging  []*prefillJob            // prefill-complete jobs awaiting a decode boundary
 	merged   int                      // merging[:merged] have merged at this boundary
 	jobs     arena.Pool[prefillJob]   // merged jobs, for enqueue to reuse
-	pending  serve.Queue[*workload.Request]
+	pending  arena.Queue[*workload.Request]
 
 	configs   []int
 	curConfig int

@@ -106,7 +106,8 @@ func Fig5(o Opts) []Table {
 // on the simulated device (full 8×A100, Llama-70B).
 func fusedIterLatency(arch model.Arch, spec gpu.Spec, budget, bs, decCtx, chunkPrior, chunkReused int) float64 {
 	chunk := model.Seq{New: max(budget-bs, 0), Prior: chunkPrior, Reused: chunkReused}
-	cost := arch.FusedChunkIter(chunk, bs*decCtx, bs, 8)
+	table := arch.DecodeTable(8)
+	cost := table.Fused(chunk, bs*decCtx, bs)
 	return gpu.SoloTime(spec, 8, spec.SMs, gpu.NewKernel("fused-iter", gpu.Prefill, cost, spec.GraphLaunch)).Seconds()
 }
 

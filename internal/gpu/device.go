@@ -192,14 +192,16 @@ func (d *Device) Partition(sms int, label string) *Partition {
 }
 
 // Partition is a stream bound to an SM subset — the Green Context analog.
-// Kernels launched on a partition execute in FIFO order.
+// Kernels launched on a partition execute in FIFO order. They wait in an
+// arena.Queue, whose ring stops growing at the stream's high-water mark,
+// so a stream that never idles (a launch from every completion callback)
+// reuses its ring.
 type Partition struct {
 	dev   *Device
 	sms   int
 	label string
 
-	queue   []*run // FIFO; the live window is queue[qhead:]
-	qhead   int
+	queue   arena.Queue[*run]
 	current *run
 
 	busy      float64 // seconds the stream had a kernel executing
@@ -217,7 +219,7 @@ func (p *Partition) Reconfigs() int { return p.reconfigs }
 
 // QueueLen returns the number of kernels launched but not yet completed.
 func (p *Partition) QueueLen() int {
-	n := len(p.queue) - p.qhead
+	n := p.queue.Len()
 	if p.current != nil {
 		n++
 	}
@@ -225,7 +227,7 @@ func (p *Partition) QueueLen() int {
 }
 
 // Idle reports whether nothing is queued or executing.
-func (p *Partition) Idle() bool { return p.current == nil && p.qhead == len(p.queue) }
+func (p *Partition) Idle() bool { return p.current == nil && p.queue.Len() == 0 }
 
 // SetSMs resizes the partition (a green-context reconfiguration). The new
 // size applies to kernels that begin executing afterwards; the resize
@@ -310,7 +312,7 @@ func (p *Partition) Relaunch(c model.Cost, mfu float64) bool {
 	t := r.retireAt(ready)
 	if t >= d.sim.Horizon() || !r.drains((t - ready).Seconds()) || !d.sim.Fold(ready, t) {
 		r.ticket = d.sim.Reserve(ready)
-		p.push(r)
+		p.queue.Push(r)
 		d.deferStart(r, t)
 		return false
 	}
@@ -333,8 +335,8 @@ func (p *Partition) Relaunch(c model.Cost, mfu float64) bool {
 func (p *Partition) enqueue(r *run) {
 	d := p.dev
 	r.ticket = d.sim.Reserve(d.hostLaunch(r.k.Launch))
-	p.push(r)
-	if p.current == nil && len(p.queue)-p.qhead == 1 {
+	p.queue.Push(r)
+	if p.current == nil && p.queue.Len() == 1 {
 		if d.pend == nil && len(d.running) == 0 && p.sms > 0 {
 			r.load(&d.Spec, d.TP, p.sms)
 			r.setLoneRates(&d.Spec, d.TP)
@@ -357,21 +359,6 @@ func (d *Device) hostLaunch(launch sim.Time) sim.Time {
 	}
 	d.launchInt += d.lastLaunchSec
 	return d.hostFreeAt
-}
-
-// push appends r to p's queue. When the backing array is full and at
-// least half of it lies before the live window, the window moves to the
-// front instead, so a stream that never idles (a launch from every
-// completion callback) reuses its array rather than growing it by one
-// slot per launch; each move copies at most as many runs as have left
-// the queue since the array last grew or moved.
-func (p *Partition) push(r *run) {
-	if n := len(p.queue); n == cap(p.queue) && p.qhead > 0 && 2*p.qhead >= n {
-		live := copy(p.queue, p.queue[p.qhead:])
-		clear(p.queue[live:])
-		p.queue, p.qhead = p.queue[:live], 0
-	}
-	p.queue = append(p.queue, r)
 }
 
 // deferStart starts r, the head of an idle partition on an idle device,
@@ -433,7 +420,7 @@ func (d *Device) releaseRun(r *run) {
 // passed, and every later start or retirement on the device settles it
 // first.
 func (p *Partition) tryStart() {
-	if p.current != nil || p.qhead == len(p.queue) || !p.dev.sim.Passed(p.queue[p.qhead].ticket) {
+	if p.current != nil || p.queue.Len() == 0 || !p.dev.sim.Passed(p.queue.Front().ticket) {
 		return
 	}
 	p.dev.startRun(p.dequeue())
@@ -441,13 +428,7 @@ func (p *Partition) tryStart() {
 
 // dequeue makes the queue head the partition's current kernel.
 func (p *Partition) dequeue() *run {
-	r := p.queue[p.qhead]
-	p.queue[p.qhead] = nil
-	p.qhead++
-	if p.qhead == len(p.queue) {
-		p.queue = p.queue[:0]
-		p.qhead = 0
-	}
+	r := p.queue.Pop()
 	p.current = r
 	return r
 }
@@ -755,8 +736,8 @@ func (d *Device) onProgress() {
 		// The new head queued behind r, so its ready event was never
 		// pushed; push it now unless it has already passed, in which
 		// case the tryStart below starts it in this event.
-		if p.qhead < len(p.queue) {
-			if h := p.queue[p.qhead]; d.sim.Passed(h.ticket) {
+		if p.queue.Len() > 0 {
+			if h := p.queue.Front(); d.sim.Passed(h.ticket) {
 				starts = true
 			} else {
 				d.sim.AtTicket(h.ticket, runReady, h)

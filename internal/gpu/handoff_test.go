@@ -64,20 +64,25 @@ func BenchmarkCoRunHandoff(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.layers), "ns/layer")
 }
 
-// A partition that never idles keeps its queue's backing array bounded:
-// each launch lands behind a live window that the retirements advance,
-// and the window moves back to the front of the array rather than the
-// array growing by one slot per launch.
+// A partition that never idles keeps its queue bounded: each launch
+// lands behind the runs the retirements advance past, and once warm the
+// queue reuses its storage rather than growing by one slot per launch. A
+// layer allocates nothing, so a queue that grew per launch would show in
+// the allocation count of a window as long as the warm-up.
 func TestLaunchChainQueueBounded(t *testing.T) {
+	const window = 10_000
 	c := newChain()
-	for c.layers < 10_000 {
-		c.s.Run()
-		if n := c.pre.QueueLen(); n > 2 {
-			t.Fatalf("after %d layers the prefill partition holds %d kernels, want at most 2", c.layers, n)
+	layers := func() {
+		for end := c.layers + window; c.layers < end; {
+			c.s.Run()
+			if n := c.pre.QueueLen(); n > 2 {
+				t.Fatalf("after %d layers the prefill partition holds %d kernels, want at most 2", c.layers, n)
+			}
 		}
 	}
-	if got := cap(c.pre.queue); got > 4 {
-		t.Fatalf("after %d layers the prefill queue's capacity is %d, want at most 4", c.layers, got)
+	layers()
+	if allocs := testing.AllocsPerRun(1, layers); allocs != 0 {
+		t.Fatalf("%d layers after warm-up allocated %v times, want 0", window, allocs)
 	}
 	if c.dec.QueueLen() != 1 {
 		t.Fatalf("the decode partition holds %d kernels, want 1", c.dec.QueueLen())

@@ -16,8 +16,13 @@
 // The pool keeps no page storage of its own: Insert keeps subslices of
 // the caller's page list as runs and never writes into them, so a page
 // list passed to Insert must not change afterwards. Callers publish
-// request page lists, which the trace owns and never rewrites.
+// request page lists, which the trace owns and never rewrites. Tree
+// nodes come from an arena.Pool: evicted nodes are recycled, and fresh
+// ones are carved out of the pool's blocks rather than allocated one by
+// one.
 package kvcache
+
+import "muxwise/internal/arena"
 
 // PageID identifies the content of one KV page (a hash over the tokens it
 // covers in a real system).
@@ -52,7 +57,7 @@ func PageCount(tokens, pageTokens int) int {
 // pages is a read-only subslice of a page list passed to Insert: the
 // pool reslices runs (a split, a trimmed tail) but never writes into
 // them. Evicted nodes drop their slice and are recycled through the
-// pool's free list. Ticks are unique per page touch, so every heap entry
+// pool's arena.Pool. Ticks are unique per page touch, so every heap entry
 // left over from a recycled node's previous life names a tick no cached
 // page holds, and drops.
 type node struct {
@@ -238,14 +243,8 @@ type Pool struct {
 	lru       evHeap
 	clock     int64
 	stats     Stats
-	free      []*node // recycled evicted nodes
-	slab      []node  // fresh nodes, carved out nodeSlab at a time
+	nodes     arena.Pool[node] // evicted nodes recycled, fresh ones carved in blocks
 }
-
-// nodeSlab is how many nodes one allocation provides: a pool publishes a
-// run per finished request, and allocating each node alone raised the
-// allocations per request of short-context replays.
-const nodeSlab = 64
 
 // New creates a pool holding capacityTokens of KV, paged by pageTokens.
 func New(capacityTokens int64, pageTokens int) *Pool {
@@ -259,21 +258,11 @@ func New(capacityTokens int64, pageTokens int) *Pool {
 	}
 }
 
-// allocNode takes a node off the free list (or the current slab), with
-// no run and no links.
+// allocNode takes a recycled or fresh node, with no run and no links.
+// A recycled node keeps its (empty) branch map.
 func (p *Pool) allocNode() *node {
-	if l := len(p.free); l > 0 {
-		n := p.free[l-1]
-		p.free[l-1] = nil
-		p.free = p.free[:l-1]
-		*n = node{children: n.children} // keep the (empty) branch map
-		return n
-	}
-	if len(p.slab) == 0 {
-		p.slab = make([]node, nodeSlab)
-	}
-	n := &p.slab[0]
-	p.slab = p.slab[1:]
+	n := p.nodes.Get()
+	*n = node{children: n.children}
 	return n
 }
 
@@ -440,7 +429,7 @@ func (p *Pool) freeTokens(want int64) bool {
 		p.stats.Evictions += int64(len(v.pages))
 		v.pages = nil
 		v.dead = true
-		p.free = append(p.free, v)
+		p.nodes.Release(v)
 		// A parent left a leaf keeps its own recency; if it is older than
 		// every listed leaf it is the next LRU victim anyway.
 		if par != p.root && par.evictable() && p.Free() < want && p.olderThanListed(par) {

@@ -38,8 +38,8 @@ type Engine struct {
 	reservedTokens  int64
 
 	decode  serve.DecodeStream
-	queue   serve.Queue[*pjob]
-	pending serve.Queue[*workload.Request]
+	queue   arena.Queue[*pjob]
+	pending arena.Queue[*workload.Request]
 	jobs    arena.Pool[pjob] // migrated jobs, for admit to reuse
 }
 

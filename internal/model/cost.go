@@ -132,17 +132,6 @@ func (a *Arch) moeWeightBytes(tok int) float64 {
 	return attn + router + distinct*expert
 }
 
-// DecodeIter returns the cost of one decode iteration (all layers, one
-// token per request) over a batch whose per-request attended context
-// lengths are given in ctxs. It is DecodeIterTotals of their sum.
-func (a *Arch) DecodeIter(ctxs []int, tp int) Cost {
-	total := 0
-	for _, r := range ctxs {
-		total += r
-	}
-	return a.DecodeIterTotals(total, len(ctxs), tp)
-}
-
 // DecodeIterTotals returns the cost of one decode iteration (all layers,
 // one token per request) over a batch of bs requests whose attended
 // context lengths sum to totalCtx. The cost depends on the batch only
@@ -231,17 +220,11 @@ func (t *DecodeTable) Iter(totalCtx, bs int) Cost {
 	return c
 }
 
-// FusedChunkIter returns the cost of a chunked-prefill iteration that
-// fuses a prefill chunk with a decode step over bs requests attending
-// totalCtx tokens in all (SARATHI-style). Weights are streamed once; the
-// chunk re-reads the KV of all previously processed tokens, which is the
+// Fused returns the cost of a chunked-prefill iteration that fuses a
+// prefill chunk with a decode step over bs requests attending totalCtx
+// tokens in all (SARATHI-style). Weights are streamed once; the chunk
+// re-reads the KV of all previously processed tokens, which is the
 // quadratic overhead the paper highlights.
-func (a *Arch) FusedChunkIter(chunk Seq, totalCtx, bs, tp int) Cost {
-	t := a.DecodeTable(tp)
-	return t.Fused(chunk, totalCtx, bs)
-}
-
-// Fused is FusedChunkIter at the table's architecture and TP degree.
 func (t *DecodeTable) Fused(chunk Seq, totalCtx, bs int) Cost {
 	c := t.Iter(totalCtx, bs)
 	if chunk.New > 0 {

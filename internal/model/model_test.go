@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -103,8 +102,8 @@ func TestPrefillScaling(t *testing.T) {
 // weights at small batch and by KV at long context.
 func TestDecodeScaling(t *testing.T) {
 	a := Llama70B()
-	short := a.DecodeIter(ctxs(32, 1024), 8)
-	long := a.DecodeIter(ctxs(32, 65536), 8)
+	short := a.DecodeIterTotals(32*1024, 32, 8)
+	long := a.DecodeIterTotals(32*65536, 32, 8)
 	if long.FLOPs <= short.FLOPs {
 		t.Error("decode FLOPs must grow with context")
 	}
@@ -115,23 +114,22 @@ func TestDecodeScaling(t *testing.T) {
 		t.Errorf("decode KV bytes delta = %.3g, want %.3g", dB, wantB)
 	}
 	// At bs=1, ctx=1K the iteration is weight-dominated.
-	one := a.DecodeIter(ctxs(1, 1024), 8)
+	one := a.DecodeIterTotals(1*1024, 1, 8)
 	if one.Bytes < a.WeightBytes()*0.9 {
 		t.Errorf("decode bytes %.3g should be ≥ ~weights %.3g", one.Bytes, a.WeightBytes())
 	}
 }
 
-func ctxs(bs, ctx int) []int {
-	out := make([]int, bs)
-	for i := range out {
-		out[i] = ctx
-	}
-	return out
+// fusedIter prices a fused chunked-prefill iteration through a's decode
+// table at tp.
+func fusedIter(a Arch, chunk Seq, totalCtx, bs, tp int) Cost {
+	t := a.DecodeTable(tp)
+	return t.Fused(chunk, totalCtx, bs)
 }
 
 func TestDecodeEmptyBatch(t *testing.T) {
 	a := Llama8B()
-	c := a.DecodeIter(nil, 8)
+	c := a.DecodeIterTotals(0, 0, 8)
 	if c.FLOPs != 0 || c.Bytes != 0 {
 		t.Errorf("empty decode iter = %+v, want zero", c)
 	}
@@ -141,8 +139,8 @@ func TestDecodeEmptyBatch(t *testing.T) {
 // paying weights separately.
 func TestFusedChunkSavesWeights(t *testing.T) {
 	a := Llama70B()
-	fused := a.FusedChunkIter(Seq{New: 480, Reused: 1024}, 32*1024, 32, 8)
-	separate := a.DecodeIter(ctxs(32, 1024), 8)
+	fused := fusedIter(a, Seq{New: 480, Reused: 1024}, 32*1024, 32, 8)
+	separate := a.DecodeIterTotals(32*1024, 32, 8)
 	chunkAlone := a.PrefillLayer([]Seq{{New: 480, Reused: 1024}}, 8, true).Scale(float64(a.Layers))
 	if fused.Bytes >= separate.Bytes+chunkAlone.Bytes {
 		t.Errorf("fused bytes %.3g not cheaper than separate %.3g",
@@ -156,8 +154,8 @@ func TestFusedChunkSavesWeights(t *testing.T) {
 // Chunked prefill re-reads prior KV: later chunks cost more bytes.
 func TestChunkKVReRead(t *testing.T) {
 	a := Llama70B()
-	first := a.FusedChunkIter(Seq{New: 512, Prior: 0}, 0, 0, 8)
-	later := a.FusedChunkIter(Seq{New: 512, Prior: 16384}, 0, 0, 8)
+	first := fusedIter(a, Seq{New: 512, Prior: 0}, 0, 0, 8)
+	later := fusedIter(a, Seq{New: 512, Prior: 16384}, 0, 0, 8)
 	delta := later.Bytes - first.Bytes
 	want := 16384 * a.KVBytesPerTokenLayer() * float64(a.Layers)
 	if !near(delta, want, 0.01) {
@@ -180,11 +178,11 @@ func TestPrefillPhaseVsLayer(t *testing.T) {
 
 func TestCommBytes(t *testing.T) {
 	a := Llama70B()
-	solo := a.DecodeIter(ctxs(8, 1024), 1)
+	solo := a.DecodeIterTotals(8*1024, 8, 1)
 	if solo.CommBytes != 0 {
 		t.Errorf("TP=1 comm bytes = %.3g, want 0", solo.CommBytes)
 	}
-	tp8 := a.DecodeIter(ctxs(8, 1024), 8)
+	tp8 := a.DecodeIterTotals(8*1024, 8, 8)
 	if tp8.CommBytes <= 0 {
 		t.Error("TP=8 must have collective traffic")
 	}
@@ -246,10 +244,12 @@ func TestPropertyDecodeAdditive(t *testing.T) {
 			return true
 		}
 		batch := make([]int, len(raw))
+		total := 0
 		for i, v := range raw {
 			batch[i] = int(v % 32768)
+			total += batch[i]
 		}
-		whole := a.DecodeIter(batch, 8)
+		whole := a.DecodeIterTotals(total, len(batch), 8)
 		// Rebuild: shared weights once + per-request KV/proj terms.
 		kvTok := a.KVBytesPerTokenLayer() * float64(a.Layers)
 		var kv float64
@@ -266,44 +266,11 @@ func TestPropertyDecodeAdditive(t *testing.T) {
 	}
 }
 
-// TestDecodeIterMatchesTotals pins DecodeIter to DecodeIterTotals bit for
-// bit over random batches of every catalog arch at tp 1-8. It also checks
-// that summing the contexts as ints and converting once equals adding
-// them one by one as floats, which is how DecodeIter once accumulated
-// them: int sums below 2^53 convert exactly.
-func TestDecodeIterMatchesTotals(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	bits := func(c Cost) [4]uint64 {
-		return [4]uint64{math.Float64bits(c.FLOPs), math.Float64bits(c.Bytes),
-			math.Float64bits(c.CommBytes), uint64(c.Tokens)}
-	}
-	for _, a := range Catalog() {
-		for tp := 1; tp <= 8; tp++ {
-			for range 100 {
-				batch := make([]int, rng.IntN(257))
-				total, floatSum := 0, 0.0
-				for i := range batch {
-					batch[i] = rng.IntN(1 << 21)
-					total += batch[i]
-					floatSum += float64(batch[i])
-				}
-				if float64(total) != floatSum {
-					t.Fatalf("int sum %d converts to %v, float sum is %v", total, float64(total), floatSum)
-				}
-				got, want := a.DecodeIter(batch, tp), a.DecodeIterTotals(total, len(batch), tp)
-				if bits(got) != bits(want) {
-					t.Fatalf("%s tp=%d bs=%d: DecodeIter %+v != DecodeIterTotals %+v", a.Name, tp, len(batch), got, want)
-				}
-			}
-		}
-	}
-}
-
 // decodeCostDigest is the sha256 of TestDecodeCostDigest's grid.
 const decodeCostDigest = "bb80fe879141c1dc9ca9cbf1b017845c005ae3d8e6482e7933dbe7fb7d1632e6"
 
 // TestDecodeCostDigest hashes the float bits of DecodeIterTotals and
-// FusedChunkIter (without a chunk, with a one-token one and with a long
+// DecodeTable.Fused (without a chunk, with a one-token one and with a long
 // one) for every catalog arch, MoE included, over TP ∈ {1, 2, 4, 8},
 // bs ∈ {0, 1, 2, 7, 256} and ctx ∈ {0, 1, 4096, 123000}. Any change to
 // the decode cost formulas' arithmetic, down to the association of one
@@ -325,7 +292,7 @@ func TestDecodeCostDigest(t *testing.T) {
 				for _, ctx := range []int{0, 1, 4096, 123000} {
 					put(a.DecodeIterTotals(ctx, bs, tp))
 					for _, ch := range chunks {
-						put(a.FusedChunkIter(ch, ctx, bs, tp))
+						put(fusedIter(a, ch, ctx, bs, tp))
 					}
 				}
 			}
@@ -338,10 +305,8 @@ func TestDecodeCostDigest(t *testing.T) {
 
 func BenchmarkDecodeIterCost(b *testing.B) {
 	a := Llama70B()
-	batch := ctxs(64, 8192)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.DecodeIter(batch, 8)
+	for b.Loop() {
+		a.DecodeIterTotals(64*8192, 64, 8)
 	}
 }
 

@@ -32,9 +32,9 @@ type Engine struct {
 	// the prefill publishes its KV, then its decode-pool reservation.
 	decode serve.DecodeStream
 
-	queue    serve.Queue[*serve.Running] // waiting for the prefill instance
-	handoff  serve.Queue[*handoffReq]    // prefill done, waiting for decode pool space
-	pending  serve.Queue[*workload.Request]
+	queue    arena.Queue[*serve.Running] // waiting for the prefill instance
+	handoff  arena.Queue[*handoffReq]    // prefill done, waiting for decode pool space
+	pending  arena.Queue[*workload.Request]
 	handoffs arena.Pool[handoffReq] // landed hand-offs, for onPrefillDone to reuse
 
 	// inFlight is the prefill batch on the device, empty when the
@@ -47,6 +47,10 @@ type handoffReq struct {
 	eng *Engine
 	run *serve.Running
 }
+
+// need is the decode-pool space the hand-off reserves: its request's
+// input and output KV.
+func (h *handoffReq) need() int64 { return int64(h.run.R.InputTokens + h.run.R.OutputTokens) }
 
 // InstanceGPUs returns the GPUs of each of the prefill and decode
 // instances New splits a group of gpus GPUs into.
@@ -147,12 +151,16 @@ func migrated(arg any) {
 
 func decodeDone(arg any, finished []*serve.Running) { arg.(*Engine).onDecodeDone(finished) }
 
-// decodeQuiet is the decode stream's quiet predicate: no finished
-// prefill waits for decode pool space, and the prefill instance is busy
-// or has nothing to start.
+// decodeQuiet is the decode stream's quiet predicate: the prefill
+// instance is busy or has nothing to start. A waiting hand-off needs no
+// term of its own: it waits because tryHandoff found the decode pool
+// short, every release of decode-pool space is followed by schedule,
+// which tries again, and a failed Reserve on the decode pool, which
+// caches no pages, changes nothing. So the handler's tryHandoff would
+// do nothing (TestQuietWithHandoffWaitingOnFullPool).
 func decodeQuiet(arg any) bool {
 	e := arg.(*Engine)
-	return e.handoff.Len() == 0 && (len(e.inFlight) > 0 || e.queue.Len() == 0)
+	return len(e.inFlight) > 0 || e.queue.Len() == 0
 }
 
 // onPrefillDone publishes the input KV into the prefill radix cache and
@@ -174,7 +182,7 @@ func (e *Engine) onPrefillDone(run *serve.Running) {
 func (e *Engine) tryHandoff() {
 	for e.handoff.Len() > 0 {
 		h := e.handoff.Front()
-		need := int64(h.run.R.InputTokens + h.run.R.OutputTokens)
+		need := h.need()
 		if !e.dPool.Reserve(need) {
 			return // decode pool full: prefill stalls (§4.3 OpenThoughts)
 		}

@@ -94,8 +94,8 @@ func oracleRuns() []oracleRun {
 // outcome returns everything a run leaves behind but its loop counters,
 // printed with exact floats: the summary, the miss causes and, for the
 // engine or each fleet replica, every request's record, the summary,
-// every device's Stats and the partition timeline. It returns the loop
-// counters apart.
+// every device's Stats, the prefix-cache hit rate and the partition
+// timeline. It returns the loop counters apart.
 func outcome(rep *muxwise.Report) (string, sim.LoopStats) {
 	out := fmt.Sprintf("%+v %+v", rep.Summary, rep.MissCauses)
 	if rep.Fleet == nil {
@@ -109,7 +109,7 @@ func outcome(rep *muxwise.Report) (string, sim.LoopStats) {
 
 // result prints one engine instance's part of outcome.
 func result(res *muxwise.Result) string {
-	out := fmt.Sprintf("%+v %+v %+v", res.Rec.Records(), res.Summary, res.Devices)
+	out := fmt.Sprintf("%+v %+v %+v %v", res.Rec.Records(), res.Summary, res.Devices, res.CacheHit)
 	if tl := res.Timeline; tl != nil {
 		for i := range tl.Changes() {
 			at, dec, pre := tl.Point(i)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"muxwise/internal/arena"
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
 	"muxwise/internal/metrics"
@@ -388,7 +389,7 @@ func TestAdmitNext(t *testing.T) {
 	rec := metrics.NewRecorder()
 	env := &Env{Sim: s, Rec: rec}
 	pool := kvcache.New(1500, 16)
-	var pending Queue[*workload.Request]
+	var pending arena.Queue[*workload.Request]
 	for id := 1; id <= 2; id++ {
 		rec.Arrive(id, 0, 1000)
 		pending.Push(req(id, 1000, 100))

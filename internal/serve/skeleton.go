@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"muxwise/internal/arena"
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
 	"muxwise/internal/metrics"
@@ -51,7 +52,7 @@ func (b *Base) CachePools() []*kvcache.Pool { return b.pools }
 // the reservation), records the admission and pops the request. It
 // returns nil, leaving pending untouched, when the queue is empty, the
 // batch is full or the pool cannot hold the head.
-func (e *Env) AdmitNext(pending *Queue[*workload.Request], inflight int, pool *kvcache.Pool, reserveOutput bool) *Running {
+func (e *Env) AdmitNext(pending *arena.Queue[*workload.Request], inflight int, pool *kvcache.Pool, reserveOutput bool) *Running {
 	if pending.Len() == 0 || inflight >= MaxBatch {
 		return nil
 	}

@@ -7,8 +7,8 @@
 // single Sim instance.
 //
 // The event loop is the hottest path in the repository, so it avoids
-// allocating per operation: fired and cancelled events return to a free
-// list and are recycled by later schedules (callers hold generation-
+// allocating per operation: fired and cancelled events return to an
+// arena.Pool and are recycled by later schedules (callers hold generation-
 // checked Handles, so a recycled slot cannot be cancelled by a stale
 // holder), and the priority queue is a hand-rolled 4-ary heap over *Event
 // (no container/heap interface boxing). Every event is one pre-bound
@@ -60,6 +60,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"muxwise/internal/arena"
 )
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
@@ -162,12 +164,12 @@ func (h Handle) Pending() bool { return h.ev != nil && h.ev.gen == h.gen }
 // Sim is a discrete-event simulator. The zero value is ready to use.
 type Sim struct {
 	now        Time
-	events     []*Event // 4-ary min-heap on (at, seq)
-	free       []*Event // recycled slots
-	seq        int64    // next sequence number to hand out
-	cut        int64    // keys (now, seq) with seq < cut have passed
-	draws      []draw   // AtFuncOnPass events awaiting their ticket, in ticket order
-	reserved   int      // stream entries with reserved seqs, not yet in the heap
+	events     []*Event          // 4-ary min-heap on (at, seq)
+	slots      arena.Pool[Event] // fired and cancelled slots, recycled
+	seq        int64             // next sequence number to hand out
+	cut        int64             // keys (now, seq) with seq < cut have passed
+	draws      []draw            // AtFuncOnPass events awaiting their ticket, in ticket order
+	reserved   int               // stream entries with reserved seqs, not yet in the heap
 	stopped    bool
 	limit      Time // the running RunUntil's limit; 0 outside RunUntil, which leaves no room to fold
 	scheduled  int64
@@ -218,17 +220,6 @@ func (s *Sim) Now() Time { return s.now }
 // counting every stream entry that has not fired.
 func (s *Sim) Pending() int { return len(s.events) + s.reserved }
 
-// slot takes a slot off the free list, or makes one.
-func (s *Sim) slot() *Event {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return e
-	}
-	return &Event{}
-}
-
 // checkTime panics when t lies before the current time.
 func (s *Sim) checkTime(t Time) {
 	if t < s.now {
@@ -239,7 +230,7 @@ func (s *Sim) checkTime(t Time) {
 // alloc takes a slot and keys it for scheduling at t.
 func (s *Sim) alloc(t Time) *Event {
 	s.checkTime(t)
-	e := s.slot()
+	e := s.slots.Get()
 	e.at = t
 	e.seq = s.seq
 	s.seq++
@@ -257,14 +248,14 @@ func (s *Sim) push(e *Event) {
 	}
 }
 
-// release returns a removed slot to the free list, invalidating every
+// release returns a removed slot to the pool, invalidating every
 // Handle that points at it.
 func (s *Sim) release(e *Event) {
 	e.gen++
 	e.index = -1
 	e.fn = nil
 	e.arg = nil
-	s.free = append(s.free, e)
+	s.slots.Release(e)
 }
 
 // AtFunc schedules fn(arg) to run at absolute time t. Scheduling in the
@@ -320,7 +311,7 @@ func (s *Sim) AtStream(n int, at func(i int) Time, fire func(i int)) {
 // push puts the entry at st.pos into the heap under its reserved key.
 func (st *stream) push() {
 	i := st.entry(st.pos)
-	e := st.sim.slot()
+	e := st.sim.slots.Get()
 	e.at = st.at(i)
 	e.seq = st.base + int64(i)
 	e.fn = fireStream
@@ -366,7 +357,7 @@ func (s *Sim) AtTicket(tk Ticket, fn func(any), arg any) Handle {
 	if s.Passed(tk) {
 		panic(fmt.Sprintf("sim: ticket at %v has already passed (now %v)", tk.at, s.now))
 	}
-	e := s.slot()
+	e := s.slots.Get()
 	e.at = tk.at
 	e.seq = tk.seq
 	e.fn = fn
@@ -410,7 +401,7 @@ func (s *Sim) AtFuncOnPass(tk Ticket, t Time, fn func(any), arg any) Handle {
 	if t < tk.at {
 		panic(fmt.Sprintf("sim: deferring to %v, before the ticket at %v", t, tk.at))
 	}
-	e := s.slot()
+	e := s.slots.Get()
 	e.at = t
 	e.seq = undrawn
 	e.fn = fn

@@ -30,8 +30,8 @@ type Engine struct {
 	decode  serve.DecodeStream
 	busy    bool // the single stream runs a decode iteration or a burst
 	active  *job
-	queue   serve.Queue[*job]
-	pending serve.Queue[*workload.Request]
+	queue   arena.Queue[*job]
+	pending arena.Queue[*workload.Request]
 
 	// burstN is the layer count of the prefill burst on the device (one
 	// launch at a time, guarded by busy).

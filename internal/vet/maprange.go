@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
 )
 
 // MapRange flags map iteration whose order can leak into observable
@@ -21,8 +20,7 @@ var MapRange = &Analyzer{
 		"extremum selection with a map-order-dependent tie-break (best = k\n" +
 		"under a strict comparison) and calls through function values, whose\n" +
 		"effects the analyzer cannot see. Writes keyed by the range key\n" +
-		"itself (m[k] = v) are order-independent and not flagged. Set\n" +
-		"MUXVET_DEBUG_ALLMAPS=1 to inventory every map range in scope.",
+		"itself (m[k] = v) are order-independent and not flagged.",
 	Run: runMapRange,
 }
 
@@ -93,9 +91,6 @@ func runMapRange(p *Pass) error {
 			}
 			trig := p.classifyMapRangeBody(rs)
 			if trig == nil {
-				if os.Getenv("MUXVET_DEBUG_ALLMAPS") != "" {
-					p.Reportf(rs.For, "DEBUG map range over %s (no trigger)", types.ExprString(rs.X))
-				}
 				return true
 			}
 			if trig.appendTarget != nil && p.sortedAfter(file, rs, trig.appendTarget) {

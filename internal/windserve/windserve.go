@@ -8,6 +8,7 @@
 package windserve
 
 import (
+	"muxwise/internal/arena"
 	"muxwise/internal/gpu"
 	"muxwise/internal/kvcache"
 	"muxwise/internal/model"
@@ -25,8 +26,8 @@ type Engine struct {
 	pool     *kvcache.Pool
 
 	decode  serve.DecodeStream
-	queue   serve.Queue[*serve.Running]
-	pending serve.Queue[*workload.Request]
+	queue   arena.Queue[*serve.Running]
+	pending arena.Queue[*workload.Request]
 
 	// merging holds prefilled requests whose first token waits for the
 	// decode iteration boundary.
